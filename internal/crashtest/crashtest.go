@@ -78,13 +78,25 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 		panic("crashtest: engine kind is not durable")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	e := engine.New(engine.Config{Kind: kind, Words: cfg.Words, Track: true, Shards: cfg.Shards})
-	se, sharded := e.(*engine.Sharded)
-	attach := func(c *engine.Ctx) structures.Set {
-		if sharded {
-			return structures.NewSharded(se, c, build)
-		}
-		return build(e, c)
+	ecfg := engine.Config{Kind: kind, Words: cfg.Words, Track: true, Shards: cfg.Shards}
+	// e is the engine or the sharded router; attach builds (or, after
+	// recovery, re-attaches) the set on it, and recoverSet recovers the set
+	// attach last built.
+	var e engine.Host
+	var attach func(c *engine.Ctx) structures.Set
+	var recoverSet func()
+	if cfg.Shards > 1 {
+		se := engine.NewSharded(ecfg)
+		var ss *structures.Sharded
+		e = se
+		attach = func(c *engine.Ctx) structures.Set { ss = structures.NewSharded(se, c, build); return ss }
+		recoverSet = func() { ss.Recover(engine.RecoverOptions{}) }
+	} else {
+		ue := engine.New(ecfg)
+		var us structures.Set
+		e = ue
+		attach = func(c *engine.Ctx) structures.Set { us = build(ue, c); return us }
+		recoverSet = func() { ue.Recover(us.Tracer()) }
 	}
 	set := attach(e.NewCtx())
 
@@ -153,11 +165,7 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 	rwg.Wait()
 
 	e.Crash(cfg.Policy, rng)
-	if sharded {
-		set.(*structures.Sharded).Recover(engine.RecoverOptions{})
-	} else {
-		e.Recover(set.Tracer())
-	}
+	recoverSet()
 
 	// Re-attach and verify.
 	c := e.NewCtx()

@@ -94,7 +94,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 
 				// Replica invariants hold for every reachable object.
 				tr(e.RecoveryLoad, func(ref engine.Ref, fields int) {
-					if msg := engine.CheckMirrorInvariants(e, ref, fields); msg != "" {
+					if msg := e.CheckInvariants(ref, fields); msg != "" {
 						t.Fatalf("after %d interrupted recoveries: %s", crashPoints, msg)
 					}
 				})

@@ -18,14 +18,14 @@ import "mirror/internal/pmem"
 // may never come), and a second Commit would publish that corrupted batch —
 // with pmem debug checks enabled, both misuses panic instead.
 type BatchCtx struct {
-	e    Engine
+	e    Memory
 	c    *Ctx
 	last Ref
 	done bool
 }
 
 // Batch starts an initialization batch on c.
-func Batch(e Engine, c *Ctx) BatchCtx { return BatchCtx{e: e, c: c} }
+func Batch(e Memory, c *Ctx) BatchCtx { return BatchCtx{e: e, c: c} }
 
 // StoreInit writes a field of an unpublished object within the batch.
 func (b *BatchCtx) StoreInit(ref Ref, field int, v uint64) {

@@ -1,76 +1,54 @@
 package engine
 
-import "mirror/internal/patomic"
+import "fmt"
 
-// brokenMirror is a Mirror engine whose write operations run through
-// patomic.BrokenMem — the copy of the write path with the own-install
-// flush+fence removed. It exists so the fault fuzzer can prove it detects
-// a real durability bug; see NewBrokenMirror.
-type brokenMirror struct {
-	*mirrorEngine
-	bm patomic.BrokenMem
-}
+// Bug names a deliberately seeded durability bug for NewBroken.
+type Bug int
 
-// NewBrokenMirror returns a Mirror engine with a deliberately seeded
-// durability bug: Store/CAS/FetchAdd install values that are visible (and
-// so can complete operations) before they are durable. Reads, allocation,
-// initialization, crash, and recovery are the unmodified Mirror paths.
-// Test-only: the fault fuzzer's self-test must catch this engine, and the
+const (
+	// BugDropOwnFlush removes the flush+fence between a writer's own
+	// install into rep_p and its mirror into rep_v (the help and failure
+	// paths keep theirs): Store/CAS/FetchAdd install values that are
+	// visible — and so complete operations — before they are durable. A
+	// crash whose line fate is "drop" or "torn" loses a completed operation.
+	BugDropOwnFlush Bug = iota
+	// BugEvictionAdvancesWatermark breaks the flush-elision layer: the
+	// fault model's early eviction advances the persisted-epoch watermark
+	// as if it were a fenced commit. A writer whose line was evicted then
+	// elides its flush+fence on the strength of the fake watermark, so its
+	// completed operation is visible but unfenced. Caught under evict+drop
+	// faults.
+	BugEvictionAdvancesWatermark
+	// BugDrainDropsFirstLine breaks fence combining (forces Config.Combine):
+	// every combined drain silently skips its first buffered line while the
+	// drained watermark still advances past its ticket. The affected
+	// operation is recorded as durably committed though its install never
+	// reached a fence — a loss the buffered checker may NOT excuse.
+	BugDrainDropsFirstLine
+)
+
+// NewBroken returns a MirrorDRAM engine with one seeded durability bug and
+// every other path — reads, allocation, initialization, crash, recovery —
+// unmodified. Test support only: it exists so the fault fuzzer can prove it
+// detects, shrinks, and replays a real violation of each kind, and the
 // acceptance bar for any fuzzer change is that it still does.
-func NewBrokenMirror(cfg Config) Engine {
+func NewBroken(cfg Config, bug Bug) Engine {
 	cfg.Kind = MirrorDRAM
+	if bug != BugDropOwnFlush {
+		cfg.NoElide = false
+	}
+	cfg.Combine = cfg.Combine || bug == BugDrainDropsFirstLine
 	cfg.setDefaults()
-	me := newMirror(cfg)
-	return &brokenMirror{mirrorEngine: me, bm: patomic.BrokenMem{Mem: &me.mem}}
-}
-
-func (e *brokenMirror) Store(c *Ctx, ref Ref, field int, v uint64) {
-	e.bm.Store(&c.pa, e.cellAddr(ref, field), v)
-}
-
-func (e *brokenMirror) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
-	ok, _ := e.bm.CompareAndSwap(&c.pa, e.cellAddr(ref, field), old, new)
-	return ok
-}
-
-func (e *brokenMirror) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
-	return e.bm.FetchAdd(&c.pa, e.cellAddr(ref, field), delta)
-}
-
-// NewBrokenWatermarkMirror returns a Mirror engine with a deliberately
-// broken flush-elision layer: the fault model's early eviction advances the
-// persisted-epoch watermark as if it were a fenced commit. A writer whose
-// line was evicted then elides its flush+fence on the strength of the fake
-// watermark, so its completed operation is visible but unfenced — and a
-// crash whose line fate is "drop" loses it, a durable-linearizability
-// violation. This is precisely the soundness condition ISSUE 5 names
-// ("early fault-model eviction must NOT advance it"); the fault fuzzer's
-// acceptance self-test must catch this engine under evict+drop faults.
-// Test-only.
-func NewBrokenWatermarkMirror(cfg Config) Engine {
-	cfg.Kind = MirrorDRAM
-	cfg.NoElide = false
-	cfg.setDefaults()
-	me := newMirror(cfg)
-	me.mem.P.BreakWatermarkForTest()
-	return me
-}
-
-// NewBrokenCombineMirror returns a combining Mirror engine whose drain
-// drops a buffered commit ticket: the first buffered line of every
-// combined drain is silently skipped while the drained watermark still
-// advances past its ticket. The affected operation is then recorded as
-// durably committed (ticket <= drained) though its install never reached
-// a fence, so a crash whose line fate is "drop" loses a completed
-// operation the buffered checker is NOT allowed to excuse — exactly the
-// violation the fault fuzzer's combining acceptance test must catch,
-// shrink, and replay. Test-only.
-func NewBrokenCombineMirror(cfg Config) Engine {
-	cfg.Kind = MirrorDRAM
-	cfg.NoElide = false
-	cfg.Combine = true
-	cfg.setDefaults()
-	me := newMirror(cfg)
-	me.mem.P.BreakCombineForTest()
-	return me
+	e := newMirror(cfg)
+	switch bug {
+	case BugDropOwnFlush:
+		e.mem.BreakOwnFlushForTest()
+	case BugEvictionAdvancesWatermark:
+		e.mem.P.BreakWatermarkForTest()
+	case BugDrainDropsFirstLine:
+		e.mem.P.BreakCombineForTest()
+	default:
+		panic(fmt.Sprintf("engine: unknown seeded bug %d", int(bug)))
+	}
+	return e
 }

@@ -199,10 +199,10 @@ func TestCombineAdoptWitnessPinned(t *testing.T) {
 	if f, n := e.Counters(); f != f0 || n != n0 {
 		t.Fatalf("adopt issued persistence ops: flushes %d->%d fences %d->%d", f0, f, n0, n)
 	}
-	if !CombineOwnsField(e, walker, ref, 0) {
+	if !CombineOwnsField(walker, ref, 0) {
 		t.Fatal("adopted line not owned by the walker's buffer")
 	}
-	CommitWitness(e, walker)
+	CommitWitness(walker)
 	f1, n1 := e.Counters()
 	if f1-f0 != 1 || n1-n0 != 1 {
 		t.Fatalf("witness drain: got (%d flushes, %d fences), want (1, 1)", f1-f0, n1-n0)
@@ -210,7 +210,7 @@ func TestCombineAdoptWitnessPinned(t *testing.T) {
 	if s := e.Stats(); s.DrainCauses.Expose != 1 {
 		t.Fatalf("drain causes = %+v, want an expose drain for the witness", s.DrainCauses)
 	}
-	CommitWitness(e, walker) // drained: nothing left to witness
+	CommitWitness(walker) // drained: nothing left to witness
 	if f, n := e.Counters(); f != f1 || n != n1 {
 		t.Fatalf("second witness issued (%d flushes, %d fences)", f-f1, n-n1)
 	}
@@ -243,7 +243,7 @@ func TestCombineAdoptWitnessPinned(t *testing.T) {
 	if v := TraversalLoadAdopt(e, ticketed, ref2, 0); v != 2 {
 		t.Fatalf("TraversalLoadAdopt = %d, want 2", v)
 	}
-	CommitWitness(e, ticketed)
+	CommitWitness(ticketed)
 	if f, n := e.Counters(); f != f2 || n != n2 {
 		t.Fatalf("ticketed witness issued (%d flushes, %d fences), want (0, 0)", f-f2, n-n2)
 	}

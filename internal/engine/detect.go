@@ -37,7 +37,7 @@ import (
 //     lap (announce or verdict for seq+kRing) therefore proves seq's
 //     response was released, hence seq committed.
 //   - Per-client FIFO execution with verdicts published in seq order
-//     after a drain fence (the engines' detectDrain). A durable verdict
+//     after a drain fence (DetectDrain). A durable verdict
 //     for a later seq of the same client then proves every earlier seq's
 //     effect was durable first — even when the earlier verdict line itself
 //     was dropped by the crash — because verdict words are only written
@@ -404,48 +404,94 @@ type pendingVerdict struct {
 	rval   uint64
 }
 
-// detectBegin arms the descriptor protocol for one operation on c.
-func detectBegin(r *DescRegion, c *Ctx, fs *pmem.FlushSet, client int, seq, kind, key, val uint64, deferAnnounce bool) {
-	if r == nil {
+// verdictPoint names the three places a verdict can be about to persist.
+type verdictPoint int
+
+const (
+	atLinearized verdictPoint = iota // Linearized: right after the linearizing install
+	atEnd                            // DetectEnd with no Linearized hook fired
+	atDrain                          // DetectDrain: a whole batch of deferred verdicts
+)
+
+// verdictSettler is what the descriptor protocol needs from the engine it
+// is embedded in — the only two things the engines' descriptor glue ever
+// differed in.
+type verdictSettler interface {
+	// descFlushSet returns c's flush set on the descriptor region's device.
+	descFlushSet(c *Ctx) *pmem.FlushSet
+	// settle makes every effect a verdict about to persist at the given
+	// point may testify to durable first: a verdict line must never reach
+	// the media ahead of its operation's install.
+	settle(c *Ctx, at verdictPoint)
+}
+
+// detector is the engine-integrated descriptor protocol — the Detector role
+// plus the Linearized hook — written once over a DescRegion and embedded in
+// both engine implementations.
+type detector struct {
+	desc *DescRegion // nil with detectability off
+	eng  verdictSettler
+}
+
+func (d *detector) Clients() int {
+	if d.desc == nil {
+		return 0
+	}
+	return d.desc.Clients
+}
+
+func (d *detector) DetectRing() int {
+	if d.desc == nil {
+		return 0
+	}
+	return d.desc.Ring
+}
+
+func (d *detector) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+	if d.desc == nil {
 		panic("engine: detectability is disabled (Config.Clients == 0)")
 	}
 	if c.det.armed {
 		panic("engine: DetectBegin while a detectable operation is already armed")
 	}
-	r.Begin(fs, client, seq, kind, key, val, deferAnnounce)
+	d.desc.Begin(d.eng.descFlushSet(c), client, seq, kind, key, val, deferAnnounce)
 	c.det = descState{armed: true, client: client, seq: seq}
 }
 
-// detectLinearized publishes the armed operation's verdict; called by the
-// structures immediately after their linearizing install returns (so the
-// effect is already durable). A no-op when nothing is armed, so structures
-// call it unconditionally.
-func detectLinearized(r *DescRegion, c *Ctx, fs *pmem.FlushSet, result bool) {
-	if r == nil || !c.det.armed || c.det.delivered || c.det.deferred {
-		// In batched-verdict mode nothing publishes mid-operation: the
-		// verdict is recorded by detectEndDeferred and persists at the
-		// next drain, after the batch's effects.
+// Linearized publishes the armed operation's verdict; the structures call
+// it immediately after their linearizing install returns, unconditionally
+// (it is a no-op when nothing is armed). In batched-verdict mode nothing
+// publishes mid-operation: the verdict is recorded by DetectEndDeferred and
+// persists at the next drain, after the batch's effects.
+func (d *detector) Linearized(c *Ctx, result bool) {
+	if d.desc == nil || !c.det.armed || c.det.delivered {
 		return
 	}
-	r.Publish(fs, c.det.client, c.det.seq, result, 0)
+	d.eng.settle(c, atLinearized)
+	if c.det.deferred {
+		return
+	}
+	d.desc.Publish(d.eng.descFlushSet(c), c.det.client, c.det.seq, result, 0)
 	c.det.delivered = true
 }
 
-// detectEnd publishes the verdict if no linearization hook did (operations
+// DetectEnd publishes the verdict if no linearization hook did (operations
 // that completed without a linearizing install, e.g. a failed insert or a
 // Contains) and commits it before the operation returns to the client.
-func detectEnd(r *DescRegion, c *Ctx, fs *pmem.FlushSet, result bool) {
-	if r == nil || !c.det.armed {
+func (d *detector) DetectEnd(c *Ctx, result bool) {
+	if d.desc == nil || !c.det.armed {
 		return
 	}
+	fs := d.eng.descFlushSet(c)
 	if !c.det.delivered {
-		r.Publish(fs, c.det.client, c.det.seq, result, 0)
+		d.eng.settle(c, atEnd)
+		d.desc.Publish(fs, c.det.client, c.det.seq, result, 0)
 	}
-	r.End(fs)
+	d.desc.End(fs)
 	c.det = descState{}
 }
 
-// detectBeginDeferred arms the descriptor protocol in batched-verdict mode.
+// DetectBeginDeferred arms the descriptor protocol in batched-verdict mode.
 // A pending verdict about to be *lapped* — one for the same client whose
 // entry seq would overwrite (seq - pending ≥ Ring) — forces a drain first:
 // the Detect inference "entry lapped past seq implies seq committed" is
@@ -453,12 +499,11 @@ func detectEnd(r *DescRegion, c *Ctx, fs *pmem.FlushSet, result bool) {
 // before the overwriting announce can be. Within the ring window no drain
 // is forced — that is the pipelining win: a client keeps up to Ring
 // operations pending under one eventual drain fence.
-func detectBeginDeferred(r *DescRegion, c *Ctx, fs *pmem.FlushSet, drain func(),
-	client int, seq, kind, key, val uint64, deferAnnounce bool) {
-	if ringCollision(c.detPending, client, seq, r.Ring) {
-		drain()
+func (d *detector) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+	if d.desc != nil && ringCollision(c.detPending, client, seq, d.desc.Ring) {
+		d.DetectDrain(c)
 	}
-	detectBegin(r, c, fs, client, seq, kind, key, val, deferAnnounce)
+	d.DetectBegin(c, client, seq, kind, key, val, deferAnnounce)
 	c.det.deferred = true
 }
 
@@ -474,10 +519,10 @@ func ringCollision(pending []pendingVerdict, client int, seq uint64, ring int) b
 	return false
 }
 
-// detectEndDeferred records the armed operation's verdict (with its
+// DetectEndDeferred records the armed operation's verdict (with its
 // auxiliary return word) for the next drain and disarms the context.
-func detectEndDeferred(r *DescRegion, c *Ctx, result bool, rval uint64) {
-	if r == nil || !c.det.armed {
+func (d *detector) DetectEndDeferred(c *Ctx, result bool, rval uint64) {
+	if d.desc == nil || !c.det.armed {
 		return
 	}
 	if !c.det.deferred {
@@ -489,18 +534,31 @@ func detectEndDeferred(r *DescRegion, c *Ctx, result bool, rval uint64) {
 	c.det = descState{}
 }
 
-// publishPending flushes every pending verdict and commits them under one
-// End fence. The caller must already have made the batch's effects durable
-// (the drain fence); see the engines' detectDrain methods.
-func publishPending(r *DescRegion, c *Ctx, fs *pmem.FlushSet) {
+// DetectDrain publishes c's deferred verdicts: the engine first settles
+// every effect whose durability was deferred, then all verdict lines flush
+// and one End fence commits them. Effects never ride the verdicts' End
+// fence, so a crash can never persist a verdict whose effect vanished.
+func (d *detector) DetectDrain(c *Ctx) {
+	if len(c.detPending) == 0 {
+		return
+	}
 	if c.det.armed {
 		panic("engine: DetectDrain while a detectable operation is armed")
 	}
+	d.eng.settle(c, atDrain)
+	fs := d.eng.descFlushSet(c)
 	for _, pv := range c.detPending {
-		r.Publish(fs, pv.client, pv.seq, pv.result, pv.rval)
+		d.desc.Publish(fs, pv.client, pv.seq, pv.result, pv.rval)
 	}
 	c.detPending = c.detPending[:0]
-	r.End(fs)
+	d.desc.End(fs)
+}
+
+func (d *detector) Detect(client int, seq uint64) DetectResult {
+	if d.desc == nil {
+		panic("engine: Detect with detectability disabled (Config.Clients == 0)")
+	}
+	return d.desc.Detect(client, seq)
 }
 
 // DetectOp describes one detectable operation for ExactlyOnce.
@@ -540,7 +598,7 @@ type Outcome struct {
 // a took-effect cut changes no state (only the returned boolean may differ
 // from what the cut execution would have returned); leave it false for
 // non-idempotent operations such as queue updates.
-func ExactlyOnce(e Engine, c *Ctx, op DetectOp, replayUnknown bool) Outcome {
+func ExactlyOnce(e Detector, c *Ctx, op DetectOp, replayUnknown bool) Outcome {
 	d := e.Detect(op.Client, op.Seq)
 	switch {
 	case d.Verdict == Committed:

@@ -12,10 +12,10 @@ import (
 // non-durable originals and the Izraelevitz and NVTraverse transformations.
 // One word per field, directly on one device.
 type directEngine struct {
+	detector   // per-client op descriptors
 	kind       Kind
 	dev        *pmem.Device
 	rootFields int
-	desc       *DescRegion // per-client op descriptors; nil when off
 
 	mu    sync.Mutex
 	alloc *palloc.Allocator
@@ -68,6 +68,7 @@ func newDirect(cfg Config) *directEngine {
 		rootFields: cfg.RootFields,
 		recl:       palloc.NewReclaimer(),
 	}
+	e.eng = e
 	// Descriptor region between the roots and the allocator base. On the
 	// non-durable originals the region exists but never flushes: it is
 	// wiped at a crash, and every verdict honestly reads NotCommitted —
@@ -116,13 +117,9 @@ func (e *directEngine) OpBegin(c *Ctx) { c.Cache.Enter() }
 
 func (e *directEngine) OpEnd(c *Ctx) {
 	if e.durable() {
-		if e.elides() && len(c.initLines) > 0 {
-			// Deferred inits of an object that was never published
-			// (FreeUnpublished): it never became reachable, nothing to
-			// persist.
-			c.initLines = c.initLines[:0]
-			c.initCells = 0
-		}
+		// Deferred inits of an object that was never published
+		// (FreeUnpublished): it never became reachable, nothing to persist.
+		c.fs.DropInit()
 		// Both transformations issue a final fence before an operation
 		// returns, so completed operations are durable — unless nothing
 		// was flushed since the last fence, in which case the sfence
@@ -145,7 +142,7 @@ func (e *directEngine) StoreInit(c *Ctx, ref Ref, field int, v uint64) {
 	e.dev.Store(a, v)
 	if e.durable() {
 		if e.elides() {
-			c.deferInitLine(a / pmem.WordsPerLine)
+			c.fs.DeferInit(a)
 		} else {
 			e.dev.Flush(&c.fs, a)
 		}
@@ -157,18 +154,8 @@ func (e *directEngine) Publish(c *Ctx, ref Ref) {
 		return
 	}
 	if e.elides() {
-		for _, line := range c.initLines {
-			e.dev.Flush(&c.fs, line*pmem.WordsPerLine)
-		}
-		if elided := c.initCells - len(c.initLines); elided > 0 {
-			e.dev.NoteElided(&c.fs, uint64(elided), 0)
-		}
-		c.initLines = c.initLines[:0]
-		c.initCells = 0
-		if c.fs.Pending() == 0 {
-			e.dev.NoteElided(&c.fs, 0, 1)
-			return
-		}
+		e.dev.PublishInit(&c.fs)
+		return
 	}
 	e.dev.Fence(&c.fs)
 }
@@ -347,63 +334,23 @@ func (e *directEngine) RecoveryLoad(ref Ref, field int) uint64 {
 	return e.dev.ReadRaw(e.addr(ref, field))
 }
 
-func (e *directEngine) Clients() int {
-	if e.desc == nil {
-		return 0
-	}
-	return e.desc.Clients
-}
+// CheckInvariants is vacuous: one replica, nothing to tie together.
+func (e *directEngine) CheckInvariants(ref Ref, fields int) string { return "" }
 
-// DetectRing returns the per-client descriptor ring size (0 with
-// detectability off).
-func (e *directEngine) DetectRing() int {
-	if e.desc == nil {
-		return 0
-	}
-	return e.desc.Ring
-}
+func (e *directEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.fs }
 
-func (e *directEngine) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
-	detectBegin(e.desc, c, &c.fs, client, seq, kind, key, val, deferAnnounce)
-}
-
-func (e *directEngine) Linearized(c *Ctx, result bool) {
-	if e.desc == nil || !c.det.armed || c.det.delivered {
-		return
-	}
-	if e.kind == Izraelevitz {
-		// The Izraelevitz discipline flushes a CAS but fences only before
-		// the *next* access, so the linearizing install is not yet durable
-		// here. The verdict must never be durable before the install is:
-		// commit the install first.
+// settle: NVTraverse fences inside its CAS, so an eager verdict trails
+// nothing. The Izraelevitz discipline flushes a CAS but fences only before
+// the *next* access, so at Linearized the install is not yet durable:
+// commit it first. A batch of deferred verdicts may also trail the eliding
+// engine's relaxed-line registry and any flushed-but-unfenced line (the
+// Izraelevitz install window); both commit under their own fence before
+// any verdict line can persist. The non-durable originals settle nothing.
+func (e *directEngine) settle(c *Ctx, at verdictPoint) {
+	switch {
+	case at == atLinearized && e.kind == Izraelevitz:
 		e.dev.Fence(&c.fs)
-	}
-	detectLinearized(e.desc, c, &c.fs, result)
-}
-
-func (e *directEngine) DetectEnd(c *Ctx, result bool) {
-	detectEnd(e.desc, c, &c.fs, result)
-}
-
-func (e *directEngine) detectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
-	detectBeginDeferred(e.desc, c, &c.fs, func() { e.detectDrain(c) },
-		client, seq, kind, key, val, deferAnnounce)
-}
-
-func (e *directEngine) detectEndDeferred(c *Ctx, result bool, rval uint64) {
-	detectEndDeferred(e.desc, c, result, rval)
-}
-
-// detectDrain publishes c's deferred verdicts. The direct durable engines
-// fence at every OpEnd, so the batch's effects are already durable here —
-// except flushed-but-unfenced lines (the Izraelevitz install window) and
-// the eliding engine's relaxed-line registry, which must commit under
-// their own fence before any verdict line can persist.
-func (e *directEngine) detectDrain(c *Ctx) {
-	if len(c.detPending) == 0 {
-		return
-	}
-	if e.durable() {
+	case at == atDrain && e.durable():
 		if e.elides() {
 			e.dev.CommitRelaxed(&c.fs)
 		}
@@ -411,14 +358,6 @@ func (e *directEngine) detectDrain(c *Ctx) {
 			e.dev.Fence(&c.fs)
 		}
 	}
-	publishPending(e.desc, c, &c.fs)
-}
-
-func (e *directEngine) Detect(client int, seq uint64) DetectResult {
-	if e.desc == nil {
-		panic("engine: Detect with detectability disabled (Config.Clients == 0)")
-	}
-	return e.desc.Detect(client, seq)
 }
 
 // PersistentDevices returns the single device for the durable direct

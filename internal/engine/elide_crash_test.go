@@ -60,7 +60,7 @@ func TestFetchAddStoreCrashSweepUnderFaults(t *testing.T) {
 				e.Crash(pmem.CrashDropAll, rng)
 				e.Recover(rootTracer)
 
-				if msg := CheckMirrorInvariants(e, e.RootRef(), 2); msg != "" {
+				if msg := e.CheckInvariants(e.RootRef(), 2); msg != "" {
 					t.Fatalf("round %d: %s", round, msg)
 				}
 				c2 := e.NewCtx()

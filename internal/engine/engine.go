@@ -93,11 +93,13 @@ type Ctx struct {
 	fs    pmem.FlushSet // direct engines: flush set of the single device
 	pa    patomic.Ctx   // mirror engines: persistent-replica flush set
 
-	// Deferred StoreInit flushes for the eliding direct engines (the
-	// mirror engines keep theirs in pa): distinct dirty lines in
-	// first-touch order, and the cell count they replace.
-	initLines []uint64
-	initCells int
+	// comb is the replica pair of the combining Mirror engine that created
+	// this context, nil on every other engine. The combining-only calls a
+	// structure makes (TraversalLoadAdopt, CASRelaxedExposeSafe,
+	// CombineOwnsField, CommitWitness) route on it — on what the context is
+	// bound to, never on the dynamic type of the engine value in hand, so a
+	// wrapper around the engine changes nothing.
+	comb *patomic.Mem
 
 	// det is the armed detectable-operation state (see detect.go);
 	// detPending holds verdicts deferred to the next DetectDrain (the
@@ -121,21 +123,6 @@ func (c *Ctx) Sub(i int) *Ctx {
 		panic("engine: Sub on an unsharded context")
 	}
 	return c.sub[i]
-}
-
-// deferInitLine records a line dirtied by StoreInit for the next Publish;
-// the last-entry fast path covers consecutive fields of one object.
-func (c *Ctx) deferInitLine(line uint64) {
-	c.initCells++
-	if n := len(c.initLines); n > 0 && c.initLines[n-1] == line {
-		return
-	}
-	for _, l := range c.initLines {
-		if l == line {
-			return
-		}
-	}
-	c.initLines = append(c.initLines, line)
 }
 
 // Tracer walks a data structure's reachable objects during recovery. It is
@@ -172,13 +159,11 @@ func (o RecoverOptions) workers() int {
 	return o.Parallelism
 }
 
-// Engine is the persistence interface data structures are written against.
-type Engine interface {
-	// Kind identifies the implementation.
-	Kind() Kind
-	// NewCtx creates a per-thread context.
-	NewCtx() *Ctx
-
+// Memory is the role a data structure is written against: object
+// allocation and initialization, the loads and writes of the engine's
+// persistence discipline, and the hook by which a structure reports its
+// linearization point.
+type Memory interface {
 	// OpBegin/OpEnd bracket every data-structure operation; they manage
 	// the reclamation epoch and any end-of-operation durability barrier.
 	OpBegin(c *Ctx)
@@ -207,7 +192,8 @@ type Engine interface {
 	TraversalLoad(c *Ctx, ref Ref, field int) uint64
 	// Store durably writes a field.
 	Store(c *Ctx, ref Ref, field int, v uint64)
-	// CAS durably compares-and-swaps a field.
+	// CAS durably compares-and-swaps a field. It is the call for every
+	// linearization point (marks, level-0 links, flags).
 	CAS(c *Ctx, ref Ref, field int, old, new uint64) bool
 	// CASRelaxed compares-and-swaps a field whose update is only
 	// retire-gated: an auxiliary physical update (snip of a marked node,
@@ -215,9 +201,8 @@ type Engine interface {
 	// leaves a state some earlier crash could also have left. An eliding
 	// engine may make the install visible before it is durable, deferring
 	// the commit to the relaxed-line registry, which is drained before
-	// any retired object is freed. Linearization points (marks, level-0
-	// links, flags) must use CAS. Engines without elision treat it as
-	// CAS exactly.
+	// any retired object is freed. Linearization points must use CAS.
+	// Engines without elision treat it as CAS exactly.
 	CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) bool
 	// FetchAdd durably adds to a field, returning the previous value.
 	FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64
@@ -226,14 +211,29 @@ type Engine interface {
 	// critical section (the NVTraverse barrier). No-op elsewhere.
 	MakePersistent(c *Ctx, ref Ref, fields int)
 
+	// RootRef returns the persistent root object (RootFields fields).
+	RootRef() Ref
+
+	// Linearized publishes the armed detectable operation's commit
+	// verdict; data structures call it immediately after their linearizing
+	// install returns (at which point the install is durable, or buffered
+	// under the thread's undrained ticket, under every durable engine). A
+	// no-op when no detectable operation is armed.
+	Linearized(c *Ctx, result bool)
+}
+
+// Lifecycle is the role a harness drives an engine through: contexts,
+// quiescing, and the simulated power failure.
+type Lifecycle interface {
+	// Kind identifies the implementation.
+	Kind() Kind
+	// NewCtx creates a per-thread context.
+	NewCtx() *Ctx
 	// Drain commits every durability obligation this context has
 	// deferred: its combine buffer (Config.Combine) and the device's
 	// relaxed-line registry. Quiesce points and media-equivalence tests
 	// call it; a no-op when nothing is deferred.
 	Drain(c *Ctx)
-
-	// RootRef returns the persistent root object (RootFields fields).
-	RootRef() Ref
 
 	// Freeze makes all device operations panic, unwinding in-flight
 	// operations so a crash can be taken.
@@ -244,6 +244,17 @@ type Engine interface {
 	FreezeAfter(n int64)
 	// Crash simulates a power failure (devices must be quiesced).
 	Crash(policy pmem.CrashPolicy, rng *rand.Rand)
+	// PersistentDevices returns the devices whose contents survive a
+	// crash (one for the direct durable engines, rep_p for Mirror, none
+	// for the non-durable originals). Fault injectors install adversaries
+	// and fingerprint post-crash media images through it.
+	PersistentDevices() []*pmem.Device
+}
+
+// Recovery is the post-crash role of a single-device engine: one tracer
+// walks one root object. A Sharded router has N root objects and recovers
+// through RecoverShards instead.
+type Recovery interface {
 	// Recover rebuilds volatile state after Crash using the structure's
 	// tracer; for non-durable engines it reinitializes empty state. It is
 	// RecoverWith with zero options (sequential).
@@ -257,28 +268,36 @@ type Engine interface {
 	// RecoveryLoad reads a field from the persistent post-crash image;
 	// only valid between Crash and the end of Recover.
 	RecoveryLoad(ref Ref, field int) uint64
+	// CheckInvariants verifies, on a quiesced engine, the invariants that
+	// tie an object's replicas together — what recovery must re-establish
+	// for every reachable object. It returns a description of the first
+	// violation, or "". Engines with a single replica have none to check.
+	CheckInvariants(ref Ref, fields int) string
+}
 
-	// PersistentDevices returns the devices whose contents survive a
-	// crash (one for the direct durable engines, rep_p for Mirror, none
-	// for the non-durable originals). Fault injectors install adversaries
-	// and fingerprint post-crash media images through it.
-	PersistentDevices() []*pmem.Device
-
+// Detector is the detectability role: per-client operation descriptors
+// answering "did (client, seq) commit?" after a crash (see detect.go).
+// There are two call families. The eager one (DetectBegin … DetectEnd)
+// fences each operation's verdict before it returns. The deferred one
+// (DetectBeginDeferred … DetectEndDeferred, then DetectDrain) records the
+// verdicts of a run of operations — across clients — in the context and
+// publishes them under two trailing fences: one drain fence committing
+// every deferred effect, then the verdict flushes and one End fence.
+type Detector interface {
 	// Clients returns the configured detectable-client count; zero means
-	// detectability is off and the descriptor methods below must not be
-	// used (Detect and DetectBegin panic).
+	// detectability is off and the methods below must not be used (Detect
+	// and the Begin calls panic).
 	Clients() int
+	// DetectRing returns the per-client descriptor ring size — the maximum
+	// number of operations one client may have in flight with Detect still
+	// authoritative for each. Zero with detectability off.
+	DetectRing() int
 	// DetectBegin durably announces operation (client, seq) with its
 	// payload before the operation body runs. deferAnnounce lets the
 	// announce fence ride the operation's own publish barrier (sound for
 	// inserts only; see DescRegion.Begin). Client sequence numbers must be
 	// strictly increasing per client, starting at 1.
 	DetectBegin(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool)
-	// Linearized publishes the armed operation's commit verdict; data
-	// structures call it immediately after their linearizing install
-	// returns (at which point the install is durable under every durable
-	// engine). A no-op when no detectable operation is armed.
-	Linearized(c *Ctx, result bool)
 	// DetectEnd completes the armed operation's descriptor protocol: it
 	// publishes the verdict if no Linearized hook fired and commits it
 	// before the operation returns to the client.
@@ -288,6 +307,28 @@ type Engine interface {
 	// recovered engine.
 	Detect(client int, seq uint64) DetectResult
 
+	// DetectBeginDeferred is DetectBegin in batched-verdict mode: the
+	// operation's verdict will be recorded by DetectEndDeferred and
+	// published at the next DetectDrain on the same context. A client may
+	// hold up to DetectRing pending verdicts; only arming a seq that would
+	// lap a still-pending entry forces a drain first — the entry-lapped
+	// inference of Detect requires the lapped operation's effect and
+	// verdict to be durable before the overwriting announce can be.
+	DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool)
+	// DetectEndDeferred records the armed operation's verdict — including
+	// the auxiliary return word rval (a dequeued value), which DetectEnd
+	// cannot carry — for publication at the next DetectDrain. The
+	// operation's response must not be released to the client before that
+	// drain.
+	DetectEndDeferred(c *Ctx, result bool, rval uint64)
+	// DetectDrain publishes every verdict deferred on c. After it returns,
+	// every response recorded by DetectEndDeferred on c may be released.
+	// No-op when nothing is pending.
+	DetectDrain(c *Ctx)
+}
+
+// Introspection is the read-only accounting role.
+type Introspection interface {
 	// Counters reports cumulative flush and fence counts across all
 	// devices (for the ablation benchmarks).
 	Counters() (flushes, fences uint64)
@@ -298,6 +339,28 @@ type Engine interface {
 	// layout) and how many device replicas hold them, so total memory is
 	// words × replicas × 8 bytes — the space-overhead account of §6.2.5.
 	Footprint() (words uint64, replicas int)
+}
+
+// Engine is a complete single-device persistence engine: the union of the
+// five roles. Everything a role's caller may need is a method of that role —
+// there are no optional capabilities discovered by type assertion, so a
+// pass-through wrapper (struct{ Engine }) behaves exactly like the engine
+// it wraps. DESIGN.md "Persistence seam" draws who uses which role.
+type Engine interface {
+	Memory
+	Lifecycle
+	Recovery
+	Detector
+	Introspection
+}
+
+// Host is what a single-device Engine and a *Sharded router have in common:
+// every role except Memory and Recovery, which need one device's refs and
+// one root object. Harnesses that run either shape hold it.
+type Host interface {
+	Lifecycle
+	Detector
+	Introspection
 }
 
 // Stats aggregates an engine's protocol and elision statistics.
@@ -370,10 +433,10 @@ type Config struct {
 	// Shards splits the engine across that many independent device
 	// shards, each a full sub-engine (own devices, allocator, descriptor
 	// region, recovery) with the keyspace hash-partitioned across them
-	// (pmem.ShardOf). Values below 2 leave the engine unsharded; New
-	// returns a *Sharded otherwise. Words then sizes each shard's
-	// devices, and Clients descriptor slots are reserved per shard (a
-	// client's slot lives on its home shard, client mod Shards).
+	// (pmem.ShardOf), built by NewSharded; New accepts only values below
+	// 2. Words then sizes each shard's devices, and Clients descriptor
+	// slots are reserved per shard (a client's slot lives on its home
+	// shard, client mod Shards).
 	Shards int
 	// NUMARemoteNS, on a sharded engine, charges the NUMA latency
 	// preset's remote-socket penalty (pmem.NUMAModel) for every
@@ -419,66 +482,30 @@ func CombineTickets(c *Ctx) (last, drained uint64) {
 	return c.pa.FS.CombineTickets()
 }
 
-// CombineQuiet reports whether c's combine buffer is empty — every
-// linearization this thread issued has reached a drain fence. Constant
-// true with combining off. Data structures gate *exposing* shortcut
-// writes on it: a relaxed snip, unlink, or cleanup issued while the
-// writer's own buffer is non-empty can make a buffered linearization's
-// effect observable along a path that never loads the buffered line, so
-// the read-side conflict probe cannot defend it (the CASRelaxed exposure
-// rule). Gated sites defer the shortcut to a quiet moment instead of
-// paying CASRelaxed's own-buffer drain.
-func CombineQuiet(c *Ctx) bool {
-	return c.pa.FS.CombineQuiet()
-}
-
-// combineOwner is implemented by engines that can map a (ref, field)
-// cell to its persistent line and ask whether that line sits in a
-// context's own combine buffer.
-type combineOwner interface {
-	combineOwns(c *Ctx, ref Ref, field int) bool
-}
-
 // CombineOwnsField reports whether the cell (ref, field) lies on a line
 // this context's own combine buffer still holds — a linearization this
-// thread published but has not drained. The exposure rule only forbids
-// shortcut writes that hide a thread's *own* buffered linearization: a
-// foreign one was committed by the conflict probe when this thread
-// loaded it, so structures use this finer predicate (rather than
-// CombineQuiet) to keep snipping foreign marked nodes eagerly. Constant
-// false with combining off or on engines without cell mapping.
-func CombineOwnsField(e Engine, c *Ctx, ref Ref, field int) bool {
-	if o, ok := e.(combineOwner); ok {
-		return o.combineOwns(c, ref, field)
-	}
-	return false
-}
-
-// exposeSafeCASer is implemented by engines offering a relaxed CAS that
-// skips the exposure drain when the caller has discharged the exposure
-// rule itself.
-type exposeSafeCASer interface {
-	casRelaxedExposeSafe(c *Ctx, ref Ref, field int, old, new uint64) bool
+// thread published but has not drained, or a foreign one it adopted. The
+// exposure rule only forbids shortcut writes that hide a thread's *own*
+// buffered linearization: a foreign one was committed by the conflict
+// probe when this thread loaded it, so structures use this predicate to
+// keep snipping foreign marked nodes eagerly. Constant false with
+// combining off.
+func CombineOwnsField(c *Ctx, ref Ref, field int) bool {
+	return c.comb != nil && c.pa.FS.CombineOwns(mirrorCell(ref, field))
 }
 
 // CASRelaxedExposeSafe is CASRelaxed minus the own-buffer exposure
 // drain. Use it only when the shortcut bypasses lines this thread does
 // NOT own in its combine buffer (checked via CombineOwnsField) — every
 // linearization it exposes was then probed durable by this thread's own
-// combined loads. Falls back to CASRelaxed on engines without the fast
-// path.
-func CASRelaxedExposeSafe(e Engine, c *Ctx, ref Ref, field int, old, new uint64) bool {
-	if x, ok := e.(exposeSafeCASer); ok {
-		return x.casRelaxedExposeSafe(c, ref, field, old, new)
+// combined loads. With combining off there is no exposure drain to skip
+// and it is e.CASRelaxed.
+func CASRelaxedExposeSafe(e Memory, c *Ctx, ref Ref, field int, old, new uint64) bool {
+	if c.comb != nil {
+		ok, _ := c.comb.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.AuxiliaryExposeSafe)
+		return ok
 	}
 	return e.CASRelaxed(c, ref, field, old, new)
-}
-
-// adoptLoader is implemented by engines whose combining mode offers the
-// adopting traversal load and the matching no-effect witness barrier.
-type adoptLoader interface {
-	traversalLoadAdopt(c *Ctx, ref Ref, field int) uint64
-	commitWitness(c *Ctx)
 }
 
 // TraversalLoadAdopt is TraversalLoad for loads inside *update*
@@ -489,11 +516,11 @@ type adoptLoader interface {
 // for operations that either linearize with a ticketed install of their
 // own or call CommitWitness before returning a no-effect verdict —
 // traversals of plain read operations must keep TraversalLoad, whose
-// probe is their only durability barrier. Falls back to TraversalLoad
-// on engines without combining.
-func TraversalLoadAdopt(e Engine, c *Ctx, ref Ref, field int) uint64 {
-	if a, ok := e.(adoptLoader); ok {
-		return a.traversalLoadAdopt(c, ref, field)
+// probe is their only durability barrier. With combining off it is
+// e.TraversalLoad.
+func TraversalLoadAdopt(e Memory, c *Ctx, ref Ref, field int) uint64 {
+	if c.comb != nil {
+		return c.comb.LoadFor(&c.pa, mirrorCell(ref, field), patomic.Adopting)
 	}
 	return e.TraversalLoad(c, ref, field)
 }
@@ -505,95 +532,34 @@ func TraversalLoadAdopt(e Engine, c *Ctx, ref Ref, field int) uint64 {
 // and its witnessed path must reach a fence first, so the buffer
 // drains. With an undrained ticket the verdict vanishes with the ticket
 // and no fence is due. No-op without combining.
-func CommitWitness(e Engine, c *Ctx) {
-	if a, ok := e.(adoptLoader); ok {
-		a.commitWitness(c)
+func CommitWitness(c *Ctx) {
+	if c.comb != nil {
+		c.comb.P.CombineWitness(&c.pa.FS)
 	}
 }
 
-// ringSized is implemented by engines whose descriptor region is a
-// per-client ring.
-type ringSized interface {
-	DetectRing() int
+// DetectRingOf returns e's per-client descriptor ring size.
+func DetectRingOf(e Detector) int { return e.DetectRing() }
+
+// DetectBeginDeferred is e.DetectBeginDeferred.
+func DetectBeginDeferred(e Detector, c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+	e.DetectBeginDeferred(c, client, seq, kind, key, val, deferAnnounce)
 }
 
-// DetectRingOf returns e's per-client descriptor ring size — the maximum
-// number of operations one client may have in flight with Detect still
-// authoritative for each. It is 1 on engines without rings and 0 with
-// detectability off.
-func DetectRingOf(e Engine) int {
-	if e.Clients() == 0 {
-		return 0
-	}
-	if r, ok := e.(ringSized); ok {
-		return r.DetectRing()
-	}
-	return 1
+// DetectEndDeferred is e.DetectEndDeferred.
+func DetectEndDeferred(e Detector, c *Ctx, result bool, rval uint64) {
+	e.DetectEndDeferred(c, result, rval)
 }
 
-// deferredDetector is implemented by engines supporting the batched-verdict
-// detectability protocol of the serving tier: verdicts of a run of
-// operations (across clients) are recorded in the context and published
-// under two trailing fences — one drain fence committing every deferred
-// effect, then the verdict flushes and one End fence — instead of one End
-// fence per operation.
-type deferredDetector interface {
-	detectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool)
-	detectEndDeferred(c *Ctx, result bool, rval uint64)
-	detectDrain(c *Ctx)
-}
+// DetectDrain is e.DetectDrain.
+func DetectDrain(e Detector, c *Ctx) { e.DetectDrain(c) }
 
-// DetectBeginDeferred is DetectBegin in batched-verdict mode: the
-// operation's verdict will be recorded by DetectEndDeferred and published
-// at the next DetectDrain on the same context. A client may hold up to the
-// engine's descriptor-ring size of pending verdicts; only arming a seq
-// that would lap a still-pending entry forces a drain first — the
-// entry-lapped inference of Detect requires the lapped operation's effect
-// and verdict to be durable before the overwriting announce can be. Falls
-// back to plain DetectBegin on engines without the deferred protocol.
-func DetectBeginDeferred(e Engine, c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
-	if d, ok := e.(deferredDetector); ok {
-		d.detectBeginDeferred(c, client, seq, kind, key, val, deferAnnounce)
-		return
-	}
-	e.DetectBegin(c, client, seq, kind, key, val, deferAnnounce)
-}
-
-// DetectEndDeferred records the armed operation's verdict — including the
-// auxiliary return word rval (a dequeued value), which the per-operation
-// DetectEnd cannot carry — for publication at the next DetectDrain. The
-// operation's response must not be released to the client before that
-// drain. Falls back to DetectEnd (dropping rval) on engines without the
-// deferred protocol.
-func DetectEndDeferred(e Engine, c *Ctx, result bool, rval uint64) {
-	if d, ok := e.(deferredDetector); ok {
-		d.detectEndDeferred(c, result, rval)
-		return
-	}
-	e.DetectEnd(c, result)
-}
-
-// DetectDrain publishes every verdict deferred on c: one drain fence
-// commits the batched effects (combine buffers, relaxed lines, pending
-// flushes), then all verdict lines flush under a single End fence. After
-// it returns, every response recorded by DetectEndDeferred on c may be
-// released. No-op when nothing is pending or the engine lacks the
-// deferred protocol.
-func DetectDrain(e Engine, c *Ctx) {
-	if d, ok := e.(deferredDetector); ok {
-		d.detectDrain(c)
-	}
-}
-
-// New creates an engine. With Config.Shards > 1 the engine is a
-// *Sharded spanning that many device shards; see sharded.go.
+// New creates a single-device engine. A sharded configuration is not an
+// Engine — it has no refs of its own — and is built by NewSharded.
 func New(cfg Config) Engine {
 	cfg.setDefaults()
 	if cfg.Shards > 1 {
-		if cfg.MediaPath != "" || cfg.Attach {
-			panic("engine: file-backed media attach is unsharded-only")
-		}
-		return NewSharded(cfg)
+		panic("engine: Config.Shards > 1 builds a *Sharded router, not an Engine — use NewSharded")
 	}
 	switch cfg.Kind {
 	case OrigDRAM, OrigNVMM, Izraelevitz, NVTraverse:

@@ -488,7 +488,7 @@ func TestRecoverWithParallelMatchesSequential(t *testing.T) {
 				}
 			}
 			for _, node := range got {
-				if msg := CheckMirrorInvariants(e, node[1], 2); msg != "" {
+				if msg := e.CheckInvariants(node[1], 2); msg != "" {
 					t.Fatalf("par=%d: %s", par, msg)
 				}
 			}

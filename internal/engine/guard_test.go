@@ -1,0 +1,131 @@
+package engine
+
+import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestNoCapabilityDiscoveryByTypeAssertion is a vet-style guard over every
+// non-test file of the module: a value of one of this package's role
+// interfaces (Engine, Host, Memory, ...) must never be type-asserted to a
+// non-exported interface or to a concrete engine type. That is how optional
+// capabilities used to be discovered, and it is exactly what a pass-through
+// wrapper silently defeats — whatever a caller needs of an engine is a
+// method of a role, or routed on the Ctx.
+func TestNoCapabilityDiscoveryByTypeAssertion(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	// Parse the module's non-test files per directory; only packages that
+	// contain a type assertion at all are worth type-checking.
+	dirs := make(map[string][]*ast.File)
+	asserts := make(map[string]bool)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			_, nested := os.Stat(filepath.Join(path, "go.mod"))
+			if strings.HasPrefix(d.Name(), ".") || (path != root && nested == nil) {
+				return filepath.SkipDir // VCS and build output; other modules
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		dirs[dir] = append(dirs[dir], f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if _, ok := n.(*ast.TypeAssertExpr); ok {
+				asserts[dir] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	for dir := range asserts {
+		info := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue)}
+		if _, err := conf.Check(dir, fset, dirs[dir], info); err != nil {
+			t.Fatalf("type-checking %s: %v", dir, err)
+		}
+		check := func(x, target ast.Expr) {
+			if target == nil || !isEngineRole(info.TypeOf(x)) {
+				return
+			}
+			if why := forbiddenTarget(info.TypeOf(target)); why != "" {
+				t.Errorf("%s: an engine role value is type-asserted to %s (%s)",
+					fset.Position(target.Pos()), types.ExprString(target), why)
+			}
+		}
+		for _, f := range dirs[dir] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeAssertExpr:
+					check(n.X, n.Type) // Type is nil inside a type switch's guard
+				case *ast.TypeSwitchStmt:
+					guard := n.Assign
+					if as, ok := guard.(*ast.AssignStmt); ok {
+						guard = &ast.ExprStmt{X: as.Rhs[0]}
+					}
+					x := guard.(*ast.ExprStmt).X.(*ast.TypeAssertExpr).X
+					for _, cc := range n.Body.List {
+						for _, target := range cc.(*ast.CaseClause).List {
+							check(x, target)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// isEngineRole reports whether t is an interface type declared in this
+// package.
+func isEngineRole(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && types.IsInterface(named) && inThisPackage(named)
+}
+
+// forbiddenTarget says why asserting an engine role value to t is capability
+// discovery, or "" if it is not.
+func forbiddenTarget(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	switch {
+	case !ok:
+		return ""
+	case types.IsInterface(named) && !named.Obj().Exported():
+		return "a non-exported interface"
+	case !types.IsInterface(named) && inThisPackage(named):
+		return "a concrete engine type"
+	}
+	return ""
+}
+
+func inThisPackage(named *types.Named) bool {
+	pkg := named.Obj().Pkg()
+	return pkg != nil && pkg.Path() == "mirror/internal/engine"
+}

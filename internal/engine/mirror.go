@@ -17,11 +17,10 @@ import (
 // MirrorDRAM places rep_v on DRAM (§6.2); MirrorNVMM places both replicas
 // on NVMM-speed memory (§6.3) while still treating the second as volatile.
 type mirrorEngine struct {
+	detector   // per-client op descriptors on rep_p
 	kind       Kind
 	mem        patomic.Mem
 	rootFields int
-	combine    bool        // cross-operation fence combining active on rep_p
-	desc       *DescRegion // per-client op descriptors on rep_p; nil when off
 
 	mu    sync.Mutex
 	alloc *palloc.Allocator
@@ -57,9 +56,9 @@ func newMirror(cfg Config) *mirrorEngine {
 		kind:       cfg.Kind,
 		mem:        patomic.Mem{P: p, V: v},
 		rootFields: cfg.RootFields,
-		combine:    p.Combines(),
 		recl:       palloc.NewReclaimer(),
 	}
+	e.eng = e
 	// The descriptor region (when configured) sits between the roots and
 	// the allocator base, on rep_p only: descriptors are raw words of the
 	// persistent replica, never mirrored and never traced.
@@ -89,7 +88,7 @@ func newMirror(cfg Config) *mirrorEngine {
 	// from the first operation.
 	var ctx patomic.Ctx
 	for f := 0; f < cfg.RootFields; f++ {
-		e.mem.InitCell(&ctx, e.cellAddr(rootBase, f), 0)
+		e.mem.InitCell(&ctx, mirrorCell(rootBase, f), 0)
 	}
 	e.mem.PublishFence(&ctx)
 	return e
@@ -101,37 +100,41 @@ func (e *mirrorEngine) NewCtx() *Ctx {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c := &Ctx{Cache: palloc.NewCache(e.alloc, e.recl)}
+	if e.mem.P.Combines() {
+		c.comb = &e.mem
+	}
 	if e.mem.P.Elides() {
-		// Before a drain batch frees anything, commit every relaxed line:
-		// the media must never hold a pointer into reused memory. Under
-		// combining the registry already holds every buffered line, so the
-		// commit covers both; the combine drain after it then finds its
-		// lines durable and merely advances the drained-ticket watermark.
-		c.Cache.PreFree = func() {
-			e.mem.P.CommitRelaxed(&c.pa.FS)
-			if e.combine {
-				e.mem.P.CombineDrain(&c.pa.FS, pmem.DrainPreFree)
-			}
-		}
+		// Before a drain batch frees anything, commit everything deferred:
+		// the media must never hold a pointer into reused memory.
+		c.Cache.PreFree = func() { e.commitDeferred(c, pmem.DrainPreFree) }
 	}
 	return c
 }
 
-func (e *mirrorEngine) cellAddr(ref Ref, field int) uint64 {
+// mirrorCell maps a logical field to its patomic cell's offset.
+func mirrorCell(ref Ref, field int) uint64 {
 	return ref + uint64(field)*patomic.CellWords
+}
+
+// commitDeferred commits everything c has deferred: the relaxed-line
+// registry first (which under combining already holds every buffered
+// line), then the combine buffer, whose drain then finds its lines durable
+// and merely advances the drained-ticket watermark. Each call is a no-op on
+// a device without that capability.
+func (e *mirrorEngine) commitDeferred(c *Ctx, cause pmem.DrainCause) {
+	e.mem.P.CommitRelaxed(&c.pa.FS)
+	e.mem.P.CombineDrain(&c.pa.FS, cause)
 }
 
 func (e *mirrorEngine) OpBegin(c *Ctx) { c.Cache.Enter() }
 
 // OpEnd needs no durability barrier without combining: every Mirror write
 // is durable before it is visible, so a completed operation is durable by
-// construction. With combining, OpEnd pulses the per-thread epoch trigger,
-// which bounds how many of the owner's operations a buffered linearization
-// can outlive before a drain fences it.
+// construction. With combining, the per-thread epoch pulse bounds how many
+// of the owner's operations a buffered linearization can outlive before a
+// drain fences it.
 func (e *mirrorEngine) OpEnd(c *Ctx) {
-	if e.combine {
-		e.mem.P.CombineTick(&c.pa.FS)
-	}
+	e.mem.P.CombineTick(&c.pa.FS)
 	c.Cache.Exit()
 }
 
@@ -140,7 +143,7 @@ func (e *mirrorEngine) Alloc(c *Ctx, fields int) Ref {
 }
 
 func (e *mirrorEngine) StoreInit(c *Ctx, ref Ref, field int, v uint64) {
-	e.mem.InitCell(&c.pa, e.cellAddr(ref, field), v)
+	e.mem.InitCell(&c.pa, mirrorCell(ref, field), v)
 }
 
 func (e *mirrorEngine) Publish(c *Ctx, ref Ref) {
@@ -156,10 +159,7 @@ func (e *mirrorEngine) Retire(c *Ctx, ref Ref, fields int) {
 }
 
 func (e *mirrorEngine) Load(c *Ctx, ref Ref, field int) uint64 {
-	if e.combine {
-		return e.mem.LoadCombined(&c.pa, e.cellAddr(ref, field))
-	}
-	return e.mem.Load(e.cellAddr(ref, field))
+	return e.mem.LoadFor(&c.pa, mirrorCell(ref, field), patomic.Traversal)
 }
 
 // TraversalLoad is identical to Load: Mirror never persists reads, which is
@@ -169,71 +169,30 @@ func (e *mirrorEngine) Load(c *Ctx, ref Ref, field int) uint64 {
 // read-side flushes in the conflicting case for fewer write-side fences
 // everywhere else.
 func (e *mirrorEngine) TraversalLoad(c *Ctx, ref Ref, field int) uint64 {
-	if e.combine {
-		return e.mem.LoadCombined(&c.pa, e.cellAddr(ref, field))
-	}
-	return e.mem.Load(e.cellAddr(ref, field))
+	return e.mem.LoadFor(&c.pa, mirrorCell(ref, field), patomic.Traversal)
 }
 
 func (e *mirrorEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
-	e.mem.Store(&c.pa, e.cellAddr(ref, field), v)
+	e.mem.Store(&c.pa, mirrorCell(ref, field), v)
 }
 
 func (e *mirrorEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
-	if e.combine {
-		ok, _ := e.mem.CompareAndSwapCombined(&c.pa, e.cellAddr(ref, field), old, new)
-		return ok
-	}
-	ok, _ := e.mem.CompareAndSwap(&c.pa, e.cellAddr(ref, field), old, new)
+	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Linearizing)
 	return ok
 }
 
 func (e *mirrorEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) bool {
-	ok, _ := e.mem.CompareAndSwapRelaxed(&c.pa, e.cellAddr(ref, field), old, new)
+	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Auxiliary)
 	return ok
-}
-
-func (e *mirrorEngine) combineOwns(c *Ctx, ref Ref, field int) bool {
-	if !e.combine {
-		return false
-	}
-	return c.pa.FS.CombineOwns(e.cellAddr(ref, field))
-}
-
-func (e *mirrorEngine) casRelaxedExposeSafe(c *Ctx, ref Ref, field int, old, new uint64) bool {
-	ok, _ := e.mem.CompareAndSwapRelaxedExposeSafe(&c.pa, e.cellAddr(ref, field), old, new)
-	return ok
-}
-
-func (e *mirrorEngine) traversalLoadAdopt(c *Ctx, ref Ref, field int) uint64 {
-	if e.combine {
-		return e.mem.LoadAdopted(&c.pa, e.cellAddr(ref, field))
-	}
-	return e.mem.Load(e.cellAddr(ref, field))
-}
-
-func (e *mirrorEngine) commitWitness(c *Ctx) {
-	if e.combine {
-		e.mem.P.CombineWitness(&c.pa.FS)
-	}
 }
 
 func (e *mirrorEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
-	return e.mem.FetchAdd(&c.pa, e.cellAddr(ref, field), delta)
+	return e.mem.FetchAdd(&c.pa, mirrorCell(ref, field), delta)
 }
 
 func (e *mirrorEngine) MakePersistent(c *Ctx, ref Ref, fields int) {}
 
-// Drain commits everything this context has deferred: the relaxed-line
-// registry first (which under combining already holds every buffered
-// line), then the combine buffer, whose drain then mostly elides and
-// advances the drained-ticket watermark.
-func (e *mirrorEngine) Drain(c *Ctx) {
-	e.mem.P.CommitRelaxed(&c.pa.FS)
-	if e.combine {
-		e.mem.P.CombineDrain(&c.pa.FS, pmem.DrainExplicit)
-	}
-}
+func (e *mirrorEngine) Drain(c *Ctx) { e.commitDeferred(c, pmem.DrainExplicit) }
 
 func (e *mirrorEngine) RootRef() Ref { return rootBase }
 
@@ -292,95 +251,35 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 }
 
 func (e *mirrorEngine) RecoveryLoad(ref Ref, field int) uint64 {
-	return e.mem.P.ReadRaw(e.cellAddr(ref, field))
+	return e.mem.P.ReadRaw(mirrorCell(ref, field))
 }
 
-func (e *mirrorEngine) Clients() int {
-	if e.desc == nil {
-		return 0
+func (e *mirrorEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.pa.FS }
+
+// settle: a plain Mirror install is durable before it is visible, so only
+// deferred durability can trail a verdict. Before an eager verdict that is
+// the thread's combine buffer — including the buffered installs of its
+// *earlier* operations, whose committed verdict chain (slot moved past seq
+// implies committed) the Detect protocol leans on. Before a batch of
+// deferred verdicts it is also the relaxed-line registry. In batched mode
+// nothing publishes at Linearized, so nothing is settled there.
+func (e *mirrorEngine) settle(c *Ctx, at verdictPoint) {
+	switch at {
+	case atLinearized:
+		if c.det.deferred {
+			return
+		}
+	case atDrain:
+		e.mem.P.CommitRelaxed(&c.pa.FS)
 	}
-	return e.desc.Clients
+	e.mem.P.CombineDrain(&c.pa.FS, pmem.DrainDetect)
 }
 
-// DetectRing returns the per-client descriptor ring size (0 with
-// detectability off).
-func (e *mirrorEngine) DetectRing() int {
-	if e.desc == nil {
-		return 0
-	}
-	return e.desc.Ring
-}
-
-func (e *mirrorEngine) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
-	detectBegin(e.desc, c, &c.pa.FS, client, seq, kind, key, val, deferAnnounce)
-}
-
-func (e *mirrorEngine) Linearized(c *Ctx, result bool) {
-	if e.combine && e.desc != nil && c.det.armed && !c.det.delivered && !c.det.deferred {
-		// The verdict must never be durable before the install it
-		// testifies to — including the buffered installs of this
-		// thread's *earlier* operations, whose committed verdict chain
-		// (slot moved past seq implies committed) the Detect protocol
-		// leans on. Drain before publishing.
-		e.mem.P.CombineDrain(&c.pa.FS, pmem.DrainDetect)
-	}
-	detectLinearized(e.desc, c, &c.pa.FS, result)
-}
-
-func (e *mirrorEngine) DetectEnd(c *Ctx, result bool) {
-	if e.combine && e.desc != nil && c.det.armed && !c.det.delivered {
-		// Same pre-verdict obligation for operations whose verdict
-		// publishes here (no Linearized hook fired).
-		e.mem.P.CombineDrain(&c.pa.FS, pmem.DrainDetect)
-	}
-	detectEnd(e.desc, c, &c.pa.FS, result)
-}
-
-func (e *mirrorEngine) detectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
-	detectBeginDeferred(e.desc, c, &c.pa.FS, func() { e.detectDrain(c) },
-		client, seq, kind, key, val, deferAnnounce)
-}
-
-func (e *mirrorEngine) detectEndDeferred(c *Ctx, result bool, rval uint64) {
-	detectEndDeferred(e.desc, c, result, rval)
-}
-
-// detectDrain publishes c's deferred verdicts: first a drain commits every
-// effect whose durability was deferred — the relaxed-line registry and
-// (under combining) the combine buffer — then all verdict lines flush and
-// one End fence commits them. Effects never ride the verdicts' End fence:
-// they are either durable before visibility (plain Mirror installs) or
-// committed by the drain fence that precedes the publishes, so a crash
-// can never persist a verdict whose effect vanished.
-func (e *mirrorEngine) detectDrain(c *Ctx) {
-	if len(c.detPending) == 0 {
-		return
-	}
-	e.mem.P.CommitRelaxed(&c.pa.FS)
-	if e.combine {
-		e.mem.P.CombineDrain(&c.pa.FS, pmem.DrainDetect)
-	}
-	publishPending(e.desc, c, &c.pa.FS)
-}
-
-func (e *mirrorEngine) Detect(client int, seq uint64) DetectResult {
-	if e.desc == nil {
-		panic("engine: Detect with detectability disabled (Config.Clients == 0)")
-	}
-	return e.desc.Detect(client, seq)
-}
-
-// CheckMirrorInvariants verifies the per-cell replica invariants (Lemmas
-// 5.3–5.5) for every field of an object, on a quiesced Mirror engine. It
-// returns a description of the first violation, or "". Non-Mirror engines
-// have no replica pair to check, so it vacuously returns "".
-func CheckMirrorInvariants(e Engine, ref Ref, fields int) string {
-	me, ok := e.(*mirrorEngine)
-	if !ok {
-		return ""
-	}
+// CheckInvariants verifies the per-cell replica invariants (Lemmas 5.3–5.5)
+// for every field of an object.
+func (e *mirrorEngine) CheckInvariants(ref Ref, fields int) string {
 	for f := 0; f < fields; f++ {
-		if msg := me.mem.CheckInvariants(me.cellAddr(ref, f)); msg != "" {
+		if msg := e.mem.CheckInvariants(mirrorCell(ref, f)); msg != "" {
 			return fmt.Sprintf("ref %d field %d: %s", ref, f, msg)
 		}
 	}
@@ -401,9 +300,7 @@ func (e *mirrorEngine) Stats() Stats {
 		ElidedFlushes: ef, ElidedFences: en,
 		PiggybackedFences: pb, RelaxedCAS: rx,
 	}
-	if e.combine {
-		s.CombinedFences, s.DrainCauses = e.mem.P.CombineCounters()
-	}
+	s.CombinedFences, s.DrainCauses = e.mem.P.CombineCounters()
 	if e.desc != nil {
 		s.DetectAnnounces, s.DetectVerdicts = e.desc.Counters()
 	}

@@ -16,9 +16,10 @@ import (
 // single-device engines establish — durable-before-visible installs, the
 // pre-free drain gate, descriptor soundness — holds per shard because each
 // shard *is* a single-device engine. The parent is a router: it owns no
-// device and no refs, so the ref-based Engine methods panic here and
-// callers route by key to a shard sub-engine instead (Route/Sub). The
-// structures.Sharded wrapper does exactly that.
+// device and no refs, so it is a Host but not an Engine — it has no Memory
+// role (callers route by key to a shard sub-engine instead, Route/Sub, as
+// the structures.Sharded wrapper does) and no single-tracer Recovery role
+// (RecoverShards takes one tracer per shard).
 //
 // Per-shard allocators fall out of the composition: each sub-engine owns
 // its allocator, so PreFree drain gating is shard-local — a drain batch on
@@ -44,6 +45,9 @@ type Sharded struct {
 // c mod Shards, at per-shard slot c div Shards.
 func NewSharded(cfg Config) *Sharded {
 	cfg.setDefaults()
+	if cfg.MediaPath != "" || cfg.Attach {
+		panic("engine: file-backed media attach is unsharded-only")
+	}
 	n := cfg.Shards
 	if n < 1 {
 		n = 1
@@ -104,72 +108,11 @@ func (e *Sharded) NewCtx() *Ctx {
 	return c
 }
 
-// refPanic reports a ref-based call on the router. Refs are word offsets on
-// one shard's devices; the parent cannot interpret them.
-func refPanic(op string) {
-	panic(fmt.Sprintf("engine: %s on a sharded engine — route by key to a shard sub-engine (Route/Sub)", op))
-}
-
-// OpBegin is a no-op on the router: operations bracket on the shard they
-// route to (the sub-structures call the sub-engine's OpBegin/OpEnd with the
-// routed context).
-func (e *Sharded) OpBegin(c *Ctx) {}
-
-// OpEnd is a no-op on the router; see OpBegin.
-func (e *Sharded) OpEnd(c *Ctx) {}
-
-func (e *Sharded) Alloc(c *Ctx, fields int) Ref {
-	refPanic("Alloc")
-	return 0
-}
-
-func (e *Sharded) StoreInit(c *Ctx, ref Ref, field int, v uint64) { refPanic("StoreInit") }
-
-func (e *Sharded) Publish(c *Ctx, ref Ref) { refPanic("Publish") }
-
-func (e *Sharded) FreeUnpublished(c *Ctx, ref Ref, fields int) { refPanic("FreeUnpublished") }
-
-func (e *Sharded) Retire(c *Ctx, ref Ref, fields int) { refPanic("Retire") }
-
-func (e *Sharded) Load(c *Ctx, ref Ref, field int) uint64 {
-	refPanic("Load")
-	return 0
-}
-
-func (e *Sharded) TraversalLoad(c *Ctx, ref Ref, field int) uint64 {
-	refPanic("TraversalLoad")
-	return 0
-}
-
-func (e *Sharded) Store(c *Ctx, ref Ref, field int, v uint64) { refPanic("Store") }
-
-func (e *Sharded) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
-	refPanic("CAS")
-	return false
-}
-
-func (e *Sharded) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) bool {
-	refPanic("CASRelaxed")
-	return false
-}
-
-func (e *Sharded) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
-	refPanic("FetchAdd")
-	return 0
-}
-
-func (e *Sharded) MakePersistent(c *Ctx, ref Ref, fields int) { refPanic("MakePersistent") }
-
 // Drain commits every shard's deferred obligations for this context.
 func (e *Sharded) Drain(c *Ctx) {
 	for i, s := range e.subs {
 		s.Drain(c.sub[i])
 	}
-}
-
-func (e *Sharded) RootRef() Ref {
-	refPanic("RootRef")
-	return 0
 }
 
 // Freeze freezes every shard's devices.
@@ -198,17 +141,6 @@ func (e *Sharded) Crash(policy pmem.CrashPolicy, rng *rand.Rand) {
 	}
 }
 
-// Recover panics: one sequential tracer cannot trace N disjoint shard
-// structures. Use RecoverShards with the wrapper's per-shard tracers.
-func (e *Sharded) Recover(tr Tracer) {
-	panic("engine: Recover on a sharded engine — use RecoverShards with per-shard tracers (structures.Sharded.ShardTracers)")
-}
-
-// RecoverWith panics; see Recover.
-func (e *Sharded) RecoverWith(tr Tracer, opts RecoverOptions) {
-	panic("engine: RecoverWith on a sharded engine — use RecoverShards with per-shard tracers (structures.Sharded.ShardTracers)")
-}
-
 // RecoverShards rebuilds every shard after a crash, shard-concurrent:
 // shards recover in parallel (one recovery.Run task each) while each
 // shard's own trace/rebuild pipeline runs with opts.Parallelism workers,
@@ -224,11 +156,6 @@ func (e *Sharded) RecoverShards(trs []Tracer, opts RecoverOptions) {
 	recovery.Run(e.shards, e.shards, func(i int) {
 		e.subs[i].RecoverWith(trs[i], RecoverOptions{Parallelism: opts.Parallelism})
 	})
-}
-
-func (e *Sharded) RecoveryLoad(ref Ref, field int) uint64 {
-	refPanic("RecoveryLoad")
-	return 0
 }
 
 // PersistentDevices returns every shard's persistent devices, concatenated
@@ -268,18 +195,14 @@ func (e *Sharded) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64, de
 	e.subs[sh].DetectBegin(c.sub[sh], slot, seq, kind, key, val, false)
 	// The router remembers which client is armed so DetectEnd can find the
 	// slot shard again; the protocol state proper lives on the slot shard's
-	// sub-context.
+	// sub-context. The router has no Linearized hook: the operation's effect
+	// lands on a shard it cannot identify, so the verdict publishes in
+	// DetectEnd, after every shard's deferred durability has drained. (A
+	// sub-structure's own Linearized call still fires on its shard; when the
+	// effect shard happens to be the slot shard, that publishes the verdict
+	// mid-operation exactly as an unsharded engine would.)
 	c.det = descState{armed: true, client: client, seq: seq}
 }
-
-// Linearized is a no-op on the router: the operation's effect lands on a
-// shard the router cannot identify from here, so publishing the verdict now
-// could make it durable before the effect. The verdict publishes in
-// DetectEnd instead, after every shard's deferred durability has drained.
-// (A sub-structure's own Linearized call still fires on its shard; when the
-// effect shard happens to be the slot shard, that publishes the verdict
-// mid-operation exactly as an unsharded engine would.)
-func (e *Sharded) Linearized(c *Ctx, result bool) {}
 
 // DetectEnd completes the armed operation's descriptor protocol. Before the
 // verdict may persist, the operation's effect must be durable wherever it
@@ -298,38 +221,38 @@ func (e *Sharded) DetectEnd(c *Ctx, result bool) {
 	c.det = descState{}
 }
 
-// detectBeginDeferred arms (client, seq) in batched-verdict mode on the
+// DetectBeginDeferred arms (client, seq) in batched-verdict mode on the
 // client's slot shard. The announce is always eager (see DetectBegin — the
 // cross-shard elision is unsound), and the lap guard runs here rather than
 // in the sub-engine because a lapped pending verdict may testify to an
 // effect on a *different* shard: the forced drain must commit every shard,
 // not just the slot shard.
-func (e *Sharded) detectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+func (e *Sharded) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
 	sh, slot := e.clientSlot(client)
 	if ringCollision(c.sub[sh].detPending, slot, seq, e.ring) {
-		e.detectDrain(c)
+		e.DetectDrain(c)
 	}
-	e.subs[sh].(deferredDetector).detectBeginDeferred(c.sub[sh], slot, seq, kind, key, val, false)
+	e.subs[sh].DetectBeginDeferred(c.sub[sh], slot, seq, kind, key, val, false)
 	c.det = descState{armed: true, deferred: true, client: client, seq: seq}
 }
 
-// detectEndDeferred records the armed operation's verdict on its slot
+// DetectEndDeferred records the armed operation's verdict on its slot
 // shard for the next drain.
-func (e *Sharded) detectEndDeferred(c *Ctx, result bool, rval uint64) {
+func (e *Sharded) DetectEndDeferred(c *Ctx, result bool, rval uint64) {
 	if !c.det.armed {
 		return
 	}
 	sh, _ := e.clientSlot(c.det.client)
-	e.subs[sh].(deferredDetector).detectEndDeferred(c.sub[sh], result, rval)
+	e.subs[sh].DetectEndDeferred(c.sub[sh], result, rval)
 	c.det = descState{}
 }
 
-// detectDrain publishes every verdict deferred on c, across all slot
+// DetectDrain publishes every verdict deferred on c, across all slot
 // shards. Verdicts publish only after every touched shard drains: the
 // batch's effects land wherever their keys hash, so one all-shard Drain
 // commits them all before any verdict line is written — the same
 // effect-before-verdict order DetectEnd enforces per operation.
-func (e *Sharded) detectDrain(c *Ctx) {
+func (e *Sharded) DetectDrain(c *Ctx) {
 	pending := false
 	for _, sc := range c.sub {
 		if len(sc.detPending) > 0 {
@@ -342,9 +265,7 @@ func (e *Sharded) detectDrain(c *Ctx) {
 	}
 	e.Drain(c)
 	for i, s := range e.subs {
-		if d, ok := s.(deferredDetector); ok {
-			d.detectDrain(c.sub[i])
-		}
+		s.DetectDrain(c.sub[i])
 	}
 }
 

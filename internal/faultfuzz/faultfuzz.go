@@ -108,8 +108,8 @@ type Spec struct {
 	// crash lands mid-operation on any one shard while the others keep
 	// their own damage streams. Recovery runs shard-concurrent.
 	Shards int
-	// NewEngine overrides engine construction (test hook for deliberately
-	// broken engines). nil means engine.New.
+	// NewEngine overrides unsharded engine construction (test hook for
+	// deliberately broken engines). nil means engine.New.
 	NewEngine func(engine.Config) engine.Engine
 }
 
@@ -222,7 +222,7 @@ func guard(f func()) (completed bool) {
 // post-crash quiesce.
 type detectableSet struct {
 	structures.Set
-	e      engine.Engine
+	e      engine.Detector
 	client int
 	// seq is the last announced sequence number; completed is the last one
 	// whose DetectEnd returned. seq == completed+1 exactly when the crash
@@ -307,10 +307,18 @@ func Run(spec Spec) *Result {
 	if nsh < 1 {
 		nsh = 1
 	}
-	e := newEngine(engine.Config{Kind: spec.Kind, Words: words, Track: true, Clients: clients, Combine: spec.Combine, Shards: spec.Shards})
+	cfg := engine.Config{Kind: spec.Kind, Words: words, Track: true, Clients: clients, Combine: spec.Combine, Shards: spec.Shards}
+	// A run is on one engine (ue) or one sharded router (se); e is whichever
+	// it is, behind the roles both honour.
+	var e engine.Host
+	var ue engine.Engine
 	var se *engine.Sharded
 	if nsh > 1 {
-		se = e.(*engine.Sharded)
+		se = engine.NewSharded(cfg)
+		e = se
+	} else {
+		ue = newEngine(cfg)
+		e = ue
 	}
 	devs := e.PersistentDevices()
 	var fms []*pmem.FaultModel
@@ -348,7 +356,7 @@ func Run(spec Spec) *Result {
 		if se != nil {
 			set = structures.NewSharded(se, e.NewCtx(), tgt.build)
 		} else {
-			set = tgt.build(e, e.NewCtx())
+			set = tgt.build(ue, ue.NewCtx())
 		}
 	})
 
@@ -474,7 +482,7 @@ func Run(spec Spec) *Result {
 			}
 			se.RecoverShards(trs, engine.RecoverOptions{})
 		} else {
-			e.Recover(tgt.tracer(e))
+			ue.Recover(tgt.tracer(ue))
 		}
 	}) {
 		res.addf("recovery crashed (froze) — recovery must not touch the crash trigger")
@@ -485,7 +493,7 @@ func Run(spec Spec) *Result {
 		if se != nil {
 			set = structures.NewSharded(se, c, tgt.build)
 		} else {
-			set = tgt.build(e, c)
+			set = tgt.build(ue, c)
 		}
 	}) {
 		res.addf("re-attach after recovery froze the device")
@@ -494,7 +502,7 @@ func Run(spec Spec) *Result {
 
 	// Per-shard check surfaces: on an unsharded run these collapse to the
 	// single engine and context, keeping violation strings unchanged.
-	shardEngines := []engine.Engine{e}
+	shardEngines := []engine.Engine{ue}
 	shardCtx := func(int) *engine.Ctx { return c }
 	shardTag := func(int) string { return "" }
 	if se != nil {
@@ -520,7 +528,7 @@ func Run(spec Spec) *Result {
 			tgt.tracer(sub)(
 				func(ref engine.Ref, field int) uint64 { return sub.TraversalLoad(sc, ref, field) },
 				func(ref engine.Ref, fields int) {
-					if msg := engine.CheckMirrorInvariants(sub, ref, fields); msg != "" {
+					if msg := sub.CheckInvariants(ref, fields); msg != "" {
 						res.addf("%sreplica invariant: %s", prefix, msg)
 					}
 				})

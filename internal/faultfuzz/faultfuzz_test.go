@@ -93,6 +93,11 @@ func TestDetectableAllEngines(t *testing.T) {
 	}
 }
 
+// broken adapts engine.NewBroken to Spec.NewEngine.
+func broken(bug engine.Bug) func(engine.Config) engine.Engine {
+	return func(cfg engine.Config) engine.Engine { return engine.NewBroken(cfg, bug) }
+}
+
 // TestDetectDoesNotMaskBrokenMirror re-runs the broken-engine hunt with
 // detectability enabled: a verdict that (truthfully) reads Committed for an
 // operation whose install was dropped must make the cross-check fail, not
@@ -102,7 +107,7 @@ func TestDetectDoesNotMaskBrokenMirror(t *testing.T) {
 		Structure: "list",
 		Kind:      engine.MirrorDRAM,
 		Faults:    pmem.FaultSpec{Torn: true, Drop: true},
-		NewEngine: engine.NewBrokenMirror,
+		NewEngine: broken(engine.BugDropOwnFlush),
 		Detect:    true,
 		Schedule:  Schedule{Workers: 1, OpsPer: 10, Keys: 4},
 	}
@@ -158,7 +163,7 @@ func TestIndividualFaults(t *testing.T) {
 
 // TestBrokenMirrorCaught is the fuzzer's acceptance self-test: a Mirror
 // engine whose write path skips the own-install flush+fence (test-only
-// copy, engine.NewBrokenMirror) must be caught within a bounded budget,
+// bug, engine.BugDropOwnFlush) must be caught within a bounded budget,
 // the failing spec must shrink, and replaying the printed (seed, schedule)
 // reproducer must deterministically reproduce the same failing media image.
 func TestBrokenMirrorCaught(t *testing.T) {
@@ -166,7 +171,7 @@ func TestBrokenMirrorCaught(t *testing.T) {
 		Structure: "list",
 		Kind:      engine.MirrorDRAM,
 		Faults:    pmem.FaultSpec{Torn: true, Drop: true},
-		NewEngine: engine.NewBrokenMirror,
+		NewEngine: broken(engine.BugDropOwnFlush),
 		// Workers=1 keeps every attempt exactly replayable.
 		Schedule: Schedule{Workers: 1, OpsPer: 10, Keys: 4},
 	}
@@ -217,7 +222,7 @@ hunt:
 // TestBrokenWatermarkCaught is the acceptance self-test for the flush-
 // elision layer: a Mirror engine whose persisted-epoch watermark is
 // advanced by the fault model's early eviction (test-only,
-// engine.NewBrokenWatermarkMirror) elides flush+fence pairs it has no
+// engine.BugEvictionAdvancesWatermark) elides flush+fence pairs it has no
 // right to elide — the install is visible and the operation completes,
 // but the line is unfenced, so a crash whose fate is "drop" loses a
 // completed operation. The fuzzer must catch this under evict+drop
@@ -228,7 +233,7 @@ func TestBrokenWatermarkCaught(t *testing.T) {
 		Structure: "list",
 		Kind:      engine.MirrorDRAM,
 		Faults:    pmem.FaultSpec{Evict: true, Drop: true},
-		NewEngine: engine.NewBrokenWatermarkMirror,
+		NewEngine: broken(engine.BugEvictionAdvancesWatermark),
 		// Workers=1 keeps every attempt exactly replayable.
 		Schedule: Schedule{Workers: 1, OpsPer: 10, Keys: 4},
 	}
@@ -345,7 +350,7 @@ func TestCombineDetectMirror(t *testing.T) {
 
 // TestBrokenCombineCaught is the combining acceptance self-test: a Mirror
 // engine whose combine drain silently skips the first buffered line while
-// still advancing the drained watermark (engine.NewBrokenCombineMirror)
+// still advancing the drained watermark (engine.BugDrainDropsFirstLine)
 // records operations as durably committed (ticket <= drained) whose
 // installs never reached a fence. The buffered checker must NOT excuse
 // them — a drop-fate crash that loses such a line loses a completed,
@@ -357,7 +362,7 @@ func TestBrokenCombineCaught(t *testing.T) {
 		Structure: "list",
 		Kind:      engine.MirrorDRAM,
 		Faults:    pmem.FaultSpec{Torn: true, Drop: true},
-		NewEngine: engine.NewBrokenCombineMirror,
+		NewEngine: broken(engine.BugDrainDropsFirstLine),
 		Combine:   true,
 		// Workers=1 keeps every attempt exactly replayable.
 		Schedule: Schedule{Workers: 1, OpsPer: 10, Keys: 4},

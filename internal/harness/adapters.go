@@ -44,7 +44,6 @@ type Competitor struct {
 // engineWorker adapts a structures.Set to workload.Worker.
 type engineWorker struct {
 	set structures.Set
-	e   engine.Engine
 	c   *engine.Ctx
 }
 
@@ -60,7 +59,7 @@ func (w *engineWorker) Contains(key uint64) bool    { return w.set.Contains(w.c,
 // slot is reused by a later point's worker.
 type detectWorker struct {
 	set    structures.Set
-	e      engine.Engine
+	e      engine.Detector
 	c      *engine.Ctx
 	client int
 	seq    *atomic.Uint64
@@ -126,11 +125,34 @@ func bucketsFor(keyRange int) int {
 	return b
 }
 
-// buildEngineTarget constructs one structure under one engine and returns
-// both the workload target and the engine itself, so callers that need the
-// engine's counters and protocol statistics (the JSON benchmark matrix) can
-// read them around a run.
-func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange int) (workload.Target, engine.Engine) {
+// buildEngineTarget constructs one structure under one engine — or, with
+// Options.Shards > 1, under a sharded router — and returns both the
+// workload target and the engine's host roles, so callers that need the
+// counters and protocol statistics (the JSON benchmark matrix) can read
+// them around a run.
+func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange int) (workload.Target, engine.Host) {
+	if o.Shards > 1 {
+		return buildShardedTarget(kind, structure, o, keyRange)
+	}
+	cfg, sizeRange := engineConfig(kind, structure, o, keyRange)
+	e := engine.New(cfg)
+	set := buildSet(structure, sizeRange)(e, e.NewCtx())
+	return engineTarget(e, set, kind, structure, cfg.Clients), e
+}
+
+// buildShardedTarget is buildEngineTarget on a sharded router, routed
+// through structures.Sharded; it returns the router itself for callers that
+// read per-shard counters.
+func buildShardedTarget(kind engine.Kind, structure string, o Options, keyRange int) (workload.Target, *engine.Sharded) {
+	cfg, sizeRange := engineConfig(kind, structure, o, keyRange)
+	e := engine.NewSharded(cfg)
+	set := structures.NewSharded(e, e.NewCtx(), buildSet(structure, sizeRange))
+	return engineTarget(e, set, kind, structure, cfg.Clients), e
+}
+
+// engineConfig sizes the engine for one benchmark target and returns the
+// key range each device must hold.
+func engineConfig(kind engine.Kind, structure string, o Options, keyRange int) (engine.Config, int) {
 	clients := 0
 	if o.Detect {
 		// One descriptor slot per concurrent worker at the widest point of
@@ -155,7 +177,7 @@ func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange i
 			sizeRange = 64
 		}
 	}
-	e := engine.New(engine.Config{
+	return engine.Config{
 		Kind:         kind,
 		Words:        deviceWords(structure, kind, sizeRange),
 		Latency:      o.Latency,
@@ -165,43 +187,31 @@ func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange i
 		Clients:      clients,
 		Shards:       o.Shards,
 		NUMARemoteNS: o.NUMARemoteNS,
-	})
-	setup := e.NewCtx()
-	var mk func(c *engine.Ctx) structures.Set
-	if se, ok := e.(*engine.Sharded); ok {
-		sh := structures.NewSharded(se, setup, func(sub engine.Engine, sc *engine.Ctx) structures.Set {
-			switch structure {
-			case StList:
-				return list.New(sub, 0)
-			case StHash:
-				return hashtable.New(sub, sc, bucketsFor(sizeRange))
-			case StBST:
-				return bst.New(sub, sc)
-			case StSkipList:
-				return skiplist.New(sub, sc)
-			default:
-				panic("harness: unknown structure " + structure)
-			}
-		})
-		mk = func(*engine.Ctx) structures.Set { return sh }
-	} else {
+	}, sizeRange
+}
+
+// buildSet returns the constructor of one structure on one (sub-)engine
+// holding up to sizeRange keys.
+func buildSet(structure string, sizeRange int) func(e engine.Engine, c *engine.Ctx) structures.Set {
+	return func(e engine.Engine, c *engine.Ctx) structures.Set {
 		switch structure {
 		case StList:
-			l := list.New(e, 0)
-			mk = func(*engine.Ctx) structures.Set { return l }
+			return list.New(e, 0)
 		case StHash:
-			h := hashtable.New(e, setup, bucketsFor(keyRange))
-			mk = func(*engine.Ctx) structures.Set { return h }
+			return hashtable.New(e, c, bucketsFor(sizeRange))
 		case StBST:
-			b := bst.New(e, setup)
-			mk = func(*engine.Ctx) structures.Set { return b }
+			return bst.New(e, c)
 		case StSkipList:
-			s := skiplist.New(e, setup)
-			mk = func(*engine.Ctx) structures.Set { return s }
+			return skiplist.New(e, c)
 		default:
 			panic("harness: unknown structure " + structure)
 		}
 	}
+}
+
+// engineTarget wraps a built set as a workload target whose workers each
+// own a context of e — and, with detectability on, a descriptor slot.
+func engineTarget(e engine.Host, set structures.Set, kind engine.Kind, structure string, clients int) workload.Target {
 	var workerIDs atomic.Uint64
 	seqs := make([]atomic.Uint64, clients)
 	return workload.Target{
@@ -211,11 +221,11 @@ func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange i
 			c := e.NewCtx()
 			if clients > 0 {
 				id := int(workerIDs.Add(1)-1) % clients
-				return &detectWorker{set: mk(c), e: e, c: c, client: id, seq: &seqs[id]}
+				return &detectWorker{set: set, e: e, c: c, client: id, seq: &seqs[id]}
 			}
-			return &engineWorker{set: mk(c), e: e, c: c}
+			return &engineWorker{set: set, c: c}
 		},
-	}, e
+	}
 }
 
 // engineCompetitor builds one structure under one engine.

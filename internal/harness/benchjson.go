@@ -440,9 +440,16 @@ func AppendShardAblation(r *BenchReport, o Options, shardCounts []int, threads [
 				oo := o
 				oo.Shards = n
 				oo.NUMARemoteNS = numa
-				target, e := buildEngineTarget(kind, StHash, oo, keyRange)
+				var target workload.Target
+				var e engine.Host
+				var se *engine.Sharded // nil on the unsharded baseline
+				if n > 1 {
+					target, se = buildShardedTarget(kind, StHash, oo, keyRange)
+					e = se
+				} else {
+					target, e = buildEngineTarget(kind, StHash, oo, keyRange)
+				}
 				workload.PrefillHalf(target, uint64(keyRange), oo.Seed)
-				se, _ := e.(*engine.Sharded)
 				for _, th := range threads {
 					fl0, fe0 := e.Counters()
 					s0 := e.Stats()

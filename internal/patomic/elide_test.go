@@ -104,7 +104,7 @@ func TestRelaxedCASAccounting(t *testing.T) {
 	ctx := initCell(m, 5)
 
 	if fl, fe := costOf(m, func() {
-		if ok, _ := m.CompareAndSwapRelaxed(ctx, cell, 5, 10); !ok {
+		if ok, _ := m.CAS(ctx, cell, 5, 10, Auxiliary); !ok {
 			t.Fatal("relaxed CAS failed")
 		}
 	}); fl != 0 || fe != 0 {
@@ -132,18 +132,18 @@ func TestRelaxedCASAccounting(t *testing.T) {
 	}
 
 	// Value-mismatch failure costs nothing and registers nothing.
-	if fl, fe := costOf(m, func() { m.CompareAndSwapRelaxed(ctx, cell, 999, 1) }); fl != 0 || fe != 0 {
+	if fl, fe := costOf(m, func() { m.CAS(ctx, cell, 999, 1, Auxiliary) }); fl != 0 || fe != 0 {
 		t.Errorf("failed relaxed CAS cost (%d flushes, %d fences), want (0, 0)", fl, fe)
 	}
 	if got := m.P.RelaxedPending(); got != 0 {
 		t.Errorf("failed relaxed CAS registered a line: pending=%d", got)
 	}
 
-	// On a non-eliding device CompareAndSwapRelaxed degrades to the full
+	// On a non-eliding device an Auxiliary CAS degrades to the full
 	// protocol exactly.
 	m2 := newMem(64)
 	ctx2 := initCell(m2, 5)
-	if fl, fe := costOf(m2, func() { m2.CompareAndSwapRelaxed(ctx2, cell, 5, 10) }); fl != 1 || fe != 1 {
+	if fl, fe := costOf(m2, func() { m2.CAS(ctx2, cell, 5, 10, Auxiliary) }); fl != 1 || fe != 1 {
 		t.Errorf("relaxed CAS on non-eliding device cost (%d, %d), want (1, 1)", fl, fe)
 	}
 	if m2.P.RelaxedPending() != 0 {

@@ -46,28 +46,6 @@ type Ctx struct {
 	mem     *Mem          // Mem this context is registered with (first use wins)
 	helps   atomic.Uint64 // completions of another thread's write (lines 19–26)
 	retries atomic.Uint64 // protocol restarts of any kind
-
-	// Deferred InitCell flushes (eliding devices only): distinct dirty
-	// lines in first-touch order, and the number of cells they cover.
-	// PublishFence drains them as one flush per line.
-	initLines []uint64
-	initCells int
-}
-
-// deferLine records a line touched by InitCell for the next PublishFence.
-// Consecutive cells of one object share lines, so the last-entry check is
-// the common-case dedup; the scan covers interleaved multi-object inits.
-func (ctx *Ctx) deferLine(line uint64) {
-	ctx.initCells++
-	if n := len(ctx.initLines); n > 0 && ctx.initLines[n-1] == line {
-		return
-	}
-	for _, l := range ctx.initLines {
-		if l == line {
-			return
-		}
-	}
-	ctx.initLines = append(ctx.initLines, line)
 }
 
 // Mem is a pair of replicas: cell offsets are valid on both devices.
@@ -80,6 +58,8 @@ type Mem struct {
 	// shards. The registry only grows (one entry per thread context).
 	statsMu sync.Mutex
 	ctxs    []*Ctx
+
+	dropOwnFlush bool // test-only seeded bug; see BreakOwnFlushForTest
 }
 
 // adopt registers ctx as a statistics shard of m on first use. A Ctx is
@@ -124,10 +104,84 @@ func (m *Mem) Stats() (helps, retries uint64) {
 	return helps, retries
 }
 
+// Intent is what a caller states about one access. The caller never says
+// what to flush or when: the persistence policy — eager, elide, or combine —
+// is picked here, from the intent and what rep_p's device is capable of
+// (Elides, Combines). DESIGN.md "Persistence seam" tabulates the outcome.
+type Intent uint8
+
+const (
+	// Full writes are durable before they are visible, whatever the device
+	// can do: Store, FetchAdd and the plain CompareAndSwap.
+	Full Intent = iota
+	// Linearizing marks an operation's linearization point. On a combining
+	// device the thread's own install joins its combine buffer instead of
+	// being fenced on the spot, and a failure witness is probed durable;
+	// everywhere else it is Full.
+	Linearizing
+	// Auxiliary marks a retire-gated physical update whose loss at a crash
+	// leaves a state some earlier crash could also have left: a snip of an
+	// already-marked node, an upper-level skiplist link, a bst excision. On
+	// an eliding device the install becomes visible before it is durable
+	// and the relaxed-line registry commits it before anything it unlinked
+	// is freed; everywhere else it is Full. A linearization point (mark,
+	// level-0 link, bst flag) must never use it.
+	//
+	// Exposure rule (combining): an auxiliary write is a shortcut other
+	// threads follow without loading the line it bypasses — a snip hides a
+	// marked node's line, an upper-level link reaches a node without its
+	// level-0 install line, a bst promotion reroutes around a flagged edge.
+	// If the writer's own combine buffer holds the linearization the
+	// shortcut bypasses, a reader can complete — and fence — an operation
+	// whose result depends on an install that may still vanish, and the
+	// conflict probe never fires because the bypassed line is never loaded.
+	// So an Auxiliary write drains the writer's own non-empty buffer first
+	// (DrainExpose).
+	Auxiliary
+	// AuxiliaryExposeSafe is Auxiliary minus the exposure drain. The caller
+	// asserts the shortcut discharges the exposure rule by construction:
+	// every linearization it makes reachable without its line was loaded by
+	// this thread through a Traversal or Adopting load — whose conflict
+	// resolution covered it — and none sits on a line this thread's own
+	// buffer still holds (FlushSet.CombineOwns). The list's snip of a
+	// foreign-marked node is the canonical caller.
+	AuxiliaryExposeSafe
+	// Traversal reads resolve a crossed foreign buffered install by
+	// committing its line on the spot (the conflict probe), so the caller's
+	// operation never completes durably on top of a value that could still
+	// vanish.
+	Traversal
+	// Adopting reads, for traversals inside update operations, enroll a
+	// crossed foreign buffered install into the caller's own combine buffer
+	// instead: the walker's eventual drain commits its whole witnessed path
+	// under one fence. The operation then either carries its own undrained
+	// ticket or must commit the witness before returning a verdict
+	// (pmem.CombineWitness). Plain reads must use Traversal.
+	Adopting
+)
+
 // Load returns the cell's current value. It is wait-free and touches only
 // the volatile replica (Figure 5).
 func (m *Mem) Load(off uint64) uint64 {
 	return m.V.Load(off)
+}
+
+// LoadFor is Load with the read-side half of the combining policy: on a
+// combining device the value just read may be (or share a line with)
+// another thread's buffered — visible but not yet durable — install, and
+// the intent says how to resolve that. The resolution runs after the read;
+// resolving first would race a concurrent buffering and miss it. On every
+// other device it is Load exactly.
+func (m *Mem) LoadFor(ctx *Ctx, off uint64, in Intent) uint64 {
+	v := m.V.Load(off)
+	if m.P.Combines() {
+		if in == Adopting {
+			m.P.CombineAdoptRead(&ctx.FS, off)
+		} else {
+			m.P.CombineProbe(&ctx.FS, off)
+		}
+	}
+	return v
 }
 
 // LoadWithSeq returns the volatile replica's (value, seq) pair atomically;
@@ -136,12 +190,26 @@ func (m *Mem) LoadWithSeq(off uint64) (v, seq uint64) {
 	return m.V.LoadPair(off)
 }
 
-// CompareAndSwap implements Figure 4. It atomically replaces the cell's
-// value with newVal if the current value equals expected, making the new
-// value durable before it becomes visible to loads. It returns whether the
-// swap happened and the value observed when it did not (the updated
-// "expected" of compare_exchange_strong).
+// CompareAndSwap is CAS with the Full intent.
 func (m *Mem) CompareAndSwap(ctx *Ctx, off uint64, expected, newVal uint64) (bool, uint64) {
+	return m.CAS(ctx, off, expected, newVal, Full)
+}
+
+// CAS implements Figure 4. It atomically replaces the cell's value with
+// newVal if the current value equals expected, and returns whether the swap
+// happened and the value observed when it did not (the updated "expected"
+// of compare_exchange_strong). Under the Full intent the new value is
+// durable before it becomes visible to loads; the other write intents let
+// the policy defer exactly one step — the flush+fence of the thread's *own*
+// successful install. Every other arm — the help path, the
+// torn-view retry, the failed-install persist — keeps the full discipline
+// under every intent, because those arms make other threads' installs
+// durable and a helper must never publish an install it has merely
+// deferred.
+func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (bool, uint64) {
+	if in == Auxiliary && !ctx.FS.CombineQuiet() {
+		m.P.CombineDrain(&ctx.FS, pmem.DrainExpose)
+	}
 	for {
 		pv, ps := m.P.LoadPair(off) // read rep_p (atomic pair ≙ seq/val/seq validation)
 		vv, vs := m.V.LoadPair(off) // read rep_v
@@ -165,23 +233,58 @@ func (m *Mem) CompareAndSwap(ctx *Ctx, off uint64, expected, newVal uint64) (boo
 			continue
 		}
 		if pv != expected {
-			// Fail without writing (lines 32–35).
+			// Fail without writing (lines 32–35). Under combining the
+			// witness pv may be another thread's buffered install: an
+			// operation about to complete because of it (a failed insert
+			// observing its key present) must outlive it, so a
+			// linearizing caller forces it durable first.
+			if in == Linearizing {
+				m.P.CombineProbe(&ctx.FS, off)
+			}
 			return false, pv
 		}
 
-		// Install into rep_p first (lines 38–42). The durability step
-		// runs whether or not the DWCAS succeeded: on failure it helps
-		// persist the competing write before we touch rep_v. The epoch
-		// tag is read after the DWCAS observed the cell.
+		// Install into rep_p first (lines 38–42).
 		ok, curV, curS := m.P.DWCAS(off, pv, ps, newVal, ps+1)
-		m.ensureDurable(ctx, off, m.P.PersistEpoch())
 		if ok {
+			// The persistence policy for the thread's own install, run
+			// between the rep_p install and the rep_v mirror:
+			//
+			//   - combine: the install joins the thread's combine buffer.
+			//     The registration is ordered before any thread can
+			//     observe the install in rep_v — the same contract as the
+			//     relaxed registry's. At capacity the buffer drains once
+			//     the mirror is done.
+			//   - relax: the line's durability becomes the pre-free
+			//     drain's obligation, registered before the mirror so that
+			//     every thread that observed the install — including the
+			//     one that retires the unlinked object — is ordered after
+			//     it.
+			//   - eager, or elide on an eliding device: durable now.
+			drain := false
+			switch {
+			case in == Linearizing && m.P.Combines():
+				drain = m.P.CombineAdd(&ctx.FS, off)
+			case (in == Auxiliary || in == AuxiliaryExposeSafe) && m.P.Elides():
+				m.P.NoteRelaxed(&ctx.FS, off)
+			case m.dropOwnFlush:
+				// Seeded bug (BreakOwnFlushForTest): visible, never durable.
+			default:
+				m.ensureDurable(ctx, off, m.P.PersistEpoch())
+			}
 			// Mirror into rep_v (line 44). Failure here means a helper
 			// already completed our write (or a later one); either way
 			// the operation is linearized.
 			m.V.DWCAS(off, pv, ps, newVal, ps+1)
+			if drain {
+				m.P.CombineDrain(&ctx.FS, pmem.DrainCapacity)
+			}
 			return true, pv
 		}
+		// Failed install: help persist the competing write before we
+		// touch rep_v. The epoch tag is read after the DWCAS observed the
+		// cell.
+		m.ensureDurable(ctx, off, m.P.PersistEpoch())
 		if curV == expected {
 			// The value still matches but the sequence number moved
 			// (same-value overwrite by a concurrent thread). A regular
@@ -195,6 +298,14 @@ func (m *Mem) CompareAndSwap(ctx *Ctx, off uint64, expected, newVal uint64) (boo
 		return false, curV
 	}
 }
+
+// BreakOwnFlushForTest seeds the bug "one missing flush in the writer's own
+// install": a Full or eagerly-settled install is mirrored into rep_v — and
+// so completes its operation — without ever being flushed or fenced. Under
+// a Drop or Torn fault model a crash then loses or tears a completed
+// operation, which the fault fuzzer's self-test must catch. Help and
+// failure paths keep their flush+fence. Never use outside tests.
+func (m *Mem) BreakOwnFlushForTest() { m.dropOwnFlush = true }
 
 // ensureDurable makes the cell content observed under tag durable before a
 // mirror into rep_v. The caller read tag from P.PersistEpoch *after*
@@ -224,111 +335,11 @@ func (m *Mem) ensureDurable(ctx *Ctx, off, tag uint64) {
 	m.P.Fence(&ctx.FS)
 }
 
-// CompareAndSwapRelaxed is CompareAndSwap with the own-install flush+fence
-// deferred to the device's relaxed-line registry: the install becomes
-// visible in rep_v before it is durable, and the registry guarantees the
-// line commits before any object it unlinked is freed (the registration
-// happens before the volatile publish, so every thread that observed the
-// install — including the one that retires the unlinked object — is
-// ordered after it; the allocator's pre-free drain then commits it).
-//
-// It is sound ONLY for retire-gated auxiliary updates whose loss at a
-// crash leaves a state some earlier crash could also have left: snips of
-// already-marked nodes, upper-level skiplist links, bst excisions. A
-// linearization point (mark, level-0 link, bst flag) must use the full
-// CompareAndSwap. Help and failure paths keep the full discipline. On a
-// non-eliding device it degrades to CompareAndSwap exactly.
-//
-// Exposure rule (combining): a relaxed write is a shortcut other threads
-// follow without loading the line it bypasses — a snip hides a marked
-// node's line, an upper-level link reaches a node without its level-0
-// install line, a bst promotion reroutes around a flagged edge. If the
-// writer's own combine buffer holds the linearization the shortcut
-// bypasses, a reader can complete — and fence — an operation whose
-// result depends on an install that may still vanish, and the conflict
-// probe never fires because the bypassed line is never loaded. So a
-// relaxed CAS drains the writer's own buffer before its install becomes
-// visible (DrainExpose). Callers that know the shortcut exposes nothing
-// of their own avoid the fence by checking CombineQuiet first, or — when
-// they can name the single bypassed line — by using
-// CompareAndSwapRelaxedExposeSafe with a CombineOwns check.
-func (m *Mem) CompareAndSwapRelaxed(ctx *Ctx, off uint64, expected, newVal uint64) (bool, uint64) {
-	if !m.P.Elides() {
-		return m.CompareAndSwap(ctx, off, expected, newVal)
-	}
-	if !ctx.FS.CombineQuiet() {
-		m.P.CombineDrain(&ctx.FS, pmem.DrainExpose)
-	}
-	return m.casRelaxed(ctx, off, expected, newVal)
-}
-
-// CompareAndSwapRelaxedExposeSafe is CompareAndSwapRelaxed minus the
-// exposure drain. The caller asserts the shortcut discharges the
-// exposure rule by construction: every linearization it makes reachable
-// without its line was loaded by this thread through the combined read
-// path — whose conflict probe committed it durable — and none sits on a
-// line this thread's own buffer still holds (the probe skips own lines,
-// so own lines must be checked with FlushSet.CombineOwns). The list's
-// snip of a foreign-marked node is the canonical caller: the snip
-// bypasses exactly one line, the snipped node's, and the mark on it was
-// probed durable by the snipping thread's own traversal load.
-func (m *Mem) CompareAndSwapRelaxedExposeSafe(ctx *Ctx, off uint64, expected, newVal uint64) (bool, uint64) {
-	if !m.P.Elides() {
-		return m.CompareAndSwap(ctx, off, expected, newVal)
-	}
-	return m.casRelaxed(ctx, off, expected, newVal)
-}
-
-func (m *Mem) casRelaxed(ctx *Ctx, off uint64, expected, newVal uint64) (bool, uint64) {
-	for {
-		pv, ps := m.P.LoadPair(off)
-		vv, vs := m.V.LoadPair(off)
-
-		if ps == vs+1 {
-			m.ensureDurable(ctx, off, m.P.PersistEpoch())
-			m.V.DWCAS(off, vv, vs, pv, ps)
-			m.noteHelp(ctx)
-			continue
-		}
-		if ps != vs {
-			m.noteRetry(ctx)
-			continue
-		}
-		if pv != expected {
-			return false, pv
-		}
-
-		ok, curV, curS := m.P.DWCAS(off, pv, ps, newVal, ps+1)
-		if ok {
-			// Register before the mirror: the line's durability is now
-			// the pre-free drain's obligation, not ours.
-			m.P.NoteRelaxed(&ctx.FS, off)
-			m.V.DWCAS(off, pv, ps, newVal, ps+1)
-			return true, pv
-		}
-		// Failed install: persist the competing write before touching
-		// rep_v, as in the full protocol.
-		m.ensureDurable(ctx, off, m.P.PersistEpoch())
-		if curV == expected {
-			m.noteRetry(ctx)
-			continue
-		}
-		m.V.DWCAS(off, vv, vs, curV, curS)
-		return false, curV
-	}
-}
-
-// Store atomically replaces the cell's value unconditionally, looping over
-// CompareAndSwap as simple writes never fail (§4.1.2).
+// Store atomically replaces the cell's value unconditionally; simple writes
+// never fail, so like every other write it loops over CompareAndSwap
+// (§4.1.2).
 func (m *Mem) Store(ctx *Ctx, off uint64, v uint64) {
-	cur := m.Load(off)
-	for {
-		ok, actual := m.CompareAndSwap(ctx, off, cur, v)
-		if ok {
-			return
-		}
-		cur = actual
-	}
+	m.Exchange(ctx, off, v)
 }
 
 // Exchange atomically replaces the cell's value and returns the previous
@@ -369,7 +380,7 @@ func (m *Mem) InitCell(ctx *Ctx, off uint64, v uint64) {
 	m.P.Store(off, v)
 	m.P.Store(off+1, InitSeq)
 	if m.P.Elides() {
-		ctx.deferLine(off / pmem.WordsPerLine)
+		ctx.FS.DeferInit(off)
 	} else {
 		m.P.Flush(&ctx.FS, off)
 	}
@@ -387,18 +398,8 @@ func (m *Mem) InitCell(ctx *Ctx, off uint64, v uint64) {
 // in flight orders nothing.
 func (m *Mem) PublishFence(ctx *Ctx) {
 	if m.P.Elides() {
-		for _, line := range ctx.initLines {
-			m.P.Flush(&ctx.FS, line*pmem.WordsPerLine)
-		}
-		if elided := ctx.initCells - len(ctx.initLines); elided > 0 {
-			m.P.NoteElided(&ctx.FS, uint64(elided), 0)
-		}
-		ctx.initLines = ctx.initLines[:0]
-		ctx.initCells = 0
-		if ctx.FS.Pending() == 0 {
-			m.P.NoteElided(&ctx.FS, 0, 1)
-			return
-		}
+		m.P.PublishInit(&ctx.FS)
+		return
 	}
 	m.P.Fence(&ctx.FS)
 }

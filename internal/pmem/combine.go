@@ -61,7 +61,7 @@ const (
 	// DrainExpose: a relaxed (unregistered-shortcut) write was about to
 	// become visible while the writer's own buffer held a linearizing
 	// install the shortcut could expose; the buffer drained first. See
-	// CompareAndSwapRelaxed's exposure rule.
+	// patomic.Auxiliary's exposure rule.
 	DrainExpose
 	// DrainExplicit: an explicit engine drain (quiesce, tests).
 	DrainExplicit
@@ -328,7 +328,7 @@ func (d *Device) CombineDrain(fs *FlushSet, cause DrainCause) {
 		if d.breakCombine && i == 0 {
 			// BUG hook (BreakCombineForTest): drop the first buffered
 			// line while still advancing the watermark below — the
-			// seeded bug NewBrokenCombineMirror exists to plant.
+			// seeded bug engine.BugDrainDropsFirstLine plants.
 			continue
 		}
 		if d.marks[line].Load() >= d.cpend[line].Load() {
@@ -388,9 +388,14 @@ func (s *FlushSet) CombineOwns(off uint64) bool {
 // combineEpochOps such pulses. This bounds, in the owner's operations,
 // how long a completed operation can remain in the may-vanish class.
 func (d *Device) CombineTick(fs *FlushSet) {
-	if !d.combine {
-		return
+	if d.combine {
+		d.combineTick(fs)
 	}
+}
+
+// combineTick is CombineTick's slow half, split off so that the off-switch
+// test inlines into every operation end.
+func (d *Device) combineTick(fs *FlushSet) {
 	if len(fs.cbLines) == 0 && fs.cbTicket == fs.cbDrained {
 		fs.cbOpTicks = 0
 		return
@@ -410,10 +415,6 @@ func (d *Device) CombineTick(fs *FlushSet) {
 func (s *FlushSet) CombineTickets() (last, drained uint64) {
 	return s.cbTicket, s.cbDrained
 }
-
-// CombinePendingOps returns the number of buffered linearizations not
-// yet covered by a drain; tests use it.
-func (s *FlushSet) CombinePendingOps() int { return int(s.cbTicket - s.cbDrained) }
 
 // CombineCounters sums the combining statistics across every FlushSet
 // that has used this device: fences deferred into a combined drain, and

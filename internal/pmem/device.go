@@ -461,6 +461,12 @@ type FlushSet struct {
 	cbAdopted  bool
 	combined   atomic.Uint64
 	drainCause [drainCauses]atomic.Uint64
+
+	// Deferred initialization flushes (eliding devices; see DeferInit in
+	// elide.go): distinct lines dirtied by unpublished-object stores, in
+	// first-touch order, and the number of stores they cover.
+	initLines  []uint64
+	initStores int
 }
 
 // Reset discards any pending flushes (used when a context is recycled).
@@ -469,6 +475,7 @@ type FlushSet struct {
 // watermark: anything it held stays in the may-vanish class.
 func (s *FlushSet) Reset() {
 	s.clearLines()
+	s.DropInit()
 	s.cbLines = s.cbLines[:0]
 	s.cbOpTicks = 0
 	s.cbAdopted = false

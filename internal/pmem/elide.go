@@ -30,9 +30,9 @@
 //     completion guarantee, not a promise.
 //
 //   - The relaxed-line registry: a CAS that is only retire-gated (list and
-//     skiplist snips, bst excisions — see patomic.CompareAndSwapRelaxed)
-//     may become visible before it is durable, provided its line is made
-//     durable before any object it unlinked is freed. Such installs
+//     skiplist snips, bst excisions — see patomic.Auxiliary) may become
+//     visible before it is durable, provided its line is made durable
+//     before any object it unlinked is freed. Such installs
 //     register their line here, *before* the volatile publish, and every
 //     allocator drain commits the registry (flush per line + one fence)
 //     before freeing anything. The mutex orders registration before the
@@ -203,6 +203,51 @@ func (d *Device) RelaxedPending() int {
 	return n
 }
 
+// DeferInit records a store to an unpublished object at off whose flush is
+// deferred to the next PublishInit. Consecutive fields of one object share
+// lines, so the last-entry check is the common-case dedup; the scan covers
+// interleaved multi-object inits.
+func (s *FlushSet) DeferInit(off uint64) {
+	s.initStores++
+	line := off >> lineShift
+	if n := len(s.initLines); n > 0 && s.initLines[n-1] == line {
+		return
+	}
+	for _, l := range s.initLines {
+		if l == line {
+			return
+		}
+	}
+	s.initLines = append(s.initLines, line)
+}
+
+// DropInit forgets the deferred init stores of an object that was never
+// published: it never became reachable, so nothing needs to persist.
+func (s *FlushSet) DropInit() {
+	s.initLines = s.initLines[:0]
+	s.initStores = 0
+}
+
+// PublishInit is the publish barrier of an eliding device: one flush per
+// distinct line DeferInit recorded (the per-store flushes a non-eliding
+// device would have issued count as elided), then one fence — skipped when
+// nothing at all is pending, since an sfence with no clwb in flight orders
+// nothing.
+func (d *Device) PublishInit(fs *FlushSet) {
+	for _, line := range fs.initLines {
+		d.Flush(fs, line<<lineShift)
+	}
+	if elided := fs.initStores - len(fs.initLines); elided > 0 {
+		d.NoteElided(fs, uint64(elided), 0)
+	}
+	fs.DropInit()
+	if fs.Pending() == 0 {
+		d.NoteElided(fs, 0, 1)
+		return
+	}
+	d.Fence(fs)
+}
+
 // NoteElided records persistence instructions a caller skipped because the
 // watermark (or batch dedup, or an already-fenced empty pending set) proved
 // them redundant. Pure accounting; the ablation benchmarks report these.
@@ -246,7 +291,7 @@ func (d *Device) ElisionCounters() (elidedFlushes, elidedFences, piggybacked, re
 // BreakWatermarkForTest makes the fault model's early eviction falsely
 // advance the evicted line's watermark past the current epoch — exactly
 // the bug the watermark protocol exists to rule out (an eviction is not a
-// commit guarantee). Installed only by engine.NewBrokenWatermarkMirror;
+// commit guarantee). Installed only by engine.NewBroken;
 // the fault fuzzer's acceptance self-test must catch the resulting
 // durable-linearizability violations.
 func (d *Device) BreakWatermarkForTest() { d.breakWM = true }

@@ -26,7 +26,7 @@ const (
 // List is a lock-free sorted linked list. The zero value is not usable;
 // call New.
 type List struct {
-	e         engine.Engine
+	e         engine.Memory
 	rootRef   engine.Ref
 	rootField int
 }
@@ -34,13 +34,13 @@ type List struct {
 // New creates a list whose head pointer lives in the given field of the
 // engine's root object. If the field is already non-nil (recovery), the
 // existing list is adopted unchanged.
-func New(e engine.Engine, rootField int) *List {
+func New(e engine.Memory, rootField int) *List {
 	return &List{e: e, rootRef: e.RootRef(), rootField: rootField}
 }
 
 // NewAt creates a list whose head pointer lives in an arbitrary
 // (object, field) slot; the hash table uses one slot per bucket.
-func NewAt(e engine.Engine, ref engine.Ref, field int) *List {
+func NewAt(e engine.Memory, ref engine.Ref, field int) *List {
 	return &List{e: e, rootRef: ref, rootField: field}
 }
 
@@ -84,7 +84,7 @@ retry:
 		for curr != 0 {
 			succ := engine.TraversalLoadAdopt(e, c, curr, fNext)
 			if structures.Marked(succ) {
-				if predVal == curr && !engine.CombineOwnsField(e, c, curr, fNext) {
+				if predVal == curr && !engine.CombineOwnsField(c, curr, fNext) {
 					// curr is logically deleted and directly linked from
 					// pred: unlink it. This is a critical step — persist
 					// the nodes around the destination first (NVTraverse
@@ -145,7 +145,7 @@ func (l *List) Insert(c *engine.Ctx, key, val uint64) bool {
 			// no ticket to vanish with, the witness must reach a fence
 			// before the verdict escapes.
 			e.MakePersistent(c, curr, NodeFields)
-			engine.CommitWitness(e, c)
+			engine.CommitWitness(c)
 			return false
 		}
 		// Batch the node's initialization: relaxed flushes per dirty line,
@@ -191,7 +191,7 @@ func (l *List) Delete(c *engine.Ctx, key uint64) bool {
 		if curr == 0 || engine.TraversalLoadAdopt(e, c, curr, fKey) != key {
 			// Absent-key verdict: commit any adopted witness first (no-op
 			// when this thread holds an undrained ticket to vanish with).
-			engine.CommitWitness(e, c)
+			engine.CommitWitness(c)
 			return false
 		}
 		succ := engine.TraversalLoadAdopt(e, c, curr, fNext)
@@ -213,7 +213,7 @@ func (l *List) Delete(c *engine.Ctx, key uint64) bool {
 		// the unlink waits until the mark's line has left our buffer (the
 		// exposure rule). The relaxed-line registry still commits the
 		// snip before the node is freed.
-		if predVal == curr && !engine.CombineOwnsField(e, c, curr, fNext) &&
+		if predVal == curr && !engine.CombineOwnsField(c, curr, fNext) &&
 			engine.CASRelaxedExposeSafe(e, c, predRef, predField, curr, succ) {
 			e.Retire(c, curr, NodeFields)
 		}
@@ -296,7 +296,7 @@ func (l *List) Tracer() engine.Tracer {
 
 // TracerAt returns the list's recovery tracer without attaching to the
 // (possibly not yet recovered) structure.
-func TracerAt(e engine.Engine, rootField int) engine.Tracer {
+func TracerAt(e engine.Memory, rootField int) engine.Tracer {
 	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
 		TraceFrom(e.RootRef(), rootField, read, visit)
 	}

@@ -79,10 +79,10 @@ func RunRingDetect(t *testing.T, f Factory) {
 	}
 }
 
-// ringTarget is one fresh instance under test: the set, its engine, and a
-// recover function that re-attaches after the crash.
+// ringTarget is one fresh instance under test: the set, its engine (or
+// sharded router), and a recover function that re-attaches after the crash.
 type ringTarget struct {
-	e engine.Engine
+	e engine.Host
 	c *engine.Ctx
 	s structures.Set
 	// recover crashes nothing itself; it recovers the frozen image and

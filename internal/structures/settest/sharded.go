@@ -201,7 +201,7 @@ func shardedOps(s structures.Set, c *engine.Ctx) map[uint64]uint64 {
 
 // mediaHashes fingerprints every persistent device of an engine, in
 // device order.
-func mediaHashes(e engine.Engine) []uint64 {
+func mediaHashes(e engine.Lifecycle) []uint64 {
 	var out []uint64
 	for _, d := range e.PersistentDevices() {
 		out = append(out, d.MediaHash())

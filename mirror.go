@@ -113,9 +113,20 @@ type Options struct {
 type Runtime struct {
 	eng engine.Engine
 
-	mu       sync.Mutex
-	tracers  []engine.Tracer
-	nextRoot int
+	mu         sync.Mutex
+	structures []recoverable
+	nextRoot   int
+}
+
+// recoverable is one structure's whole recovery obligation, registered as a
+// unit so that no caller can run one half without the other: the tracer
+// that enumerates its reachable objects, and the attach-time repair pass
+// that restores the invariants a crash may legally break (relaxed
+// auxiliary updates can persist out of order; see skiplist.NewAt and
+// bst.NewAt). repair is nil for structures with nothing to repair.
+type recoverable struct {
+	tracer engine.Tracer
+	repair func(c *Ctx)
 }
 
 // rootFieldsPerRuntime bounds how many structures one runtime can hold
@@ -157,17 +168,17 @@ func (r *Runtime) takeRoots(n int) int {
 	return f
 }
 
-func (r *Runtime) register(tr engine.Tracer) {
+func (r *Runtime) register(tr engine.Tracer, repair func(c *Ctx)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tracers = append(r.tracers, tr)
+	r.structures = append(r.structures, recoverable{tracer: tr, repair: repair})
 }
 
 // NewList creates a durable Harris linked list.
 func (r *Runtime) NewList(c *Ctx) Set {
 	f := r.takeRoots(1)
 	s := list.New(r.eng, f)
-	r.register(s.Tracer())
+	r.register(s.Tracer(), nil)
 	return s
 }
 
@@ -176,7 +187,7 @@ func (r *Runtime) NewList(c *Ctx) Set {
 func (r *Runtime) NewHashTable(c *Ctx, buckets int) Set {
 	f := r.takeRoots(2)
 	s := hashtable.NewAt(r.eng, c, buckets, f)
-	r.register(s.Tracer())
+	r.register(s.Tracer(), nil)
 	return s
 }
 
@@ -184,7 +195,9 @@ func (r *Runtime) NewHashTable(c *Ctx, buckets int) Set {
 func (r *Runtime) NewBST(c *Ctx) Set {
 	f := r.takeRoots(1)
 	s := bst.NewAt(r.eng, c, f)
-	r.register(s.Tracer())
+	// Attaching to a recovered tree is what runs its repair passes; the
+	// handle s holds only the sentinel refs, which never move.
+	r.register(s.Tracer(), func(c *Ctx) { bst.NewAt(r.eng, c, f) })
 	return s
 }
 
@@ -192,7 +205,8 @@ func (r *Runtime) NewBST(c *Ctx) Set {
 func (r *Runtime) NewSkipList(c *Ctx) Set {
 	f := r.takeRoots(1)
 	s := skiplist.NewAt(r.eng, c, f)
-	r.register(s.Tracer())
+	// As for the tree: re-attaching repairs, and s holds only the head ref.
+	r.register(s.Tracer(), func(c *Ctx) { skiplist.NewAt(r.eng, c, f) })
 	return s
 }
 
@@ -204,7 +218,7 @@ type Queue = queue.Queue
 func (r *Runtime) NewQueue(c *Ctx) *Queue {
 	f := r.takeRoots(2)
 	q := queue.NewAt(r.eng, c, f)
-	r.register(q.Tracer())
+	r.register(q.Tracer(), nil)
 	return q
 }
 
@@ -222,34 +236,27 @@ func (r *Runtime) Crash(policy CrashPolicy, seed int64) {
 
 // Recover rebuilds all volatile state after Crash: the registered tracers
 // enumerate every reachable object, the volatile replica is reconstructed,
-// and unreachable memory is reclaimed (§4.3.3). Structures created before
-// the crash remain usable afterwards; contexts do not — create fresh ones.
-func (r *Runtime) Recover() {
-	r.mu.Lock()
-	tracers := append([]engine.Tracer(nil), r.tracers...)
-	r.mu.Unlock()
-	r.eng.Recover(func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-		for _, tr := range tracers {
-			tr(read, visit)
-		}
-	})
-}
+// unreachable memory is reclaimed (§4.3.3), and every structure's repair
+// pass runs. Structures created before the crash remain usable afterwards
+// (on a durable engine — under the non-durable baselines nothing survives);
+// contexts do not — create fresh ones. It is RecoverParallel(1).
+func (r *Runtime) Recover() { r.RecoverParallel(1) }
 
 // RecoverParallel is Recover with a bounded worker pool: the registered
 // tracers are dealt round-robin across parallelism shards, and the trace,
 // volatile-replica rebuild, and allocator reconstruction all run on that
-// many goroutines (see internal/recovery). parallelism <= 1 is exactly
-// Recover. Structures within one shard are traced sequentially; a runtime
-// holding a single large structure gains nothing here — trace it through
-// engine.RecoverWith with its ShardedTracer instead.
+// many goroutines (see internal/recovery). Structures within one shard are
+// traced sequentially; a runtime holding a single large structure gains
+// nothing here — trace it through engine.RecoverWith with its ShardedTracer
+// instead. The repair passes run afterwards, sequentially.
 func (r *Runtime) RecoverParallel(parallelism int) {
 	r.mu.Lock()
-	tracers := append([]engine.Tracer(nil), r.tracers...)
+	structs := append([]recoverable(nil), r.structures...)
 	r.mu.Unlock()
 	sharded := func(shard, shards int) engine.Tracer {
 		return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-			for i := shard; i < len(tracers); i += shards {
-				tracers[i](read, visit)
+			for i := shard; i < len(structs); i += shards {
+				structs[i].tracer(read, visit)
 			}
 		}
 	}
@@ -257,6 +264,12 @@ func (r *Runtime) RecoverParallel(parallelism int) {
 		Parallelism: parallelism,
 		Sharded:     sharded,
 	})
+	c := r.eng.NewCtx()
+	for _, st := range structs {
+		if st.repair != nil {
+			st.repair(c)
+		}
+	}
 }
 
 // Counters reports the cumulative number of flush and fence instructions
