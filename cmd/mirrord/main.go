@@ -18,7 +18,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"mirror/internal/engine"
 	"mirror/internal/server"
@@ -40,17 +39,16 @@ func engineKind(name string) (engine.Kind, bool) {
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
-		kindName  = flag.String("engine", "mirror", "izraelevitz|nvtraverse|mirror|mirrornvmm")
-		media     = flag.String("media", "", "media image file (empty: in-memory, dies with the process)")
-		words     = flag.Int("words", 1<<20, "device capacity in 8-byte words")
-		ring      = flag.Int("ring", 0, "per-client descriptor-ring depth (0: engine default)")
-		clients   = flag.Int("clients", 64, "descriptor rings (max client id + 1)")
-		workers   = flag.Int("workers", 2, "batcher goroutines")
-		combine   = flag.Bool("combine", false, "enable cross-operation fence combining")
-		nobatch   = flag.Bool("nobatch", false, "ablation: one fence per mutation (no cross-client batching)")
-		maxBatch  = flag.Int("maxbatch", 128, "max operations per drain batch")
-		batchWait = flag.Duration("batchwait", 25*time.Microsecond, "group-commit window")
+		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
+		kindName = flag.String("engine", "mirror", "izraelevitz|nvtraverse|mirror|mirrornvmm")
+		media    = flag.String("media", "", "media image file (empty: in-memory, dies with the process)")
+		words    = flag.Int("words", 1<<20, "device capacity in 8-byte words")
+		ring     = flag.Int("ring", 0, "per-client descriptor-ring depth (0: engine default)")
+		clients  = flag.Int("clients", 64, "descriptor rings (max client id + 1)")
+		workers  = flag.Int("workers", 2, "worker goroutines")
+		combine  = flag.Bool("combine", false, "enable cross-operation fence combining")
+		nobatch  = flag.Bool("nobatch", false, "ablation: one fence per mutation (no cross-client batching)")
+		maxBatch = flag.Int("maxbatch", 128, "max operations per drain batch")
 	)
 	flag.Parse()
 
@@ -69,7 +67,6 @@ func main() {
 		Combine:   *combine,
 		NoBatch:   *nobatch,
 		MaxBatch:  *maxBatch,
-		BatchWait: *batchWait,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mirrord:", err)
@@ -91,6 +88,6 @@ func main() {
 	<-sig
 	s.Close()
 	st := s.Stats()
-	fmt.Printf("mirrord: served %d ops (%d mutations, %d replays) in %d batches, %d flushes, %d fences\n",
-		st.Ops, st.Mutations, st.Replays, st.Batches, st.Flushes, st.Fences)
+	fmt.Printf("mirrord: served %d ops (%d mutations, %d replays) in %d batches, %.2f frames/batch, %d flushes, %d fences\n",
+		st.Ops, st.Mutations, st.Replays, st.Batches, float64(st.Ops)/float64(max(st.Batches, 1)), st.Flushes, st.Fences)
 }

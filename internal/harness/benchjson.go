@@ -123,14 +123,14 @@ type BenchOptions struct {
 	// matrix (workload.Spec semantics); omitted for the uniform default.
 	Dist string  `json:"dist,omitempty"`
 	Skew float64 `json:"skew,omitempty"`
-	// ServingConns/ServingWorkloads/ServingBatchWaitNS record the
+	// ServingConns/ServingWorkloads/ServingPipelines record the
 	// serving-tier ablation appended by AppendServingAblation: the
-	// connection sweep, the YCSB letters, and the group-commit window the
-	// batched sessions ran with.
-	ServingConns       []int  `json:"serving_conns,omitempty"`
-	ServingWorkloads   string `json:"serving_workloads,omitempty"`
-	ServingPipelines   []int  `json:"serving_pipelines,omitempty"`
-	ServingBatchWaitNS int64  `json:"serving_batch_wait_ns,omitempty"`
+	// connection sweep, the YCSB letters and the pipeline depths. (Reports
+	// up to BENCH_7 also carry serving_batch_wait_ns, the timed
+	// group-commit window those sessions ran with; it is no longer read.)
+	ServingConns     []int  `json:"serving_conns,omitempty"`
+	ServingWorkloads string `json:"serving_workloads,omitempty"`
+	ServingPipelines []int  `json:"serving_pipelines,omitempty"`
 }
 
 // ServingPoint is one serving-tier measurement: a YCSB workload driven
@@ -148,10 +148,7 @@ type ServingPoint struct {
 	// synchronous round trips; >1: HELLO-negotiated, descriptor rings).
 	Pipeline int  `json:"pipeline,omitempty"`
 	Batch    bool `json:"batch"`
-	// BatchWaitNS is the group-commit window of a batched point (omitted
-	// on the unbatched baseline, which drains after every operation).
-	BatchWaitNS int64 `json:"batch_wait_ns,omitempty"`
-	KeyRange    int   `json:"key_range"`
+	KeyRange int  `json:"key_range"`
 
 	Ops  uint64  `json:"ops"`
 	Kops float64 `json:"kops"` // thousand ops/s — wire round trips, not Mops

@@ -27,14 +27,10 @@ import (
 	"mirror/internal/workload"
 )
 
-// Serving-panel defaults. The key range is deliberately small (the serving
-// bottleneck is the wire and the fence discipline, not structure depth),
-// and the group-commit window is set above a loopback round trip so
-// concurrently in-flight clients actually land in one batch.
-const (
-	ServingKeyRange  = 4096
-	ServingBatchWait = 100 * time.Microsecond
-)
+// ServingKeyRange is the serving panels' default key range: deliberately
+// small (the serving bottleneck is the wire and the fence discipline, not
+// structure depth).
+const ServingKeyRange = 4096
 
 // ServingSpec describes one client-side load session against a serving
 // address (in-process or remote).
@@ -305,10 +301,8 @@ type ServingConfig struct {
 	Kinds []engine.Kind
 	// KeyRange overrides ServingKeyRange.
 	KeyRange uint64
-	// Workers overrides the server's batcher count (default 2).
+	// Workers overrides the server's worker count (default 2).
 	Workers int
-	// BatchWait overrides ServingBatchWait for the batched sessions.
-	BatchWait time.Duration
 }
 
 func (sc *ServingConfig) setDefaults() {
@@ -334,9 +328,6 @@ func (sc *ServingConfig) setDefaults() {
 	if sc.Workers <= 0 {
 		sc.Workers = 2
 	}
-	if sc.BatchWait == 0 {
-		sc.BatchWait = ServingBatchWait
-	}
 }
 
 // RunServingSession builds an in-process server, prefills it through the
@@ -350,11 +341,10 @@ func RunServingSession(o Options, sc ServingConfig, kind engine.Kind, letter byt
 		pipeline = 1
 	}
 	s, err := server.New(server.Config{
-		Kind:      kind,
-		Clients:   conns + 2,
-		Workers:   sc.Workers,
-		NoBatch:   !batch,
-		BatchWait: sc.BatchWait,
+		Kind:    kind,
+		Clients: conns + 2,
+		Workers: sc.Workers,
+		NoBatch: !batch,
 	})
 	if err != nil {
 		return ServingPoint{}, err
@@ -400,9 +390,6 @@ func RunServingSession(o Options, sc ServingConfig, kind engine.Kind, letter byt
 		Flushes:   st1.Flushes - st0.Flushes,
 		Fences:    st1.Fences - st0.Fences,
 	}
-	if batch {
-		p.BatchWaitNS = sc.BatchWait.Nanoseconds()
-	}
 	if p.Mutations > 0 {
 		p.FencesPerMutation = float64(p.Fences) / float64(p.Mutations)
 	}
@@ -421,7 +408,6 @@ func AppendServingAblation(r *BenchReport, o Options, sc ServingConfig) error {
 	r.Options.ServingConns = sc.Conns
 	r.Options.ServingWorkloads = string(sc.Workloads)
 	r.Options.ServingPipelines = sc.Pipelines
-	r.Options.ServingBatchWaitNS = sc.BatchWait.Nanoseconds()
 	for _, kind := range sc.Kinds {
 		for _, letter := range sc.Workloads {
 			for _, conns := range sc.Conns {

@@ -13,7 +13,7 @@ func servingOpts() Options {
 }
 
 func servingCfg() ServingConfig {
-	return ServingConfig{KeyRange: 512, Workers: 1, BatchWait: 500 * time.Microsecond}
+	return ServingConfig{KeyRange: 512, Workers: 1}
 }
 
 // TestServingSession drives YCSB-A through the wire against an in-process
@@ -43,9 +43,6 @@ func TestServingSession(t *testing.T) {
 	if p.FencesPerMutation <= 0 {
 		t.Fatalf("fences/mutation %g", p.FencesPerMutation)
 	}
-	if p.BatchWaitNS != servingCfg().BatchWait.Nanoseconds() {
-		t.Fatalf("batched point lost its window: %d", p.BatchWaitNS)
-	}
 }
 
 // TestServingWorkloadLetters rejects unknown workloads and accepts
@@ -65,9 +62,6 @@ func TestServingWorkloadLetters(t *testing.T) {
 	// rather than dividing by zero.
 	if p.Mutations != 0 || p.FencesPerMutation != 0 {
 		t.Fatalf("read-only session mutated: %+v", p)
-	}
-	if p.BatchWaitNS != 0 {
-		t.Fatalf("unbatched point carries a window: %d", p.BatchWaitNS)
 	}
 }
 

@@ -467,6 +467,10 @@ type FlushSet struct {
 	// first-touch order, and the number of stores they cover.
 	initLines  []uint64
 	initStores int
+
+	// stolen is CommitRelaxed's copy of the relaxed-line registry, flushed
+	// outside the registry's lock; kept so a commit allocates nothing.
+	stolen []uint64
 }
 
 // Reset discards any pending flushes (used when a context is recycled).

@@ -178,7 +178,8 @@ func (d *Device) CommitRelaxed(fs *FlushSet) {
 		d.relaxedMu.Unlock()
 		return
 	}
-	lines := append([]uint64(nil), d.relaxedLines...)
+	lines := append(fs.stolen[:0], d.relaxedLines...)
+	fs.stolen = lines
 	d.relaxedLines = d.relaxedLines[:0]
 	for line := range d.relaxedSet {
 		delete(d.relaxedSet, line)

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 
@@ -20,18 +21,23 @@ import (
 // preserves per-client FIFO) and every unacknowledged frame stays
 // resolvable via DETECT after a crash.
 //
+// Submitted frames are buffered and leave only when the client is about to
+// block on the socket with nothing buffered to read. A client handed k
+// responses in one segment so refills its window with k frames in one
+// write, which is what lets the server commit them under one fence.
+//
 // Not safe for concurrent use — the serving tier's concurrency unit is many
 // clients, not many goroutines on one client.
 type Client struct {
-	nc     net.Conn
-	rd     *bufio.Reader
-	wr     *bufio.Writer
-	id     uint32
-	seq    uint64
-	window int
-	// inflight is the FIFO of submitted-but-unacknowledged frames,
-	// oldest first.
+	nc  net.Conn
+	rd  *bufio.Reader
+	wr  *bufio.Writer
+	id  uint32
+	seq uint64
+	// inflight is a ring as long as the granted window, holding the n
+	// submitted-but-unacknowledged frames, the oldest at head.
 	inflight []wire.Request
+	head, n  int
 	wbuf     []byte
 	rbuf     []byte
 }
@@ -42,10 +48,14 @@ func Dial(addr string, id uint32) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(nc, id), nil
+}
+
+func newClient(nc net.Conn, id uint32) *Client {
 	return &Client{
 		nc: nc, rd: bufio.NewReader(nc), wr: bufio.NewWriter(nc),
-		id: id, window: 1, rbuf: make([]byte, 64),
-	}, nil
+		id: id, inflight: make([]wire.Request, 1), rbuf: make([]byte, 64),
+	}
 }
 
 // Close closes the connection.
@@ -67,10 +77,8 @@ func (c *Client) SetSeq(seq uint64) { c.seq = seq }
 // program order. A StatusError response is returned as a
 // *wire.ProtocolError (the server closes the connection after sending one).
 func (c *Client) Do(req wire.Request) (wire.Response, error) {
-	if len(c.inflight) > 0 {
-		if _, err := c.Drain(); err != nil {
-			return wire.Response{}, err
-		}
+	if _, err := c.Drain(); err != nil {
+		return wire.Response{}, err
 	}
 	c.wbuf = wire.AppendRequest(c.wbuf[:0], req)
 	if _, err := c.wr.Write(c.wbuf); err != nil {
@@ -100,15 +108,15 @@ func (c *Client) SetPipeline(w int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if resp.Rval < 1 {
-		return 0, &wire.ProtocolError{Reason: "server granted a zero window"}
+	if resp.Rval < 1 || resp.Rval > uint64(w) {
+		return 0, &wire.ProtocolError{Reason: fmt.Sprintf("server granted window %d of %d asked", resp.Rval, w)}
 	}
-	c.window = int(resp.Rval)
-	return c.window, nil
+	c.inflight, c.head = make([]wire.Request, resp.Rval), 0 // Do left nothing in flight
+	return len(c.inflight), nil
 }
 
 // Window returns the granted pipeline depth (1 before SetPipeline).
-func (c *Client) Window() int { return c.window }
+func (c *Client) Window() int { return len(c.inflight) }
 
 // Submit issues one frame asynchronously — a mutating op (with the next
 // sequence number) or a GET/SCAN (seq 0; the server still answers in FIFO
@@ -122,7 +130,7 @@ func (c *Client) Submit(op wire.Op, key, val, arg uint64) ([]wire.Response, erro
 		return nil, &wire.ProtocolError{Reason: "Submit cannot pipeline " + op.String()}
 	}
 	var done []wire.Response
-	for len(c.inflight) >= c.window {
+	for c.n == len(c.inflight) {
 		r, err := c.complete()
 		if err != nil {
 			return done, err
@@ -139,15 +147,16 @@ func (c *Client) Submit(op wire.Op, key, val, arg uint64) ([]wire.Response, erro
 	if _, err := c.wr.Write(c.wbuf); err != nil {
 		return done, err
 	}
-	c.inflight = append(c.inflight, req)
+	c.inflight[(c.head+c.n)%len(c.inflight)] = req
+	c.n++
 	return done, nil
 }
 
 // Drain completes every in-flight frame and returns their responses in
 // issue order.
 func (c *Client) Drain() ([]wire.Response, error) {
-	done := make([]wire.Response, 0, len(c.inflight))
-	for len(c.inflight) > 0 {
+	done := make([]wire.Response, 0, c.n)
+	for c.n > 0 {
 		r, err := c.complete()
 		if err != nil {
 			return done, err
@@ -161,20 +170,28 @@ func (c *Client) Drain() ([]wire.Response, error) {
 // first — after a lost connection these are exactly the operations to
 // resolve via DETECT or replay.
 func (c *Client) InFlight() []wire.Request {
-	return append([]wire.Request(nil), c.inflight...)
+	out := make([]wire.Request, c.n)
+	for i := range out {
+		out[i] = c.inflight[(c.head+i)%len(c.inflight)]
+	}
+	return out
 }
 
-// complete flushes buffered writes and reads the oldest in-flight
-// frame's response.
+// complete reads the oldest in-flight frame's response, first flushing the
+// buffered frames if the read would otherwise block. Bytes already buffered
+// belong to that oldest frame's response, so its request has left and the
+// rest of the response is on its way: not flushing cannot deadlock.
 func (c *Client) complete() (wire.Response, error) {
-	if err := c.wr.Flush(); err != nil {
-		return wire.Response{}, err
+	if c.rd.Buffered() == 0 {
+		if err := c.wr.Flush(); err != nil {
+			return wire.Response{}, err
+		}
 	}
 	resp, err := wire.ReadResponse(c.rd, c.rbuf)
 	if err != nil {
 		return wire.Response{}, err
 	}
-	c.inflight = c.inflight[1:]
+	c.head, c.n = (c.head+1)%len(c.inflight), c.n-1
 	if resp.Status == wire.StatusError {
 		return resp, &wire.ProtocolError{Reason: resp.Err}
 	}

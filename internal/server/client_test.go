@@ -1,0 +1,166 @@
+package server
+
+import (
+	"io"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"mirror/internal/engine"
+	"mirror/internal/wire"
+)
+
+// countingConn counts the writes that reach the socket.
+type countingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(b)
+}
+
+// TestClientFlushesWhenItWouldBlock pins the client half of group commit: a
+// pipelined client writes only when it has nothing left to read, so a window
+// answered in one segment is refilled in one write. One P makes the server
+// answer each window in one segment (see TestServeBatchingSavesFences).
+func TestClientFlushesWhenItWouldBlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := startServer(t, Config{Kind: engine.MirrorDRAM, Workers: 1})
+	nc, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: nc}
+	c := newClient(cc, 1)
+	defer c.Close()
+	const depth, frames = 8, 800
+	if w, err := c.SetPipeline(depth); err != nil || w != depth {
+		t.Fatalf("SetPipeline(%d) = %d, %v", depth, w, err)
+	}
+	base, acked := cc.writes, 0
+	check := func(done []wire.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range done {
+			if !r.Result || !r.Known {
+				t.Fatalf("insert %d response %+v, want known true", acked+1, r)
+			}
+			acked++
+		}
+	}
+	for k := uint64(1); k <= frames; k++ {
+		check(c.Submit(wire.OpInsert, k, k*7, 0))
+	}
+	check(c.Drain())
+	if acked != frames {
+		t.Fatalf("%d responses, want %d", acked, frames)
+	}
+	if w := cc.writes - base; w > frames/depth+2 {
+		t.Fatalf("%d frames at depth %d cost %d writes, want at most %d", frames, depth, w, frames/depth+2)
+	}
+
+	// A synchronous exchange behind a frame that is still only buffered
+	// observes program order.
+	base = cc.writes
+	check(c.Submit(wire.OpInsert, frames+1, 5, 0))
+	if cc.writes != base {
+		t.Fatal("Submit wrote with room left in the window")
+	}
+	if v, ok, err := c.Get(frames + 1); err != nil || !ok || v != 5 {
+		t.Fatalf("get behind a buffered insert = %d,%v,%v want 5,true", v, ok, err)
+	}
+	if n := len(c.InFlight()); n != 0 {
+		t.Fatalf("%d frames in flight after a synchronous Get, want 0", n)
+	}
+}
+
+// trickle relays one connection to addr, passing requests through untouched
+// and handing the server's bytes to the client one at a time, and returns
+// the address to dial.
+func trickle(t *testing.T, addr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		down, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer down.Close()
+		up, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		go func() {
+			io.Copy(up, down)
+			up.Close()
+		}()
+		var b [1]byte
+		for {
+			if _, err := up.Read(b[:]); err != nil {
+				return
+			}
+			if _, err := down.Write(b[:]); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientPartialResponses drives a pipelined client whose responses
+// arrive a byte at a time, so it often holds part of a response while its
+// own frames are still buffered. Holding them back must not deadlock —
+// buffered bytes prove the request they answer has left — and responses
+// must stay in issue order.
+func TestClientPartialResponses(t *testing.T) {
+	s := startServer(t, Config{Kind: engine.MirrorDRAM, Workers: 2})
+	c, err := Dial(trickle(t, s.Addr().String()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// A deadlock fails the exchange instead of hanging the test.
+	c.nc.SetDeadline(time.Now().Add(30 * time.Second))
+	if w, err := c.SetPipeline(8); err != nil || w != 8 {
+		t.Fatalf("SetPipeline(8) = %d, %v", w, err)
+	}
+	// Frame 2k-1 inserts k→7k and frame 2k reads it back, so each response
+	// identifies its position in the stream.
+	const keys = 150
+	var got []wire.Response
+	for k := uint64(1); k <= keys; k++ {
+		for _, op := range []wire.Op{wire.OpInsert, wire.OpGet} {
+			done, err := c.Submit(op, k, k*7, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, done...)
+		}
+	}
+	done, err := c.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, done...)
+	if len(got) != 2*keys {
+		t.Fatalf("%d responses, want %d", len(got), 2*keys)
+	}
+	for i, r := range got {
+		k := uint64(i/2 + 1)
+		if i%2 == 0 && !(r.Result && r.Verdict == uint8(engine.Committed)) {
+			t.Fatalf("response %d is not insert %d's: %+v", i, k, r)
+		}
+		if i%2 == 1 && !(r.Result && r.Rval == k*7 && r.Verdict == 0) {
+			t.Fatalf("response %d is not get %d's: %+v", i, k, r)
+		}
+	}
+}

@@ -481,22 +481,29 @@ func (pc *pipeClient) run(addr string) error {
 			pc.ops = append(pc.ops, rec)
 		}
 	}
-	// reconcile makes the client's own in-flight FIFO authoritative for
-	// what is unacknowledged (a frame cut by the kill may never have been
-	// written, in which case Submit did not register it).
-	reconcile := func() {
-		pc.pending = pc.pending[:0]
-		for _, req := range c.InFlight() {
-			pc.pending = append(pc.pending, opRec{op: req.Op, seq: req.Seq, key: req.Key, val: req.Val})
+	// cut checks, once the connection is dead, that the client's own
+	// in-flight FIFO is exactly the journal's unacknowledged suffix: frames
+	// it still held in its write buffer included, the frame whose Submit
+	// failed (never registered, never journaled) excluded.
+	cut := func() error {
+		inflight := c.InFlight()
+		if len(inflight) != len(pc.pending) {
+			return fmt.Errorf("client %d: %d frames in flight, journal has %d unacknowledged", pc.id, len(inflight), len(pc.pending))
 		}
+		for i, req := range inflight {
+			rec := opRec{op: req.Op, seq: req.Seq, key: req.Key, val: req.Val}
+			if pc.pending[i] != rec {
+				return fmt.Errorf("client %d: in-flight frame %d is %+v, journal has %+v", pc.id, i, rec, pc.pending[i])
+			}
+		}
+		return nil
 	}
 	state := uint64(pc.id)*0x9e3779b97f4a7c15 + 1
 	for i := 0; ; i++ {
 		if pc.burst > 0 && i == pc.burst {
 			c.wr.Flush()
 			time.Sleep(600 * time.Millisecond) // outlives the kill
-			reconcile()
-			return nil
+			return cut()
 		}
 		state ^= state << 13
 		state ^= state >> 7
@@ -510,8 +517,7 @@ func (pc *pipeClient) run(addr string) error {
 		done, err := c.Submit(rec.op, rec.key, rec.val, 0)
 		pop(done)
 		if err != nil {
-			reconcile()
-			return nil // the kill
+			return cut() // the kill
 		}
 		pc.pending = append(pc.pending, rec)
 	}

@@ -7,14 +7,20 @@
 // engine's detectability identity (client, seq), and the server runs it
 // under the batched-verdict descriptor protocol: per-connection readers
 // parse frames and route them to a worker goroutine chosen by client id, the
-// worker executes a batch of operations from many clients with their
-// verdicts deferred (engine.DetectBeginDeferred / DetectEndDeferred), and a
-// single engine.DetectDrain then makes the whole batch durable — one
-// trailing fence commits every client's operation — before any response is
-// released. Cross-client fence batching turns k concurrent commits into one
-// fence without weakening the contract: a client holds no acknowledgement
-// until its operation is persistent, and after a crash the descriptor
-// region resolves every unacknowledged frame via DETECT.
+// worker executes each frame as it arrives with its verdict deferred
+// (engine.DetectBeginDeferred / DetectEndDeferred), and a single
+// engine.DetectDrain then makes everything executed since the last one
+// durable — one trailing fence commits every client's operation — before
+// any response is released. Cross-client fence batching turns k concurrent
+// commits into one fence without weakening the contract: a client holds no
+// acknowledgement until its operation is persistent, and after a crash the
+// descriptor region resolves every unacknowledged frame via DETECT.
+//
+// What closes a batch is the queue, never a clock: the worker drains and
+// responds the moment its channel is empty (or Config.MaxBatch responses are
+// staged). Frames that arrived together leave under one fence; a lone frame
+// is answered right after its own drain, because holding it could only buy
+// company that is not there.
 //
 // Routing by client id (client mod workers) keeps each descriptor ring
 // single-writer and keeps one client's frames in order, which the Detect
@@ -23,10 +29,11 @@
 //
 // Pipelining: each client owns a descriptor ring of Config.Ring entries,
 // so it may keep up to Ring mutating frames in flight before reading
-// responses (negotiated by HELLO, which returns the granted window). The
-// worker's group-commit batcher then sees a full window from a single
-// connection and drains it under one fence — depth replaces connection
-// count as the source of batchable concurrency.
+// responses (negotiated by HELLO, which returns the granted window). A
+// client that refills its window in one write (Client flushes only when it
+// would block) hands the worker a full window from a single connection,
+// which drains under one fence — depth replaces connection count as the
+// source of batchable concurrency.
 //
 // With Config.MediaPath the engine's fenced image lives in a file-backed
 // mapping, so the whole thing survives kill -9: a restarted server attaches
@@ -44,15 +51,14 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mirror/internal/engine"
 	"mirror/internal/structures"
-	"mirror/internal/structures/skiplist"
 	"mirror/internal/structures/queue"
+	"mirror/internal/structures/skiplist"
 	"mirror/internal/wire"
 )
 
@@ -77,7 +83,7 @@ type Config struct {
 	// Clients is the descriptor-ring count — the exclusive upper bound on
 	// client ids the server accepts (default 64, max wire.MaxClients).
 	Clients int
-	// Workers is the number of batcher goroutines (default 2). Frames are
+	// Workers is the number of worker goroutines (default 2). Frames are
 	// routed by client id modulo Workers.
 	Workers int
 	// MediaPath backs the engine's fenced image with a file so it survives
@@ -89,14 +95,15 @@ type Config struct {
 	// NoBatch is the ablation switch: drain and respond after every
 	// operation instead of per batch, so each mutation pays its own fence.
 	NoBatch bool
-	// MaxBatch bounds operations drained under one fence (default 128).
+	// MaxBatch bounds the responses held back for one drain (default 128):
+	// under a queue that never runs dry it bounds how long the first frame
+	// of a batch waits for its acknowledgement.
 	MaxBatch int
-	// BatchWait is the group-commit window: after the first frame of a
-	// batch arrives, the worker keeps collecting until the window closes
-	// (or MaxBatch fills) before draining, so concurrently in-flight
-	// clients land under one fence. It trades that much first-frame
-	// latency for fences; zero means drain as soon as the channel is
-	// momentarily empty. Default 25µs — under a loopback round trip.
+	// BatchWait is ignored.
+	//
+	// Deprecated: it was a timed group-commit window; a batch now closes
+	// when the worker's queue runs dry. The field remains only so that
+	// callers that set it keep compiling.
 	BatchWait time.Duration
 }
 
@@ -125,11 +132,8 @@ func (c *Config) setDefaults() error {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 128
 	}
-	if c.BatchWait == 0 {
-		c.BatchWait = 25 * time.Microsecond
-	}
 	if c.NoBatch {
-		c.BatchWait = 0
+		c.MaxBatch = 1
 	}
 	return nil
 }
@@ -252,6 +256,7 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers = append(s.workers, &worker{
 			s: s, c: e.NewCtx(), ch: make(chan reqItem, 1024),
+			pairs: make([]wire.KV, 0, wire.MaxScanKeys), // non-nil: an empty scan still answers with pairs
 		})
 	}
 	return s, nil
@@ -382,8 +387,9 @@ func (s *Server) acceptLoop() {
 // single connection's frames can land in different workers' batches when it
 // multiplexes several client ids.
 type conn struct {
-	nc  net.Conn
-	wmu sync.Mutex
+	nc   net.Conn
+	wmu  sync.Mutex
+	wbuf []byte // one release's frames for this connection; guarded by wmu
 }
 
 func (cn *conn) write(b []byte) {
@@ -433,10 +439,11 @@ type reqItem struct {
 	req wire.Request
 }
 
-// respItem is one staged response awaiting its batch's drain.
-type respItem struct {
-	cn   *conn
-	resp wire.Response
+// stagedResp is one encoded response awaiting its batch's drain: the bytes
+// worker.out[off:end].
+type stagedResp struct {
+	cn       *conn // nil once release has gathered it
+	off, end int
 }
 
 // worker executes one partition of the client-id space. It owns one engine
@@ -446,103 +453,58 @@ type worker struct {
 	s      *Server
 	c      *engine.Ctx
 	ch     chan reqItem
-	staged []respItem
+	staged []stagedResp
+	out    []byte    // the staged responses' frames, in execution order
+	pairs  []wire.KV // SCAN scratch of the largest limit; a response is encoded before the next frame runs
 }
 
+// run executes frames as they arrive and closes the batch when the queue
+// runs dry or MaxBatch responses are staged. Nothing is gained by holding a
+// response once no further frame is waiting: whatever could have shared its
+// fence has already been executed.
 func (w *worker) run() {
-	defer w.finish()
-	batch := make([]reqItem, 0, w.s.cfg.MaxBatch)
-	for {
-		it, ok := <-w.ch
-		if !ok {
-			return
+	defer w.s.wwg.Done()
+	for it := range w.ch {
+		w.exec(it)
+		if len(w.ch) == 0 || len(w.staged) >= w.s.cfg.MaxBatch {
+			w.release()
 		}
-		batch = append(batch[:0], it)
-		// Coalesce frames from any client this worker serves, up to
-		// MaxBatch: first whatever already arrived, then — group commit —
-		// whatever lands within the BatchWait window.
-	fill:
-		for len(batch) < w.s.cfg.MaxBatch {
-			select {
-			case it, ok := <-w.ch:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, it)
-			default:
-				break fill
-			}
-		}
-		if n := w.s.cfg.BatchWait; n > 0 && len(batch) < w.s.cfg.MaxBatch {
-			// Group-commit window. A timer wait here would round the
-			// window up to the runtime timer's granularity (a millisecond
-			// or more on some hosts) — a 25µs window must not cost 1ms of
-			// tail latency. A yield-spin against the deadline keeps the
-			// window honest; each Gosched hands the processor to the
-			// connection readers whose frames the window exists to catch.
-			deadline := time.Now().Add(n)
-		window:
-			for len(batch) < w.s.cfg.MaxBatch {
-				select {
-				case it, ok := <-w.ch:
-					if !ok {
-						break window
-					}
-					batch = append(batch, it)
-				default:
-					if !time.Now().Before(deadline) {
-						break window
-					}
-					runtime.Gosched()
-				}
-			}
-		}
-		for _, it := range batch {
-			w.exec(it)
-			if w.s.cfg.NoBatch {
-				w.release()
-			}
-		}
-		w.release()
 	}
 }
 
-func (w *worker) finish() {
-	// Commit any verdicts staged after the channel closed mid-batch.
-	w.release()
-	w.s.wwg.Done()
-}
-
 // release drains the batch's deferred verdicts under one fence, then writes
-// the staged responses — grouped per connection into single writes, in
-// execution order. No response escapes before its operation is durable.
+// the staged responses — one write per connection, each connection's frames
+// in execution order. No response escapes before its operation is durable.
 func (w *worker) release() {
 	if len(w.staged) == 0 {
 		return
 	}
 	engine.DetectDrain(w.s.e, w.c)
 	w.s.batches.Add(1)
-	// Group consecutive frames per connection, preserving order.
-	var bufs []*connBuf
-	byConn := make(map[*conn]*connBuf, 4)
-	for _, st := range w.staged {
-		cb := byConn[st.cn]
-		if cb == nil {
-			cb = &connBuf{cn: st.cn}
-			byConn[st.cn] = cb
-			bufs = append(bufs, cb)
+	for i := range w.staged {
+		cn := w.staged[i].cn
+		if cn == nil {
+			continue // left with an earlier frame of its connection
 		}
-		cb.b = wire.AppendResponse(cb.b, st.resp)
+		cn.wmu.Lock()
+		cn.wbuf = cn.wbuf[:0]
+		for j := i; j < len(w.staged); j++ {
+			if st := &w.staged[j]; st.cn == cn {
+				cn.wbuf = append(cn.wbuf, w.out[st.off:st.end]...)
+				st.cn = nil
+			}
+		}
+		cn.nc.Write(cn.wbuf) // a dead connection just drops the responses
+		cn.wmu.Unlock()
 	}
-	for _, cb := range bufs {
-		cb.cn.write(cb.b)
-	}
-	w.staged = w.staged[:0]
+	w.staged, w.out = w.staged[:0], w.out[:0]
 }
 
-type connBuf struct {
-	cn *conn
-	b  []byte
+// stage encodes resp behind the batch's earlier responses.
+func (w *worker) stage(cn *conn, resp wire.Response) {
+	off := len(w.out)
+	w.out = wire.AppendResponse(w.out, resp)
+	w.staged = append(w.staged, stagedResp{cn: cn, off: off, end: len(w.out)})
 }
 
 // exec runs one frame and stages its response. Mutating frames consult the
@@ -557,10 +519,10 @@ func (w *worker) exec(it reqItem) {
 		// Keyed frames address the set, whose usable keys are
 		// [1, structures.KeyMax]. A bad key is the client's error, not a
 		// connection fault: answer it and keep serving.
-		w.staged = append(w.staged, respItem{cn: it.cn, resp: wire.Response{
+		w.stage(it.cn, wire.Response{
 			Status: wire.StatusError,
 			Err:    fmt.Sprintf("key %d outside usable range", r.Key),
-		}})
+		})
 		return
 	}
 	switch r.Op {
@@ -577,7 +539,7 @@ func (w *worker) exec(it reqItem) {
 		if from == 0 {
 			from = 1
 		}
-		pairs := make([]wire.KV, 0, r.Val)
+		pairs := w.pairs[:0]
 		s.table.Range(c, from, structures.KeyMax, func(k, v uint64) bool {
 			pairs = append(pairs, wire.KV{Key: k, Val: v})
 			return uint64(len(pairs)) < r.Val
@@ -647,5 +609,5 @@ func (w *worker) exec(it reqItem) {
 			Verdict: uint8(engine.Committed), Rval: rval,
 		}
 	}
-	w.staged = append(w.staged, respItem{cn: it.cn, resp: resp})
+	w.stage(it.cn, resp)
 }

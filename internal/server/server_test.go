@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"mirror/internal/engine"
 	"mirror/internal/wire"
@@ -335,52 +335,68 @@ func TestServeMetaMismatch(t *testing.T) {
 	}
 }
 
-// TestServeBatchingSavesFences runs the same load with and without
-// cross-client batching and checks batching spends measurably fewer fences
-// per mutation — the ablation the serving tier exists for.
+// TestServeBatchingSavesFences pins what closes a batch: frames that reach
+// a worker together are committed by one drain, and the queue running dry —
+// or MaxBatch — ends the batch; no clock is involved. One P makes "together"
+// exact: the connection's reader queues a whole segment before the worker
+// first runs.
 func TestServeBatchingSavesFences(t *testing.T) {
-	run := func(noBatch bool) (fences uint64, muts uint64) {
-		// A wide group-commit window makes coalescing deterministic under
-		// CI scheduling noise: all four in-flight clients land per batch.
-		s, err := New(Config{Kind: engine.MirrorDRAM, Workers: 1, NoBatch: noBatch,
-			BatchWait: 2 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const frames = 8
+	// run sends eight inserts at the given depth, plus four GETs when
+	// synchronous, and returns the counter deltas.
+	run := func(cfg Config, depth int) (batches, ops uint64, fencesPerMutation float64) {
+		cfg.Kind, cfg.Workers = engine.MirrorDRAM, 1
+		s := startServer(t, cfg)
+		c := dial(t, s, 1)
+		if w, err := c.SetPipeline(depth); err != nil || w != depth {
+			t.Fatalf("SetPipeline(%d) = %d, %v", depth, w, err)
 		}
-		if err := s.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
+		before := s.Stats()
+		var acked int
+		for k := uint64(1); k <= frames; k++ {
+			done, err := c.Submit(wire.OpInsert, k, k, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked += len(done)
 		}
-		defer s.Close()
-		const clients = 4
-		var wg sync.WaitGroup
-		for id := 0; id < clients; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				c, err := Dial(s.Addr().String(), uint32(id))
-				if err != nil {
-					t.Error(err)
-					return
+		done, err := c.Drain()
+		if err != nil || acked+len(done) != frames {
+			t.Fatalf("%d of %d inserts acknowledged, err %v", acked+len(done), frames, err)
+		}
+		if depth == 1 {
+			for k := uint64(1); k <= 4; k++ {
+				if v, ok, err := c.Get(k); err != nil || !ok || v != k {
+					t.Fatalf("get %d = %d,%v,%v", k, v, ok, err)
 				}
-				defer c.Close()
-				for i := 0; i < 100; i++ {
-					c.Insert(uint64(id+1)<<32|uint64(i+1), 1)
-				}
-			}(id)
+			}
 		}
-		wg.Wait()
-		st := s.Stats()
-		return st.Fences, st.Mutations
+		after := s.Stats()
+		if after.Mutations-before.Mutations != frames {
+			t.Fatalf("%d mutations ran, want %d", after.Mutations-before.Mutations, frames)
+		}
+		return after.Batches - before.Batches, after.Ops - before.Ops,
+			float64(after.Fences-before.Fences) / frames
 	}
-	bf, bm := run(false)
-	nf, nm := run(true)
-	if bm != nm {
-		t.Fatalf("runs did different work: %d vs %d mutations", bm, nm)
+
+	syncBatches, syncOps, syncFences := run(Config{}, 1)
+	if syncOps != frames+4 || syncBatches != syncOps {
+		t.Fatalf("depth 1: %d batches for %d frames, want one batch per frame (GETs included)", syncBatches, syncOps)
 	}
-	batched, unbatched := float64(bf)/float64(bm), float64(nf)/float64(nm)
-	t.Logf("fences/mutation: batched %.2f, unbatched %.2f", batched, unbatched)
-	if batched >= unbatched {
-		t.Fatalf("batching saved nothing: %.2f >= %.2f fences/mutation", batched, unbatched)
+	batches, _, fences := run(Config{}, frames)
+	if batches != 1 {
+		t.Fatalf("depth %d: %d batches, want 1", frames, batches)
+	}
+	t.Logf("fences/mutation: depth %d %.2f, depth 1 %.2f", frames, fences, syncFences)
+	if fences >= syncFences {
+		t.Fatalf("batching saved nothing: %.2f >= %.2f fences/mutation", fences, syncFences)
+	}
+	if batches, _, _ := run(Config{NoBatch: true}, frames); batches != frames {
+		t.Fatalf("NoBatch: %d batches, want %d", batches, frames)
+	}
+	if batches, _, _ := run(Config{MaxBatch: 4}, frames); batches != 2 {
+		t.Fatalf("MaxBatch 4: %d batches, want 2", batches)
 	}
 }
 
@@ -484,5 +500,40 @@ func TestServePipelined(t *testing.T) {
 				t.Fatalf("%d frames in flight after sync Get, want 0", n)
 			}
 		})
+	}
+}
+
+// discardConn is a connection whose peer reads everything instantly.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestWorkerSteadyStateAllocs pins the worker's own path — execute a frame,
+// drain, encode, gather, write — at zero Go allocations per point frame once
+// its buffers have grown.
+func TestWorkerSteadyStateAllocs(t *testing.T) {
+	s, err := New(Config{Kind: engine.MirrorDRAM, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, cn := s.workers[0], &conn{nc: discardConn{}}
+	var seq uint64
+	frame := func(op wire.Op, key uint64) {
+		r := wire.Request{Op: op, Client: 1, Key: key, Val: key}
+		if op.Mutating() {
+			seq++
+			r.Seq = seq
+		}
+		w.exec(reqItem{cn: cn, req: r})
+		w.release()
+	}
+	frame(wire.OpInsert, 1)
+	for name, body := range map[string]func(){
+		"GET":           func() { frame(wire.OpGet, 1) },
+		"INSERT+DELETE": func() { frame(wire.OpInsert, 2); frame(wire.OpDelete, 2) },
+	} {
+		if n := testing.AllocsPerRun(200, body); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", name, n)
+		}
 	}
 }
