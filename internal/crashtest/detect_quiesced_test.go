@@ -39,7 +39,7 @@ func TestDetectQuiescedList(t *testing.T) {
 			}
 
 			// Empty shape with a detectable (failed) membership query.
-			e.DetectBegin(c, 1, 1, engine.DetectContains, 5, 0, true)
+			e.DetectBegin(c, 1, 1, engine.DetectContains, 5, 0)
 			res := l.Contains(c, 5)
 			e.DetectEnd(c, res)
 			if res {
@@ -51,7 +51,7 @@ func TestDetectQuiescedList(t *testing.T) {
 			}
 
 			// Single-element shape: detectable insert, crash, verify.
-			e.DetectBegin(c, 1, 2, engine.DetectInsert, 5, 50, true)
+			e.DetectBegin(c, 1, 2, engine.DetectInsert, 5, 50)
 			res = l.Insert(c, 5, 50)
 			e.DetectEnd(c, res)
 			if !res {
@@ -68,8 +68,7 @@ func TestDetectQuiescedList(t *testing.T) {
 			// ExactlyOnce must see the committed insert and not re-run it.
 			out := engine.ExactlyOnce(e, c, engine.DetectOp{
 				Client: 1, Seq: 2, Kind: engine.DetectInsert, Key: 5, Val: 50,
-				DeferAnnounce: true,
-				Run:           func(cc *engine.Ctx) bool { return l.Insert(cc, 5, 50) },
+				Run: func(cc *engine.Ctx) bool { return l.Insert(cc, 5, 50) },
 			}, true)
 			if out.Ran || out.Verdict != engine.Committed || !out.Result {
 				t.Errorf("ExactlyOnce on committed insert = %+v, want no replay", out)
@@ -79,7 +78,7 @@ func TestDetectQuiescedList(t *testing.T) {
 			}
 
 			// Detectable delete back down to the empty shape.
-			e.DetectBegin(c, 1, 3, engine.DetectDelete, 5, 0, false)
+			e.DetectBegin(c, 1, 3, engine.DetectDelete, 5, 0)
 			res = l.Delete(c, 5)
 			e.DetectEnd(c, res)
 			if !res {
@@ -128,7 +127,7 @@ func TestDetectExactlyOnceListSweep(t *testing.T) {
 				}
 				e.FreezeAfter(fa)
 				completed := runToFreeze(func() {
-					e.DetectBegin(c, 0, 1, engine.DetectInsert, 9, 90, true)
+					e.DetectBegin(c, 0, 1, engine.DetectInsert, 9, 90)
 					res := l.Insert(c, 9, 90)
 					e.DetectEnd(c, res)
 				})
@@ -139,8 +138,7 @@ func TestDetectExactlyOnceListSweep(t *testing.T) {
 				l = list.New(e, 0)
 				out := engine.ExactlyOnce(e, c, engine.DetectOp{
 					Client: 0, Seq: 1, Kind: engine.DetectInsert, Key: 9, Val: 90,
-					DeferAnnounce: true,
-					Run:           func(cc *engine.Ctx) bool { return l.Insert(cc, 9, 90) },
+					Run: func(cc *engine.Ctx) bool { return l.Insert(cc, 9, 90) },
 				}, true)
 				if completed && out.Ran {
 					t.Errorf("fa=%d: completed insert was replayed (%+v)", fa, out)

@@ -57,7 +57,7 @@ func TestDetectCrossShardSweep(t *testing.T) {
 				}
 				e.FreezeAfter(fa)
 				completed := runToFreeze(func() {
-					e.DetectBegin(c, 0, 1, engine.DetectInsert, opKey, opKey*10, true)
+					e.DetectBegin(c, 0, 1, engine.DetectInsert, opKey, opKey*10)
 					res := s.Insert(c, opKey, opKey*10)
 					e.DetectEnd(c, res)
 				})

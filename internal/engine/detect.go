@@ -49,14 +49,20 @@ import (
 // harmless: clients only ask about unacknowledged seqs, which all lie in
 // the window.
 //
-// Ordering is what makes the verdicts sound:
+// Ordering is what makes the verdicts sound — exactly two orders, both
+// enforced here and in the engines' write path rather than by callers:
 //
-//   - The announce is durable before the operation can take effect: a
-//     deferred announce rides the operation's own publish fence, which
-//     every insert issues strictly before its linearizing CAS; an eager
-//     announce (deletes, and any op without a pre-linearization fence)
-//     fences immediately. Hence "no valid announce for seq" implies the
-//     operation never reached its linearization point — NotCommitted.
+//   - The announce is durable before the first durable-before-visible
+//     install of the armed operation. DetectBegin writes and flushes the
+//     announce line without fencing; the engines' CAS, Store and FetchAdd
+//     first pass the announce barrier (announceBarrier below), which fences
+//     iff no fence on the context's flush set has covered the announce since
+//     Begin. An insert's own publish fence covers it for free, a delete pays
+//     the one fence just before its mark, and an operation that installs
+//     nothing (insert-found, delete-missing, failed RMW) pays none: its
+//     announce commits with its verdict. Hence "no valid announce for seq"
+//     implies no install of the operation can be on the media —
+//     NotCommitted.
 //   - The verdict is written only after the linearizing install is
 //     durable: Mirror makes every install durable before it is visible,
 //     NVTraverse fences inside its CAS, and Izraelevitz — whose CAS is
@@ -65,11 +71,17 @@ import (
 //     durable effect — Committed.
 //   - A valid announce with no verdict proves nothing either way: Unknown.
 //
+// Nothing else needs an order. In particular an Auxiliary line (a snip, an
+// upper-level link or mark — patomic.Auxiliary) may share the verdict's
+// fence: no verdict testifies to it, and its loss at a crash leaves a state
+// some earlier crash could also have left (internal/protomodel checks both
+// orders and this licence exhaustively).
+//
 // Descriptors deliberately do not reintroduce a fence per operation: the
-// announce of an insert is elided into the operation's existing publish
-// fence, the verdict flush piggybacks on the operation's flush set, and
-// the one trailing verdict fence is skipped via the elision layer whenever
-// an intervening fence already committed it.
+// announce rides whichever fence the operation issues first, the verdict
+// flush piggybacks on the operation's flush set, and the one trailing
+// verdict fence is skipped via the elision layer whenever an intervening
+// fence already committed it.
 
 // Verdict is a detectability answer for one (client, seq) operation.
 type Verdict int
@@ -227,9 +239,11 @@ func (r *DescRegion) entry(client int, seq uint64) uint64 {
 func (r *DescRegion) Words() uint64 { return DescWords(r.Clients, r.Ring) }
 
 // Begin writes and flushes the announce line for (client, seq). With
-// deferAnnounce the announce fence is left to the operation's own publish
-// barrier — sound only for operations that fence before their linearizing
-// install (inserts); otherwise Begin fences immediately.
+// deferAnnounce the announce fence is left to a later fence on fs that the
+// caller guarantees precedes the operation's first install — the engines
+// always pass true and enforce that in their write path (announceBarrier);
+// structure packages with their own write paths (durablequeue, zuriel) decide
+// per operation kind. Otherwise Begin fences immediately.
 func (r *DescRegion) Begin(fs *pmem.FlushSet, client int, seq, kind, key, val uint64, deferAnnounce bool) {
 	if seq == 0 {
 		panic("engine: detectable sequence numbers start at 1")
@@ -391,6 +405,11 @@ type descState struct {
 	armed     bool
 	delivered bool
 	deferred  bool // batched-verdict mode: publication waits for DetectDrain
+	// annOpen: the announce line is flushed but no fence on the context's
+	// flush set is known to have covered it; annFences is that set's fence
+	// count at Begin. announceBarrier closes it before the first install.
+	annOpen   bool
+	annFences uint64
 	client    int
 	seq       uint64
 }
@@ -447,15 +466,41 @@ func (d *detector) DetectRing() int {
 	return d.desc.Ring
 }
 
-func (d *detector) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+func (d *detector) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64) {
 	if d.desc == nil {
 		panic("engine: detectability is disabled (Config.Clients == 0)")
 	}
 	if c.det.armed {
 		panic("engine: DetectBegin while a detectable operation is already armed")
 	}
-	d.desc.Begin(d.eng.descFlushSet(c), client, seq, kind, key, val, deferAnnounce)
-	c.det = descState{armed: true, client: client, seq: seq}
+	fs := d.eng.descFlushSet(c)
+	d.desc.Begin(fs, client, seq, kind, key, val, true)
+	c.det = descState{
+		armed: true, client: client, seq: seq,
+		annOpen: d.desc.Durable, annFences: fs.Fences(),
+	}
+}
+
+// announceBarrier is the announce half of the ordering rule, enforced by
+// construction: every durable-before-visible write of the engines (CAS,
+// Store, FetchAdd — not CASRelaxed, whose Auxiliary updates no verdict
+// testifies to) passes it first. If the armed operation's announce is still
+// open it fences, unless a fence on the flush set since Begin — a publish
+// fence, a help-path persist — already covered it. An operation that never
+// installs never fences here; its announce rides its verdict's fence.
+func (d *detector) announceBarrier(c *Ctx) {
+	if c.det.annOpen {
+		d.closeAnnounce(c)
+	}
+}
+
+// closeAnnounce is the barrier's out-of-line half, so that the test above
+// inlines into every CAS, Store and FetchAdd as one load and one branch.
+func (d *detector) closeAnnounce(c *Ctx) {
+	c.det.annOpen = false
+	if fs := d.eng.descFlushSet(c); fs.Fences() == c.det.annFences {
+		d.desc.Dev.Fence(fs)
+	}
 }
 
 // Linearized publishes the armed operation's verdict; the structures call
@@ -499,11 +544,11 @@ func (d *detector) DetectEnd(c *Ctx, result bool) {
 // before the overwriting announce can be. Within the ring window no drain
 // is forced — that is the pipelining win: a client keeps up to Ring
 // operations pending under one eventual drain fence.
-func (d *detector) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+func (d *detector) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64) {
 	if d.desc != nil && ringCollision(c.detPending, client, seq, d.desc.Ring) {
 		d.DetectDrain(c)
 	}
-	d.DetectBegin(c, client, seq, kind, key, val, deferAnnounce)
+	d.DetectBegin(c, client, seq, kind, key, val)
 	c.det.deferred = true
 }
 
@@ -535,8 +580,10 @@ func (d *detector) DetectEndDeferred(c *Ctx, result bool, rval uint64) {
 }
 
 // DetectDrain publishes c's deferred verdicts: the engine first settles
-// every effect whose durability was deferred, then all verdict lines flush
-// and one End fence commits them. Effects never ride the verdicts' End
+// every install whose durability was deferred, then all verdict lines flush
+// and one End fence commits them — together with whatever no verdict
+// testifies to (relaxed Auxiliary lines, the announce of an operation that
+// installed nothing). A linearizing install never rides the verdicts' End
 // fence, so a crash can never persist a verdict whose effect vanished.
 func (d *detector) DetectDrain(c *Ctx) {
 	if len(c.detPending) == 0 {
@@ -568,11 +615,6 @@ type DetectOp struct {
 	Kind   uint64 // DetectInsert | DetectDelete | DetectContains
 	Key    uint64
 	Val    uint64
-	// DeferAnnounce lets the announce fence ride the operation's own
-	// publish barrier. Only sound for operations that issue a fence before
-	// their linearizing install — inserts do (the new node's publish
-	// barrier); deletes and queries must leave it false.
-	DeferAnnounce bool
 	// Run executes the operation body under the armed descriptor.
 	Run func(c *Ctx) bool
 }
@@ -606,7 +648,7 @@ func ExactlyOnce(e Detector, c *Ctx, op DetectOp, replayUnknown bool) Outcome {
 	case d.Verdict == Unknown && !replayUnknown:
 		return Outcome{Verdict: Unknown}
 	}
-	e.DetectBegin(c, op.Client, op.Seq, op.Kind, op.Key, op.Val, op.DeferAnnounce)
+	e.DetectBegin(c, op.Client, op.Seq, op.Kind, op.Key, op.Val)
 	res := op.Run(c)
 	e.DetectEnd(c, res)
 	return Outcome{Ran: true, Verdict: d.Verdict, Result: res, Known: true}

@@ -14,9 +14,9 @@ func durableKinds() []Kind {
 func runDetectable(e Engine, c *Ctx, client int, seq uint64, deferred bool, rval uint64) {
 	e.OpBegin(c)
 	if deferred {
-		DetectBeginDeferred(e, c, client, seq, DetectInsert, uint64(client), seq, false)
+		e.DetectBeginDeferred(c, client, seq, DetectInsert, uint64(client), seq)
 	} else {
-		e.DetectBegin(c, client, seq, DetectInsert, uint64(client), seq, false)
+		e.DetectBegin(c, client, seq, DetectInsert, uint64(client), seq)
 	}
 	e.Store(c, e.RootRef(), 0, seq<<8|uint64(client))
 	if deferred {
@@ -181,6 +181,78 @@ func TestDeferredDetectSavesFences(t *testing.T) {
 				t.Fatalf("deferred verdicts did not save fences: batched %d >= per-op %d",
 					batched, perOp)
 			}
+		})
+	}
+}
+
+// TestAnnounceFencedAtFirstInstall pins where the announce fence sits: not
+// in DetectBegin (the eager fence a delete used to pay there is gone — it
+// protected nothing when no install followed), but in the write path, ahead
+// of the armed operation's first durable-before-visible install and only if
+// no fence has covered the announce since Begin.
+func TestAnnounceFencedAtFirstInstall(t *testing.T) {
+	fences := func(e Engine) uint64 { _, n := e.Counters(); return n }
+	for _, k := range durableKinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			e := New(Config{Kind: k, Words: 1 << 14, Track: true, Clients: 1})
+			c := e.NewCtx()
+			e.OpBegin(c)
+			n0 := fences(e)
+			e.DetectBeginDeferred(c, 0, 1, DetectDelete, 5, 0)
+			if n := fences(e); n != n0 {
+				t.Fatalf("DetectBegin issued %d fences, want none", n-n0)
+			}
+			if k != MirrorDRAM && k != MirrorNVMM {
+				return // the direct disciplines fence around reads and at OpEnd; exact counts below are Mirror's
+			}
+
+			// No install: announce and verdict commit under the drain's one
+			// End fence.
+			e.DetectEndDeferred(c, false, 0)
+			e.OpEnd(c)
+			e.DetectDrain(c)
+			if n := fences(e); n != n0+1 {
+				t.Fatalf("no-install operation: %d fences, want 1 (End)", n-n0)
+			}
+
+			// First install: the barrier's fence plus the install's own; a
+			// second install finds the announce covered; a relaxed install
+			// never trips the barrier.
+			e.OpBegin(c)
+			ref := e.Alloc(c, 2)
+			e.StoreInit(c, ref, 0, 1)
+			e.StoreInit(c, ref, 1, 1)
+			e.Publish(c, ref)
+			n0 = fences(e)
+			e.DetectBeginDeferred(c, 0, 2, DetectDelete, 5, 0)
+			if !e.CASRelaxed(c, ref, 1, 1, 2) || fences(e) != n0 {
+				t.Fatalf("relaxed install: %d fences, want none", fences(e)-n0)
+			}
+			if !e.CAS(c, ref, 0, 1, 2) || fences(e) != n0+2 {
+				t.Fatalf("first install: %d fences, want 2 (announce barrier + install)", fences(e)-n0)
+			}
+			if !e.CAS(c, ref, 0, 2, 3) || fences(e) != n0+3 {
+				t.Fatalf("second install: %d fences in all, want 3 (no second announce fence)", fences(e)-n0)
+			}
+			e.DetectEndDeferred(c, true, 0)
+			e.OpEnd(c)
+			e.DetectDrain(c)
+
+			// An insert's publish fence covers the announce: the install
+			// pays only for itself.
+			e.OpBegin(c)
+			e.DetectBeginDeferred(c, 0, 3, DetectInsert, 6, 60)
+			node := e.Alloc(c, 2)
+			e.StoreInit(c, node, 0, 7)
+			e.StoreInit(c, node, 1, 0)
+			n0 = fences(e)
+			e.Publish(c, node)
+			if !e.CAS(c, ref, 0, 3, node) || fences(e) != n0+2 {
+				t.Fatalf("publish + install: %d fences, want 2 (the publish fence carried the announce)", fences(e)-n0)
+			}
+			e.DetectEndDeferred(c, true, 0)
+			e.OpEnd(c)
+			e.DetectDrain(c)
 		})
 	}
 }

@@ -189,6 +189,7 @@ func (e *directEngine) TraversalLoad(c *Ctx, ref Ref, field int) uint64 {
 }
 
 func (e *directEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
+	e.announceBarrier(c)
 	a := e.addr(ref, field)
 	switch {
 	case e.kind == Izraelevitz:
@@ -208,6 +209,7 @@ func (e *directEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
 }
 
 func (e *directEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
+	e.announceBarrier(c)
 	a := e.addr(ref, field)
 	switch {
 	case e.kind == Izraelevitz:
@@ -244,6 +246,7 @@ func (e *directEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) b
 }
 
 func (e *directEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
+	e.announceBarrier(c)
 	a := e.addr(ref, field)
 	switch {
 	case e.kind == Izraelevitz:

@@ -281,8 +281,11 @@ type Recovery interface {
 // fences each operation's verdict before it returns. The deferred one
 // (DetectBeginDeferred … DetectEndDeferred, then DetectDrain) records the
 // verdicts of a run of operations — across clients — in the context and
-// publishes them under two trailing fences: one drain fence committing
-// every deferred effect, then the verdict flushes and one End fence.
+// publishes them under one trailing End fence; only durability an engine
+// deferred for a linearizing install (a combine buffer, the Izraelevitz
+// install window) commits under a fence of its own first. Neither family
+// asks the caller when to fence the announce: the engine's write path does
+// it, before the armed operation's first install and only then.
 type Detector interface {
 	// Clients returns the configured detectable-client count; zero means
 	// detectability is off and the methods below must not be used (Detect
@@ -292,12 +295,15 @@ type Detector interface {
 	// number of operations one client may have in flight with Detect still
 	// authoritative for each. Zero with detectability off.
 	DetectRing() int
-	// DetectBegin durably announces operation (client, seq) with its
-	// payload before the operation body runs. deferAnnounce lets the
-	// announce fence ride the operation's own publish barrier (sound for
-	// inserts only; see DescRegion.Begin). Client sequence numbers must be
-	// strictly increasing per client, starting at 1.
-	DetectBegin(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool)
+	// DetectBegin announces operation (client, seq) with its payload before
+	// the operation body runs. The announce line is written and flushed
+	// here and made durable by the engine before the operation's first
+	// durable-before-visible install — by that install's own preceding
+	// fence when it has one (an insert's publish), else by one fence just
+	// ahead of it; an operation that installs nothing never pays for it.
+	// Client sequence numbers must be strictly increasing per client,
+	// starting at 1.
+	DetectBegin(c *Ctx, client int, seq, kind, key, val uint64)
 	// DetectEnd completes the armed operation's descriptor protocol: it
 	// publishes the verdict if no Linearized hook fired and commits it
 	// before the operation returns to the client.
@@ -314,7 +320,7 @@ type Detector interface {
 	// lap a still-pending entry forces a drain first — the entry-lapped
 	// inference of Detect requires the lapped operation's effect and
 	// verdict to be durable before the overwriting announce can be.
-	DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool)
+	DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64)
 	// DetectEndDeferred records the armed operation's verdict — including
 	// the auxiliary return word rval (a dequeued value), which DetectEnd
 	// cannot carry — for publication at the next DetectDrain. The
@@ -541,9 +547,13 @@ func CommitWitness(c *Ctx) {
 // DetectRingOf returns e's per-client descriptor ring size.
 func DetectRingOf(e Detector) int { return e.DetectRing() }
 
-// DetectBeginDeferred is e.DetectBeginDeferred.
-func DetectBeginDeferred(e Detector, c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
-	e.DetectBeginDeferred(c, client, seq, kind, key, val, deferAnnounce)
+// DetectBeginDeferred is e.DetectBeginDeferred. The trailing argument is
+// ignored: it used to say whether the announce fence could be deferred,
+// which the engine now decides in its write path. It stays only because the
+// frozen benchmark passes it; drop it together with server.Config.BatchWait
+// in the next benchmark-only change.
+func DetectBeginDeferred(e Detector, c *Ctx, client int, seq, kind, key, val uint64, _ bool) {
+	e.DetectBeginDeferred(c, client, seq, kind, key, val)
 }
 
 // DetectEndDeferred is e.DetectEndDeferred.
@@ -561,6 +571,18 @@ func New(cfg Config) Engine {
 	if cfg.Shards > 1 {
 		panic("engine: Config.Shards > 1 builds a *Sharded router, not an Engine — use NewSharded")
 	}
+	return newSingle(cfg)
+}
+
+// shardEngine is a single-device engine as the Sharded router holds it: the
+// public roles plus the write path's announce barrier, which the router must
+// force itself (see Sharded.DetectBegin).
+type shardEngine interface {
+	Engine
+	announceBarrier(c *Ctx)
+}
+
+func newSingle(cfg Config) shardEngine {
 	switch cfg.Kind {
 	case OrigDRAM, OrigNVMM, Izraelevitz, NVTraverse:
 		return newDirect(cfg)

@@ -173,10 +173,12 @@ func (e *mirrorEngine) TraversalLoad(c *Ctx, ref Ref, field int) uint64 {
 }
 
 func (e *mirrorEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
+	e.announceBarrier(c)
 	e.mem.Store(&c.pa, mirrorCell(ref, field), v)
 }
 
 func (e *mirrorEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
+	e.announceBarrier(c)
 	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Linearizing)
 	return ok
 }
@@ -187,6 +189,7 @@ func (e *mirrorEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) b
 }
 
 func (e *mirrorEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
+	e.announceBarrier(c)
 	return e.mem.FetchAdd(&c.pa, mirrorCell(ref, field), delta)
 }
 
@@ -257,12 +260,16 @@ func (e *mirrorEngine) RecoveryLoad(ref Ref, field int) uint64 {
 func (e *mirrorEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.pa.FS }
 
 // settle: a plain Mirror install is durable before it is visible, so only
-// deferred durability can trail a verdict. Before an eager verdict that is
-// the thread's combine buffer — including the buffered installs of its
-// *earlier* operations, whose committed verdict chain (slot moved past seq
-// implies committed) the Detect protocol leans on. Before a batch of
-// deferred verdicts it is also the relaxed-line registry. In batched mode
-// nothing publishes at Linearized, so nothing is settled there.
+// deferred durability can trail a verdict. Without combining that is nothing
+// a verdict testifies to: the relaxed-line registry holds Auxiliary lines
+// only, so a batch of deferred verdicts merely flushes it into the context's
+// flush set and lets the lines commit under the verdicts' own End fence.
+// With combining the thread's combine buffer — and the registry, which then
+// also holds every buffered linearization — must commit under a fence of its
+// own first, including the buffered installs of the thread's *earlier*
+// operations, whose committed verdict chain (slot moved past seq implies
+// committed) the Detect protocol leans on. In batched mode nothing publishes
+// at Linearized, so nothing is settled there.
 func (e *mirrorEngine) settle(c *Ctx, at verdictPoint) {
 	switch at {
 	case atLinearized:
@@ -270,6 +277,10 @@ func (e *mirrorEngine) settle(c *Ctx, at verdictPoint) {
 			return
 		}
 	case atDrain:
+		if !e.mem.P.Combines() {
+			e.mem.P.FlushRelaxed(&c.pa.FS)
+			return
+		}
 		e.mem.P.CommitRelaxed(&c.pa.FS)
 	}
 	e.mem.P.CombineDrain(&c.pa.FS, pmem.DrainDetect)

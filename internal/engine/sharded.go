@@ -30,7 +30,7 @@ type Sharded struct {
 	shards  int
 	clients int // total logical clients across all shards
 	ring    int // per-client descriptor ring size (the sub-engines')
-	subs    []Engine
+	subs    []shardEngine
 	numa    *pmem.NUMA // nil without the NUMA latency preset
 
 	// nextHome deals NewCtx home shards round-robin, so a balanced thread
@@ -64,9 +64,9 @@ func NewSharded(cfg Config) *Sharded {
 		// identical across shards and independent of which clients run.
 		sub.Clients = (cfg.Clients + n - 1) / n
 	}
-	e.subs = make([]Engine, n)
+	e.subs = make([]shardEngine, n)
 	for i := range e.subs {
-		e.subs[i] = New(sub)
+		e.subs[i] = newSingle(sub)
 	}
 	return e
 }
@@ -185,14 +185,17 @@ func (e *Sharded) clientSlot(client int) (shard, slot int) {
 	return client % e.shards, client / e.shards
 }
 
-// DetectBegin announces (client, seq) on the client's slot shard. The
-// announce fence is always eager here: a deferred announce rides the
-// operation's own publish fence, but that fence lands on the *effect*
-// shard's device, which never orders the announce line on the slot shard —
-// across shards the elision would be unsound, so it is not offered.
-func (e *Sharded) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+// DetectBegin announces (client, seq) on the client's slot shard and fences
+// the announce at once. An engine's announce barrier sits in its write path,
+// on the context the install runs with; here the ring lives on the slot
+// shard and the install lands on the key's shard, so no write on the slot
+// shard's context would ever trip it — and a fence on the effect shard's
+// device never orders a line of the slot shard's. The router therefore
+// forces the barrier right after the sub-engine's Begin.
+func (e *Sharded) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64) {
 	sh, slot := e.clientSlot(client)
-	e.subs[sh].DetectBegin(c.sub[sh], slot, seq, kind, key, val, false)
+	e.subs[sh].DetectBegin(c.sub[sh], slot, seq, kind, key, val)
+	e.subs[sh].announceBarrier(c.sub[sh])
 	// The router remembers which client is armed so DetectEnd can find the
 	// slot shard again; the protocol state proper lives on the slot shard's
 	// sub-context. The router has no Linearized hook: the operation's effect
@@ -222,17 +225,17 @@ func (e *Sharded) DetectEnd(c *Ctx, result bool) {
 }
 
 // DetectBeginDeferred arms (client, seq) in batched-verdict mode on the
-// client's slot shard. The announce is always eager (see DetectBegin — the
-// cross-shard elision is unsound), and the lap guard runs here rather than
-// in the sub-engine because a lapped pending verdict may testify to an
-// effect on a *different* shard: the forced drain must commit every shard,
-// not just the slot shard.
-func (e *Sharded) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+// client's slot shard. The announce is fenced at once (see DetectBegin), and
+// the lap guard runs here rather than in the sub-engine because a lapped
+// pending verdict may testify to an effect on a *different* shard: the
+// forced drain must commit every shard, not just the slot shard.
+func (e *Sharded) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64) {
 	sh, slot := e.clientSlot(client)
 	if ringCollision(c.sub[sh].detPending, slot, seq, e.ring) {
 		e.DetectDrain(c)
 	}
-	e.subs[sh].DetectBeginDeferred(c.sub[sh], slot, seq, kind, key, val, false)
+	e.subs[sh].DetectBeginDeferred(c.sub[sh], slot, seq, kind, key, val)
+	e.subs[sh].announceBarrier(c.sub[sh])
 	c.det = descState{armed: true, deferred: true, client: client, seq: seq}
 }
 

@@ -240,11 +240,7 @@ type detectableSet struct {
 func (d *detectableSet) run(c *engine.Ctx, kind, key, val uint64, f func() bool) bool {
 	d.seq++
 	d.lastKind, d.lastKey, d.lastVal = kind, key, val
-	// Inserts and queries defer the announce onto the operation's own
-	// publish/terminal fence; deletes announce eagerly, before the mark CAS
-	// can make the effect durable.
-	deferAnnounce := kind != engine.DetectDelete
-	d.e.DetectBegin(c, d.client, d.seq, kind, key, val, deferAnnounce)
+	d.e.DetectBegin(c, d.client, d.seq, kind, key, val)
 	res := f()
 	d.e.DetectEnd(c, res)
 	d.completed = d.seq
@@ -632,7 +628,6 @@ func Run(spec Spec) *Result {
 			op := engine.DetectOp{
 				Client: w, Seq: d.seq,
 				Kind: d.lastKind, Key: d.lastKey, Val: d.lastVal,
-				DeferAnnounce: d.lastKind != engine.DetectDelete,
 				Run: func(c *engine.Ctx) bool {
 					switch d.lastKind {
 					case engine.DetectInsert:

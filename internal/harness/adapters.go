@@ -65,27 +65,26 @@ type detectWorker struct {
 	seq    *atomic.Uint64
 }
 
-func (w *detectWorker) run(kind, key, val uint64, deferAnnounce bool, f func(c *engine.Ctx) bool) bool {
+func (w *detectWorker) run(kind, key, val uint64, f func(c *engine.Ctx) bool) bool {
 	out := engine.ExactlyOnce(w.e, w.c, engine.DetectOp{
 		Client: w.client, Seq: w.seq.Add(1),
-		Kind: kind, Key: key, Val: val,
-		DeferAnnounce: deferAnnounce, Run: f,
+		Kind: kind, Key: key, Val: val, Run: f,
 	}, true)
 	return out.Result
 }
 
 func (w *detectWorker) Insert(key, val uint64) bool {
-	return w.run(engine.DetectInsert, key, val, true,
+	return w.run(engine.DetectInsert, key, val,
 		func(c *engine.Ctx) bool { return w.set.Insert(c, key, val) })
 }
 
 func (w *detectWorker) Delete(key uint64) bool {
-	return w.run(engine.DetectDelete, key, 0, false,
+	return w.run(engine.DetectDelete, key, 0,
 		func(c *engine.Ctx) bool { return w.set.Delete(c, key) })
 }
 
 func (w *detectWorker) Contains(key uint64) bool {
-	return w.run(engine.DetectContains, key, 0, true,
+	return w.run(engine.DetectContains, key, 0,
 		func(c *engine.Ctx) bool { return w.set.Contains(c, key) })
 }
 

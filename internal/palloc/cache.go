@@ -2,6 +2,7 @@ package palloc
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -43,7 +44,13 @@ type Reclaimer struct {
 	global atomic.Uint64
 
 	mu     sync.Mutex
-	caches []*Cache
+	caches []*Cache // replaced, never edited in place: tryAdvance walks a snapshot
+
+	// orphans is the limbo closed caches left behind, in no epoch order;
+	// orphaned is its length, so the drain path tests for work with one
+	// atomic load. The next drain of any cache adopts the whole list.
+	orphans  []retired
+	orphaned atomic.Int64
 }
 
 // NewReclaimer creates an empty Reclaimer.
@@ -177,9 +184,59 @@ func (c *Cache) Retire(off uint64, words int) {
 	}
 }
 
+// Close ends the cache's life: a goroutine that stops using its Cache calls
+// it, or its limbo is stranded forever and the allocator leaks. It frees what
+// two epoch advances make ready — two is the reclamation distance, so a cache
+// closing with no operation in flight elsewhere frees everything — hands the
+// rest of the limbo to the Reclaimer's orphan list for the next drain of any
+// other cache, unregisters, and returns the per-class free lists to the
+// allocator. The cache must not be used afterwards.
+func (c *Cache) Close() {
+	c.announce.Store(idleEpoch)
+	c.recl.tryAdvance()
+	c.recl.tryAdvance()
+	c.drain()
+	r := c.recl
+	r.mu.Lock()
+	kept := make([]*Cache, 0, len(r.caches))
+	for _, o := range r.caches {
+		if o != c {
+			kept = append(kept, o)
+		}
+	}
+	r.caches = kept
+	r.orphans = append(r.orphans, c.limbo...)
+	r.orphaned.Store(int64(len(r.orphans)))
+	r.mu.Unlock()
+	c.limbo = nil
+	for cls, fl := range c.free {
+		if len(fl) > 0 {
+			c.alloc.release(cls, fl)
+		}
+		c.free[cls] = nil
+	}
+}
+
+// adoptOrphans moves the orphan list into c's limbo, restoring the epoch
+// order drain relies on.
+func (c *Cache) adoptOrphans() {
+	r := c.recl
+	r.mu.Lock()
+	c.limbo = append(c.limbo, r.orphans...)
+	r.orphans = nil
+	r.orphaned.Store(0)
+	r.mu.Unlock()
+	sort.SliceStable(c.limbo, func(i, j int) bool { return c.limbo[i].epoch < c.limbo[j].epoch })
+}
+
 // drain frees limbo objects that are two epochs old, running PreFree once
-// first when at least one object is ready.
+// first when at least one object is ready. Orphans of closed caches join the
+// limbo first, so they are freed under the same rule and after this cache's
+// PreFree.
 func (c *Cache) drain() {
+	if c.recl.orphaned.Load() != 0 {
+		c.adoptOrphans()
+	}
 	g := c.recl.global.Load()
 	if len(c.limbo) == 0 || c.limbo[0].epoch+2 > g {
 		return

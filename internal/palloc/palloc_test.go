@@ -413,6 +413,55 @@ func BenchmarkAllocFree(b *testing.B) {
 	})
 }
 
+// TestCloseHandsLimboToOrphans pins Cache.Close: a cache closing under a
+// pinned epoch cannot free its limbo, so it leaves it on the orphan list,
+// unregisters, and returns its free lists; the survivor's next drains adopt
+// the orphans and free them — each batch after its own PreFree, and none
+// before the epoch allows.
+func TestCloseHandsLimboToOrphans(t *testing.T) {
+	a := newTestAlloc()
+	r := NewReclaimer()
+	quitter, survivor := NewCache(a, r), NewCache(a, r)
+	survivor.Enter() // pins the epoch: nothing the quitter retires can be freed
+	const n = 3 * drainEvery
+	for i := 0; i < n; i++ {
+		quitter.Enter()
+		quitter.Retire(quitter.Alloc(8), 8)
+		quitter.Exit()
+	}
+	quitter.Close()
+	if got := len(r.CachesForTest()); got != 1 {
+		t.Fatalf("%d caches registered after Close, want 1", got)
+	}
+	if limbo, free := quitter.DebugCounts(); limbo != 0 || free != 0 {
+		t.Fatalf("closed cache still holds %d limbo / %d free objects", limbo, free)
+	}
+	if got := a.LiveWords(); got != n*8 {
+		t.Fatalf("live = %d words with the epoch pinned, want %d (nothing may be freed yet)", got, n*8)
+	}
+	survivor.Exit()
+
+	var before uint64
+	ran := false
+	survivor.PreFree = func() {
+		ran = true
+		if got := a.LiveWords(); got != before {
+			t.Errorf("live = %d words inside PreFree, want %d (an orphan was freed before it)", got, before)
+		}
+	}
+	for i := 0; i < 4 && a.LiveWords() > 0; i++ {
+		r.tryAdvance()
+		before, ran = a.LiveWords(), false
+		survivor.drain()
+		if a.LiveWords() < before && !ran {
+			t.Fatal("a drain freed orphans without running PreFree")
+		}
+	}
+	if got := a.LiveWords(); got != 0 {
+		t.Fatalf("live = %d words after the survivor's drains, want 0 (orphans stranded)", got)
+	}
+}
+
 // TestOversubscribedChurnBounded regresses the EBR starvation fix: with
 // more churning goroutines than cores, limbo must still drain via the
 // quiesced-context Exit drains, keeping live memory bounded.
@@ -426,6 +475,7 @@ func TestOversubscribedChurnBounded(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := NewCache(a, r)
+			defer c.Close()
 			for i := 0; i < 30000; i++ {
 				c.Enter()
 				off := c.Alloc(4)

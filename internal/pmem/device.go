@@ -468,7 +468,7 @@ type FlushSet struct {
 	initLines  []uint64
 	initStores int
 
-	// stolen is CommitRelaxed's copy of the relaxed-line registry, flushed
+	// stolen is FlushRelaxed's copy of the relaxed-line registry, flushed
 	// outside the registry's lock; kept so a commit allocates nothing.
 	stolen []uint64
 }
@@ -492,6 +492,12 @@ func (s *FlushSet) Reset() {
 // query is conservatively zero — and fence elision must therefore be gated
 // on Device.Elides — everywhere else.
 func (s *FlushSet) Pending() int { return len(s.lines) }
+
+// Fences returns the number of fences issued on this set. A caller that
+// flushed a line and recorded the count can later tell whether a fence has
+// covered that flush since: every Fence commits the whole pending set, so
+// any advance of the count did.
+func (s *FlushSet) Fences() uint64 { return s.fences.Load() }
 
 // clearLines empties the pending-line set in O(1): the slice is truncated
 // and the epoch advances, invalidating every table entry at once.

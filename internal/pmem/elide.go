@@ -163,20 +163,20 @@ func (d *Device) NoteRelaxed(fs *FlushSet, off uint64) {
 	d.relaxedMu.Unlock()
 }
 
-// CommitRelaxed makes every registered relaxed line durable: it steals the
-// registry and issues one Flush per line plus a single trailing Fence on
-// fs — ordinary countable device operations, so the freeze gate, the fault
-// model, and the watermark all apply. When the registry is empty it issues
-// nothing, not even the fence. Allocator drains call this before freeing
-// the first object of a batch.
-func (d *Device) CommitRelaxed(fs *FlushSet) {
+// FlushRelaxed steals the relaxed-line registry and issues one Flush per
+// line on fs — ordinary countable device operations, so the freeze gate, the
+// fault model, and the watermark all apply — leaving the fence to the caller:
+// the lines commit under the next Fence on fs. It reports whether it flushed
+// anything. A caller whose next fence on fs is due anyway (the verdict fence
+// of a detect drain) saves CommitRelaxed's own.
+func (d *Device) FlushRelaxed(fs *FlushSet) bool {
 	if !d.elide {
-		return
+		return false
 	}
 	d.relaxedMu.Lock()
 	if len(d.relaxedLines) == 0 {
 		d.relaxedMu.Unlock()
-		return
+		return false
 	}
 	lines := append(fs.stolen[:0], d.relaxedLines...)
 	fs.stolen = lines
@@ -192,7 +192,17 @@ func (d *Device) CommitRelaxed(fs *FlushSet) {
 		}
 		d.Flush(fs, off)
 	}
-	d.Fence(fs)
+	return true
+}
+
+// CommitRelaxed makes every registered relaxed line durable: FlushRelaxed
+// plus a single trailing Fence on fs. When the registry is empty it issues
+// nothing, not even the fence. Allocator drains call this before freeing
+// the first object of a batch.
+func (d *Device) CommitRelaxed(fs *FlushSet) {
+	if d.FlushRelaxed(fs) {
+		d.Fence(fs)
+	}
 }
 
 // RelaxedPending returns the number of lines currently registered for

@@ -19,6 +19,11 @@
 // paper's pseudocode, so a divergence between the two is itself a finding.
 // The state space for two operations is tiny (thousands of states), so the
 // exploration is exhaustive, not sampled.
+//
+// detect.go holds a second, smaller model in the same style: the fence
+// placement of the descriptor protocol (announce, install, verdict and
+// auxiliary lines of one detectable operation under the evict/drop
+// adversary).
 package protomodel
 
 import "fmt"

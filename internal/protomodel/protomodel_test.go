@@ -1,6 +1,9 @@
 package protomodel
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestExhaustiveTwoThreadCAS explores every interleaving of two concurrent
 // CAS operations for every interesting argument shape over a small value
@@ -66,5 +69,76 @@ func TestSingleThreadDeterministic(t *testing.T) {
 	c := Explore(5, 5, 6, 99, 1)
 	for _, e := range c.Errors {
 		t.Error(e)
+	}
+}
+
+// TestDetectFencePlacement is the proof obligation of the descriptor
+// protocol's fence placement (engine/detect.go "Ordering"), checked over
+// every evict/drop schedule: the engine's placements are sound, and each of
+// the two cheaper placements that merge a fence away is caught with the
+// implication it breaks.
+func TestDetectFencePlacement(t *testing.T) {
+	w, f, F := Write, Flush, Fence()
+	cases := []struct {
+		name   string
+		prog   []Instr
+		breaks string // "" for a sound placement
+	}{
+		// A delete: the announce barrier fences just before the mark, the
+		// mark is durable before it is visible, the verdict follows.
+		{"announce | install | verdict", []Instr{
+			w(Announce), f(Announce), F,
+			w(Install), f(Install), F,
+			w(Verdict), f(Verdict), F,
+		}, ""},
+		// The same with an auxiliary line written before the install (an
+		// upper-level mark) and one written after it (a snip), both riding
+		// the verdict's fence: what settle(atDrain) does on Mirror.
+		{"aux before install shares the verdict fence", []Instr{
+			w(Announce), f(Announce), w(Aux), F,
+			w(Install), f(Install), F,
+			f(Aux), w(Verdict), f(Verdict), F,
+		}, ""},
+		{"aux after install shares the verdict fence", []Instr{
+			w(Announce), f(Announce), F,
+			w(Install), f(Install), F,
+			w(Aux), f(Aux), w(Verdict), f(Verdict), F,
+		}, ""},
+		// An operation that installs nothing: announce and verdict under
+		// one fence.
+		{"no install: announce shares the verdict fence", []Instr{
+			w(Announce), f(Announce), w(Verdict), f(Verdict), F,
+		}, ""},
+		// Tempting and wrong: let the announce ride the install's own
+		// fence. The install can be evicted first.
+		{"WRONG announce shares the install fence", []Instr{
+			w(Announce), f(Announce),
+			w(Install), f(Install), F,
+			w(Verdict), f(Verdict), F,
+		}, "NotCommitted, but the install is on the media"},
+		// Tempting and wrong: let the verdict ride the install's fence.
+		// The verdict can be evicted first.
+		{"WRONG verdict shares the install fence", []Instr{
+			w(Announce), f(Announce), F,
+			w(Install), f(Install),
+			w(Verdict), f(Verdict), F,
+		}, "Committed, but the install is not on the media"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			violations, states := CheckPlacement(tc.prog)
+			if states < len(tc.prog) {
+				t.Fatalf("only %d states explored; the model is not running", states)
+			}
+			switch {
+			case tc.breaks == "" && len(violations) > 0:
+				t.Errorf("sound placement rejected: %v", violations)
+			case tc.breaks != "" && len(violations) != 1:
+				t.Errorf("violations = %v, want exactly the one: %s", violations, tc.breaks)
+			case tc.breaks != "" && !strings.Contains(violations[0], tc.breaks):
+				t.Errorf("violation %q, want %q", violations[0], tc.breaks)
+			}
+			t.Logf("%d states", states)
+		})
 	}
 }

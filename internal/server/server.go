@@ -8,13 +8,17 @@
 // under the batched-verdict descriptor protocol: per-connection readers
 // parse frames and route them to a worker goroutine chosen by client id, the
 // worker executes each frame as it arrives with its verdict deferred
-// (engine.DetectBeginDeferred / DetectEndDeferred), and a single
-// engine.DetectDrain then makes everything executed since the last one
-// durable — one trailing fence commits every client's operation — before
-// any response is released. Cross-client fence batching turns k concurrent
-// commits into one fence without weakening the contract: a client holds no
-// acknowledgement until its operation is persistent, and after a crash the
-// descriptor region resolves every unacknowledged frame via DETECT.
+// (DetectBeginDeferred / DetectEndDeferred), and a single DetectDrain then
+// publishes every verdict recorded since the last one under one trailing
+// fence before any response is released. The server decides nothing about
+// fences: the engine orders each announce before its operation's first
+// install (and not at all for an operation that installs nothing), makes
+// every install durable before it is visible, and lets whatever no verdict
+// testifies to share the drain's fence. Cross-client fence batching turns k
+// concurrent commits into one verdict fence without weakening the contract:
+// a client holds no acknowledgement until its operation is persistent, and
+// after a crash the descriptor region resolves every unacknowledged frame
+// via DETECT.
 //
 // What closes a batch is the queue, never a clock: the worker drains and
 // responds the moment its channel is empty (or Config.MaxBatch responses are
@@ -470,6 +474,9 @@ func (w *worker) run() {
 			w.release()
 		}
 	}
+	// The context dies with the worker: hand its limbo on rather than
+	// strand it (palloc.Cache.Close).
+	w.c.Cache.Close()
 }
 
 // release drains the batch's deferred verdicts under one fence, then writes
@@ -479,7 +486,7 @@ func (w *worker) release() {
 	if len(w.staged) == 0 {
 		return
 	}
-	engine.DetectDrain(w.s.e, w.c)
+	w.s.e.DetectDrain(w.c)
 	w.s.batches.Add(1)
 	for i := range w.staged {
 		cn := w.staged[i].cn
@@ -563,7 +570,7 @@ func (w *worker) exec(it reqItem) {
 		// Commit this worker's pending verdicts first: the asked-about slot
 		// belongs to this worker's partition, so after the drain the answer
 		// is durable truth.
-		engine.DetectDrain(s.e, c)
+		s.e.DetectDrain(c)
 		d := s.e.Detect(int(r.Client), r.Seq)
 		resp = wire.Response{
 			Status: wire.StatusOK, Result: d.Result, Known: d.KnownResult,
@@ -584,26 +591,24 @@ func (w *worker) exec(it reqItem) {
 		var rval uint64
 		switch r.Op {
 		case wire.OpInsert:
-			// The insert's publish barrier fences before the linearizing
-			// install, so the announce rides it (deferAnnounce).
-			engine.DetectBeginDeferred(s.e, c, client, r.Seq, engine.DetectInsert, r.Key, r.Val, true)
+			s.e.DetectBeginDeferred(c, client, r.Seq, engine.DetectInsert, r.Key, r.Val)
 			result = s.table.Insert(c, r.Key, r.Val)
 		case wire.OpDelete:
-			engine.DetectBeginDeferred(s.e, c, client, r.Seq, engine.DetectDelete, r.Key, 0, false)
+			s.e.DetectBeginDeferred(c, client, r.Seq, engine.DetectDelete, r.Key, 0)
 			result = s.table.Delete(c, r.Key)
 		case wire.OpEnqueue:
-			engine.DetectBeginDeferred(s.e, c, client, r.Seq, engine.DetectEnqueue, 0, r.Val, true)
+			s.e.DetectBeginDeferred(c, client, r.Seq, engine.DetectEnqueue, 0, r.Val)
 			s.q.Enqueue(c, r.Val)
 			result = true
 		case wire.OpDequeue:
-			engine.DetectBeginDeferred(s.e, c, client, r.Seq, engine.DetectDequeue, 0, 0, false)
+			s.e.DetectBeginDeferred(c, client, r.Seq, engine.DetectDequeue, 0, 0)
 			rval, result = s.q.Dequeue(c)
 		case wire.OpRMW:
 			// Compare-and-set the key's value: expect in Val, new in Arg.
-			engine.DetectBeginDeferred(s.e, c, client, r.Seq, engine.DetectRMW, r.Key, r.Val, false)
+			s.e.DetectBeginDeferred(c, client, r.Seq, engine.DetectRMW, r.Key, r.Val)
 			result = s.table.CasVal(c, r.Key, r.Val, r.Arg)
 		}
-		engine.DetectEndDeferred(s.e, c, result, rval)
+		s.e.DetectEndDeferred(c, result, rval)
 		resp = wire.Response{
 			Status: wire.StatusOK, Result: result, Known: true,
 			Verdict: uint8(engine.Committed), Rval: rval,

@@ -5,6 +5,7 @@ import (
 
 	"mirror/internal/engine"
 	"mirror/internal/structures/queue"
+	"mirror/internal/structures/skiplist"
 )
 
 // passThrough forwards every Engine method and adds nothing: the shape of
@@ -84,18 +85,133 @@ func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 	c := e.NewCtx()
 	q := queue.New(e, c)
 
-	engine.DetectBeginDeferred(e, c, 0, 1, engine.DetectEnqueue, 0, 77, true)
+	e.DetectBeginDeferred(c, 0, 1, engine.DetectEnqueue, 0, 77)
 	q.Enqueue(c, 77)
-	engine.DetectEndDeferred(e, c, true, 0)
-	engine.DetectBeginDeferred(e, c, 0, 2, engine.DetectDequeue, 0, 0, false)
+	e.DetectEndDeferred(c, true, 0)
+	e.DetectBeginDeferred(c, 0, 2, engine.DetectDequeue, 0, 0)
 	v, ok := q.Dequeue(c)
-	engine.DetectEndDeferred(e, c, ok, v)
-	engine.DetectDrain(e, c)
+	e.DetectEndDeferred(c, ok, v)
+	e.DetectDrain(c)
 
 	if d := e.Detect(0, 2); d.Verdict != engine.Committed || !d.KnownResult || !d.Result || d.Rval != 77 {
 		t.Fatalf("dequeue verdict through the wrapper = %+v, want Committed/true with rval 77", d)
 	}
 	if ring := engine.DetectRingOf(e); ring != engine.DefaultDetectRing {
 		t.Fatalf("DetectRingOf through the wrapper = %d, want %d", ring, engine.DefaultDetectRing)
+	}
+}
+
+// TestServedMutationBudget pins what one served mutation costs on the
+// default engine (MirrorDRAM, unsharded, deferred verdicts), by kind, in
+// the serving tier's call sequence with one frame per drain. The engine
+// enforces exactly two orders — announce before the first install, verdict
+// after it — so the budget is: one fence for the announce iff the operation
+// installs and no fence of its own precedes the install, one fence per
+// durable-before-visible install, and one End fence for the drain, which
+// also carries the relaxed lines (upper-level links and marks, snips) and
+// the announce of an operation that installed nothing. The same numbers
+// must come out behind a pass-through wrapper: the announce barrier sits in
+// the engine's own write path and keys on the context.
+func TestServedMutationBudget(t *testing.T) {
+	type cost struct{ flushes, fences uint64 }
+	for _, wrap := range []bool{false, true} {
+		name := "raw"
+		if wrap {
+			name = "wrapped"
+		}
+		t.Run(name, func(t *testing.T) {
+			raw := engine.New(engine.Config{
+				Kind: engine.MirrorDRAM, Words: 1 << 16, Track: true, Clients: 1,
+			})
+			e := raw
+			if wrap {
+				e = passThrough{raw}
+			}
+			c := e.NewCtx()
+			table := skiplist.New(e, c)
+			e.Drain(c)
+			seq := uint64(0)
+			// begin and end bracket one frame as server.worker.exec does;
+			// serve adds the release of a one-frame batch.
+			begin := func(kind, key uint64) {
+				seq++
+				e.DetectBeginDeferred(c, 0, seq, kind, key, key)
+			}
+			serve := func(kind, key uint64, op func() bool) (cost, bool, uint64) {
+				f0, n0 := raw.Counters()
+				r0 := raw.Stats().RelaxedCAS
+				begin(kind, key)
+				res := op()
+				e.DetectEndDeferred(c, res, 0)
+				e.DetectDrain(c)
+				f1, n1 := raw.Counters()
+				return cost{f1 - f0, n1 - n0}, res, raw.Stats().RelaxedCAS - r0
+			}
+			insert := func(key uint64) (cost, bool, uint64) {
+				return serve(engine.DetectInsert, key, func() bool { return table.Insert(c, key, key) })
+			}
+			remove := func(key uint64) (cost, bool, uint64) {
+				return serve(engine.DetectDelete, key, func() bool { return table.Delete(c, key) })
+			}
+			check := func(what string, got, want cost) {
+				t.Helper()
+				if got != want {
+					t.Errorf("%s: %d flushes, %d fences; want %d, %d", what, got.flushes, got.fences, want.flushes, want.fences)
+				}
+			}
+
+			// Fresh inserts until both a height-1 tower (no relaxed install)
+			// and a taller one (upper-level links ride the registry) were
+			// seen. Fences: the publish fence (which covers the announce),
+			// the level-0 link, End — three at any height; the taller
+			// tower's relaxed links used to cost a fourth.
+			var flat, tall, key uint64
+			for flat == 0 || tall == 0 {
+				key++
+				got, ok, relaxed := insert(key)
+				if !ok {
+					t.Fatalf("insert of fresh key %d failed", key)
+				}
+				if got.fences != 3 {
+					t.Errorf("insert-new key %d (%d relaxed installs): %d fences, want 3", key, relaxed, got.fences)
+				}
+				if relaxed == 0 {
+					flat = key
+					// announce, the node's one line, the level-0 link, verdict
+					check("insert-new of height 1", got, cost{4, 3})
+				} else {
+					tall = key
+				}
+			}
+			got, ok, _ := insert(flat)
+			if ok {
+				t.Fatal("insert of a present key succeeded")
+			}
+			check("insert-found", got, cost{2, 1}) // announce + verdict under the End fence
+
+			got, ok, relaxed := remove(flat)
+			if !ok || relaxed == 0 {
+				t.Fatalf("delete of present key %d: result %v, %d relaxed installs (want the snip)", flat, ok, relaxed)
+			}
+			// announce fence (the barrier, just before the mark), the mark,
+			// End — which now also commits the relaxed snip.
+			check("delete-found", got, cost{4, 3})
+
+			got, ok, _ = remove(flat)
+			if ok {
+				t.Fatal("delete of an absent key succeeded")
+			}
+			check("delete-missing", got, cost{2, 1})
+
+			// Depth 8: eight no-effect frames, one drain, one fence.
+			f0, n0 := raw.Counters()
+			for i := 0; i < 8; i++ {
+				begin(engine.DetectDelete, flat)
+				e.DetectEndDeferred(c, table.Delete(c, flat), 0)
+			}
+			e.DetectDrain(c)
+			f1, n1 := raw.Counters()
+			check("eight delete-missing under one drain", cost{f1 - f0, n1 - n0}, cost{16, 1})
+		})
 	}
 }

@@ -129,9 +129,15 @@ const MaxClients = 1 << 16
 
 // ProtocolError describes a malformed frame. It is a terminal connection
 // error: framing cannot resynchronize after a bad length prefix.
-type ProtocolError struct{ Reason string }
+type ProtocolError struct {
+	Reason string
+	Err    error // the read error behind a truncated frame, else nil
+}
 
 func (e *ProtocolError) Error() string { return "wire: " + e.Reason }
+
+// Unwrap returns the read error that cut the frame short, if any.
+func (e *ProtocolError) Unwrap() error { return e.Err }
 
 func protoErrf(format string, args ...any) error {
 	return &ProtocolError{Reason: fmt.Sprintf(format, args...)}
@@ -337,19 +343,22 @@ func DecodeResponse(p []byte) (Response, error) {
 }
 
 // ReadFrame reads one length-prefixed frame payload from rd into buf
-// (grown as needed) and returns the payload slice. io.EOF is returned
-// cleanly only at a frame boundary; a prefix beyond MaxFrame or a
-// truncated payload is a *ProtocolError (wrapping io.ErrUnexpectedEOF for
-// mid-payload truncation).
+// (grown as needed) and returns the payload slice. The prefix is read into
+// buf too, so a caller that passes a buffer as large as its frames pays no
+// allocation per frame. io.EOF is returned cleanly only at a frame boundary;
+// a prefix beyond MaxFrame or a truncated payload is a *ProtocolError (one
+// that unwraps to io.ErrUnexpectedEOF for mid-payload truncation).
 func ReadFrame(rd io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(rd, buf[:4]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, protoErrf("truncated length prefix")
 		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf[:4])
 	if n == 0 || n > MaxFrame {
 		return nil, protoErrf("frame length %d outside (0, %d]", n, MaxFrame)
 	}
@@ -357,8 +366,14 @@ func ReadFrame(rd io.Reader, buf []byte) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(rd, buf); err != nil {
-		return nil, protoErrf("truncated frame payload: %d of %d bytes", 0, n)
+	if got, err := io.ReadFull(rd, buf); err != nil {
+		if err == io.EOF { // the stream ended right after the prefix
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, &ProtocolError{
+			Reason: fmt.Sprintf("truncated frame payload: %d of %d bytes", got, n),
+			Err:    err,
+		}
 	}
 	return buf, nil
 }

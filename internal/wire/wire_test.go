@@ -181,8 +181,17 @@ func TestReadFrameLimits(t *testing.T) {
 	}
 	trunc := binary.LittleEndian.AppendUint32(nil, 10)
 	trunc = append(trunc, 1, 2, 3)
-	if _, err := ReadFrame(bytes.NewReader(trunc), nil); err == nil {
-		t.Error("truncated payload accepted")
+	_, err := ReadFrame(bytes.NewReader(trunc), nil)
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated payload: %v, want a *ProtocolError wrapping io.ErrUnexpectedEOF", err)
+	} else if !strings.Contains(pe.Reason, "3 of 10 bytes") {
+		t.Errorf("truncated payload reports %q, want the real count (3 of 10 bytes)", pe.Reason)
+	}
+	// A stream that ends right after the prefix is the same fault, not a
+	// clean EOF.
+	if _, err := ReadFrame(bytes.NewReader(trunc[:4]), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("payload missing entirely: %v, want io.ErrUnexpectedEOF", err)
 	}
 	// Clean EOF only at a frame boundary.
 	if _, err := ReadFrame(bytes.NewReader(nil), nil); err != io.EOF {
@@ -196,5 +205,31 @@ func TestReadFrameLimits(t *testing.T) {
 	}
 	if _, err := ReadResponse(bytes.NewReader(frame), nil); err != nil {
 		t.Errorf("max scan response rejected: %v", err)
+	}
+}
+
+// TestReadAllocatesNothing pins the per-frame cost of the read side: given a
+// buffer as large as the frame, neither direction allocates — the length
+// prefix is read into the caller's buffer, not into an escaping array.
+func TestReadAllocatesNothing(t *testing.T) {
+	req := AppendRequest(nil, Request{Op: OpInsert, Client: 3, Seq: 9, Key: 7, Val: 70})
+	resp := AppendResponse(nil, Response{Status: StatusOK, Result: true, Known: true, Verdict: 1, Rval: 70})
+	buf := make([]byte, 64)
+	rd := bytes.NewReader(nil)
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(req)
+		if _, err := ReadRequest(rd, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadRequest: %v allocations per frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(resp)
+		if _, err := ReadResponse(rd, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadResponse: %v allocations per frame, want 0", n)
 	}
 }
