@@ -12,7 +12,6 @@
 //	mirrorbench -json BENCH_1.json    # machine-readable engine×structure matrix
 //	mirrorbench -json BENCH_2.json -recovery   # matrix plus recovery section
 //	mirrorbench -json BENCH_3.json -detect     # detectable-operation overhead ablation
-//	mirrorbench -json BENCH_4.json -combine    # matrix plus fence-combining ablation panels
 //	mirrorbench -json BENCH_5.json -shards 1,2,4 -numa 120  # plus sharded-substrate ablation
 //	mirrorbench -json BENCH_6.json -serving 1,4,8 -workloads A  # plus serving-tier panels (wire YCSB, p50/p99/p999, batch ablation)
 //	mirrorbench -panel fig6d -shards 2 -dist zipfian -skew 0.99  # sharded, skewed panel
@@ -82,7 +81,6 @@ func main() {
 		enginesF = flag.String("engines", "", "comma-separated engine filter for -json (e.g. Mirror,NVTraverse)")
 		noElide  = flag.Bool("noelide", false, "disable flush elision / fence coalescing (ablation baseline)")
 		detect   = flag.Bool("detect", false, "route every operation through a detectable bracket (descriptor-overhead ablation)")
-		combine  = flag.Bool("combine", false, "with -json: append the fence-combining ablation panels (update-only list and queue, combine on/off in the same session); with -panel/-all: run the Mirror engines with per-thread write buffers")
 		shardsF  = flag.String("shards", "", "with -json: comma-separated shard counts — append the sharded-substrate ablation panels (hash table under both Mirror engines per count; 1 = single-device baseline); with -panel/-all: run every engine sharded at the single given count")
 		numaNS   = flag.Int("numa", 0, "remote-shard latency penalty in ns for sharded runs (the NUMA preset; 0 = symmetric)")
 		distF    = flag.String("dist", "", "key distribution: uniform (default), zipfian, or hotspot")
@@ -186,9 +184,6 @@ func main() {
 			os.Exit(2)
 		}
 		report := harness.RunBenchMatrix(opts, structs, kinds, opts.Threads)
-		if *combine {
-			harness.AppendCombineAblation(report, opts, opts.Threads)
-		}
 		if len(shardCounts) > 0 {
 			harness.AppendShardAblation(report, opts, shardCounts, opts.Threads)
 		}
@@ -243,11 +238,9 @@ func main() {
 		return
 	}
 
-	// Panel mode: -combine switches the Mirror engines themselves over to
-	// the combining write path, and -shards runs every engine-backed
-	// competitor sharded at one count. (In -json mode the flags instead
-	// append dedicated ablation panels, keeping the base matrix comparable.)
-	opts.Combine = *combine
+	// Panel mode: -shards runs every engine-backed competitor sharded at one
+	// count. (In -json mode the flag instead appends dedicated ablation
+	// panels, keeping the base matrix comparable.)
 	if len(shardCounts) > 1 {
 		fmt.Fprintln(os.Stderr, "mirrorbench: panel mode takes a single -shards count (sweeps need -json)")
 		os.Exit(2)

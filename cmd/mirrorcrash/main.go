@@ -15,7 +15,6 @@
 //	mirrorcrash -structure all -engine all -rounds 10
 //	mirrorcrash -fuzz 50 -structure all -engine all -faults torn,evict,drop
 //	mirrorcrash -fuzz 50 -structure all -engine Mirror -detect
-//	mirrorcrash -fuzz 50 -structure all -engine Mirror -combine
 //	mirrorcrash -fuzz 50 -structure all -engine Mirror -shards 2
 //	mirrorcrash -structure list -engine Mirror -faults torn,drop -seed 7 -schedule w1o5k1c13
 package main
@@ -71,7 +70,6 @@ func main() {
 		schedule  = flag.String("schedule", "", "replay one reproducer schedule (e.g. w1o5k1c13) with -seed")
 		reproOut  = flag.String("repro-out", "", "write the minimized reproducer to this file on fuzz failure")
 		detect    = flag.Bool("detect", false, "run -fuzz/-schedule with detectable operations: cross-check Detect verdicts against the linearizability checker and replay cut ops through ExactlyOnce")
-		combine   = flag.Bool("combine", false, "run -fuzz/-schedule with cross-operation fence combining: completed ops above the drained combine ticket may legally vanish at the crash")
 		shards    = flag.Int("shards", 1, "device shards: >1 runs every round on a sharded engine with per-shard independent fault injection and shard-concurrent recovery")
 	)
 	flag.Parse()
@@ -82,7 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *schedule != "" {
-		os.Exit(replay(*structure, *engName, faults, *seed, *schedule, *detect, *combine, *shards))
+		os.Exit(replay(*structure, *engName, faults, *seed, *schedule, *detect, *shards))
 	}
 
 	var structNames, engNames []string
@@ -108,10 +106,10 @@ func main() {
 	}
 
 	if *fuzzN > 0 {
-		os.Exit(fuzz(structNames, engNames, faults, *seed, *fuzzN, *reproOut, *detect, *combine, *shards))
+		os.Exit(fuzz(structNames, engNames, faults, *seed, *fuzzN, *reproOut, *detect, *shards))
 	}
-	if *detect || *combine {
-		fmt.Fprintln(os.Stderr, "mirrorcrash: -detect/-combine require -fuzz or -schedule")
+	if *detect {
+		fmt.Fprintln(os.Stderr, "mirrorcrash: -detect requires -fuzz or -schedule")
 		os.Exit(2)
 	}
 
@@ -160,13 +158,10 @@ func crashAtFor(seed, total int64) int64 {
 // each with a calibrated mid-flight crash placement. The first failure is
 // shrunk, printed as a re-runnable reproducer, optionally written to
 // reproOut, and fails the process.
-func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64, fuzzN int, reproOut string, detect, combine bool, shards int) int {
+func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64, fuzzN int, reproOut string, detect bool, shards int) int {
 	mode := ""
 	if detect {
 		mode = ", detectable operations"
-	}
-	if combine {
-		mode += ", fence combining"
 	}
 	if shards > 1 {
 		mode += fmt.Sprintf(", %d shards", shards)
@@ -184,7 +179,6 @@ func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64,
 					Seed:      baseSeed + int64(i),
 					Schedule:  faultfuzz.Schedule{Workers: 2, OpsPer: 8, Keys: 6},
 					Detect:    detect,
-					Combine:   combine,
 					Shards:    shards,
 				}
 				spec.Schedule.CrashAt = crashAtFor(spec.Seed, faultfuzz.Calibrate(spec))
@@ -195,9 +189,12 @@ func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64,
 				if !res.Failed() {
 					continue
 				}
-				small, minRes := faultfuzz.Shrink(spec)
+				small, minRes := faultfuzz.Shrink(spec, res)
 				repro := fmt.Sprintf("mirrorcrash %v", small)
 				fmt.Printf("FAILED %s/%s run %d: %s\n", sn, en, i, minRes.Violations[0])
+				if minRes == res {
+					fmt.Println("the failure did not recur when the spec ran again (a multi-worker run is not replayable): unshrunk spec, original violations")
+				}
 				fmt.Printf("reproduce with: %s\n", repro)
 				if reproOut != "" {
 					body := repro + "\n"
@@ -221,7 +218,7 @@ func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64,
 
 // replay re-runs one (seed, schedule) reproducer and reports the media
 // fingerprint, so a failure can be confirmed bit for bit.
-func replay(structure, engName string, faults pmem.FaultSpec, seed int64, scheduleStr string, detect, combine bool, shards int) int {
+func replay(structure, engName string, faults pmem.FaultSpec, seed int64, scheduleStr string, detect bool, shards int) int {
 	kind, ok := engines[engName]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "mirrorcrash: -schedule needs a single engine, got %q\n", engName)
@@ -232,7 +229,7 @@ func replay(structure, engName string, faults pmem.FaultSpec, seed int64, schedu
 		fmt.Fprintf(os.Stderr, "mirrorcrash: %v\n", err)
 		return 2
 	}
-	spec := faultfuzz.Spec{Structure: structure, Kind: kind, Faults: faults, Seed: seed, Schedule: sched, Detect: detect, Combine: combine, Shards: shards}
+	spec := faultfuzz.Spec{Structure: structure, Kind: kind, Faults: faults, Seed: seed, Schedule: sched, Detect: detect, Shards: shards}
 	res := faultfuzz.Run(spec)
 	fmt.Printf("replay %v\n  crashed at op %d of %d, media hash %#x\n",
 		spec, res.CrashedAt, res.OpsTotal, res.MediaHash)

@@ -46,7 +46,6 @@ func main() {
 		ring     = flag.Int("ring", 0, "per-client descriptor-ring depth (0: engine default)")
 		clients  = flag.Int("clients", 64, "descriptor rings (max client id + 1)")
 		workers  = flag.Int("workers", 2, "worker goroutines")
-		combine  = flag.Bool("combine", false, "enable cross-operation fence combining")
 		nobatch  = flag.Bool("nobatch", false, "ablation: one fence per mutation (no cross-client batching)")
 		maxBatch = flag.Int("maxbatch", 128, "max operations per drain batch")
 	)
@@ -64,7 +63,6 @@ func main() {
 		Clients:   *clients,
 		Workers:   *workers,
 		MediaPath: *media,
-		Combine:   *combine,
 		NoBatch:   *nobatch,
 		MaxBatch:  *maxBatch,
 	})

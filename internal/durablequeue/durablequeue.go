@@ -37,7 +37,6 @@ const (
 // Queue is the hand-made durable FIFO queue.
 type Queue struct {
 	dev     *pmem.Device
-	combine bool               // cross-operation fence combining active
 	det     *engine.DescRegion // nil when Config.Clients == 0
 	clients int
 
@@ -71,11 +70,6 @@ type Config struct {
 	// NoElide disables the persisted-epoch watermark layer (ablation
 	// baseline): every persist issues its full flush+fence.
 	NoElide bool
-	// Combine enables cross-operation fence combining: the linearizing
-	// link and head-swing persists are deferred to per-thread combine
-	// buffers (pmem/combine.go), so completed operations may vanish at a
-	// crash until their buffer drains. Requires elision.
-	Combine bool
 }
 
 // New creates an empty durable queue.
@@ -91,11 +85,9 @@ func New(cfg Config) *Queue {
 		dev: pmem.New(pmem.Config{
 			Name: "DurableQueue", Words: cfg.Words,
 			Persistent: true, Track: cfg.Track, Model: model,
-			Elide:   !cfg.NoElide,
-			Combine: cfg.Combine && !cfg.NoElide,
+			Elide: !cfg.NoElide,
 		}),
 	}
-	q.combine = q.dev.Combines()
 	// Descriptor slots sit between the root slots and the node heap; the
 	// base (16) is already line-aligned.
 	heapBase := uint64(16)
@@ -122,18 +114,7 @@ func New(cfg Config) *Queue {
 func (q *Queue) NewCtx() *Ctx {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	c := &Ctx{cache: palloc.NewCache(q.alloc, q.recl)}
-	if q.dev.Elides() {
-		// Relaxed (and combined) lines must reach media before any node
-		// they unlink from the queue is reused; see pmem.CommitRelaxed.
-		c.cache.PreFree = func() {
-			q.dev.CommitRelaxed(&c.fs)
-			if q.combine {
-				q.dev.CombineDrain(&c.fs, pmem.DrainPreFree)
-			}
-		}
-	}
-	return c
+	return &Ctx{cache: palloc.NewCache(q.alloc, q.recl)}
 }
 
 // persist makes the current content of off durable. It routes through the
@@ -158,107 +139,31 @@ func (q *Queue) persist(c *Ctx, off uint64) {
 	q.dev.Fence(&c.fs)
 }
 
-// publishDurable persists an own linearizing install at off — or, under
-// combining, defers it into the thread's combine buffer. Registration in
-// the device-global relaxed registry happens inside CombineAdd, before
-// this thread can retire any node: the unlinking install of a retired
-// node (the head swing) is therefore always registered by the time the
-// allocator's PreFree drain runs, so no reachable media word can point
-// into reused memory.
-func (q *Queue) publishDurable(c *Ctx, off uint64) {
-	if q.combine {
-		if q.dev.CombineAdd(&c.fs, off) {
-			q.dev.CombineDrain(&c.fs, pmem.DrainCapacity)
-		}
-		return
-	}
-	q.persist(c, off)
-}
-
-// opEnd pulses the combine buffer's epoch clock and releases the
-// allocation cache; deferred by every operation.
-func (q *Queue) opEnd(c *Ctx) {
-	if q.combine {
-		q.dev.CombineTick(&c.fs)
-	}
-	c.cache.Exit()
-}
-
-// Enqueue appends v. Without combining it is durable when the call
-// returns; with combining it is durable no later than the thread's next
-// combine drain, and a crash before that drain makes it vanish wholesale
-// (the node is unreachable from the persisted chain).
+// Enqueue appends v; it is durable when the call returns.
 func (q *Queue) Enqueue(c *Ctx, v uint64) {
 	c.cache.Enter()
-	defer q.opEnd(c)
+	defer c.cache.Exit()
 	node := c.cache.Alloc(fSize)
 	q.dev.Store(node+fVal, v)
 	q.dev.Store(node+fNext, 0)
 	q.persist(c, node) // content durable before it is reachable
 	for {
-		// Durable-prefix invariant: tailSlot only ever points to a node
-		// whose whole chain from the persisted head is durable. Recovery
-		// walks forward from the head, so an enqueuer that fences its own
-		// link while an *earlier* link is still in some combine buffer
-		// would durably complete an operation a crash can erase. The walk
-		// below preserves the invariant at every swing, and it closes
-		// that completion hole without fencing: a link pending in our own
-		// buffer is built past (our drain commits it before our ops stop
-		// vanishing), a link pending in another enqueuer's buffer is
-		// *adopted* into ours (CombineAdopt — our next drain commits the
-		// foreign prefix together with our own link, so our durably
-		// completed enqueue can never outlive the link it builds on), a
-		// settled link allows the tail to advance with no persist at all,
-		// and only the narrow unregistered window (a link installed but
-		// not yet CombineAdd-ed by its owner, or a non-combining run)
-		// takes the eager persist.
 		tail := q.dev.Load(tailSlot)
-		curr := tail
-		prefixDurable := true
-		for {
-			next := q.dev.Load(curr + fNext)
-			if next == 0 {
-				break
-			}
-			off := curr + fNext
-			switch {
-			case q.combine && c.fs.CombineOwns(off):
-				prefixDurable = false
-			case q.combine && q.dev.CombinePending(off):
-				q.dev.CombineAdopt(&c.fs, off)
-				prefixDurable = false
-			case q.dev.CombineSettled(off):
-				if prefixDurable {
-					if q.dev.CAS(tailSlot, tail, next) {
-						tail = next
-					}
-				}
-			default:
-				q.persist(c, off)
-				if prefixDurable {
-					if q.dev.CAS(tailSlot, tail, next) {
-						tail = next
-					}
-				}
-			}
-			curr = next
+		next := q.dev.Load(tail + fNext)
+		if next != 0 {
+			// Help: persist the lagging link, then swing the tail.
+			q.persist(c, tail+fNext)
+			q.dev.CAS(tailSlot, tail, next)
+			continue
 		}
-		if q.dev.CAS(curr+fNext, 0, node) {
-			// The linearizing link: persisted before return, or deferred
-			// into the combine buffer; the tail swing is auxiliary.
-			q.publishDurable(c, curr+fNext)
-			// The enqueue is durable (or, under combining, the verdict
-			// publish below drains the buffer first): the detectable
+		if q.dev.CAS(tail+fNext, 0, node) {
+			// The linearizing link is durable before we return; the
+			// tail swing is auxiliary.
+			q.persist(c, tail+fNext)
+			// The link fence just made the enqueue durable: the detectable
 			// verdict may publish (no-op when unarmed).
 			q.detectLinearized(c, true, 0)
-			// Swing only when the buffer is quiet — a drain inside
-			// publishDurable (capacity) or an eager run. Quiet means every
-			// link we own or adopted is durable, so the whole prefix is.
-			// Otherwise the tail stays behind; helpers and post-drain
-			// walks advance it through the settled branch above.
-			if !q.combine || c.fs.CombineQuiet() {
-				q.dev.CAS(tailSlot, tail, node)
-			}
+			q.dev.CAS(tailSlot, tail, node)
 			return
 		}
 	}
@@ -268,7 +173,7 @@ func (q *Queue) Enqueue(c *Ctx, v uint64) {
 // when the call returns.
 func (q *Queue) Dequeue(c *Ctx) (uint64, bool) {
 	c.cache.Enter()
-	defer q.opEnd(c)
+	defer c.cache.Exit()
 	for {
 		head := q.dev.Load(headSlot)
 		tail := q.dev.Load(tailSlot)
@@ -278,40 +183,16 @@ func (q *Queue) Dequeue(c *Ctx) (uint64, bool) {
 				return 0, false
 			}
 			// Tail catch-up: the head must not pass the tail, so the
-			// lagging link has to become durable and the tail swing over
-			// it — adoption is not enough here, because the swing itself
-			// publishes the link into every other enqueuer's durable
-			// prefix. Our own buffered link drains (the one place the
-			// queue pays an exposure fence); a foreign one is committed
-			// by the conflict probe; anything else takes the eager
-			// persist.
-			off := tail + fNext
-			switch {
-			case q.combine && c.fs.CombineOwns(off):
-				q.dev.CombineDrain(&c.fs, pmem.DrainExpose)
-			case q.combine && q.dev.CombineProbe(&c.fs, off):
-				// committed by the probe
-			case q.dev.CombineSettled(off):
-				// already durable; swing without persisting
-			default:
-				q.persist(c, off)
-			}
+			// lagging link becomes durable and the tail swings over it.
+			q.persist(c, tail+fNext)
 			q.dev.CAS(tailSlot, tail, next)
 			continue
 		}
 		v := q.dev.Load(next + fVal)
 		if q.dev.CAS(headSlot, head, next) {
-			// The head swing: persisted before return, or deferred into
-			// the combine buffer. No conflict probe is needed on the link
-			// we dequeue across even if it is still buffered by its
-			// enqueuer: recovery walks forward from the persisted head,
-			// so a link behind the durable head is unreachable, and all
-			// head swings share one word — one line — so dequeues reach
-			// media suffix-atomically (see DESIGN.md).
-			q.publishDurable(c, headSlot)
-			// The head swing is durable (or drained by the publish):
-			// publish the verdict with the dequeued value so a replay
-			// after a crash can return it.
+			q.persist(c, headSlot)
+			// The head swing is durable: publish the verdict with the
+			// dequeued value so a replay after a crash can return it.
 			q.detectLinearized(c, true, v)
 			c.cache.Retire(head, fSize)
 			return v, true
@@ -373,19 +254,6 @@ func (q *Queue) Recover() {
 // Counters reports cumulative flushes and fences.
 func (q *Queue) Counters() (uint64, uint64) { return q.dev.Counters() }
 
-// CombineCounters reports fences absorbed by combining and the per-cause
-// drain tally; zeros when combining is off.
-func (q *Queue) CombineCounters() (uint64, pmem.DrainCauses) { return q.dev.CombineCounters() }
-
-// Drain commits this context's relaxed lines and combine buffer; used by
-// harnesses to quiesce before counting or hashing media.
-func (q *Queue) Drain(c *Ctx) {
-	q.dev.CommitRelaxed(&c.fs)
-	if q.combine {
-		q.dev.CombineDrain(&c.fs, pmem.DrainExplicit)
-	}
-}
-
 // Clients reports the number of reserved descriptor slots (0 = off).
 func (q *Queue) Clients() int { return q.clients }
 
@@ -413,12 +281,6 @@ func (q *Queue) detectLinearized(c *Ctx, result bool, rval uint64) {
 	if q.det == nil || !c.det.armed || c.det.delivered {
 		return
 	}
-	// A durable verdict asserts the operation's effect is durable; drain
-	// the combine buffer so the buffered linearizing install is fenced
-	// before the verdict can reach media.
-	if q.combine {
-		q.dev.CombineDrain(&c.fs, pmem.DrainDetect)
-	}
 	q.det.Publish(&c.fs, c.det.client, c.det.seq, result, rval)
 	c.det.delivered = true
 }
@@ -430,9 +292,6 @@ func (q *Queue) DetectEnd(c *Ctx, result bool) {
 		return
 	}
 	if !c.det.delivered {
-		if q.combine {
-			q.dev.CombineDrain(&c.fs, pmem.DrainDetect)
-		}
 		q.det.Publish(&c.fs, c.det.client, c.det.seq, result, 0)
 	}
 	q.det.End(&c.fs)

@@ -19,12 +19,6 @@ const (
 	// completed operation is visible but unfenced. Caught under evict+drop
 	// faults.
 	BugEvictionAdvancesWatermark
-	// BugDrainDropsFirstLine breaks fence combining (forces Config.Combine):
-	// every combined drain silently skips its first buffered line while the
-	// drained watermark still advances past its ticket. The affected
-	// operation is recorded as durably committed though its install never
-	// reached a fence — a loss the buffered checker may NOT excuse.
-	BugDrainDropsFirstLine
 )
 
 // NewBroken returns a MirrorDRAM engine with one seeded durability bug and
@@ -37,7 +31,6 @@ func NewBroken(cfg Config, bug Bug) Engine {
 	if bug != BugDropOwnFlush {
 		cfg.NoElide = false
 	}
-	cfg.Combine = cfg.Combine || bug == BugDrainDropsFirstLine
 	cfg.setDefaults()
 	e := newMirror(cfg)
 	switch bug {
@@ -45,8 +38,6 @@ func NewBroken(cfg Config, bug Bug) Engine {
 		e.mem.BreakOwnFlushForTest()
 	case BugEvictionAdvancesWatermark:
 		e.mem.P.BreakWatermarkForTest()
-	case BugDrainDropsFirstLine:
-		e.mem.P.BreakCombineForTest()
 	default:
 		panic(fmt.Sprintf("engine: unknown seeded bug %d", int(bug)))
 	}

@@ -289,11 +289,7 @@ func (e *directEngine) MakePersistent(c *Ctx, ref Ref, fields int) {
 }
 
 // Drain commits the relaxed-line registry on the eliding traversal
-// engine; the other direct engines defer nothing. Config.Combine is
-// accepted but inert on every direct engine: the Izraelevitz discipline
-// fences around each access and NVTraverse fences its critical section,
-// so neither has a post-linearization fence a combine buffer could
-// absorb.
+// engine; the other direct engines defer nothing.
 func (e *directEngine) Drain(c *Ctx) {
 	if e.elides() {
 		e.dev.CommitRelaxed(&c.fs)

@@ -93,14 +93,6 @@ type Ctx struct {
 	fs    pmem.FlushSet // direct engines: flush set of the single device
 	pa    patomic.Ctx   // mirror engines: persistent-replica flush set
 
-	// comb is the replica pair of the combining Mirror engine that created
-	// this context, nil on every other engine. The combining-only calls a
-	// structure makes (TraversalLoadAdopt, CASRelaxedExposeSafe,
-	// CombineOwnsField, CommitWitness) route on it — on what the context is
-	// bound to, never on the dynamic type of the engine value in hand, so a
-	// wrapper around the engine changes nothing.
-	comb *patomic.Mem
-
 	// det is the armed detectable-operation state (see detect.go);
 	// detPending holds verdicts deferred to the next DetectDrain (the
 	// batched-verdict protocol of the serving tier).
@@ -216,9 +208,8 @@ type Memory interface {
 
 	// Linearized publishes the armed detectable operation's commit
 	// verdict; data structures call it immediately after their linearizing
-	// install returns (at which point the install is durable, or buffered
-	// under the thread's undrained ticket, under every durable engine). A
-	// no-op when no detectable operation is armed.
+	// install returns (at which point the install is durable under every
+	// durable engine). A no-op when no detectable operation is armed.
 	Linearized(c *Ctx, result bool)
 }
 
@@ -230,9 +221,8 @@ type Lifecycle interface {
 	// NewCtx creates a per-thread context.
 	NewCtx() *Ctx
 	// Drain commits every durability obligation this context has
-	// deferred: its combine buffer (Config.Combine) and the device's
-	// relaxed-line registry. Quiesce points and media-equivalence tests
-	// call it; a no-op when nothing is deferred.
+	// deferred: the device's relaxed-line registry. Quiesce points and
+	// media-hash pins call it; a no-op when nothing is deferred.
 	Drain(c *Ctx)
 
 	// Freeze makes all device operations panic, unwinding in-flight
@@ -282,10 +272,10 @@ type Recovery interface {
 // (DetectBeginDeferred … DetectEndDeferred, then DetectDrain) records the
 // verdicts of a run of operations — across clients — in the context and
 // publishes them under one trailing End fence; only durability an engine
-// deferred for a linearizing install (a combine buffer, the Izraelevitz
-// install window) commits under a fence of its own first. Neither family
-// asks the caller when to fence the announce: the engine's write path does
-// it, before the armed operation's first install and only then.
+// deferred for a linearizing install (the Izraelevitz install window)
+// commits under a fence of its own first. Neither family asks the caller
+// when to fence the announce: the engine's write path does it, before the
+// armed operation's first install and only then.
 type Detector interface {
 	// Clients returns the configured detectable-client count; zero means
 	// detectability is off and the methods below must not be used (Detect
@@ -389,11 +379,6 @@ type Stats struct {
 	// DetectAnnounces and DetectVerdicts count descriptor-region announce
 	// and verdict publishes (zero with detectability off).
 	DetectAnnounces, DetectVerdicts uint64
-	// CombinedFences counts linearizing installs whose fence was deferred
-	// into a per-thread combined drain (Config.Combine); DrainCauses
-	// breaks down why those drains ran. Zero with combining off.
-	CombinedFences uint64
-	DrainCauses    pmem.DrainCauses
 }
 
 // Config describes an engine instance.
@@ -425,17 +410,6 @@ type Config struct {
 	// Zero defaults to DefaultDetectRing when Clients > 0; 1 reproduces
 	// the original single-slot layout.
 	DetectRing int
-	// Combine enables cross-operation fence combining on the Mirror
-	// engines: each thread buffers its linearizing installs' durability
-	// and drains them with one flush per line plus a single fence
-	// (capacity, epoch, conflict-probe, pre-verdict, and pre-free
-	// triggers; see pmem/combine.go). Completed operations may then
-	// vanish at a crash until their buffer drains — the buffered
-	// durable-linearizability contract. Requires elision (ignored under
-	// NoElide); the direct engines accept it and ignore it, since their
-	// disciplines fence reads or order writes and have no combinable
-	// post-linearization fence.
-	Combine bool
 	// Shards splits the engine across that many independent device
 	// shards, each a full sub-engine (own devices, allocator, descriptor
 	// region, recovery) with the keyspace hash-partitioned across them
@@ -473,74 +447,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Clients > 0 && c.DetectRing == 0 {
 		c.DetectRing = DefaultDetectRing
-	}
-}
-
-// CombineTickets returns a context's (last, drained) combining ticket
-// pair: the ticket of its most recent buffered linearization and the
-// watermark of its last completed drain. At a crash, a completed
-// operation whose ticket exceeds its thread's watermark may vanish or
-// take effect; at or below it, the operation reached a drain fence and
-// must survive. Both read zero with combining off, collapsing the
-// buffered crash contract back to plain durable linearizability. The
-// pair is plain Go state and stays readable after a crash.
-func CombineTickets(c *Ctx) (last, drained uint64) {
-	return c.pa.FS.CombineTickets()
-}
-
-// CombineOwnsField reports whether the cell (ref, field) lies on a line
-// this context's own combine buffer still holds — a linearization this
-// thread published but has not drained, or a foreign one it adopted. The
-// exposure rule only forbids shortcut writes that hide a thread's *own*
-// buffered linearization: a foreign one was committed by the conflict
-// probe when this thread loaded it, so structures use this predicate to
-// keep snipping foreign marked nodes eagerly. Constant false with
-// combining off.
-func CombineOwnsField(c *Ctx, ref Ref, field int) bool {
-	return c.comb != nil && c.pa.FS.CombineOwns(mirrorCell(ref, field))
-}
-
-// CASRelaxedExposeSafe is CASRelaxed minus the own-buffer exposure
-// drain. Use it only when the shortcut bypasses lines this thread does
-// NOT own in its combine buffer (checked via CombineOwnsField) — every
-// linearization it exposes was then probed durable by this thread's own
-// combined loads. With combining off there is no exposure drain to skip
-// and it is e.CASRelaxed.
-func CASRelaxedExposeSafe(e Memory, c *Ctx, ref Ref, field int, old, new uint64) bool {
-	if c.comb != nil {
-		ok, _ := c.comb.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.AuxiliaryExposeSafe)
-		return ok
-	}
-	return e.CASRelaxed(c, ref, field, old, new)
-}
-
-// TraversalLoadAdopt is TraversalLoad for loads inside *update*
-// operations' traversals. Under combining, a crossed foreign buffered
-// install is adopted into this thread's own buffer (no fence now; the
-// thread's next drain commits the whole witnessed path under one fence)
-// instead of being probed durable on the spot. The trade is sound only
-// for operations that either linearize with a ticketed install of their
-// own or call CommitWitness before returning a no-effect verdict —
-// traversals of plain read operations must keep TraversalLoad, whose
-// probe is their only durability barrier. With combining off it is
-// e.TraversalLoad.
-func TraversalLoadAdopt(e Memory, c *Ctx, ref Ref, field int) uint64 {
-	if c.comb != nil {
-		return c.comb.LoadFor(&c.pa, mirrorCell(ref, field), patomic.Adopting)
-	}
-	return e.TraversalLoad(c, ref, field)
-}
-
-// CommitWitness closes the adoption window before an update operation
-// returns a no-effect verdict (failed insert, absent-key delete): if
-// this thread adopted foreign lines during the traversal and holds no
-// undrained ticket of its own, the verdict is in the must-survive class
-// and its witnessed path must reach a fence first, so the buffer
-// drains. With an undrained ticket the verdict vanishes with the ticket
-// and no fence is due. No-op without combining.
-func CommitWitness(c *Ctx) {
-	if c.comb != nil {
-		c.comb.P.CombineWitness(&c.pa.FS)
 	}
 }
 

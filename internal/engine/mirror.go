@@ -43,7 +43,6 @@ func newMirror(cfg Config) *mirrorEngine {
 		Persistent: true,
 		Track:      cfg.Track,
 		Elide:      !cfg.NoElide,
-		Combine:    cfg.Combine,
 		Model:      pModel,
 		MediaPath:  cfg.MediaPath,
 	})
@@ -100,13 +99,10 @@ func (e *mirrorEngine) NewCtx() *Ctx {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c := &Ctx{Cache: palloc.NewCache(e.alloc, e.recl)}
-	if e.mem.P.Combines() {
-		c.comb = &e.mem
-	}
 	if e.mem.P.Elides() {
 		// Before a drain batch frees anything, commit everything deferred:
 		// the media must never hold a pointer into reused memory.
-		c.Cache.PreFree = func() { e.commitDeferred(c, pmem.DrainPreFree) }
+		c.Cache.PreFree = func() { e.Drain(c) }
 	}
 	return c
 }
@@ -116,27 +112,11 @@ func mirrorCell(ref Ref, field int) uint64 {
 	return ref + uint64(field)*patomic.CellWords
 }
 
-// commitDeferred commits everything c has deferred: the relaxed-line
-// registry first (which under combining already holds every buffered
-// line), then the combine buffer, whose drain then finds its lines durable
-// and merely advances the drained-ticket watermark. Each call is a no-op on
-// a device without that capability.
-func (e *mirrorEngine) commitDeferred(c *Ctx, cause pmem.DrainCause) {
-	e.mem.P.CommitRelaxed(&c.pa.FS)
-	e.mem.P.CombineDrain(&c.pa.FS, cause)
-}
-
 func (e *mirrorEngine) OpBegin(c *Ctx) { c.Cache.Enter() }
 
-// OpEnd needs no durability barrier without combining: every Mirror write
-// is durable before it is visible, so a completed operation is durable by
-// construction. With combining, the per-thread epoch pulse bounds how many
-// of the owner's operations a buffered linearization can outlive before a
-// drain fences it.
-func (e *mirrorEngine) OpEnd(c *Ctx) {
-	e.mem.P.CombineTick(&c.pa.FS)
-	c.Cache.Exit()
-}
+// OpEnd needs no durability barrier: every Mirror write is durable before
+// it is visible, so a completed operation is durable by construction.
+func (e *mirrorEngine) OpEnd(c *Ctx) { c.Cache.Exit() }
 
 func (e *mirrorEngine) Alloc(c *Ctx, fields int) Ref {
 	return c.Cache.Alloc(fields * patomic.CellWords)
@@ -159,17 +139,13 @@ func (e *mirrorEngine) Retire(c *Ctx, ref Ref, fields int) {
 }
 
 func (e *mirrorEngine) Load(c *Ctx, ref Ref, field int) uint64 {
-	return e.mem.LoadFor(&c.pa, mirrorCell(ref, field), patomic.Traversal)
+	return e.mem.Load(mirrorCell(ref, field))
 }
 
 // TraversalLoad is identical to Load: Mirror never persists reads, which is
-// precisely why it needs no traversal/critical distinction. Combining
-// qualifies that claim: a read that observes another thread's buffered
-// install commits it first (the conflict probe), trading FliT-style
-// read-side flushes in the conflicting case for fewer write-side fences
-// everywhere else.
+// precisely why it needs no traversal/critical distinction.
 func (e *mirrorEngine) TraversalLoad(c *Ctx, ref Ref, field int) uint64 {
-	return e.mem.LoadFor(&c.pa, mirrorCell(ref, field), patomic.Traversal)
+	return e.mem.Load(mirrorCell(ref, field))
 }
 
 func (e *mirrorEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
@@ -179,7 +155,7 @@ func (e *mirrorEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
 
 func (e *mirrorEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
 	e.announceBarrier(c)
-	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Linearizing)
+	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Full)
 	return ok
 }
 
@@ -195,7 +171,8 @@ func (e *mirrorEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64
 
 func (e *mirrorEngine) MakePersistent(c *Ctx, ref Ref, fields int) {}
 
-func (e *mirrorEngine) Drain(c *Ctx) { e.commitDeferred(c, pmem.DrainExplicit) }
+// Drain commits the relaxed-line registry (a no-op on a non-eliding device).
+func (e *mirrorEngine) Drain(c *Ctx) { e.mem.P.CommitRelaxed(&c.pa.FS) }
 
 func (e *mirrorEngine) RootRef() Ref { return rootBase }
 
@@ -259,31 +236,15 @@ func (e *mirrorEngine) RecoveryLoad(ref Ref, field int) uint64 {
 
 func (e *mirrorEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.pa.FS }
 
-// settle: a plain Mirror install is durable before it is visible, so only
-// deferred durability can trail a verdict. Without combining that is nothing
-// a verdict testifies to: the relaxed-line registry holds Auxiliary lines
-// only, so a batch of deferred verdicts merely flushes it into the context's
-// flush set and lets the lines commit under the verdicts' own End fence.
-// With combining the thread's combine buffer — and the registry, which then
-// also holds every buffered linearization — must commit under a fence of its
-// own first, including the buffered installs of the thread's *earlier*
-// operations, whose committed verdict chain (slot moved past seq implies
-// committed) the Detect protocol leans on. In batched mode nothing publishes
-// at Linearized, so nothing is settled there.
+// settle: a Mirror install is durable before it is visible, so only deferred
+// durability can trail a verdict, and that is nothing a verdict testifies to:
+// the relaxed-line registry holds Auxiliary lines only. A batch of deferred
+// verdicts merely flushes it into the context's flush set and lets the lines
+// commit under the verdicts' own End fence.
 func (e *mirrorEngine) settle(c *Ctx, at verdictPoint) {
-	switch at {
-	case atLinearized:
-		if c.det.deferred {
-			return
-		}
-	case atDrain:
-		if !e.mem.P.Combines() {
-			e.mem.P.FlushRelaxed(&c.pa.FS)
-			return
-		}
-		e.mem.P.CommitRelaxed(&c.pa.FS)
+	if at == atDrain {
+		e.mem.P.FlushRelaxed(&c.pa.FS)
 	}
-	e.mem.P.CombineDrain(&c.pa.FS, pmem.DrainDetect)
 }
 
 // CheckInvariants verifies the per-cell replica invariants (Lemmas 5.3–5.5)
@@ -311,7 +272,6 @@ func (e *mirrorEngine) Stats() Stats {
 		ElidedFlushes: ef, ElidedFences: en,
 		PiggybackedFences: pb, RelaxedCAS: rx,
 	}
-	s.CombinedFences, s.DrainCauses = e.mem.P.CombineCounters()
 	if e.desc != nil {
 		s.DetectAnnounces, s.DetectVerdicts = e.desc.Counters()
 	}

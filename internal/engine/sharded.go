@@ -11,8 +11,8 @@ import (
 
 // Sharded spans N independent device shards, each a complete sub-engine of
 // the configured kind: its own devices, allocator, reclaimer, descriptor
-// slots, elision watermarks, and combine buffers. The keyspace is
-// hash-partitioned across the shards (pmem.ShardOf), and every property the
+// slots, and elision watermarks. The keyspace is hash-partitioned
+// across the shards (pmem.ShardOf), and every property the
 // single-device engines establish — durable-before-visible installs, the
 // pre-free drain gate, descriptor soundness — holds per shard because each
 // shard *is* a single-device engine. The parent is a router: it owns no
@@ -23,8 +23,8 @@ import (
 //
 // Per-shard allocators fall out of the composition: each sub-engine owns
 // its allocator, so PreFree drain gating is shard-local — a drain batch on
-// shard i commits only shard i's relaxed lines and combine buffer, never
-// stalling on another shard's device.
+// shard i commits only shard i's relaxed lines, never stalling on another
+// shard's device.
 type Sharded struct {
 	kind    Kind
 	shards  int
@@ -211,9 +211,8 @@ func (e *Sharded) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64) {
 // verdict may persist, the operation's effect must be durable wherever it
 // landed: the direct durable engines fenced it at the sub-operation's
 // OpEnd, and Mirror installs are durable before visible — except for
-// deferred durability (relaxed lines, combine buffers), which Drain commits
-// on every shard first. Then the slot shard publishes and fences the
-// verdict.
+// deferred durability (relaxed lines), which Drain commits on every shard
+// first. Then the slot shard publishes and fences the verdict.
 func (e *Sharded) DetectEnd(c *Ctx, result bool) {
 	if !c.det.armed {
 		return
@@ -309,14 +308,6 @@ func addStats(a *Stats, b Stats) {
 	a.RelaxedCAS += b.RelaxedCAS
 	a.DetectAnnounces += b.DetectAnnounces
 	a.DetectVerdicts += b.DetectVerdicts
-	a.CombinedFences += b.CombinedFences
-	a.DrainCauses.Capacity += b.DrainCauses.Capacity
-	a.DrainCauses.Epoch += b.DrainCauses.Epoch
-	a.DrainCauses.Conflict += b.DrainCauses.Conflict
-	a.DrainCauses.Detect += b.DrainCauses.Detect
-	a.DrainCauses.PreFree += b.DrainCauses.PreFree
-	a.DrainCauses.Expose += b.DrainCauses.Expose
-	a.DrainCauses.Explicit += b.DrainCauses.Explicit
 }
 
 // Stats rolls the shards' statistics up field-wise.

@@ -93,14 +93,6 @@ type Spec struct {
 	// with linearize.CheckDurable is a violation like any other:
 	// shrinkable and replayable.
 	Detect bool
-	// Combine enables cross-operation fence combining (engine
-	// Config.Combine). The run then checks *buffered* durable
-	// linearizability: each worker records its combine-buffer commit
-	// ticket per operation, and a completed op whose ticket is above the
-	// worker's drained watermark at the crash may legally vanish
-	// (linearize.CheckDurableBuffered). Ops at or below the watermark were
-	// fenced and must survive — a drain that loses one is a violation.
-	Combine bool
 	// Shards > 1 runs the workload on a sharded engine (engine.Sharded)
 	// with that many device shards, routed through structures.Sharded.
 	// Faults are injected independently per shard (pmem.ShardFaultModels)
@@ -122,9 +114,6 @@ func (s Spec) String() string {
 	}
 	if s.Detect {
 		str += " -detect"
-	}
-	if s.Combine {
-		str += " -combine"
 	}
 	return str
 }
@@ -303,7 +292,7 @@ func Run(spec Spec) *Result {
 	if nsh < 1 {
 		nsh = 1
 	}
-	cfg := engine.Config{Kind: spec.Kind, Words: words, Track: true, Clients: clients, Combine: spec.Combine, Shards: spec.Shards}
+	cfg := engine.Config{Kind: spec.Kind, Words: words, Track: true, Clients: clients, Shards: spec.Shards}
 	// A run is on one engine (ue) or one sharded router (se); e is whichever
 	// it is, behind the roles both honour.
 	var e engine.Host
@@ -358,7 +347,6 @@ func Run(spec Spec) *Result {
 
 	hist := linearize.NewHistory()
 	dets := make([]*detectableSet, spec.Schedule.Workers)
-	wctxs := make([]*engine.Ctx, spec.Schedule.Workers)
 	if built {
 		var wg sync.WaitGroup
 		for w := 0; w < spec.Schedule.Workers; w++ {
@@ -367,37 +355,15 @@ func Run(spec Spec) *Result {
 				defer wg.Done()
 				guard(func() {
 					c := e.NewCtx()
-					wctxs[w] = c
 					rset := set
 					if spec.Detect {
 						dets[w] = &detectableSet{Set: set, e: e, client: w, results: map[uint64]bool{}}
 						rset = dets[w]
 					}
 					rec := hist.Record(rset, w)
-					if spec.Combine && se == nil {
-						// Stamp each op with the worker's combine-buffer
-						// commit ticket so the post-crash check knows which
-						// completed ops were still unfenced.
-						rec.TicketFn = func() uint64 {
-							last, _ := engine.CombineTickets(c)
-							return last
-						}
-					}
 					rng := rand.New(rand.NewSource(spec.Seed*1000 + int64(w)))
 					for i := 0; i < spec.Schedule.OpsPer; i++ {
 						key := uint64(1 + rng.Intn(spec.Schedule.Keys))
-						if spec.Combine && se != nil {
-							// Per-shard ticket spaces are incomparable, so
-							// stamp each op with its routed shard's ticket.
-							// TicketFn is called synchronously after each op
-							// by this worker's recorder, so reassigning it
-							// per op is race-free.
-							sc := c.Sub(pmem.ShardOf(key, nsh))
-							rec.TicketFn = func() uint64 {
-								last, _ := engine.CombineTickets(sc)
-								return last
-							}
-						}
 						switch rng.Intn(4) {
 						case 0, 1: // insert-heavy so state accumulates
 							rec.Insert(c, key, key)
@@ -430,42 +396,6 @@ func Run(spec Spec) *Result {
 	}
 	for _, d := range devs {
 		res.MediaHash = res.MediaHash*fnvPrime ^ d.MediaHash()
-	}
-
-	// Snapshot each worker's drained watermark as of the crash: completed
-	// ops ticketed above it were linearized but possibly never fenced, so
-	// the buffered checker lets them vanish. The per-context tickets are
-	// plain Go state and survive the simulated power cut — which is the
-	// point: they are the *recording's* knowledge, not the media's.
-	var mayVanish func(linearize.Op) bool
-	if spec.Combine && se != nil {
-		// One watermark per (worker, shard): ops were ticketed in their
-		// routed shard's ticket space, so each compares against that
-		// shard's drained watermark (recomputed from the op's key).
-		drained := make([][]uint64, spec.Schedule.Workers)
-		for w, wc := range wctxs {
-			drained[w] = make([]uint64, nsh)
-			if wc == nil {
-				continue
-			}
-			for s := 0; s < nsh; s++ {
-				_, drained[w][s] = engine.CombineTickets(wc.Sub(s))
-			}
-		}
-		mayVanish = func(op linearize.Op) bool {
-			return op.Thread < len(drained) &&
-				op.Ticket > drained[op.Thread][pmem.ShardOf(op.Key, nsh)]
-		}
-	} else if spec.Combine {
-		drained := make([]uint64, spec.Schedule.Workers)
-		for w, wc := range wctxs {
-			if wc != nil {
-				_, drained[w] = engine.CombineTickets(wc)
-			}
-		}
-		mayVanish = func(op linearize.Op) bool {
-			return op.Thread < len(drained) && op.Ticket > drained[op.Thread]
-		}
 	}
 
 	// Recovery must neither panic nor leave a broken structure behind.
@@ -605,9 +535,8 @@ func Run(spec Spec) *Result {
 		return final
 	}
 	final := scan()
-	// Durable linearizability of the recorded history against that state
-	// (buffered variant when combining: unfenced completed ops may vanish).
-	if err := linearize.CheckDurableBuffered(hist, nil, final, mayVanish); err != nil {
+	// Durable linearizability of the recorded history against that state.
+	if err := linearize.CheckDurable(hist, nil, final); err != nil {
 		res.addf("%v (completed=%d pending=%d state=%v)", err, len(hist.Ops), len(hist.Pending), final)
 	}
 
@@ -651,7 +580,7 @@ func Run(spec Spec) *Result {
 			fsckAll("post-replay ")
 			invariantsAll("post-replay ")
 			final = scan()
-			if err := linearize.CheckDurableBuffered(hist, nil, final, mayVanish); err != nil {
+			if err := linearize.CheckDurable(hist, nil, final); err != nil {
 				res.addf("post-replay %v (completed=%d pending=%d state=%v)", err, len(hist.Ops), len(hist.Pending), final)
 			}
 		}
@@ -673,16 +602,17 @@ func Calibrate(spec Spec) int64 {
 	return Run(spec).OpsTotal
 }
 
-// Shrink greedily reduces a failing spec while it keeps failing: fewer
-// workers first (a Workers=1 reproducer is exactly replayable), then fewer
-// ops, fewer keys, and earlier crash points. It returns the minimal spec
-// and its failing result; if the input spec does not fail, it is returned
-// unchanged with its (passing) result.
-func Shrink(spec Spec) (Spec, *Result) {
+// Shrink greedily reduces a spec whose run gave the failing result failed,
+// while it keeps failing: fewer workers first (a Workers=1 reproducer is
+// exactly replayable), then fewer ops, fewer keys, and earlier crash points.
+// It returns the minimal spec and its failing result. A multi-worker run is
+// not replayable, so the spec may pass when run again; there is then nothing
+// to shrink against, and the spec comes back unchanged with failed itself.
+func Shrink(spec Spec, failed *Result) (Spec, *Result) {
 	spec.Schedule.setDefaults()
 	best := Run(spec)
 	if !best.Failed() {
-		return spec, best
+		return spec, failed
 	}
 	for changed := true; changed; {
 		changed = false

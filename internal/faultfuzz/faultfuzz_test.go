@@ -121,7 +121,7 @@ func TestDetectDoesNotMaskBrokenMirror(t *testing.T) {
 			attempts++
 			if res := Run(spec); res.Failed() {
 				t.Logf("caught after %d attempts: %v\n  %s", attempts, spec, res.Violations[0])
-				small, sres := Shrink(spec)
+				small, sres := Shrink(spec, res)
 				if !sres.Failed() {
 					t.Fatalf("shrink lost the failure: %v", small)
 				}
@@ -198,7 +198,7 @@ hunt:
 	t.Logf("caught after %d attempts: %v\n  %s", attempts, *caught, firstFail.Violations[0])
 
 	// Shrink to a minimal reproducer; it must still fail.
-	small, res := Shrink(*caught)
+	small, res := Shrink(*caught, firstFail)
 	if !res.Failed() {
 		t.Fatalf("shrink lost the failure: %v", small)
 	}
@@ -259,7 +259,7 @@ hunt:
 	}
 	t.Logf("caught after %d attempts: %v\n  %s", attempts, *caught, firstFail.Violations[0])
 
-	small, res := Shrink(*caught)
+	small, res := Shrink(*caught, firstFail)
 	if !res.Failed() {
 		t.Fatalf("shrink lost the failure: %v", small)
 	}
@@ -299,138 +299,52 @@ func TestUnbrokenMirrorNotCaught(t *testing.T) {
 	}
 }
 
-// TestCombineAllEnginesAllFaults is the combining sweep: every durable
-// engine and structure under the full fault mix with Config.Combine set.
-// Mirror engines defer linearizing fences into per-thread combine
-// buffers, so the run checks *buffered* durable linearizability (unfenced
-// completed ops may vanish, fenced ones must not); the direct engines
-// accept and ignore the flag, pinning that it cannot hurt them.
-func TestCombineAllEnginesAllFaults(t *testing.T) {
-	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
-	for _, structure := range Structures() {
-		for _, kind := range durableKinds() {
-			structure, kind := structure, kind
-			t.Run(fmt.Sprintf("%s/%s", structure, kind), func(t *testing.T) {
-				t.Parallel()
-				fuzzRounds(t, Spec{
-					Structure: structure,
-					Kind:      kind,
-					Faults:    all,
-					Combine:   true,
-					Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
-				}, []int64{21, 22, 23})
-			})
-		}
-	}
-}
-
-// TestCombineDetectMirror crosses combining with detectability on the
-// Mirror engines: every operation's verdict publish forces a pre-verdict
-// combine drain, so verdicts must keep agreeing with (buffered) durable
-// linearizability and the exactly-once replay must stay clean.
-func TestCombineDetectMirror(t *testing.T) {
-	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
-	for _, structure := range []string{"list", "bst"} {
-		for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM} {
-			structure, kind := structure, kind
-			t.Run(fmt.Sprintf("%s/%s", structure, kind), func(t *testing.T) {
-				t.Parallel()
-				fuzzRounds(t, Spec{
-					Structure: structure,
-					Kind:      kind,
-					Faults:    all,
-					Combine:   true,
-					Detect:    true,
-					Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
-				}, []int64{31, 32})
-			})
-		}
-	}
-}
-
-// TestBrokenCombineCaught is the combining acceptance self-test: a Mirror
-// engine whose combine drain silently skips the first buffered line while
-// still advancing the drained watermark (engine.BugDrainDropsFirstLine)
-// records operations as durably committed (ticket <= drained) whose
-// installs never reached a fence. The buffered checker must NOT excuse
-// them — a drop-fate crash that loses such a line loses a completed,
-// supposedly-fenced operation — and the fuzzer must catch it within a
-// bounded budget, shrink the spec without losing the Combine flag, and
-// replay the reproducer deterministically.
-func TestBrokenCombineCaught(t *testing.T) {
-	base := Spec{
-		Structure: "list",
-		Kind:      engine.MirrorDRAM,
-		Faults:    pmem.FaultSpec{Torn: true, Drop: true},
-		NewEngine: broken(engine.BugDrainDropsFirstLine),
-		Combine:   true,
-		// Workers=1 keeps every attempt exactly replayable.
-		Schedule: Schedule{Workers: 1, OpsPer: 10, Keys: 4},
-	}
-	var caught *Spec
-	var firstFail *Result
-	attempts := 0
-hunt:
-	for seed := int64(1); seed <= 30; seed++ {
-		spec := base
-		spec.Seed = seed
-		total := Calibrate(spec)
-		for _, frac := range []int64{2, 3, 4, 5} {
-			spec.Schedule.CrashAt = 1 + total*(frac-1)/frac%total
-			attempts++
-			if res := Run(spec); res.Failed() {
-				caught, firstFail = &spec, res
-				break hunt
-			}
-		}
-	}
-	if caught == nil {
-		t.Fatalf("seeded combine-drain bug not caught in %d attempts", attempts)
-	}
-	t.Logf("caught after %d attempts: %v\n  %s", attempts, *caught, firstFail.Violations[0])
-
-	small, res := Shrink(*caught)
-	if !res.Failed() {
-		t.Fatalf("shrink lost the failure: %v", small)
-	}
-	if !small.Combine {
-		t.Fatalf("shrink dropped the combine flag: %v", small)
-	}
-	t.Logf("shrunk reproducer: %v (%d violations)", small, len(res.Violations))
-
-	r1 := Run(small)
-	r2 := Run(small)
-	if !r1.Failed() || !r2.Failed() {
-		t.Fatalf("replay of shrunk reproducer did not fail (r1=%v r2=%v)", r1.Violations, r2.Violations)
-	}
-	if r1.MediaHash != r2.MediaHash {
-		t.Fatalf("replays produced different media images: %#x vs %#x", r1.MediaHash, r2.MediaHash)
-	}
-	if r1.CrashedAt != r2.CrashedAt {
-		t.Fatalf("replays crashed at different ops: %d vs %d", r1.CrashedAt, r2.CrashedAt)
-	}
-}
-
-// TestUnbrokenCombineNotCaught is the control: the same hunt against the
-// correct combining engine must come up empty — buffered ops that vanish
-// are excused by their tickets, fenced ops survive their drains.
-func TestUnbrokenCombineNotCaught(t *testing.T) {
+// TestShrinkKeepsUnreproducibleFailure pins what Shrink does with a failure
+// that does not recur: a multi-worker run is not replayable, so the spec a
+// fuzzer hands over may pass when Shrink runs it again. The caller reports
+// Violations[0] of whatever comes back, so Shrink must return the failing
+// result it was given, with the spec unshrunk — never a passing one.
+func TestShrinkKeepsUnreproducibleFailure(t *testing.T) {
+	runs := 0
 	spec := Spec{
 		Structure: "list",
 		Kind:      engine.MirrorDRAM,
 		Faults:    pmem.FaultSpec{Torn: true, Drop: true},
-		Combine:   true,
 		Schedule:  Schedule{Workers: 1, OpsPer: 10, Keys: 4},
+		// Only the first engine built carries the seeded bug.
+		NewEngine: func(cfg engine.Config) engine.Engine {
+			if runs++; runs == 1 {
+				return engine.NewBroken(cfg, engine.BugDropOwnFlush)
+			}
+			return engine.New(cfg)
+		},
 	}
-	for seed := int64(1); seed <= 10; seed++ {
+	total := Calibrate(spec)
+	var failed *Result
+hunt:
+	for seed := int64(1); seed <= 30; seed++ {
 		spec.Seed = seed
-		total := Calibrate(spec)
-		for _, frac := range []int64{2, 3, 4} {
+		for _, frac := range []int64{2, 3, 4, 5} {
 			spec.Schedule.CrashAt = 1 + total*(frac-1)/frac%total
+			runs = 0
 			if res := Run(spec); res.Failed() {
-				t.Fatalf("correct combining engine flagged: %v: %v", spec, res.Violations)
+				failed = res
+				break hunt
 			}
 		}
+	}
+	if failed == nil {
+		t.Fatal("the seeded bug was never caught on a first run")
+	}
+	if again := Run(spec); again.Failed() {
+		t.Fatalf("the hook failed a second run: %v", again.Violations)
+	}
+	small, res := Shrink(spec, failed)
+	if res != failed {
+		t.Fatalf("Shrink returned %+v, want the failing result it was given", res)
+	}
+	if small.Schedule != spec.Schedule {
+		t.Fatalf("Shrink reduced a spec it could not re-fail: %v -> %v", spec.Schedule, small.Schedule)
 	}
 }
 

@@ -73,23 +73,3 @@ func TestShardedDetectable(t *testing.T) {
 		})
 	}
 }
-
-// TestShardedCombine runs fence combining on 2-shard Mirror engines: each
-// shard owns its own per-thread combine buffers, so the drained-ticket
-// watermark the checker consults is per (worker, shard).
-func TestShardedCombine(t *testing.T) {
-	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
-	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM} {
-		t.Run(fmt.Sprintf("skiplist/%s", kind), func(t *testing.T) {
-			t.Parallel()
-			fuzzRounds(t, Spec{
-				Structure: "skiplist",
-				Kind:      kind,
-				Faults:    all,
-				Combine:   true,
-				Shards:    2,
-				Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
-			}, []int64{41, 42})
-		})
-	}
-}

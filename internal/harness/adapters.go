@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"mirror/internal/cmapkv"
-	"mirror/internal/durablequeue"
 	"mirror/internal/engine"
 	"mirror/internal/structures"
 	"mirror/internal/structures/bst"
@@ -27,10 +26,6 @@ const (
 	StHash     = "hashtable"
 	StBST      = "bst"
 	StSkipList = "skiplist"
-	// StQueue names the Michael–Scott durable queue in the fence-combining
-	// ablation panels. It is not part of the set-structure panels: its
-	// operations are Enqueue/Dequeue, driven through update-only mixes.
-	StQueue = "queue"
 )
 
 // Competitor builds one line of a panel.
@@ -182,7 +177,6 @@ func engineConfig(kind engine.Kind, structure string, o Options, keyRange int) (
 		Latency:      o.Latency,
 		Track:        false, // benchmarks never crash
 		NoElide:      o.NoElide,
-		Combine:      o.Combine,
 		Clients:      clients,
 		Shards:       o.Shards,
 		NUMARemoteNS: o.NUMARemoteNS,
@@ -236,47 +230,6 @@ func engineCompetitor(kind engine.Kind, structure string) Competitor {
 			return t
 		},
 	}
-}
-
-// queueWorker adapts the durable Michael–Scott queue to the workload
-// interface: Insert enqueues the key (always succeeds), Delete dequeues
-// (false on empty). Contains is a no-op — queue points run update-only
-// mixes, where a balanced enqueue/dequeue split keeps the length stable
-// around the prefill.
-type queueWorker struct {
-	q *durablequeue.Queue
-	c *durablequeue.Ctx
-}
-
-func (w *queueWorker) Insert(key, val uint64) bool { w.q.Enqueue(w.c, key); return true }
-func (w *queueWorker) Delete(key uint64) bool      { _, ok := w.q.Dequeue(w.c); return ok }
-func (w *queueWorker) Contains(key uint64) bool    { return false }
-
-// buildQueueTarget constructs the durable queue sized for a prefill of
-// keyRange/2 elements and returns the workload target plus the queue, so
-// the JSON matrix can read its persistence and combining counters around
-// a run. The queue is its own persistent device (not an engine.Kind);
-// Options.Latency selects the NVMM latency model and Options.NoElide /
-// Options.Combine select the write-path ablation, exactly as for the
-// engine-backed structures.
-func buildQueueTarget(o Options, keyRange int) (workload.Target, *durablequeue.Queue) {
-	words := keyRange*4*3 + 1<<18
-	if words < 1<<20 {
-		words = 1 << 20
-	}
-	q := durablequeue.New(durablequeue.Config{
-		Words:   words,
-		Latency: o.Latency,
-		Track:   false, // benchmarks never crash
-		NoElide: o.NoElide,
-		Combine: o.Combine,
-	})
-	return workload.Target{
-		Name: "queue/DurableQueue",
-		NewWorker: func() workload.Worker {
-			return &queueWorker{q: q, c: q.NewCtx()}
-		},
-	}, q
 }
 
 // zurielWorker adapts a zuriel.Set.

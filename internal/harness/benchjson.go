@@ -53,25 +53,6 @@ type BenchPoint struct {
 	DetectAnnounces uint64 `json:"detect_announces,omitempty"`
 	DetectVerdicts  uint64 `json:"detect_verdicts,omitempty"`
 
-	// Fence-combining ablation fields, set only on the panels appended by
-	// AppendCombineAblation. Combine marks whether the point ran with
-	// per-thread write buffers; UpdatePct is the panel's update percentage
-	// (the base matrix runs the fixed 80/10/10 mix and omits both).
-	Combine   bool `json:"combine,omitempty"`
-	UpdatePct int  `json:"update_pct,omitempty"`
-	// CombinedFences counts linearizing installs whose fence was absorbed
-	// into a combine-buffer drain; the drain_* fields break the drains
-	// down by trigger (pmem.DrainCauses deltas). All zero/omitted when the
-	// point ran without combining.
-	CombinedFences uint64 `json:"combined_fences,omitempty"`
-	DrainCapacity  uint64 `json:"drain_capacity,omitempty"`
-	DrainEpoch     uint64 `json:"drain_epoch,omitempty"`
-	DrainConflict  uint64 `json:"drain_conflict,omitempty"`
-	DrainDetect    uint64 `json:"drain_detect,omitempty"`
-	DrainPreFree   uint64 `json:"drain_prefree,omitempty"`
-	DrainExpose    uint64 `json:"drain_expose,omitempty"`
-	DrainExplicit  uint64 `json:"drain_explicit,omitempty"`
-
 	// Sharded-substrate ablation fields, set only on the panels appended by
 	// AppendShardAblation. Shards is the device shard count the point ran
 	// on (1 = the classic single-device engine, the baseline row);
@@ -109,10 +90,6 @@ type BenchOptions struct {
 	// Detect records that every operation ran through a detectable bracket
 	// (the descriptor-overhead ablation run).
 	Detect bool `json:"detect,omitempty"`
-	// Combine records that the fence-combining ablation panels (update-only
-	// list and queue, per-point combine on/off in the same session) were
-	// appended to the report.
-	Combine bool `json:"combine,omitempty"`
 	// Shards records the shard-count sweep of the sharded-substrate
 	// ablation panels appended by AppendShardAblation.
 	Shards []int `json:"shards,omitempty"`
@@ -287,120 +264,6 @@ func RunBenchMatrix(o Options, structs []string, kinds []engine.Kind, threads []
 		}
 	}
 	return r
-}
-
-// CombineUpdatePct is the update percentage of the fence-combining
-// ablation panels: an update-only mix, where every operation pays a
-// linearizing fence on the eager path and the combining win is largest
-// and cleanest to attribute.
-const CombineUpdatePct = 100
-
-// AppendCombineAblation appends the fence-combining ablation panels to a
-// report: the sorted list under both Mirror engines and the durable
-// Michael–Scott queue, each measured at an update-only mix with combining
-// off and then on in the same session. The off points are the floor the
-// combined fence counts are judged against — same host, same build, same
-// mix — and every combined point carries its combined-fence total and
-// per-trigger drain breakdown. The base matrix is left untouched (and
-// comparable to earlier reports).
-func AppendCombineAblation(r *BenchReport, o Options, threads []int) {
-	o.setDefaults()
-	if len(threads) == 0 {
-		threads = o.Threads
-	}
-	o.Threads = threads
-	r.Options.Combine = true
-	keyRange := (8 << 20) / o.Scale
-	if keyRange < 64 {
-		keyRange = 64
-	}
-	mix := workload.UpdateMix(CombineUpdatePct)
-	run := func(target workload.Target, th int) workload.Result {
-		return workload.Run(target, workload.Spec{
-			KeyRange: uint64(keyRange),
-			Mix:      mix,
-			Threads:  th,
-			Duration: o.Duration,
-			Seed:     o.Seed,
-		})
-	}
-	// Sorted list under both Mirror replica placements.
-	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM} {
-		for _, combine := range []bool{false, true} {
-			oo := o
-			oo.Combine = combine
-			target, e := buildEngineTarget(kind, StList, oo, keyRange)
-			workload.PrefillHalf(target, uint64(keyRange), oo.Seed)
-			for _, th := range threads {
-				fl0, fe0 := e.Counters()
-				s0 := e.Stats()
-				res := run(target, th)
-				fl1, fe1 := e.Counters()
-				s1 := e.Stats()
-				r.Points = append(r.Points, BenchPoint{
-					Structure:         StList,
-					Engine:            kind.String(),
-					Threads:           th,
-					KeyRange:          keyRange,
-					Mops:              res.MopsPerSec(),
-					Ops:               res.Ops,
-					Flushes:           fl1 - fl0,
-					Fences:            fe1 - fe0,
-					Helps:             s1.Helps - s0.Helps,
-					Retries:           s1.Retries - s0.Retries,
-					ElidedFlushes:     s1.ElidedFlushes - s0.ElidedFlushes,
-					ElidedFences:      s1.ElidedFences - s0.ElidedFences,
-					PiggybackedFences: s1.PiggybackedFences - s0.PiggybackedFences,
-					RelaxedCAS:        s1.RelaxedCAS - s0.RelaxedCAS,
-					Combine:           combine,
-					UpdatePct:         CombineUpdatePct,
-					CombinedFences:    s1.CombinedFences - s0.CombinedFences,
-					DrainCapacity:     s1.DrainCauses.Capacity - s0.DrainCauses.Capacity,
-					DrainEpoch:        s1.DrainCauses.Epoch - s0.DrainCauses.Epoch,
-					DrainConflict:     s1.DrainCauses.Conflict - s0.DrainCauses.Conflict,
-					DrainDetect:       s1.DrainCauses.Detect - s0.DrainCauses.Detect,
-					DrainPreFree:      s1.DrainCauses.PreFree - s0.DrainCauses.PreFree,
-					DrainExpose:       s1.DrainCauses.Expose - s0.DrainCauses.Expose,
-					DrainExplicit:     s1.DrainCauses.Explicit - s0.DrainCauses.Explicit,
-				})
-			}
-		}
-	}
-	// Durable Michael–Scott queue (its own persistent device; not an
-	// engine.Kind, so the elision/help statistics columns stay zero).
-	for _, combine := range []bool{false, true} {
-		oo := o
-		oo.Combine = combine
-		target, q := buildQueueTarget(oo, keyRange)
-		workload.PrefillHalf(target, uint64(keyRange), oo.Seed)
-		for _, th := range threads {
-			fl0, fe0 := q.Counters()
-			cf0, dc0 := q.CombineCounters()
-			res := run(target, th)
-			fl1, fe1 := q.Counters()
-			cf1, dc1 := q.CombineCounters()
-			r.Points = append(r.Points, BenchPoint{
-				Structure:      StQueue,
-				Engine:         "DurableQueue",
-				Threads:        th,
-				KeyRange:       keyRange,
-				Mops:           res.MopsPerSec(),
-				Ops:            res.Ops,
-				Flushes:        fl1 - fl0,
-				Fences:         fe1 - fe0,
-				Combine:        combine,
-				UpdatePct:      CombineUpdatePct,
-				CombinedFences: cf1 - cf0,
-				DrainCapacity:  dc1.Capacity - dc0.Capacity,
-				DrainEpoch:     dc1.Epoch - dc0.Epoch,
-				DrainConflict:  dc1.Conflict - dc0.Conflict,
-				DrainDetect:    dc1.Detect - dc0.Detect,
-				DrainPreFree:   dc1.PreFree - dc0.PreFree,
-				DrainExpose:    dc1.Expose - dc0.Expose,
-				DrainExplicit:  dc1.Explicit - dc0.Explicit,
-			})
-		}
-	}
 }
 
 // AppendShardAblation appends the sharded-substrate ablation panels to a

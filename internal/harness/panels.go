@@ -34,16 +34,10 @@ type Options struct {
 	// ablation switch for the detectability layer. Off by default, so the
 	// standard matrix is unchanged.
 	Detect bool
-	// Combine enables cross-operation fence combining on the Mirror engines
-	// (per-thread write buffers draining one fence for a batch of linearized
-	// installs). The non-durable and competitor engines ignore it. Off by
-	// default; the JSON matrix measures it through dedicated same-session
-	// ablation panels so the standard matrix stays comparable across reports.
-	Combine bool
 	// Shards > 1 spreads every engine-backed structure across that many
 	// device shards (engine.Sharded): hash-partitioned keyspace, one
 	// allocator and descriptor region per shard, shard-concurrent recovery.
-	// The competitor engines (Zuriel, Cmap, queue) ignore it. Zero or one
+	// The competitor engines (Zuriel, Cmap) ignore it. Zero or one
 	// runs the classic single-device engines.
 	Shards int
 	// NUMARemoteNS charges an extra spin-calibrated latency penalty (in

@@ -51,12 +51,6 @@ type Op struct {
 	Result   bool   // returned value (presence/success)
 	Inv, Res uint64 // global timestamps
 	Thread   int
-	// Ticket is the thread's combine-buffer commit ticket at response time
-	// (Recorder.TicketFn); 0 when the engine does not combine. A completed
-	// op whose ticket is above its thread's drained watermark at the crash
-	// was linearized but possibly never fenced — CheckDurableBuffered lets
-	// it vanish.
-	Ticket uint64
 }
 
 // History is a recorded concurrent execution. Checkable histories hold at
@@ -90,10 +84,6 @@ type Recorder struct {
 	h      *History
 	set    structures.Set
 	thread int
-	// TicketFn, when set, is called after each operation returns and
-	// stamps Op.Ticket with the thread's combine-buffer commit ticket
-	// (engine.CombineTickets). Leave nil for non-combining engines.
-	TicketFn func() uint64
 }
 
 func (r *Recorder) record(kind OpKind, key uint64, f func() bool) bool {
@@ -120,15 +110,11 @@ func (r *Recorder) record(kind OpKind, key uint64, f func() bool) bool {
 		r.h.mu <- struct{}{}
 	}()
 	result := f()
-	var ticket uint64
-	if r.TicketFn != nil {
-		ticket = r.TicketFn()
-	}
 	res := r.h.clock.Add(1)
 	<-r.h.mu
 	r.h.Ops = append(r.h.Ops, Op{
 		Kind: kind, Key: key, Result: result,
-		Inv: inv, Res: res, Thread: r.thread, Ticket: ticket,
+		Inv: inv, Res: res, Thread: r.thread,
 	})
 	recorded = true
 	r.h.mu <- struct{}{}
@@ -313,41 +299,12 @@ func Check(h *History, initial map[uint64]bool) error {
 // missing from `final` — the signature of a lost flush — has no such
 // linearization, and the error says so.
 func CheckDurable(h *History, initial, final map[uint64]bool) error {
-	return CheckDurableBuffered(h, initial, final, nil)
-}
-
-// CheckDurableBuffered is CheckDurable under the buffered durable
-// linearizability contract of a combining engine: a *completed* operation
-// for which mayVanish reports true was linearized in RAM but its
-// linearizing fence may still have been sitting in a per-thread combine
-// buffer at the crash, so it is granted the same two fates as a crash-cut
-// pending operation — vanish entirely, or take effect. Unlike a pending
-// op, a surviving may-vanish op must take effect with its *recorded*
-// result and respects full real-time order (its response really
-// happened). Ops for which mayVanish reports false (and all of them, when
-// mayVanish is nil) must take effect, exactly as in CheckDurable.
-//
-// Vanishing is per-operation, not per-thread-prefix: a combine drain's
-// per-line crash fates can commit some of a buffer's lines and drop
-// others, so buffered ops on the same thread fail independently. The
-// caller derives mayVanish from per-thread commit tickets and drained
-// watermarks (op.Ticket > drained[op.Thread]); an op whose ticket is at
-// or below the watermark was fenced and must not vanish.
-func CheckDurableBuffered(h *History, initial, final map[uint64]bool, mayVanish func(Op) bool) error {
 	ops := make([]Op, 0, len(h.Ops)+len(h.Pending))
 	ops = append(ops, h.Ops...)
 	ops = append(ops, h.Pending...)
 	nDone := len(h.Ops)
 	if len(ops) > 64 {
 		return fmt.Errorf("linearize: history of %d ops exceeds the 64-op bound", len(ops))
-	}
-	vanishable := 0
-	canVanish := make([]bool, len(ops))
-	for i, op := range ops {
-		if i < nDone && mayVanish != nil && mayVanish(op) {
-			canVanish[i] = true
-			vanishable++
-		}
 	}
 	state := make(map[uint64]bool, len(initial))
 	for k, v := range initial {
@@ -368,9 +325,6 @@ func CheckDurableBuffered(h *History, initial, final map[uint64]bool, mayVanish 
 		visited[key] = true
 		// Real-time order constrains completed operations only: pending
 		// ops never responded, so their Res (= max uint64) bounds no one.
-		// Undecided may-vanish ops DO bound: if one ultimately takes
-		// effect its response was real, and if it vanishes the search
-		// reaches the same order by vanishing it earlier.
 		minRes := ^uint64(0)
 		for i, op := range ops {
 			if done&(1<<i) == 0 && op.Res < minRes {
@@ -403,12 +357,6 @@ func CheckDurableBuffered(h *History, initial, final map[uint64]bool, mayVanish 
 				}
 				continue
 			}
-			if canVanish[i] {
-				// Completed but unfenced: may vanish at any search point.
-				if dfs(done | 1<<i) {
-					return true
-				}
-			}
 			if op.Inv > minRes {
 				continue
 			}
@@ -423,8 +371,8 @@ func CheckDurableBuffered(h *History, initial, final map[uint64]bool, mayVanish 
 		return false
 	}
 	if !dfs(0) {
-		return fmt.Errorf("linearize: no durable linearization of %d completed (%d of them unfenced, may vanish) + %d pending ops reaches the recovered state",
-			nDone, vanishable, len(h.Pending))
+		return fmt.Errorf("linearize: no durable linearization of %d completed + %d pending ops reaches the recovered state",
+			nDone, len(h.Pending))
 	}
 	return nil
 }

@@ -15,8 +15,8 @@
 // (engine.Sharded) carries one allocator per shard as a consequence of its
 // composition: each shard is a complete sub-engine with its own region.
 // The Cache.PreFree drain gate is therefore shard-local — before a drain
-// batch on shard i frees anything, only shard i's relaxed lines and
-// combine buffer must commit, never another shard's.
+// batch on shard i frees anything, only shard i's relaxed lines must
+// commit, never another shard's.
 package palloc
 
 import (

@@ -104,21 +104,17 @@ func (m *Mem) Stats() (helps, retries uint64) {
 	return helps, retries
 }
 
-// Intent is what a caller states about one access. The caller never says
-// what to flush or when: the persistence policy — eager, elide, or combine —
-// is picked here, from the intent and what rep_p's device is capable of
-// (Elides, Combines). DESIGN.md "Persistence seam" tabulates the outcome.
+// Intent is what a caller states about one write. The caller never says
+// what to flush or when: the persistence policy — eager or elide — is picked
+// here, from the intent and what rep_p's device is capable of (Elides).
+// DESIGN.md "Persistence seam" tabulates the outcome.
 type Intent uint8
 
 const (
 	// Full writes are durable before they are visible, whatever the device
-	// can do: Store, FetchAdd and the plain CompareAndSwap.
+	// can do: every linearization point, Store, FetchAdd and the plain
+	// CompareAndSwap.
 	Full Intent = iota
-	// Linearizing marks an operation's linearization point. On a combining
-	// device the thread's own install joins its combine buffer instead of
-	// being fenced on the spot, and a failure witness is probed durable;
-	// everywhere else it is Full.
-	Linearizing
 	// Auxiliary marks a retire-gated physical update whose loss at a crash
 	// leaves a state some earlier crash could also have left: a snip of an
 	// already-marked node, an upper-level skiplist link, a bst excision. On
@@ -126,62 +122,13 @@ const (
 	// and the relaxed-line registry commits it before anything it unlinked
 	// is freed; everywhere else it is Full. A linearization point (mark,
 	// level-0 link, bst flag) must never use it.
-	//
-	// Exposure rule (combining): an auxiliary write is a shortcut other
-	// threads follow without loading the line it bypasses — a snip hides a
-	// marked node's line, an upper-level link reaches a node without its
-	// level-0 install line, a bst promotion reroutes around a flagged edge.
-	// If the writer's own combine buffer holds the linearization the
-	// shortcut bypasses, a reader can complete — and fence — an operation
-	// whose result depends on an install that may still vanish, and the
-	// conflict probe never fires because the bypassed line is never loaded.
-	// So an Auxiliary write drains the writer's own non-empty buffer first
-	// (DrainExpose).
 	Auxiliary
-	// AuxiliaryExposeSafe is Auxiliary minus the exposure drain. The caller
-	// asserts the shortcut discharges the exposure rule by construction:
-	// every linearization it makes reachable without its line was loaded by
-	// this thread through a Traversal or Adopting load — whose conflict
-	// resolution covered it — and none sits on a line this thread's own
-	// buffer still holds (FlushSet.CombineOwns). The list's snip of a
-	// foreign-marked node is the canonical caller.
-	AuxiliaryExposeSafe
-	// Traversal reads resolve a crossed foreign buffered install by
-	// committing its line on the spot (the conflict probe), so the caller's
-	// operation never completes durably on top of a value that could still
-	// vanish.
-	Traversal
-	// Adopting reads, for traversals inside update operations, enroll a
-	// crossed foreign buffered install into the caller's own combine buffer
-	// instead: the walker's eventual drain commits its whole witnessed path
-	// under one fence. The operation then either carries its own undrained
-	// ticket or must commit the witness before returning a verdict
-	// (pmem.CombineWitness). Plain reads must use Traversal.
-	Adopting
 )
 
 // Load returns the cell's current value. It is wait-free and touches only
 // the volatile replica (Figure 5).
 func (m *Mem) Load(off uint64) uint64 {
 	return m.V.Load(off)
-}
-
-// LoadFor is Load with the read-side half of the combining policy: on a
-// combining device the value just read may be (or share a line with)
-// another thread's buffered — visible but not yet durable — install, and
-// the intent says how to resolve that. The resolution runs after the read;
-// resolving first would race a concurrent buffering and miss it. On every
-// other device it is Load exactly.
-func (m *Mem) LoadFor(ctx *Ctx, off uint64, in Intent) uint64 {
-	v := m.V.Load(off)
-	if m.P.Combines() {
-		if in == Adopting {
-			m.P.CombineAdoptRead(&ctx.FS, off)
-		} else {
-			m.P.CombineProbe(&ctx.FS, off)
-		}
-	}
-	return v
 }
 
 // LoadWithSeq returns the volatile replica's (value, seq) pair atomically;
@@ -199,17 +146,14 @@ func (m *Mem) CompareAndSwap(ctx *Ctx, off uint64, expected, newVal uint64) (boo
 // newVal if the current value equals expected, and returns whether the swap
 // happened and the value observed when it did not (the updated "expected"
 // of compare_exchange_strong). Under the Full intent the new value is
-// durable before it becomes visible to loads; the other write intents let
-// the policy defer exactly one step — the flush+fence of the thread's *own*
+// durable before it becomes visible to loads; the Auxiliary intent lets the
+// policy defer exactly one step — the flush+fence of the thread's *own*
 // successful install. Every other arm — the help path, the
 // torn-view retry, the failed-install persist — keeps the full discipline
 // under every intent, because those arms make other threads' installs
 // durable and a helper must never publish an install it has merely
 // deferred.
 func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (bool, uint64) {
-	if in == Auxiliary && !ctx.FS.CombineQuiet() {
-		m.P.CombineDrain(&ctx.FS, pmem.DrainExpose)
-	}
 	for {
 		pv, ps := m.P.LoadPair(off) // read rep_p (atomic pair ≙ seq/val/seq validation)
 		vv, vs := m.V.LoadPair(off) // read rep_v
@@ -233,14 +177,7 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			continue
 		}
 		if pv != expected {
-			// Fail without writing (lines 32–35). Under combining the
-			// witness pv may be another thread's buffered install: an
-			// operation about to complete because of it (a failed insert
-			// observing its key present) must outlive it, so a
-			// linearizing caller forces it durable first.
-			if in == Linearizing {
-				m.P.CombineProbe(&ctx.FS, off)
-			}
+			// Fail without writing (lines 32–35).
 			return false, pv
 		}
 
@@ -250,22 +187,14 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			// The persistence policy for the thread's own install, run
 			// between the rep_p install and the rep_v mirror:
 			//
-			//   - combine: the install joins the thread's combine buffer.
-			//     The registration is ordered before any thread can
-			//     observe the install in rep_v — the same contract as the
-			//     relaxed registry's. At capacity the buffer drains once
-			//     the mirror is done.
 			//   - relax: the line's durability becomes the pre-free
 			//     drain's obligation, registered before the mirror so that
 			//     every thread that observed the install — including the
 			//     one that retires the unlinked object — is ordered after
 			//     it.
 			//   - eager, or elide on an eliding device: durable now.
-			drain := false
 			switch {
-			case in == Linearizing && m.P.Combines():
-				drain = m.P.CombineAdd(&ctx.FS, off)
-			case (in == Auxiliary || in == AuxiliaryExposeSafe) && m.P.Elides():
+			case in == Auxiliary && m.P.Elides():
 				m.P.NoteRelaxed(&ctx.FS, off)
 			case m.dropOwnFlush:
 				// Seeded bug (BreakOwnFlushForTest): visible, never durable.
@@ -276,9 +205,6 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			// already completed our write (or a later one); either way
 			// the operation is linearized.
 			m.V.DWCAS(off, pv, ps, newVal, ps+1)
-			if drain {
-				m.P.CombineDrain(&ctx.FS, pmem.DrainCapacity)
-			}
 			return true, pv
 		}
 		// Failed install: help persist the competing write before we

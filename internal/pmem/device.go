@@ -71,7 +71,6 @@ type Config struct {
 	Persistent bool         // survives Crash via its media image
 	Track      bool         // maintain the media image (required for Crash)
 	Elide      bool         // maintain the persisted-epoch watermark (elide.go)
-	Combine    bool         // per-thread fence combining (combine.go; implies Elide)
 	Model      LatencyModel // injected access costs
 
 	// MediaPath backs the media image with a MAP_SHARED mmap of this file
@@ -165,14 +164,6 @@ type Device struct {
 	relaxedMu    sync.Mutex
 	relaxedLines []uint64 // registered lines in first-registration order
 	relaxedSet   map[uint64]struct{}
-
-	// Cross-operation fence combining (Config.Combine; see combine.go):
-	// cpend[line] holds tag+1 for the most recent combining install that
-	// buffered a write to the line, the read-side conflict probe's
-	// counterpart to marks. breakCombine is the test-only seeded bug.
-	combine      bool
-	breakCombine bool
-	cpend        []atomic.Uint64
 }
 
 // New creates a Device. Words is rounded up to a whole number of cache
@@ -220,12 +211,6 @@ func New(cfg Config) *Device {
 		d.marks = make([]atomic.Uint64, nLines)
 		d.committing = make([]atomic.Uint64, nLines)
 		d.relaxedSet = make(map[uint64]struct{})
-	}
-	// Combining rides on the watermark machinery: the read-side probe
-	// compares cpend against marks, so it requires the eliding layer.
-	d.combine = cfg.Combine && d.elide
-	if d.combine {
-		d.cpend = make([]atomic.Uint64, len(d.words)/WordsPerLine+1)
 	}
 	return d
 }
@@ -448,20 +433,6 @@ type FlushSet struct {
 	table map[uint64]uint64 // line -> epoch; dedup once the set spills
 	epoch uint64            // current epoch; table entries from older epochs are stale
 
-	// Combining state (see combine.go): the buffered lines awaiting a
-	// combined drain, the monotone linearization-ticket counter and its
-	// drained watermark, the operation-end pulse counter for the epoch
-	// trigger, and the combining statistics shards.
-	cbLines   []uint64
-	cbTicket  uint64
-	cbDrained uint64
-	cbOpTicks int
-	// cbAdopted marks that cbLines holds at least one adopted (ticketless)
-	// line some read depended on since the last drain; see CombineWitness.
-	cbAdopted  bool
-	combined   atomic.Uint64
-	drainCause [drainCauses]atomic.Uint64
-
 	// Deferred initialization flushes (eliding devices; see DeferInit in
 	// elide.go): distinct lines dirtied by unpublished-object stores, in
 	// first-touch order, and the number of stores they cover.
@@ -475,14 +446,10 @@ type FlushSet struct {
 
 // Reset discards any pending flushes (used when a context is recycled).
 // Counter shards are preserved: Reset forgets in-flight clwbs, not
-// history. The combine buffer empties without advancing the drained
-// watermark: anything it held stays in the may-vanish class.
+// history.
 func (s *FlushSet) Reset() {
 	s.clearLines()
 	s.DropInit()
-	s.cbLines = s.cbLines[:0]
-	s.cbOpTicks = 0
-	s.cbAdopted = false
 }
 
 // Pending returns the number of distinct lines flushed but not yet fenced
@@ -723,9 +690,6 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 		}
 		d.relaxedMu.Unlock()
 	}
-	// Combine buffers die with the cache too; tickets and drained
-	// watermarks survive as the record of what was allowed to vanish.
-	d.crashCombine()
 	d.countdown.Store(0)
 	d.gen.Add(1)
 	base := d.baseState

@@ -37,7 +37,6 @@ func helperMain() {
 		Clients:   32,
 		Workers:   2,
 		MediaPath: os.Getenv("MIRRORD_MEDIA"),
-		Combine:   os.Getenv("MIRRORD_COMBINE") != "",
 	})
 	if err != nil {
 		fmt.Println("helper error:", err)
@@ -62,7 +61,7 @@ type helperProc struct {
 	mode string
 }
 
-func startHelper(t *testing.T, kind engine.Kind, media string, combine bool) *helperProc {
+func startHelper(t *testing.T, kind engine.Kind, media string) *helperProc {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
@@ -70,9 +69,6 @@ func startHelper(t *testing.T, kind engine.Kind, media string, combine bool) *he
 		"MIRRORD_KIND="+strconv.Itoa(int(kind)),
 		"MIRRORD_MEDIA="+media,
 	)
-	if combine {
-		cmd.Env = append(cmd.Env, "MIRRORD_COMBINE=1")
-	}
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +238,7 @@ func (lc *loadClient) resolve(c *Client) error {
 // under mixed load is killed mid-flight, restarted over the same media
 // file, and every client resolves its cut operation while the recovered
 // state passes the set-model and queue-conservation invariants — on all
-// four durable engines, plus fence combining on the Mirror engine.
+// four durable engines.
 func TestCrashKillBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess battery")
@@ -250,31 +246,29 @@ func TestCrashKillBattery(t *testing.T) {
 	cases := []struct {
 		name     string
 		kind     engine.Kind
-		combine  bool
 		pipeline bool
 	}{
-		{"Izraelevitz", engine.Izraelevitz, false, false},
-		{"NVTraverse", engine.NVTraverse, false, false},
-		{"Mirror", engine.MirrorDRAM, false, false},
-		{"MirrorNVMM", engine.MirrorNVMM, false, false},
-		{"Mirror/combine", engine.MirrorDRAM, true, false},
-		{"Mirror/pipelined/combine", engine.MirrorDRAM, true, true},
-		{"MirrorNVMM/pipelined", engine.MirrorNVMM, false, true},
+		{"Izraelevitz", engine.Izraelevitz, false},
+		{"NVTraverse", engine.NVTraverse, false},
+		{"Mirror", engine.MirrorDRAM, false},
+		{"MirrorNVMM", engine.MirrorNVMM, false},
+		{"Mirror/pipelined", engine.MirrorDRAM, true},
+		{"MirrorNVMM/pipelined", engine.MirrorNVMM, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.pipeline {
-				runCrashKillPipelined(t, tc.kind, tc.combine)
+				runCrashKillPipelined(t, tc.kind)
 			} else {
-				runCrashKill(t, tc.kind, tc.combine)
+				runCrashKill(t, tc.kind)
 			}
 		})
 	}
 }
 
-func runCrashKill(t *testing.T, kind engine.Kind, combine bool) {
+func runCrashKill(t *testing.T, kind engine.Kind) {
 	media := filepath.Join(t.TempDir(), "media")
-	h1 := startHelper(t, kind, media, combine)
+	h1 := startHelper(t, kind, media)
 	if h1.mode != "fresh" {
 		t.Fatalf("first incarnation mode %q", h1.mode)
 	}
@@ -312,7 +306,7 @@ func runCrashKill(t *testing.T, kind engine.Kind, combine bool) {
 	t.Logf("killed with %d acknowledged ops, %d clients in flight", total, inflight)
 
 	// Second incarnation over the same image.
-	h2 := startHelper(t, kind, media, combine)
+	h2 := startHelper(t, kind, media)
 	if h2.mode != "attached" {
 		t.Fatalf("second incarnation mode %q, want attached", h2.mode)
 	}
@@ -573,9 +567,9 @@ func (pc *pipeClient) resolve(c *Client) error {
 // in flight, and after the restart every in-flight seq resolves through
 // the descriptor ring — including client 0's, which dies holding a
 // partially-filled ring.
-func runCrashKillPipelined(t *testing.T, kind engine.Kind, combine bool) {
+func runCrashKillPipelined(t *testing.T, kind engine.Kind) {
 	media := filepath.Join(t.TempDir(), "media")
-	h1 := startHelper(t, kind, media, combine)
+	h1 := startHelper(t, kind, media)
 	if h1.mode != "fresh" {
 		t.Fatalf("first incarnation mode %q", h1.mode)
 	}
@@ -623,7 +617,7 @@ func runCrashKillPipelined(t *testing.T, kind engine.Kind, combine bool) {
 	t.Logf("killed with %d acknowledged ops, %d frames in flight (deepest window %d)",
 		total, inflight, deepest)
 
-	h2 := startHelper(t, kind, media, combine)
+	h2 := startHelper(t, kind, media)
 	if h2.mode != "attached" {
 		t.Fatalf("second incarnation mode %q, want attached", h2.mode)
 	}

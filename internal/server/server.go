@@ -94,8 +94,6 @@ type Config struct {
 	// process death. Empty keeps the image in process memory (tests,
 	// benchmarks). A sidecar file MediaPath+".meta" records the geometry.
 	MediaPath string
-	// Combine enables the engine's cross-operation fence combining.
-	Combine bool
 	// NoBatch is the ablation switch: drain and respond after every
 	// operation instead of per batch, so each mutation pays its own fence.
 	NoBatch bool
@@ -144,7 +142,10 @@ func (c *Config) setDefaults() error {
 
 // meta is the sidecar record distinguishing a reattachable image from
 // garbage. Every field participates in the engine's word layout, so a
-// mismatch means the image cannot be interpreted.
+// mismatch means the image cannot be interpreted. Combine is always written
+// false: the key remains so that an image an older mirrord wrote with fence
+// combining on — whose completed operations were allowed to be missing — is
+// refused like any other mismatch instead of being adopted.
 type meta struct {
 	Kind    int  `json:"kind"`
 	Words   int  `json:"words"`
@@ -200,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	want := meta{
 		Kind: int(cfg.Kind), Words: cfg.Words, Ring: cfg.Ring,
-		Clients: cfg.Clients, Combine: cfg.Combine,
+		Clients: cfg.Clients,
 	}
 	attach := false
 	if cfg.MediaPath != "" {
@@ -228,7 +229,6 @@ func New(cfg Config) (*Server, error) {
 		Track:      cfg.MediaPath != "",
 		Clients:    cfg.Clients,
 		DetectRing: cfg.Ring,
-		Combine:    cfg.Combine,
 		MediaPath:  cfg.MediaPath,
 		Attach:     attach,
 	})

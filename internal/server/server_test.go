@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -332,6 +334,39 @@ func TestServeMetaMismatch(t *testing.T) {
 	}
 	if _, err := New(Config{Kind: engine.Izraelevitz, MediaPath: media, Words: 1 << 18}); err == nil {
 		t.Fatal("attach with different Kind succeeded")
+	}
+
+	// The sidecar's "combine" key, both directions: it is still written
+	// (false), so the sidecars of existing images and of this build are the
+	// same bytes and attach; an image written by an older `mirrord -combine`
+	// holds state this build cannot interpret and is refused.
+	written, err := os.ReadFile(metaPath(media))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, sidecar string
+		attach        bool
+	}{
+		{"as written", `{"kind":0,"words":262144,"ring":8,"clients":64,"combine":false}`, true},
+		{"written with combining on", `{"kind":0,"words":262144,"ring":8,"clients":64,"combine":true}`, false},
+	} {
+		if tc.attach && tc.sidecar != string(written) {
+			t.Fatalf("%s: this build writes the sidecar %s, want %s", tc.name, written, tc.sidecar)
+		}
+		if err := os.WriteFile(metaPath(media), []byte(tc.sidecar), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Kind: engine.MirrorDRAM, MediaPath: media, Words: 1 << 18})
+		if err == nil {
+			defer s.Close()
+		}
+		switch {
+		case tc.attach && (err != nil || !s.Attached()):
+			t.Fatalf("%s: attach failed: %v", tc.name, err)
+		case !tc.attach && (err == nil || !strings.Contains(err.Error(), "different configuration")):
+			t.Fatalf("%s: error %v, want the different-configuration refusal", tc.name, err)
+		}
 	}
 }
 

@@ -168,16 +168,11 @@ func (b *BST) repairExcisions(c *engine.Ctx) {
 // deletes spin in cleanup looking for a flag that does not exist), and a
 // cleanup that guesses wrong would promote over a live leaf — data loss.
 //
-// Under the simulator's line-snapshot fault model this state is actually
-// unreachable — the flag is written before the tag on the same node's
-// cache line, and a line's crash fate is always some point-in-time
-// snapshot, so any surviving tag implies its justifying flag (see
-// DESIGN.md, "Relaxed BST delete flags"). The pass exists because the
-// combining mode's correctness argument should not lean on line-snapshot
-// atomicity: on word-granular hardware the relaxed tag CAS can reach
-// media while the buffered flag CAS vanishes, and this scrub is what
-// keeps the relaxation sound there. Defensively it also re-runs the
-// excision fixpoint if a flagged edge does survive alongside a tag.
+// No crash of a correct engine leaves this state — the flag CAS is a full
+// install, durable before the tag CAS is issued, so a surviving tag
+// implies its justifying flag. The pass is defensive: a damaged image
+// must not freeze the tree. It also re-runs the excision fixpoint if a
+// flagged edge does survive alongside a tag.
 // Recovery is single-threaded, so plain full CASes suffice; idempotent
 // and crash-safe (a crash mid-scrub leaves fewer tags for the next one).
 func (b *BST) repairDeleteFlags(c *engine.Ctx) {
@@ -366,12 +361,7 @@ func (b *BST) Delete(c *engine.Ctx, key uint64) bool {
 			}
 			e.MakePersistent(c, rec.parent, NodeFields)
 			e.MakePersistent(c, rec.leaf, NodeFields)
-			// The injection flag is the linearization point. Under a
-			// combining engine this CAS is the relaxed delete-flag path:
-			// its fence is deferred into the thread's combine buffer, so
-			// the completed delete may vanish wholesale at a crash until
-			// the buffer drains; repairDeleteFlags scrubs any deletion
-			// bookkeeping a crash strands without its flag.
+			// The injection flag is the linearization point.
 			if e.CAS(c, rec.parent, cf, rec.leaf, rec.leaf|flagBit) {
 				// Cleanup below is physical excision only.
 				e.Linearized(c, true)

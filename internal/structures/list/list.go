@@ -48,79 +48,43 @@ func NewAt(e engine.Memory, ref engine.Ref, field int) *List {
 func (l *List) Name() string { return "list" }
 
 // find locates the insertion point for key: it returns the slot holding
-// the reference to curr (predRef, predField), the raw value predVal that
-// slot held when loaded, and curr itself — the first unmarked node with
-// curr.key >= key, or 0 if none. Marked nodes found on the way are
-// physically unlinked (Michael's helping variant of Harris's list), but
-// only when the mark being hidden is not in this thread's own combine
-// buffer: a snip is a shortcut that hides the snipped node's line from
-// later readers, so a deleter whose own buffered mark is still undrained
-// must not publish it — a fenced reader could conclude the key absent
-// without ever loading the mark line, and the conflict probe would not
-// fire (the CASRelaxed exposure rule). A foreign mark needs no such
-// care: this thread's own traversal load of it went through the
-// combined read path, whose probe committed the mark durable before
-// returning it, so the snip exposes only durable state and may proceed
-// even with a non-empty own buffer (CASRelaxedExposeSafe). When snips
-// are deferred, find walks past the marked run instead and predVal !=
-// curr: the run's head is still linked, and the caller's install
-// excises it (see Insert). find runs inside the caller's operation
-// bracket.
-//
-// find serves only update operations, so its loads use the adopting
-// traversal variant: a crossed foreign buffered install joins this
-// thread's own combine buffer instead of costing a fence on the spot.
-// The callers uphold the adoption contract — a linearizing install
-// rides the same buffer as its adopted dependencies, and a no-effect
-// verdict calls CommitWitness before returning. Read operations (Get,
-// Range, ...) walk with plain probing TraversalLoads.
-func (l *List) find(c *engine.Ctx, key uint64) (predRef engine.Ref, predField int, predVal uint64, curr engine.Ref) {
+// the reference to curr (predRef, predField) and curr itself, where curr is
+// the first node with curr.key >= key, or 0 if none. Marked nodes found on
+// the way are physically unlinked (Michael's helping variant of Harris's
+// list). find runs inside the caller's operation bracket.
+func (l *List) find(c *engine.Ctx, key uint64) (predRef engine.Ref, predField int, curr engine.Ref) {
 	e := l.e
 retry:
 	for {
 		predRef, predField = l.rootRef, l.rootField
-		predVal = engine.TraversalLoadAdopt(e, c, predRef, predField)
-		curr = structures.Unmark(predVal)
+		curr = structures.Unmark(e.TraversalLoad(c, predRef, predField))
 		for curr != 0 {
-			succ := engine.TraversalLoadAdopt(e, c, curr, fNext)
+			succ := e.TraversalLoad(c, curr, fNext)
 			if structures.Marked(succ) {
-				if predVal == curr && !engine.CombineOwnsField(c, curr, fNext) {
-					// curr is logically deleted and directly linked from
-					// pred: unlink it. This is a critical step — persist
-					// the nodes around the destination first (NVTraverse
-					// barrier; no-op for Mirror, redundant for
-					// Izraelevitz).
-					e.MakePersistent(c, predRef, NodeFields)
-					e.MakePersistent(c, curr, NodeFields)
-					// The unlink is auxiliary cleanup: the node is already
-					// logically deleted (marked), so the snip may persist
-					// lazily — it is committed before curr's memory can be
-					// reused, via the retire-gated relaxed-line registry.
-					// The mark is not in our buffer (checked above), so it
-					// was probed durable by our own load: skip the
-					// exposure drain.
-					if !engine.CASRelaxedExposeSafe(e, c, predRef, predField, curr, structures.Unmark(succ)) {
-						continue retry
-					}
-					e.Retire(c, curr, NodeFields)
-					predVal = structures.Unmark(succ)
-					curr = predVal
-					continue
+				// curr is logically deleted: unlink it. This is a
+				// critical step — persist the nodes around the
+				// destination first (NVTraverse barrier; no-op for
+				// Mirror, redundant for Izraelevitz).
+				e.MakePersistent(c, predRef, NodeFields)
+				e.MakePersistent(c, curr, NodeFields)
+				// The unlink is auxiliary cleanup: the node is already
+				// logically deleted (marked), so the snip may persist
+				// lazily — it is committed before curr's memory can be
+				// reused, via the retire-gated relaxed-line registry.
+				if !e.CASRelaxed(c, predRef, predField, curr, structures.Unmark(succ)) {
+					continue retry
 				}
-				// Deferred snip: leave the marked run linked and walk past
-				// it. pred stays frozen before the run; the caller sees
-				// predVal != curr and installs through it.
+				e.Retire(c, curr, NodeFields)
 				curr = structures.Unmark(succ)
 				continue
 			}
-			if engine.TraversalLoadAdopt(e, c, curr, fKey) >= key {
-				return predRef, predField, predVal, curr
+			if e.TraversalLoad(c, curr, fKey) >= key {
+				return predRef, predField, curr
 			}
 			predRef, predField = curr, fNext
-			predVal = succ
 			curr = structures.Unmark(succ)
 		}
-		return predRef, predField, predVal, 0
+		return predRef, predField, 0
 	}
 }
 
@@ -134,18 +98,14 @@ func (l *List) Insert(c *engine.Ctx, key, val uint64) bool {
 	defer e.OpEnd(c)
 	var node engine.Ref
 	for {
-		predRef, predField, predVal, curr := l.find(c, key)
-		if curr != 0 && engine.TraversalLoadAdopt(e, c, curr, fKey) == key {
+		predRef, predField, curr := l.find(c, key)
+		if curr != 0 && e.TraversalLoad(c, curr, fKey) == key {
 			if node != 0 {
 				e.FreeUnpublished(c, node, NodeFields)
 			}
 			// The failed insert's linearization point is the read
-			// establishing the key's presence; persist the witness. If the
-			// walk adopted undrained foreign installs and this thread holds
-			// no ticket to vanish with, the witness must reach a fence
-			// before the verdict escapes.
+			// establishing the key's presence; persist the witness.
 			e.MakePersistent(c, curr, NodeFields)
-			engine.CommitWitness(c)
 			return false
 		}
 		// Batch the node's initialization: relaxed flushes per dirty line,
@@ -160,22 +120,10 @@ func (l *List) Insert(c *engine.Ctx, key, val uint64) bool {
 		b.StoreInit(node, fNext, curr)
 		b.Commit()
 		e.MakePersistent(c, predRef, NodeFields)
-		// Install through any deferred marked run: the CAS expects the raw
-		// slot value (predVal — the run's head when find deferred its
-		// snips) and links node directly to the first unmarked successor,
-		// excising the run as part of the linearizing install itself. The
-		// excision rides the install's combine-buffer entry, so no extra
-		// fence is ever paid for it.
-		if e.CAS(c, predRef, predField, predVal, node) {
-			// The linearizing link is durable (or buffered with the
-			// thread's undrained ticket): publish the detectable verdict
-			// (no-op without an armed descriptor).
+		if e.CAS(c, predRef, predField, curr, node) {
+			// The linearizing link is durable: publish the detectable
+			// verdict (no-op without an armed descriptor).
 			e.Linearized(c, true)
-			for m := predVal; m != curr; {
-				succ := engine.TraversalLoadAdopt(e, c, m, fNext)
-				e.Retire(c, m, NodeFields)
-				m = structures.Unmark(succ)
-			}
 			return true
 		}
 	}
@@ -187,14 +135,11 @@ func (l *List) Delete(c *engine.Ctx, key uint64) bool {
 	e.OpBegin(c)
 	defer e.OpEnd(c)
 	for {
-		predRef, predField, predVal, curr := l.find(c, key)
-		if curr == 0 || engine.TraversalLoadAdopt(e, c, curr, fKey) != key {
-			// Absent-key verdict: commit any adopted witness first (no-op
-			// when this thread holds an undrained ticket to vanish with).
-			engine.CommitWitness(c)
+		predRef, predField, curr := l.find(c, key)
+		if curr == 0 || e.TraversalLoad(c, curr, fKey) != key {
 			return false
 		}
-		succ := engine.TraversalLoadAdopt(e, c, curr, fNext)
+		succ := e.TraversalLoad(c, curr, fNext)
 		if structures.Marked(succ) {
 			// Someone else is deleting it; help via find and retry.
 			continue
@@ -205,16 +150,11 @@ func (l *List) Delete(c *engine.Ctx, key uint64) bool {
 			continue
 		}
 		e.Linearized(c, true)
-		// Attempt the physical unlink; on failure (or deferral) find()
-		// or a later install excises the node. The delete's linearization
-		// point was the mark CAS above; with combining on, that mark is
-		// usually still in this thread's buffer here, and unlinking now
-		// would expose it to readers that never load the mark line — so
-		// the unlink waits until the mark's line has left our buffer (the
-		// exposure rule). The relaxed-line registry still commits the
-		// snip before the node is freed.
-		if predVal == curr && !engine.CombineOwnsField(c, curr, fNext) &&
-			engine.CASRelaxedExposeSafe(e, c, predRef, predField, curr, succ) {
+		// Attempt the physical unlink; on failure find() will clean up.
+		// The delete's linearization point was the (fully persisted) mark
+		// CAS above, so the unlink itself may persist lazily — the
+		// relaxed-line registry commits it before the node is freed.
+		if e.CASRelaxed(c, predRef, predField, curr, succ) {
 			e.Retire(c, curr, NodeFields)
 		}
 		return true

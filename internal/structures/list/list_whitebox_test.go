@@ -19,7 +19,7 @@ func newWB(t *testing.T) (engine.Engine, *engine.Ctx, *List) {
 
 // plantMark marks key's node without unlinking it.
 func plantMark(e engine.Engine, c *engine.Ctx, l *List, key uint64) {
-	_, _, _, curr := l.find(c, key)
+	_, _, curr := l.find(c, key)
 	if curr == 0 || e.Load(c, curr, fKey) != key {
 		panic("plantMark: key not found")
 	}
@@ -50,7 +50,7 @@ func TestFindUnlinksMarkedNode(t *testing.T) {
 	}
 	plantMark(e, c, l, 5)
 	// Any find through the region physically unlinks the marked node.
-	_, _, _, curr := l.find(c, 5)
+	_, _, curr := l.find(c, 5)
 	if curr != 0 && e.Load(c, curr, fKey) == 5 {
 		t.Fatal("find did not unlink the marked node")
 	}

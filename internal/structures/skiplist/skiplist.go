@@ -77,31 +77,20 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *SkipList {
 func (s *SkipList) Name() string { return "skiplist" }
 
 // repairLevels restores the accelerator-level invariants on a recovered
-// image. Two relaxations admit post-crash states crash-free execution
-// never produces:
-//
-//   - Delete marks the accelerator levels with relaxed persistence (only
-//     the level-0 mark — the linearization point — is fenced), so a crash
-//     can surface a node durably marked at level 0 but unmarked above; a
-//     searcher descending through it would retry forever waiting for a
-//     dead deleter to finish.
-//   - Under fence combining the level-0 *link* of an insert is buffered
-//     too, while the accelerator links persist lazily through the
-//     relaxed-line registry: a crash can persist an upper-level link to a
-//     node whose linearizing level-0 install vanished. The orphan is
-//     absent from level 0 (the insert legally vanished) yet reachable
-//     above it, and its own next pointers may reference memory the
-//     recovery allocator already reclaimed — a search descending through
-//     it walks into space a later Alloc can hand back, after which links
-//     can turn self-referential and the marked-run snip loop never exits.
+// image. Delete marks the accelerator levels with relaxed persistence
+// (only the level-0 mark — the linearization point — is fenced), which
+// admits post-crash states crash-free execution never produces: a crash
+// can surface a node durably marked at level 0 but unmarked above, and a
+// searcher descending through it would retry forever waiting for a dead
+// deleter to finish.
 //
 // Presence is decided solely at level 0, so the pass rebuilds every
 // accelerator level from the level-0 chain: level i links exactly the
 // unmarked level-0 nodes of height > i, in level-0 order, and nothing
-// else. Orphans and level-0-marked zombies drop out of the accelerator
-// levels entirely (searches snip zombies out of level 0 as usual), and a
-// stray upper-level mark on a present node — the footprint of a delete
-// whose linearization vanished — is overwritten with the rebuilt link.
+// else. Level-0-marked zombies drop out of the accelerator levels
+// entirely (searches snip them out of level 0 as usual), and a stray
+// upper-level mark on a present node — the footprint of a delete cut
+// before its level-0 mark — is overwritten with the rebuilt link.
 // Idempotent and crash-safe: level 0 is never written, so a crash
 // mid-repair leaves an image the next repair rebuilds from the same
 // truth. Full CASes — this is recovery, not the hot path.

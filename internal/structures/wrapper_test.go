@@ -16,61 +16,51 @@ type passThrough struct{ engine.Engine }
 // pass-through wrapper. Every capability a structure uses is either a
 // method of engine.Engine or routed on the context, never discovered from
 // the engine value's dynamic type — so the same single-threaded script must
-// issue the same flushes and fences, report the same statistics (drain
-// causes included) and leave the same media image, on the default engine
-// and on a combining one.
+// issue the same flushes and fences, report the same statistics and leave
+// the same media image.
 func TestWrapperTransparency(t *testing.T) {
 	type outcome struct {
 		flushes, fences uint64
 		stats           engine.Stats
 		media           uint64
 	}
-	for _, combine := range []bool{false, true} {
-		for name, build := range builders() {
-			name, build, combine := name, build, combine
-			policy := "default"
-			if combine {
-				policy = "combine"
+	for name, build := range builders() {
+		name, build := name, build
+		t.Run(name+"/default", func(t *testing.T) {
+			t.Parallel()
+			run := func(wrap bool) outcome {
+				raw := engine.New(engine.Config{
+					Kind: engine.MirrorDRAM, Words: 1 << 18, Track: true,
+				})
+				e := raw
+				if wrap {
+					e = passThrough{raw}
+				}
+				c := e.NewCtx()
+				set := build(e, c)
+				// Insert, delete, re-insert: the deletes leave marked
+				// nodes for the re-inserts' traversals to cross and snip.
+				for k := uint64(1); k <= 200; k++ {
+					set.Insert(c, k, k)
+				}
+				for k := uint64(1); k <= 200; k += 2 {
+					set.Delete(c, k)
+				}
+				for k := uint64(1); k <= 200; k++ {
+					set.Insert(c, k, k+1)
+				}
+				var o outcome
+				o.flushes, o.fences = raw.Counters()
+				o.stats = raw.Stats()
+				raw.Drain(c)
+				o.media = raw.PersistentDevices()[0].MediaHash()
+				return o
 			}
-			t.Run(name+"/"+policy, func(t *testing.T) {
-				t.Parallel()
-				run := func(wrap bool) outcome {
-					raw := engine.New(engine.Config{
-						Kind: engine.MirrorDRAM, Words: 1 << 18, Track: true, Combine: combine,
-					})
-					e := raw
-					if wrap {
-						e = passThrough{raw}
-					}
-					c := e.NewCtx()
-					set := build(e, c)
-					// Insert, delete, re-insert: the deletes leave marked
-					// nodes for the re-inserts' traversals to cross and snip.
-					for k := uint64(1); k <= 200; k++ {
-						set.Insert(c, k, k)
-					}
-					for k := uint64(1); k <= 200; k += 2 {
-						set.Delete(c, k)
-					}
-					for k := uint64(1); k <= 200; k++ {
-						set.Insert(c, k, k+1)
-					}
-					var o outcome
-					o.flushes, o.fences = raw.Counters()
-					o.stats = raw.Stats()
-					raw.Drain(c)
-					o.media = raw.PersistentDevices()[0].MediaHash()
-					return o
-				}
-				direct, wrapped := run(false), run(true)
-				if direct != wrapped {
-					t.Fatalf("the wrapper changed the engine's behaviour:\n raw     %+v\n wrapped %+v", direct, wrapped)
-				}
-				if combine && direct.stats.CombinedFences == 0 {
-					t.Fatal("the script never combined a fence; it does not exercise the combining path")
-				}
-			})
-		}
+			direct, wrapped := run(false), run(true)
+			if direct != wrapped {
+				t.Fatalf("the wrapper changed the engine's behaviour:\n raw     %+v\n wrapped %+v", direct, wrapped)
+			}
+		})
 	}
 }
 
