@@ -12,9 +12,8 @@
 //	mirrorbench -json BENCH_1.json    # machine-readable engine×structure matrix
 //	mirrorbench -json BENCH_2.json -recovery   # matrix plus recovery section
 //	mirrorbench -json BENCH_3.json -detect     # detectable-operation overhead ablation
-//	mirrorbench -json BENCH_5.json -shards 1,2,4 -numa 120  # plus sharded-substrate ablation
 //	mirrorbench -json BENCH_6.json -serving 1,4,8 -workloads A  # plus serving-tier panels (wire YCSB, p50/p99/p999, batch ablation)
-//	mirrorbench -panel fig6d -shards 2 -dist zipfian -skew 0.99  # sharded, skewed panel
+//	mirrorbench -panel fig6d -dist zipfian -skew 0.99  # skewed panel
 //	mirrorbench -checkjson BENCH_1.json  # re-parse and validate a report
 //
 // Absolute numbers depend on the host; the shape — who wins, by what
@@ -81,8 +80,6 @@ func main() {
 		enginesF = flag.String("engines", "", "comma-separated engine filter for -json (e.g. Mirror,NVTraverse)")
 		noElide  = flag.Bool("noelide", false, "disable flush elision / fence coalescing (ablation baseline)")
 		detect   = flag.Bool("detect", false, "route every operation through a detectable bracket (descriptor-overhead ablation)")
-		shardsF  = flag.String("shards", "", "with -json: comma-separated shard counts — append the sharded-substrate ablation panels (hash table under both Mirror engines per count; 1 = single-device baseline); with -panel/-all: run every engine sharded at the single given count")
-		numaNS   = flag.Int("numa", 0, "remote-shard latency penalty in ns for sharded runs (the NUMA preset; 0 = symmetric)")
 		distF    = flag.String("dist", "", "key distribution: uniform (default), zipfian, or hotspot")
 		skew     = flag.Float64("skew", 0, "distribution parameter: zipfian theta (default 0.99) or hotspot access fraction (default 0.9)")
 		servingF = flag.String("serving", "", "with -json: comma-separated connection counts — append the serving-tier panels (wire-protocol YCSB through an in-process mirrord with latency percentiles, batch on/off per cell)")
@@ -148,15 +145,14 @@ func main() {
 		}
 	}
 	opts := harness.Options{
-		Duration:     *duration,
-		Scale:        *scale,
-		Latency:      !*noLat && !*fast,
-		Seed:         *seed,
-		NoElide:      *noElide,
-		Detect:       *detect,
-		NUMARemoteNS: *numaNS,
-		Dist:         *distF,
-		Skew:         *skew,
+		Duration: *duration,
+		Scale:    *scale,
+		Latency:  !*noLat && !*fast,
+		Seed:     *seed,
+		NoElide:  *noElide,
+		Detect:   *detect,
+		Dist:     *distF,
+		Skew:     *skew,
 	}
 	for _, part := range strings.Split(*threads, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -165,10 +161,6 @@ func main() {
 			os.Exit(2)
 		}
 		opts.Threads = append(opts.Threads, n)
-	}
-	var shardCounts []int
-	if *shardsF != "" {
-		shardCounts = parseInts("shards", *shardsF)
 	}
 
 	if *jsonOut != "" {
@@ -184,9 +176,6 @@ func main() {
 			os.Exit(2)
 		}
 		report := harness.RunBenchMatrix(opts, structs, kinds, opts.Threads)
-		if len(shardCounts) > 0 {
-			harness.AppendShardAblation(report, opts, shardCounts, opts.Threads)
-		}
 		if *servingF != "" {
 			var letters []byte
 			for _, part := range strings.Split(*workls, ",") {
@@ -236,17 +225,6 @@ func main() {
 			fmt.Printf("wrote %s (%d points)\n", *jsonOut, len(report.Points))
 		}
 		return
-	}
-
-	// Panel mode: -shards runs every engine-backed competitor sharded at one
-	// count. (In -json mode the flag instead appends dedicated ablation
-	// panels, keeping the base matrix comparable.)
-	if len(shardCounts) > 1 {
-		fmt.Fprintln(os.Stderr, "mirrorbench: panel mode takes a single -shards count (sweeps need -json)")
-		os.Exit(2)
-	}
-	if len(shardCounts) == 1 {
-		opts.Shards = shardCounts[0]
 	}
 
 	fmt.Println(harness.EnvironmentNote())

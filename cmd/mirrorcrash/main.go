@@ -15,7 +15,6 @@
 //	mirrorcrash -structure all -engine all -rounds 10
 //	mirrorcrash -fuzz 50 -structure all -engine all -faults torn,evict,drop
 //	mirrorcrash -fuzz 50 -structure all -engine Mirror -detect
-//	mirrorcrash -fuzz 50 -structure all -engine Mirror -shards 2
 //	mirrorcrash -structure list -engine Mirror -faults torn,drop -seed 7 -schedule w1o5k1c13
 package main
 
@@ -70,7 +69,6 @@ func main() {
 		schedule  = flag.String("schedule", "", "replay one reproducer schedule (e.g. w1o5k1c13) with -seed")
 		reproOut  = flag.String("repro-out", "", "write the minimized reproducer to this file on fuzz failure")
 		detect    = flag.Bool("detect", false, "run -fuzz/-schedule with detectable operations: cross-check Detect verdicts against the linearizability checker and replay cut ops through ExactlyOnce")
-		shards    = flag.Int("shards", 1, "device shards: >1 runs every round on a sharded engine with per-shard independent fault injection and shard-concurrent recovery")
 	)
 	flag.Parse()
 
@@ -80,7 +78,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *schedule != "" {
-		os.Exit(replay(*structure, *engName, faults, *seed, *schedule, *detect, *shards))
+		os.Exit(replay(*structure, *engName, faults, *seed, *schedule, *detect))
 	}
 
 	var structNames, engNames []string
@@ -106,7 +104,7 @@ func main() {
 	}
 
 	if *fuzzN > 0 {
-		os.Exit(fuzz(structNames, engNames, faults, *seed, *fuzzN, *reproOut, *detect, *shards))
+		os.Exit(fuzz(structNames, engNames, faults, *seed, *fuzzN, *reproOut, *detect))
 	}
 	if *detect {
 		fmt.Fprintln(os.Stderr, "mirrorcrash: -detect requires -fuzz or -schedule")
@@ -125,7 +123,6 @@ func main() {
 					Policy:    policies[r%len(policies)],
 					FreezeLag: time.Duration(rng.Intn(4000)) * time.Microsecond,
 					Seed:      rng.Int63(),
-					Shards:    *shards,
 				})
 				for _, v := range vs {
 					fmt.Printf("VIOLATION %s/%s round %d: key=%d %s (got present=%v, want %s)\n",
@@ -158,13 +155,10 @@ func crashAtFor(seed, total int64) int64 {
 // each with a calibrated mid-flight crash placement. The first failure is
 // shrunk, printed as a re-runnable reproducer, optionally written to
 // reproOut, and fails the process.
-func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64, fuzzN int, reproOut string, detect bool, shards int) int {
+func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64, fuzzN int, reproOut string, detect bool) int {
 	mode := ""
 	if detect {
 		mode = ", detectable operations"
-	}
-	if shards > 1 {
-		mode += fmt.Sprintf(", %d shards", shards)
 	}
 	fmt.Printf("fault-fuzz: faults=%s base seed %d, %d runs per combination%s\n", faults, baseSeed, fuzzN, mode)
 	for _, sn := range structNames {
@@ -179,7 +173,6 @@ func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64,
 					Seed:      baseSeed + int64(i),
 					Schedule:  faultfuzz.Schedule{Workers: 2, OpsPer: 8, Keys: 6},
 					Detect:    detect,
-					Shards:    shards,
 				}
 				spec.Schedule.CrashAt = crashAtFor(spec.Seed, faultfuzz.Calibrate(spec))
 				res := faultfuzz.Run(spec)
@@ -218,7 +211,7 @@ func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64,
 
 // replay re-runs one (seed, schedule) reproducer and reports the media
 // fingerprint, so a failure can be confirmed bit for bit.
-func replay(structure, engName string, faults pmem.FaultSpec, seed int64, scheduleStr string, detect bool, shards int) int {
+func replay(structure, engName string, faults pmem.FaultSpec, seed int64, scheduleStr string, detect bool) int {
 	kind, ok := engines[engName]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "mirrorcrash: -schedule needs a single engine, got %q\n", engName)
@@ -229,7 +222,7 @@ func replay(structure, engName string, faults pmem.FaultSpec, seed int64, schedu
 		fmt.Fprintf(os.Stderr, "mirrorcrash: %v\n", err)
 		return 2
 	}
-	spec := faultfuzz.Spec{Structure: structure, Kind: kind, Faults: faults, Seed: seed, Schedule: sched, Detect: detect, Shards: shards}
+	spec := faultfuzz.Spec{Structure: structure, Kind: kind, Faults: faults, Seed: seed, Schedule: sched, Detect: detect}
 	res := faultfuzz.Run(spec)
 	fmt.Printf("replay %v\n  crashed at op %d of %d, media hash %#x\n",
 		spec, res.CrashedAt, res.OpsTotal, res.MediaHash)

@@ -36,9 +36,6 @@ type Config struct {
 	Policy    pmem.CrashPolicy
 	Seed      int64
 	Words     int // engine device capacity
-	// Shards > 1 runs the round on a sharded engine, the structure routed
-	// through structures.Sharded and recovery shard-concurrent.
-	Shards int
 }
 
 func (c *Config) setDefaults() {
@@ -78,27 +75,8 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 		panic("crashtest: engine kind is not durable")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ecfg := engine.Config{Kind: kind, Words: cfg.Words, Track: true, Shards: cfg.Shards}
-	// e is the engine or the sharded router; attach builds (or, after
-	// recovery, re-attaches) the set on it, and recoverSet recovers the set
-	// attach last built.
-	var e engine.Host
-	var attach func(c *engine.Ctx) structures.Set
-	var recoverSet func()
-	if cfg.Shards > 1 {
-		se := engine.NewSharded(ecfg)
-		var ss *structures.Sharded
-		e = se
-		attach = func(c *engine.Ctx) structures.Set { ss = structures.NewSharded(se, c, build); return ss }
-		recoverSet = func() { ss.Recover(engine.RecoverOptions{}) }
-	} else {
-		ue := engine.New(ecfg)
-		var us structures.Set
-		e = ue
-		attach = func(c *engine.Ctx) structures.Set { us = build(ue, c); return us }
-		recoverSet = func() { ue.Recover(us.Tracer()) }
-	}
-	set := attach(e.NewCtx())
+	e := engine.New(engine.Config{Kind: kind, Words: cfg.Words, Track: true})
+	set := build(e, e.NewCtx())
 
 	logs := make([]workerLog, cfg.Workers)
 	var wg sync.WaitGroup
@@ -165,11 +143,11 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 	rwg.Wait()
 
 	e.Crash(cfg.Policy, rng)
-	recoverSet()
+	e.Recover(set.Tracer())
 
 	// Re-attach and verify.
 	c := e.NewCtx()
-	set = attach(c)
+	set = build(e, c)
 	var violations []Violation
 	for w := 0; w < cfg.Workers; w++ {
 		lg := &logs[w]

@@ -6,52 +6,63 @@ import (
 
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
-	"mirror/internal/structures"
-	"mirror/internal/structures/list"
+	"mirror/internal/structures/hashtable"
 )
 
-// shardedKeys returns one key per shard of a 2-shard partition, plus the
-// cross-shard operation key: client 0's descriptor slot lives on shard 0
-// (client mod shards), so an operation on a key homed on shard 1 splits the
-// protocol across devices — announce and verdict on shard 0, effect on
-// shard 1.
+// crossBuckets is the bucket count of the swept table; a 2-shard trace
+// gives shard 0 the bucket array and buckets [0, 8), shard 1 buckets
+// [8, 16).
+const crossBuckets = 16
+
+// traceHalf reports which half of a 2-shard hashtable trace a key's node
+// falls in, by tracing shard 0 over a table holding only that key: shard 0
+// visits the bucket array, plus the node when the key is its own.
+func traceHalf(key uint64) int {
+	e := engine.New(engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 16, Track: true})
+	c := e.NewCtx()
+	hashtable.New(e, c, crossBuckets).Insert(c, key, key)
+	visits := 0
+	hashtable.ShardedTracerAt(e, 0)(0, 2)(e.RecoveryLoad, func(engine.Ref, int) { visits++ })
+	return 2 - visits
+}
+
+// shardedKeys returns one prefill key per trace shard, plus the operation
+// key, which lies in shard 1: the shard that does not trace the bucket
+// array.
 func shardedKeys(t *testing.T) (pre0, pre1, opKey uint64) {
 	t.Helper()
 	found := [2]uint64{}
 	for k := uint64(1); found[0] == 0 || found[1] == 0; k++ {
-		sh := pmem.ShardOf(k, 2)
-		if found[sh] == 0 {
+		if sh := traceHalf(k); found[sh] == 0 {
 			found[sh] = k
+		}
+		if k > 1000 {
+			t.Fatal("no key found for one of the two trace shards")
 		}
 	}
 	for k := found[1] + 1; ; k++ {
-		if pmem.ShardOf(k, 2) == 1 {
+		if traceHalf(k) == 1 {
 			return found[0], found[1], k
 		}
 	}
 }
 
-// TestDetectCrossShardSweep cuts a detectable insert whose descriptor slot
-// and effect live on *different* shards at every deterministic crash point,
-// recovers shard-concurrently, and checks the verdict is sound against the
-// recovered state: Committed implies the effect is present, NotCommitted
-// implies it is absent (the announce fence is eager on sharded engines, so
-// no effect can precede a persisted announce), Unknown allows either — and
-// an ExactlyOnce replay always lands the key exactly once.
+// TestDetectCrossShardSweep cuts a detectable insert whose effect lies in a
+// different shard of the recovery trace than the bucket array at every
+// deterministic crash point, recovers through the 2-shard pipeline, and
+// checks the verdict is sound against the recovered state: Committed
+// implies the effect is present, NotCommitted implies it is absent,
+// Unknown allows either — and an ExactlyOnce replay always lands the key
+// exactly once.
 func TestDetectCrossShardSweep(t *testing.T) {
 	pre0, pre1, opKey := shardedKeys(t)
-	build := func(sub engine.Engine, sc *engine.Ctx) structures.Set {
-		return list.New(sub, 0)
-	}
 	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM, engine.Izraelevitz, engine.NVTraverse} {
 		t.Run(kind.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for fa := int64(1); ; fa++ {
-				e := engine.NewSharded(engine.Config{
-					Kind: kind, Words: 1 << 20, Track: true, Clients: 2, Shards: 2,
-				})
+				e := engine.New(engine.Config{Kind: kind, Words: 1 << 20, Track: true, Clients: 2})
 				c := e.NewCtx()
-				s := structures.NewSharded(e, c, build)
+				s := hashtable.New(e, c, crossBuckets)
 				if !s.Insert(c, pre0, pre0) || !s.Insert(c, pre1, pre1) {
 					t.Fatal("prefill failed")
 				}
@@ -63,11 +74,13 @@ func TestDetectCrossShardSweep(t *testing.T) {
 				})
 				e.FreezeAfter(0)
 				e.Crash(pmem.CrashDropAll, rng)
-				s.Recover(engine.RecoverOptions{})
+				e.RecoverWith(hashtable.TracerAt(e, 0), engine.RecoverOptions{
+					Parallelism: 2, Sharded: hashtable.ShardedTracerAt(e, 0),
+				})
 				c = e.NewCtx()
-				s = structures.NewSharded(e, c, build)
+				s = hashtable.New(e, c, crossBuckets)
 
-				// Verdict soundness against the recovered cross-shard state.
+				// Verdict soundness against the recovered state.
 				v := e.Detect(0, 1)
 				present := s.Contains(c, opKey)
 				switch v.Verdict {
@@ -84,8 +97,6 @@ func TestDetectCrossShardSweep(t *testing.T) {
 					t.Errorf("fa=%d: completed op reads %v, want Committed", fa, v.Verdict)
 				}
 
-				// Replay through the parent router: exactly-once semantics
-				// must hold even though slot and effect shards differ.
 				out := engine.ExactlyOnce(e, c, engine.DetectOp{
 					Client: 0, Seq: 1, Kind: engine.DetectInsert, Key: opKey, Val: opKey * 10,
 					Run: func(cc *engine.Ctx) bool { return s.Insert(cc, opKey, opKey*10) },
@@ -93,12 +104,9 @@ func TestDetectCrossShardSweep(t *testing.T) {
 				if completed && out.Ran {
 					t.Errorf("fa=%d: completed insert was replayed (%+v)", fa, out)
 				}
-				if !s.Contains(c, opKey) {
-					t.Errorf("fa=%d: key %d missing after replay (completed=%v, outcome=%+v)",
-						fa, opKey, completed, out)
-				}
 				if got, ok := s.Get(c, opKey); !ok || got != opKey*10 {
-					t.Errorf("fa=%d: key %d value = (%d,%v), want (%d,true)", fa, opKey, got, ok, opKey*10)
+					t.Errorf("fa=%d: key %d = (%d,%v) after replay, want (%d,true) (completed=%v, outcome=%+v)",
+						fa, opKey, got, ok, opKey*10, completed, out)
 				}
 				if !s.Contains(c, pre0) || !s.Contains(c, pre1) {
 					t.Errorf("fa=%d: prefill keys disturbed", fa)

@@ -67,9 +67,6 @@ type Config struct {
 	// Clients reserves per-client operation-descriptor slots below the node
 	// heap for detectable operations; 0 leaves the layout unchanged.
 	Clients int
-	// NoElide disables the persisted-epoch watermark layer (ablation
-	// baseline): every persist issues its full flush+fence.
-	NoElide bool
 }
 
 // New creates an empty durable queue.
@@ -84,8 +81,7 @@ func New(cfg Config) *Queue {
 	q := &Queue{
 		dev: pmem.New(pmem.Config{
 			Name: "DurableQueue", Words: cfg.Words,
-			Persistent: true, Track: cfg.Track, Model: model,
-			Elide: !cfg.NoElide,
+			Persistent: true, Track: cfg.Track, Model: model, Elide: true,
 		}),
 	}
 	// Descriptor slots sit between the root slots and the node heap; the

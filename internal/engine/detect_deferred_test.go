@@ -112,8 +112,8 @@ func TestRingDeferredWindowStaysPending(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			e := New(Config{Kind: k, Words: 1 << 14, Track: true, Clients: 2, DetectRing: ring})
 			c := e.NewCtx()
-			if got := DetectRingOf(e); got != ring {
-				t.Fatalf("DetectRingOf = %d, want %d", got, ring)
+			if got := e.DetectRing(); got != ring {
+				t.Fatalf("DetectRing = %d, want %d", got, ring)
 			}
 			for seq := uint64(1); seq <= ring; seq++ {
 				runDetectable(e, c, 0, seq, true, 0)

@@ -98,23 +98,6 @@ type Ctx struct {
 	// batched-verdict protocol of the serving tier).
 	det        descState
 	detPending []pendingVerdict
-
-	// sub holds the per-shard contexts of a sharded engine's context (one
-	// per shard, in shard order); nil on unsharded engines. A FlushSet
-	// binds to exactly one device, so a thread on an N-shard engine needs
-	// N real contexts — the parent is a router over them. home is the
-	// thread's home shard for the NUMA latency preset.
-	sub  []*Ctx
-	home int
-}
-
-// Sub returns the per-shard context for shard i. Valid only on contexts
-// created by a sharded engine's NewCtx.
-func (c *Ctx) Sub(i int) *Ctx {
-	if c.sub == nil {
-		panic("engine: Sub on an unsharded context")
-	}
-	return c.sub[i]
 }
 
 // Tracer walks a data structure's reachable objects during recovery. It is
@@ -241,9 +224,8 @@ type Lifecycle interface {
 	PersistentDevices() []*pmem.Device
 }
 
-// Recovery is the post-crash role of a single-device engine: one tracer
-// walks one root object. A Sharded router has N root objects and recovers
-// through RecoverShards instead.
+// Recovery is the post-crash role: one tracer walks the structure from the
+// persistent root object.
 type Recovery interface {
 	// Recover rebuilds volatile state after Crash using the structure's
 	// tracer; for non-durable engines it reinitializes empty state. It is
@@ -337,24 +319,15 @@ type Introspection interface {
 	Footprint() (words uint64, replicas int)
 }
 
-// Engine is a complete single-device persistence engine: the union of the
-// five roles. Everything a role's caller may need is a method of that role —
-// there are no optional capabilities discovered by type assertion, so a
-// pass-through wrapper (struct{ Engine }) behaves exactly like the engine
-// it wraps. DESIGN.md "Persistence seam" draws who uses which role.
+// Engine is a complete persistence engine: the union of the five roles.
+// Everything a role's caller may need is a method of that role — there are
+// no optional capabilities discovered by type assertion, so a pass-through
+// wrapper (struct{ Engine }) behaves exactly like the engine it wraps.
+// DESIGN.md "Persistence seam" draws who uses which role.
 type Engine interface {
 	Memory
 	Lifecycle
 	Recovery
-	Detector
-	Introspection
-}
-
-// Host is what a single-device Engine and a *Sharded router have in common:
-// every role except Memory and Recovery, which need one device's refs and
-// one root object. Harnesses that run either shape hold it.
-type Host interface {
-	Lifecycle
 	Detector
 	Introspection
 }
@@ -410,23 +383,10 @@ type Config struct {
 	// Zero defaults to DefaultDetectRing when Clients > 0; 1 reproduces
 	// the original single-slot layout.
 	DetectRing int
-	// Shards splits the engine across that many independent device
-	// shards, each a full sub-engine (own devices, allocator, descriptor
-	// region, recovery) with the keyspace hash-partitioned across them
-	// (pmem.ShardOf), built by NewSharded; New accepts only values below
-	// 2. Words then sizes each shard's devices, and Clients descriptor
-	// slots are reserved per shard (a client's slot lives on its home
-	// shard, client mod Shards).
-	Shards int
-	// NUMARemoteNS, on a sharded engine, charges the NUMA latency
-	// preset's remote-socket penalty (pmem.NUMAModel) for every
-	// operation routed off the calling thread's home shard. Zero
-	// disables the penalty.
-	NUMARemoteNS int
 	// MediaPath backs the persistent device's media image with a
 	// MAP_SHARED mmap of this file (pmem.Config.MediaPath), so the fenced
 	// image survives abrupt process death — the serving tier's substrate.
-	// Durable engines only; requires Track; unsharded only.
+	// Durable engines only; requires Track.
 	MediaPath string
 	// Attach adopts an existing media image instead of initializing a
 	// fresh engine: construction skips the root-cell initialization
@@ -450,9 +410,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// DetectRingOf returns e's per-client descriptor ring size.
-func DetectRingOf(e Detector) int { return e.DetectRing() }
-
 // DetectBeginDeferred is e.DetectBeginDeferred. The trailing argument is
 // ignored: it used to say whether the announce fence could be deferred,
 // which the engine now decides in its write path. It stays only because the
@@ -470,25 +427,9 @@ func DetectEndDeferred(e Detector, c *Ctx, result bool, rval uint64) {
 // DetectDrain is e.DetectDrain.
 func DetectDrain(e Detector, c *Ctx) { e.DetectDrain(c) }
 
-// New creates a single-device engine. A sharded configuration is not an
-// Engine — it has no refs of its own — and is built by NewSharded.
+// New creates an engine.
 func New(cfg Config) Engine {
 	cfg.setDefaults()
-	if cfg.Shards > 1 {
-		panic("engine: Config.Shards > 1 builds a *Sharded router, not an Engine — use NewSharded")
-	}
-	return newSingle(cfg)
-}
-
-// shardEngine is a single-device engine as the Sharded router holds it: the
-// public roles plus the write path's announce barrier, which the router must
-// force itself (see Sharded.DetectBegin).
-type shardEngine interface {
-	Engine
-	announceBarrier(c *Ctx)
-}
-
-func newSingle(cfg Config) shardEngine {
 	switch cfg.Kind {
 	case OrigDRAM, OrigNVMM, Izraelevitz, NVTraverse:
 		return newDirect(cfg)

@@ -15,7 +15,7 @@ import (
 
 // TestNoCapabilityDiscoveryByTypeAssertion is a vet-style guard over every
 // non-test file of the module: a value of one of this package's role
-// interfaces (Engine, Host, Memory, ...) must never be type-asserted to a
+// interfaces (Engine, Memory, Detector, ...) must never be type-asserted to a
 // non-exported interface or to a concrete engine type. That is how optional
 // capabilities used to be discovered, and it is exactly what a pass-through
 // wrapper silently defeats — whatever a caller needs of an engine is a

@@ -93,15 +93,9 @@ type Spec struct {
 	// with linearize.CheckDurable is a violation like any other:
 	// shrinkable and replayable.
 	Detect bool
-	// Shards > 1 runs the workload on a sharded engine (engine.Sharded)
-	// with that many device shards, routed through structures.Sharded.
-	// Faults are injected independently per shard (pmem.ShardFaultModels)
-	// and the crash trigger is armed on the shard CrashAt selects, so a
-	// crash lands mid-operation on any one shard while the others keep
-	// their own damage streams. Recovery runs shard-concurrent.
-	Shards int
-	// NewEngine overrides unsharded engine construction (test hook for
-	// deliberately broken engines). nil means engine.New.
+	// NewEngine overrides engine construction (test hook for deliberately
+	// broken engines, or a recovery pipeline other than the sequential
+	// Recover). nil means engine.New.
 	NewEngine func(engine.Config) engine.Engine
 }
 
@@ -109,9 +103,6 @@ type Spec struct {
 func (s Spec) String() string {
 	str := fmt.Sprintf("-structure=%s -engine=%s -faults=%s -seed=%d -schedule=%s",
 		s.Structure, s.Kind, s.Faults, s.Seed, s.Schedule)
-	if s.Shards > 1 {
-		str += fmt.Sprintf(" -shards=%d", s.Shards)
-	}
 	if s.Detect {
 		str += " -detect"
 	}
@@ -288,62 +279,19 @@ func Run(spec Spec) *Result {
 	if spec.Detect {
 		clients = spec.Schedule.Workers
 	}
-	nsh := spec.Shards
-	if nsh < 1 {
-		nsh = 1
-	}
-	cfg := engine.Config{Kind: spec.Kind, Words: words, Track: true, Clients: clients, Shards: spec.Shards}
-	// A run is on one engine (ue) or one sharded router (se); e is whichever
-	// it is, behind the roles both honour.
-	var e engine.Host
-	var ue engine.Engine
-	var se *engine.Sharded
-	if nsh > 1 {
-		se = engine.NewSharded(cfg)
-		e = se
-	} else {
-		ue = newEngine(cfg)
-		e = ue
-	}
+	e := newEngine(engine.Config{Kind: spec.Kind, Words: words, Track: true, Clients: clients})
+	fm := pmem.NewFaultModel(spec.Seed, spec.Faults)
 	devs := e.PersistentDevices()
-	var fms []*pmem.FaultModel
-	var trig *pmem.FaultModel // the model carrying the crash trigger
-	if se != nil {
-		// One independent adversary per shard; the crash trigger is armed
-		// on the shard CrashAt selects, at a per-shard op count scaled by
-		// the shard count (every shard's clock advances at ~1/nsh the
-		// aggregate rate).
-		fms = pmem.ShardFaultModels(spec.Seed, spec.Faults, nsh)
-		(&pmem.ShardedDevice{Devs: devs}).InjectFaults(fms)
-		if spec.Schedule.CrashAt > 0 {
-			per := spec.Schedule.CrashAt / int64(nsh)
-			if per < 1 {
-				per = 1
-			}
-			trig = fms[spec.Schedule.CrashAt%int64(nsh)]
-			trig.CrashAfter(per)
-		}
-	} else {
-		fm := pmem.NewFaultModel(spec.Seed, spec.Faults)
-		for _, d := range devs {
-			d.InjectFaults(fm)
-		}
-		fms = []*pmem.FaultModel{fm}
-		trig = fm
-		if spec.Schedule.CrashAt > 0 {
-			fm.CrashAfter(spec.Schedule.CrashAt)
-		}
+	for _, d := range devs {
+		d.InjectFaults(fm)
+	}
+	if spec.Schedule.CrashAt > 0 {
+		fm.CrashAfter(spec.Schedule.CrashAt)
 	}
 
 	// Construction is inside the crash window: the trigger may cut it.
 	var set structures.Set
-	built := guard(func() {
-		if se != nil {
-			set = structures.NewSharded(se, e.NewCtx(), tgt.build)
-		} else {
-			set = tgt.build(ue, ue.NewCtx())
-		}
-	})
+	built := guard(func() { set = tgt.build(e, e.NewCtx()) })
 
 	hist := linearize.NewHistory()
 	dets := make([]*detectableSet, spec.Schedule.Workers)
@@ -383,88 +331,47 @@ func Run(spec Spec) *Result {
 	// dirty line's fate (the policy argument is superseded by the model).
 	e.Freeze()
 	e.Crash(pmem.CrashDropAll, nil)
-	if trig != nil {
-		res.CrashedAt = trig.CrashedAt()
-	}
+	res.CrashedAt = fm.CrashedAt()
+	res.OpsTotal = fm.Ops()
 	// The crash has been taken (or its moment passed un-hit): disarm the
 	// trigger so recovery and verification run under eviction stress only.
-	// OpsTotal aggregates every shard's device-op clock so fuzzers can
-	// still sample CrashAt from [1, OpsTotal].
-	for _, m := range fms {
-		res.OpsTotal += m.Ops()
-		m.CrashAfter(0)
-	}
+	fm.CrashAfter(0)
 	for _, d := range devs {
 		res.MediaHash = res.MediaHash*fnvPrime ^ d.MediaHash()
 	}
 
 	// Recovery must neither panic nor leave a broken structure behind.
-	// Sharded engines recover shard-concurrent, one tracer per shard.
-	if !guard(func() {
-		if se != nil {
-			trs := make([]engine.Tracer, nsh)
-			for i := range trs {
-				trs[i] = tgt.tracer(se.Sub(i))
-			}
-			se.RecoverShards(trs, engine.RecoverOptions{})
-		} else {
-			ue.Recover(tgt.tracer(ue))
-		}
-	}) {
+	if !guard(func() { e.Recover(tgt.tracer(e)) }) {
 		res.addf("recovery crashed (froze) — recovery must not touch the crash trigger")
 		return res
 	}
 	c := e.NewCtx()
-	if !guard(func() {
-		if se != nil {
-			set = structures.NewSharded(se, c, tgt.build)
-		} else {
-			set = tgt.build(ue, c)
-		}
-	}) {
+	if !guard(func() { set = tgt.build(e, c) }) {
 		res.addf("re-attach after recovery froze the device")
 		return res
 	}
 
-	// Per-shard check surfaces: on an unsharded run these collapse to the
-	// single engine and context, keeping violation strings unchanged.
-	shardEngines := []engine.Engine{ue}
-	shardCtx := func(int) *engine.Ctx { return c }
-	shardTag := func(int) string { return "" }
-	if se != nil {
-		shardEngines = shardEngines[:0]
-		for i := 0; i < nsh; i++ {
-			shardEngines = append(shardEngines, se.Sub(i))
-		}
-		shardCtx = func(i int) *engine.Ctx { return c.Sub(i) }
-		shardTag = func(i int) string { return fmt.Sprintf(" shard %d", i) }
-	}
-	fsckAll := func(prefix string) {
-		for i, sub := range shardEngines {
-			if rep := tgt.fsck(sub, shardCtx(i)); !rep.Ok() {
-				for _, p := range rep.Problems {
-					res.addf("%sfsck%s: %s", prefix, shardTag(i), p)
-				}
+	fsck := func(prefix string) {
+		if rep := tgt.fsck(e, c); !rep.Ok() {
+			for _, p := range rep.Problems {
+				res.addf("%sfsck: %s", prefix, p)
 			}
 		}
 	}
-	invariantsAll := func(prefix string) {
-		for i, sub := range shardEngines {
-			sub, sc := sub, shardCtx(i)
-			tgt.tracer(sub)(
-				func(ref engine.Ref, field int) uint64 { return sub.TraversalLoad(sc, ref, field) },
-				func(ref engine.Ref, fields int) {
-					if msg := sub.CheckInvariants(ref, fields); msg != "" {
-						res.addf("%sreplica invariant: %s", prefix, msg)
-					}
-				})
-		}
+	invariants := func(prefix string) {
+		tgt.tracer(e)(
+			func(ref engine.Ref, field int) uint64 { return e.TraversalLoad(c, ref, field) },
+			func(ref engine.Ref, fields int) {
+				if msg := e.CheckInvariants(ref, fields); msg != "" {
+					res.addf("%sreplica invariant: %s", prefix, msg)
+				}
+			})
 	}
 
 	// Structural fsck, then the Lemma 5.3–5.5 replica invariants on every
 	// reachable object.
-	fsckAll("")
-	invariantsAll("")
+	fsck("")
+	invariants("")
 
 	// Detectability: every verdict must agree with the recorded history,
 	// and the crash-cut operation is resolved by its verdict *before* the
@@ -472,7 +379,7 @@ func Run(spec Spec) *Result {
 	// op to take effect with the recorded result, a NotCommitted verdict
 	// obliges it to vanish, and only Unknown leaves both fates open.
 	if spec.Detect {
-		ring := uint64(engine.DetectRingOf(e))
+		ring := uint64(e.DetectRing())
 		for w, d := range dets {
 			if d == nil {
 				continue
@@ -577,8 +484,8 @@ func Run(spec Spec) *Result {
 			}
 		}
 		if replayed {
-			fsckAll("post-replay ")
-			invariantsAll("post-replay ")
+			fsck("post-replay ")
+			invariants("post-replay ")
 			final = scan()
 			if err := linearize.CheckDurable(hist, nil, final); err != nil {
 				res.addf("post-replay %v (completed=%d pending=%d state=%v)", err, len(hist.Ops), len(hist.Pending), final)

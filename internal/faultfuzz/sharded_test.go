@@ -6,13 +6,42 @@ import (
 
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
+	"mirror/internal/structures/hashtable"
+	"mirror/internal/structures/skiplist"
 )
 
+// shardedRecovery is an engine whose Recover runs the parallel recovery
+// pipeline with fixed options instead of the sequential one.
+type shardedRecovery struct {
+	engine.Engine
+	opts engine.RecoverOptions
+}
+
+func (s shardedRecovery) Recover(tr engine.Tracer) { s.RecoverWith(tr, s.opts) }
+
+// recoverSharded adapts Spec.NewEngine so Run recovers through the pipeline
+// partitioned into the given number of shards: a sharded trace where the
+// structure has a ShardedTracer, a partitioned allocator rebuild always.
+func recoverSharded(structure string, shards int) func(engine.Config) engine.Engine {
+	return func(cfg engine.Config) engine.Engine {
+		e := engine.New(cfg)
+		opts := engine.RecoverOptions{Parallelism: shards}
+		switch structure {
+		case "hashtable":
+			opts.Sharded = hashtable.ShardedTracerAt(e, targets()[structure].rootField)
+		case "skiplist":
+			opts.Sharded = skiplist.ShardedTracerAt(e, targets()[structure].rootField)
+		}
+		return shardedRecovery{e, opts}
+	}
+}
+
 // TestShardedAllEnginesAllFaults runs the full fault mix against every
-// durable engine and every structure on a 2-shard engine: per-shard
-// independent fault models, a crash trigger armed on one shard while the
-// others keep their own adversaries, and shard-concurrent recovery. The
-// seeds are fixed so CI failures reproduce bit for bit.
+// durable engine and every structure with recovery partitioned into two
+// shards: the parallel pipeline runs under the fault model's eviction
+// stress, and the survivor must pass the same fsck, invariant and
+// durable-linearizability checks as a sequential recovery. The seeds are
+// fixed so CI failures reproduce bit for bit.
 func TestShardedAllEnginesAllFaults(t *testing.T) {
 	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
 	for _, structure := range Structures() {
@@ -23,7 +52,7 @@ func TestShardedAllEnginesAllFaults(t *testing.T) {
 					Structure: structure,
 					Kind:      kind,
 					Faults:    all,
-					Shards:    2,
+					NewEngine: recoverSharded(structure, 2),
 					Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
 				}, []int64{11, 12, 13})
 			})
@@ -31,9 +60,9 @@ func TestShardedAllEnginesAllFaults(t *testing.T) {
 	}
 }
 
-// TestShardedWiderCounts spot-checks wider shard counts (3 and 4) on the
-// Mirror engines: the hash partition is not a power-of-two-only design, and
-// the trigger shard (CrashAt mod shards) must cycle through every shard.
+// TestShardedWiderCounts spot-checks wider recovery shard counts (3 and 4)
+// on the Mirror engines: the hashtable's bucket-range partition is not a
+// power-of-two-only design.
 func TestShardedWiderCounts(t *testing.T) {
 	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
 	for _, shards := range []int{3, 4} {
@@ -44,7 +73,7 @@ func TestShardedWiderCounts(t *testing.T) {
 					Structure: "hashtable",
 					Kind:      kind,
 					Faults:    all,
-					Shards:    shards,
+					NewEngine: recoverSharded("hashtable", shards),
 					Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
 				}, []int64{21, 22})
 			})
@@ -52,11 +81,10 @@ func TestShardedWiderCounts(t *testing.T) {
 	}
 }
 
-// TestShardedDetectable runs the detectability cross-check on 2-shard
-// Mirror engines: descriptor slots and operation effects split across
-// shards (client c's slot on shard c mod 2, effects wherever the key
-// hashes), and every post-crash verdict must still agree with the durable
-// linearizability checker.
+// TestShardedDetectable runs the detectability cross-check with recovery
+// partitioned into two shards: the descriptor rings are scrubbed and the
+// structure rebuilt by the parallel pipeline, and every post-crash verdict
+// must still agree with the durable linearizability checker.
 func TestShardedDetectable(t *testing.T) {
 	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
 	for _, kind := range durableKinds() {
@@ -67,7 +95,7 @@ func TestShardedDetectable(t *testing.T) {
 				Kind:      kind,
 				Faults:    all,
 				Detect:    true,
-				Shards:    2,
+				NewEngine: recoverSharded("hashtable", 2),
 				Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
 			}, []int64{31, 32})
 		})

@@ -119,34 +119,11 @@ func bucketsFor(keyRange int) int {
 	return b
 }
 
-// buildEngineTarget constructs one structure under one engine — or, with
-// Options.Shards > 1, under a sharded router — and returns both the
-// workload target and the engine's host roles, so callers that need the
-// counters and protocol statistics (the JSON benchmark matrix) can read
-// them around a run.
-func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange int) (workload.Target, engine.Host) {
-	if o.Shards > 1 {
-		return buildShardedTarget(kind, structure, o, keyRange)
-	}
-	cfg, sizeRange := engineConfig(kind, structure, o, keyRange)
-	e := engine.New(cfg)
-	set := buildSet(structure, sizeRange)(e, e.NewCtx())
-	return engineTarget(e, set, kind, structure, cfg.Clients), e
-}
-
-// buildShardedTarget is buildEngineTarget on a sharded router, routed
-// through structures.Sharded; it returns the router itself for callers that
-// read per-shard counters.
-func buildShardedTarget(kind engine.Kind, structure string, o Options, keyRange int) (workload.Target, *engine.Sharded) {
-	cfg, sizeRange := engineConfig(kind, structure, o, keyRange)
-	e := engine.NewSharded(cfg)
-	set := structures.NewSharded(e, e.NewCtx(), buildSet(structure, sizeRange))
-	return engineTarget(e, set, kind, structure, cfg.Clients), e
-}
-
-// engineConfig sizes the engine for one benchmark target and returns the
-// key range each device must hold.
-func engineConfig(kind engine.Kind, structure string, o Options, keyRange int) (engine.Config, int) {
+// buildEngineTarget constructs one structure under one engine and returns
+// both the workload target and the engine, so callers that need the counters
+// and protocol statistics (the JSON benchmark matrix) can read them around a
+// run.
+func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange int) (workload.Target, engine.Engine) {
 	clients := 0
 	if o.Detect {
 		// One descriptor slot per concurrent worker at the widest point of
@@ -161,50 +138,28 @@ func engineConfig(kind engine.Kind, structure string, o Options, keyRange int) (
 			clients = 1
 		}
 	}
-	// Per-shard device sizing: the hash partition spreads the key range
-	// about evenly, so each shard's device holds keyRange/Shards keys plus
-	// 25% slack for partition imbalance. Config.Words is per shard.
-	sizeRange := keyRange
-	if o.Shards > 1 {
-		sizeRange = keyRange/o.Shards + keyRange/(4*o.Shards)
-		if sizeRange < 64 {
-			sizeRange = 64
-		}
+	e := engine.New(engine.Config{
+		Kind:    kind,
+		Words:   deviceWords(structure, kind, keyRange),
+		Latency: o.Latency,
+		Track:   false, // benchmarks never crash
+		NoElide: o.NoElide,
+		Clients: clients,
+	})
+	c := e.NewCtx()
+	var set structures.Set
+	switch structure {
+	case StList:
+		set = list.New(e, 0)
+	case StHash:
+		set = hashtable.New(e, c, bucketsFor(keyRange))
+	case StBST:
+		set = bst.New(e, c)
+	case StSkipList:
+		set = skiplist.New(e, c)
+	default:
+		panic("harness: unknown structure " + structure)
 	}
-	return engine.Config{
-		Kind:         kind,
-		Words:        deviceWords(structure, kind, sizeRange),
-		Latency:      o.Latency,
-		Track:        false, // benchmarks never crash
-		NoElide:      o.NoElide,
-		Clients:      clients,
-		Shards:       o.Shards,
-		NUMARemoteNS: o.NUMARemoteNS,
-	}, sizeRange
-}
-
-// buildSet returns the constructor of one structure on one (sub-)engine
-// holding up to sizeRange keys.
-func buildSet(structure string, sizeRange int) func(e engine.Engine, c *engine.Ctx) structures.Set {
-	return func(e engine.Engine, c *engine.Ctx) structures.Set {
-		switch structure {
-		case StList:
-			return list.New(e, 0)
-		case StHash:
-			return hashtable.New(e, c, bucketsFor(sizeRange))
-		case StBST:
-			return bst.New(e, c)
-		case StSkipList:
-			return skiplist.New(e, c)
-		default:
-			panic("harness: unknown structure " + structure)
-		}
-	}
-}
-
-// engineTarget wraps a built set as a workload target whose workers each
-// own a context of e — and, with detectability on, a descriptor slot.
-func engineTarget(e engine.Host, set structures.Set, kind engine.Kind, structure string, clients int) workload.Target {
 	var workerIDs atomic.Uint64
 	seqs := make([]atomic.Uint64, clients)
 	return workload.Target{
@@ -218,7 +173,7 @@ func engineTarget(e engine.Host, set structures.Set, kind engine.Kind, structure
 			}
 			return &engineWorker{set: set, c: c}
 		},
-	}
+	}, e
 }
 
 // engineCompetitor builds one structure under one engine.

@@ -29,7 +29,7 @@ type BenchPoint struct {
 	Ops       uint64  `json:"ops"`
 
 	// Flushes/Fences are the device persistence-instruction counts this
-	// point added (pmem.Device.Counters deltas, exact under sharding).
+	// point added (pmem.Device.Counters deltas).
 	Flushes uint64 `json:"flushes"`
 	Fences  uint64 `json:"fences"`
 	// Helps/Retries are the Mirror protocol statistics this point added
@@ -53,17 +53,6 @@ type BenchPoint struct {
 	DetectAnnounces uint64 `json:"detect_announces,omitempty"`
 	DetectVerdicts  uint64 `json:"detect_verdicts,omitempty"`
 
-	// Sharded-substrate ablation fields, set only on the panels appended by
-	// AppendShardAblation. Shards is the device shard count the point ran
-	// on (1 = the classic single-device engine, the baseline row);
-	// NUMARemoteNS is the remote-shard latency penalty in force (0 = the
-	// symmetric preset). ShardFlushes/ShardFences break the point's
-	// persistence-instruction deltas down per shard, in shard order — their
-	// spread is the direct measure of hash-partition balance.
-	Shards       int      `json:"shards,omitempty"`
-	NUMARemoteNS int      `json:"numa_remote_ns,omitempty"`
-	ShardFlushes []uint64 `json:"shard_flushes,omitempty"`
-	ShardFences  []uint64 `json:"shard_fences,omitempty"`
 	// Dist/Skew record a non-uniform key distribution (workload.Spec
 	// semantics); omitted for the uniform default.
 	Dist string  `json:"dist,omitempty"`
@@ -90,12 +79,6 @@ type BenchOptions struct {
 	// Detect records that every operation ran through a detectable bracket
 	// (the descriptor-overhead ablation run).
 	Detect bool `json:"detect,omitempty"`
-	// Shards records the shard-count sweep of the sharded-substrate
-	// ablation panels appended by AppendShardAblation.
-	Shards []int `json:"shards,omitempty"`
-	// NUMARemoteNS records the remote-shard penalty the sharded ablation
-	// also measured (each sharded cell is run symmetric and penalized).
-	NUMARemoteNS int `json:"numa_remote_ns,omitempty"`
 	// Dist/Skew record a non-uniform key distribution applied to the whole
 	// matrix (workload.Spec semantics); omitted for the uniform default.
 	Dist string  `json:"dist,omitempty"`
@@ -266,109 +249,6 @@ func RunBenchMatrix(o Options, structs []string, kinds []engine.Kind, threads []
 	return r
 }
 
-// AppendShardAblation appends the sharded-substrate ablation panels to a
-// report: the hash table under both Mirror engines, measured at every
-// requested shard count in the same session. The 1-shard cells run the
-// classic single-device engine — the baseline every sharded cell is judged
-// against — and each sharded cell is measured twice when a NUMA penalty is
-// requested: once symmetric and once with every remotely-routed operation
-// paying Options.NUMARemoteNS. Sharded points carry per-shard flush/fence
-// breakdowns, so partition balance is visible in the committed JSON. The
-// base matrix is left untouched.
-func AppendShardAblation(r *BenchReport, o Options, shardCounts []int, threads []int) {
-	o.setDefaults()
-	if len(threads) == 0 {
-		threads = o.Threads
-	}
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4}
-	}
-	o.Threads = threads
-	r.Options.Shards = shardCounts
-	r.Options.NUMARemoteNS = o.NUMARemoteNS
-	keyRange := (8 << 20) / o.Scale
-	if keyRange < 64 {
-		keyRange = 64
-	}
-	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM} {
-		for _, n := range shardCounts {
-			penalties := []int{0}
-			if n > 1 && o.NUMARemoteNS > 0 {
-				penalties = append(penalties, o.NUMARemoteNS)
-			}
-			for _, numa := range penalties {
-				oo := o
-				oo.Shards = n
-				oo.NUMARemoteNS = numa
-				var target workload.Target
-				var e engine.Host
-				var se *engine.Sharded // nil on the unsharded baseline
-				if n > 1 {
-					target, se = buildShardedTarget(kind, StHash, oo, keyRange)
-					e = se
-				} else {
-					target, e = buildEngineTarget(kind, StHash, oo, keyRange)
-				}
-				workload.PrefillHalf(target, uint64(keyRange), oo.Seed)
-				for _, th := range threads {
-					fl0, fe0 := e.Counters()
-					s0 := e.Stats()
-					var sf0, sn0 []uint64
-					if se != nil {
-						sf0, sn0 = se.ShardCounters()
-					}
-					res := workload.Run(target, workload.Spec{
-						KeyRange: uint64(keyRange),
-						Mix:      workload.Mix801010,
-						Threads:  th,
-						Duration: o.Duration,
-						Seed:     o.Seed,
-						Dist:     o.Dist,
-						Skew:     o.Skew,
-					})
-					fl1, fe1 := e.Counters()
-					s1 := e.Stats()
-					p := BenchPoint{
-						Structure:         StHash,
-						Engine:            kind.String(),
-						Threads:           th,
-						KeyRange:          keyRange,
-						Mops:              res.MopsPerSec(),
-						Ops:               res.Ops,
-						Flushes:           fl1 - fl0,
-						Fences:            fe1 - fe0,
-						Helps:             s1.Helps - s0.Helps,
-						Retries:           s1.Retries - s0.Retries,
-						ElidedFlushes:     s1.ElidedFlushes - s0.ElidedFlushes,
-						ElidedFences:      s1.ElidedFences - s0.ElidedFences,
-						PiggybackedFences: s1.PiggybackedFences - s0.PiggybackedFences,
-						RelaxedCAS:        s1.RelaxedCAS - s0.RelaxedCAS,
-						Shards:            n,
-						NUMARemoteNS:      numa,
-						Dist:              o.Dist,
-						Skew:              o.Skew,
-					}
-					if se != nil {
-						sf1, sn1 := se.ShardCounters()
-						p.ShardFlushes = counterDeltas(sf1, sf0)
-						p.ShardFences = counterDeltas(sn1, sn0)
-					}
-					r.Points = append(r.Points, p)
-				}
-			}
-		}
-	}
-}
-
-// counterDeltas subtracts two same-length per-shard counter snapshots.
-func counterDeltas(after, before []uint64) []uint64 {
-	out := make([]uint64, len(after))
-	for i := range after {
-		out[i] = after[i] - before[i]
-	}
-	return out
-}
-
 // Validate checks the report's internal consistency.
 func (r *BenchReport) Validate() error {
 	if r.Schema != BenchSchema {
@@ -389,12 +269,6 @@ func (r *BenchReport) Validate() error {
 			return fmt.Errorf("point %d: key range %d", i, p.KeyRange)
 		case p.Mops < 0:
 			return fmt.Errorf("point %d: negative throughput", i)
-		case p.Shards < 0:
-			return fmt.Errorf("point %d: shards %d", i, p.Shards)
-		}
-		if p.Shards > 1 && (len(p.ShardFlushes) != p.Shards || len(p.ShardFences) != p.Shards) {
-			return fmt.Errorf("point %d: %d shards but %d/%d per-shard counters",
-				i, p.Shards, len(p.ShardFlushes), len(p.ShardFences))
 		}
 	}
 	for i, p := range r.Serving {

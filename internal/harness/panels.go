@@ -34,16 +34,6 @@ type Options struct {
 	// ablation switch for the detectability layer. Off by default, so the
 	// standard matrix is unchanged.
 	Detect bool
-	// Shards > 1 spreads every engine-backed structure across that many
-	// device shards (engine.Sharded): hash-partitioned keyspace, one
-	// allocator and descriptor region per shard, shard-concurrent recovery.
-	// The competitor engines (Zuriel, Cmap) ignore it. Zero or one
-	// runs the classic single-device engines.
-	Shards int
-	// NUMARemoteNS charges an extra spin-calibrated latency penalty (in
-	// nanoseconds) on every operation routed off its context's home shard —
-	// the NUMA preset for sharded runs. Ignored unless Shards > 1.
-	NUMARemoteNS int
 	// Dist selects the workload key distribution (workload.DistUniform /
 	// DistZipfian / DistHotspot; "" means uniform) and Skew its parameter.
 	Dist string

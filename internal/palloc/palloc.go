@@ -10,13 +10,6 @@
 // touches device memory itself. Offsets are multiples of 4 words (32
 // bytes), so stored references have two low bits free for mark/flag/tag
 // bits and every cell is legal for DWCAS (16-byte alignment).
-//
-// One Allocator serves one device region, so a sharded engine
-// (engine.Sharded) carries one allocator per shard as a consequence of its
-// composition: each shard is a complete sub-engine with its own region.
-// The Cache.PreFree drain gate is therefore shard-local — before a drain
-// batch on shard i frees anything, only shard i's relaxed lines must
-// commit, never another shard's.
 package palloc
 
 import (

@@ -62,6 +62,12 @@ const (
 	// CrashRandom flips an independent coin per word (8-byte persist
 	// granularity, matching x86 persistence atomicity).
 	CrashRandom
+	// CrashDropFlushed persists every unfenced write except those on lines
+	// a FlushSet has flushed and not yet fenced: the most adversarial
+	// outcome for algorithms that treat a flush as an ordering point — a
+	// later, never-flushed write reaches the media (an eviction) while the
+	// flushed line does not.
+	CrashDropFlushed
 )
 
 // Config describes a Device.
@@ -654,6 +660,10 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 		if d.fault != nil {
 			d.fault.applyCrash(d)
 		} else {
+			var flushed map[uint64]bool
+			if policy == CrashDropFlushed {
+				flushed = d.flushedLines()
+			}
 			for i := range d.words {
 				cur, med := d.words[i], d.media[i]
 				if cur == med {
@@ -667,6 +677,10 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 						panic("pmem: CrashRandom requires a rand source")
 					}
 					if rng.Int63()&1 == 0 {
+						d.media[i] = cur
+					}
+				case CrashDropFlushed:
+					if !flushed[uint64(i)>>lineShift] {
 						d.media[i] = cur
 					}
 				}
@@ -698,6 +712,20 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 	}
 	d.state.Store(base)
 	d.syncGate()
+}
+
+// flushedLines returns the lines flushed on any of the device's FlushSets
+// and not yet fenced.
+func (d *Device) flushedLines() map[uint64]bool {
+	d.shardMu.Lock()
+	defer d.shardMu.Unlock()
+	lines := make(map[uint64]bool)
+	for _, fs := range d.shards {
+		for _, line := range fs.lines {
+			lines[line] = true
+		}
+	}
+	return lines
 }
 
 // ReadRaw reads a word without latency, freeze checks, or bounds reservation

@@ -166,6 +166,25 @@ func TestCrashKeepAll(t *testing.T) {
 	}
 }
 
+func TestCrashDropFlushed(t *testing.T) {
+	d := newTestDevice(64)
+	var fs FlushSet
+	d.Store(9, 1) // line 1: fenced
+	d.Flush(&fs, 9)
+	d.Fence(&fs)
+	d.Store(9, 2)  // line 1: flushed, not fenced
+	d.Store(17, 3) // line 2: never flushed
+	d.Flush(&fs, 9)
+	d.Freeze()
+	d.Crash(CrashDropFlushed, nil)
+	if got := d.Load(9); got != 1 {
+		t.Errorf("word 9 = %d, want fenced value 1 (flushed line dropped)", got)
+	}
+	if got := d.Load(17); got != 3 {
+		t.Errorf("word 17 = %d, want 3 (unflushed line evicted)", got)
+	}
+}
+
 func TestCrashRandomSubsetsBetweenExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := newTestDevice(1024)

@@ -41,40 +41,6 @@ func NVMMModel() LatencyModel {
 // correctness runs are fast.
 func NoLatency() LatencyModel { return LatencyModel{} }
 
-// NUMA models a multi-socket NVRAM topology over a sharded engine: each
-// shard plays one socket's DIMMs, a thread's home shard is cheap (the
-// plain NVMM model), and every operation routed to a remote shard pays a
-// fixed remote-socket penalty on top — the shape of the paper's
-// remote-persist measurements (§6.2.1). The penalty is charged once per
-// routed operation at the routing layer, not per device access, so the
-// device fast path is untouched and the local/remote latency ratio is
-// set directly by the preset.
-type NUMA struct {
-	// RemoteNS is the extra cost, in nanoseconds, of routing one
-	// operation to a shard other than the calling thread's home shard.
-	RemoteNS int
-	iters    int64 // precomputed spin iterations for RemoteNS
-}
-
-// NUMAModel returns the NUMA-shaped latency preset with the given
-// remote-socket penalty per remotely routed operation. The spin count is
-// precomputed here, so charging the penalty is a single calibrated busy
-// loop with no rate lookup.
-func NUMAModel(remotePenaltyNS int) *NUMA {
-	return &NUMA{RemoteNS: remotePenaltyNS, iters: spinIters(remotePenaltyNS)}
-}
-
-// Local returns the home-shard device model: plain NVMM speed.
-func (n *NUMA) Local() LatencyModel { return NVMMModel() }
-
-// Penalize charges one remote-socket penalty; the sharded engine calls
-// it when an operation's key routes off the calling thread's home shard.
-func (n *NUMA) Penalize() {
-	if n != nil {
-		spinN(n.iters)
-	}
-}
-
 // The spin rate (loop iterations per nanosecond, fixed-point scaled by
 // 1024) is calibrated exactly once per process and cached; devices convert
 // their model's nanosecond costs to iteration counts at construction, so

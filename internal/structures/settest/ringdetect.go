@@ -15,14 +15,29 @@ package settest
 //   - Committed is impossible: no verdict was ever published and the window
 //     never laps, so neither the entry, a lap, nor a sibling verdict can
 //     vouch for the seq.
-//   - NotCommitted implies the effect is absent: the announce is durable
-//     before the operation can reach its linearization point.
+//   - NotCommitted implies the effect is absent (an inserted key missing, a
+//     deleted key still present): the announce is durable before the
+//     operation can reach its linearization point.
 //   - If the whole window quiesced before the freeze, every announce is
 //     durable and every verdict reads Unknown — the honest answer for a cut
 //     operation.
-//   - Ascending ExactlyOnce replay (replayUnknown: idempotent inserts)
-//     loses and duplicates nothing, and afterwards every seq reads
-//     Committed with a recorded result.
+//   - Ascending ExactlyOnce replay (replayUnknown: set operations are
+//     idempotent) loses and duplicates nothing, and afterwards every seq
+//     reads Committed with a recorded result.
+//
+// Two sweeps differ in the window and the crash adversary:
+//
+//   - DropAll: k inserts, every cut crashed under CrashDropAll.
+//   - DropFlushed: deletes of prefill keys alternating with inserts, every
+//     cut crashed under CrashDropFlushed. An insert's announce rides its
+//     publish fence, but nothing fences ahead of a delete's mark except the
+//     engine's announce barrier; this adversary persists the never-flushed
+//     mark while dropping the flushed-but-unfenced announce, so a barrier
+//     that does not fence reads NotCommitted for a delete that took effect.
+//
+// Both sweeps run twice: Unsharded recovers sequentially, Sharded2 through
+// the recovery pipeline partitioned across two workers (see recoverShards).
+// The verdicts must not depend on how recovery was partitioned.
 
 import (
 	"fmt"
@@ -53,24 +68,36 @@ func runToFreeze(f func()) (completed bool) {
 	return true
 }
 
-// RunRingDetect executes the ring-detect battery for every durable engine
-// kind, unsharded and sharded, with the ring holding k ∈ {1, 4, 8}
-// announced-but-unverdicted entries at the crash.
+// RunRingDetect executes both ring-detect sweeps for every durable engine
+// kind, recovering sequentially and two-way sharded, with the ring holding
+// k ∈ {1, 4, 8} announced-but-unverdicted entries at the crash.
 func RunRingDetect(t *testing.T, f Factory) {
+	sweeps := []struct {
+		name    string
+		policy  pmem.CrashPolicy
+		deletes bool
+	}{
+		{"DropAll", pmem.CrashDropAll, false},
+		{"DropFlushed", pmem.CrashDropFlushed, true},
+	}
 	for _, k := range engine.Kinds() {
 		if !k.Durable() {
 			continue
 		}
 		t.Run(k.String(), func(t *testing.T) {
-			for _, shards := range []int{0, 2} {
+			for _, shards := range []int{1, 2} {
 				name := "Unsharded"
-				if shards > 0 {
+				if shards > 1 {
 					name = fmt.Sprintf("Sharded%d", shards)
 				}
 				t.Run(name, func(t *testing.T) {
 					for _, window := range []int{1, 4, 8} {
 						t.Run(fmt.Sprintf("K%d", window), func(t *testing.T) {
-							ringDetectSweep(t, f, k, shards, window)
+							for _, sw := range sweeps {
+								t.Run(sw.name, func(t *testing.T) {
+									ringDetectSweep(t, f, k, sw.policy, sw.deletes, shards, window)
+								})
+							}
 						})
 					}
 				})
@@ -79,87 +106,84 @@ func RunRingDetect(t *testing.T, f Factory) {
 	}
 }
 
-// ringTarget is one fresh instance under test: the set, its engine (or
-// sharded router), and a recover function that re-attaches after the crash.
-type ringTarget struct {
-	e engine.Host
-	c *engine.Ctx
-	s structures.Set
-	// recover crashes nothing itself; it recovers the frozen image and
-	// returns a fresh (ctx, set) attached to the recovered state.
-	recover func() (*engine.Ctx, structures.Set)
+// ringOp is the window's operation for one seq: an insert of a fresh key, or
+// (with deletes, on odd seqs) a delete of a prefill key.
+type ringOp struct {
+	del      bool
+	key, val uint64
 }
 
-func (f Factory) ringTarget(k engine.Kind, shards int) ringTarget {
-	if shards == 0 {
-		e := engine.New(engine.Config{
-			Kind: k, Words: ringWords, Track: true, Clients: 2, DetectRing: 8,
-		})
-		c := e.NewCtx()
-		s := f.New(e, c)
-		tr := s.Tracer()
-		return ringTarget{e: e, c: c, s: s, recover: func() (*engine.Ctx, structures.Set) {
-			e.RecoverWith(tr, engine.RecoverOptions{Parallelism: 1})
-			c := e.NewCtx()
-			return c, f.New(e, c)
-		}}
+func windowOp(seq uint64, deletes bool) ringOp {
+	if deletes && seq%2 == 1 {
+		return ringOp{del: true, key: 100 + seq}
 	}
-	e := engine.NewSharded(engine.Config{
-		Kind: k, Words: ringWords, Track: true, Clients: 2, DetectRing: 8, Shards: shards,
-	})
-	c := e.NewCtx()
-	s := structures.NewSharded(e, c, f.New)
-	return ringTarget{e: e, c: c, s: s, recover: func() (*engine.Ctx, structures.Set) {
-		s.Recover(engine.RecoverOptions{})
-		c := e.NewCtx()
-		return c, structures.NewSharded(e, c, f.New)
-	}}
+	return ringOp{key: 200 + seq, val: seq * 10}
 }
 
-// ringDetectSweep crashes a window of k announced-but-unverdicted inserts
-// at every deterministic crash point.
-func ringDetectSweep(t *testing.T, f Factory, kind engine.Kind, shards, k int) {
+func (op ringOp) kind() uint64 {
+	if op.del {
+		return engine.DetectDelete
+	}
+	return engine.DetectInsert
+}
+
+func (op ringOp) run(s structures.Set, c *engine.Ctx) bool {
+	if op.del {
+		return s.Delete(c, op.key)
+	}
+	return s.Insert(c, op.key, op.val)
+}
+
+// ringDetectSweep crashes a window of k announced-but-unverdicted operations
+// at every deterministic crash point under the given policy, and recovers
+// each cut at the given shard count.
+func ringDetectSweep(t *testing.T, f Factory, kind engine.Kind, policy pmem.CrashPolicy, deletes bool, shards, k int) {
 	const client = 1
-	key := func(seq uint64) uint64 { return 200 + seq }
-	val := func(seq uint64) uint64 { return seq * 10 }
 	rng := rand.New(rand.NewSource(11))
 	for fa := int64(1); ; fa++ {
-		tg := f.ringTarget(kind, shards)
-		if ring := engine.DetectRingOf(tg.e); ring != 8 {
-			t.Fatalf("DetectRingOf = %d, want 8", ring)
+		e := engine.New(engine.Config{
+			Kind: kind, Words: ringWords, Track: true, Clients: 2, DetectRing: 8,
+		})
+		if ring := e.DetectRing(); ring != 8 {
+			t.Fatalf("DetectRing = %d, want 8", ring)
 		}
+		c := e.NewCtx()
+		s := f.New(e, c)
 		// Durable prefill outside the detect window, then arm the freeze so
 		// only the detectable window's operations count.
 		for i := uint64(100); i < 108; i++ {
-			if !tg.s.Insert(tg.c, i, i) {
+			if !s.Insert(c, i, i) {
 				t.Fatalf("fa=%d: prefill insert %d failed", fa, i)
 			}
 		}
-		tg.e.Drain(tg.c)
-		tg.e.FreezeAfter(fa)
+		e.Drain(c)
+		e.FreezeAfter(fa)
 		completed := runToFreeze(func() {
 			for seq := uint64(1); seq <= uint64(k); seq++ {
-				engine.DetectBeginDeferred(tg.e, tg.c, client, seq,
-					engine.DetectInsert, key(seq), val(seq), true)
-				res := tg.s.Insert(tg.c, key(seq), val(seq))
-				engine.DetectEndDeferred(tg.e, tg.c, res, 0)
+				op := windowOp(seq, deletes)
+				engine.DetectBeginDeferred(e, c, client, seq, op.kind(), op.key, op.val, true)
+				res := op.run(s, c)
+				engine.DetectEndDeferred(e, c, res, 0)
 			}
 			// The ring now holds k announced entries with every verdict
 			// still pending in volatile memory — no drain before the plug.
 		})
-		tg.e.FreezeAfter(0)
-		tg.e.Crash(pmem.CrashDropAll, rng)
-		c, s := tg.recover()
+		e.FreezeAfter(0)
+		e.Crash(policy, rng)
+		recoverShards(e, s, shards)
+		c = e.NewCtx()
+		s = f.New(e, c)
 
 		// Truth table over the whole window.
 		for seq := uint64(1); seq <= uint64(k); seq++ {
-			d := tg.e.Detect(client, seq)
-			present := s.Contains(c, key(seq))
+			op := windowOp(seq, deletes)
+			d := e.Detect(client, seq)
+			tookEffect := s.Contains(c, op.key) != op.del
 			switch d.Verdict {
 			case engine.Committed:
 				t.Fatalf("fa=%d seq=%d: Committed without any published verdict", fa, seq)
 			case engine.NotCommitted:
-				if present {
+				if tookEffect {
 					t.Fatalf("fa=%d seq=%d: NotCommitted but the effect survived", fa, seq)
 				}
 			}
@@ -173,25 +197,32 @@ func ringDetectSweep(t *testing.T, f Factory, kind engine.Kind, shards, k int) {
 		// the first time, Unknown entries re-run idempotently, and nothing
 		// runs twice with an observable effect.
 		for seq := uint64(1); seq <= uint64(k); seq++ {
-			engine.ExactlyOnce(tg.e, c, engine.DetectOp{
-				Client: client, Seq: seq, Kind: engine.DetectInsert,
-				Key: key(seq), Val: val(seq),
-				Run: func(cc *engine.Ctx) bool { return s.Insert(cc, key(seq), val(seq)) },
+			op := windowOp(seq, deletes)
+			engine.ExactlyOnce(e, c, engine.DetectOp{
+				Client: client, Seq: seq, Kind: op.kind(), Key: op.key, Val: op.val,
+				Run: func(cc *engine.Ctx) bool { return op.run(s, cc) },
 			}, true)
 		}
+		deleted := make(map[uint64]bool)
 		for seq := uint64(1); seq <= uint64(k); seq++ {
-			if v, ok := s.Get(c, key(seq)); !ok || v != val(seq) {
+			op := windowOp(seq, deletes)
+			if op.del {
+				deleted[op.key] = true
+				if s.Contains(c, op.key) {
+					t.Fatalf("fa=%d seq=%d: key %d present after replaying its delete", fa, seq, op.key)
+				}
+			} else if v, ok := s.Get(c, op.key); !ok || v != op.val {
 				t.Fatalf("fa=%d seq=%d: key %d = (%d,%v) after replay, want (%d,true)",
-					fa, seq, key(seq), v, ok, val(seq))
+					fa, seq, op.key, v, ok, op.val)
 			}
-			if d := tg.e.Detect(client, seq); d.Verdict != engine.Committed || !d.KnownResult {
+			if d := e.Detect(client, seq); d.Verdict != engine.Committed || !d.KnownResult {
 				t.Fatalf("fa=%d seq=%d: post-replay verdict %+v, want Committed with a recorded result",
 					fa, seq, d)
 			}
 		}
-		// The prefill and general operation must have survived too.
+		// The rest of the durable prefill must have survived too.
 		for i := uint64(100); i < 108; i++ {
-			if !s.Contains(c, i) {
+			if !deleted[i] && !s.Contains(c, i) {
 				t.Fatalf("fa=%d: durable prefill key %d lost", fa, i)
 			}
 		}

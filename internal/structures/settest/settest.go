@@ -40,11 +40,11 @@ func Run(t *testing.T, f Factory) {
 			t.Run("Basic", func(t *testing.T) { testBasic(t, f, k) })
 			t.Run("Duplicates", func(t *testing.T) { testDuplicates(t, f, k) })
 			t.Run("Values", func(t *testing.T) { testValues(t, f, k) })
-			t.Run("RandomBatch", func(t *testing.T) { testRandomBatch(t, f, k) })
-			t.Run("ConcurrentDistinct", func(t *testing.T) { testConcurrentDistinct(t, f, k) })
+			t.Run("RandomBatch", func(t *testing.T) { testRandomBatch(t, f, k, 0) })
+			t.Run("ConcurrentDistinct", func(t *testing.T) { testConcurrentDistinct(t, f, k, 0) })
 			t.Run("ConcurrentMixed", func(t *testing.T) { testConcurrentMixed(t, f, k) })
 			if k.Durable() {
-				t.Run("QuiescedCrashRecovery", func(t *testing.T) { testQuiescedCrash(t, f, k) })
+				t.Run("QuiescedCrashRecovery", func(t *testing.T) { testQuiescedCrash(t, f, k, 1) })
 				t.Run("ParallelRecoveryEquivalence", func(t *testing.T) { testParallelRecovery(t, f, k) })
 			}
 		})
@@ -133,13 +133,27 @@ func testValues(t *testing.T, f Factory, k engine.Kind) {
 	}
 }
 
-func testRandomBatch(t *testing.T, f Factory, k engine.Kind) {
+// testRandomBatch model-checks a random single-threaded op sequence. With
+// shards > 0 it crashes halfway and recovers at that shard count, so the
+// second half allocates from the rebuilt allocator: a live object handed out
+// again shows up as a model mismatch. Nothing survives on a non-durable
+// engine, so there the model restarts empty.
+func testRandomBatch(t *testing.T, f Factory, k engine.Kind, shards int) {
 	e := f.engine(k)
 	c := e.NewCtx()
 	s := f.New(e, c)
 	rng := rand.New(rand.NewSource(321))
 	model := make(map[uint64]uint64)
 	for i := 0; i < 2000; i++ {
+		if i == 1000 && shards > 0 {
+			e.Crash(pmem.CrashDropAll, rng)
+			recoverShards(e, s, shards)
+			c = e.NewCtx()
+			s = f.New(e, c)
+			if !k.Durable() {
+				model = make(map[uint64]uint64)
+			}
+		}
 		key := uint64(rng.Intn(500) + 1)
 		switch rng.Intn(3) {
 		case 0:
@@ -167,12 +181,19 @@ func testRandomBatch(t *testing.T, f Factory, k engine.Kind) {
 	}
 }
 
-func testConcurrentDistinct(t *testing.T, f Factory, k engine.Kind) {
+// testConcurrentDistinct inserts disjoint key ranges from concurrent
+// workers, then has them delete their even keys. With shards > 0 a crash
+// and a recovery at that shard count come between the phases, and the
+// workers also insert a few fresh keys each, allocating concurrently from
+// the rebuilt allocator.
+func testConcurrentDistinct(t *testing.T, f Factory, k engine.Kind, shards int) {
 	e := f.engine(k)
 	c0 := e.NewCtx()
 	s := f.New(e, c0)
 	const workers = 8
 	const perWorker = 400
+	const fresh = workers * perWorker
+	newKeys := uint64(0) // fresh keys inserted per worker
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -189,12 +210,20 @@ func testConcurrentDistinct(t *testing.T, f Factory, k engine.Kind) {
 		}(w)
 	}
 	wg.Wait()
-	for key := uint64(1); key <= workers*perWorker; key++ {
+	for key := uint64(1); key <= fresh; key++ {
 		if !s.Contains(c0, key) {
 			t.Fatalf("key %d missing after concurrent inserts", key)
 		}
 	}
-	// Concurrently delete the even keys.
+	survived := true
+	if shards > 0 {
+		e.Crash(pmem.CrashDropAll, rand.New(rand.NewSource(17)))
+		recoverShards(e, s, shards)
+		c0 = e.NewCtx()
+		s = f.New(e, c0)
+		survived = k.Durable()
+		newKeys = perWorker / 8
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -203,19 +232,30 @@ func testConcurrentDistinct(t *testing.T, f Factory, k engine.Kind) {
 			base := uint64(w*perWorker + 1)
 			for i := uint64(0); i < perWorker; i++ {
 				if (base+i)%2 == 0 {
-					if !s.Delete(c, base+i) {
-						t.Errorf("worker %d: delete %d failed", w, base+i)
+					if got := s.Delete(c, base+i); got != survived {
+						t.Errorf("worker %d: delete %d = %v, want %v", w, base+i, got, survived)
 						return
 					}
+				}
+				if i < newKeys && !s.Insert(c, fresh+base+i, fresh+base+i) {
+					t.Errorf("worker %d: insert %d failed", w, fresh+base+i)
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for key := uint64(1); key <= workers*perWorker; key++ {
-		want := key%2 == 1
+	for key := uint64(1); key <= fresh; key++ {
+		want := survived && key%2 == 1
 		if got := s.Contains(c0, key); got != want {
 			t.Fatalf("key %d: contains = %v, want %v", key, got, want)
+		}
+	}
+	for w := uint64(0); w < workers; w++ {
+		for i := uint64(0); i < newKeys; i++ {
+			if key := fresh + w*perWorker + 1 + i; !s.Contains(c0, key) {
+				t.Fatalf("fresh key %d missing", key)
+			}
 		}
 	}
 }
@@ -395,7 +435,9 @@ func testParallelRecovery(t *testing.T, f Factory, k engine.Kind) {
 	}
 }
 
-func testQuiescedCrash(t *testing.T, f Factory, k engine.Kind) {
+// testQuiescedCrash cycles crash policies against a quiesced set recovered
+// at the given shard count: every completed operation must survive.
+func testQuiescedCrash(t *testing.T, f Factory, k engine.Kind, shards int) {
 	e := f.engine(k)
 	c := e.NewCtx()
 	s := f.New(e, c)
@@ -413,13 +455,11 @@ func testQuiescedCrash(t *testing.T, f Factory, k engine.Kind) {
 			delete(model, key)
 		}
 	}
-	tracer := s.Tracer()
 	for _, policy := range []pmem.CrashPolicy{pmem.CrashDropAll, pmem.CrashKeepAll, pmem.CrashRandom} {
 		e.Crash(policy, rng)
-		e.Recover(tracer)
+		recoverShards(e, s, shards)
 		c = e.NewCtx()
 		s = f.New(e, c)
-		tracer = s.Tracer()
 		for key := uint64(1); key <= 400; key++ {
 			want, present := model[key]
 			got, ok := s.Get(c, key)

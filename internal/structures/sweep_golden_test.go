@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/sweep.golden fro
 // TestSweepGolden is the count/hash oracle for refactors of the persistence
 // path: one fixed single-threaded script on every engine configuration the
 // tree builds — 6 kinds × {noelide, elide} × detect {off, eager, deferred} ×
-// ({unsharded, 2 shards} × 4 sets + the queue) — and, per configuration, one
+// (4 sets + the queue) — and, per configuration, one
 // row of everything a refactor must not move: flushes, fences, every Stats
 // field, the hash of the quiesced media image, a fold of the operations'
 // return values and the verdicts Detect gives afterwards. The rows are
@@ -36,12 +36,9 @@ func TestSweepGolden(t *testing.T) {
 	for _, kind := range engine.Kinds() {
 		for _, noElide := range []bool{true, false} {
 			for _, detect := range []string{"off", "eager", "deferred"} {
-				for _, shards := range []int{0, 2} {
-					for _, name := range []string{"list", "hashtable", "bst", "skiplist"} {
-						got.WriteString(sweepRow(kind, noElide, detect, shards, name))
-					}
+				for _, name := range []string{"list", "hashtable", "bst", "skiplist", "queue"} {
+					got.WriteString(sweepRow(kind, noElide, detect, name))
 				}
-				got.WriteString(sweepRow(kind, noElide, detect, 0, "queue"))
 			}
 		}
 	}
@@ -76,32 +73,22 @@ func TestSweepGolden(t *testing.T) {
 }
 
 // sweepRow runs the fixed script on one configuration and renders its row.
-func sweepRow(kind engine.Kind, noElide bool, detect string, shards int, structure string) string {
+func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) string {
 	const clients = 2
-	cfg := engine.Config{Kind: kind, Words: 1 << 16, Track: true, NoElide: noElide, Shards: shards}
+	cfg := engine.Config{Kind: kind, Words: 1 << 16, Track: true, NoElide: noElide}
 	if detect != "off" {
 		cfg.Clients = clients
 	}
+	e := engine.New(cfg)
+	c := e.NewCtx()
 	var (
-		host engine.Host
-		c    *engine.Ctx
-		set  structures.Set
-		q    *queue.Queue
+		set structures.Set
+		q   *queue.Queue
 	)
-	if shards > 1 {
-		e := engine.NewSharded(cfg)
-		c = e.NewCtx()
-		set = structures.NewSharded(e, c, builders()[structure])
-		host = e
+	if structure == "queue" {
+		q = queue.New(e, c)
 	} else {
-		e := engine.New(cfg)
-		c = e.NewCtx()
-		if structure == "queue" {
-			q = queue.New(e, c)
-		} else {
-			set = builders()[structure](e, c)
-		}
-		host = e
+		set = builders()[structure](e, c)
 	}
 
 	// results folds every operation's return value (FNV-1a over words).
@@ -122,16 +109,16 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, shards int, structu
 			ok, rval = op()
 		case "eager":
 			seqs[client]++
-			host.DetectBegin(c, client, seqs[client], opKind, key, val)
+			e.DetectBegin(c, client, seqs[client], opKind, key, val)
 			ok, rval = op()
-			host.DetectEnd(c, ok)
+			e.DetectEnd(c, ok)
 		case "deferred":
 			seqs[client]++
-			host.DetectBeginDeferred(c, client, seqs[client], opKind, key, val)
+			e.DetectBeginDeferred(c, client, seqs[client], opKind, key, val)
 			ok, rval = op()
-			host.DetectEndDeferred(c, ok, rval)
+			e.DetectEndDeferred(c, ok, rval)
 			if pending++; pending == 4 {
-				host.DetectDrain(c)
+				e.DetectDrain(c)
 				pending = 0
 			}
 		}
@@ -194,14 +181,14 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, shards int, structu
 		}
 	}
 	if detect == "deferred" {
-		host.DetectDrain(c)
+		e.DetectDrain(c)
 	}
 
-	flushes, fences := host.Counters()
-	s := host.Stats()
-	host.Drain(c)
+	flushes, fences := e.Counters()
+	s := e.Stats()
+	e.Drain(c)
 	media := "-"
-	if devs := host.PersistentDevices(); len(devs) > 0 {
+	if devs := e.PersistentDevices(); len(devs) > 0 {
 		var hs []string
 		for _, d := range devs {
 			hs = append(hs, fmt.Sprintf("%016x", d.MediaHash()))
@@ -220,11 +207,11 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, shards int, structu
 				b.WriteByte('|')
 			}
 			first := uint64(1)
-			if ring := uint64(host.DetectRing()); seqs[client] > ring {
+			if ring := uint64(e.DetectRing()); seqs[client] > ring {
 				first = seqs[client] - ring + 1
 			}
 			for seq := first; seq <= seqs[client]; seq++ {
-				d := host.Detect(client, seq)
+				d := e.Detect(client, seq)
 				switch {
 				case d.Verdict == engine.Committed && d.KnownResult && d.Result:
 					b.WriteByte('T')
@@ -249,8 +236,8 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, shards int, structu
 	if noElide {
 		policy = "noelide"
 	}
-	return fmt.Sprintf("%s/%s/%s/shards=%d/%s flushes=%d fences=%d helps=%d retries=%d elidedFlushes=%d elidedFences=%d piggybacked=%d relaxedCAS=%d announces=%d verdicts=%d media=%s results=%016x detect=%s\n",
-		kind, policy, detect, shards, structure, flushes, fences,
+	return fmt.Sprintf("%s/%s/%s/%s flushes=%d fences=%d helps=%d retries=%d elidedFlushes=%d elidedFences=%d piggybacked=%d relaxedCAS=%d announces=%d verdicts=%d media=%s results=%016x detect=%s\n",
+		kind, policy, detect, structure, flushes, fences,
 		s.Helps, s.Retries, s.ElidedFlushes, s.ElidedFences, s.PiggybackedFences, s.RelaxedCAS,
 		s.DetectAnnounces, s.DetectVerdicts, media, results, verdicts)
 }

@@ -86,13 +86,13 @@ func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 	if d := e.Detect(0, 2); d.Verdict != engine.Committed || !d.KnownResult || !d.Result || d.Rval != 77 {
 		t.Fatalf("dequeue verdict through the wrapper = %+v, want Committed/true with rval 77", d)
 	}
-	if ring := engine.DetectRingOf(e); ring != engine.DefaultDetectRing {
-		t.Fatalf("DetectRingOf through the wrapper = %d, want %d", ring, engine.DefaultDetectRing)
+	if ring := e.DetectRing(); ring != engine.DefaultDetectRing {
+		t.Fatalf("DetectRing through the wrapper = %d, want %d", ring, engine.DefaultDetectRing)
 	}
 }
 
 // TestServedMutationBudget pins what one served mutation costs on the
-// default engine (MirrorDRAM, unsharded, deferred verdicts), by kind, in
+// default engine (MirrorDRAM, deferred verdicts), by kind, in
 // the serving tier's call sequence with one frame per drain. The engine
 // enforces exactly two orders — announce before the first install, verdict
 // after it — so the budget is: one fence for the announce iff the operation
