@@ -18,11 +18,16 @@ import (
 //
 //	announce line   w0 seq   w1 kind   w2 key   w3 val   w4 checksum
 //	verdict line    w8 seq<<2|result<<1|1   w9 rval   w10 checksum
+//	                w11 done bits   w12 result bits
+//
+// Bit i of w11/w12 is the verdict of seq-1-i (i < 63): a drain writes one
+// verdict line per client, for its newest pending seq, and that line
+// carries the results of the client's earlier seqs of the same drain.
 //
 // The protocol is: durably announce (client, seq, payload) before the
-// operation runs, publish the verdict after the linearizing install is
-// durable, and fence the verdict before the operation's response is
-// released to the client. Both lines are checksummed, so a torn line (a
+// operation's first install, publish the verdict after the linearizing
+// install is durable, and fence the verdict before the operation's response
+// is released to the client. Both lines are checksummed, so a torn line (a
 // crash mid-write) is detected rather than misread; client sequence
 // numbers are strictly increasing.
 //
@@ -40,8 +45,13 @@ import (
 //     after a drain fence (DetectDrain). A durable verdict
 //     for a later seq of the same client then proves every earlier seq's
 //     effect was durable first — even when the earlier verdict line itself
-//     was dropped by the crash — because verdict words are only written
-//     after the fence that committed the whole prefix.
+//     was dropped by the crash, or never written — because verdict words
+//     are only written after the fence that committed the whole prefix.
+//     That is what lets a drain write one line per client: the line of the
+//     newest seq vouches for the earlier ones, and its bits record their
+//     results. An operation with a return word (a dequeued value) still
+//     writes a line of its own, and every line of the drain carries the
+//     bits of every earlier seq that has none.
 //
 // Operations older than the ring window delivered their responses long
 // ago; a torn overwrite may erase their superseded evidence (the scrubbed
@@ -53,16 +63,19 @@ import (
 // enforced here and in the engines' write path rather than by callers:
 //
 //   - The announce is durable before the first durable-before-visible
-//     install of the armed operation. DetectBegin writes and flushes the
-//     announce line without fencing; the engines' CAS, Store and FetchAdd
-//     first pass the announce barrier (announceBarrier below), which fences
-//     iff no fence on the context's flush set has covered the announce since
-//     Begin. An insert's own publish fence covers it for free, a delete pays
-//     the one fence just before its mark, and an operation that installs
-//     nothing (insert-found, delete-missing, failed RMW) pays none: its
-//     announce commits with its verdict. Hence "no valid announce for seq"
-//     implies no install of the operation can be on the media —
-//     NotCommitted.
+//     install of the armed operation. DetectBegin writes the announce line
+//     and arms it on the context's flush set (pmem.Device.FlushAhead): the
+//     first fence the operation issues there — a read fence, a publish
+//     fence, or the announce barrier's own — flushes it before committing.
+//     The engines' CAS, Store and FetchAdd first pass the announce barrier
+//     (announceBarrier below), which fences iff no fence on the flush set
+//     has run since Begin. An insert's own publish fence carries the
+//     announce for free, a delete pays the one fence just before its mark,
+//     and an operation that installs nothing (insert-found, delete-missing,
+//     failed RMW) pays neither fence nor flush: it reaches its verdict with
+//     the line still armed and drops it, and its verdict alone testifies.
+//     Hence "no valid announce for seq" implies no install of the operation
+//     can be on the media — NotCommitted.
 //   - The verdict is written only after the linearizing install is
 //     durable: Mirror makes every install durable before it is visible,
 //     NVTraverse fences inside its CAS, and Izraelevitz — whose CAS is
@@ -81,7 +94,9 @@ import (
 // announce rides whichever fence the operation issues first, the verdict
 // flush piggybacks on the operation's flush set, and the one trailing
 // verdict fence is skipped via the elision layer whenever an intervening
-// fence already committed it.
+// fence already committed it. Nor a flush per operation: an announce is
+// flushed only by a fence that needs it, and a drain flushes one verdict
+// line per client.
 
 // Verdict is a detectability answer for one (client, seq) operation.
 type Verdict int
@@ -122,9 +137,11 @@ const (
 type DetectResult struct {
 	Verdict Verdict
 	// KnownResult reports whether Result and Rval were recorded for this
-	// exact seq. It is false when the ring proves the operation committed
-	// only indirectly — a later operation of the same client has already
-	// overwritten the recorded result, or a later verdict vouches for it.
+	// exact seq, in its own verdict line or in the result bits of a later
+	// one. It is false when the ring proves the operation committed only
+	// indirectly — a later operation of the same client has already
+	// overwritten the recorded result, or a later verdict vouches for it
+	// without carrying it.
 	KnownResult bool
 	// Result is the operation's boolean return value (valid when
 	// KnownResult).
@@ -150,12 +167,20 @@ const (
 	dVerdict = pmem.WordsPerLine
 	dRval    = pmem.WordsPerLine + 1
 	dVerChk  = pmem.WordsPerLine + 2
+	dDone    = pmem.WordsPerLine + 3
+	dResults = pmem.WordsPerLine + 4
 )
 
 // DefaultDetectRing is the per-client ring size engines reserve when
 // Config.DetectRing is zero and detectability is on: the serving tier's
 // default pipeline window.
 const DefaultDetectRing = 8
+
+// MaxDetectRing bounds the per-client ring size. A client's pending seqs
+// span less than one ring (a lap forces a drain), so with at most 64 entries
+// every earlier seq of a drain lies within the 63 seqs a verdict line's bits
+// cover.
+const MaxDetectRing = 64
 
 // DescWords returns the size of the descriptor region for the given client
 // count and per-client ring size.
@@ -179,9 +204,48 @@ func annChk(seq, kind, key, val uint64) uint64 {
 		key*0xc2b2ae3d27d4eb4f ^ val ^ 0xd6e8feb86659fd93)
 }
 
-// verChk checksums a verdict line.
-func verChk(vw, rval uint64) uint64 {
-	return mix64(vw*0x9e3779b97f4a7c15 ^ rval ^ 0xa0761d6478bd642f)
+// verChk checksums a verdict line. A line without result bits checksums as
+// it did before the bits existed.
+func verChk(vw, rval, done, results uint64) uint64 {
+	return mix64(vw*0x9e3779b97f4a7c15 ^ rval ^ done*0xc2b2ae3d27d4eb4f ^
+		results*0xff51afd7ed558ccd ^ 0xa0761d6478bd642f)
+}
+
+// verdictLine is a decoded verdict line.
+type verdictLine struct {
+	seq           uint64
+	result        bool
+	rval          uint64
+	done, results uint64 // bit i: the verdict of seq-1-i
+}
+
+// bit returns the bit of the done and result words that speaks for seq, and
+// whether the line can carry seq at all: one of the 63 seqs below its own.
+func (v *verdictLine) bit(seq uint64) (uint64, bool) {
+	if seq >= v.seq || v.seq-seq >= MaxDetectRing {
+		return 0, false
+	}
+	return 1 << (v.seq - seq - 1), true
+}
+
+// carry records the result of the earlier seq in the line's bits, if the
+// line can carry it.
+func (v *verdictLine) carry(seq uint64, result bool) bool {
+	b, ok := v.bit(seq)
+	if ok {
+		v.done |= b
+		if result {
+			v.results |= b
+		}
+	}
+	return ok
+}
+
+// carries reports whether the line records the result of the earlier seq
+// in its bits, and that result.
+func (v *verdictLine) carries(seq uint64) (result, ok bool) {
+	b, ok := v.bit(seq)
+	return v.results&b != 0, ok && v.done&b != 0
 }
 
 // DescRegion is a per-client operation-descriptor region on one persistent
@@ -218,6 +282,9 @@ func NewDescRegion(dev *pmem.Device, base uint64, clients, ring int, durable boo
 	if ring <= 0 {
 		panic("engine: descriptor ring needs at least one entry")
 	}
+	if ring > MaxDetectRing {
+		panic(fmt.Sprintf("engine: descriptor ring %d exceeds %d entries", ring, MaxDetectRing))
+	}
 	return &DescRegion{Dev: dev, Base: base, Clients: clients, Ring: ring, Durable: durable}
 }
 
@@ -238,13 +305,9 @@ func (r *DescRegion) entry(client int, seq uint64) uint64 {
 // Words returns the region's size in words.
 func (r *DescRegion) Words() uint64 { return DescWords(r.Clients, r.Ring) }
 
-// Begin writes and flushes the announce line for (client, seq). With
-// deferAnnounce the announce fence is left to a later fence on fs that the
-// caller guarantees precedes the operation's first install — the engines
-// always pass true and enforce that in their write path (announceBarrier);
-// structure packages with their own write paths (durablequeue, zuriel) decide
-// per operation kind. Otherwise Begin fences immediately.
-func (r *DescRegion) Begin(fs *pmem.FlushSet, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+// announce writes the announce line for (client, seq) and returns its
+// entry.
+func (r *DescRegion) announce(client int, seq, kind, key, val uint64) uint64 {
 	if seq == 0 {
 		panic("engine: detectable sequence numbers start at 1")
 	}
@@ -254,31 +317,74 @@ func (r *DescRegion) Begin(fs *pmem.FlushSet, client int, seq, kind, key, val ui
 	r.Dev.Store(s+dKey, key)
 	r.Dev.Store(s+dVal, val)
 	r.Dev.Store(s+dAnnChk, annChk(seq, kind, key, val))
+	r.announces.Add(1)
+	return s
+}
+
+// Begin writes and flushes the announce line for (client, seq). With
+// deferAnnounce the announce fence is left to a later fence on fs that the
+// caller guarantees precedes the operation's first install; structure
+// packages with their own write paths (durablequeue, zuriel) decide per
+// operation kind. Otherwise Begin fences immediately. The engines arm the
+// line instead (arm).
+func (r *DescRegion) Begin(fs *pmem.FlushSet, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+	s := r.announce(client, seq, kind, key, val)
 	if r.Durable {
 		r.Dev.Flush(fs, s)
 		if !deferAnnounce {
 			r.Dev.Fence(fs)
 		}
 	}
-	r.announces.Add(1)
+}
+
+// arm writes the announce line for (client, seq) and leaves its flush to the
+// next fence on fs (pmem.Device.FlushAhead). The caller must fence fs before
+// the operation's first install, and drop the armed line (FlushSet.DropAhead)
+// if the operation reaches its verdict with no fence since arm.
+func (r *DescRegion) arm(fs *pmem.FlushSet, client int, seq, kind, key, val uint64) {
+	s := r.announce(client, seq, kind, key, val)
+	if r.Durable {
+		r.Dev.FlushAhead(fs, s)
+	}
 }
 
 // Publish writes and flushes the verdict line for (client, seq). It must
 // only be called once the operation's effect (if any) is durable — i.e.
 // after the linearizing install has returned. It does not fence; End does.
 func (r *DescRegion) Publish(fs *pmem.FlushSet, client int, seq uint64, result bool, rval uint64) {
-	s := r.entry(client, seq)
-	vw := seq<<2 | 1
-	if result {
+	r.publish(fs, client, verdictLine{seq: seq, result: result, rval: rval})
+	r.verdicts.Add(1)
+}
+
+// publish writes and flushes one verdict line, result bits included. The
+// caller counts the verdicts it publishes: a line may carry several.
+func (r *DescRegion) publish(fs *pmem.FlushSet, client int, v verdictLine) {
+	s := r.entry(client, v.seq)
+	vw := v.seq<<2 | 1
+	if v.result {
 		vw |= 2
 	}
 	r.Dev.Store(s+dVerdict, vw)
-	r.Dev.Store(s+dRval, rval)
-	r.Dev.Store(s+dVerChk, verChk(vw, rval))
+	r.Dev.Store(s+dRval, v.rval)
+	r.Dev.Store(s+dDone, v.done)
+	r.Dev.Store(s+dResults, v.results)
+	r.Dev.Store(s+dVerChk, verChk(vw, v.rval, v.done, v.results))
 	if r.Durable {
 		r.Dev.Flush(fs, s+dVerdict)
 	}
-	r.verdicts.Add(1)
+}
+
+// verdictAt decodes the verdict line of the entry at s; ok is false for an
+// empty or torn line.
+func (r *DescRegion) verdictAt(s uint64) (v verdictLine, ok bool) {
+	vw := r.Dev.ReadRaw(s + dVerdict)
+	rv := r.Dev.ReadRaw(s + dRval)
+	dn := r.Dev.ReadRaw(s + dDone)
+	rs := r.Dev.ReadRaw(s + dResults)
+	if vw&1 != 1 || r.Dev.ReadRaw(s+dVerChk) != verChk(vw, rv, dn, rs) {
+		return verdictLine{}, false
+	}
+	return verdictLine{seq: vw >> 2, result: vw&2 != 0, rval: rv, done: dn, results: rs}, true
 }
 
 // End commits the published verdict before the operation returns to the
@@ -309,49 +415,58 @@ func (r *DescRegion) Detect(client int, seq uint64) DetectResult {
 		return DetectResult{Verdict: NotCommitted}
 	}
 	s := r.entry(client, seq)
+	if v, ok := r.verdictAt(s); ok && v.seq == seq {
+		return DetectResult{Verdict: Committed, KnownResult: true, Result: v.result, Rval: v.rval}
+	}
+	// Every valid verdict line of the client for a later seq proves seq
+	// committed: verdict words are written only after the drain fence that
+	// committed every earlier effect of the client (per-client FIFO), so
+	// however that later line persisted — its End fence or a cache eviction
+	// — seq's effect was durable first. The line of seq's own drain also
+	// carries its result. The cheap test on the verdict word skips the
+	// checksum of every line that cannot qualify, which is all of them when
+	// the serving tier checks a fresh seq.
+	lapped, later := false, false
+	base := r.ringBase(client)
+	for i := 0; i < r.Ring; i++ {
+		sib := base + uint64(i)*DescSlotWords
+		if r.Dev.ReadRaw(sib+dVerdict)>>2 <= seq {
+			continue
+		}
+		v, ok := r.verdictAt(sib)
+		if !ok {
+			continue
+		}
+		if result, carried := v.carries(seq); carried {
+			return DetectResult{Verdict: Committed, KnownResult: true, Result: result}
+		}
+		if sib == s {
+			lapped = true
+		} else {
+			later = true
+		}
+	}
 	a0 := r.Dev.ReadRaw(s + dSeq)
 	a1 := r.Dev.ReadRaw(s + dKind)
 	a2 := r.Dev.ReadRaw(s + dKey)
 	a3 := r.Dev.ReadRaw(s + dVal)
 	a4 := r.Dev.ReadRaw(s + dAnnChk)
 	announced := a0 != 0 && a4 == annChk(a0, a1, a2, a3)
-	vw := r.Dev.ReadRaw(s + dVerdict)
-	rv := r.Dev.ReadRaw(s + dRval)
-	vc := r.Dev.ReadRaw(s + dVerChk)
-	verdictOK := vw&1 == 1 && vc == verChk(vw, rv)
 	switch {
-	case verdictOK && vw>>2 == seq:
-		return DetectResult{
-			Verdict: Committed, KnownResult: true,
-			Result: vw&2 != 0, Rval: rv,
-		}
-	case verdictOK && vw>>2 > seq, announced && a0 > seq:
+	case lapped, announced && a0 > seq:
 		// The entry has lapped past seq (it holds seq+kRing evidence, k≥1).
 		// A client issues seq+Ring only after reading seq's response, which
 		// is released only after seq's effect and verdict fenced — so seq
 		// committed (its recorded result is gone).
 		return DetectResult{Verdict: Committed}
 	case announced && a0 == seq:
-		// Announced, verdict line gone (never published, or dropped by the
-		// crash). A durable verdict for a *later* seq in a sibling entry
-		// still proves seq committed: verdict words are written only after
-		// the drain fence that committed every earlier effect of the client
-		// (per-client FIFO), so however that later line persisted — its End
-		// fence or a cache eviction — seq's effect was durable first. A
-		// sibling *announce* proves nothing: a pipelined client announces
-		// a whole window before anything drains.
-		base := r.ringBase(client)
-		for i := 0; i < r.Ring; i++ {
-			sib := base + uint64(i)*DescSlotWords
-			if sib == s {
-				continue
-			}
-			svw := r.Dev.ReadRaw(sib + dVerdict)
-			srv := r.Dev.ReadRaw(sib + dRval)
-			svc := r.Dev.ReadRaw(sib + dVerChk)
-			if svw&1 == 1 && svc == verChk(svw, srv) && svw>>2 > seq {
-				return DetectResult{Verdict: Committed}
-			}
+		// Announced, no verdict line speaks for seq (never published, or
+		// dropped by the crash). A later sibling verdict still proves it
+		// committed, without its result; a sibling *announce* proves
+		// nothing: a pipelined client announces a whole window before
+		// anything drains.
+		if later {
+			return DetectResult{Verdict: Committed}
 		}
 		return DetectResult{Verdict: Unknown}
 	default:
@@ -380,11 +495,8 @@ func (r *DescRegion) Scrub() {
 				}
 			}
 		}
-		vw := r.Dev.ReadRaw(s + dVerdict)
-		rv := r.Dev.ReadRaw(s + dRval)
-		vc := r.Dev.ReadRaw(s + dVerChk)
-		if (vw != 0 || rv != 0 || vc != 0) && (vw&1 != 1 || vc != verChk(vw, rv)) {
-			for w := uint64(dVerdict); w <= dVerChk; w++ {
+		if _, ok := r.verdictAt(s); !ok {
+			for w := uint64(dVerdict); w <= dResults; w++ {
 				r.Dev.WriteRaw(s+w, 0)
 			}
 		}
@@ -394,7 +506,9 @@ func (r *DescRegion) Scrub() {
 	}
 }
 
-// Counters reports cumulative announces and verdict publishes.
+// Counters reports cumulative announces written and verdicts published —
+// one per operation each, whether or not the announce line was ever flushed
+// and whether the verdict has a line of its own or rides another's bits.
 func (r *DescRegion) Counters() (announces, verdicts uint64) {
 	return r.announces.Load(), r.verdicts.Load()
 }
@@ -474,10 +588,21 @@ func (d *detector) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64) {
 		panic("engine: DetectBegin while a detectable operation is already armed")
 	}
 	fs := d.eng.descFlushSet(c)
-	d.desc.Begin(fs, client, seq, kind, key, val, true)
+	d.desc.arm(fs, client, seq, kind, key, val)
 	c.det = descState{
 		armed: true, client: client, seq: seq,
 		annOpen: d.desc.Durable, annFences: fs.Fences(),
+	}
+}
+
+// dropAnnounce is called where the armed operation reaches its verdict. If
+// no fence has run on the flush set since Begin, the operation installed
+// nothing and its announce line is still armed there: drop it, so that no
+// later fence flushes a line nothing needs — the verdict alone testifies.
+func (d *detector) dropAnnounce(c *Ctx) {
+	if c.det.annOpen {
+		c.det.annOpen = false
+		d.eng.descFlushSet(c).DropAhead()
 	}
 }
 
@@ -485,9 +610,10 @@ func (d *detector) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64) {
 // construction: every durable-before-visible write of the engines (CAS,
 // Store, FetchAdd — not CASRelaxed, whose Auxiliary updates no verdict
 // testifies to) passes it first. If the armed operation's announce is still
-// open it fences, unless a fence on the flush set since Begin — a publish
-// fence, a help-path persist — already covered it. An operation that never
-// installs never fences here; its announce rides its verdict's fence.
+// open it fences — and the fence flushes the armed line first — unless a
+// fence on the flush set since Begin (a read fence, a publish fence, a
+// help-path persist) already flushed and committed it. An operation that
+// never installs never fences here; its announce is dropped at its verdict.
 func (d *detector) announceBarrier(c *Ctx) {
 	if c.det.annOpen {
 		d.closeAnnounce(c)
@@ -527,6 +653,7 @@ func (d *detector) DetectEnd(c *Ctx, result bool) {
 	if d.desc == nil || !c.det.armed {
 		return
 	}
+	d.dropAnnounce(c)
 	fs := d.eng.descFlushSet(c)
 	if !c.det.delivered {
 		d.eng.settle(c, atEnd)
@@ -573,6 +700,7 @@ func (d *detector) DetectEndDeferred(c *Ctx, result bool, rval uint64) {
 	if !c.det.deferred {
 		panic("engine: DetectEndDeferred on an operation armed with DetectBegin")
 	}
+	d.dropAnnounce(c)
 	c.detPending = append(c.detPending, pendingVerdict{
 		client: c.det.client, seq: c.det.seq, result: result, rval: rval,
 	})
@@ -580,11 +708,19 @@ func (d *detector) DetectEndDeferred(c *Ctx, result bool, rval uint64) {
 }
 
 // DetectDrain publishes c's deferred verdicts: the engine first settles
-// every install whose durability was deferred, then all verdict lines flush
+// every install whose durability was deferred, then the verdict lines flush
 // and one End fence commits them — together with whatever no verdict
-// testifies to (relaxed Auxiliary lines, the announce of an operation that
-// installed nothing). A linearizing install never rides the verdicts' End
-// fence, so a crash can never persist a verdict whose effect vanished.
+// testifies to (relaxed Auxiliary lines). A linearizing install never rides
+// the verdicts' End fence, so a crash can never persist a verdict whose
+// effect vanished.
+//
+// Each client gets one line, for its newest pending seq, whose bits carry
+// the results of its earlier pending seqs. A verdict with a return word
+// keeps a line of its own; every line of the client carries the bits of
+// every earlier seq without one. Whichever of a client's lines a crash
+// keeps, the seqs it vouches for are then a prefix of the batch with their
+// results — only a return-word seq whose own line was lost reads Committed
+// without one (it installed, so its announce is durable).
 func (d *detector) DetectDrain(c *Ctx) {
 	if len(c.detPending) == 0 {
 		return
@@ -594,11 +730,36 @@ func (d *detector) DetectDrain(c *Ctx) {
 	}
 	d.eng.settle(c, atDrain)
 	fs := d.eng.descFlushSet(c)
-	for _, pv := range c.detPending {
-		d.desc.Publish(fs, pv.client, pv.seq, pv.result, pv.rval)
+	// Walk the batch newest first, so that every later line of a client
+	// exists by the time an earlier seq needs carrying.
+	lines := c.detLines[:0]
+	for i := len(c.detPending) - 1; i >= 0; i-- {
+		pv := c.detPending[i]
+		carried := false
+		for j := range lines {
+			if pv.rval == 0 && lines[j].client == pv.client && lines[j].carry(pv.seq, pv.result) {
+				carried = true
+			}
+		}
+		if !carried {
+			lines = append(lines, drainLine{client: pv.client, verdictLine: verdictLine{
+				seq: pv.seq, result: pv.result, rval: pv.rval,
+			}})
+		}
 	}
+	for i := len(lines) - 1; i >= 0; i-- {
+		d.desc.publish(fs, lines[i].client, lines[i].verdictLine)
+	}
+	d.desc.verdicts.Add(uint64(len(c.detPending)))
+	c.detLines = lines[:0]
 	c.detPending = c.detPending[:0]
 	d.desc.End(fs)
+}
+
+// drainLine is one verdict line a drain writes.
+type drainLine struct {
+	client int
+	verdictLine
 }
 
 func (d *detector) Detect(client int, seq uint64) DetectResult {

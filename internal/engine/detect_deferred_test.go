@@ -3,10 +3,23 @@ package engine
 import (
 	"path/filepath"
 	"testing"
+
+	"mirror/internal/pmem"
 )
 
 func durableKinds() []Kind {
 	return []Kind{Izraelevitz, NVTraverse, MirrorDRAM, MirrorNVMM}
+}
+
+// descRegionOf returns an engine's descriptor region.
+func descRegionOf(e Engine) *DescRegion {
+	switch x := e.(type) {
+	case *mirrorEngine:
+		return x.desc
+	case *directEngine:
+		return x.desc
+	}
+	panic("unknown engine type")
 }
 
 // runDetectable runs one trivial detectable root-store op on e, using the
@@ -156,6 +169,112 @@ func TestRingDeferredLapDrains(t *testing.T) {
 	}
 }
 
+// TestDrainOneLinePerClient pins the drain's verdict lines: a depth-8
+// window of one client — installing and no-install operations, mixed
+// results, one dequeue-like return word in the middle — drains as two
+// lines (the return word's and the newest seq's), whose bits carry every
+// other seq. After the drain's End fence every seq reads Committed with its
+// recorded result. A crash anywhere in the window or the drain leaves, under
+// DropAll, DropFlushed and KeepFlushed, a committed prefix: no seq reads
+// Committed after one that does not, and every Committed seq has its
+// recorded result — except the return-word seq when only the newest line
+// survived, which reads Committed without one.
+func TestDrainOneLinePerClient(t *testing.T) {
+	const ring = 8
+	type op struct {
+		installs, result bool
+		rval             uint64
+	}
+	window := [ring]op{
+		{true, true, 0}, {false, false, 0}, {true, false, 0}, {false, true, 0},
+		{true, true, 44}, {false, false, 0}, {true, true, 0}, {false, true, 0},
+	}
+	run := func(e Engine, c *Ctx) {
+		e.OpBegin(c)
+		for i, o := range window {
+			seq := uint64(i + 1)
+			e.DetectBeginDeferred(c, 0, seq, DetectDelete, seq, 0)
+			if o.installs {
+				e.Store(c, e.RootRef(), 0, seq)
+			}
+			e.DetectEndDeferred(c, o.result, o.rval)
+		}
+		e.OpEnd(c)
+		e.DetectDrain(c)
+	}
+	check := func(t *testing.T, e Engine, drained bool) {
+		t.Helper()
+		prefix := true
+		for i, o := range window {
+			seq := uint64(i + 1)
+			v := e.Detect(0, seq)
+			if v.Verdict != Committed {
+				if drained {
+					t.Fatalf("seq %d after the drain: %+v, want Committed", seq, v)
+				}
+				prefix = false
+				continue
+			}
+			if !prefix {
+				t.Fatalf("seq %d reads Committed after an earlier seq that does not", seq)
+			}
+			if !v.KnownResult && (drained || o.rval == 0) {
+				t.Fatalf("seq %d: %+v, want its recorded result", seq, v)
+			}
+			if v.KnownResult && (v.Result != o.result || v.Rval != o.rval) {
+				t.Fatalf("seq %d: %+v, want result %v / rval %d", seq, v, o.result, o.rval)
+			}
+		}
+	}
+	for _, k := range durableKinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			cfg := Config{Kind: k, Words: 1 << 14, Track: true, Clients: 1, DetectRing: ring}
+			e := New(cfg)
+			c := e.NewCtx()
+			run(e, c)
+			if s := e.Stats(); s.DetectAnnounces != ring || s.DetectVerdicts != ring {
+				t.Fatalf("counted %d announces and %d verdicts, want %d each", s.DetectAnnounces, s.DetectVerdicts, ring)
+			}
+			desc := descRegionOf(e)
+			var lines []uint64
+			for seq := uint64(1); seq <= ring; seq++ {
+				if v, ok := desc.verdictAt(desc.entry(0, seq)); ok {
+					lines = append(lines, v.seq)
+				}
+			}
+			if len(lines) != 2 || lines[0] != 5 || lines[1] != ring {
+				t.Fatalf("verdict lines for seqs %v, want [5 %d]", lines, ring)
+			}
+			e.Freeze()
+			e.Crash(pmem.CrashDropAll, nil)
+			check(t, e, true)
+
+			for _, policy := range []pmem.CrashPolicy{pmem.CrashDropAll, pmem.CrashDropFlushed, pmem.CrashKeepFlushed} {
+				for fa := int64(1); ; fa++ {
+					e := New(cfg)
+					c := e.NewCtx()
+					e.FreezeAfter(fa)
+					completed := func() (ok bool) {
+						defer func() {
+							if r := recover(); r != nil && r != pmem.ErrFrozen {
+								panic(r)
+							}
+						}()
+						run(e, c)
+						return true
+					}()
+					e.FreezeAfter(0)
+					e.Crash(policy, nil)
+					check(t, e, completed)
+					if completed {
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDeferredDetectSavesFences pins the amortization the serving tier is
 // built on: a batch of K detectable ops under the deferred protocol issues
 // strictly fewer fences than the same K ops with per-operation verdicts.
@@ -206,13 +325,17 @@ func TestAnnounceFencedAtFirstInstall(t *testing.T) {
 				return // the direct disciplines fence around reads and at OpEnd; exact counts below are Mirror's
 			}
 
-			// No install: announce and verdict commit under the drain's one
-			// End fence.
+			// No install: the armed announce is dropped unflushed, and the
+			// verdict commits under the drain's one End fence.
+			f0, _ := e.Counters()
 			e.DetectEndDeferred(c, false, 0)
 			e.OpEnd(c)
 			e.DetectDrain(c)
 			if n := fences(e); n != n0+1 {
 				t.Fatalf("no-install operation: %d fences, want 1 (End)", n-n0)
+			}
+			if f, _ := e.Counters(); f != f0+1 {
+				t.Fatalf("no-install operation: %d flushes, want 1 (the verdict line)", f-f0)
 			}
 
 			// First install: the barrier's fence plus the install's own; a

@@ -213,6 +213,7 @@ func TestNewDescRegionMisuse(t *testing.T) {
 		"unaligned base": func() { NewDescRegion(dev, pmem.WordsPerLine+1, 1, 1, true) },
 		"zero clients":   func() { NewDescRegion(dev, pmem.WordsPerLine, 0, 1, true) },
 		"zero ring":      func() { NewDescRegion(dev, pmem.WordsPerLine, 1, 0, true) },
+		"ring too deep":  func() { NewDescRegion(dev, pmem.WordsPerLine, 1, MaxDetectRing+1, true) },
 	} {
 		func() {
 			defer func() {

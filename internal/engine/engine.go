@@ -95,9 +95,11 @@ type Ctx struct {
 
 	// det is the armed detectable-operation state (see detect.go);
 	// detPending holds verdicts deferred to the next DetectDrain (the
-	// batched-verdict protocol of the serving tier).
+	// batched-verdict protocol of the serving tier), and detLines is the
+	// drain's scratch for the verdict lines it writes.
 	det        descState
 	detPending []pendingVerdict
+	detLines   []drainLine
 }
 
 // Tracer walks a data structure's reachable objects during recovery. It is
@@ -268,11 +270,12 @@ type Detector interface {
 	// authoritative for each. Zero with detectability off.
 	DetectRing() int
 	// DetectBegin announces operation (client, seq) with its payload before
-	// the operation body runs. The announce line is written and flushed
-	// here and made durable by the engine before the operation's first
-	// durable-before-visible install — by that install's own preceding
-	// fence when it has one (an insert's publish), else by one fence just
-	// ahead of it; an operation that installs nothing never pays for it.
+	// the operation body runs. The announce line is written here, flushed
+	// by the operation's first fence and made durable by the engine before
+	// the operation's first durable-before-visible install — by that
+	// install's own preceding fence when it has one (an insert's publish),
+	// else by one fence just ahead of it; an operation that installs
+	// nothing never flushes it.
 	// Client sequence numbers must be strictly increasing per client,
 	// starting at 1.
 	DetectBegin(c *Ctx, client int, seq, kind, key, val uint64)
@@ -349,8 +352,10 @@ type Stats struct {
 	// RelaxedCAS counts retire-gated installs whose durability was
 	// deferred to the relaxed-line registry (committed at drain time).
 	RelaxedCAS uint64
-	// DetectAnnounces and DetectVerdicts count descriptor-region announce
-	// and verdict publishes (zero with detectability off).
+	// DetectAnnounces and DetectVerdicts count descriptor-region announces
+	// written and verdicts published, one per operation each (zero with
+	// detectability off); how many descriptor lines that cost shows in the
+	// flush count.
 	DetectAnnounces, DetectVerdicts uint64
 }
 

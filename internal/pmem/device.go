@@ -68,6 +68,12 @@ const (
 	// later, never-flushed write reaches the media (an eviction) while the
 	// flushed line does not.
 	CrashDropFlushed
+	// CrashKeepFlushed is its mirror image: it persists every line a
+	// FlushSet has flushed and not yet fenced and drops every never-flushed
+	// write — the most adversarial outcome for algorithms that count on a
+	// fence still to come to flush a line (FlushAhead) before anything
+	// flushed ahead of it can persist.
+	CrashKeepFlushed
 )
 
 // Config describes a Device.
@@ -439,6 +445,10 @@ type FlushSet struct {
 	table map[uint64]uint64 // line -> epoch; dedup once the set spills
 	epoch uint64            // current epoch; table entries from older epochs are stale
 
+	// ahead is the offset FlushAhead armed (0: none): the next Fence on this
+	// set flushes its line just before committing.
+	ahead uint64
+
 	// Deferred initialization flushes (eliding devices; see DeferInit in
 	// elide.go): distinct lines dirtied by unpublished-object stores, in
 	// first-touch order, and the number of stores they cover.
@@ -456,7 +466,12 @@ type FlushSet struct {
 func (s *FlushSet) Reset() {
 	s.clearLines()
 	s.DropInit()
+	s.DropAhead()
 }
+
+// DropAhead disarms the line FlushAhead armed on this set, if no fence has
+// flushed it yet: its owner learned that no fence needs it.
+func (s *FlushSet) DropAhead() { s.ahead = 0 }
 
 // Pending returns the number of distinct lines flushed but not yet fenced
 // on this set. Engines consult it to elide a fence that would commit
@@ -545,6 +560,23 @@ func (d *Device) Flush(fs *FlushSet, off uint64) {
 	}
 }
 
+// FlushAhead arms the line containing off to be flushed by the next Fence on
+// fs, just before that fence commits: a clwb deferred to the sfence that
+// needs it. Until then the line is an ordinary unflushed write — the
+// eviction adversary may persist it, and neither CrashDropFlushed nor
+// CrashKeepFlushed counts it as flushed — and a crash that lands on the
+// fence itself finds it still unflushed. A set holds one armed line; arming
+// replaces it, and FlushSet.DropAhead disarms it without a flush.
+func (d *Device) FlushAhead(fs *FlushSet, off uint64) {
+	if off == 0 || off >= uint64(len(d.words)) {
+		d.badOffset(off)
+	}
+	if fs.dev != d {
+		d.adopt(fs)
+	}
+	fs.ahead = off
+}
+
 // Counters returns the cumulative number of Flush and Fence calls, summed
 // exactly across the per-thread shards; the ablation benchmarks report
 // persistence-instruction counts with these.
@@ -563,7 +595,8 @@ func (d *Device) Counters() (flushes, fences uint64) {
 // commit time, matching the write-back window of real hardware. A fence is
 // a device operation like any other: it checks the freeze state and the
 // FreezeAfter countdown, so deterministic crashes can land exactly on a
-// fence boundary — before any of its lines commit.
+// fence boundary — before any of its lines commit. A line armed by
+// FlushAhead is flushed first, past that boundary, and counts as one Flush.
 func (d *Device) Fence(fs *FlushSet) {
 	if d.state.Load() != 0 {
 		d.fenceSlow()
@@ -573,6 +606,14 @@ func (d *Device) Fence(fs *FlushSet) {
 	}
 	if debugChecks {
 		fs.enter(d)
+	}
+	if fs.ahead != 0 {
+		spinN(d.flushSpins)
+		fs.flushes.Add(1)
+		if d.lineTrack {
+			fs.add(fs.ahead >> lineShift)
+		}
+		fs.ahead = 0
 	}
 	fs.fences.Add(1)
 	if d.lineTrack && len(fs.lines) > 0 {
@@ -661,7 +702,7 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 			d.fault.applyCrash(d)
 		} else {
 			var flushed map[uint64]bool
-			if policy == CrashDropFlushed {
+			if policy == CrashDropFlushed || policy == CrashKeepFlushed {
 				flushed = d.flushedLines()
 			}
 			for i := range d.words {
@@ -681,6 +722,10 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 					}
 				case CrashDropFlushed:
 					if !flushed[uint64(i)>>lineShift] {
+						d.media[i] = cur
+					}
+				case CrashKeepFlushed:
+					if flushed[uint64(i)>>lineShift] {
 						d.media[i] = cur
 					}
 				}

@@ -185,6 +185,74 @@ func TestCrashDropFlushed(t *testing.T) {
 	}
 }
 
+func TestCrashKeepFlushed(t *testing.T) {
+	d := newTestDevice(64)
+	var fs FlushSet
+	d.Store(9, 1) // line 1: fenced
+	d.Flush(&fs, 9)
+	d.Fence(&fs)
+	d.Store(9, 2)  // line 1: flushed, not fenced
+	d.Store(17, 3) // line 2: never flushed
+	d.Store(25, 4) // line 3: armed to ride the next fence, which never comes
+	d.Flush(&fs, 9)
+	d.FlushAhead(&fs, 25)
+	d.Freeze()
+	d.Crash(CrashKeepFlushed, nil)
+	for _, w := range []struct{ off, want uint64 }{{9, 2}, {17, 0}, {25, 0}} {
+		if got := d.Load(w.off); got != w.want {
+			t.Errorf("word %d = %d, want %d", w.off, got, w.want)
+		}
+	}
+}
+
+// TestFlushAhead pins the armed line's life: the next fence flushes it
+// (counted as one flush) and commits it, a fence the crash lands on does
+// not, and a dropped line costs nothing.
+func TestFlushAhead(t *testing.T) {
+	d := newTestDevice(64)
+	var fs FlushSet
+	d.Store(9, 1)
+	d.FlushAhead(&fs, 9)
+	if fs.Pending() != 0 {
+		t.Fatalf("armed line counted as pending before any fence")
+	}
+	d.Fence(&fs)
+	if fl, fe := d.Counters(); fl != 1 || fe != 1 {
+		t.Fatalf("counters after the carrying fence = (%d, %d), want (1, 1)", fl, fe)
+	}
+	if got := d.PersistedWord(9); got != 1 {
+		t.Fatalf("armed word on media = %d, want 1", got)
+	}
+	d.Fence(&fs) // the slot is empty again
+	if fl, _ := d.Counters(); fl != 1 {
+		t.Fatalf("a second fence flushed the line again: %d flushes", fl)
+	}
+
+	d.Store(17, 2)
+	d.FlushAhead(&fs, 17)
+	fs.DropAhead()
+	d.Fence(&fs)
+	if fl, _ := d.Counters(); fl != 1 || d.PersistedWord(17) != 0 {
+		t.Fatalf("dropped line was flushed: %d flushes, media word %d", fl, d.PersistedWord(17))
+	}
+
+	d.Store(25, 3)
+	d.FlushAhead(&fs, 25)
+	d.FreezeAfter(1) // the fence is the crash point
+	func() {
+		defer func() {
+			if recover() != ErrFrozen {
+				t.Fatal("the armed fence did not freeze")
+			}
+		}()
+		d.Fence(&fs)
+	}()
+	d.Crash(CrashKeepFlushed, nil)
+	if got := d.Load(25); got != 0 {
+		t.Fatalf("word 25 = %d after a crash on its fence, want 0 (never flushed)", got)
+	}
+}
+
 func TestCrashRandomSubsetsBetweenExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := newTestDevice(1024)

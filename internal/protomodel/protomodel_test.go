@@ -74,8 +74,8 @@ func TestSingleThreadDeterministic(t *testing.T) {
 
 // TestDetectFencePlacement is the proof obligation of the descriptor
 // protocol's fence placement (engine/detect.go "Ordering"), checked over
-// every evict/drop schedule: the engine's placements are sound, and each of
-// the two cheaper placements that merge a fence away is caught with the
+// every evict/drop schedule: the engine's placements are sound, and each
+// cheaper placement that merges a fence away is caught with the
 // implication it breaks.
 func TestDetectFencePlacement(t *testing.T) {
 	w, f, F := Write, Flush, Fence()
@@ -109,11 +109,33 @@ func TestDetectFencePlacement(t *testing.T) {
 		{"no install: announce shares the verdict fence", []Instr{
 			w(Announce), f(Announce), w(Verdict), f(Verdict), F,
 		}, ""},
+		// What the engine does for it: the announce stays armed, nothing
+		// fences before the verdict, so it is dropped and never flushed.
+		{"no install: announce never flushed, verdict alone", []Instr{
+			w(Announce), w(Verdict), f(Verdict), F,
+		}, ""},
+		// An insert: the armed announce rides the publish fence of the
+		// new node (whose lines no verdict testifies to), ahead of the
+		// link.
+		{"announce flushed by the publish fence", []Instr{
+			w(Announce), w(Aux), f(Aux), f(Announce), F,
+			w(Install), f(Install), F,
+			w(Verdict), f(Verdict), F,
+		}, ""},
 		// Tempting and wrong: let the announce ride the install's own
 		// fence. The install can be evicted first.
 		{"WRONG announce shares the install fence", []Instr{
 			w(Announce), f(Announce),
 			w(Install), f(Install), F,
+			w(Verdict), f(Verdict), F,
+		}, "NotCommitted, but the install is on the media"},
+		// The same mistake as the engine would make it without the
+		// barrier's fence: the armed announce waits for the install's
+		// fence, and the install's line can be evicted (or flushed and
+		// kept) before the announce is ever flushed.
+		{"WRONG barrier fence removed, announce armed until the install's fence", []Instr{
+			w(Announce),
+			w(Install), f(Install), f(Announce), F,
 			w(Verdict), f(Verdict), F,
 		}, "NotCommitted, but the install is on the media"},
 		// Tempting and wrong: let the verdict ride the install's fence.
@@ -137,6 +159,92 @@ func TestDetectFencePlacement(t *testing.T) {
 				t.Errorf("violations = %v, want exactly the one: %s", violations, tc.breaks)
 			case tc.breaks != "" && !strings.Contains(violations[0], tc.breaks):
 				t.Errorf("violation %q, want %q", violations[0], tc.breaks)
+			}
+			t.Logf("%d states", states)
+		})
+	}
+}
+
+// TestDetectDrainPlacement extends the placement proof to a drain that
+// writes one verdict line per client: a later operation's line carries the
+// verdicts of the earlier ones in its bits. The engine's drains are sound
+// — including one where a return word forces a second line, as long as
+// every later line carries every earlier seq without a line of its own —
+// and carrying an earlier seq only in the nearest later line is caught
+// breaking the committed prefix.
+func TestDetectDrainPlacement(t *testing.T) {
+	w, f, F := Write, Flush, Fence()
+	cases := []struct {
+		name   string
+		ops    []DetectOp
+		prog   []Instr
+		breaks string // "" for a sound placement
+	}{
+		// An insert, then a delete that misses: one line, the delete's,
+		// vouches for both.
+		{"one line vouches for an insert and a no-install op", []DetectOp{
+			{Announce: Announce, Install: Install, Verdict: NoLine, CarriedBy: []Line{Verdict2}},
+			{Announce: Announce2, Install: NoLine, Verdict: Verdict2},
+		}, []Instr{
+			w(Announce), w(Aux), f(Aux), f(Announce), F,
+			w(Install), f(Install), F,
+			w(Announce2),
+			w(Verdict2), f(Verdict2), F,
+		}, ""},
+		// A no-install op, then a delete: the delete's barrier flushes
+		// only its own announce; the first was dropped.
+		{"one line vouches for a no-install op and a delete", []DetectOp{
+			{Announce: Announce, Install: NoLine, Verdict: NoLine, CarriedBy: []Line{Verdict2}},
+			{Announce: Announce2, Install: Install2, Verdict: Verdict2},
+		}, []Instr{
+			w(Announce),
+			w(Announce2), f(Announce2), F,
+			w(Install2), f(Install2), F,
+			w(Verdict2), f(Verdict2), F,
+		}, ""},
+		// A no-install op, a dequeue (its return word needs a line of its
+		// own), and a no-install op: both lines carry the first op.
+		{"a return-word line and the newest line both carry the seqs before them", []DetectOp{
+			{Announce: Announce, Install: NoLine, Verdict: NoLine, CarriedBy: []Line{Verdict2, Verdict3}},
+			{Announce: Announce2, Install: Install2, Verdict: Verdict2},
+			{Announce: Announce3, Install: NoLine, Verdict: Verdict3},
+		}, []Instr{
+			w(Announce),
+			w(Announce2), f(Announce2), F,
+			w(Install2), f(Install2), F,
+			w(Announce3),
+			w(Verdict2), f(Verdict2), w(Verdict3), f(Verdict3), F,
+		}, ""},
+		// Tempting and wrong: only the nearest later line carries the
+		// first op. The newest line can reach the media without the
+		// dequeue's, and the dequeue then reads Committed beside it while
+		// the first op, whose announce was never flushed, reads
+		// NotCommitted.
+		{"WRONG only the nearest later line carries an earlier seq", []DetectOp{
+			{Announce: Announce, Install: NoLine, Verdict: NoLine, CarriedBy: []Line{Verdict2}},
+			{Announce: Announce2, Install: Install2, Verdict: Verdict2},
+			{Announce: Announce3, Install: NoLine, Verdict: Verdict3},
+		}, []Instr{
+			w(Announce),
+			w(Announce2), f(Announce2), F,
+			w(Install2), f(Install2), F,
+			w(Announce3),
+			w(Verdict2), f(Verdict2), w(Verdict3), f(Verdict3), F,
+		}, "operation 2: Committed, but an earlier operation is not"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			violations, states := CheckDrain(tc.ops, tc.prog)
+			if states < len(tc.prog) {
+				t.Fatalf("only %d states explored; the model is not running", states)
+			}
+			switch {
+			case tc.breaks == "" && len(violations) > 0:
+				t.Errorf("sound placement rejected: %v", violations)
+			case tc.breaks != "" && len(violations) == 0:
+				t.Errorf("no violation, want: %s", tc.breaks)
+			case tc.breaks != "" && !strings.Contains(violations[0], tc.breaks):
+				t.Errorf("violations %q, want %q first", violations, tc.breaks)
 			}
 			t.Logf("%d states", states)
 		})

@@ -43,6 +43,16 @@ func dial(t *testing.T, s *Server, id uint32) *Client {
 	return c
 }
 
+// TestNewRejectsRingBeyondBits pins the ring bound: a drain's verdict line
+// carries the results of at most the 63 seqs below its own, so a ring
+// deeper than engine.MaxDetectRing is refused with an error.
+func TestNewRejectsRingBeyondBits(t *testing.T) {
+	if s, err := New(Config{Kind: engine.MirrorDRAM, Words: 1 << 16, Ring: engine.MaxDetectRing + 1}); err == nil {
+		s.Close()
+		t.Fatalf("ring %d accepted", engine.MaxDetectRing+1)
+	}
+}
+
 // TestServeBasicOps drives the full op set through one client on every
 // durable engine.
 func TestServeBasicOps(t *testing.T) {

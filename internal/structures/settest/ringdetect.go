@@ -25,17 +25,23 @@ package settest
 //     idempotent) loses and duplicates nothing, and afterwards every seq
 //     reads Committed with a recorded result.
 //
-// Two sweeps differ in the window and the crash adversary:
+// Three sweeps differ in the window and the crash adversary:
 //
 //   - DropAll: k inserts, every cut crashed under CrashDropAll.
 //   - DropFlushed: deletes of prefill keys alternating with inserts, every
-//     cut crashed under CrashDropFlushed. An insert's announce rides its
-//     publish fence, but nothing fences ahead of a delete's mark except the
-//     engine's announce barrier; this adversary persists the never-flushed
-//     mark while dropping the flushed-but-unfenced announce, so a barrier
-//     that does not fence reads NotCommitted for a delete that took effect.
+//     cut crashed under CrashDropFlushed, which persists never-flushed
+//     writes while dropping flushed-but-unfenced lines.
+//   - KeepFlushed: the same window under CrashKeepFlushed, which persists
+//     flushed-but-unfenced lines and drops never-flushed writes. An
+//     insert's announce is flushed by its publish fence, but nothing fences
+//     ahead of a delete's mark except the engine's announce barrier, and
+//     the announce line is flushed only by a fence (it is armed at Begin).
+//     A barrier that does not fence leaves the announce armed until the
+//     mark's own fence; a crash on that fence keeps the flushed mark and
+//     drops the never-flushed announce, so the delete took effect and
+//     reads NotCommitted.
 //
-// Both sweeps run twice: Unsharded recovers sequentially, Sharded2 through
+// Every sweep runs twice: Unsharded recovers sequentially, Sharded2 through
 // the recovery pipeline partitioned across two workers (see recoverShards).
 // The verdicts must not depend on how recovery was partitioned.
 
@@ -68,7 +74,7 @@ func runToFreeze(f func()) (completed bool) {
 	return true
 }
 
-// RunRingDetect executes both ring-detect sweeps for every durable engine
+// RunRingDetect executes the three ring-detect sweeps for every durable engine
 // kind, recovering sequentially and two-way sharded, with the ring holding
 // k ∈ {1, 4, 8} announced-but-unverdicted entries at the crash.
 func RunRingDetect(t *testing.T, f Factory) {
@@ -79,6 +85,7 @@ func RunRingDetect(t *testing.T, f Factory) {
 	}{
 		{"DropAll", pmem.CrashDropAll, false},
 		{"DropFlushed", pmem.CrashDropFlushed, true},
+		{"KeepFlushed", pmem.CrashKeepFlushed, true},
 	}
 	for _, k := range engine.Kinds() {
 		if !k.Durable() {

@@ -98,10 +98,12 @@ func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 // after it — so the budget is: one fence for the announce iff the operation
 // installs and no fence of its own precedes the install, one fence per
 // durable-before-visible install, and one End fence for the drain, which
-// also carries the relaxed lines (upper-level links and marks, snips) and
-// the announce of an operation that installed nothing. The same numbers
-// must come out behind a pass-through wrapper: the announce barrier sits in
-// the engine's own write path and keys on the context.
+// also carries the relaxed lines (upper-level links and marks, snips). The
+// announce line is flushed only by the first fence of its operation; one
+// that installs nothing never flushes it, and pays one flush, its verdict
+// line. The same numbers must come out behind a pass-through wrapper: the
+// announce barrier sits in the engine's own write path and keys on the
+// context.
 func TestServedMutationBudget(t *testing.T) {
 	type cost struct{ flushes, fences uint64 }
 	for _, wrap := range []bool{false, true} {
@@ -177,7 +179,9 @@ func TestServedMutationBudget(t *testing.T) {
 			if ok {
 				t.Fatal("insert of a present key succeeded")
 			}
-			check("insert-found", got, cost{2, 1}) // announce + verdict under the End fence
+			// No fence before the verdict: the armed announce is dropped
+			// unflushed, and the verdict line alone rides the End fence.
+			check("insert-found", got, cost{1, 1})
 
 			got, ok, relaxed := remove(flat)
 			if !ok || relaxed == 0 {
@@ -191,9 +195,10 @@ func TestServedMutationBudget(t *testing.T) {
 			if ok {
 				t.Fatal("delete of an absent key succeeded")
 			}
-			check("delete-missing", got, cost{2, 1})
+			check("delete-missing", got, cost{1, 1})
 
-			// Depth 8: eight no-effect frames, one drain, one fence.
+			// Depth 8: eight no-effect frames, one drain, one fence — and one
+			// verdict line, the newest seq's, whose bits carry the other seven.
 			f0, n0 := raw.Counters()
 			for i := 0; i < 8; i++ {
 				begin(engine.DetectDelete, flat)
@@ -201,7 +206,90 @@ func TestServedMutationBudget(t *testing.T) {
 			}
 			e.DetectDrain(c)
 			f1, n1 := raw.Counters()
-			check("eight delete-missing under one drain", cost{f1 - f0, n1 - n0}, cost{16, 1})
+			check("eight delete-missing under one drain", cost{f1 - f0, n1 - n0}, cost{1, 1})
 		})
+	}
+}
+
+// TestDrainWindowBudget pins the verdict lines of a depth-8 window under one
+// drain: two clients, each with an insert, a delete and a dequeue among its
+// four frames, in the serving tier's call sequence. The drain writes one
+// verdict line per client plus one per dequeue that is not its client's
+// newest frame — 2 + 2 here — where a drain per frame writes eight, and
+// pays one End fence where eight drains pay eight; everything else is the
+// same work.
+func TestDrainWindowBudget(t *testing.T) {
+	type frame struct {
+		client int
+		kind   uint64
+		key    uint64
+	}
+	window := []frame{
+		{0, engine.DetectInsert, 1001}, // insert-new
+		{1, engine.DetectEnqueue, 7},
+		{0, engine.DetectDequeue, 0},   // returns a value: a line of its own
+		{1, engine.DetectDelete, 2},    // delete-found
+		{0, engine.DetectDelete, 999},  // delete-missing
+		{1, engine.DetectDequeue, 0},   // returns a value: a line of its own
+		{0, engine.DetectInsert, 3},    // insert-found
+		{1, engine.DetectInsert, 1002}, // insert-new
+	}
+	run := func(drainEach bool) (flushes, fences uint64) {
+		e := engine.New(engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 16, Track: true, Clients: 2})
+		c := e.NewCtx()
+		table := skiplist.NewAt(e, c, 0)
+		q := queue.NewAt(e, c, 4)
+		for k := uint64(1); k <= 4; k++ {
+			table.Insert(c, k, k)
+		}
+		q.Enqueue(c, 101)
+		q.Enqueue(c, 102)
+		e.Drain(c)
+		var seqs [2]uint64
+		f0, n0 := e.Counters()
+		for _, fr := range window {
+			seqs[fr.client]++
+			e.DetectBeginDeferred(c, fr.client, seqs[fr.client], fr.kind, fr.key, fr.key)
+			var ok bool
+			var rval uint64
+			switch fr.kind {
+			case engine.DetectInsert:
+				ok = table.Insert(c, fr.key, fr.key)
+			case engine.DetectDelete:
+				ok = table.Delete(c, fr.key)
+			case engine.DetectEnqueue:
+				q.Enqueue(c, fr.key)
+				ok = true
+			case engine.DetectDequeue:
+				rval, ok = q.Dequeue(c)
+				if !ok || rval == 0 {
+					t.Fatalf("dequeue returned (%d, %v), want a value", rval, ok)
+				}
+			}
+			e.DetectEndDeferred(c, ok, rval)
+			if drainEach {
+				e.DetectDrain(c)
+			}
+		}
+		e.DetectDrain(c)
+		f1, n1 := e.Counters()
+		for client, last := range seqs {
+			for seq := uint64(1); seq <= last; seq++ {
+				if d := e.Detect(client, seq); d.Verdict != engine.Committed || !d.KnownResult {
+					t.Fatalf("client %d seq %d after the drain: %+v, want Committed with its result", client, seq, d)
+				}
+			}
+		}
+		return f1 - f0, n1 - n0
+	}
+	const lines = 2 + 2
+	fl, fe := run(false)
+	flEach, feEach := run(true)
+	if flEach-fl != uint64(len(window)-lines) || feEach-fe != uint64(len(window)-1) {
+		t.Errorf("one drain saved %d flushes and %d fences over a drain per frame, want %d and %d",
+			flEach-fl, feEach-fe, len(window)-lines, len(window)-1)
+	}
+	if fl != 23 || fe != 14 {
+		t.Errorf("window under one drain: %d flushes, %d fences; want 23, 14", fl, fe)
 	}
 }
