@@ -23,18 +23,11 @@ import (
 	"mirror/internal/server"
 )
 
-func engineKind(name string) (engine.Kind, bool) {
-	switch name {
-	case "izraelevitz":
-		return engine.Izraelevitz, true
-	case "nvtraverse":
-		return engine.NVTraverse, true
-	case "mirror":
-		return engine.MirrorDRAM, true
-	case "mirrornvmm":
-		return engine.MirrorNVMM, true
-	}
-	return 0, false
+var engineKinds = map[string]engine.Kind{
+	"izraelevitz": engine.Izraelevitz,
+	"nvtraverse":  engine.NVTraverse,
+	"mirror":      engine.MirrorDRAM,
+	"mirrornvmm":  engine.MirrorNVMM,
 }
 
 func main() {
@@ -51,7 +44,7 @@ func main() {
 	)
 	flag.Parse()
 
-	kind, ok := engineKind(*kindName)
+	kind, ok := engineKinds[*kindName]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "mirrord: unknown engine %q\n", *kindName)
 		os.Exit(2)

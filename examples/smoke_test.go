@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +52,18 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	out := run(t, "crashrecovery", "-cycles", "2", "-workers", "2", "-keys", "16", "-seed", "1")
 	if strings.Contains(out, "VIOLATION") {
 		t.Errorf("crashrecovery reported violations:\n%s", out)
+	}
+}
+
+// TestCrashRecoveryKillSmoke is the real-process mode: each cycle a child
+// writing through mirror.Open dies by SIGKILL and the parent reopens its
+// media file.
+func TestCrashRecoveryKillSmoke(t *testing.T) {
+	t.Parallel()
+	media := filepath.Join(t.TempDir(), "crashrecovery.img")
+	out := run(t, "crashrecovery", "-media", media, "-cycles", "3", "-workers", "2", "-keys", "16", "-seed", "1")
+	if strings.Contains(out, "VIOLATION") || !strings.Contains(out, "all 3 crash cycles passed") {
+		t.Errorf("crashrecovery -media failed:\n%s", out)
 	}
 }
 

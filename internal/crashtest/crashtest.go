@@ -68,16 +68,43 @@ type workerLog struct {
 }
 
 // Run executes one crash round against a durable engine kind and returns
-// any violations found.
+// any violations found. It is RunCustom over the engine's own lifecycle,
+// plus a check that every present key still holds its value.
 func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 	cfg.setDefaults()
 	if !kind.Durable() {
 		panic("crashtest: engine kind is not durable")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	e := engine.New(engine.Config{Kind: kind, Words: cfg.Words, Track: true})
 	set := build(e, e.NewCtx())
+	target := CustomTarget{
+		NewWorker: func() (func(k, v uint64) bool, func(k uint64) bool, func(k uint64) bool) {
+			c := e.NewCtx()
+			return func(k, v uint64) bool { return set.Insert(c, k, v) },
+				func(k uint64) bool { return set.Delete(c, k) },
+				func(k uint64) bool { return set.Contains(c, k) }
+		},
+		Freeze: e.Freeze,
+		Crash:  e.Crash,
+		Recover: func() {
+			e.Recover(set.Tracer())
+			set = build(e, e.NewCtx()) // re-attach
+		},
+	}
+	return round(target, cfg, func() func(k uint64) (uint64, bool) {
+		c := e.NewCtx()
+		return func(k uint64) (uint64, bool) { return set.Get(c, k) }
+	})
+}
 
+// round is one crash round: single-writer workers and roaming readers run
+// until the freeze, the crash and recovery are taken, and every key is
+// checked against its writer's record. values, when non-nil, makes a
+// post-recovery reader of stored values, so present keys are checked for
+// torn values too.
+func round(target CustomTarget, cfg Config, values func() func(k uint64) (uint64, bool)) []Violation {
+	cfg.setDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	logs := make([]workerLog, cfg.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -89,7 +116,7 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 					panic(r)
 				}
 			}()
-			c := e.NewCtx()
+			insert, del, _ := target.NewWorker()
 			lrng := rand.New(rand.NewSource(cfg.Seed*1000 + int64(w)))
 			logs[w].completed = make(map[uint64]bool)
 			base := uint64(w*cfg.KeysPer + 1)
@@ -98,11 +125,11 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 				ins := lrng.Intn(2) == 0
 				logs[w].inflight, logs[w].inflightIns = key, ins
 				if ins {
-					if set.Insert(c, key, key) {
+					if insert(key, key) {
 						logs[w].completed[key] = true
 					}
 				} else {
-					if set.Delete(c, key) {
+					if del(key) {
 						logs[w].completed[key] = false
 					}
 				}
@@ -122,39 +149,40 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 					panic(r)
 				}
 			}()
-			c := e.NewCtx()
+			_, _, contains := target.NewWorker()
 			lrng := rand.New(rand.NewSource(seed))
 			for {
 				select {
 				case <-stopReaders:
 					return
 				default:
-					key := uint64(lrng.Intn(cfg.Workers*cfg.KeysPer) + 1)
-					set.Contains(c, key)
+					contains(uint64(lrng.Intn(cfg.Workers*cfg.KeysPer) + 1))
 				}
 			}
 		}(cfg.Seed*77 + int64(r))
 	}
 
 	time.Sleep(cfg.FreezeLag)
-	e.Freeze()
+	target.Freeze()
 	wg.Wait()
 	close(stopReaders)
 	rwg.Wait()
 
-	e.Crash(cfg.Policy, rng)
-	e.Recover(set.Tracer())
+	target.Crash(cfg.Policy, rng)
+	target.Recover()
 
-	// Re-attach and verify.
-	c := e.NewCtx()
-	set = build(e, c)
+	insert, del, contains := target.NewWorker()
+	var get func(k uint64) (uint64, bool)
+	if values != nil {
+		get = values()
+	}
 	var violations []Violation
 	for w := 0; w < cfg.Workers; w++ {
 		lg := &logs[w]
 		base := uint64(w*cfg.KeysPer + 1)
 		for key := base; key < base+uint64(cfg.KeysPer); key++ {
 			want, recorded := lg.completed[key]
-			got := set.Contains(c, key)
+			got := contains(key)
 			if key == lg.inflight {
 				// The cut operation may or may not have taken effect:
 				// allowed outcomes are the recorded state or the state
@@ -183,8 +211,8 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 					Context: "phantom key",
 				})
 			}
-			if got {
-				if v, ok := set.Get(c, key); !ok || v != key {
+			if got && get != nil {
+				if v, ok := get(key); !ok || v != key {
 					violations = append(violations, Violation{
 						Key: key, Got: got,
 						Want:    "value == key",
@@ -196,7 +224,7 @@ func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
 	}
 	// The structure must remain operational after recovery.
 	probe := uint64(cfg.Workers*cfg.KeysPer + 100)
-	if !set.Insert(c, probe, 1) || !set.Contains(c, probe) || !set.Delete(c, probe) {
+	if !insert(probe, 1) || !contains(probe) || !del(probe) {
 		violations = append(violations, Violation{
 			Key: probe, Want: "operational structure", Context: "post-recovery ops failed",
 		})

@@ -2,8 +2,6 @@ package crashtest
 
 import (
 	"math/rand"
-	"sync"
-	"time"
 
 	"mirror/internal/pmem"
 )
@@ -23,113 +21,4 @@ type CustomTarget struct {
 // RunCustom executes one crash round against a custom durable set and
 // returns any durable-linearizability violations, using the same per-key
 // single-writer discipline as Run.
-func RunCustom(target CustomTarget, cfg Config) []Violation {
-	cfg.setDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	logs := make([]workerLog, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil && r != pmem.ErrFrozen {
-					panic(r)
-				}
-			}()
-			insert, del, _ := target.NewWorker()
-			lrng := rand.New(rand.NewSource(cfg.Seed*1000 + int64(w)))
-			logs[w].completed = make(map[uint64]bool)
-			base := uint64(w*cfg.KeysPer + 1)
-			for i := 0; i < cfg.MaxOps; i++ {
-				key := base + uint64(lrng.Intn(cfg.KeysPer))
-				ins := lrng.Intn(2) == 0
-				logs[w].inflight, logs[w].inflightIns = key, ins
-				if ins {
-					if insert(key, key) {
-						logs[w].completed[key] = true
-					}
-				} else {
-					if del(key) {
-						logs[w].completed[key] = false
-					}
-				}
-				logs[w].inflight = 0
-			}
-		}(w)
-	}
-	stopReaders := make(chan struct{})
-	var rwg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		rwg.Add(1)
-		go func(seed int64) {
-			defer rwg.Done()
-			defer func() {
-				if r := recover(); r != nil && r != pmem.ErrFrozen {
-					panic(r)
-				}
-			}()
-			_, _, contains := target.NewWorker()
-			lrng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stopReaders:
-					return
-				default:
-					contains(uint64(lrng.Intn(cfg.Workers*cfg.KeysPer) + 1))
-				}
-			}
-		}(cfg.Seed*77 + int64(r))
-	}
-
-	time.Sleep(cfg.FreezeLag)
-	target.Freeze()
-	wg.Wait()
-	close(stopReaders)
-	rwg.Wait()
-
-	target.Crash(cfg.Policy, rng)
-	target.Recover()
-
-	insert, del, contains := target.NewWorker()
-	var violations []Violation
-	for w := 0; w < cfg.Workers; w++ {
-		lg := &logs[w]
-		base := uint64(w*cfg.KeysPer + 1)
-		for key := base; key < base+uint64(cfg.KeysPer); key++ {
-			want, recorded := lg.completed[key]
-			got := contains(key)
-			if key == lg.inflight {
-				if got != want && got != lg.inflightIns {
-					violations = append(violations, Violation{
-						Key: key, Got: got,
-						Want:    "recorded or in-flight outcome",
-						Context: "in-flight operation",
-					})
-				}
-				continue
-			}
-			if recorded && got != want {
-				violations = append(violations, Violation{
-					Key: key, Got: got,
-					Want:    boolName(want),
-					Context: "completed operation lost",
-				})
-			}
-			if !recorded && got {
-				violations = append(violations, Violation{
-					Key: key, Got: got,
-					Want:    "absent",
-					Context: "phantom key",
-				})
-			}
-		}
-	}
-	probe := uint64(cfg.Workers*cfg.KeysPer + 100)
-	if !insert(probe, 1) || !contains(probe) || !del(probe) {
-		violations = append(violations, Violation{
-			Key: probe, Want: "operational structure", Context: "post-recovery ops failed",
-		})
-	}
-	return violations
-}
+func RunCustom(target CustomTarget, cfg Config) []Violation { return round(target, cfg, nil) }

@@ -102,6 +102,10 @@ type Ctx struct {
 	detLines   []drainLine
 }
 
+// Close ends the context's life: its allocation cache hands its limbo and
+// free lists on (palloc.Cache.Close). The context must not be used after.
+func (c *Ctx) Close() { c.Cache.Close() }
+
 // Tracer walks a data structure's reachable objects during recovery. It is
 // the "tracing operation" the paper requires the user to provide (§3.2):
 // read reads a field of an object from the persistent post-crash image, and

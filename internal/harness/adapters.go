@@ -119,6 +119,21 @@ func bucketsFor(keyRange int) int {
 	return b
 }
 
+// newSet builds one structure on e at its default root fields.
+func newSet(structure string, e engine.Engine, c *engine.Ctx, keyRange int) structures.Set {
+	switch structure {
+	case StList:
+		return list.New(e, 0)
+	case StHash:
+		return hashtable.New(e, c, bucketsFor(keyRange))
+	case StBST:
+		return bst.New(e, c)
+	case StSkipList:
+		return skiplist.New(e, c)
+	}
+	panic("harness: unknown structure " + structure)
+}
+
 // buildEngineTarget constructs one structure under one engine and returns
 // both the workload target and the engine, so callers that need the counters
 // and protocol statistics (the JSON benchmark matrix) can read them around a
@@ -147,19 +162,7 @@ func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange i
 		Clients: clients,
 	})
 	c := e.NewCtx()
-	var set structures.Set
-	switch structure {
-	case StList:
-		set = list.New(e, 0)
-	case StHash:
-		set = hashtable.New(e, c, bucketsFor(keyRange))
-	case StBST:
-		set = bst.New(e, c)
-	case StSkipList:
-		set = skiplist.New(e, c)
-	default:
-		panic("harness: unknown structure " + structure)
-	}
+	set := newSet(structure, e, c, keyRange)
 	var workerIDs atomic.Uint64
 	seqs := make([]atomic.Uint64, clients)
 	return workload.Target{

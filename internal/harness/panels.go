@@ -55,13 +55,6 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// DefaultOptions returns the defaults with latency modeling on.
-func DefaultOptions() Options {
-	o := Options{Latency: true}
-	o.setDefaults()
-	return o
-}
-
 // Sweep axes.
 const (
 	SweepThreads = "threads"

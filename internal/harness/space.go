@@ -5,11 +5,6 @@ import (
 	"strings"
 
 	"mirror/internal/engine"
-	"mirror/internal/structures"
-	"mirror/internal/structures/bst"
-	"mirror/internal/structures/hashtable"
-	"mirror/internal/structures/list"
-	"mirror/internal/structures/skiplist"
 )
 
 // SpaceRow is one engine's memory account for a structure.
@@ -49,19 +44,7 @@ func MeasureSpace(structure string, keys int) *SpaceReport {
 			Words: deviceWords(structure, kind, keys*2),
 		})
 		c := e.NewCtx()
-		var set structures.Set
-		switch structure {
-		case StList:
-			set = list.New(e, 0)
-		case StHash:
-			set = hashtable.New(e, c, bucketsFor(keys))
-		case StBST:
-			set = bst.New(e, c)
-		case StSkipList:
-			set = skiplist.New(e, c)
-		default:
-			panic("harness: unknown structure " + structure)
-		}
+		set := newSet(structure, e, c, keys)
 		base, _ := e.Footprint() // sentinels, bucket arrays
 		for k := 1; k <= keys; k++ {
 			set.Insert(c, uint64(k), uint64(k))

@@ -256,18 +256,3 @@ func (c *Cache) drain() {
 
 // LimboLen returns the number of objects awaiting reclamation (tests).
 func (c *Cache) LimboLen() int { return len(c.limbo) }
-
-// CachesForTest exposes the registered cache count for diagnostics.
-func (r *Reclaimer) CachesForTest() []*Cache {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*Cache(nil), r.caches...)
-}
-
-// DebugCounts reports limbo length and cached-free objects (diagnostics).
-func (c *Cache) DebugCounts() (limbo int, freeObjs int) {
-	for _, fl := range c.free {
-		freeObjs += len(fl)
-	}
-	return len(c.limbo), freeObjs
-}

@@ -494,3 +494,18 @@ func TestOversubscribedChurnBounded(t *testing.T) {
 		t.Errorf("live = %d words after churn, want <= %d (reclamation starved)", got, bound)
 	}
 }
+
+// CachesForTest returns the registered caches.
+func (r *Reclaimer) CachesForTest() []*Cache {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*Cache(nil), r.caches...)
+}
+
+// DebugCounts reports limbo length and cached-free objects.
+func (c *Cache) DebugCounts() (limbo int, freeObjs int) {
+	for _, fl := range c.free {
+		freeObjs += len(fl)
+	}
+	return len(c.limbo), freeObjs
+}

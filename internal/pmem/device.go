@@ -120,8 +120,9 @@ type Device struct {
 	flushSpins int64
 	fenceSpins int64
 
-	words []uint64 // current (cache) view; 16-byte aligned base
-	media []uint64 // persisted image, nil unless track && persistent
+	words  []uint64 // current (cache) view; 16-byte aligned base
+	media  []uint64 // persisted image, nil unless track && persistent
+	mapped bool     // media is a file mapping (Config.MediaPath) until Close
 
 	// base and limit cache &words[0] and len(words)-1 so the fast-path
 	// methods fit the compiler's inline budget: the backing array is
@@ -209,7 +210,7 @@ func New(cfg Config) *Device {
 			if err != nil {
 				panic(err)
 			}
-			d.media = m
+			d.media, d.mapped = m, true
 		} else {
 			d.media = alignedWords(words)
 		}
@@ -263,13 +264,6 @@ func (d *Device) syncGate() {
 	} else {
 		atomic.StoreUint64(&d.gate, 0)
 	}
-}
-
-// wordAt returns the address of the word at off without the slice-header
-// loads of &d.words[off]; callers must have bounds-checked off (fastOK or
-// checkSlow). The backing array never moves, so d.base stays valid.
-func (d *Device) wordAt(off uint64) *uint64 {
-	return (*uint64)(unsafe.Add(d.base, off*8))
 }
 
 // checkSlow handles everything fastOK rejects: a frozen device panics, an

@@ -61,6 +61,18 @@ func mapMediaFile(path string, words int) ([]uint64, error) {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&buf[0])), words), nil
 }
 
+// Close releases a file-backed media mapping; the file keeps the image. A
+// device whose media is process memory has nothing to release. Nothing may
+// reach the media afterwards: a Fence, Crash or PersistedWord panics.
+func (d *Device) Close() error {
+	if !d.mapped {
+		return nil
+	}
+	m := d.media
+	d.media, d.mapped = nil, false
+	return syscall.Munmap(unsafe.Slice((*byte)(unsafe.Pointer(&m[0])), len(m)*8))
+}
+
 // ResetFromMedia replaces the device's current (cache) view with its media
 // image — the state a power failure would leave after the adversary ran.
 // It is the attach path for a device whose media was adopted from a file:

@@ -1,0 +1,365 @@
+// Package rt is the runtime: the one place a set of durable structures
+// comes to life over one persistence engine. Open builds the engine — or
+// attaches to the media file a previous incarnation left — and discharges
+// the recovery obligation of §4.3.3 once, for every structure that
+// incarnation recorded, before any handle exists: trace from the roots,
+// rebuild rep_v and the allocator, repair, drain, verify. The mirror facade's
+// Runtime is this type, and mirrord's server is one of these plus the wire.
+// DESIGN.md "One runtime" gives the attach order and the sidecar's rules.
+package rt
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"sync"
+
+	"mirror/internal/engine"
+	"mirror/internal/pmem"
+	"mirror/internal/structures"
+	"mirror/internal/structures/bst"
+	"mirror/internal/structures/hashtable"
+	"mirror/internal/structures/list"
+	"mirror/internal/structures/queue"
+	"mirror/internal/structures/skiplist"
+)
+
+// walker is what every structure handle offers the post-attach check: a
+// full read-only walk.
+type walker interface{ Len(c *engine.Ctx) int }
+
+// kind is one structure type's whole recovery obligation, as a unit so no
+// caller can run one half without the other: the tracer of its reachable
+// objects, and open, which initializes it at an unset root and otherwise
+// adopts it, running the repair pass for what a crash may legally break
+// (see skiplist.NewAt and bst.NewAt). buckets sizes a new hash table only.
+type kind struct {
+	fields int // root fields owned, from the recorded one up
+	tracer func(e engine.Engine, f int) engine.Tracer
+	open   func(e engine.Engine, c *engine.Ctx, f, buckets int) walker
+}
+
+var kinds = map[string]kind{
+	"list": {1, func(e engine.Engine, f int) engine.Tracer { return list.TracerAt(e, f) },
+		func(e engine.Engine, _ *engine.Ctx, f, _ int) walker { return list.New(e, f) }},
+	"hashtable": {2, hashtable.TracerAt,
+		func(e engine.Engine, c *engine.Ctx, f, n int) walker { return hashtable.NewAt(e, c, n, f) }},
+	"bst": {1, bst.TracerAt,
+		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return bst.NewAt(e, c, f) }},
+	"skiplist": {1, skiplist.TracerAt,
+		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return skiplist.NewAt(e, c, f) }},
+	"queue": {2, queue.TracerAt,
+		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return queue.NewAt(e, c, f) }},
+}
+
+// root is one structure's record: its kind and first root field, which the
+// sidecar persists, and its handle once it has one.
+type root struct {
+	Kind  string `json:"kind"`
+	Field int    `json:"field"`
+	h     walker
+}
+
+// geometry is what the engine's word layout depends on: a mismatch means
+// the image cannot be interpreted. Combine is always written false; the key
+// remains so that an image an older mirrord wrote with fence combining on —
+// whose completed operations were allowed to be missing — is refused like
+// any other mismatch instead of being adopted.
+type geometry struct {
+	Kind       int  `json:"kind"`
+	Words      int  `json:"words"`
+	RootFields int  `json:"root_fields"`
+	Ring       int  `json:"ring"`
+	Clients    int  `json:"clients"`
+	Combine    bool `json:"combine"`
+}
+
+// sidecar is the record next to a media file that tells a reattachable
+// image from garbage: the geometry, and which kind owns which root fields.
+type sidecar struct {
+	geometry
+	Roots []*root `json:"roots"`
+}
+
+// SidecarPath returns where Open keeps the sidecar of a media file.
+func SidecarPath(mediaPath string) string { return mediaPath + ".meta" }
+
+// Runtime owns one engine, the persistent roots and the structures hanging
+// off them. All structures created from one runtime share its memory and
+// are recovered together.
+type Runtime struct {
+	eng      engine.Engine
+	cfg      engine.Config
+	attached bool
+
+	mu       sync.Mutex
+	roots    []*root
+	nextRoot int
+}
+
+// Open builds a runtime over cfg, whose RootFields must be set. Without
+// cfg.MediaPath the image lives in process memory. With it, Open attaches
+// when the sidecar holds the same geometry and a root record of known kinds,
+// refuses any other sidecar, and wipes a file that has none. Attaching traces
+// every recorded structure in record order, rebuilds rep_v and the allocator,
+// repairs, drains, and walks every structure once: a corrupt image fails
+// here, not under load.
+func Open(cfg engine.Config) (*Runtime, error) {
+	r := &Runtime{cfg: cfg}
+	if cfg.MediaPath != "" {
+		if !cfg.Kind.Durable() {
+			return nil, fmt.Errorf("runtime: engine kind %v is not durable", cfg.Kind)
+		}
+		raw, err := os.ReadFile(SidecarPath(cfg.MediaPath))
+		switch {
+		case err == nil:
+			var have sidecar
+			ok := json.Unmarshal(raw, &have) == nil && have.geometry == r.geometry() && have.Roots != nil
+			for _, s := range have.Roots {
+				_, known := kinds[s.Kind]
+				ok = ok && known
+			}
+			if !ok {
+				return nil, fmt.Errorf("runtime: media %s was written with a different configuration", cfg.MediaPath)
+			}
+			r.roots, r.attached = have.Roots, true
+		case errors.Is(err, os.ErrNotExist):
+			// No sidecar: either a first start or a crash before the roots
+			// were durable. Either way the image (if any) is garbage — wipe it.
+			if err := os.Remove(cfg.MediaPath); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, err
+			}
+		default:
+			return nil, err
+		}
+	}
+	r.cfg.Attach = r.attached
+	r.eng = engine.New(r.cfg)
+	var err error
+	if r.attached {
+		c := r.recover(1)
+		err = r.verify(c)
+		c.Close()
+	} else {
+		// engine.New leaves the root cells durable: only now may a future
+		// incarnation trust the image.
+		err = r.writeSidecar()
+	}
+	if err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *Runtime) geometry() geometry {
+	return geometry{Kind: int(r.cfg.Kind), Words: r.cfg.Words, RootFields: r.cfg.RootFields,
+		Ring: r.cfg.DetectRing, Clients: r.cfg.Clients}
+}
+
+// writeSidecar replaces the sidecar by rename, so a crash leaves the old
+// record or the new one, never a torn one.
+func (r *Runtime) writeSidecar() error {
+	if r.cfg.MediaPath == "" {
+		return nil
+	}
+	raw, err := json.Marshal(sidecar{r.geometry(), append([]*root{}, r.roots...)})
+	if err != nil {
+		return err
+	}
+	path := SidecarPath(r.cfg.MediaPath)
+	if err := os.WriteFile(path+".tmp", raw, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path)
+}
+
+// verify is the post-attach fsck: one full read-only walk per structure. A
+// corrupt image (dangling reference, cycle, unreadable node) panics or
+// hangs inside the engine; finishing the walks proves every reachable node
+// was traced, rebuilt, and is consistent enough to traverse.
+func (r *Runtime) verify(c *engine.Ctx) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("runtime: post-attach verification failed: %v", p)
+		}
+	}()
+	for _, s := range r.roots {
+		if s.h != nil {
+			s.h.Len(c)
+		}
+	}
+	return nil
+}
+
+// Close releases the runtime's file-backed media mapping; the file keeps the
+// fenced image for a later Open. The engine is frozen: no operation may run
+// after Close, but Counters, Stats and Footprint still answer.
+func (r *Runtime) Close() error {
+	r.eng.Freeze()
+	for _, d := range r.eng.PersistentDevices() {
+		if err := d.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Attached reports whether Open adopted an existing media image.
+func (r *Runtime) Attached() bool { return r.attached }
+
+// Engine exposes the underlying persistence engine for advanced use.
+func (r *Runtime) Engine() engine.Engine { return r.eng }
+
+// Kind returns the runtime's engine kind.
+func (r *Runtime) Kind() engine.Kind { return r.eng.Kind() }
+
+// NewCtx creates a per-goroutine context.
+func (r *Runtime) NewCtx() *engine.Ctx { return r.eng.NewCtx() }
+
+// Counters reports the cumulative number of flush and fence instructions
+// issued by the runtime's devices.
+func (r *Runtime) Counters() (flushes, fences uint64) { return r.eng.Counters() }
+
+// attach returns the structure of kind k at root field f: the handle Open
+// adopted, or one opened now. A field no structure owns is recorded in the
+// sidecar first, so a crash before its root store leaves a recorded root
+// that a later Open adopts empty and this call initializes. A field another
+// kind owns is refused.
+func (r *Runtime) attach(c *engine.Ctx, k string, f, buckets int) (walker, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := kinds[k].fields
+	if f < 0 || f+n > r.cfg.RootFields {
+		return nil, fmt.Errorf("runtime: root fields [%d, %d) outside the %d a runtime has", f, f+n, r.cfg.RootFields)
+	}
+	var s *root
+	for _, o := range r.roots {
+		if o.Field < f+n && f < o.Field+kinds[o.Kind].fields {
+			if o.Field != f || o.Kind != k {
+				return nil, fmt.Errorf("runtime: root field %d holds a %s, not a %s: the media was written with a different configuration",
+					o.Field, o.Kind, k)
+			}
+			s = o
+		}
+	}
+	if s == nil {
+		s = &root{Kind: k, Field: f}
+		r.roots = append(r.roots, s)
+		if err := r.writeSidecar(); err != nil {
+			r.roots = r.roots[:len(r.roots)-1]
+			return nil, err
+		}
+	}
+	if s.h == nil {
+		s.h = kinds[k].open(r.eng, c, f, buckets)
+	}
+	return s.h, nil
+}
+
+// next is attach at the runtime's next free root fields: the k-th New*
+// call of a reopened runtime gets what the earlier k-th call created. It
+// panics on a refusal.
+func (r *Runtime) next(c *engine.Ctx, k string, buckets int) walker {
+	r.mu.Lock()
+	f := r.nextRoot
+	r.nextRoot += kinds[k].fields
+	r.mu.Unlock()
+	h, err := r.attach(c, k, f, buckets)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// NewList creates a durable Harris linked list.
+func (r *Runtime) NewList(c *engine.Ctx) structures.Set { return r.next(c, "list", 0).(*list.List) }
+
+// NewHashTable creates a durable hash table with the given power-of-two
+// bucket count.
+func (r *Runtime) NewHashTable(c *engine.Ctx, buckets int) structures.Set {
+	return r.next(c, "hashtable", buckets).(*hashtable.Table)
+}
+
+// NewBST creates a durable Natarajan–Mittal binary search tree.
+func (r *Runtime) NewBST(c *engine.Ctx) structures.Set { return r.next(c, "bst", 0).(*bst.BST) }
+
+// NewSkipList creates a durable Fraser-style skip list.
+func (r *Runtime) NewSkipList(c *engine.Ctx) structures.Set {
+	return r.next(c, "skiplist", 0).(*skiplist.SkipList)
+}
+
+// NewQueue creates a durable FIFO queue.
+func (r *Runtime) NewQueue(c *engine.Ctx) *queue.Queue { return r.next(c, "queue", 0).(*queue.Queue) }
+
+// SkipListAt is NewSkipList at an explicit root field.
+func (r *Runtime) SkipListAt(c *engine.Ctx, f int) (*skiplist.SkipList, error) {
+	return at[*skiplist.SkipList](r, c, "skiplist", f)
+}
+
+// QueueAt is NewQueue at an explicit pair of root fields.
+func (r *Runtime) QueueAt(c *engine.Ctx, f int) (*queue.Queue, error) {
+	return at[*queue.Queue](r, c, "queue", f)
+}
+
+func at[T walker](r *Runtime, c *engine.Ctx, k string, f int) (T, error) {
+	h, err := r.attach(c, k, f, 0)
+	t, _ := h.(T)
+	return t, err
+}
+
+// Freeze makes every device operation panic, unwinding in-flight
+// operations so a crash can be taken at an arbitrary moment. Only crash
+// tests and demos need it; Crash freezes implicitly.
+func (r *Runtime) Freeze() { r.eng.Freeze() }
+
+// Crash simulates a full-system power failure: volatile devices are wiped,
+// and unfenced persistent writes survive according to the policy. All
+// goroutines operating on the runtime must have unwound (see Freeze).
+func (r *Runtime) Crash(policy pmem.CrashPolicy, seed int64) {
+	r.eng.Crash(policy, rand.New(rand.NewSource(seed)))
+}
+
+// Recover rebuilds all volatile state after Crash: every structure is
+// traced, the volatile replica is reconstructed, unreachable memory is
+// reclaimed (§4.3.3), and every repair pass runs. Structures created before
+// the crash remain usable (on a durable engine); contexts do not — create
+// fresh ones. It is RecoverParallel(1).
+func (r *Runtime) Recover() { r.RecoverParallel(1) }
+
+// RecoverParallel is Recover with a bounded worker pool: the structures'
+// tracers are dealt round-robin across parallelism shards, and the trace,
+// volatile-replica rebuild, and allocator reconstruction all run on that
+// many goroutines (see internal/recovery). Structures within one shard are
+// traced sequentially; a runtime holding a single large structure gains
+// nothing here — trace it through engine.RecoverWith with its ShardedTracer
+// instead. The repair passes run afterwards, sequentially.
+func (r *Runtime) RecoverParallel(parallelism int) { r.recover(parallelism).Close() }
+
+// recover runs the recovery pipeline over every recorded structure, adopts
+// (repairs) each one whose root is set, drains, and returns its context.
+func (r *Runtime) recover(parallelism int) *engine.Ctx {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sharded := func(shard, shards int) engine.Tracer {
+		return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+			for i := shard; i < len(r.roots); i += shards {
+				kinds[r.roots[i].Kind].tracer(r.eng, r.roots[i].Field)(read, visit)
+			}
+		}
+	}
+	r.eng.RecoverWith(sharded(0, 1), engine.RecoverOptions{Parallelism: parallelism, Sharded: sharded})
+	c := r.eng.NewCtx()
+	for _, s := range r.roots {
+		r.eng.OpBegin(c)
+		set := r.eng.TraversalLoad(c, r.eng.RootRef(), s.Field) != 0
+		r.eng.OpEnd(c)
+		if set {
+			s.h = kinds[s.Kind].open(r.eng, c, s.Field, 1)
+		}
+	}
+	r.eng.Drain(c)
+	return c
+}

@@ -115,9 +115,6 @@ func (c *Client) SetPipeline(w int) (int, error) {
 	return len(c.inflight), nil
 }
 
-// Window returns the granted pipeline depth (1 before SetPipeline).
-func (c *Client) Window() int { return len(c.inflight) }
-
 // Submit issues one frame asynchronously — a mutating op (with the next
 // sequence number) or a GET/SCAN (seq 0; the server still answers in FIFO
 // order). If the window is full it first completes the oldest in-flight

@@ -40,34 +40,33 @@
 // source of batchable concurrency.
 //
 // With Config.MediaPath the engine's fenced image lives in a file-backed
-// mapping, so the whole thing survives kill -9: a restarted server attaches
-// to the image (engine.Config.Attach), replays recovery, and serves the
-// pre-crash state. A sidecar meta file records the engine geometry; it is
-// written only after a fresh initialization completes, so a crash during
-// init leaves no meta and the next start wipes the partial image instead of
-// attaching to it.
+// mapping, so the whole thing survives kill -9: a restarted server reopens
+// the image through the runtime (internal/rt) — which recovers, repairs and
+// verifies it before New returns — and serves the pre-crash state. The
+// attach order, the sidecar that tells a reattachable image from garbage,
+// and its root-layout record are DESIGN.md "One runtime".
 package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mirror/internal/engine"
+	"mirror/internal/rt"
 	"mirror/internal/structures"
 	"mirror/internal/structures/queue"
 	"mirror/internal/structures/skiplist"
 	"mirror/internal/wire"
 )
 
-// Root fields used by the served structures. The skip list owns root
-// field 0 (its head sentinel); the queue owns 4 and 5 (its head/tail pair).
+// Root fields used by the served structures, of the 8 New gives the engine:
+// the skip list owns root field 0 (its head sentinel); the queue owns 4 and
+// 5 (its head/tail pair). They are the served media layout.
 const (
 	tableRoot = 0
 	queueRoot = 4
@@ -92,7 +91,7 @@ type Config struct {
 	Workers int
 	// MediaPath backs the engine's fenced image with a file so it survives
 	// process death. Empty keeps the image in process memory (tests,
-	// benchmarks). A sidecar file MediaPath+".meta" records the geometry.
+	// benchmarks). Its sidecar MediaPath+".meta" records the layout.
 	MediaPath string
 	// NoBatch is the ablation switch: drain and respond after every
 	// operation instead of per batch, so each mutation pays its own fence.
@@ -140,22 +139,6 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// meta is the sidecar record distinguishing a reattachable image from
-// garbage. Every field participates in the engine's word layout, so a
-// mismatch means the image cannot be interpreted. Combine is always written
-// false: the key remains so that an image an older mirrord wrote with fence
-// combining on — whose completed operations were allowed to be missing — is
-// refused like any other mismatch instead of being adopted.
-type meta struct {
-	Kind    int  `json:"kind"`
-	Words   int  `json:"words"`
-	Ring    int  `json:"ring"`
-	Clients int  `json:"clients"`
-	Combine bool `json:"combine"`
-}
-
-func metaPath(mediaPath string) string { return mediaPath + ".meta" }
-
 // Stats is a snapshot of the server's serving counters plus the engine's
 // persistence counters, for the fences-per-operation ablation.
 type Stats struct {
@@ -170,11 +153,11 @@ type Stats struct {
 
 // Server is one mirrord instance.
 type Server struct {
-	cfg      Config
-	e        engine.Engine
-	table    *skiplist.SkipList
-	q        *queue.Queue
-	attached bool
+	cfg   Config
+	rt    *rt.Runtime
+	e     engine.Engine
+	table *skiplist.SkipList
+	q     *queue.Queue
 
 	ln      net.Listener
 	workers []*worker
@@ -192,112 +175,45 @@ type Server struct {
 	batches   atomic.Uint64
 }
 
-// New builds the engine and its structures — attaching to an existing media
-// image when the sidecar meta proves one is present and compatible — but
-// does not listen yet.
+// New opens the runtime — attaching to an existing media image when the
+// runtime's sidecar proves one is present and compatible — and builds the
+// workers, but does not listen yet.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	want := meta{
-		Kind: int(cfg.Kind), Words: cfg.Words, Ring: cfg.Ring,
-		Clients: cfg.Clients,
-	}
-	attach := false
-	if cfg.MediaPath != "" {
-		raw, err := os.ReadFile(metaPath(cfg.MediaPath))
-		switch {
-		case err == nil:
-			var have meta
-			if json.Unmarshal(raw, &have) != nil || have != want {
-				return nil, fmt.Errorf("server: media %s was written with a different configuration", cfg.MediaPath)
-			}
-			attach = true
-		case errors.Is(err, os.ErrNotExist):
-			// No meta: either a first start or a crash during init. Either
-			// way the image (if any) is uninitialized garbage — wipe it.
-			if err := os.Remove(cfg.MediaPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return nil, err
-			}
-		default:
-			return nil, err
-		}
-	}
-	e := engine.New(engine.Config{
+	r, err := rt.Open(engine.Config{
 		Kind:       cfg.Kind,
 		Words:      cfg.Words,
+		RootFields: 8,
 		Track:      cfg.MediaPath != "",
 		Clients:    cfg.Clients,
 		DetectRing: cfg.Ring,
 		MediaPath:  cfg.MediaPath,
-		Attach:     attach,
 	})
-	s := &Server{cfg: cfg, e: e, attached: attach, conns: make(map[*conn]struct{})}
-	c := e.NewCtx()
-	if attach {
-		e.Recover(s.tracer())
+	if err != nil {
+		return nil, err
 	}
-	// NewAt both adopts (attach: the roots are non-zero after recovery) and
-	// initializes (fresh: it writes the root cells).
-	s.table = skiplist.NewAt(e, c, tableRoot)
-	s.q = queue.NewAt(e, c, queueRoot)
-	e.Drain(c)
-	if attach {
-		if err := s.verify(c); err != nil {
-			return nil, err
-		}
-	} else if cfg.MediaPath != "" {
-		// Initialization is durable (Drain above); only now may a future
-		// incarnation trust the image.
-		raw, err := json.Marshal(want)
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(metaPath(cfg.MediaPath), raw, 0o644); err != nil {
-			return nil, err
-		}
+	s := &Server{cfg: cfg, rt: r, e: r.Engine(), conns: make(map[*conn]struct{})}
+	c := r.NewCtx()
+	if s.table, err = r.SkipListAt(c, tableRoot); err == nil {
+		s.q, err = r.QueueAt(c, queueRoot)
+	}
+	if err != nil {
+		r.Close()
+		return nil, err
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers = append(s.workers, &worker{
-			s: s, c: e.NewCtx(), ch: make(chan reqItem, 1024),
+			s: s, c: r.NewCtx(), ch: make(chan reqItem, 1024),
 			pairs: make([]wire.KV, 0, wire.MaxScanKeys), // non-nil: an empty scan still answers with pairs
 		})
 	}
 	return s, nil
 }
 
-// tracer walks both served structures; their reachable sets are disjoint
-// (every object hangs off exactly one root), so each object is visited once.
-func (s *Server) tracer() engine.Tracer {
-	ht := skiplist.TracerAt(s.e, tableRoot)
-	qt := queue.TracerAt(s.e, queueRoot)
-	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-		ht(read, visit)
-		qt(read, visit)
-	}
-}
-
-// verify is the post-attach fsck: full read-only walks of both structures.
-// A corrupt image (dangling reference, cycle, unreadable node) panics or
-// hangs inside the engine; reaching the counts proves every reachable node
-// was traced, rebuilt, and is consistent enough to traverse.
-func (s *Server) verify(c *engine.Ctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("server: post-attach verification failed: %v", r)
-		}
-	}()
-	if n := s.table.Len(c); n < 0 {
-		return fmt.Errorf("server: table walk returned %d", n)
-	}
-	if n := s.q.Len(c); n < 0 {
-		return fmt.Errorf("server: queue walk returned %d", n)
-	}
-	return nil
-}
-
 // Attached reports whether New adopted an existing media image.
-func (s *Server) Attached() bool { return s.attached }
+func (s *Server) Attached() bool { return s.rt.Attached() }
 
 // Engine exposes the underlying engine for in-process benchmarks and tests.
 func (s *Server) Engine() engine.Engine { return s.e }
@@ -342,7 +258,8 @@ func (s *Server) Addr() net.Addr {
 
 // Close stops accepting, closes every connection, drains the workers (any
 // staged batch is committed before they exit), and returns when all
-// goroutines are done. The media image stays valid for a later attach.
+// goroutines are done, then closes the runtime. The media image stays valid
+// for a later attach; Stats still answers.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -363,6 +280,9 @@ func (s *Server) Close() error {
 		close(w.ch)
 	}
 	s.wwg.Wait()
+	if cerr := s.rt.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 
@@ -475,8 +395,8 @@ func (w *worker) run() {
 		}
 	}
 	// The context dies with the worker: hand its limbo on rather than
-	// strand it (palloc.Cache.Close).
-	w.c.Cache.Close()
+	// strand it.
+	w.c.Close()
 }
 
 // release drains the batch's deferred verdicts under one fence, then writes

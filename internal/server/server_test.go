@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"mirror/internal/engine"
+	"mirror/internal/rt"
 	"mirror/internal/wire"
 )
 
@@ -338,7 +339,7 @@ func TestServeMetaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s1
+	s1.Close()
 	if _, err := New(Config{Kind: engine.MirrorDRAM, MediaPath: media, Words: 1 << 19}); err == nil {
 		t.Fatal("attach with different Words succeeded")
 	}
@@ -350,7 +351,7 @@ func TestServeMetaMismatch(t *testing.T) {
 	// (false), so the sidecars of existing images and of this build are the
 	// same bytes and attach; an image written by an older `mirrord -combine`
 	// holds state this build cannot interpret and is refused.
-	written, err := os.ReadFile(metaPath(media))
+	written, err := os.ReadFile(rt.SidecarPath(media))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,13 +359,13 @@ func TestServeMetaMismatch(t *testing.T) {
 		name, sidecar string
 		attach        bool
 	}{
-		{"as written", `{"kind":0,"words":262144,"ring":8,"clients":64,"combine":false}`, true},
-		{"written with combining on", `{"kind":0,"words":262144,"ring":8,"clients":64,"combine":true}`, false},
+		{"as written", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, true},
+		{"written with combining on", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":true,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
 	} {
 		if tc.attach && tc.sidecar != string(written) {
 			t.Fatalf("%s: this build writes the sidecar %s, want %s", tc.name, written, tc.sidecar)
 		}
-		if err := os.WriteFile(metaPath(media), []byte(tc.sidecar), 0o644); err != nil {
+		if err := os.WriteFile(rt.SidecarPath(media), []byte(tc.sidecar), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := New(Config{Kind: engine.MirrorDRAM, MediaPath: media, Words: 1 << 18})

@@ -358,19 +358,7 @@ func testParallelRecovery(t *testing.T, f Factory, k engine.Kind) {
 		t.Skipf("%s has no sharded tracer", s.Name())
 	}
 	rng := rand.New(rand.NewSource(9))
-	model := make(map[uint64]uint64)
-	for i := 0; i < 1500; i++ {
-		key := uint64(rng.Intn(400) + 1)
-		if rng.Intn(3) > 0 {
-			val := uint64(rng.Intn(1 << 30))
-			if s.Insert(c, key, val) {
-				model[key] = val
-			}
-		} else {
-			s.Delete(c, key)
-			delete(model, key)
-		}
-	}
+	model := fill(s, c, rng)
 	tracer, sharded := s.Tracer(), ss.ShardedTracer()
 	e.Crash(pmem.CrashDropAll, rng)
 
@@ -435,13 +423,9 @@ func testParallelRecovery(t *testing.T, f Factory, k engine.Kind) {
 	}
 }
 
-// testQuiescedCrash cycles crash policies against a quiesced set recovered
-// at the given shard count: every completed operation must survive.
-func testQuiescedCrash(t *testing.T, f Factory, k engine.Kind, shards int) {
-	e := f.engine(k)
-	c := e.NewCtx()
-	s := f.New(e, c)
-	rng := rand.New(rand.NewSource(5))
+// fill runs 1500 random inserts (two thirds) and deletes over keys 1..400
+// and returns the resulting contents.
+func fill(s structures.Set, c *engine.Ctx, rng *rand.Rand) map[uint64]uint64 {
 	model := make(map[uint64]uint64)
 	for i := 0; i < 1500; i++ {
 		key := uint64(rng.Intn(400) + 1)
@@ -455,6 +439,17 @@ func testQuiescedCrash(t *testing.T, f Factory, k engine.Kind, shards int) {
 			delete(model, key)
 		}
 	}
+	return model
+}
+
+// testQuiescedCrash cycles crash policies against a quiesced set recovered
+// at the given shard count: every completed operation must survive.
+func testQuiescedCrash(t *testing.T, f Factory, k engine.Kind, shards int) {
+	e := f.engine(k)
+	c := e.NewCtx()
+	s := f.New(e, c)
+	rng := rand.New(rand.NewSource(5))
+	model := fill(s, c, rng)
 	for _, policy := range []pmem.CrashPolicy{pmem.CrashDropAll, pmem.CrashKeepAll, pmem.CrashRandom} {
 		e.Crash(policy, rng)
 		recoverShards(e, s, shards)

@@ -38,14 +38,7 @@ type LinkFree struct {
 // NewLinkFree creates a Link-Free set (a list, or a hash table when
 // cfg.Buckets is a power of two).
 func NewLinkFree(cfg Config) *LinkFree {
-	cfg.setDefaults()
-	if cfg.Buckets < 0 || (cfg.Buckets > 0 && cfg.Buckets&(cfg.Buckets-1) != 0) {
-		panic("zuriel: bucket count must be a power of two")
-	}
-	model := pmem.NoLatency()
-	if cfg.Latency {
-		model = pmem.NVMMModel()
-	}
+	model := cfg.setDefaults()
 	s := &LinkFree{
 		dev: pmem.New(pmem.Config{
 			Name: "LinkFree", Words: cfg.Words,

@@ -49,14 +49,7 @@ type Soft struct {
 // NewSoft creates a SOFT set (a list, or a hash table when cfg.Buckets is
 // a power of two).
 func NewSoft(cfg Config) *Soft {
-	cfg.setDefaults()
-	if cfg.Buckets < 0 || (cfg.Buckets > 0 && cfg.Buckets&(cfg.Buckets-1) != 0) {
-		panic("zuriel: bucket count must be a power of two")
-	}
-	model := pmem.NoLatency()
-	if cfg.Latency {
-		model = pmem.NVMMModel()
-	}
+	model := cfg.setDefaults()
 	s := &Soft{
 		pdev: pmem.New(pmem.Config{
 			Name: "SOFT-pnodes", Words: cfg.Words,

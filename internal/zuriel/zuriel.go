@@ -197,10 +197,19 @@ type Config struct {
 	Clients int
 }
 
-func (c *Config) setDefaults() {
+// setDefaults fills in the defaults, checks the bucket count, and returns
+// the latency model of the persistent device.
+func (c *Config) setDefaults() pmem.LatencyModel {
 	if c.Words == 0 {
 		c.Words = 1 << 20
 	}
+	if c.Buckets < 0 || (c.Buckets > 0 && c.Buckets&(c.Buckets-1) != 0) {
+		panic("zuriel: bucket count must be a power of two")
+	}
+	if c.Latency {
+		return pmem.NVMMModel()
+	}
+	return pmem.NoLatency()
 }
 
 // kv is one surviving element found by the recovery heap scan.

@@ -1,0 +1,223 @@
+package mirror
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+// openAll opens path and creates, in one fixed order, the four sets and the
+// queue: on a reopened file that order adopts what the last run created.
+func openAll(t *testing.T, path string, opts Options) (*Runtime, *Ctx, []Set, *Queue) {
+	t.Helper()
+	rt, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rt.NewCtx()
+	sets, q := all(rt, c)
+	return rt, c, sets, q
+}
+
+func all(rt *Runtime, c *Ctx) ([]Set, *Queue) {
+	return []Set{rt.NewList(c), rt.NewHashTable(c, 64), rt.NewSkipList(c), rt.NewBST(c)}, rt.NewQueue(c)
+}
+
+// TestOpenReattach writes all four sets and the queue through a
+// file-backed runtime, ends it without a drain — the deletes' relaxed
+// auxiliary updates (skip list upper levels, tree excisions) may be missing
+// from the file, as after kill -9 — and reopens it: the reopened runtime
+// sees the same contents, and its repair passes leave every structure fully
+// operational, deleted keys re-insertable included.
+func TestOpenReattach(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "media")
+	opts := Options{Words: 1 << 18}
+	rt, c, sets, q := openAll(t, path, opts)
+	if rt.Attached() {
+		t.Fatal("fresh file attached")
+	}
+	for i, s := range sets {
+		for k := uint64(1); k <= 60; k++ {
+			s.Insert(c, k, k*10+uint64(i))
+		}
+		for k := uint64(1); k <= 60; k += 2 {
+			s.Delete(c, k)
+		}
+	}
+	for v := uint64(1); v <= 10; v++ {
+		q.Enqueue(c, v)
+	}
+	q.Dequeue(c)
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Without the repair passes the reopen itself can spin forever on a
+	// half-deleted node, so it runs under a watchdog.
+	done := make(chan error, 1)
+	go func() { done <- reopenAndCheck(path, opts) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("reopen hangs: a repair pass did not run")
+	}
+}
+
+func reopenAndCheck(path string, opts Options) error {
+	rt, err := Open(path, opts)
+	if err != nil {
+		return err
+	}
+	defer rt.Close()
+	if !rt.Attached() {
+		return fmt.Errorf("reopened file did not attach")
+	}
+	c := rt.NewCtx()
+	sets, q := all(rt, c)
+	for i, s := range sets {
+		for k := uint64(1); k <= 60; k++ {
+			v, ok := s.Get(c, k)
+			if want := k%2 == 0; ok != want || (ok && v != k*10+uint64(i)) {
+				return fmt.Errorf("%s key %d after reopen: (%d, %v), want present=%v", s.Name(), k, v, ok, want)
+			}
+		}
+		for k := uint64(1); k <= 60; k += 2 {
+			if !s.Insert(c, k, 1) || !s.Contains(c, k) || !s.Delete(c, k) || s.Contains(c, k) {
+				return fmt.Errorf("%s: deleted key %d not re-insertable after reopen", s.Name(), k)
+			}
+		}
+	}
+	if got := q.Drain(c); len(got) != 9 || got[0] != 2 || got[8] != 10 {
+		return fmt.Errorf("queue after reopen = %v, want 2..10", got)
+	}
+	return nil
+}
+
+// TestOpenRefusesDifferentConfiguration: other geometry, an image written
+// before the sidecar recorded its root layout, and a structure of another
+// kind at a recorded root are all refused, never adopted.
+func TestOpenRefusesDifferentConfiguration(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "media")
+	opts := Options{Words: 1 << 18}
+	rt, _, _, _ := openAll(t, path, opts)
+	rt.Close()
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "different configuration") {
+			t.Errorf("%s: error %v, want the different-configuration refusal", what, err)
+		}
+	}
+	_, err := Open(path, Options{Words: 1 << 19})
+	refused("other Words", err)
+	_, err = Open(path, Options{Kind: Izraelevitz, Words: 1 << 18})
+	refused("other Kind", err)
+
+	rt, err = Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			refused("a queue where a list was recorded", err)
+		}()
+		rt.NewQueue(rt.NewCtx())
+	}()
+	rt.Close()
+
+	sidecar := path + ".meta"
+	raw, err := os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "roots")
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sidecar, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(path, opts)
+	refused("no root record", err)
+}
+
+// TestOpenWipesMediaWithoutSidecar: without its sidecar an image is garbage
+// (a crash before the roots were durable), so Open starts fresh.
+func TestOpenWipesMediaWithoutSidecar(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "media")
+	opts := Options{Words: 1 << 18}
+	rt, c, sets, _ := openAll(t, path, opts)
+	sets[0].Insert(c, 7, 7)
+	rt.Close()
+	if err := os.Remove(path + ".meta"); err != nil {
+		t.Fatal(err)
+	}
+	rt, c, sets, q := openAll(t, path, opts)
+	defer rt.Close()
+	if rt.Attached() || sets[0].Contains(c, 7) || q.Len(c) != 0 {
+		t.Fatalf("media without a sidecar was adopted (attached %v)", rt.Attached())
+	}
+}
+
+// TestOpenAdoptsRecordedEmptyRoot: a process killed after the sidecar
+// recorded a structure but before its root store leaves a recorded root
+// that is still zero. The next Open adopts it empty, the constructor that
+// owns it initializes it, and the run after that finds it populated.
+func TestOpenAdoptsRecordedEmptyRoot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "media")
+	opts := Options{Words: 1 << 18}
+	rt, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rt.NewCtx()
+	rt.NewBST(c).Insert(c, 1, 1)
+	rt.Close()
+
+	// Record a hash table at fields 1-2, as its constructor does before
+	// storing the root, and stop there.
+	sidecar := path + ".meta"
+	raw, err := os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["roots"] = append(m["roots"].([]any), map[string]any{"kind": "hashtable", "field": 1})
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sidecar, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for run := 0; run < 2; run++ {
+		rt, err := Open(path, opts)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		c := rt.NewCtx()
+		tree, table := rt.NewBST(c), rt.NewHashTable(c, 64)
+		if !tree.Contains(c, 1) {
+			t.Fatalf("run %d: tree lost key 1", run)
+		}
+		if got := table.Contains(c, 5); got != (run == 1) {
+			t.Fatalf("run %d: table holds key 5 = %v", run, got)
+		}
+		table.Insert(c, 5, 5)
+		rt.Close()
+	}
+}
