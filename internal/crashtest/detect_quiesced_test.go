@@ -39,9 +39,7 @@ func TestDetectQuiescedList(t *testing.T) {
 			}
 
 			// Empty shape with a detectable (failed) membership query.
-			e.DetectBegin(c, 1, 1, engine.DetectContains, 5, 0)
-			res := l.Contains(c, 5)
-			e.DetectEnd(c, res)
+			res := detectable(e, c, 1, 1, engine.DetectContains, 5, 0, func() bool { return l.Contains(c, 5) })
 			if res {
 				t.Fatal("contains on empty list returned true")
 			}
@@ -51,9 +49,7 @@ func TestDetectQuiescedList(t *testing.T) {
 			}
 
 			// Single-element shape: detectable insert, crash, verify.
-			e.DetectBegin(c, 1, 2, engine.DetectInsert, 5, 50)
-			res = l.Insert(c, 5, 50)
-			e.DetectEnd(c, res)
+			res = detectable(e, c, 1, 2, engine.DetectInsert, 5, 50, func() bool { return l.Insert(c, 5, 50) })
 			if !res {
 				t.Fatal("insert failed")
 			}
@@ -78,9 +74,7 @@ func TestDetectQuiescedList(t *testing.T) {
 			}
 
 			// Detectable delete back down to the empty shape.
-			e.DetectBegin(c, 1, 3, engine.DetectDelete, 5, 0)
-			res = l.Delete(c, 5)
-			e.DetectEnd(c, res)
+			res = detectable(e, c, 1, 3, engine.DetectDelete, 5, 0, func() bool { return l.Delete(c, 5) })
 			if !res {
 				t.Fatal("delete failed")
 			}
@@ -93,6 +87,16 @@ func TestDetectQuiescedList(t *testing.T) {
 			}
 		})
 	}
+}
+
+// detectable runs f as detectable operation (client, seq) and drains its
+// verdict before returning f's result.
+func detectable(e engine.Engine, c *engine.Ctx, client int, seq, kind, key, val uint64, f func() bool) bool {
+	e.DetectBeginDeferred(c, client, seq, kind, key, val)
+	res := f()
+	e.DetectEndDeferred(c, res, 0)
+	e.DetectDrain(c)
+	return res
 }
 
 // runToFreeze runs f, reporting whether it completed (true) or was cut by
@@ -127,9 +131,7 @@ func TestDetectExactlyOnceListSweep(t *testing.T) {
 				}
 				e.FreezeAfter(fa)
 				completed := runToFreeze(func() {
-					e.DetectBegin(c, 0, 1, engine.DetectInsert, 9, 90)
-					res := l.Insert(c, 9, 90)
-					e.DetectEnd(c, res)
+					detectable(e, c, 0, 1, engine.DetectInsert, 9, 90, func() bool { return l.Insert(c, 9, 90) })
 				})
 				e.FreezeAfter(0)
 				e.Crash(pmem.CrashDropAll, rng)

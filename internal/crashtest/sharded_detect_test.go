@@ -68,9 +68,7 @@ func TestDetectCrossShardSweep(t *testing.T) {
 				}
 				e.FreezeAfter(fa)
 				completed := runToFreeze(func() {
-					e.DetectBegin(c, 0, 1, engine.DetectInsert, opKey, opKey*10)
-					res := s.Insert(c, opKey, opKey*10)
-					e.DetectEnd(c, res)
+					detectable(e, c, 0, 1, engine.DetectInsert, opKey, opKey*10, func() bool { return s.Insert(c, opKey, opKey*10) })
 				})
 				e.FreezeAfter(0)
 				e.Crash(pmem.CrashDropAll, rng)

@@ -268,7 +268,10 @@ func (q *Queue) DetectBegin(c *Ctx, client int, seq, kind, val uint64) {
 		panic("durablequeue: DetectBegin inside an armed detectable operation")
 	}
 	c.det = detState{armed: true, client: client, seq: seq}
-	q.det.Begin(&c.fs, client, seq, kind, 0, val, kind == engine.DetectEnqueue)
+	q.det.Begin(&c.fs, client, seq, kind, 0, val)
+	if kind != engine.DetectEnqueue {
+		q.dev.Fence(&c.fs)
+	}
 }
 
 // detectLinearized publishes the verdict once the operation's effect is

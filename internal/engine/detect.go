@@ -63,10 +63,11 @@ import (
 // enforced here and in the engines' write path rather than by callers:
 //
 //   - The announce is durable before the first durable-before-visible
-//     install of the armed operation. DetectBegin writes the announce line
-//     and arms it on the context's flush set (pmem.Device.FlushAhead): the
-//     first fence the operation issues there — a read fence, a publish
-//     fence, or the announce barrier's own — flushes it before committing.
+//     install of the armed operation. DetectBeginDeferred writes the
+//     announce line and arms it on the context's flush set
+//     (pmem.Device.FlushAhead): the first fence the operation issues there
+//     — a read fence, a publish fence, or the announce barrier's own —
+//     flushes it before committing.
 //     The engines' CAS, Store and FetchAdd first pass the announce barrier
 //     (announceBarrier below), which fences iff no fence on the flush set
 //     has run since Begin. An insert's own publish fence carries the
@@ -79,9 +80,10 @@ import (
 //   - The verdict is written only after the linearizing install is
 //     durable: Mirror makes every install durable before it is visible,
 //     NVTraverse fences inside its CAS, and Izraelevitz — whose CAS is
-//     flushed but fenced only before the next access — issues an explicit
-//     commit fence in Linearized first. Hence a durable verdict implies a
-//     durable effect — Committed.
+//     flushed but fenced only before the next access — commits it with
+//     OpEnd's fence, behind which DetectDrain fences anything still
+//     pending before it writes a verdict line. Hence a durable verdict
+//     implies a durable effect — Committed.
 //   - A valid announce with no verdict proves nothing either way: Unknown.
 //
 // Nothing else needs an order. In particular an Auxiliary line (a snip, an
@@ -321,19 +323,15 @@ func (r *DescRegion) announce(client int, seq, kind, key, val uint64) uint64 {
 	return s
 }
 
-// Begin writes and flushes the announce line for (client, seq). With
-// deferAnnounce the announce fence is left to a later fence on fs that the
-// caller guarantees precedes the operation's first install; structure
-// packages with their own write paths (durablequeue, zuriel) decide per
-// operation kind. Otherwise Begin fences immediately. The engines arm the
-// line instead (arm).
-func (r *DescRegion) Begin(fs *pmem.FlushSet, client int, seq, kind, key, val uint64, deferAnnounce bool) {
+// Begin writes and flushes the announce line for (client, seq). It does not
+// fence: the caller's first fence on fs must precede the operation's first
+// install. Structure packages with their own write paths (durablequeue,
+// zuriel) fence where that path needs it; the engines arm the line instead
+// (arm).
+func (r *DescRegion) Begin(fs *pmem.FlushSet, client int, seq, kind, key, val uint64) {
 	s := r.announce(client, seq, kind, key, val)
 	if r.Durable {
 		r.Dev.Flush(fs, s)
-		if !deferAnnounce {
-			r.Dev.Fence(fs)
-		}
 	}
 }
 
@@ -516,9 +514,7 @@ func (r *DescRegion) Counters() (announces, verdicts uint64) {
 // descState is the per-Ctx armed-operation state of the engine-integrated
 // descriptor protocol.
 type descState struct {
-	armed     bool
-	delivered bool
-	deferred  bool // batched-verdict mode: publication waits for DetectDrain
+	armed bool
 	// annOpen: the announce line is flushed but no fence on the context's
 	// flush set is known to have covered it; annFences is that set's fence
 	// count at Begin. announceBarrier closes it before the first install.
@@ -537,30 +533,21 @@ type pendingVerdict struct {
 	rval   uint64
 }
 
-// verdictPoint names the three places a verdict can be about to persist.
-type verdictPoint int
-
-const (
-	atLinearized verdictPoint = iota // Linearized: right after the linearizing install
-	atEnd                            // DetectEnd with no Linearized hook fired
-	atDrain                          // DetectDrain: a whole batch of deferred verdicts
-)
-
 // verdictSettler is what the descriptor protocol needs from the engine it
 // is embedded in — the only two things the engines' descriptor glue ever
 // differed in.
 type verdictSettler interface {
 	// descFlushSet returns c's flush set on the descriptor region's device.
 	descFlushSet(c *Ctx) *pmem.FlushSet
-	// settle makes every effect a verdict about to persist at the given
-	// point may testify to durable first: a verdict line must never reach
-	// the media ahead of its operation's install.
-	settle(c *Ctx, at verdictPoint)
+	// settle makes every effect a drain's verdicts may testify to durable
+	// first: a verdict line must never reach the media ahead of its
+	// operation's install.
+	settle(c *Ctx)
 }
 
 // detector is the engine-integrated descriptor protocol — the Detector role
-// plus the Linearized hook — written once over a DescRegion and embedded in
-// both engine implementations.
+// — written once over a DescRegion and embedded in both engine
+// implementations.
 type detector struct {
 	desc *DescRegion // nil with detectability off
 	eng  verdictSettler
@@ -578,21 +565,6 @@ func (d *detector) DetectRing() int {
 		return 0
 	}
 	return d.desc.Ring
-}
-
-func (d *detector) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64) {
-	if d.desc == nil {
-		panic("engine: detectability is disabled (Config.Clients == 0)")
-	}
-	if c.det.armed {
-		panic("engine: DetectBegin while a detectable operation is already armed")
-	}
-	fs := d.eng.descFlushSet(c)
-	d.desc.arm(fs, client, seq, kind, key, val)
-	c.det = descState{
-		armed: true, client: client, seq: seq,
-		annOpen: d.desc.Durable, annFences: fs.Fences(),
-	}
 }
 
 // dropAnnounce is called where the armed operation reaches its verdict. If
@@ -629,42 +601,9 @@ func (d *detector) closeAnnounce(c *Ctx) {
 	}
 }
 
-// Linearized publishes the armed operation's verdict; the structures call
-// it immediately after their linearizing install returns, unconditionally
-// (it is a no-op when nothing is armed). In batched-verdict mode nothing
-// publishes mid-operation: the verdict is recorded by DetectEndDeferred and
-// persists at the next drain, after the batch's effects.
-func (d *detector) Linearized(c *Ctx, result bool) {
-	if d.desc == nil || !c.det.armed || c.det.delivered {
-		return
-	}
-	d.eng.settle(c, atLinearized)
-	if c.det.deferred {
-		return
-	}
-	d.desc.Publish(d.eng.descFlushSet(c), c.det.client, c.det.seq, result, 0)
-	c.det.delivered = true
-}
-
-// DetectEnd publishes the verdict if no linearization hook did (operations
-// that completed without a linearizing install, e.g. a failed insert or a
-// Contains) and commits it before the operation returns to the client.
-func (d *detector) DetectEnd(c *Ctx, result bool) {
-	if d.desc == nil || !c.det.armed {
-		return
-	}
-	d.dropAnnounce(c)
-	fs := d.eng.descFlushSet(c)
-	if !c.det.delivered {
-		d.eng.settle(c, atEnd)
-		d.desc.Publish(fs, c.det.client, c.det.seq, result, 0)
-	}
-	d.desc.End(fs)
-	c.det = descState{}
-}
-
-// DetectBeginDeferred arms the descriptor protocol in batched-verdict mode.
-// A pending verdict about to be *lapped* — one for the same client whose
+// DetectBeginDeferred arms the descriptor protocol for (client, seq): it
+// writes the announce line and arms it on the context's flush set. A
+// pending verdict about to be *lapped* — one for the same client whose
 // entry seq would overwrite (seq - pending ≥ Ring) — forces a drain first:
 // the Detect inference "entry lapped past seq implies seq committed" is
 // sound only if the lapped operation's effect and verdict are durable
@@ -672,11 +611,21 @@ func (d *detector) DetectEnd(c *Ctx, result bool) {
 // is forced — that is the pipelining win: a client keeps up to Ring
 // operations pending under one eventual drain fence.
 func (d *detector) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64) {
-	if d.desc != nil && ringCollision(c.detPending, client, seq, d.desc.Ring) {
+	if d.desc == nil {
+		panic("engine: detectability is disabled (Config.Clients == 0)")
+	}
+	if c.det.armed {
+		panic("engine: DetectBeginDeferred while a detectable operation is already armed")
+	}
+	if ringCollision(c.detPending, client, seq, d.desc.Ring) {
 		d.DetectDrain(c)
 	}
-	d.DetectBegin(c, client, seq, kind, key, val)
-	c.det.deferred = true
+	fs := d.eng.descFlushSet(c)
+	d.desc.arm(fs, client, seq, kind, key, val)
+	c.det = descState{
+		armed: true, client: client, seq: seq,
+		annOpen: d.desc.Durable, annFences: fs.Fences(),
+	}
 }
 
 // ringCollision reports whether arming (client, seq) would overwrite the
@@ -696,9 +645,6 @@ func ringCollision(pending []pendingVerdict, client int, seq uint64, ring int) b
 func (d *detector) DetectEndDeferred(c *Ctx, result bool, rval uint64) {
 	if d.desc == nil || !c.det.armed {
 		return
-	}
-	if !c.det.deferred {
-		panic("engine: DetectEndDeferred on an operation armed with DetectBegin")
 	}
 	d.dropAnnounce(c)
 	c.detPending = append(c.detPending, pendingVerdict{
@@ -728,7 +674,7 @@ func (d *detector) DetectDrain(c *Ctx) {
 	if c.det.armed {
 		panic("engine: DetectDrain while a detectable operation is armed")
 	}
-	d.eng.settle(c, atDrain)
+	d.eng.settle(c)
 	fs := d.eng.descFlushSet(c)
 	// Walk the batch newest first, so that every later line of a client
 	// exists by the time an earlier seq needs carrying.
@@ -773,7 +719,7 @@ func (d *detector) Detect(client int, seq uint64) DetectResult {
 type DetectOp struct {
 	Client int
 	Seq    uint64
-	Kind   uint64 // DetectInsert | DetectDelete | DetectContains
+	Kind   uint64 // a Detect* kind, recorded in the announce line
 	Key    uint64
 	Val    uint64
 	// Run executes the operation body under the armed descriptor.
@@ -800,7 +746,8 @@ type Outcome struct {
 // replayed — sound for idempotent set operations, whose re-execution after
 // a took-effect cut changes no state (only the returned boolean may differ
 // from what the cut execution would have returned); leave it false for
-// non-idempotent operations such as queue updates.
+// non-idempotent operations such as queue updates. A replay drains c before
+// it returns, so its verdict is durable by then.
 func ExactlyOnce(e Detector, c *Ctx, op DetectOp, replayUnknown bool) Outcome {
 	d := e.Detect(op.Client, op.Seq)
 	switch {
@@ -809,8 +756,9 @@ func ExactlyOnce(e Detector, c *Ctx, op DetectOp, replayUnknown bool) Outcome {
 	case d.Verdict == Unknown && !replayUnknown:
 		return Outcome{Verdict: Unknown}
 	}
-	e.DetectBegin(c, op.Client, op.Seq, op.Kind, op.Key, op.Val)
+	e.DetectBeginDeferred(c, op.Client, op.Seq, op.Kind, op.Key, op.Val)
 	res := op.Run(c)
-	e.DetectEnd(c, res)
+	e.DetectEndDeferred(c, res, 0)
+	e.DetectDrain(c)
 	return Outcome{Ran: true, Verdict: d.Verdict, Result: res, Known: true}
 }

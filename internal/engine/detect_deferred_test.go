@@ -22,22 +22,18 @@ func descRegionOf(e Engine) *DescRegion {
 	panic("unknown engine type")
 }
 
-// runDetectable runs one trivial detectable root-store op on e, using the
-// deferred or per-op verdict protocol.
+// runDetectable runs one trivial detectable root-store op on e. A deferred
+// op leaves its verdict pending for a later DetectDrain; otherwise the op
+// drains its own verdict before it returns.
 func runDetectable(e Engine, c *Ctx, client int, seq uint64, deferred bool, rval uint64) {
 	e.OpBegin(c)
-	if deferred {
-		e.DetectBeginDeferred(c, client, seq, DetectInsert, uint64(client), seq)
-	} else {
-		e.DetectBegin(c, client, seq, DetectInsert, uint64(client), seq)
-	}
+	e.DetectBeginDeferred(c, client, seq, DetectInsert, uint64(client), seq)
 	e.Store(c, e.RootRef(), 0, seq<<8|uint64(client))
-	if deferred {
-		DetectEndDeferred(e, c, true, rval)
-	} else {
-		e.DetectEnd(c, true)
-	}
+	DetectEndDeferred(e, c, true, rval)
 	e.OpEnd(c)
+	if !deferred {
+		DetectDrain(e, c)
+	}
 }
 
 // TestDeferredDetectVerdicts pins the batched-verdict protocol: verdicts
@@ -276,8 +272,8 @@ func TestDrainOneLinePerClient(t *testing.T) {
 }
 
 // TestDeferredDetectSavesFences pins the amortization the serving tier is
-// built on: a batch of K detectable ops under the deferred protocol issues
-// strictly fewer fences than the same K ops with per-operation verdicts.
+// built on: a batch of K detectable ops under one drain issues strictly
+// fewer fences than the same K ops each drained on its own.
 func TestDeferredDetectSavesFences(t *testing.T) {
 	const ops = 8
 	for _, k := range durableKinds() {
@@ -305,10 +301,10 @@ func TestDeferredDetectSavesFences(t *testing.T) {
 }
 
 // TestAnnounceFencedAtFirstInstall pins where the announce fence sits: not
-// in DetectBegin (the eager fence a delete used to pay there is gone — it
-// protected nothing when no install followed), but in the write path, ahead
-// of the armed operation's first durable-before-visible install and only if
-// no fence has covered the announce since Begin.
+// at DetectBeginDeferred (a fence there would protect nothing when no
+// install follows), but in the write path, ahead of the armed operation's
+// first durable-before-visible install and only if no fence has covered the
+// announce since Begin.
 func TestAnnounceFencedAtFirstInstall(t *testing.T) {
 	fences := func(e Engine) uint64 { _, n := e.Counters(); return n }
 	for _, k := range durableKinds() {
@@ -319,7 +315,7 @@ func TestAnnounceFencedAtFirstInstall(t *testing.T) {
 			n0 := fences(e)
 			e.DetectBeginDeferred(c, 0, 1, DetectDelete, 5, 0)
 			if n := fences(e); n != n0 {
-				t.Fatalf("DetectBegin issued %d fences, want none", n-n0)
+				t.Fatalf("DetectBeginDeferred issued %d fences, want none", n-n0)
 			}
 			if k != MirrorDRAM && k != MirrorNVMM {
 				return // the direct disciplines fence around reads and at OpEnd; exact counts below are Mirror's

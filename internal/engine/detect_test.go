@@ -23,7 +23,7 @@ func TestDescRegionTruthTable(t *testing.T) {
 	if v := r.Detect(0, 1); v.Verdict != NotCommitted {
 		t.Fatalf("fresh slot: %+v, want NotCommitted", v)
 	}
-	r.Begin(&fs, 0, 1, DetectInsert, 5, 50, false)
+	r.Begin(&fs, 0, 1, DetectInsert, 5, 50)
 	if v := r.Detect(0, 1); v.Verdict != Unknown {
 		t.Fatalf("announced, no verdict: %+v, want Unknown", v)
 	}
@@ -41,7 +41,7 @@ func TestDescRegionTruthTable(t *testing.T) {
 
 	// A later announce supersedes the slot; seq 1's verdict line is still
 	// intact at this point, so its result remains readable.
-	r.Begin(&fs, 0, 2, DetectDelete, 5, 0, false)
+	r.Begin(&fs, 0, 2, DetectDelete, 5, 0)
 	if v := r.Detect(0, 1); v.Verdict != Committed {
 		t.Fatalf("superseded seq mid-op: %+v, want Committed", v)
 	}
@@ -77,7 +77,7 @@ func TestDescRingTruthTable(t *testing.T) {
 
 	// A pipelined window: three announces in flight, no verdicts yet.
 	for seq := uint64(1); seq <= 3; seq++ {
-		r.Begin(&fs, 0, seq, DetectInsert, seq, seq*10, false)
+		r.Begin(&fs, 0, seq, DetectInsert, seq, seq*10)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
 		if v := r.Detect(0, seq); v.Verdict != Unknown {
@@ -106,7 +106,7 @@ func TestDescRingTruthTable(t *testing.T) {
 	// Seq 5 laps entry 0 (= seq 1's). With the announce overwritten and the
 	// old verdict line dropped by a crash, seq 1 is still provably
 	// committed: the entry moved a whole lap, so its response was released.
-	r.Begin(&fs, 0, 5, DetectDelete, 1, 0, false)
+	r.Begin(&fs, 0, 5, DetectDelete, 1, 0)
 	e0 := r.entry(0, 1)
 	for w := uint64(dVerdict); w <= dVerChk; w++ {
 		dev.WriteRaw(e0+w, 0)
@@ -145,7 +145,7 @@ func TestDescRegionDequeueRval(t *testing.T) {
 	dev := newDescDevice(t)
 	r := NewDescRegion(dev, pmem.WordsPerLine, 1, 1, true)
 	var fs pmem.FlushSet
-	r.Begin(&fs, 0, 1, DetectDequeue, 0, 0, false)
+	r.Begin(&fs, 0, 1, DetectDequeue, 0, 0)
 	r.Publish(&fs, 0, 1, true, 77)
 	r.End(&fs)
 	if v := r.Detect(0, 1); v.Verdict != Committed || !v.KnownResult || v.Rval != 77 {
@@ -154,17 +154,17 @@ func TestDescRegionDequeueRval(t *testing.T) {
 }
 
 // TestDescRegionCrashSurvival checks durability edges across a drop-all
-// crash: a fenced announce+verdict survives; an announce whose fence was
-// deferred and never issued is dropped entirely (NotCommitted — sound,
-// since the operation body never ran a fence either).
+// crash: a fenced announce+verdict survives; an announce flushed but never
+// fenced is dropped entirely (NotCommitted — sound, since the operation body
+// never ran a fence either).
 func TestDescRegionCrashSurvival(t *testing.T) {
 	dev := newDescDevice(t)
 	r := NewDescRegion(dev, pmem.WordsPerLine, 2, 1, true)
 	var fs pmem.FlushSet
-	r.Begin(&fs, 0, 1, DetectInsert, 5, 50, false)
+	r.Begin(&fs, 0, 1, DetectInsert, 5, 50)
 	r.Publish(&fs, 0, 1, true, 0)
 	r.End(&fs)
-	r.Begin(&fs, 1, 1, DetectInsert, 6, 60, true) // deferred: never fenced
+	r.Begin(&fs, 1, 1, DetectInsert, 6, 60) // flushed, never fenced
 	dev.Freeze()
 	dev.Crash(pmem.CrashDropAll, nil)
 	r.Scrub()
@@ -183,7 +183,7 @@ func TestDescRegionScrubTornLines(t *testing.T) {
 	dev := newDescDevice(t)
 	r := NewDescRegion(dev, pmem.WordsPerLine, 1, 1, true)
 	var fs pmem.FlushSet
-	r.Begin(&fs, 0, 3, DetectInsert, 5, 50, false)
+	r.Begin(&fs, 0, 3, DetectInsert, 5, 50)
 	r.Publish(&fs, 0, 3, true, 0)
 	r.End(&fs)
 	// Tear both lines: flip a payload word without updating the checksums.

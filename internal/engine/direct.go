@@ -338,24 +338,21 @@ func (e *directEngine) CheckInvariants(ref Ref, fields int) string { return "" }
 
 func (e *directEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.fs }
 
-// settle: NVTraverse fences inside its CAS, so an eager verdict trails
-// nothing. The Izraelevitz discipline flushes a CAS but fences only before
-// the *next* access, so at Linearized the install is not yet durable:
-// commit it first. A batch of deferred verdicts may also trail the eliding
-// engine's relaxed-line registry and any flushed-but-unfenced line (the
-// Izraelevitz install window); both commit under their own fence before
-// any verdict line can persist. The non-durable originals settle nothing.
-func (e *directEngine) settle(c *Ctx, at verdictPoint) {
-	switch {
-	case at == atLinearized && e.kind == Izraelevitz:
+// settle: NVTraverse fences inside its CAS, and OpEnd's fence commits an
+// Izraelevitz install (flushed, but fenced only before the next access)
+// before the operation returns. A drain may still trail the eliding
+// engine's relaxed-line registry and any flushed-but-unfenced line; both
+// commit under their own fence before any verdict line can persist. The
+// non-durable originals settle nothing.
+func (e *directEngine) settle(c *Ctx) {
+	if !e.durable() {
+		return
+	}
+	if e.elides() {
+		e.dev.CommitRelaxed(&c.fs)
+	}
+	if c.fs.Pending() > 0 {
 		e.dev.Fence(&c.fs)
-	case at == atDrain && e.durable():
-		if e.elides() {
-			e.dev.CommitRelaxed(&c.fs)
-		}
-		if c.fs.Pending() > 0 {
-			e.dev.Fence(&c.fs)
-		}
 	}
 }
 

@@ -94,9 +94,8 @@ type Ctx struct {
 	pa    patomic.Ctx   // mirror engines: persistent-replica flush set
 
 	// det is the armed detectable-operation state (see detect.go);
-	// detPending holds verdicts deferred to the next DetectDrain (the
-	// batched-verdict protocol of the serving tier), and detLines is the
-	// drain's scratch for the verdict lines it writes.
+	// detPending holds verdicts awaiting the next DetectDrain, and
+	// detLines is the drain's scratch for the verdict lines it writes.
 	det        descState
 	detPending []pendingVerdict
 	detLines   []drainLine
@@ -141,9 +140,9 @@ func (o RecoverOptions) workers() int {
 }
 
 // Memory is the role a data structure is written against: object
-// allocation and initialization, the loads and writes of the engine's
-// persistence discipline, and the hook by which a structure reports its
-// linearization point.
+// allocation and initialization and the loads and writes of the engine's
+// persistence discipline. It has no detectability method: the engine's
+// write path orders a detectable operation's descriptor lines by itself.
 type Memory interface {
 	// OpBegin/OpEnd bracket every data-structure operation; they manage
 	// the reclamation epoch and any end-of-operation durability barrier.
@@ -194,12 +193,6 @@ type Memory interface {
 
 	// RootRef returns the persistent root object (RootFields fields).
 	RootRef() Ref
-
-	// Linearized publishes the armed detectable operation's commit
-	// verdict; data structures call it immediately after their linearizing
-	// install returns (at which point the install is durable under every
-	// durable engine). A no-op when no detectable operation is armed.
-	Linearized(c *Ctx, result bool)
 }
 
 // Lifecycle is the role a harness drives an engine through: contexts,
@@ -254,57 +247,46 @@ type Recovery interface {
 }
 
 // Detector is the detectability role: per-client operation descriptors
-// answering "did (client, seq) commit?" after a crash (see detect.go).
-// There are two call families. The eager one (DetectBegin … DetectEnd)
-// fences each operation's verdict before it returns. The deferred one
-// (DetectBeginDeferred … DetectEndDeferred, then DetectDrain) records the
-// verdicts of a run of operations — across clients — in the context and
-// publishes them under one trailing End fence; only durability an engine
-// deferred for a linearizing install (the Izraelevitz install window)
-// commits under a fence of its own first. Neither family asks the caller
-// when to fence the announce: the engine's write path does it, before the
-// armed operation's first install and only then.
+// answering "did (client, seq) commit?" after a crash (see detect.go). One
+// call family brackets every detectable operation: DetectBeginDeferred …
+// DetectEndDeferred records its verdict in the context, and DetectDrain
+// publishes the verdicts of a run of operations — across clients — under
+// one trailing End fence, after the engine settles whatever durability it
+// deferred. An operation that must be answered before the next one starts
+// is simply a drain of one. The caller never decides when to fence the
+// announce: the engine's write path does it, before the armed operation's
+// first install and only then.
 type Detector interface {
 	// Clients returns the configured detectable-client count; zero means
 	// detectability is off and the methods below must not be used (Detect
-	// and the Begin calls panic).
+	// and DetectBeginDeferred panic).
 	Clients() int
 	// DetectRing returns the per-client descriptor ring size — the maximum
 	// number of operations one client may have in flight with Detect still
 	// authoritative for each. Zero with detectability off.
 	DetectRing() int
-	// DetectBegin announces operation (client, seq) with its payload before
-	// the operation body runs. The announce line is written here, flushed
-	// by the operation's first fence and made durable by the engine before
-	// the operation's first durable-before-visible install — by that
-	// install's own preceding fence when it has one (an insert's publish),
-	// else by one fence just ahead of it; an operation that installs
-	// nothing never flushes it.
-	// Client sequence numbers must be strictly increasing per client,
-	// starting at 1.
-	DetectBegin(c *Ctx, client int, seq, kind, key, val uint64)
-	// DetectEnd completes the armed operation's descriptor protocol: it
-	// publishes the verdict if no Linearized hook fired and commits it
-	// before the operation returns to the client.
-	DetectEnd(c *Ctx, result bool)
 	// Detect answers whether (client, seq) committed, from the descriptor
 	// region's post-crash words; valid on a quiesced, crashed, or
 	// recovered engine.
 	Detect(client int, seq uint64) DetectResult
 
-	// DetectBeginDeferred is DetectBegin in batched-verdict mode: the
-	// operation's verdict will be recorded by DetectEndDeferred and
-	// published at the next DetectDrain on the same context. A client may
-	// hold up to DetectRing pending verdicts; only arming a seq that would
-	// lap a still-pending entry forces a drain first — the entry-lapped
+	// DetectBeginDeferred announces operation (client, seq) with its
+	// payload before the operation body runs. The announce line is written
+	// here, flushed by the operation's first fence and made durable by the
+	// engine before the operation's first durable-before-visible install —
+	// by that install's own preceding fence when it has one (an insert's
+	// publish), else by one fence just ahead of it; an operation that
+	// installs nothing never flushes it. Client sequence numbers must be
+	// strictly increasing per client, starting at 1. A client may hold up
+	// to DetectRing pending verdicts; only arming a seq that would lap a
+	// still-pending entry forces a drain first — the entry-lapped
 	// inference of Detect requires the lapped operation's effect and
 	// verdict to be durable before the overwriting announce can be.
 	DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64)
-	// DetectEndDeferred records the armed operation's verdict — including
-	// the auxiliary return word rval (a dequeued value), which DetectEnd
-	// cannot carry — for publication at the next DetectDrain. The
-	// operation's response must not be released to the client before that
-	// drain.
+	// DetectEndDeferred records the armed operation's verdict, with the
+	// auxiliary return word rval (a dequeued value), for publication at
+	// the next DetectDrain. The operation's response must not be released
+	// to the client before that drain.
 	DetectEndDeferred(c *Ctx, result bool, rval uint64)
 	// DetectDrain publishes every verdict deferred on c. After it returns,
 	// every response recorded by DetectEndDeferred on c may be released.
@@ -382,8 +364,8 @@ type Config struct {
 	NoElide bool
 	// Clients reserves a per-client operation-descriptor region (Clients
 	// rings of DetectRing entries) between the roots and the allocator
-	// base, enabling the detectability protocol
-	// (DetectBegin/Linearized/DetectEnd/Detect). Zero leaves the layout
+	// base, enabling the detectability protocol (DetectBeginDeferred/
+	// DetectEndDeferred/DetectDrain/Detect). Zero leaves the layout
 	// unchanged and detectability off.
 	Clients int
 	// DetectRing is the per-client descriptor ring size: how many

@@ -238,14 +238,10 @@ func (e *mirrorEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.pa.FS }
 
 // settle: a Mirror install is durable before it is visible, so only deferred
 // durability can trail a verdict, and that is nothing a verdict testifies to:
-// the relaxed-line registry holds Auxiliary lines only. A batch of deferred
-// verdicts merely flushes it into the context's flush set and lets the lines
-// commit under the verdicts' own End fence.
-func (e *mirrorEngine) settle(c *Ctx, at verdictPoint) {
-	if at == atDrain {
-		e.mem.P.FlushRelaxed(&c.pa.FS)
-	}
-}
+// the relaxed-line registry holds Auxiliary lines only. A drain merely
+// flushes it into the context's flush set and lets the lines commit under
+// the verdicts' own End fence.
+func (e *mirrorEngine) settle(c *Ctx) { e.mem.P.FlushRelaxed(&c.pa.FS) }
 
 // CheckInvariants verifies the per-cell replica invariants (Lemmas 5.3–5.5)
 // for every field of an object.

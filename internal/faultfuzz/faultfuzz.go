@@ -196,8 +196,9 @@ func guard(f func()) (completed bool) {
 // detectableSet wraps a structures.Set so every operation runs inside a
 // detectable-operation bracket on one client descriptor slot. The adapter
 // sits *inside* the history Recorder, so the invoke-record precedes
-// DetectBegin and the response-record follows DetectEnd: an operation that
-// completed in the history has a durably published verdict. The fields are
+// DetectBeginDeferred and the response-record follows the operation's own
+// DetectDrain: an operation that completed in the history has a durably
+// published verdict. The fields are
 // single-writer (one worker per adapter) and are read only after the
 // post-crash quiesce.
 type detectableSet struct {
@@ -205,7 +206,7 @@ type detectableSet struct {
 	e      engine.Detector
 	client int
 	// seq is the last announced sequence number; completed is the last one
-	// whose DetectEnd returned. seq == completed+1 exactly when the crash
+	// whose drain returned. seq == completed+1 exactly when the crash
 	// cut an operation mid-flight (the announce happens before anything
 	// that can freeze).
 	seq, completed uint64
@@ -220,9 +221,10 @@ type detectableSet struct {
 func (d *detectableSet) run(c *engine.Ctx, kind, key, val uint64, f func() bool) bool {
 	d.seq++
 	d.lastKind, d.lastKey, d.lastVal = kind, key, val
-	d.e.DetectBegin(c, d.client, d.seq, kind, key, val)
+	d.e.DetectBeginDeferred(c, d.client, d.seq, kind, key, val)
 	res := f()
-	d.e.DetectEnd(c, res)
+	d.e.DetectEndDeferred(c, res, 0)
+	d.e.DetectDrain(c)
 	d.completed = d.seq
 	d.results[d.seq] = res
 	return res

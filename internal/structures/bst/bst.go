@@ -314,9 +314,6 @@ func (b *BST) Insert(c *engine.Ctx, key, val uint64) bool {
 		ba.Commit()
 		e.MakePersistent(c, rec.parent, NodeFields)
 		if e.CAS(c, rec.parent, cf, rec.leaf, newInternal) {
-			// The linearizing edge swap is durable: publish the detectable
-			// verdict (no-op without an armed descriptor).
-			e.Linearized(c, true)
 			return true
 		}
 		// Help an in-progress delete blocking this edge, then retry.
@@ -364,7 +361,6 @@ func (b *BST) Delete(c *engine.Ctx, key uint64) bool {
 			// The injection flag is the linearization point.
 			if e.CAS(c, rec.parent, cf, rec.leaf, rec.leaf|flagBit) {
 				// Cleanup below is physical excision only.
-				e.Linearized(c, true)
 				doomed = rec.leaf
 				injecting = false
 				if b.cleanup(c, key, rec) {

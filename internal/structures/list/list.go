@@ -121,9 +121,6 @@ func (l *List) Insert(c *engine.Ctx, key, val uint64) bool {
 		b.Commit()
 		e.MakePersistent(c, predRef, NodeFields)
 		if e.CAS(c, predRef, predField, curr, node) {
-			// The linearizing link is durable: publish the detectable
-			// verdict (no-op without an armed descriptor).
-			e.Linearized(c, true)
 			return true
 		}
 	}
@@ -149,7 +146,6 @@ func (l *List) Delete(c *engine.Ctx, key uint64) bool {
 		if !e.CAS(c, curr, fNext, succ, structures.Mark(succ)) {
 			continue
 		}
-		e.Linearized(c, true)
 		// Attempt the physical unlink; on failure find() will clean up.
 		// The delete's linearization point was the (fully persisted) mark
 		// CAS above, so the unlink itself may persist lazily — the

@@ -229,9 +229,6 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 		if !e.CAS(c, preds[0], fNext, succs[0], node) {
 			continue // level-0 link lost the race; redo the search
 		}
-		// The level-0 link is the linearization point and it is durable:
-		// publish the detectable verdict before the accelerator linking.
-		e.Linearized(c, true)
 		// The node is logically inserted (the level-0 link above carried
 		// the full durability discipline). Link the accelerator levels;
 		// abandon as soon as a concurrent delete marks the node. These
@@ -312,7 +309,6 @@ func (s *SkipList) Delete(c *engine.Ctx, key uint64) bool {
 			return false
 		}
 		if e.CAS(c, node, fNext, next, structures.Mark(next)) {
-			e.Linearized(c, true)
 			// Physically unlink everywhere, then reclaim.
 			s.search(c, key, nil, nil)
 			e.Retire(c, node, fNext+top)
@@ -391,7 +387,6 @@ func (s *SkipList) CasVal(c *engine.Ctx, key, expect, repl uint64) bool {
 			return false
 		}
 		if e.CAS(c, node, fVal, cur, repl) {
-			e.Linearized(c, true)
 			return true
 		}
 		// The value moved between the read and the CAS: re-search and

@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/sweep.golden fro
 
 // TestSweepGolden is the count/hash oracle for refactors of the persistence
 // path: one fixed single-threaded script on every engine configuration the
-// tree builds — 6 kinds × {noelide, elide} × detect {off, eager, deferred} ×
+// tree builds — 6 kinds × {noelide, elide} × detect {off, deferred} ×
 // (4 sets + the queue) — and, per configuration, one
 // row of everything a refactor must not move: flushes, fences, every Stats
 // field, the hash of the quiesced media image, a fold of the operations'
@@ -35,7 +35,7 @@ func TestSweepGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, kind := range engine.Kinds() {
 		for _, noElide := range []bool{true, false} {
-			for _, detect := range []string{"off", "eager", "deferred"} {
+			for _, detect := range []string{"off", "deferred"} {
 				for _, name := range []string{"list", "hashtable", "bst", "skiplist", "queue"} {
 					got.WriteString(sweepRow(kind, noElide, detect, name))
 				}
@@ -95,8 +95,8 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) s
 	results := uint64(14695981039346656037)
 	fold := func(v uint64) { results = (results ^ v) * 1099511628211 }
 
-	// mutate runs one mutation under the configuration's detect family;
-	// clients alternate, deferred verdicts drain four to a batch.
+	// mutate runs one mutation, detectable unless detect is off; clients
+	// alternate, and verdicts drain four to a batch.
 	var seqs [clients]uint64
 	n, pending := 0, 0
 	mutate := func(opKind, key, val uint64, op func() (bool, uint64)) {
@@ -104,15 +104,9 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) s
 		n++
 		var ok bool
 		var rval uint64
-		switch detect {
-		case "off":
+		if detect == "off" {
 			ok, rval = op()
-		case "eager":
-			seqs[client]++
-			e.DetectBegin(c, client, seqs[client], opKind, key, val)
-			ok, rval = op()
-			e.DetectEnd(c, ok)
-		case "deferred":
+		} else {
 			seqs[client]++
 			e.DetectBeginDeferred(c, client, seqs[client], opKind, key, val)
 			ok, rval = op()
@@ -180,7 +174,7 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) s
 			read(key)
 		}
 	}
-	if detect == "deferred" {
+	if detect != "off" {
 		e.DetectDrain(c)
 	}
 

@@ -64,10 +64,9 @@ func TestWrapperTransparency(t *testing.T) {
 	}
 }
 
-// TestWrapperKeepsDeferredVerdict pins the deferred-verdict family behind a
-// wrapper: a dequeue's value travels in DetectEndDeferred's rval, which the
-// eager DetectEnd cannot carry, so a wrapper that silently downgraded the
-// call would lose it.
+// TestWrapperKeepsDeferredVerdict pins the detect calls behind a wrapper: a
+// dequeue's value travels in DetectEndDeferred's rval, so a wrapper that
+// dropped it would lose the value.
 func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 	e := passThrough{engine.New(engine.Config{
 		Kind: engine.MirrorDRAM, Words: 1 << 16, Track: true, Clients: 1,

@@ -97,8 +97,8 @@ type detState struct {
 // resurrects any checksum-valid node the heap scan finds. An evicted cache
 // line can therefore make an operation's effect durable before the
 // operation fences anything, so the announce must be durable *before the
-// first node store*: every mutating bracket announces eagerly (fence in
-// Begin), and the verdict is published only after the effect's own
+// first node store*: every bracket fences its announce in begin, and the
+// verdict is published only after the effect's own
 // persistence barrier (the pre-link flushNode for inserts, persistDelete
 // for deletes).
 type detector struct {
@@ -125,7 +125,8 @@ func (d *detector) begin(c *Ctx, client int, seq, kind, key, val uint64) {
 		panic("zuriel: DetectBegin inside an armed detectable operation")
 	}
 	c.det = detState{armed: true, client: client, seq: seq}
-	d.desc.Begin(&c.fs, client, seq, kind, key, val, false)
+	d.desc.Begin(&c.fs, client, seq, kind, key, val)
+	d.desc.Dev.Fence(&c.fs)
 }
 
 // linearized publishes the verdict once the operation's effect is durable;
@@ -175,7 +176,8 @@ type Set interface {
 	// Counters reports cumulative flushes and fences.
 	Counters() (flushes, fences uint64)
 	// Detectability (the zuriel counterpart of engine.Engine's detectable
-	// brackets; requires Config.Clients > 0). DetectBegin durably announces
+	// brackets with a drain after every operation; requires Config.Clients
+	// > 0). DetectBegin durably announces
 	// (client, seq, payload) before the operation; DetectEnd publishes and
 	// fences the verdict; Detect answers "did my last operation commit?"
 	// on the quiesced, crashed, or recovered set.
