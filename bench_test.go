@@ -3,10 +3,11 @@ package mirror
 // This file regenerates the paper's evaluation as Go benchmarks: one
 // benchmark per panel of Figure 6 and Figure 7, plus ablation benchmarks
 // for the design choices DESIGN.md calls out. Each panel benchmark runs
-// the corresponding harness panel at a reduced scale and reports one
-// custom metric per competitor, named "<Competitor>_Mops" — the series the
-// figure plots. The cmd/mirrorbench tool runs the same panels at full
-// sweep ranges and durations.
+// the corresponding harness panel at a reduced scale and reports two custom
+// metrics per competitor: "<Competitor>_Mops", the native series the figure
+// plots, and "<Competitor>_model_ns/op", the counted pass priced by the
+// DRAM/NVMM cost tables. The cmd/mirrorbench tool runs the same panels at
+// full sweep ranges and durations.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -104,7 +105,6 @@ func benchOptions() harness.Options {
 		Duration: 60 * time.Millisecond,
 		Scale:    512,
 		Threads:  []int{2},
-		Latency:  true,
 		Seed:     1,
 	}
 }
@@ -129,8 +129,26 @@ func benchmarkPanel(b *testing.B, id string) {
 	b.StopTimer()
 	row := last.Rows[len(last.Rows)/2]
 	for i, col := range last.Columns {
-		b.ReportMetric(row.Cells[i], strings.ReplaceAll(col, " ", "")+"_Mops")
+		col = strings.ReplaceAll(col, " ", "")
+		b.ReportMetric(row.Cells[i], col+"_Mops")
+		b.ReportMetric(row.Model[i], col+"_model_ns/op")
 	}
+}
+
+// reportModel prices n calls of op with a counted pass over devs and
+// reports the modeled cost of one call as model_ns/op, beside the
+// benchmark's native ns/op. Call it after the timed loop: ResetTimer
+// deletes reported metrics.
+func reportModel(b *testing.B, devs []*pmem.Device, n int, op func(i int)) {
+	var ns float64
+	for _, t := range pmem.Count(devs, func() {
+		for i := 0; i < n; i++ {
+			op(i)
+		}
+	}) {
+		ns += t.NS()
+	}
+	b.ReportMetric(ns/float64(n), "model_ns/op")
 }
 
 // Figure 6: Mirror's volatile replica on DRAM.
@@ -229,7 +247,7 @@ func BenchmarkAblationDWCASPath(b *testing.B) {
 func BenchmarkAblationReplicaPlacement(b *testing.B) {
 	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM} {
 		b.Run(kind.String(), func(b *testing.B) {
-			rt := New(Options{Kind: kind, Words: 1 << 21, Latency: true, DisableTracking: true})
+			rt := New(Options{Kind: kind, Words: 1 << 21, DisableTracking: true})
 			c := rt.NewCtx()
 			s := rt.NewHashTable(c, 4096)
 			for k := uint64(1); k <= 4096; k++ {
@@ -239,6 +257,8 @@ func BenchmarkAblationReplicaPlacement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Contains(c, uint64(i%8192+1))
 			}
+			b.StopTimer()
+			reportModel(b, rt.Engine().Devices(), 8192, func(i int) { s.Contains(c, uint64(i+1)) })
 		})
 	}
 }
@@ -248,7 +268,7 @@ func BenchmarkAblationReplicaPlacement(b *testing.B) {
 // as critical degenerates to the Izraelevitz cost.
 func BenchmarkAblationTraversalHints(b *testing.B) {
 	run := func(b *testing.B, kind engine.Kind) {
-		rt := New(Options{Kind: kind, Words: 1 << 21, Latency: true, DisableTracking: true})
+		rt := New(Options{Kind: kind, Words: 1 << 21, DisableTracking: true})
 		c := rt.NewCtx()
 		s := rt.NewList(c)
 		for k := uint64(1); k <= 128; k++ {
@@ -258,6 +278,8 @@ func BenchmarkAblationTraversalHints(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.Contains(c, uint64(i%256+1))
 		}
+		b.StopTimer()
+		reportModel(b, rt.Engine().Devices(), 256, func(i int) { s.Contains(c, uint64(i+1)) })
 	}
 	b.Run("NVTraverse", func(b *testing.B) { run(b, engine.NVTraverse) })
 	b.Run("Izraelevitz", func(b *testing.B) { run(b, engine.Izraelevitz) })
@@ -271,7 +293,7 @@ func BenchmarkAblationTraversalHints(b *testing.B) {
 func BenchmarkQueueComparison(b *testing.B) {
 	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM, engine.Izraelevitz, engine.NVTraverse} {
 		b.Run(kind.String(), func(b *testing.B) {
-			e := engine.New(engine.Config{Kind: kind, Words: 1 << 22, Latency: true})
+			e := engine.New(engine.Config{Kind: kind, Words: 1 << 22})
 			c := e.NewCtx()
 			q := queue.New(e, c)
 			b.ResetTimer()
@@ -279,16 +301,26 @@ func BenchmarkQueueComparison(b *testing.B) {
 				q.Enqueue(c, uint64(i))
 				q.Dequeue(c)
 			}
+			b.StopTimer()
+			reportModel(b, e.Devices(), 1024, func(i int) {
+				q.Enqueue(c, uint64(i))
+				q.Dequeue(c)
+			})
 		})
 	}
 	b.Run("HandMadeDurable", func(b *testing.B) {
-		q := durablequeue.New(durablequeue.Config{Words: 1 << 22, Latency: true})
+		q := durablequeue.New(durablequeue.Config{Words: 1 << 22})
 		c := q.NewCtx()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q.Enqueue(c, uint64(i))
 			q.Dequeue(c)
 		}
+		b.StopTimer()
+		reportModel(b, q.Devices(), 1024, func(i int) {
+			q.Enqueue(c, uint64(i))
+			q.Dequeue(c)
+		})
 	})
 }
 

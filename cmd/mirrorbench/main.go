@@ -1,6 +1,9 @@
 // Command mirrorbench regenerates the paper's evaluation figures. Each
 // panel of Figure 6 (volatile replica on DRAM) and Figure 7 (both replicas
-// on NVMM) is reproduced as a text table of throughput in Mops/s.
+// on NVMM) is reproduced as a text table of native throughput in Mops/s,
+// followed by the same points' modeled ns/op: a counted pass's exact
+// device counts priced by the DRAM/NVMM cost tables, identical for a seed
+// on any machine.
 //
 // Usage:
 //
@@ -16,7 +19,7 @@
 //	mirrorbench -panel fig6d -dist zipfian -skew 0.99  # skewed panel
 //	mirrorbench -checkjson BENCH_1.json  # re-parse and validate a report
 //
-// Absolute numbers depend on the host; the shape — who wins, by what
+// Native numbers depend on the host; the shape — who wins, by what
 // factor, where the crossovers fall — is what reproduces the paper.
 package main
 
@@ -66,8 +69,6 @@ func main() {
 		duration = flag.Duration("duration", 200*time.Millisecond, "measurement window per point")
 		scale    = flag.Int("scale", 32, "divisor for the paper's 8M/32M structure sizes")
 		threads  = flag.String("threads", "1,2,4,8,16", "comma-separated thread sweep")
-		noLat    = flag.Bool("nolatency", false, "disable the DRAM/NVMM latency models")
-		fast     = flag.Bool("fast", false, "alias for -nolatency: measure raw substrate speed")
 		seed     = flag.Int64("seed", 1, "workload PRNG seed")
 		space    = flag.String("space", "", "print the per-engine memory footprint for a structure (list|hashtable|bst|skiplist)")
 		chart    = flag.Bool("chart", false, "render panels as ASCII charts as well")
@@ -147,7 +148,6 @@ func main() {
 	opts := harness.Options{
 		Duration: *duration,
 		Scale:    *scale,
-		Latency:  !*noLat && !*fast,
 		Seed:     *seed,
 		NoElide:  *noElide,
 		Detect:   *detect,

@@ -152,9 +152,9 @@ func crashAtFor(seed, total int64) int64 {
 }
 
 // fuzz drives the fault-model fuzzer: per combination, fuzzN seeded runs,
-// each with a calibrated mid-flight crash placement. The first failure is
-// shrunk, printed as a re-runnable reproducer, optionally written to
-// reproOut, and fails the process.
+// each with a crash placed mid-flight from a dry run's op count. The first
+// failure is shrunk, printed as a re-runnable reproducer, optionally
+// written to reproOut, and fails the process.
 func fuzz(structNames, engNames []string, faults pmem.FaultSpec, baseSeed int64, fuzzN int, reproOut string, detect bool) int {
 	mode := ""
 	if detect {

@@ -79,7 +79,7 @@ func TestYCSBSmoke(t *testing.T) {
 	t.Parallel()
 	out := run(t, "ycsb",
 		"-structure", "hashtable", "-range", "4096",
-		"-threads", "2", "-duration", "10ms", "-latency=false")
+		"-threads", "2", "-duration", "10ms")
 	if !strings.Contains(out, "hashtable") {
 		t.Errorf("ycsb output never mentions the structure:\n%s", out)
 	}

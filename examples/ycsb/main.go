@@ -26,7 +26,6 @@ func main() {
 		keyRange  = flag.Int("range", 1<<16, "key range (prefilled to half)")
 		threads   = flag.Int("threads", 4, "worker goroutines")
 		duration  = flag.Duration("duration", 300*time.Millisecond, "window per cell")
-		latency   = flag.Bool("latency", true, "apply DRAM/NVMM latency models")
 		letters   = flag.String("workloads", "A,B,C", "comma-separated YCSB letters (A..F)")
 		distF     = flag.String("dist", "", "override the suite's request distribution (uniform|zipfian|hotspot)")
 		skew      = flag.Float64("skew", 0, "distribution parameter (zipfian theta / hotspot fraction)")
@@ -75,7 +74,6 @@ func main() {
 			rt := mirror.New(mirror.Options{
 				Kind:            kind,
 				Words:           *keyRange*24 + 1<<20,
-				Latency:         *latency,
 				DisableTracking: true,
 			})
 			ctx := rt.NewCtx()

@@ -36,7 +36,6 @@ const bucketBase = 8
 type Config struct {
 	Words   int  // device capacity in words
 	Buckets int  // power of two
-	Latency bool // apply the NVMM latency model
 	Track   bool // maintain media (crash tests)
 }
 
@@ -66,14 +65,10 @@ func New(cfg Config) *Map {
 	if cfg.Buckets <= 0 || cfg.Buckets&(cfg.Buckets-1) != 0 {
 		panic("cmapkv: bucket count must be a positive power of two")
 	}
-	model := pmem.NoLatency()
-	if cfg.Latency {
-		model = pmem.NVMMModel()
-	}
 	m := &Map{
 		dev: pmem.New(pmem.Config{
 			Name: "Cmap", Words: cfg.Words,
-			Persistent: true, Track: cfg.Track, Model: model,
+			Persistent: true, Track: cfg.Track, Model: pmem.NVMMModel(),
 		}),
 		buckets: cfg.Buckets,
 		locks:   make([]sync.RWMutex, cfg.Buckets),
@@ -86,6 +81,9 @@ func New(cfg Config) *Map {
 	m.dev.PersistRange(bucketBase, cfg.Buckets)
 	return m
 }
+
+// Devices returns the map's one device, NVMM-priced.
+func (m *Map) Devices() []*pmem.Device { return []*pmem.Device{m.dev} }
 
 // NewCtx creates a per-thread context.
 func (m *Map) NewCtx() *Ctx {

@@ -61,9 +61,8 @@ type detState struct {
 
 // Config describes a queue instance.
 type Config struct {
-	Words   int
-	Latency bool
-	Track   bool
+	Words int
+	Track bool
 	// Clients reserves per-client operation-descriptor slots below the node
 	// heap for detectable operations; 0 leaves the layout unchanged.
 	Clients int
@@ -74,14 +73,10 @@ func New(cfg Config) *Queue {
 	if cfg.Words == 0 {
 		cfg.Words = 1 << 20
 	}
-	model := pmem.NoLatency()
-	if cfg.Latency {
-		model = pmem.NVMMModel()
-	}
 	q := &Queue{
 		dev: pmem.New(pmem.Config{
 			Name: "DurableQueue", Words: cfg.Words,
-			Persistent: true, Track: cfg.Track, Model: model, Elide: true,
+			Persistent: true, Track: cfg.Track, Model: pmem.NVMMModel(), Elide: true,
 		}),
 	}
 	// Descriptor slots sit between the root slots and the node heap; the
@@ -105,6 +100,9 @@ func New(cfg Config) *Queue {
 	q.persist(boot, headSlot)
 	return q
 }
+
+// Devices returns the queue's one device, NVMM-priced.
+func (q *Queue) Devices() []*pmem.Device { return []*pmem.Device{q.dev} }
 
 // NewCtx creates a per-thread context.
 func (q *Queue) NewCtx() *Ctx {

@@ -23,22 +23,9 @@ type directEngine struct {
 }
 
 func newDirect(cfg Config) *directEngine {
-	model := pmem.NoLatency()
-	persistent := false
-	switch cfg.Kind {
-	case OrigDRAM:
-		if cfg.Latency {
-			model = pmem.DRAMModel()
-		}
-	case OrigNVMM:
-		if cfg.Latency {
-			model = pmem.NVMMModel()
-		}
-	case Izraelevitz, NVTraverse:
-		persistent = true
-		if cfg.Latency {
-			model = pmem.NVMMModel()
-		}
+	model, persistent := pmem.NVMMModel(), cfg.Kind.Durable()
+	if cfg.Kind == OrigDRAM {
+		model = pmem.DRAMModel()
 	}
 	if cfg.MediaPath != "" && !persistent {
 		panic("engine: Config.MediaPath on a non-durable engine")
@@ -364,6 +351,8 @@ func (e *directEngine) PersistentDevices() []*pmem.Device {
 	}
 	return []*pmem.Device{e.dev}
 }
+
+func (e *directEngine) Devices() []*pmem.Device { return []*pmem.Device{e.dev} }
 
 func (e *directEngine) Counters() (uint64, uint64) {
 	return e.dev.Counters()

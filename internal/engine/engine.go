@@ -306,6 +306,10 @@ type Introspection interface {
 	// layout) and how many device replicas hold them, so total memory is
 	// words × replicas × 8 bytes — the space-overhead account of §6.2.5.
 	Footprint() (words uint64, replicas int)
+	// Devices returns every device the engine runs on (rep_p then rep_v for
+	// Mirror), each with the cost table of its medium; a counted pass
+	// (pmem.Count) over them prices an operation.
+	Devices() []*pmem.Device
 }
 
 // Engine is a complete persistence engine: the union of the five roles.
@@ -352,9 +356,6 @@ type Config struct {
 	Words int
 	// RootFields is the number of fields of the persistent root object.
 	RootFields int
-	// Latency applies the DRAM/NVMM latency models (benchmarks). When
-	// false all devices run at native speed (tests).
-	Latency bool
 	// Track maintains the persistent media image so Crash/Recover work.
 	// Benchmarks that never crash can disable it.
 	Track bool

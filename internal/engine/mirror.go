@@ -28,14 +28,9 @@ type mirrorEngine struct {
 }
 
 func newMirror(cfg Config) *mirrorEngine {
-	pModel, vModel := pmem.NoLatency(), pmem.NoLatency()
-	if cfg.Latency {
-		pModel = pmem.NVMMModel()
-		if cfg.Kind == MirrorDRAM {
-			vModel = pmem.DRAMModel()
-		} else {
-			vModel = pmem.NVMMModel()
-		}
+	vModel := pmem.NVMMModel()
+	if cfg.Kind == MirrorDRAM {
+		vModel = pmem.DRAMModel()
 	}
 	p := pmem.New(pmem.Config{
 		Name:       cfg.Kind.String() + "-rep_p",
@@ -43,7 +38,7 @@ func newMirror(cfg Config) *mirrorEngine {
 		Persistent: true,
 		Track:      cfg.Track,
 		Elide:      !cfg.NoElide,
-		Model:      pModel,
+		Model:      pmem.NVMMModel(),
 		MediaPath:  cfg.MediaPath,
 	})
 	v := pmem.New(pmem.Config{
@@ -259,6 +254,8 @@ func (e *mirrorEngine) CheckInvariants(ref Ref, fields int) string {
 func (e *mirrorEngine) PersistentDevices() []*pmem.Device {
 	return []*pmem.Device{e.mem.P}
 }
+
+func (e *mirrorEngine) Devices() []*pmem.Device { return []*pmem.Device{e.mem.P, e.mem.V} }
 
 func (e *mirrorEngine) Stats() Stats {
 	h, r := e.mem.Stats()

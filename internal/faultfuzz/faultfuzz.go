@@ -116,7 +116,7 @@ type Result struct {
 	// recovery; Workers=1 replays of the same spec must reproduce it.
 	MediaHash uint64
 	// OpsTotal is the model's device-op clock after the run; fuzzers
-	// calibrate CrashAt by sampling [1, OpsTotal] of a c0 dry run.
+	// place CrashAt by sampling [1, OpsTotal] of a c0 dry run.
 	OpsTotal int64
 	// CrashedAt is the op index where the trigger fired (0 = it did not;
 	// the crash was taken at workload end instead).

@@ -14,8 +14,8 @@ func durableKinds() []engine.Kind {
 	return []engine.Kind{engine.Izraelevitz, engine.NVTraverse, engine.MirrorDRAM, engine.MirrorNVMM}
 }
 
-// fuzzRounds runs the spec at several seeded crash placements (calibrated
-// against a dry run) and reports every failure to t.
+// fuzzRounds runs the spec at several seeded crash placements (sampled
+// from a dry run's op count) and reports every failure to t.
 func fuzzRounds(t *testing.T, spec Spec, seeds []int64) {
 	t.Helper()
 	fired := 0

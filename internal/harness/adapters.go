@@ -2,7 +2,8 @@
 // Figure 6 (volatile replica on DRAM) and Figure 7 (both replicas on NVMM)
 // is a Panel spec that builds the competitors, prefills them to half the
 // key range, drives the workload, and prints the measured series as a
-// table in Mops/s.
+// table in native Mops/s beside each point's modeled ns/op (the counted
+// pass: exact device counts × the DRAM/NVMM cost tables).
 package harness
 
 import (
@@ -11,6 +12,7 @@ import (
 
 	"mirror/internal/cmapkv"
 	"mirror/internal/engine"
+	"mirror/internal/pmem"
 	"mirror/internal/structures"
 	"mirror/internal/structures/bst"
 	"mirror/internal/structures/hashtable"
@@ -32,8 +34,8 @@ const (
 type Competitor struct {
 	Label string
 	// Make creates a fresh instance sized for a key range and returns
-	// the workload target driving it.
-	Make func(o Options, keyRange int) workload.Target
+	// the workload target driving it and the devices it runs on.
+	Make func(o Options, keyRange int) (workload.Target, []*pmem.Device)
 }
 
 // engineWorker adapts a structures.Set to workload.Worker.
@@ -156,7 +158,6 @@ func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange i
 	e := engine.New(engine.Config{
 		Kind:    kind,
 		Words:   deviceWords(structure, kind, keyRange),
-		Latency: o.Latency,
 		Track:   false, // benchmarks never crash
 		NoElide: o.NoElide,
 		Clients: clients,
@@ -183,9 +184,9 @@ func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange i
 func engineCompetitor(kind engine.Kind, structure string) Competitor {
 	return Competitor{
 		Label: kind.String(),
-		Make: func(o Options, keyRange int) workload.Target {
-			t, _ := buildEngineTarget(kind, structure, o, keyRange)
-			return t
+		Make: func(o Options, keyRange int) (workload.Target, []*pmem.Device) {
+			t, e := buildEngineTarget(kind, structure, o, keyRange)
+			return t, e.Devices()
 		},
 	}
 }
@@ -209,7 +210,7 @@ func zurielCompetitor(soft bool, structure string) Competitor {
 	}
 	return Competitor{
 		Label: label,
-		Make: func(o Options, keyRange int) workload.Target {
+		Make: func(o Options, keyRange int) (workload.Target, []*pmem.Device) {
 			buckets := 0
 			if structure == StHash {
 				buckets = bucketsFor(keyRange)
@@ -218,7 +219,7 @@ func zurielCompetitor(soft bool, structure string) Competitor {
 			if words < 1<<20 {
 				words = 1 << 20
 			}
-			cfg := zuriel.Config{Words: words, Buckets: buckets, Latency: o.Latency}
+			cfg := zuriel.Config{Words: words, Buckets: buckets}
 			var s zuriel.Set
 			if soft {
 				s = zuriel.NewSoft(cfg)
@@ -231,7 +232,7 @@ func zurielCompetitor(soft bool, structure string) Competitor {
 				NewWorker: func() workload.Worker {
 					return &zurielWorker{set: s, c: s.NewCtx()}
 				},
-			}
+			}, s.Devices()
 		},
 	}
 }
@@ -251,22 +252,18 @@ func (w *cmapWorker) Contains(key uint64) bool    { return w.m.Contains(w.c, key
 func cmapCompetitor() Competitor {
 	return Competitor{
 		Label: "Cmap",
-		Make: func(o Options, keyRange int) workload.Target {
+		Make: func(o Options, keyRange int) (workload.Target, []*pmem.Device) {
 			words := keyRange*4*4 + 1<<18
 			if words < 1<<20 {
 				words = 1 << 20
 			}
-			m := cmapkv.New(cmapkv.Config{
-				Words:   words,
-				Buckets: bucketsFor(keyRange),
-				Latency: o.Latency,
-			})
+			m := cmapkv.New(cmapkv.Config{Words: words, Buckets: bucketsFor(keyRange)})
 			return workload.Target{
 				Name: "hashtable/Cmap",
 				NewWorker: func() workload.Worker {
 					return &cmapWorker{m: m, c: m.NewCtx()}
 				},
-			}
+			}, m.Devices()
 		},
 	}
 }

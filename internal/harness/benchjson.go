@@ -2,10 +2,10 @@ package harness
 
 // This file produces the machine-readable benchmark trajectory of the
 // repository: a BenchReport is the full engine × structure × thread-count
-// throughput matrix together with the persistence-instruction counters and
-// the Mirror protocol's help/retry statistics for each point. cmd/mirrorbench
-// writes one as BENCH_<n>.json; CI re-parses the committed file so the
-// format cannot rot.
+// throughput matrix together with the persistence-instruction counters, the
+// Mirror protocol's help/retry statistics and the counted pass (Modeled) for
+// each point. cmd/mirrorbench writes one as BENCH_<n>.json; CI re-parses the
+// committed file so the format cannot rot.
 
 import (
 	"encoding/json"
@@ -57,6 +57,11 @@ type BenchPoint struct {
 	// semantics); omitted for the uniform default.
 	Dist string  `json:"dist,omitempty"`
 	Skew float64 `json:"skew,omitempty"`
+
+	// Modeled is the structure/engine pair's counted pass, taken once
+	// after prefill and shared by its thread points; absent from reports
+	// written before it existed.
+	Modeled
 }
 
 // BenchHost records where the report was measured.
@@ -71,7 +76,6 @@ type BenchHost struct {
 type BenchOptions struct {
 	DurationMS int64 `json:"duration_ms"`
 	Scale      int   `json:"scale"`
-	Latency    bool  `json:"latency"`
 	Seed       int64 `json:"seed"`
 	// NoElide records that the flush-elision layer was disabled (the
 	// ablation baseline run).
@@ -190,7 +194,6 @@ func RunBenchMatrix(o Options, structs []string, kinds []engine.Kind, threads []
 		Options: BenchOptions{
 			DurationMS: o.Duration.Milliseconds(),
 			Scale:      o.Scale,
-			Latency:    o.Latency,
 			Seed:       o.Seed,
 			NoElide:    o.NoElide,
 			Detect:     o.Detect,
@@ -209,18 +212,11 @@ func RunBenchMatrix(o Options, structs []string, kinds []engine.Kind, threads []
 		for _, kind := range kinds {
 			target, e := buildEngineTarget(kind, st, o, keyRange)
 			workload.PrefillHalf(target, uint64(keyRange), o.Seed)
+			model := counted(target, e.Devices(), o.spec(keyRange, 1, workload.Mix801010))
 			for _, th := range threads {
 				fl0, fe0 := e.Counters()
 				s0 := e.Stats()
-				res := workload.Run(target, workload.Spec{
-					KeyRange: uint64(keyRange),
-					Mix:      workload.Mix801010,
-					Threads:  th,
-					Duration: o.Duration,
-					Seed:     o.Seed,
-					Dist:     o.Dist,
-					Skew:     o.Skew,
-				})
+				res := workload.Run(target, o.spec(keyRange, th, workload.Mix801010))
 				fl1, fe1 := e.Counters()
 				s1 := e.Stats()
 				r.Points = append(r.Points, BenchPoint{
@@ -242,6 +238,7 @@ func RunBenchMatrix(o Options, structs []string, kinds []engine.Kind, threads []
 					DetectVerdicts:    s1.DetectVerdicts - s0.DetectVerdicts,
 					Dist:              o.Dist,
 					Skew:              o.Skew,
+					Modeled:           model,
 				})
 			}
 		}

@@ -13,7 +13,6 @@ func TestBenchMatrixJSON(t *testing.T) {
 	o := Options{
 		Duration: 10 * time.Millisecond,
 		Scale:    4096,
-		Latency:  false,
 		Seed:     1,
 	}
 	kinds := []engine.Kind{engine.OrigDRAM, engine.MirrorDRAM}
@@ -44,9 +43,15 @@ func TestBenchMatrixJSON(t *testing.T) {
 			if p.Flushes == 0 || p.Fences == 0 {
 				t.Errorf("Mirror point has no persistence instructions (flushes=%d fences=%d)", p.Flushes, p.Fences)
 			}
+			if p.Modeled.NS == 0 || p.Modeled.NVMMStores == 0 {
+				t.Errorf("Mirror point has no counted pass: %+v", p.Modeled)
+			}
 		case "OrigDRAM":
 			if p.Flushes != 0 || p.Fences != 0 {
 				t.Errorf("OrigDRAM point should issue no persistence instructions (flushes=%d fences=%d)", p.Flushes, p.Fences)
+			}
+			if p.Modeled.NS == 0 || p.Modeled.NVMMLoads != 0 {
+				t.Errorf("OrigDRAM counted pass should be priced and touch no NVMM: %+v", p.Modeled)
 			}
 		}
 	}

@@ -9,14 +9,13 @@ import (
 	"mirror/internal/workload"
 )
 
-// fastOptions keeps unit-test panel runs quick: tiny windows, no latency
-// model, heavy scaling.
+// fastOptions keeps unit-test panel runs quick: tiny windows, heavy
+// scaling.
 func fastOptions() Options {
 	return Options{
 		Duration: 10 * time.Millisecond,
 		Scale:    1 << 14,
 		Threads:  []int{1, 2},
-		Latency:  false,
 		Seed:     7,
 	}
 }
@@ -106,8 +105,33 @@ func TestRunThreadsPanel(t *testing.T) {
 		}
 	}
 	out := tab.Format()
-	if !strings.Contains(out, "fig6a") || !strings.Contains(out, "Mirror") {
+	if !strings.Contains(out, "fig6a") || !strings.Contains(out, "Mirror") || !strings.Contains(out, "modeled ns/op") {
 		t.Errorf("Format output missing headers:\n%s", out)
+	}
+}
+
+// TestModeledRepeats checks that a panel's modeled block is a function of
+// the seed alone: two runs with different timed windows print it byte for
+// byte, and every competitor is priced.
+func TestModeledRepeats(t *testing.T) {
+	p, _ := Find("fig6c")
+	modeled := func(d time.Duration) (string, *Table) {
+		o := fastOptions()
+		o.Duration = d
+		tab := p.Run(o)
+		out := tab.Format()
+		return out[strings.Index(out, "(modeled"):], tab
+	}
+	a, tab := modeled(5 * time.Millisecond)
+	if b, _ := modeled(15 * time.Millisecond); a != b {
+		t.Fatalf("modeled block moved between runs:\n%s\n%s", a, b)
+	}
+	for _, r := range tab.Rows {
+		for i, v := range r.Model {
+			if v <= 0 {
+				t.Errorf("update%%=%d %s: modeled %v ns/op", r.X, tab.Columns[i], v)
+			}
+		}
 	}
 }
 

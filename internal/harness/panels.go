@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mirror/internal/engine"
+	"mirror/internal/pmem"
 	"mirror/internal/workload"
 )
 
@@ -21,9 +22,6 @@ type Options struct {
 	Scale int
 	// Threads is the thread sweep (default 1,2,4,8,16 as in the paper).
 	Threads []int
-	// Latency applies the DRAM/NVMM latency models (default on; turning
-	// it off measures raw simulator speed, not the platform shape).
-	Latency bool
 	// Seed for the workload PRNGs.
 	Seed int64
 	// NoElide disables the flush-elision / fence-coalescing layer on the
@@ -90,26 +88,34 @@ type Table struct {
 // TableRow is one sweep point.
 type TableRow struct {
 	X     int
-	Cells []float64 // Mops/s per competitor
+	Cells []float64 // native Mops/s per competitor
+	Model []float64 // modeled ns/op per competitor (the counted pass)
 }
 
-// Format renders the table as aligned text.
+// Format renders the table as aligned text: the native throughput block,
+// then the modeled block, which repeats exactly for a seed.
 func (t *Table) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s (Mops/s)\n", t.PanelID, t.Title)
-	fmt.Fprintf(&b, "%-10s", t.XLabel)
+	t.block(&b, "Mops/s", "%12.3f", func(r TableRow) []float64 { return r.Cells })
+	t.block(&b, fmt.Sprintf("modeled ns/op, counted pass of %d ops", CountedOps), "%12.1f",
+		func(r TableRow) []float64 { return r.Model })
+	return b.String()
+}
+
+func (t *Table) block(b *strings.Builder, unit, cell string, of func(TableRow) []float64) {
+	fmt.Fprintf(b, "%s — %s (%s)\n", t.PanelID, t.Title, unit)
+	fmt.Fprintf(b, "%-10s", t.XLabel)
 	for _, c := range t.Columns {
-		fmt.Fprintf(&b, "%12s", c)
+		fmt.Fprintf(b, "%12s", c)
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-10d", r.X)
-		for _, v := range r.Cells {
-			fmt.Fprintf(&b, "%12.3f", v)
+		fmt.Fprintf(b, "%-10d", r.X)
+		for _, v := range of(r) {
+			fmt.Fprintf(b, cell, v)
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
 }
 
 // Cell returns the throughput for a column label at a given X (tests).
@@ -142,69 +148,104 @@ func (p Panel) scaledSize(o Options, paperSize int) int {
 	return s
 }
 
-// Run measures the panel and returns its table.
+// CountedOps is the length of a counted pass.
+const CountedOps = 4000
+
+// Modeled is a counted pass: CountedOps seeded operations of a point's mix,
+// driven through one worker on the calling goroutine with counting on over
+// the competitor's devices, reported per operation. It repeats exactly for
+// a seed on any machine; what it cannot show is anything concurrency costs
+// (contention, multi-core fence pile-ups).
+type Modeled struct {
+	NS         float64 `json:"model_ns_per_op,omitempty"` // Σ count × cost table
+	NVMMLoads  float64 `json:"nvmm_loads_per_op,omitempty"`
+	NVMMStores float64 `json:"nvmm_stores_per_op,omitempty"`
+}
+
+// counted runs a counted pass of spec over a new worker of t.
+func counted(t workload.Target, devs []*pmem.Device, spec workload.Spec) (m Modeled) {
+	w := t.NewWorker()
+	for _, d := range pmem.Count(devs, func() { workload.RunOps(w, spec, CountedOps) }) {
+		m.NS += d.NS() / CountedOps
+		if d.Model == pmem.NVMMModel() {
+			m.NVMMLoads += float64(d.Loads) / CountedOps
+			m.NVMMStores += float64(d.Stores) / CountedOps
+		}
+	}
+	return m
+}
+
+// spec is the workload of one point.
+func (o Options) spec(keyRange, threads int, mix workload.Mix) workload.Spec {
+	return workload.Spec{
+		KeyRange: uint64(keyRange),
+		Mix:      mix,
+		Threads:  threads,
+		Duration: o.Duration,
+		Seed:     o.Seed,
+		Dist:     o.Dist,
+		Skew:     o.Skew,
+	}
+}
+
+// Run measures the panel and returns its table. Each point is measured
+// twice: a timed run with counting off (native Mops/s) and a counted pass
+// (modeled ns/op).
 func (p Panel) Run(o Options) *Table {
 	o.setDefaults()
 	t := &Table{PanelID: p.ID, Title: p.Title}
 	for _, c := range p.Competitors {
 		t.Columns = append(t.Columns, c.Label)
 	}
+	// measure prefills a fresh competitor and measures it at the given
+	// points. Every counted pass runs before any timed run, so the state
+	// each starts from is the same on every machine; a thread sweep keeps
+	// one mix and takes one pass.
+	measure := func(comp Competitor, keyRange int, rows []TableRow, threads []int, mixes []workload.Mix) {
+		target, devs := comp.Make(o, keyRange)
+		workload.PrefillHalf(target, uint64(keyRange), o.Seed)
+		model := make([]float64, len(mixes))
+		for i, mix := range mixes {
+			model[i] = counted(target, devs, o.spec(keyRange, 1, mix)).NS
+		}
+		for i := range rows {
+			mi := min(i, len(mixes)-1)
+			rows[i].Cells = append(rows[i].Cells,
+				workload.Run(target, o.spec(keyRange, threads[i], mixes[mi])).MopsPerSec())
+			rows[i].Model = append(rows[i].Model, model[mi])
+		}
+	}
 	// For thread and update sweeps the key range is fixed, so each
 	// competitor is built and prefilled once and reused across the sweep
 	// points (the balanced insert/delete mixes keep it near half-full,
 	// as the paper's steady-state measurements assume). Size sweeps need
 	// a fresh structure per point.
-	run := func(target workload.Target, keyRange, threads int, mix workload.Mix) float64 {
-		return workload.Run(target, workload.Spec{
-			KeyRange: uint64(keyRange),
-			Mix:      mix,
-			Threads:  threads,
-			Duration: o.Duration,
-			Seed:     o.Seed,
-			Dist:     o.Dist,
-			Skew:     o.Skew,
-		}).MopsPerSec()
-	}
 	switch p.Sweep {
 	case SweepThreads, SweepUpdates:
-		size := p.scaledSize(o, p.FixedSize)
-		var xs []int
-		if p.Sweep == SweepThreads {
-			t.XLabel = "threads"
-			xs = o.Threads
-		} else {
-			t.XLabel = "update%"
-			xs = p.UpdatePcts
-		}
-		cells := make([][]float64, len(xs))
-		for i := range cells {
-			cells[i] = make([]float64, len(p.Competitors))
-		}
-		for ci, comp := range p.Competitors {
-			target := comp.Make(o, size)
-			workload.PrefillHalf(target, uint64(size), o.Seed)
-			for xi, x := range xs {
-				if p.Sweep == SweepThreads {
-					cells[xi][ci] = run(target, size, x, p.Mix)
-				} else {
-					cells[xi][ci] = run(target, size, 8, workload.UpdateMix(x))
-				}
+		xs, threads, mixes := o.Threads, o.Threads, []workload.Mix{p.Mix}
+		t.XLabel = "threads"
+		if p.Sweep == SweepUpdates {
+			t.XLabel, xs, threads, mixes = "update%", p.UpdatePcts, nil, nil
+			for _, x := range xs {
+				threads = append(threads, 8)
+				mixes = append(mixes, workload.UpdateMix(x))
 			}
 		}
-		for xi, x := range xs {
-			t.Rows = append(t.Rows, TableRow{X: x, Cells: cells[xi]})
+		t.Rows = make([]TableRow, len(xs))
+		for i, x := range xs {
+			t.Rows[i].X = x
+		}
+		for _, comp := range p.Competitors {
+			measure(comp, p.scaledSize(o, p.FixedSize), t.Rows, threads, mixes)
 		}
 	case SweepSize:
 		t.XLabel = "size"
 		for _, s := range p.Sizes {
-			keyRange := p.scaledSize(o, s)
-			row := TableRow{X: s}
+			row := []TableRow{{X: s}}
 			for _, comp := range p.Competitors {
-				target := comp.Make(o, keyRange)
-				workload.PrefillHalf(target, uint64(keyRange), o.Seed)
-				row.Cells = append(row.Cells, run(target, keyRange, 8, p.Mix))
+				measure(comp, p.scaledSize(o, s), row, []int{8}, []workload.Mix{p.Mix})
 			}
-			t.Rows = append(t.Rows, row)
+			t.Rows = append(t.Rows, row[0])
 		}
 	default:
 		panic("harness: unknown sweep " + p.Sweep)

@@ -8,12 +8,11 @@ package harness
 // BENCH_6-style serving panels (against an in-process server, where the
 // engine's fence counters are in reach for the batching ablation).
 //
-// Serving sessions run the engines at native substrate speed (no DRAM/NVMM
-// latency model): a wire round trip costs tens of microseconds, two orders
-// above the modeled media latencies, so the model would vanish in the noise
-// while making every session slower. What the serving panels isolate is the
-// protocol cost — fences per mutation with and without cross-client
-// batching — and the client-visible latency distribution.
+// Serving sessions report native wall-clock and exact counts, no modeled
+// cost: a wire round trip costs tens of microseconds, two orders above the
+// modeled media costs. What the serving panels isolate is the protocol
+// cost — fences per mutation with and without cross-client batching — and
+// the client-visible latency distribution.
 
 import (
 	"fmt"

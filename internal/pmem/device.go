@@ -15,15 +15,14 @@
 //     (volatile device).
 //
 // Addresses are word offsets (8 bytes per word). Offset 0 is reserved so it
-// can serve as a null pointer. A LatencyModel injects calibrated spin
-// delays so benchmark results keep the DRAM/NVMM cost ratios of the real
-// platform.
+// can serve as a null pointer. Each device carries a CostModel — the DRAM
+// or NVMM cost table of the real platform — that a counted pass (Count)
+// multiplies by its exact access counts; no access ever waits.
 //
 // The device fast path is built to disappear from profiles (DESIGN.md
 // "Substrate hot path"): one packed atomic state word gates the
-// freeze/countdown machinery, flush/fence counters live in per-FlushSet
-// shards summed on demand, and the latency model costs nothing when
-// disabled.
+// freeze/countdown/counting machinery, and flush/fence counters live in
+// per-FlushSet shards summed on demand.
 package pmem
 
 import (
@@ -78,12 +77,12 @@ const (
 
 // Config describes a Device.
 type Config struct {
-	Name       string       // for diagnostics
-	Words      int          // capacity in 8-byte words (offset 0 reserved)
-	Persistent bool         // survives Crash via its media image
-	Track      bool         // maintain the media image (required for Crash)
-	Elide      bool         // maintain the persisted-epoch watermark (elide.go)
-	Model      LatencyModel // injected access costs
+	Name       string    // for diagnostics
+	Words      int       // capacity in 8-byte words (offset 0 reserved)
+	Persistent bool      // survives Crash via its media image
+	Track      bool      // maintain the media image (required for Crash)
+	Elide      bool      // maintain the persisted-epoch watermark (elide.go)
+	Model      CostModel // cost table of the medium (cost.go)
 
 	// MediaPath backs the media image with a MAP_SHARED mmap of this file
 	// instead of an anonymous slice (mediafile.go), so the fenced image
@@ -93,13 +92,13 @@ type Config struct {
 	MediaPath string
 }
 
-// Packed state-word bits. state == 0 is the latency-free running steady
-// state, so the per-operation gate is a single atomic load and one
-// predictable branch; any set bit diverts to the out-of-line slow path.
+// Packed state-word bits. state == 0 is the running steady state, so the
+// per-operation gate is a single atomic load and one predictable branch;
+// any set bit diverts to the out-of-line slow path.
 const (
 	stateFrozen uint64 = 1 << 0 // device frozen: every op panics ErrFrozen
 	stateArmed  uint64 = 1 << 1 // FreezeAfter countdown armed
-	stateSlow   uint64 = 1 << 2 // latency model active: ops must inject spins
+	stateCount  uint64 = 1 << 2 // counted pass: loads and stores are tallied
 	stateFault  uint64 = 1 << 3 // fault model installed: ops consult the adversary
 )
 
@@ -110,15 +109,11 @@ type Device struct {
 	name       string
 	persistent bool
 	track      bool
-	fast       bool // Model.Zero(): skip latency injection entirely
+	model      CostModel
 
-	// Spin-loop iteration counts per operation kind, precomputed at
-	// construction from the calibrated rate so the hot path performs no
-	// per-access rate lookup or fixed-point arithmetic.
-	loadSpins  int64
-	storeSpins int64
-	flushSpins int64
-	fenceSpins int64
+	// loads and stores count accesses while counting (stateCount); they are
+	// never written otherwise.
+	loads, stores atomic.Uint64
 
 	words  []uint64 // current (cache) view; 16-byte aligned base
 	media  []uint64 // persisted image, nil unless track && persistent
@@ -143,12 +138,10 @@ type Device struct {
 	// inline budget of 80, which they meet exactly.
 	gate uint64
 
-	// state packs the frozen flag, the countdown-armed flag, and the
-	// latency-model flag into one word; the countdown itself is touched
-	// only on the armed slow path. baseState is the value state returns to
-	// after a crash (stateSlow for latency devices, 0 otherwise).
+	// state packs the frozen flag, the countdown-armed flag, the counting
+	// flag and the fault flag into one word; the countdown itself is touched
+	// only on the armed slow path.
 	state     atomic.Uint64
-	baseState uint64
 	countdown atomic.Int64
 	gen       atomic.Uint64 // crash generation, for FlushSet recycle checks
 
@@ -190,19 +183,11 @@ func New(cfg Config) *Device {
 		name:       cfg.Name,
 		persistent: cfg.Persistent,
 		track:      cfg.Track && cfg.Persistent,
-		fast:       cfg.Model.Zero(),
+		model:      cfg.Model,
 		words:      alignedWords(words),
 	}
 	d.base = unsafe.Pointer(&d.words[0])
 	d.limit = uint64(len(d.words)) - 1
-	if !d.fast {
-		d.loadSpins = spinIters(cfg.Model.LoadNS)
-		d.storeSpins = spinIters(cfg.Model.StoreNS)
-		d.flushSpins = spinIters(cfg.Model.FlushNS)
-		d.fenceSpins = spinIters(cfg.Model.FenceNS)
-		d.baseState = stateSlow
-		d.state.Store(stateSlow)
-	}
 	d.syncGate()
 	if d.track {
 		if cfg.MediaPath != "" {
@@ -269,10 +254,9 @@ func (d *Device) syncGate() {
 // checkSlow handles everything fastOK rejects: a frozen device panics, an
 // armed countdown is decremented — the operation that reaches zero freezes
 // the device before executing, placing the crash exactly on that operation
-// — and out-of-range offsets panic. A device running with a latency model
-// (stateSlow) passes through here on every access by design; the injected
-// spin dwarfs the extra checks.
-func (d *Device) checkSlow(off uint64) {
+// — and out-of-range offsets panic. It returns the state it acted on; a
+// counting device passes through here on every access by design.
+func (d *Device) checkSlow(off uint64) uint64 {
 	s := d.state.Load()
 	if s&stateFrozen != 0 {
 		panic(ErrFrozen)
@@ -286,6 +270,15 @@ func (d *Device) checkSlow(off uint64) {
 	}
 	if s&stateFault != 0 {
 		d.faultTick(off)
+	}
+	return s
+}
+
+// countSlow is checkSlow for a load or a store: a counting device tallies
+// the access in n.
+func (d *Device) countSlow(off uint64, n *atomic.Uint64) {
+	if d.checkSlow(off)&stateCount != 0 {
+		n.Add(1)
 	}
 }
 
@@ -329,8 +322,7 @@ func (d *Device) Load(off uint64) uint64 {
 }
 
 func (d *Device) loadSlow(off uint64) uint64 {
-	d.checkSlow(off)
-	spinN(d.loadSpins)
+	d.countSlow(off, &d.loads)
 	return atomic.LoadUint64(&d.words[off])
 }
 
@@ -346,16 +338,14 @@ func (d *Device) Store(off uint64, v uint64) {
 }
 
 func (d *Device) storeSlow(off uint64, v uint64) {
-	d.checkSlow(off)
-	spinN(d.storeSpins)
+	d.countSlow(off, &d.stores)
 	atomic.StoreUint64(&d.words[off], v)
 }
 
 // CAS atomically compares-and-swaps the word at off.
 func (d *Device) CAS(off uint64, old, new uint64) bool {
 	if !d.fastOK(off) {
-		d.checkSlow(off)
-		spinN(d.storeSpins)
+		d.countSlow(off, &d.stores)
 	}
 	return atomic.CompareAndSwapUint64(&d.words[off], old, new)
 }
@@ -363,8 +353,7 @@ func (d *Device) CAS(off uint64, old, new uint64) bool {
 // Add atomically adds delta to the word at off and returns the new value.
 func (d *Device) Add(off uint64, delta uint64) uint64 {
 	if !d.fastOK(off) {
-		d.checkSlow(off)
-		spinN(d.storeSpins)
+		d.countSlow(off, &d.stores)
 	}
 	return atomic.AddUint64(&d.words[off], delta)
 }
@@ -384,8 +373,7 @@ func (d *Device) badPair(off uint64) {
 // LoadPair atomically reads the two words at even offset off.
 func (d *Device) LoadPair(off uint64) (v0, v1 uint64) {
 	if !d.fastOK(off) {
-		d.checkSlow(off)
-		spinN(d.loadSpins)
+		d.countSlow(off, &d.loads)
 	}
 	return dwcas.Load(d.pairAt(off))
 }
@@ -395,8 +383,7 @@ func (d *Device) LoadPair(off uint64) (v0, v1 uint64) {
 // swap happened and the observed pair (the "before" value of Figure 4).
 func (d *Device) DWCAS(off uint64, old0, old1, new0, new1 uint64) (swapped bool, cur0, cur1 uint64) {
 	if !d.fastOK(off) {
-		d.checkSlow(off)
-		spinN(d.storeSpins)
+		d.countSlow(off, &d.stores)
 	}
 	return dwcas.CompareAndSwap(d.pairAt(off), old0, old1, new0, new1)
 }
@@ -537,7 +524,6 @@ func (d *Device) adopt(fs *FlushSet) {
 func (d *Device) Flush(fs *FlushSet, off uint64) {
 	if !d.fastOK(off) {
 		d.checkSlow(off)
-		spinN(d.flushSpins)
 	}
 	if fs.dev != d {
 		d.adopt(fs)
@@ -602,7 +588,6 @@ func (d *Device) Fence(fs *FlushSet) {
 		fs.enter(d)
 	}
 	if fs.ahead != 0 {
-		spinN(d.flushSpins)
 		fs.flushes.Add(1)
 		if d.lineTrack {
 			fs.add(fs.ahead >> lineShift)
@@ -622,7 +607,7 @@ func (d *Device) Fence(fs *FlushSet) {
 // fenceSlow is the offset-less slow gate for Fence: it applies the freeze
 // state and the FreezeAfter countdown — a fence is a countable device
 // operation, so a deterministic crash can land exactly on a fence boundary,
-// before any line commits — and injects the fence latency.
+// before any line commits.
 func (d *Device) fenceSlow() {
 	s := d.state.Load()
 	if s&stateFrozen != 0 {
@@ -635,7 +620,6 @@ func (d *Device) fenceSlow() {
 	if s&stateFault != 0 {
 		d.faultTick(0)
 	}
-	spinN(d.fenceSpins)
 }
 
 // commitLines copies each dirty line's current content to the media, one
@@ -745,7 +729,7 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 	}
 	d.countdown.Store(0)
 	d.gen.Add(1)
-	base := d.baseState
+	base := d.state.Load() & stateCount // a counted pass survives the crash
 	if d.fault != nil {
 		base |= stateFault // the installed fault model survives the crash
 	}
@@ -767,12 +751,12 @@ func (d *Device) flushedLines() map[uint64]bool {
 	return lines
 }
 
-// ReadRaw reads a word without latency, freeze checks, or bounds reservation
-// of offset 0. Recovery and test inspection use it.
+// ReadRaw reads a word without counting, freeze checks, or bounds
+// reservation of offset 0. Recovery and test inspection use it.
 func (d *Device) ReadRaw(off uint64) uint64 { return atomic.LoadUint64(&d.words[off]) }
 
-// WriteRaw writes a word without latency or freeze checks. Recovery uses it
-// to rebuild the volatile replica.
+// WriteRaw writes a word without counting or freeze checks. Recovery uses
+// it to rebuild the volatile replica.
 func (d *Device) WriteRaw(off uint64, v uint64) { atomic.StoreUint64(&d.words[off], v) }
 
 // PersistedWord returns the media image of a word; it panics unless the
@@ -803,8 +787,8 @@ func (d *Device) PersistRange(off uint64, n int) {
 // countable device operation on the *source*: the freeze gate and the
 // FreezeAfter countdown apply once per call, so a deterministic crash can
 // land exactly on a rebuild copy (the crash-during-recovery tests rely on
-// this). Latency models are bypassed; recovery runs before normal
-// operation resumes. Concurrent calls must target disjoint ranges, and the
+// this). It is never counted; recovery runs before normal operation
+// resumes. Concurrent calls must target disjoint ranges, and the
 // destination must be quiesced — both hold for recovery workers, which
 // partition the reachable spans.
 func (d *Device) CopyRange(dst *Device, off uint64, n int) {

@@ -440,28 +440,49 @@ func TestConcurrentFenceNoStaleRegress(t *testing.T) {
 	}
 }
 
+// TestLatencyModelZero checks the cost tables: both priced, and an NVMM load
+// markedly dearer than a DRAM load (§6.1: reads ≈ 3×).
 func TestLatencyModelZero(t *testing.T) {
-	if !NoLatency().Zero() {
-		t.Error("NoLatency should be Zero")
-	}
-	if DRAMModel().Zero() || NVMMModel().Zero() {
-		t.Error("presets should not be Zero")
+	if DRAMModel() == (CostModel{}) || NVMMModel() == (CostModel{}) {
+		t.Error("the DRAM and NVMM cost tables must be non-zero")
 	}
 	if NVMMModel().LoadNS < 2*DRAMModel().LoadNS {
-		t.Error("NVMM reads should be markedly slower than DRAM reads")
+		t.Error("an NVMM load should cost at least 2x a DRAM load")
 	}
 }
 
-func TestSpinRoughlyMonotonic(t *testing.T) {
-	// spin(0) must be free; larger delays must not panic. We don't
-	// assert wall-clock precision (CI machines vary), only that the
-	// calibration path works.
-	spin(0)
-	spin(50)
-	spin(500)
+// TestCountTalliesEveryAccess drives each device operation once inside a
+// counted pass and checks the tally per kind and its cost, and that nothing
+// is tallied outside the pass.
+func TestCountTalliesEveryAccess(t *testing.T) {
+	d := New(Config{Words: 64, Persistent: true, Track: true, Model: NVMMModel()})
+	var fs FlushSet
+	d.Load(8) // outside the pass
+	d.Store(8, 1)
+	got := Count([]*Device{d}, func() {
+		d.Load(8)
+		d.LoadPair(8)
+		d.Store(9, 2)
+		d.CAS(9, 2, 3)
+		d.Add(9, 1)
+		d.DWCAS(10, 0, 0, 1, 1)
+		d.Flush(&fs, 9)
+		d.Fence(&fs)
+	})[0]
+	want := Tally{Model: NVMMModel(), Loads: 2, Stores: 4, Flushes: 1, Fences: 1}
+	if got != want {
+		t.Fatalf("tally = %+v, want %+v", got, want)
+	}
+	if ns := got.NS(); ns != 2*60+4*75+60+100 {
+		t.Errorf("modeled cost = %v ns, want %v", ns, 2*60+4*75+60+100)
+	}
+	d.Load(8)
+	if n := d.loads.Load(); n != 2 {
+		t.Errorf("loads after the pass = %d, want 2 (counting must stop)", n)
+	}
 }
 
-func BenchmarkDeviceLoadNoLatency(b *testing.B) {
+func BenchmarkDeviceLoadFastPath(b *testing.B) {
 	d := newTestDevice(1024)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

@@ -123,7 +123,7 @@ func (f *FaultModel) CrashAfter(n int64) {
 }
 
 // Ops returns how many device operations have consulted the model — the
-// op-count clock CrashAfter is measured on. Fuzzers calibrate crash
+// op-count clock CrashAfter is measured on. Fuzzers choose a crash
 // placement by running a schedule once and sampling within [1, Ops()].
 func (f *FaultModel) Ops() int64 {
 	f.mu.Lock()

@@ -210,10 +210,20 @@ func TestGateTracksState(t *testing.T) {
 	if !d.fastOK(1) {
 		t.Fatal("crash must reopen the gate")
 	}
-	// A latency-model device never opens the gate: every access must pass
-	// through the slow path to inject its spin.
-	slow := New(Config{Words: 64, Model: LatencyModel{LoadNS: 1}})
-	if slow.fastOK(1) {
-		t.Fatal("latency-model device must keep the gate closed")
+	// A counting device keeps the gate closed, so every access takes the
+	// slow path that tallies it; a crash keeps counting on, and switching
+	// counting off reopens the gate.
+	d.setState(stateCount)
+	if d.fastOK(1) {
+		t.Fatal("counting must close the gate")
+	}
+	d.Freeze()
+	d.Crash(CrashDropAll, nil)
+	if d.fastOK(1) || d.state.Load() != stateCount {
+		t.Fatal("crash must keep counting on")
+	}
+	d.clearState(stateCount)
+	if !d.fastOK(1) {
+		t.Fatal("switching counting off must reopen the gate")
 	}
 }

@@ -84,6 +84,6 @@ func (d *Device) ResetFromMedia() {
 	}
 	copy(d.words, d.media)
 	d.gen.Add(1)
-	d.state.Store(d.baseState)
+	d.state.Store(d.state.Load() & stateCount)
 	d.syncGate()
 }

@@ -354,24 +354,27 @@ func PrefillHalf(t Target, keyRange uint64, seed int64) int {
 	return n
 }
 
+// RunOps drives exactly n operations of spec's mix and key distribution
+// through w on the calling goroutine, seeded as the first worker of Run
+// would be. Threads, Duration and SampleLatency are ignored: a fixed,
+// single-goroutine sequence is what makes a counted pass repeat exactly.
+func RunOps(w Worker, spec Spec, n int) Result {
+	spec.validate()
+	spec.Threads, spec.SampleLatency = 1, 0
+	c, _ := spec.drive(spec.KeyGen(), w, 0, uint64(n), new(atomic.Bool))
+	return sum([][6]uint64{c})
+}
+
 // Run drives the workload and reports throughput. Every thread uses an
 // independent PRNG; operations are chosen per the mix and keys uniformly
 // from the range.
 func Run(t Target, spec Spec) Result {
-	spec.Mix.validate()
+	spec.validate()
 	if spec.Threads <= 0 {
 		panic("workload: need at least one thread")
 	}
-	if spec.KeyRange == 0 {
-		panic("workload: empty key range")
-	}
 	var stop atomic.Bool
 	gen := spec.KeyGen()
-	yield := spec.Threads > runtime.GOMAXPROCS(0)
-	scanMax := uint64(spec.ScanMax)
-	if scanMax == 0 {
-		scanMax = 100
-	}
 	counts := make([][6]uint64, spec.Threads) // ops, reads, inserts, deletes, scans, rmws
 	samples := make([][]time.Duration, spec.Threads)
 	var wg sync.WaitGroup
@@ -383,73 +386,9 @@ func Run(t Target, spec Spec) Result {
 		go func(id int) {
 			defer wg.Done()
 			w := t.NewWorker()
-			scanner, _ := w.(Scanner)
-			rmwer, _ := w.(RMWer)
-			state := uint64(spec.Seed)*0x9e3779b97f4a7c15 + uint64(id+1)*0x123456789
 			ready.Done()
 			<-start
-			var ops, reads, inserts, deletes, scans, rmws uint64
-			var lats []time.Duration
-			rPM := spec.Mix.ReadPM
-			iPM := rPM + spec.Mix.InsertPM
-			dPM := iPM + spec.Mix.DeletePM
-			sPM := dPM + spec.Mix.ScanPM
-			for !stop.Load() {
-				r := splitmix64(&state)
-				key := gen(r)
-				op := int((splitmix64(&state)) % 1000)
-				var t0 time.Time
-				timed := spec.SampleLatency > 0 && ops%uint64(spec.SampleLatency) == 0
-				if timed {
-					t0 = time.Now()
-				}
-				switch {
-				case op < rPM:
-					w.Contains(key)
-					reads++
-				case op < iPM:
-					w.Insert(key, key)
-					inserts++
-				case op < dPM:
-					w.Delete(key)
-					deletes++
-				case op < sPM:
-					if scanner != nil {
-						span := splitmix64(&state)%(2*scanMax) + 1
-						to := key + span
-						if to > spec.KeyRange {
-							to = spec.KeyRange
-						}
-						scanner.Scan(key, to)
-					} else {
-						w.Contains(key)
-					}
-					scans++
-				default:
-					if rmwer != nil {
-						rmwer.RMW(key, key)
-					} else {
-						w.Contains(key)
-						w.Insert(key, key)
-					}
-					rmws++
-				}
-				if timed {
-					lats = append(lats, time.Since(t0))
-				}
-				ops++
-				if yield {
-					// With more workers than cores, a descheduled
-					// worker parks mid-operation for a whole scheduler
-					// quantum, pinning the reclamation epoch (classic
-					// EBR oversubscription starvation). Yielding at
-					// operation boundaries restores op-granular
-					// interleaving, as hardware threads would have.
-					runtime.Gosched()
-				}
-			}
-			counts[id] = [6]uint64{ops, reads, inserts, deletes, scans, rmws}
-			samples[id] = lats
+			counts[id], samples[id] = spec.drive(gen, w, id, math.MaxUint64, &stop)
 		}(i)
 	}
 	ready.Wait()
@@ -458,17 +397,8 @@ func Run(t Target, spec Spec) Result {
 	time.Sleep(spec.Duration)
 	stop.Store(true)
 	wg.Wait()
-	elapsed := time.Since(begin)
-	var res Result
-	for _, c := range counts {
-		res.Ops += c[0]
-		res.Reads += c[1]
-		res.Inserts += c[2]
-		res.Deletes += c[3]
-		res.Scans += c[4]
-		res.RMWs += c[5]
-	}
-	res.Elapsed = elapsed
+	res := sum(counts)
+	res.Elapsed = time.Since(begin)
 	if spec.SampleLatency > 0 {
 		for _, s := range samples {
 			res.Latencies = append(res.Latencies, s...)
@@ -476,6 +406,100 @@ func Run(t Target, spec Spec) Result {
 		sort.Slice(res.Latencies, func(i, j int) bool {
 			return res.Latencies[i] < res.Latencies[j]
 		})
+	}
+	return res
+}
+
+// drive runs worker id's operation stream through w until stop is set or
+// limit operations have run, and returns its counts and sampled latencies.
+func (spec Spec) drive(gen KeyFn, w Worker, id int, limit uint64, stop *atomic.Bool) ([6]uint64, []time.Duration) {
+	yield := spec.Threads > runtime.GOMAXPROCS(0)
+	scanMax := uint64(spec.ScanMax)
+	if scanMax == 0 {
+		scanMax = 100
+	}
+	scanner, _ := w.(Scanner)
+	rmwer, _ := w.(RMWer)
+	state := uint64(spec.Seed)*0x9e3779b97f4a7c15 + uint64(id+1)*0x123456789
+	var ops, reads, inserts, deletes, scans, rmws uint64
+	var lats []time.Duration
+	rPM := spec.Mix.ReadPM
+	iPM := rPM + spec.Mix.InsertPM
+	dPM := iPM + spec.Mix.DeletePM
+	sPM := dPM + spec.Mix.ScanPM
+	for ops < limit && !stop.Load() {
+		r := splitmix64(&state)
+		key := gen(r)
+		op := int((splitmix64(&state)) % 1000)
+		var t0 time.Time
+		timed := spec.SampleLatency > 0 && ops%uint64(spec.SampleLatency) == 0
+		if timed {
+			t0 = time.Now()
+		}
+		switch {
+		case op < rPM:
+			w.Contains(key)
+			reads++
+		case op < iPM:
+			w.Insert(key, key)
+			inserts++
+		case op < dPM:
+			w.Delete(key)
+			deletes++
+		case op < sPM:
+			if scanner != nil {
+				span := splitmix64(&state)%(2*scanMax) + 1
+				to := key + span
+				if to > spec.KeyRange {
+					to = spec.KeyRange
+				}
+				scanner.Scan(key, to)
+			} else {
+				w.Contains(key)
+			}
+			scans++
+		default:
+			if rmwer != nil {
+				rmwer.RMW(key, key)
+			} else {
+				w.Contains(key)
+				w.Insert(key, key)
+			}
+			rmws++
+		}
+		if timed {
+			lats = append(lats, time.Since(t0))
+		}
+		ops++
+		if yield {
+			// With more workers than cores, a descheduled
+			// worker parks mid-operation for a whole scheduler
+			// quantum, pinning the reclamation epoch (classic
+			// EBR oversubscription starvation). Yielding at
+			// operation boundaries restores op-granular
+			// interleaving, as hardware threads would have.
+			runtime.Gosched()
+		}
+	}
+	return [6]uint64{ops, reads, inserts, deletes, scans, rmws}, lats
+}
+
+func (spec Spec) validate() {
+	spec.Mix.validate()
+	if spec.KeyRange == 0 {
+		panic("workload: empty key range")
+	}
+}
+
+// sum totals per-worker counts into a Result.
+func sum(counts [][6]uint64) (res Result) {
+	for _, c := range counts {
+		res.Ops += c[0]
+		res.Reads += c[1]
+		res.Inserts += c[2]
+		res.Deletes += c[3]
+		res.Scans += c[4]
+		res.RMWs += c[5]
 	}
 	return res
 }

@@ -137,12 +137,34 @@ func TestResultZeroElapsed(t *testing.T) {
 	}
 }
 
+// TestRunOpsRepeats checks the counted-pass runner: exactly n operations,
+// and the same sequence — so the same final state — on every run.
+func TestRunOpsRepeats(t *testing.T) {
+	spec := Spec{KeyRange: 64, Mix: YCSBA, Seed: 5}
+	var states []map[uint64]uint64
+	for i := 0; i < 2; i++ {
+		mt, target := newMapTarget()
+		res := RunOps(target.NewWorker(), spec, 1000)
+		if res.Ops != 1000 || res.Reads+res.Inserts+res.Deletes != 1000 || res.Reads == 0 || res.Inserts == 0 {
+			t.Fatalf("RunOps result %+v, want 1000 ops of the A mix", res)
+		}
+		states = append(states, mt.m)
+	}
+	if len(states[0]) != len(states[1]) {
+		t.Fatalf("two runs left %d and %d keys", len(states[0]), len(states[1]))
+	}
+	for k := range states[0] {
+		if _, ok := states[1][k]; !ok {
+			t.Fatalf("key %d present after one run only", k)
+		}
+	}
+}
+
 func TestLatencySampling(t *testing.T) {
 	_, target := newMapTarget()
-	res := Run(target, Spec{
-		KeyRange: 100, Mix: Mix801010, Threads: 2,
-		Duration: 30 * time.Millisecond, Seed: 3, SampleLatency: 16,
-	})
+	spec := Spec{KeyRange: 100, Mix: Mix801010, Threads: 2, Duration: 30 * time.Millisecond, Seed: 3}
+	spec.SampleLatency = 16
+	res := Run(target, spec)
 	if len(res.Latencies) == 0 {
 		t.Fatal("no latency samples collected")
 	}

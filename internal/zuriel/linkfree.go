@@ -38,11 +38,11 @@ type LinkFree struct {
 // NewLinkFree creates a Link-Free set (a list, or a hash table when
 // cfg.Buckets is a power of two).
 func NewLinkFree(cfg Config) *LinkFree {
-	model := cfg.setDefaults()
+	cfg.setDefaults()
 	s := &LinkFree{
 		dev: pmem.New(pmem.Config{
 			Name: "LinkFree", Words: cfg.Words,
-			Persistent: true, Track: cfg.Track, Model: model,
+			Persistent: true, Track: cfg.Track, Model: pmem.NVMMModel(),
 		}),
 		buckets: cfg.Buckets,
 	}
@@ -80,6 +80,9 @@ func (s *LinkFree) Name() string {
 	}
 	return "LinkFree"
 }
+
+// Devices implements Set.
+func (s *LinkFree) Devices() []*pmem.Device { return []*pmem.Device{s.dev} }
 
 // NewCtx implements Set.
 func (s *LinkFree) NewCtx() *Ctx {

@@ -49,16 +49,16 @@ type Soft struct {
 // NewSoft creates a SOFT set (a list, or a hash table when cfg.Buckets is
 // a power of two).
 func NewSoft(cfg Config) *Soft {
-	model := cfg.setDefaults()
+	cfg.setDefaults()
 	s := &Soft{
 		pdev: pmem.New(pmem.Config{
 			Name: "SOFT-pnodes", Words: cfg.Words,
-			Persistent: true, Track: cfg.Track, Model: model,
+			Persistent: true, Track: cfg.Track, Model: pmem.NVMMModel(),
 		}),
-		// The volatile half also lives at NVMM speed, as in the original
+		// The volatile half is also priced as NVMM, as in the original
 		// artifact; its split nodes cost space, not flushes.
 		vdev: pmem.New(pmem.Config{
-			Name: "SOFT-vnodes", Words: cfg.Words, Model: model,
+			Name: "SOFT-vnodes", Words: cfg.Words, Model: pmem.NVMMModel(),
 		}),
 		buckets: cfg.Buckets,
 	}
@@ -96,6 +96,9 @@ func (s *Soft) Name() string {
 	}
 	return "SOFT"
 }
+
+// Devices implements Set.
+func (s *Soft) Devices() []*pmem.Device { return []*pmem.Device{s.pdev, s.vdev} }
 
 // NewCtx implements Set.
 func (s *Soft) NewCtx() *Ctx {

@@ -175,6 +175,9 @@ type Set interface {
 	RecoverParallel(workers int)
 	// Counters reports cumulative flushes and fences.
 	Counters() (flushes, fences uint64)
+	// Devices returns the set's devices, NVMM-priced (SOFT's volatile half
+	// too, as in the original artifact).
+	Devices() []*pmem.Device
 	// Detectability (the zuriel counterpart of engine.Engine's detectable
 	// brackets with a drain after every operation; requires Config.Clients
 	// > 0). DetectBegin durably announces
@@ -192,26 +195,20 @@ type Set interface {
 type Config struct {
 	Words   int  // device capacity in words
 	Buckets int  // 0 = plain list; otherwise power-of-two hash table
-	Latency bool // apply NVMM latency models
 	Track   bool // maintain media (crash tests)
 	// Clients reserves per-client operation-descriptor slots below the node
 	// heap for detectable operations; 0 leaves the layout unchanged.
 	Clients int
 }
 
-// setDefaults fills in the defaults, checks the bucket count, and returns
-// the latency model of the persistent device.
-func (c *Config) setDefaults() pmem.LatencyModel {
+// setDefaults fills in the defaults and checks the bucket count.
+func (c *Config) setDefaults() {
 	if c.Words == 0 {
 		c.Words = 1 << 20
 	}
 	if c.Buckets < 0 || (c.Buckets > 0 && c.Buckets&(c.Buckets-1) != 0) {
 		panic("zuriel: bucket count must be a power of two")
 	}
-	if c.Latency {
-		return pmem.NVMMModel()
-	}
-	return pmem.NoLatency()
 }
 
 // kv is one surviving element found by the recovery heap scan.

@@ -12,8 +12,8 @@
 // Go exposes neither persistent memory nor cache-line flushes, so this
 // package runs the full system against a simulated memory substrate
 // (internal/pmem): word-addressable devices with clwb/sfence semantics, a
-// crash model with an eviction adversary, and a calibrated latency model
-// reproducing the DRAM/NVMM cost ratios of the paper's platform. Every
+// crash model with an eviction adversary, and per-device DRAM/NVMM cost
+// tables that price exact access counts at the paper's platform ratios. Every
 // mechanism of the paper — the patomic cell protocol, the dual-replica
 // allocator, trace-based recovery with offline GC, and the baseline
 // transformations it is evaluated against — is implemented underneath this
@@ -90,9 +90,6 @@ type Options struct {
 	// Words is the capacity of each simulated device in 8-byte words
 	// (default 4Mi words = 32 MiB per device).
 	Words int
-	// Latency applies the DRAM/NVMM latency models; leave it off except
-	// for benchmarking (default off).
-	Latency bool
 	// DisableTracking turns off the persistent media image; crashes
 	// become unavailable but every operation gets a little faster. Open
 	// ignores it: a media file is the image.
@@ -113,7 +110,7 @@ type Queue = queue.Queue
 // config is the runtime's engine: 16 root fields bound how many structures
 // it holds (the hash table and the queue take two, the others one).
 func (o Options) config(path string) engine.Config {
-	cfg := engine.Config{Kind: o.Kind, Words: o.Words, RootFields: 16, Latency: o.Latency,
+	cfg := engine.Config{Kind: o.Kind, Words: o.Words, RootFields: 16,
 		Track: !o.DisableTracking || path != "", MediaPath: path}
 	if cfg.Words == 0 {
 		cfg.Words = 1 << 22
