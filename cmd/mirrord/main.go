@@ -18,6 +18,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"mirror/internal/engine"
 	"mirror/internal/server"
@@ -29,6 +30,8 @@ var engineKinds = map[string]engine.Kind{
 	"mirror":      engine.MirrorDRAM,
 	"mirrornvmm":  engine.MirrorNVMM,
 }
+
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 func main() {
 	var (
@@ -73,6 +76,11 @@ func main() {
 	}
 	// The "serving" line is the readiness signal test harnesses wait for.
 	fmt.Printf("mirrord: serving %s on %s (engine %s, %s)\n", mode, s.Addr(), kind, *kindName)
+	if s.Attached() {
+		r := s.Recovery()
+		fmt.Printf("mirrord: attach restored %d live words of %d: open %.2f ms, recover %.2f ms, repair %.2f ms, verify %.2f ms\n",
+			r.LiveWords, r.Words, ms(r.Open), ms(r.Recover), ms(r.Repair), ms(r.Verify))
+	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -6,6 +6,7 @@ import (
 
 	"mirror/internal/palloc"
 	"mirror/internal/pmem"
+	"mirror/internal/recovery"
 )
 
 // directEngine implements the four single-replica engines: the two
@@ -20,6 +21,7 @@ type directEngine struct {
 	mu    sync.Mutex
 	alloc *palloc.Allocator
 	recl  *palloc.Reclaimer
+	cold  bool // the device's view is empty until recovery restores it (Config.Attach)
 }
 
 func newDirect(cfg Config) *directEngine {
@@ -39,21 +41,19 @@ func newDirect(cfg Config) *directEngine {
 		Model:      model,
 		MediaPath:  cfg.MediaPath,
 	})
-	if cfg.Attach {
-		// Adopt the media image of a previous incarnation: reset the cache
-		// view from it and let the caller's Recover rebuild the allocator.
-		// (The direct engines write nothing at construction, so there is no
-		// init to skip.)
-		if !persistent || !cfg.Track {
-			panic("engine: Attach requires a durable engine with Config.Track")
-		}
-		dev.ResetFromMedia()
+	if cfg.Attach && (!persistent || !cfg.Track) {
+		panic("engine: Attach requires a durable engine with Config.Track")
 	}
+	// Attach adopts the media image of a previous incarnation with the
+	// device's view empty; the caller's Recover restores what it reaches and
+	// rebuilds the allocator. (The direct engines write nothing at
+	// construction, so there is no init to skip.)
 	e := &directEngine{
 		kind:       cfg.Kind,
 		dev:        dev,
 		rootFields: cfg.RootFields,
 		recl:       palloc.NewReclaimer(),
+		cold:       cfg.Attach,
 	}
 	e.eng = e
 	// Descriptor region between the roots and the allocator base. On the
@@ -299,7 +299,8 @@ func (e *directEngine) Recover(tr Tracer) { e.RecoverWith(tr, RecoverOptions{}) 
 // RecoverWith runs the recovery pipeline on a single-replica engine. The
 // durable engines have no replica to copy, so the pipeline degenerates to
 // the trace phase plus the allocator rebuild — both still partitioned
-// across the configured workers.
+// across the configured workers — and, over an adopted media file, the
+// restore of the fixed regions and of every traced span into the view.
 func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -309,10 +310,23 @@ func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		e.alloc.Rebuild(nil)
 		return
 	}
+	read := e.RecoveryLoad
+	if e.cold {
+		read = restoreFixed(e.dev, e.alloc, e.addr)
+	}
 	if e.desc != nil {
 		e.desc.Scrub()
 	}
-	shards := traceSpans(e.RecoveryLoad, tr, opts)
+	shards := traceSpans(read, tr, opts)
+	if e.cold {
+		batches := recovery.Batches(shards)
+		recovery.Run(opts.workers(), len(batches), func(i int) {
+			for _, sp := range batches[i] {
+				e.dev.Restore(sp.Ref, sp.Fields)
+			}
+		})
+		e.cold = false
+	}
 	e.alloc.RebuildSharded(spanExtents(shards, 1), opts.workers())
 }
 

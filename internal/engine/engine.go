@@ -382,10 +382,12 @@ type Config struct {
 	MediaPath string
 	// Attach adopts an existing media image instead of initializing a
 	// fresh engine: construction skips the root-cell initialization
-	// writes and resets the device's cache view from the media, leaving
-	// the engine in the same state as immediately after Crash. The
-	// caller must run Recover (or RecoverWith) before using it. Requires
-	// Track; normally paired with MediaPath pointing at the previous
+	// writes and copies nothing, leaving the engine as immediately after
+	// a Crash whose cache view is still empty. The caller must run
+	// Recover (or RecoverWith), which restores the roots, the descriptor
+	// region and every traced span from the media — work that follows
+	// the live data, not the capacity — before using it. Requires Track;
+	// normally paired with MediaPath pointing at the previous
 	// incarnation's file.
 	Attach bool
 }
@@ -456,6 +458,16 @@ func traceSpans(read func(ref Ref, field int) uint64, tr Tracer, opts RecoverOpt
 		})
 	})
 	return shards
+}
+
+// restoreFixed starts recovery over an adopted media file, whose device view
+// is empty: it restores the roots and the descriptor region — everything
+// below the allocator base — and returns the trace's read, which reads the
+// media itself through the engine's field-to-word map addr. Nothing the
+// trace does not reach is ever copied.
+func restoreFixed(dev *pmem.Device, alloc *palloc.Allocator, addr func(Ref, int) uint64) func(Ref, int) uint64 {
+	dev.Restore(rootBase, int(alloc.Base()-rootBase))
+	return func(ref Ref, field int) uint64 { return dev.PersistedWord(addr(ref, field)) }
 }
 
 // spanExtents converts traced spans to allocator extents, scaling field

@@ -25,6 +25,7 @@ type mirrorEngine struct {
 	mu    sync.Mutex
 	alloc *palloc.Allocator
 	recl  *palloc.Reclaimer
+	cold  bool // rep_p's view is empty until recovery restores it (Config.Attach)
 }
 
 func newMirror(cfg Config) *mirrorEngine {
@@ -69,13 +70,13 @@ func newMirror(cfg Config) *mirrorEngine {
 	if cfg.Attach {
 		// Adopting a previous incarnation's media: its root cells are
 		// already initialized there, and any construction-time write would
-		// clobber surviving state. Reset the cache view from the media and
-		// leave the engine crashed-but-unfrozen; the caller's Recover
-		// rebuilds rep_v and the allocator.
+		// clobber surviving state. The engine is left crashed-but-unfrozen
+		// with rep_p's view empty; the caller's Recover restores what it
+		// reaches and rebuilds rep_v and the allocator.
 		if !cfg.Track {
 			panic("engine: Attach requires Config.Track")
 		}
-		p.ResetFromMedia()
+		e.cold = true
 		return e
 	}
 	// Root cells start initialized so the sequence-number invariants hold
@@ -199,30 +200,44 @@ func (e *mirrorEngine) Recover(tr Tracer) { e.RecoverWith(tr, RecoverOptions{}) 
 //     the allocator from the same spans — everything unreachable is
 //     reclaimed, the offline GC.
 //
-// Both phases are idempotent: they only write the volatile replica and
-// volatile allocator metadata, so a crash during recovery simply means
-// recovery runs again from the unchanged persistent image.
+// Over an adopted media file (Config.Attach) rep_p's view starts empty: the
+// roots and descriptor region are restored first, the trace reads the media
+// itself, and each span is restored just before it is mirrored, so attach
+// copies what is live and nothing else.
+//
+// Both phases are idempotent: they only write the volatile replica, the
+// view of what rep_p already holds, and volatile allocator metadata, so a
+// crash during recovery simply means recovery runs again from the unchanged
+// persistent image.
 func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.recl = palloc.NewReclaimer()
 	workers := opts.workers()
 
+	read, cold := e.RecoveryLoad, e.cold
+	if cold {
+		read = restoreFixed(e.mem.P, e.alloc, mirrorCell)
+	}
 	e.mem.RecoverRange(rootBase, e.rootFields*patomic.CellWords)
 	if e.desc != nil {
 		// Torn descriptor lines can never yield a verdict again; replace
 		// them with the canonical empty encoding before clients ask.
 		e.desc.Scrub()
 	}
-	shards := traceSpans(e.RecoveryLoad, tr, opts)
+	shards := traceSpans(read, tr, opts)
 
 	batches := recovery.Batches(shards)
 	recovery.Run(workers, len(batches), func(i int) {
 		for _, sp := range batches[i] {
+			if cold {
+				e.mem.P.Restore(sp.Ref, sp.Fields*patomic.CellWords)
+			}
 			e.mem.RecoverRange(sp.Ref, sp.Fields*patomic.CellWords)
 		}
 	})
 	e.alloc.RebuildSharded(spanExtents(shards, patomic.CellWords), workers)
+	e.cold = false
 }
 
 func (e *mirrorEngine) RecoveryLoad(ref Ref, field int) uint64 {

@@ -87,8 +87,8 @@ type Config struct {
 	// MediaPath backs the media image with a MAP_SHARED mmap of this file
 	// instead of an anonymous slice (mediafile.go), so the fenced image
 	// survives abrupt process death. Requires Persistent && Track. An
-	// existing file of the right size is adopted as-is; a new one starts
-	// zeroed.
+	// existing file of the right size is adopted as-is, under an empty
+	// current view that recovery restores (Restore); a new one starts zeroed.
 	MediaPath string
 }
 
@@ -100,6 +100,7 @@ const (
 	stateArmed  uint64 = 1 << 1 // FreezeAfter countdown armed
 	stateCount  uint64 = 1 << 2 // counted pass: loads and stores are tallied
 	stateFault  uint64 = 1 << 3 // fault model installed: ops consult the adversary
+	stateCold   uint64 = 1 << 4 // debug checks: reads of unrestored words panic (debug.go)
 )
 
 // Device is one simulated memory device. All word accesses are atomic; the
@@ -150,6 +151,11 @@ type Device struct {
 	// closed so every operation consults it on the slow path.
 	fault *FaultModel
 
+	// cold records which words of an adopted media file's view are restored
+	// or written, with debug checks on; stateCold keeps the gate closed for
+	// it until the next Crash resets the whole view (debug.go).
+	cold *coldView
+
 	// Flush/fence counters are sharded across the FlushSets that have used
 	// this device; Counters sums the shards. The registry only grows (one
 	// entry per thread context), so summation stays cheap and exact.
@@ -188,20 +194,24 @@ func New(cfg Config) *Device {
 	}
 	d.base = unsafe.Pointer(&d.words[0])
 	d.limit = uint64(len(d.words)) - 1
-	d.syncGate()
 	if d.track {
 		if cfg.MediaPath != "" {
-			m, err := mapMediaFile(cfg.MediaPath, words)
+			m, adopted, err := mapMediaFile(cfg.MediaPath, words)
 			if err != nil {
 				panic(err)
 			}
 			d.media, d.mapped = m, true
+			if adopted && debugChecks {
+				d.cold = newColdView(words)
+				d.state.Store(stateCold)
+			}
 		} else {
 			d.media = alignedWords(words)
 		}
 	} else if cfg.MediaPath != "" {
 		panic("pmem: Config.MediaPath requires Persistent && Track")
 	}
+	d.syncGate()
 	d.elide = cfg.Elide && cfg.Persistent
 	d.lineTrack = d.track || d.elide
 	if d.elide {
@@ -274,11 +284,16 @@ func (d *Device) checkSlow(off uint64) uint64 {
 	return s
 }
 
-// countSlow is checkSlow for a load or a store: a counting device tallies
-// the access in n.
-func (d *Device) countSlow(off uint64, n *atomic.Uint64) {
-	if d.checkSlow(off)&stateCount != 0 {
+// countSlow is checkSlow for an access at off that reads `reads` words (0:
+// a plain store): a counting device tallies it in n, and a cold one checks
+// that what it reads is restored or written (debug.go).
+func (d *Device) countSlow(off uint64, n *atomic.Uint64, reads int) {
+	s := d.checkSlow(off)
+	if s&stateCount != 0 {
 		n.Add(1)
+	}
+	if s&stateCold != 0 {
+		d.touchCold(off, reads)
 	}
 }
 
@@ -321,8 +336,12 @@ func (d *Device) Load(off uint64) uint64 {
 	return d.loadSlow(off)
 }
 
+// loadSlow and storeSlow stay out of line: inlined, they would push Load
+// and Store past the budget.
+//
+//go:noinline
 func (d *Device) loadSlow(off uint64) uint64 {
-	d.countSlow(off, &d.loads)
+	d.countSlow(off, &d.loads, 1)
 	return atomic.LoadUint64(&d.words[off])
 }
 
@@ -337,15 +356,16 @@ func (d *Device) Store(off uint64, v uint64) {
 	}
 }
 
+//go:noinline
 func (d *Device) storeSlow(off uint64, v uint64) {
-	d.countSlow(off, &d.stores)
+	d.countSlow(off, &d.stores, 0)
 	atomic.StoreUint64(&d.words[off], v)
 }
 
 // CAS atomically compares-and-swaps the word at off.
 func (d *Device) CAS(off uint64, old, new uint64) bool {
 	if !d.fastOK(off) {
-		d.countSlow(off, &d.stores)
+		d.countSlow(off, &d.stores, 1)
 	}
 	return atomic.CompareAndSwapUint64(&d.words[off], old, new)
 }
@@ -353,7 +373,7 @@ func (d *Device) CAS(off uint64, old, new uint64) bool {
 // Add atomically adds delta to the word at off and returns the new value.
 func (d *Device) Add(off uint64, delta uint64) uint64 {
 	if !d.fastOK(off) {
-		d.countSlow(off, &d.stores)
+		d.countSlow(off, &d.stores, 1)
 	}
 	return atomic.AddUint64(&d.words[off], delta)
 }
@@ -373,7 +393,7 @@ func (d *Device) badPair(off uint64) {
 // LoadPair atomically reads the two words at even offset off.
 func (d *Device) LoadPair(off uint64) (v0, v1 uint64) {
 	if !d.fastOK(off) {
-		d.countSlow(off, &d.loads)
+		d.countSlow(off, &d.loads, 2)
 	}
 	return dwcas.Load(d.pairAt(off))
 }
@@ -383,7 +403,7 @@ func (d *Device) LoadPair(off uint64) (v0, v1 uint64) {
 // swap happened and the observed pair (the "before" value of Figure 4).
 func (d *Device) DWCAS(off uint64, old0, old1, new0, new1 uint64) (swapped bool, cur0, cur1 uint64) {
 	if !d.fastOK(off) {
-		d.countSlow(off, &d.stores)
+		d.countSlow(off, &d.stores, 2)
 	}
 	return dwcas.CompareAndSwap(d.pairAt(off), old0, old1, new0, new1)
 }
@@ -729,6 +749,7 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 	}
 	d.countdown.Store(0)
 	d.gen.Add(1)
+	d.cold = nil                        // the whole view is the media's again
 	base := d.state.Load() & stateCount // a counted pass survives the crash
 	if d.fault != nil {
 		base |= stateFault // the installed fault model survives the crash
@@ -756,8 +777,13 @@ func (d *Device) flushedLines() map[uint64]bool {
 func (d *Device) ReadRaw(off uint64) uint64 { return atomic.LoadUint64(&d.words[off]) }
 
 // WriteRaw writes a word without counting or freeze checks. Recovery uses
-// it to rebuild the volatile replica.
-func (d *Device) WriteRaw(off uint64, v uint64) { atomic.StoreUint64(&d.words[off], v) }
+// it to rewrite what it restored.
+func (d *Device) WriteRaw(off uint64, v uint64) {
+	atomic.StoreUint64(&d.words[off], v)
+	if d.cold != nil {
+		d.cold.hold(off, 1)
+	}
+}
 
 // PersistedWord returns the media image of a word; it panics unless the
 // device tracks persistence. Tests use it to assert durability.
@@ -805,6 +831,9 @@ func (d *Device) CopyRange(dst *Device, off uint64, n int) {
 			panic(ErrFrozen)
 		}
 		faulty = s&stateFault != 0
+		if s&stateCold != 0 {
+			d.touchCold(off, n)
+		}
 	}
 	if off == 0 || off+uint64(n) > uint64(len(d.words)) || off+uint64(n) > uint64(len(dst.words)) {
 		panic(fmt.Sprintf("pmem: %s: CopyRange [%d,%d) out of range", d.name, off, off+uint64(n)))

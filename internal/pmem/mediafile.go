@@ -20,7 +20,10 @@ package pmem
 //
 // A fresh file is created zeroed at the device size; an existing file of
 // the right size is adopted as-is, which is how a restarted process attaches
-// to the previous incarnation's fenced state (engine.Config.Attach).
+// to the previous incarnation's fenced state (engine.Config.Attach). Adopting
+// copies nothing: the device's current view starts empty, as a machine's
+// caches are after a power failure, and recovery restores into it exactly
+// the words it will serve (Restore).
 
 import (
 	"fmt"
@@ -31,34 +34,35 @@ import (
 
 // mapMediaFile opens (creating if needed) path, sizes it to hold words
 // 8-byte words, and maps it shared so stores into the returned slice land
-// in the OS page cache immediately. The mapping is page-aligned, so the
-// 16-byte DWCAS alignment requirement holds.
-func mapMediaFile(path string, words int) ([]uint64, error) {
+// in the OS page cache immediately; adopted reports that the file already
+// held an image. The mapping is page-aligned, so the 16-byte DWCAS alignment
+// requirement holds.
+func mapMediaFile(path string, words int) (media []uint64, adopted bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("pmem: media file: %w", err)
+		return nil, false, fmt.Errorf("pmem: media file: %w", err)
 	}
 	defer f.Close()
 	size := int64(words) * 8
 	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("pmem: media file: %w", err)
+		return nil, false, fmt.Errorf("pmem: media file: %w", err)
 	}
 	if st.Size() != size {
 		if st.Size() != 0 {
-			return nil, fmt.Errorf("pmem: media file %s holds %d bytes, want %d (different device config?)",
+			return nil, false, fmt.Errorf("pmem: media file %s holds %d bytes, want %d (different device config?)",
 				path, st.Size(), size)
 		}
 		if err := f.Truncate(size); err != nil {
-			return nil, fmt.Errorf("pmem: media file: %w", err)
+			return nil, false, fmt.Errorf("pmem: media file: %w", err)
 		}
 	}
 	buf, err := syscall.Mmap(int(f.Fd()), 0, int(size),
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, fmt.Errorf("pmem: mmap %s: %w", path, err)
+		return nil, false, fmt.Errorf("pmem: mmap %s: %w", path, err)
 	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&buf[0])), words), nil
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&buf[0])), words), st.Size() == size, nil
 }
 
 // Close releases a file-backed media mapping; the file keeps the image. A
@@ -73,17 +77,20 @@ func (d *Device) Close() error {
 	return syscall.Munmap(unsafe.Slice((*byte)(unsafe.Pointer(&m[0])), len(m)*8))
 }
 
-// ResetFromMedia replaces the device's current (cache) view with its media
-// image — the state a power failure would leave after the adversary ran.
-// It is the attach path for a device whose media was adopted from a file:
-// the previous process's unfenced writes are already absent from the file,
-// so no crash policy applies. The device must be quiesced.
-func (d *Device) ResetFromMedia() {
+// Restore copies [off, off+n) of the media image into the device's current
+// (cache) view. It is the attach path's only copy: a device over an adopted
+// media file starts with an empty view, and recovery restores the engine's
+// fixed regions and every span its trace reaches — what it will serve —
+// leaving every other word zero until something writes it. The previous
+// process's unfenced writes are already absent from the file, so no crash
+// policy applies. Like ReadRaw it is neither counted nor gated; the range
+// must be quiesced.
+func (d *Device) Restore(off uint64, n int) {
 	if !d.track {
-		panic("pmem: ResetFromMedia on a device that is not tracking its media")
+		panic("pmem: Restore on a device that is not tracking its media")
 	}
-	copy(d.words, d.media)
-	d.gen.Add(1)
-	d.state.Store(d.state.Load() & stateCount)
-	d.syncGate()
+	copy(d.words[off:off+uint64(n)], d.media[off:off+uint64(n)])
+	if d.cold != nil {
+		d.cold.hold(off, n)
+	}
 }

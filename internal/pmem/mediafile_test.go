@@ -36,17 +36,21 @@ func TestMediaFilePersistsFencedImage(t *testing.T) {
 		t.Fatalf("unflushed word leaked into media: %d", got)
 	}
 
-	// The fresh device's cache view starts zeroed; ResetFromMedia installs
-	// the persisted image as the current view, like the tail of Crash.
+	// The adopting device's cache view starts empty; Restore installs the
+	// persisted image of a range as the current view, and only that range.
 	if got := d2.Load(8); got != 0 {
-		t.Fatalf("pre-reset cache view = %d, want 0", got)
+		t.Fatalf("pre-restore cache view = %d, want 0", got)
 	}
-	d2.ResetFromMedia()
+	d2.Restore(9, 3*WordsPerLine-1)
+	if got := d2.Load(8); got != 0 {
+		t.Fatalf("cache view of a word outside the restored range = %d, want 0", got)
+	}
+	d2.Restore(8, 1)
 	if got := d2.Load(8); got != 111 {
-		t.Fatalf("post-reset cache view = %d, want 111", got)
+		t.Fatalf("post-restore cache view = %d, want 111", got)
 	}
 	if got := d2.Load(16); got != 0 {
-		t.Fatalf("post-reset cache view of unfenced word = %d, want 0", got)
+		t.Fatalf("post-restore cache view of unfenced word = %d, want 0", got)
 	}
 }
 
@@ -81,5 +85,67 @@ func TestMediaFileCrashStillWorks(t *testing.T) {
 	}
 	if got := d.Load(9); got != 0 {
 		t.Fatalf("unfenced word survived crash: %d", got)
+	}
+}
+
+// TestColdViewRejectsUnrestoredReads pins the debug assertion that makes a
+// partial restore safe: with debug checks on, a device that adopts a media
+// file closes its gate, and every read of a word that was neither restored
+// nor written since panics — where without the checks it would silently
+// read zero over an image that may hold a dead object. Restore and a store
+// make a word readable; a Crash resets the whole view and reopens the gate.
+func TestColdViewRejectsUnrestoredReads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "media.img")
+	cfg := Config{Name: "nvmm", Words: 4 * WordsPerLine, Persistent: true, Track: true, MediaPath: path}
+	d1 := New(cfg)
+	var fs FlushSet
+	for off := uint64(8); off < 24; off++ {
+		d1.Store(off, off)
+		d1.Flush(&fs, off)
+	}
+	d1.Fence(&fs)
+
+	EnableDebugChecks()
+	defer DisableDebugChecks()
+	d := New(cfg)
+	if d.fastOK(8) {
+		t.Fatal("an adopted media file must close the gate under debug checks")
+	}
+	mustPanic := func(what string, access func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s of an unrestored word did not panic", what)
+			}
+		}()
+		access()
+	}
+	mustPanic("Load", func() { d.Load(8) })
+	mustPanic("LoadPair", func() { d.LoadPair(10) })
+	mustPanic("CAS", func() { d.CAS(12, 0, 1) })
+	mustPanic("CopyRange", func() { d.CopyRange(newTestDevice(64), 8, 4) })
+
+	d.Restore(8, 3)
+	if got := d.Load(9); got != 9 {
+		t.Fatalf("restored word = %d, want 9", got)
+	}
+	mustPanic("LoadPair half outside the restored range", func() { d.LoadPair(10) })
+	d.Restore(11, 1)
+	if _, s := d.LoadPair(10); s != 11 {
+		t.Fatalf("restored pair = %d, want 11", s)
+	}
+	d.Store(16, 7) // a write makes its word the view's own
+	if got := d.Load(16); got != 7 {
+		t.Fatalf("written word = %d, want 7", got)
+	}
+	mustPanic("Load", func() { d.Load(17) })
+
+	d.Freeze()
+	d.Crash(CrashDropAll, nil)
+	if !d.fastOK(8) {
+		t.Fatal("a crash resets the whole view and must reopen the gate")
+	}
+	if got := d.Load(17); got != 17 {
+		t.Fatalf("word after crash = %d, want 17", got)
 	}
 }

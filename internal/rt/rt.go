@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"time"
 
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
@@ -86,6 +87,19 @@ type sidecar struct {
 // SidecarPath returns where Open keeps the sidecar of a media file.
 func SidecarPath(mediaPath string) string { return mediaPath + ".meta" }
 
+// Report is what the runtime's last recovery cost, phase by phase: the
+// attach Open ran, or a Recover after a Crash (whose Open and Verify are
+// zero). An attach copies LiveWords per replica beside the roots and the
+// descriptor region, so its time follows the live data, not Words.
+type Report struct {
+	Open      time.Duration // build the engine over the media: map it, copy nothing
+	Recover   time.Duration // restore the roots, trace, restore and mirror every span, rebuild the allocator
+	Repair    time.Duration // every structure's repair pass, then the drain
+	Verify    time.Duration // the post-attach walk of every structure
+	LiveWords uint64        // words the trace reached, per replica
+	Words     int           // the device capacity
+}
+
 // Runtime owns one engine, the persistent roots and the structures hanging
 // off them. All structures created from one runtime share its memory and
 // are recovered together.
@@ -93,6 +107,7 @@ type Runtime struct {
 	eng      engine.Engine
 	cfg      engine.Config
 	attached bool
+	report   Report
 
 	mu       sync.Mutex
 	roots    []*root
@@ -136,11 +151,15 @@ func Open(cfg engine.Config) (*Runtime, error) {
 		}
 	}
 	r.cfg.Attach = r.attached
+	t := time.Now()
 	r.eng = engine.New(r.cfg)
+	open := time.Since(t)
 	var err error
 	if r.attached {
 		c := r.recover(1)
+		t = time.Now()
 		err = r.verify(c)
+		r.report.Open, r.report.Verify = open, time.Since(t)
 		c.Close()
 	} else {
 		// engine.New leaves the root cells durable: only now may a future
@@ -209,6 +228,9 @@ func (r *Runtime) Close() error {
 
 // Attached reports whether Open adopted an existing media image.
 func (r *Runtime) Attached() bool { return r.attached }
+
+// Recovery reports the runtime's last recovery; zero if it never ran one.
+func (r *Runtime) Recovery() Report { return r.report }
 
 // Engine exposes the underlying persistence engine for advanced use.
 func (r *Runtime) Engine() engine.Engine { return r.eng }
@@ -350,7 +372,11 @@ func (r *Runtime) recover(parallelism int) *engine.Ctx {
 			}
 		}
 	}
+	t := time.Now()
 	r.eng.RecoverWith(sharded(0, 1), engine.RecoverOptions{Parallelism: parallelism, Sharded: sharded})
+	live, _ := r.eng.Footprint()
+	r.report = Report{Recover: time.Since(t), LiveWords: live, Words: r.cfg.Words}
+	t = time.Now()
 	c := r.eng.NewCtx()
 	for _, s := range r.roots {
 		r.eng.OpBegin(c)
@@ -361,5 +387,6 @@ func (r *Runtime) recover(parallelism int) *engine.Ctx {
 		}
 	}
 	r.eng.Drain(c)
+	r.report.Repair = time.Since(t)
 	return c
 }

@@ -215,6 +215,10 @@ func New(cfg Config) (*Server, error) {
 // Attached reports whether New adopted an existing media image.
 func (s *Server) Attached() bool { return s.rt.Attached() }
 
+// Recovery reports what the attach cost, phase by phase (zero when New
+// started fresh).
+func (s *Server) Recovery() rt.Report { return s.rt.Recovery() }
+
 // Engine exposes the underlying engine for in-process benchmarks and tests.
 func (s *Server) Engine() engine.Engine { return s.e }
 

@@ -101,9 +101,9 @@ func (s *SkipList) repairLevels(c *engine.Ctx) {
 		top int
 	}
 	var chain []entry
-	seen := map[engine.Ref]bool{s.head: true}
-	for curr := structures.Unmark(e.TraversalLoad(c, s.head, fNext)); curr != 0 && !seen[curr]; {
-		seen[curr] = true
+	seen := newRefSet(e)
+	seen.add(s.head)
+	for curr := structures.Unmark(e.TraversalLoad(c, s.head, fNext)); curr != 0 && seen.add(curr); {
 		next := e.TraversalLoad(c, curr, fNext)
 		if !structures.Marked(next) {
 			chain = append(chain, entry{curr, int(e.TraversalLoad(c, curr, fTop))})
@@ -425,13 +425,13 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 		if head == 0 {
 			return
 		}
-		seen := map[engine.Ref]bool{head: true}
+		seen := newRefSet(e)
+		seen.add(head)
 		visit(head, fNext+MaxLevel)
 		for i := 0; i < MaxLevel; i++ {
 			curr := structures.Unmark(read(head, fNext+i))
 			for curr != 0 {
-				if !seen[curr] {
-					seen[curr] = true
+				if seen.add(curr) {
 					visit(curr, fNext+int(read(curr, fTop)))
 				}
 				curr = structures.Unmark(read(curr, fNext+i))
@@ -445,92 +445,43 @@ func (s *SkipList) ShardedTracer() engine.ShardedTracer {
 	return ShardedTracerAt(s.e, s.rootF)
 }
 
-// shardBounds derives the key boundaries that partition the post-crash
-// image into shards: bounds[s] .. bounds[s+1] delimit shard s's half-open
-// key range. The quantiles are taken over an accelerator level with enough
-// nodes (falling back toward level 0), so every shard walks the same
-// immutable image and computes identical boundaries without coordination.
-func shardBounds(read func(engine.Ref, int) uint64, head engine.Ref, shards int) []uint64 {
-	level := 0
-	for i := MaxLevel - 1; i >= 1; i-- {
-		n := 0
-		for curr := structures.Unmark(read(head, fNext+i)); curr != 0 && n < 4*shards; curr = structures.Unmark(read(curr, fNext+i)) {
-			n++
+// ShardedTracerAt is TracerAt in the parallel pipeline's form: shard 0 runs
+// the whole trace and every other shard visits nothing. The walk is not
+// split because no sound split saves a read. A shard may not start a
+// level's walk from a node it reached on the level above: on a crash image
+// that node can be one whose snip from the lower level is durable while its
+// mark is not, and its stale lower links lead into freed or reused memory,
+// past live nodes (TestShardedTracerMatchesOnFrozenLinks). So every shard
+// would walk every level from the head, repeating the whole trace. The
+// rebuild after the trace is still split (recovery.Batches).
+func ShardedTracerAt(e engine.Engine, rootField int) engine.ShardedTracer {
+	trace := TracerAt(e, rootField)
+	return func(shard, shards int) engine.Tracer {
+		if shard == 0 {
+			return trace
 		}
-		if n >= 4*shards {
-			level = i
-			break
-		}
+		return func(func(engine.Ref, int) uint64, func(engine.Ref, int)) {}
 	}
-	var keys []uint64
-	for curr := structures.Unmark(read(head, fNext+level)); curr != 0; curr = structures.Unmark(read(curr, fNext+level)) {
-		keys = append(keys, read(curr, fKey))
-	}
-	bounds := make([]uint64, shards+1)
-	bounds[shards] = ^uint64(0)
-	for j := 1; j < shards; j++ {
-		if len(keys) == 0 {
-			bounds[j] = ^uint64(0)
-		} else {
-			bounds[j] = keys[len(keys)*j/shards]
-		}
-	}
-	return bounds
 }
 
-// ShardedTracerAt partitions TracerAt by key range. Each shard owns the
-// nodes whose keys fall in its boundary range (shard 0 additionally owns
-// the head sentinel); because every level's chain is key-sorted, a shard
-// descends to its range start and walks each level only within its range,
-// deduplicating across levels with a shard-local seen set. Levels are
-// key-sorted even around marked nodes, so each node — including marked and
-// upper-level-only stragglers the sequential tracer visits — is keyed into
-// exactly one shard.
-func ShardedTracerAt(e engine.Engine, rootField int) engine.ShardedTracer {
-	return func(shard, shards int) engine.Tracer {
-		return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-			head := read(e.RootRef(), rootField)
-			if head == 0 {
-				return
-			}
-			if shard == 0 {
-				visit(head, fNext+MaxLevel)
-			}
-			bounds := shardBounds(read, head, shards)
-			lo, hi := bounds[shard], bounds[shard+1]
-			if lo >= hi {
-				return
-			}
-			// Descend to the last node with key < lo on every level.
-			var preds [MaxLevel]engine.Ref
-			node := head
-			for i := MaxLevel - 1; i >= 0; i-- {
-				for {
-					next := structures.Unmark(read(node, fNext+i))
-					if next == 0 || read(next, fKey) >= lo {
-						break
-					}
-					node = next
-				}
-				preds[i] = node
-			}
-			seen := make(map[engine.Ref]bool)
-			for i := 0; i < MaxLevel; i++ {
-				curr := structures.Unmark(read(preds[i], fNext+i))
-				for curr != 0 {
-					k := read(curr, fKey)
-					if k >= hi {
-						break
-					}
-					if k >= lo && !seen[curr] {
-						seen[curr] = true
-						visit(curr, fNext+int(read(curr, fTop)))
-					}
-					curr = structures.Unmark(read(curr, fNext+i))
-				}
-			}
-		}
+// refSet is the set of nodes a trace or a repair pass has seen: one bit per
+// possible object of the engine's device, since objects are at least
+// 32-byte aligned (engine.Ref) — a bit per four words, and no hashing on a
+// walk that touches every node of every level. A reference beyond the
+// device panics in add, as a read of it would.
+type refSet []uint64
+
+func newRefSet(e engine.Engine) refSet { return make(refSet, e.Devices()[0].Size()/256+1) }
+
+// add inserts ref and reports whether it was absent.
+func (s refSet) add(ref engine.Ref) bool {
+	i := ref >> 2
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if s[w]&bit != 0 {
+		return false
 	}
+	s[w] |= bit
+	return true
 }
 
 var _ structures.Set = (*SkipList)(nil)

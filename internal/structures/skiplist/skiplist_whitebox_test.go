@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"reflect"
 	"testing"
 
 	"mirror/internal/engine"
@@ -109,5 +110,50 @@ func TestRandomLevelDistribution(t *testing.T) {
 	}
 	if counts[2] > counts[1] || counts[3] > counts[2] {
 		t.Error("level frequencies not decreasing")
+	}
+}
+
+// TestShardedTracerMatchesOnFrozenLinks stages an image a SIGKILL can leave
+// mid-delete. Node X (key 13) is marked on both its levels and already
+// snipped from level 0, but the snip at level 1 never reached the media, so
+// head's level-1 link still reaches it; X's frozen level-0 link points at
+// memory that has since been reused (G, key 16, on no chain). The
+// sequential tracer visits X through level 1 and never follows X's links.
+// The shards of the partitioned trace must together visit exactly the same
+// objects: a shard that descended through X to start its level-0 walk would
+// visit G and miss the live nodes with keys 15 and 17.
+func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
+	e, c, s := newWB(t)
+	e.OpBegin(c)
+	node := func(key uint64, next ...engine.Ref) engine.Ref {
+		n := e.Alloc(c, fNext+len(next))
+		e.StoreInit(c, n, fKey, key)
+		e.StoreInit(c, n, fVal, key)
+		e.StoreInit(c, n, fTop, uint64(len(next)))
+		for i, r := range next {
+			e.StoreInit(c, n, fNext+i, r)
+		}
+		e.Publish(c, n)
+		return n
+	}
+	a := node(12, node(15, node(17, 0)))
+	x := node(13, structures.Mark(node(16, 0)), structures.Mark(0))
+	e.Store(c, s.head, fNext, a)
+	e.Store(c, s.head, fNext+1, x)
+	e.OpEnd(c)
+
+	visits := func(tr engine.Tracer, into map[engine.Ref]int) {
+		tr(e.RecoveryLoad, func(ref engine.Ref, fields int) { into[ref] += fields })
+	}
+	want := map[engine.Ref]int{}
+	visits(TracerAt(e, rootHead), want)
+	for _, shards := range []int{2, 3} {
+		got := map[engine.Ref]int{}
+		for shard := 0; shard < shards; shard++ {
+			visits(ShardedTracerAt(e, rootHead)(shard, shards), got)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards visit %v, the sequential tracer %v", shards, got, want)
+		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mirror/internal/pmem"
 )
 
 // openAll opens path and creates, in one fixed order, the four sets and the
@@ -219,5 +221,93 @@ func TestOpenAdoptsRecordedEmptyRoot(t *testing.T) {
 		}
 		table.Insert(c, 5, 5)
 		rt.Close()
+	}
+}
+
+// TestOpenRestoresOnlyLive pins what an attach copies. The file holds every
+// structure with most of its keys deleted, so its image is mostly dead
+// objects. Reopened, the persistent device's view holds the media's words
+// where recovery reached and zero everywhere else: the dead objects are
+// never copied. Debug checks are on for the reopen and everything after
+// it, so any read of a word that was neither restored nor written since —
+// code that would have seen a dead object's word under a whole-image copy
+// and now sees zero — panics (pmem's cold view). The reopened runtime then
+// reinserts every deleted key into the reclaimed memory, and a second
+// reopen serves all of them.
+func TestOpenRestoresOnlyLive(t *testing.T) {
+	for _, kind := range []Kind{MirrorDRAM, MirrorNVMM, Izraelevitz, NVTraverse} {
+		t.Run(kind.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "media")
+			opts := Options{Kind: kind, Words: 1 << 16}
+			const keys = 300
+			rt, c, sets, q := openAll(t, path, opts)
+			for i, s := range sets {
+				for k := uint64(1); k <= keys; k++ {
+					s.Insert(c, k, k*10+uint64(i))
+				}
+				for k := uint64(1); k <= keys; k++ {
+					if k%10 != 0 {
+						s.Delete(c, k)
+					}
+				}
+			}
+			for v := uint64(1); v <= 50; v++ {
+				q.Enqueue(c, v)
+			}
+			for v := 0; v < 40; v++ {
+				q.Dequeue(c)
+			}
+			rt.Close()
+
+			pmem.EnableDebugChecks()
+			defer pmem.DisableDebugChecks()
+			rt, c, sets, q = openAll(t, path, opts)
+			dev := rt.Engine().PersistentDevices()[0]
+			dead := 0
+			for off := uint64(1); off < uint64(dev.Size()); off++ {
+				view, media := dev.ReadRaw(off), dev.PersistedWord(off)
+				if view != 0 && view != media {
+					t.Fatalf("word %d: view %d, media %d after attach", off, view, media)
+				}
+				if view == 0 && media != 0 {
+					dead++
+				}
+			}
+			if dead == 0 {
+				t.Fatal("attach copied the dead objects too: no media word was left out of the view")
+			}
+			if r := rt.Recovery(); r.LiveWords == 0 || r.LiveWords >= uint64(r.Words) || r.Recover <= 0 || r.Verify <= 0 {
+				t.Fatalf("attach report %+v: want a recover and a verify phase and 0 < live words < capacity", r)
+			}
+			for i, s := range sets {
+				for k := uint64(1); k <= keys; k++ {
+					v, ok := s.Get(c, k)
+					if want := k%10 == 0; ok != want || (ok && v != k*10+uint64(i)) {
+						t.Fatalf("%s key %d after reopen: (%d, %v), want present=%v", s.Name(), k, v, ok, want)
+					}
+					if !ok && !s.Insert(c, k, k*10+uint64(i)) {
+						t.Fatalf("%s: deleted key %d not re-insertable after reopen", s.Name(), k)
+					}
+				}
+			}
+			if got := q.Drain(c); len(got) != 10 || got[0] != 41 {
+				t.Fatalf("queue after reopen = %v, want 41..50", got)
+			}
+			q.Enqueue(c, 51)
+			rt.Close()
+
+			rt, c, sets, q = openAll(t, path, opts)
+			defer rt.Close()
+			for i, s := range sets {
+				for k := uint64(1); k <= keys; k++ {
+					if v, ok := s.Get(c, k); !ok || v != k*10+uint64(i) {
+						t.Fatalf("%s key %d after the second reopen: (%d, %v)", s.Name(), k, v, ok)
+					}
+				}
+			}
+			if got := q.Drain(c); len(got) != 1 || got[0] != 51 {
+				t.Fatalf("queue after the second reopen = %v, want [51]", got)
+			}
+		})
 	}
 }
