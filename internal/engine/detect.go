@@ -86,8 +86,8 @@ import (
 //     implies a durable effect — Committed.
 //   - A valid announce with no verdict proves nothing either way: Unknown.
 //
-// Nothing else needs an order. In particular an Auxiliary line (a snip, an
-// upper-level link or mark — patomic.Auxiliary) may share the verdict's
+// Nothing else needs an order. In particular an Auxiliary line (a snip —
+// patomic.Auxiliary) may share the verdict's
 // fence: no verdict testifies to it, and its loss at a crash leaves a state
 // some earlier crash could also have left (internal/protomodel checks both
 // orders and this licence exhaustively).
@@ -580,8 +580,8 @@ func (d *detector) dropAnnounce(c *Ctx) {
 
 // announceBarrier is the announce half of the ordering rule, enforced by
 // construction: every durable-before-visible write of the engines (CAS,
-// Store, FetchAdd — not CASRelaxed, whose Auxiliary updates no verdict
-// testifies to) passes it first. If the armed operation's announce is still
+// Store, FetchAdd — not CASRelaxed or CASRebuilt, whose Auxiliary and
+// Rebuilt updates no verdict testifies to) passes it first. If the armed operation's announce is still
 // open it fences — and the fence flushes the armed line first — unless a
 // fence on the flush set since Begin (a read fence, a publish fence, a
 // help-path persist) already flushed and committed it. An operation that

@@ -232,6 +232,12 @@ func (e *directEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) b
 	return ok
 }
 
+// CASRebuilt is a plain device CAS on every direct engine: recovery rebuilds
+// the field, so nothing needs its value on the media.
+func (e *directEngine) CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) bool {
+	return e.dev.CAS(e.addr(ref, field), old, new)
+}
+
 func (e *directEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
 	e.announceBarrier(c)
 	a := e.addr(ref, field)

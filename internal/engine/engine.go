@@ -177,13 +177,21 @@ type Memory interface {
 	CAS(c *Ctx, ref Ref, field int, old, new uint64) bool
 	// CASRelaxed compares-and-swaps a field whose update is only
 	// retire-gated: an auxiliary physical update (snip of a marked node,
-	// upper-level skiplist link, bst excision) whose loss at a crash
-	// leaves a state some earlier crash could also have left. An eliding
+	// bst excision) whose loss at a crash leaves a state some earlier
+	// crash could also have left. An eliding
 	// engine may make the install visible before it is durable, deferring
 	// the commit to the relaxed-line registry, which is drained before
 	// any retired object is freed. Linearization points must use CAS.
 	// Engines without elision treat it as CAS exactly.
 	CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) bool
+	// CASRebuilt compares-and-swaps a field that recovery rebuilds and
+	// never reads (patomic.Rebuilt): a skip list's links and marks above
+	// level 0. The install is never flushed, fenced or registered, so after
+	// a crash the field's media value may be stale or point into freed
+	// memory; the structure's tracer must not follow it, and its repair
+	// pass must overwrite it before anything else reads it. Every write to
+	// such a field after StoreInit must use this call.
+	CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) bool
 	// FetchAdd durably adds to a field, returning the previous value.
 	FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64
 	// MakePersistent ensures an object's fields are durable; traversal

@@ -160,6 +160,11 @@ func (e *mirrorEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) b
 	return ok
 }
 
+func (e *mirrorEngine) CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) bool {
+	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Rebuilt)
+	return ok
+}
+
 func (e *mirrorEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
 	e.announceBarrier(c)
 	return e.mem.FetchAdd(&c.pa, mirrorCell(ref, field), delta)

@@ -117,12 +117,20 @@ const (
 	Full Intent = iota
 	// Auxiliary marks a retire-gated physical update whose loss at a crash
 	// leaves a state some earlier crash could also have left: a snip of an
-	// already-marked node, an upper-level skiplist link, a bst excision. On
-	// an eliding device the install becomes visible before it is durable
-	// and the relaxed-line registry commits it before anything it unlinked
-	// is freed; everywhere else it is Full. A linearization point (mark,
+	// already-marked node, a bst excision. On an eliding device the install
+	// becomes visible before it is durable and the relaxed-line registry
+	// commits it before anything it unlinked is freed; everywhere else it
+	// is Full. A linearization point (mark,
 	// level-0 link, bst flag) must never use it.
 	Auxiliary
+	// Rebuilt marks a word that recovery rebuilds and never reads: a skip
+	// list's links and marks above level 0. Its installs are never flushed or
+	// fenced, on any arm of the loop and on any device, and never registered:
+	// the word's media value is garbage by contract, so it may point into
+	// freed or reused memory after a crash. Every write to such a word after
+	// its initialization must use this intent, and no result may depend on
+	// its durability (DESIGN.md "Persistence seam", R1–R3).
+	Rebuilt
 )
 
 // Load returns the cell's current value. It is wait-free and touches only
@@ -150,9 +158,10 @@ func (m *Mem) CompareAndSwap(ctx *Ctx, off uint64, expected, newVal uint64) (boo
 // policy defer exactly one step — the flush+fence of the thread's *own*
 // successful install. Every other arm — the help path, the
 // torn-view retry, the failed-install persist — keeps the full discipline
-// under every intent, because those arms make other threads' installs
+// under Full and Auxiliary, because those arms make other threads' installs
 // durable and a helper must never publish an install it has merely
-// deferred.
+// deferred. Under Rebuilt no arm persists anything: every install a
+// Rebuilt CAS can meet on its word is itself a Rebuilt one.
 func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (bool, uint64) {
 	for {
 		pv, ps := m.P.LoadPair(off) // read rep_p (atomic pair ≙ seq/val/seq validation)
@@ -166,7 +175,9 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			// (or an earlier helper, or an unrelated fence of the same
 			// line) already committed it — the epoch tag is read after
 			// the pair read that observed the install.
-			m.ensureDurable(ctx, off, m.P.PersistEpoch())
+			if in != Rebuilt {
+				m.ensureDurable(ctx, off, m.P.PersistEpoch())
+			}
 			m.V.DWCAS(off, vv, vs, pv, ps)
 			m.noteHelp(ctx)
 			continue
@@ -192,8 +203,10 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			//     every thread that observed the install — including the
 			//     one that retires the unlinked object — is ordered after
 			//     it.
+			//   - rebuilt: never durable on purpose; recovery rebuilds it.
 			//   - eager, or elide on an eliding device: durable now.
 			switch {
+			case in == Rebuilt:
 			case in == Auxiliary && m.P.Elides():
 				m.P.NoteRelaxed(&ctx.FS, off)
 			case m.dropOwnFlush:
@@ -210,7 +223,9 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 		// Failed install: help persist the competing write before we
 		// touch rep_v. The epoch tag is read after the DWCAS observed the
 		// cell.
-		m.ensureDurable(ctx, off, m.P.PersistEpoch())
+		if in != Rebuilt {
+			m.ensureDurable(ctx, off, m.P.PersistEpoch())
+		}
 		if curV == expected {
 			// The value still matches but the sequence number moved
 			// (same-value overwrite by a concurrent thread). A regular

@@ -36,23 +36,26 @@ type walker interface{ Len(c *engine.Ctx) int }
 // objects, and open, which initializes it at an unset root and otherwise
 // adopts it, running the repair pass for what a crash may legally break
 // (see skiplist.NewAt and bst.NewAt). buckets sizes a new hash table only.
+// walked says the repair pass already walks the whole structure and panics
+// on what the verify walk would catch, so the verify walk skips it.
 type kind struct {
 	fields int // root fields owned, from the recorded one up
 	tracer func(e engine.Engine, f int) engine.Tracer
 	open   func(e engine.Engine, c *engine.Ctx, f, buckets int) walker
+	walked bool
 }
 
 var kinds = map[string]kind{
 	"list": {1, func(e engine.Engine, f int) engine.Tracer { return list.TracerAt(e, f) },
-		func(e engine.Engine, _ *engine.Ctx, f, _ int) walker { return list.New(e, f) }},
+		func(e engine.Engine, _ *engine.Ctx, f, _ int) walker { return list.New(e, f) }, false},
 	"hashtable": {2, hashtable.TracerAt,
-		func(e engine.Engine, c *engine.Ctx, f, n int) walker { return hashtable.NewAt(e, c, n, f) }},
+		func(e engine.Engine, c *engine.Ctx, f, n int) walker { return hashtable.NewAt(e, c, n, f) }, false},
 	"bst": {1, bst.TracerAt,
-		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return bst.NewAt(e, c, f) }},
+		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return bst.NewAt(e, c, f) }, false},
 	"skiplist": {1, skiplist.TracerAt,
-		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return skiplist.NewAt(e, c, f) }},
+		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return skiplist.NewAt(e, c, f) }, true},
 	"queue": {2, queue.TracerAt,
-		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return queue.NewAt(e, c, f) }},
+		func(e engine.Engine, c *engine.Ctx, f, _ int) walker { return queue.NewAt(e, c, f) }, false},
 }
 
 // root is one structure's record: its kind and first root field, which the
@@ -95,7 +98,7 @@ type Report struct {
 	Open      time.Duration // build the engine over the media: map it, copy nothing
 	Recover   time.Duration // restore the roots, trace, restore and mirror every span, rebuild the allocator
 	Repair    time.Duration // every structure's repair pass, then the drain
-	Verify    time.Duration // the post-attach walk of every structure
+	Verify    time.Duration // the post-attach walk of every structure whose repair pass did not walk it
 	LiveWords uint64        // words the trace reached, per replica
 	Words     int           // the device capacity
 }
@@ -156,11 +159,14 @@ func Open(cfg engine.Config) (*Runtime, error) {
 	open := time.Since(t)
 	var err error
 	if r.attached {
-		c := r.recover(1)
-		t = time.Now()
-		err = r.verify(c)
-		r.report.Open, r.report.Verify = open, time.Since(t)
-		c.Close()
+		err = fsck(func() {
+			c := r.recover(1)
+			defer c.Close()
+			t := time.Now()
+			r.verify(c)
+			r.report.Verify = time.Since(t)
+		})
+		r.report.Open = open
 	} else {
 		// engine.New leaves the root cells durable: only now may a future
 		// incarnation trust the image.
@@ -195,22 +201,29 @@ func (r *Runtime) writeSidecar() error {
 	return os.Rename(path+".tmp", path)
 }
 
-// verify is the post-attach fsck: one full read-only walk per structure. A
-// corrupt image (dangling reference, cycle, unreadable node) panics or
-// hangs inside the engine; finishing the walks proves every reachable node
-// was traced, rebuilt, and is consistent enough to traverse.
-func (r *Runtime) verify(c *engine.Ctx) (err error) {
+// fsck runs an attach's recovery, repair and verify walk, turning a panic
+// into an error: a corrupt image (dangling reference, cycle, unreadable
+// node) panics or hangs inside the engine or a repair pass, so finishing
+// proves every reachable node was traced, rebuilt, and is consistent enough
+// to traverse.
+func fsck(attach func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("runtime: post-attach verification failed: %v", p)
 		}
 	}()
+	attach()
+	return nil
+}
+
+// verify is the post-attach walk: one full read-only walk (Len) per
+// structure whose repair pass did not already walk it.
+func (r *Runtime) verify(c *engine.Ctx) {
 	for _, s := range r.roots {
-		if s.h != nil {
+		if s.h != nil && !kinds[s.Kind].walked {
 			s.h.Len(c)
 		}
 	}
-	return nil
 }
 
 // Close releases the runtime's file-backed media mapping; the file keeps the

@@ -6,6 +6,12 @@
 // level down — the level-0 mark is the linearization point — after which
 // searches compact marked runs out of each level with a single CAS.
 //
+// Persistence follows that split. Level-0 links and marks are durable
+// before they are visible (CAS) and level-0 snips are retire-gated
+// (CASRelaxed). Every write above level 0 is CASRebuilt: never persisted,
+// because recovery traces level 0 only and the repair pass (repairLevels)
+// rebuilds the accelerator levels from it before anything reads them.
+//
 // Reclamation note: as in the reference implementations (Fraser's and
 // ASCYLIB's, which the paper's artifact builds on), an insert that stalls
 // between validating and linking an upper level while the node is
@@ -15,6 +21,7 @@
 package skiplist
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"mirror/internal/engine"
@@ -76,53 +83,54 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *SkipList {
 // Name implements structures.Set.
 func (s *SkipList) Name() string { return "skiplist" }
 
-// repairLevels restores the accelerator-level invariants on a recovered
-// image. Delete marks the accelerator levels with relaxed persistence
-// (only the level-0 mark — the linearization point — is fenced), which
-// admits post-crash states crash-free execution never produces: a crash
-// can surface a node durably marked at level 0 but unmarked above, and a
-// searcher descending through it would retry forever waiting for a dead
-// deleter to finish.
+// repairLevels rebuilds the accelerator levels of a recovered image from
+// level 0. No write above level 0 is ever persisted, so after a crash those
+// words hold whatever reached the media: stale links that skip present
+// nodes, stray marks, links to nodes linked only above level 0 — which the
+// level-0 trace left out, so their memory is free — or into memory reused
+// since. None of them is followed here or anywhere before this pass.
 //
-// Presence is decided solely at level 0, so the pass rebuilds every
-// accelerator level from the level-0 chain: level i links exactly the
-// unmarked level-0 nodes of height > i, in level-0 order, and nothing
-// else. Level-0-marked zombies drop out of the accelerator levels
-// entirely (searches snip them out of level 0 as usual), and a stray
-// upper-level mark on a present node — the footprint of a delete cut
-// before its level-0 mark — is overwritten with the rebuilt link.
-// Idempotent and crash-safe: level 0 is never written, so a crash
-// mid-repair leaves an image the next repair rebuilds from the same
-// truth. Full CASes — this is recovery, not the hot path.
+// Presence is decided solely at level 0, so the pass makes level i link
+// exactly the unmarked level-0 nodes of height > i, in level-0 order, and
+// nothing else. It is one walk of the level-0 chain that keeps, per level,
+// the last live node and the link read from it, and rewrites only the links
+// that differ. Level-0-marked zombies drop out of the accelerator levels
+// (searches snip them out of level 0 as usual). Idempotent and crash-safe:
+// level 0 is never written, so a crash mid-repair leaves an image the next
+// repair rebuilds from the same truth.
+//
+// The walk is also the structure's post-attach check: a level-0 cycle or a
+// tower height out of range panics.
 func (s *SkipList) repairLevels(c *engine.Ctx) {
 	e := s.e
-	type entry struct {
-		ref engine.Ref
-		top int
+	var last, link [MaxLevel]engine.Ref
+	for i := 1; i < MaxLevel; i++ {
+		last[i], link[i] = s.head, e.TraversalLoad(c, s.head, fNext+i)
 	}
-	var chain []entry
 	seen := newRefSet(e)
 	seen.add(s.head)
-	for curr := structures.Unmark(e.TraversalLoad(c, s.head, fNext)); curr != 0 && seen.add(curr); {
+	for curr := structures.Unmark(e.TraversalLoad(c, s.head, fNext)); curr != 0; {
+		if !seen.add(curr) {
+			panic(fmt.Sprintf("skiplist: level 0 reaches node %d twice", curr))
+		}
 		next := e.TraversalLoad(c, curr, fNext)
 		if !structures.Marked(next) {
-			chain = append(chain, entry{curr, int(e.TraversalLoad(c, curr, fTop))})
+			top := e.TraversalLoad(c, curr, fTop)
+			if top < 1 || top > MaxLevel {
+				panic(fmt.Sprintf("skiplist: node %d has height %d", curr, top))
+			}
+			for i := 1; i < int(top); i++ {
+				if link[i] != curr {
+					e.CASRebuilt(c, last[i], fNext+i, link[i], curr)
+				}
+				last[i], link[i] = curr, e.TraversalLoad(c, curr, fNext+i)
+			}
 		}
 		curr = structures.Unmark(next)
 	}
 	for i := 1; i < MaxLevel; i++ {
-		pred := s.head
-		for _, en := range chain {
-			if en.top <= i {
-				continue
-			}
-			if cur := e.TraversalLoad(c, pred, fNext+i); cur != en.ref {
-				e.CAS(c, pred, fNext+i, cur, en.ref)
-			}
-			pred = en.ref
-		}
-		if cur := e.TraversalLoad(c, pred, fNext+i); cur != 0 {
-			e.CAS(c, pred, fNext+i, cur, 0)
+		if link[i] != 0 {
+			e.CASRebuilt(c, last[i], fNext+i, link[i], 0)
 		}
 	}
 }
@@ -176,11 +184,18 @@ retry:
 			}
 			if leftNext != right {
 				// Snip the whole marked run with one CAS. The snipped
-				// nodes are already logically deleted, so the snip may
-				// persist lazily: the relaxed-line registry commits it
-				// before any of those nodes' memory is reused.
-				e.MakePersistent(c, left, fNext+i+1)
-				if !e.CASRelaxed(c, left, fNext+i, leftNext, right) {
+				// nodes are already logically deleted, so a level-0 snip
+				// may persist lazily: the relaxed-line registry commits it
+				// before any of those nodes' memory is reused. A snip
+				// above level 0 is never persisted at all.
+				var ok bool
+				if i == 0 {
+					e.MakePersistent(c, left, fNext+1)
+					ok = e.CASRelaxed(c, left, fNext, leftNext, right)
+				} else {
+					ok = e.CASRebuilt(c, left, fNext+i, leftNext, right)
+				}
+				if !ok {
 					continue retry
 				}
 			}
@@ -233,8 +248,8 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 		// the full durability discipline). Link the accelerator levels;
 		// abandon as soon as a concurrent delete marks the node. These
 		// links only restore search acceleration — a crash that loses one
-		// leaves the node reachable and present via level 0 — so they may
-		// persist lazily through the relaxed-line registry.
+		// leaves the node reachable and present via level 0 — so they are
+		// never persisted: recovery rebuilds them.
 		for i := 1; i < level; i++ {
 			for {
 				cur := e.TraversalLoad(c, node, fNext+i)
@@ -242,7 +257,7 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 					return true // concurrently deleted; searches clean up
 				}
 				if cur != succs[i] {
-					if !e.CASRelaxed(c, node, fNext+i, cur, succs[i]) {
+					if !e.CASRebuilt(c, node, fNext+i, cur, succs[i]) {
 						// Lost to a mark; stop linking.
 						return true
 					}
@@ -250,8 +265,7 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 				if succs[i] == node {
 					break // already linked at this level by a re-search
 				}
-				e.MakePersistent(c, preds[i], fNext+i+1)
-				if e.CASRelaxed(c, preds[i], fNext+i, succs[i], node) {
+				if e.CASRebuilt(c, preds[i], fNext+i, succs[i], node) {
 					break
 				}
 				s.search(c, key, &preds, &succs)
@@ -284,18 +298,18 @@ func (s *SkipList) Delete(c *engine.Ctx, key uint64) bool {
 		return false
 	}
 	top := int(e.TraversalLoad(c, node, fTop))
-	e.MakePersistent(c, node, fNext+top)
+	e.MakePersistent(c, node, fNext+1)
 	// Mark the accelerator levels top-down. Only the level-0 mark below
-	// decides presence, so these marks may persist lazily (relaxed): a
-	// crash that loses one leaves a not-yet-deleted node, which is the
-	// same state as crashing before the delete began.
+	// decides presence, so these marks are never persisted: a crash that
+	// loses one leaves a not-yet-deleted node, which is the same state as
+	// crashing before the delete began, and recovery rebuilds them anyway.
 	for i := top - 1; i >= 1; i-- {
 		for {
 			next := e.TraversalLoad(c, node, fNext+i)
 			if structures.Marked(next) {
 				break
 			}
-			if e.CASRelaxed(c, node, fNext+i, next, structures.Mark(next)) {
+			if e.CASRebuilt(c, node, fNext+i, next, structures.Mark(next)) {
 				break
 			}
 		}
@@ -411,14 +425,18 @@ func (s *SkipList) Len(c *engine.Ctx) int {
 	return n
 }
 
-// Tracer implements structures.Set. Marked and upper-level-only nodes are
-// still reachable, so every level is walked with deduplication.
+// Tracer implements structures.Set.
 func (s *SkipList) Tracer() engine.Tracer {
 	return TracerAt(s.e, s.rootF)
 }
 
 // TracerAt returns the skip list's recovery tracer without attaching to
-// the (possibly not yet recovered) structure.
+// the (possibly not yet recovered) structure. It walks level 0 only,
+// marked nodes included: no word above level 0 is ever persisted, so on the
+// media those links may be stale or point into freed or reused memory, and
+// the tracer never follows one. A node linked only above level 0 is not
+// traced; its memory is reclaimed, and the repair pass unlinks it before
+// anything can reach it.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
 		head := read(e.RootRef(), rootField)
@@ -428,14 +446,8 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 		seen := newRefSet(e)
 		seen.add(head)
 		visit(head, fNext+MaxLevel)
-		for i := 0; i < MaxLevel; i++ {
-			curr := structures.Unmark(read(head, fNext+i))
-			for curr != 0 {
-				if seen.add(curr) {
-					visit(curr, fNext+int(read(curr, fTop)))
-				}
-				curr = structures.Unmark(read(curr, fNext+i))
-			}
+		for curr := structures.Unmark(read(head, fNext)); curr != 0 && seen.add(curr); curr = structures.Unmark(read(curr, fNext)) {
+			visit(curr, fNext+int(read(curr, fTop)))
 		}
 	}
 }
@@ -446,14 +458,10 @@ func (s *SkipList) ShardedTracer() engine.ShardedTracer {
 }
 
 // ShardedTracerAt is TracerAt in the parallel pipeline's form: shard 0 runs
-// the whole trace and every other shard visits nothing. The walk is not
-// split because no sound split saves a read. A shard may not start a
-// level's walk from a node it reached on the level above: on a crash image
-// that node can be one whose snip from the lower level is durable while its
-// mark is not, and its stale lower links lead into freed or reused memory,
-// past live nodes (TestShardedTracerMatchesOnFrozenLinks). So every shard
-// would walk every level from the head, repeating the whole trace. The
-// rebuild after the trace is still split (recovery.Batches).
+// the whole trace and every other shard visits nothing. The trace is one
+// walk of the level-0 chain, which no shard can enter in the middle without
+// walking it from the head. The rebuild after the trace is still split
+// (recovery.Batches).
 func ShardedTracerAt(e engine.Engine, rootField int) engine.ShardedTracer {
 	trace := TracerAt(e, rootField)
 	return func(shard, shards int) engine.Tracer {
@@ -467,7 +475,7 @@ func ShardedTracerAt(e engine.Engine, rootField int) engine.ShardedTracer {
 // refSet is the set of nodes a trace or a repair pass has seen: one bit per
 // possible object of the engine's device, since objects are at least
 // 32-byte aligned (engine.Ref) — a bit per four words, and no hashing on a
-// walk that touches every node of every level. A reference beyond the
+// walk that touches every node. A reference beyond the
 // device panics in add, as a read of it would.
 type refSet []uint64
 

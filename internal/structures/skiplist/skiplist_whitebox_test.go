@@ -1,10 +1,12 @@
 package skiplist
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"mirror/internal/engine"
+	"mirror/internal/pmem"
 	"mirror/internal/structures"
 )
 
@@ -155,5 +157,109 @@ func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%d shards visit %v, the sequential tracer %v", shards, got, want)
 		}
+	}
+}
+
+// TestAttachIgnoresStaleAccelerators stages, on a media file, the upper
+// levels a crash can leave behind now that no write above level 0 is ever
+// persisted, and attaches to it with pmem debug checks on. Level 0 holds
+// 10 (height 2), 20 (3), 30 (1), a zombie 35 (2, marked at level 0: a delete
+// cut after its linearization) and 40 (2). Above level 0 the media holds:
+// head → x (key 15, linked only above level 0, so its memory is free after
+// the trace) at levels 1 and 5, nothing at level 2, a stray mark on 10's
+// level-1 link, 20's level-1 link into the middle of 40 (memory freed and
+// reused since), a bare mark as 20's level-2 link, and a level-1 cycle from
+// 40 back to 10. The trace must reach exactly the level-0 chain, Get, Range
+// and Len must serve exactly its unmarked keys, and after the repair level i
+// must link exactly the unmarked level-0 nodes of height > i. On the
+// direct engine any read of x or of the reused words before the repair
+// overwrites the links panics: they were never restored.
+func TestAttachIgnoresStaleAccelerators(t *testing.T) {
+	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.NVTraverse} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := engine.Config{Kind: kind, Words: 1 << 16, Track: true,
+				MediaPath: filepath.Join(t.TempDir(), "media")}
+			e := engine.New(cfg)
+			c := e.NewCtx()
+			s := New(e, c)
+			e.OpBegin(c)
+			node := func(key uint64, next ...engine.Ref) engine.Ref {
+				n := e.Alloc(c, fNext+len(next))
+				e.StoreInit(c, n, fKey, key)
+				e.StoreInit(c, n, fVal, key*10)
+				e.StoreInit(c, n, fTop, uint64(len(next)))
+				for i, r := range next {
+					e.StoreInit(c, n, fNext+i, r)
+				}
+				e.Publish(c, n)
+				return n
+			}
+			n40 := node(40, 0, 0)
+			n35 := node(35, structures.Mark(n40), n40)
+			n30 := node(30, n35)
+			n20 := node(20, n30, 0, 0)
+			n10 := node(10, n20, 0)
+			e.Store(c, s.head, fNext, n10)
+			live, _ := e.Footprint()
+			x := node(15, n20, n40)
+			// Every stale word is made durable, as an eviction may have.
+			e.Store(c, s.head, fNext+1, x)
+			e.Store(c, s.head, fNext+5, x)
+			e.Store(c, n10, fNext+1, structures.Mark(n20))
+			e.Store(c, n20, fNext+1, n40+4)
+			e.Store(c, n20, fNext+2, structures.Mark(0))
+			e.Store(c, n40, fNext+1, n10)
+			e.OpEnd(c)
+			e.Freeze()
+			if err := e.PersistentDevices()[0].Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			pmem.EnableDebugChecks()
+			defer pmem.DisableDebugChecks()
+			cfg.Attach = true
+			e = engine.New(cfg)
+			e.Recover(TracerAt(e, rootHead))
+			if got, _ := e.Footprint(); got != live {
+				t.Fatalf("the trace kept %d live words, want %d: exactly the head and the level-0 chain", got, live)
+			}
+			c = e.NewCtx()
+			s = NewAt(e, c, rootHead)
+
+			e.OpBegin(c)
+			want := [][]engine.Ref{1: {n10, n20, n40}, 2: {n20}}
+			for i := 1; i < MaxLevel; i++ {
+				var got []engine.Ref
+				for n := e.TraversalLoad(c, s.head, fNext+i); n != 0 && len(got) <= len(want[1]); n = e.TraversalLoad(c, n, fNext+i) {
+					got = append(got, n)
+				}
+				var w []engine.Ref
+				if i < len(want) {
+					w = want[i]
+				}
+				if !reflect.DeepEqual(got, w) {
+					t.Errorf("level %d after the repair links %v, want %v", i, got, w)
+				}
+			}
+			e.OpEnd(c)
+
+			keys := []uint64{10, 20, 30, 40}
+			for k := uint64(1); k <= 50; k++ {
+				v, ok := s.Get(c, k)
+				present := k%10 == 0 && k <= 40
+				if ok != present || (ok && v != k*10) {
+					t.Errorf("Get(%d) = (%d, %v), want present=%v", k, v, ok, present)
+				}
+			}
+			var ranged []uint64
+			s.Range(c, 1, structures.KeyMax, func(k, v uint64) bool { ranged = append(ranged, k); return true })
+			if !reflect.DeepEqual(ranged, keys) || s.Len(c) != len(keys) {
+				t.Errorf("Range serves %v and Len %d, want %v", ranged, s.Len(c), keys)
+			}
+			// Inserts allocate from the memory the trace reclaimed.
+			if !s.Insert(c, 15, 150) || !s.Insert(c, 35, 350) || s.Len(c) != len(keys)+2 {
+				t.Errorf("inserts after the attach: Len %d, want %d", s.Len(c), len(keys)+2)
+			}
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package structures_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mirror/internal/engine"
+	"mirror/internal/structures"
 	"mirror/internal/structures/queue"
 	"mirror/internal/structures/skiplist"
 )
@@ -91,18 +93,20 @@ func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 }
 
 // TestServedMutationBudget pins what one served mutation costs on the
-// default engine (MirrorDRAM, deferred verdicts), by kind, in
-// the serving tier's call sequence with one frame per drain. The engine
-// enforces exactly two orders — announce before the first install, verdict
-// after it — so the budget is: one fence for the announce iff the operation
-// installs and no fence of its own precedes the install, one fence per
-// durable-before-visible install, and one End fence for the drain, which
-// also carries the relaxed lines (upper-level links and marks, snips). The
-// announce line is flushed only by the first fence of its operation; one
-// that installs nothing never flushes it, and pays one flush, its verdict
-// line. The same numbers must come out behind a pass-through wrapper: the
-// announce barrier sits in the engine's own write path and keys on the
-// context.
+// default engine (MirrorDRAM, deferred verdicts), by kind and by tower
+// height, in the serving tier's call sequence with one frame per drain. The
+// engine enforces exactly two orders — announce before the first install,
+// verdict after it — so the budget is: one fence for the announce iff the
+// operation installs and no fence of its own precedes the install, one
+// fence per durable-before-visible install, and one End fence for the
+// drain, which also carries the relaxed lines (level-0 snips). No write
+// above level 0 reaches a flush set or the relaxed registry: a tower of any
+// height costs its node's lines and nothing per level, and a delete of any
+// height registers only its level-0 snip. The announce line is flushed only
+// by the first fence of its operation; one that installs nothing never
+// flushes it, and pays one flush, its verdict line. The same numbers must
+// come out behind a pass-through wrapper: the announce barrier sits in the
+// engine's own write path and keys on the context.
 func TestServedMutationBudget(t *testing.T) {
 	type cost struct{ flushes, fences uint64 }
 	for _, wrap := range []bool{false, true} {
@@ -121,6 +125,19 @@ func TestServedMutationBudget(t *testing.T) {
 			c := e.NewCtx()
 			table := skiplist.New(e, c)
 			e.Drain(c)
+			// height reads a key's tower height off level 0, in the skip
+			// list's node layout: key, value, height, one link per level.
+			const fKey, fTop, fNext, rootHead = 0, 2, 3, 3
+			height := func(key uint64) int {
+				head := raw.Load(c, raw.RootRef(), rootHead)
+				for n := structures.Unmark(raw.Load(c, head, fNext)); n != 0; n = structures.Unmark(raw.Load(c, n, fNext)) {
+					if raw.Load(c, n, fKey) == key {
+						return int(raw.Load(c, n, fTop))
+					}
+				}
+				t.Fatalf("key %d is not on level 0", key)
+				return 0
+			}
 			seq := uint64(0)
 			// begin and end bracket one frame as server.worker.exec does;
 			// serve adds the release of a one-frame batch.
@@ -151,29 +168,33 @@ func TestServedMutationBudget(t *testing.T) {
 				}
 			}
 
-			// Fresh inserts until both a height-1 tower (no relaxed install)
-			// and a taller one (upper-level links ride the registry) were
-			// seen. Fences: the publish fence (which covers the announce),
-			// the level-0 link, End — three at any height; the taller
-			// tower's relaxed links used to cost a fourth.
-			var flat, tall, key uint64
-			for flat == 0 || tall == 0 {
+			// Fresh inserts until towers of heights 1 to 4 were seen. Fences:
+			// the publish fence (which covers the announce), the level-0
+			// link, End — three at any height. Flushes: announce, the node's
+			// lines, the level-0 link, verdict; a node of height h is 3+h
+			// cells of 16 bytes, so its lines grow with h, and its upper links
+			// add nothing.
+			nodeFlushes := map[int]uint64{1: 4, 2: 5, 3: 5, 4: 5}
+			byHeight := map[int]uint64{}
+			var key uint64
+			for len(byHeight) < len(nodeFlushes) {
 				key++
 				got, ok, relaxed := insert(key)
 				if !ok {
 					t.Fatalf("insert of fresh key %d failed", key)
 				}
-				if got.fences != 3 {
-					t.Errorf("insert-new key %d (%d relaxed installs): %d fences, want 3", key, relaxed, got.fences)
+				h := height(key)
+				if got.fences != 3 || relaxed != 0 {
+					t.Errorf("insert-new key %d of height %d: %d fences, %d relaxed installs; want 3, 0", key, h, got.fences, relaxed)
 				}
-				if relaxed == 0 {
-					flat = key
-					// announce, the node's one line, the level-0 link, verdict
-					check("insert-new of height 1", got, cost{4, 3})
-				} else {
-					tall = key
+				if want, pinned := nodeFlushes[h]; pinned {
+					check(fmt.Sprintf("insert-new of height %d", h), got, cost{want, 3})
+					if byHeight[h] == 0 {
+						byHeight[h] = key
+					}
 				}
 			}
+			flat := byHeight[1]
 			got, ok, _ := insert(flat)
 			if ok {
 				t.Fatal("insert of a present key succeeded")
@@ -182,13 +203,17 @@ func TestServedMutationBudget(t *testing.T) {
 			// unflushed, and the verdict line alone rides the End fence.
 			check("insert-found", got, cost{1, 1})
 
-			got, ok, relaxed := remove(flat)
-			if !ok || relaxed == 0 {
-				t.Fatalf("delete of present key %d: result %v, %d relaxed installs (want the snip)", flat, ok, relaxed)
-			}
 			// announce fence (the barrier, just before the mark), the mark,
-			// End — which now also commits the relaxed snip.
-			check("delete-found", got, cost{4, 3})
+			// End — which also commits the relaxed level-0 snip; the upper
+			// marks and snips of a taller tower add nothing.
+			for h := 1; h <= len(nodeFlushes); h++ {
+				got, ok, relaxed := remove(byHeight[h])
+				if !ok || relaxed != 1 {
+					t.Fatalf("delete of present key %d of height %d: result %v, %d relaxed installs (want the level-0 snip only)",
+						byHeight[h], h, ok, relaxed)
+				}
+				check(fmt.Sprintf("delete-found of height %d", h), got, cost{4, 3})
+			}
 
 			got, ok, _ = remove(flat)
 			if ok {
@@ -288,7 +313,7 @@ func TestDrainWindowBudget(t *testing.T) {
 		t.Errorf("one drain saved %d flushes and %d fences over a drain per frame, want %d and %d",
 			flEach-fl, feEach-fe, len(window)-lines, len(window)-1)
 	}
-	if fl != 23 || fe != 14 {
-		t.Errorf("window under one drain: %d flushes, %d fences; want 23, 14", fl, fe)
+	if fl != 21 || fe != 14 {
+		t.Errorf("window under one drain: %d flushes, %d fences; want 21, 14", fl, fe)
 	}
 }
