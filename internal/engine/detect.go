@@ -580,8 +580,8 @@ func (d *detector) dropAnnounce(c *Ctx) {
 
 // announceBarrier is the announce half of the ordering rule, enforced by
 // construction: every durable-before-visible write of the engines (CAS,
-// Store, FetchAdd — not CASRelaxed or CASRebuilt, whose Auxiliary and
-// Rebuilt updates no verdict testifies to) passes it first. If the armed operation's announce is still
+// Store, FetchAdd — not CASRelaxed or CASRebuilt, whose auxiliary and
+// rebuilt updates no verdict testifies to) passes it first. If the armed operation's announce is still
 // open it fences — and the fence flushes the armed line first — unless a
 // fence on the flush set since Begin (a read fence, a publish fence, a
 // help-path persist) already flushed and committed it. An operation that

@@ -11,7 +11,7 @@ import (
 
 // directEngine implements the four single-replica engines: the two
 // non-durable originals and the Izraelevitz and NVTraverse transformations.
-// One word per field, directly on one device.
+// One word per field, cell or plain word alike, directly on one device.
 type directEngine struct {
 	detector   // per-client op descriptors
 	kind       Kind
@@ -85,7 +85,7 @@ func (e *directEngine) NewCtx() *Ctx {
 	return c
 }
 
-func (e *directEngine) addr(ref Ref, field int) uint64 { return ref + uint64(field) }
+func (e *directEngine) addr(ref Ref, field int) uint64 { return ref + uint64(span(field, 1)) }
 
 // persistsReads reports whether every shared read must be flushed+fenced
 // (the Izraelevitz discipline).
@@ -121,7 +121,7 @@ func (e *directEngine) OpEnd(c *Ctx) {
 }
 
 func (e *directEngine) Alloc(c *Ctx, fields int) Ref {
-	return c.Cache.Alloc(fields)
+	return c.Cache.Alloc(span(fields, 1))
 }
 
 func (e *directEngine) StoreInit(c *Ctx, ref Ref, field int, v uint64) {
@@ -148,11 +148,11 @@ func (e *directEngine) Publish(c *Ctx, ref Ref) {
 }
 
 func (e *directEngine) FreeUnpublished(c *Ctx, ref Ref, fields int) {
-	c.Cache.Free(ref, fields)
+	c.Cache.Free(ref, span(fields, 1))
 }
 
 func (e *directEngine) Retire(c *Ctx, ref Ref, fields int) {
-	c.Cache.Retire(ref, fields)
+	c.Cache.Retire(ref, span(fields, 1))
 }
 
 func (e *directEngine) Load(c *Ctx, ref Ref, field int) uint64 {
@@ -176,6 +176,7 @@ func (e *directEngine) TraversalLoad(c *Ctx, ref Ref, field int) uint64 {
 }
 
 func (e *directEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
+	checkKind(field, false)
 	e.announceBarrier(c)
 	a := e.addr(ref, field)
 	switch {
@@ -196,6 +197,7 @@ func (e *directEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
 }
 
 func (e *directEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
+	checkKind(field, false)
 	e.announceBarrier(c)
 	a := e.addr(ref, field)
 	switch {
@@ -221,6 +223,7 @@ func (e *directEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) b
 	if !e.elides() {
 		return e.CAS(c, ref, field, old, new)
 	}
+	checkKind(field, false)
 	a := e.addr(ref, field)
 	ok := e.dev.CAS(a, old, new)
 	if ok {
@@ -235,10 +238,12 @@ func (e *directEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) b
 // CASRebuilt is a plain device CAS on every direct engine: recovery rebuilds
 // the field, so nothing needs its value on the media.
 func (e *directEngine) CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) bool {
+	checkKind(field, true)
 	return e.dev.CAS(e.addr(ref, field), old, new)
 }
 
 func (e *directEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
+	checkKind(field, false)
 	e.announceBarrier(c)
 	a := e.addr(ref, field)
 	switch {
@@ -261,22 +266,23 @@ func (e *directEngine) MakePersistent(c *Ctx, ref Ref, fields int) {
 	if e.kind != NVTraverse {
 		return
 	}
+	words := uint64(span(fields, 1))
 	if e.elides() {
-		// One clwb per cache line instead of one per field: the fields
-		// are contiguous words, so the line range covers them all.
-		first := e.addr(ref, 0) / pmem.WordsPerLine
-		last := e.addr(ref, fields-1) / pmem.WordsPerLine
+		// One clwb per cache line instead of one per word: the words are
+		// contiguous, so the line range covers them all.
+		first := ref / pmem.WordsPerLine
+		last := (ref + words - 1) / pmem.WordsPerLine
 		for line := first; line <= last; line++ {
 			e.dev.Flush(&c.fs, line*pmem.WordsPerLine)
 		}
-		if elided := uint64(fields) - (last - first + 1); elided > 0 {
+		if elided := words - (last - first + 1); elided > 0 {
 			e.dev.NoteElided(&c.fs, elided, 0)
 		}
 		e.dev.Fence(&c.fs)
 		return
 	}
-	for f := 0; f < fields; f++ {
-		e.dev.Flush(&c.fs, e.addr(ref, f))
+	for w := uint64(0); w < words; w++ {
+		e.dev.Flush(&c.fs, ref+w)
 	}
 	e.dev.Fence(&c.fs)
 }
@@ -328,7 +334,7 @@ func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		batches := recovery.Batches(shards)
 		recovery.Run(opts.workers(), len(batches), func(i int) {
 			for _, sp := range batches[i] {
-				e.dev.Restore(sp.Ref, sp.Fields)
+				e.dev.Restore(sp.Ref, span(sp.Fields, 1))
 			}
 		})
 		e.cold = false

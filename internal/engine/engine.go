@@ -15,8 +15,9 @@
 //
 // A data structure manipulates objects made of uint64 fields through Refs
 // (logical object handles). The engine owns the field-to-word layout: a
-// Mirror field is a two-word (value, sequence) cell mirrored on two
-// devices; every other engine stores one word per field on one device.
+// mutable Mirror field is a two-word (value, sequence) cell mirrored on two
+// devices, a write-once or rebuilt one a plain word (see Plain); every other
+// engine stores one word per field on one device.
 // Because layout is hidden behind this interface, a single implementation
 // of each data structure runs unmodified under every engine — which is the
 // "automatic transformation" claim of the paper made concrete.
@@ -24,6 +25,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"mirror/internal/palloc"
@@ -37,6 +39,45 @@ import (
 // aligned, so data structures may use the two low bits of stored Refs for
 // marks, flags, and tags.
 type Ref = uint64
+
+// Plain is the unit of a plain word's field index. An object's mutable
+// fields are cells and come first, so every cell keeps the 16-byte alignment
+// DWCAS needs; its write-once and rebuilt fields are plain words after them.
+// On Mirror a cell is a (value, sequence) pair on both replicas and a plain
+// word is one word with no sequence number, never the target of the Figure 4
+// loop (DESIGN.md "Plain words", W1–W2). The direct engines give both kinds
+// one word.
+//
+// Every field index below Plain names a cell; cells*Plain + j names plain
+// word j of an object whose first cells fields are cells (cells ≥ 1). An
+// object's size — what Alloc, FreeUnpublished, Retire, MakePersistent,
+// CheckInvariants and a tracer's visit take — is written the same way: n is
+// n cells, and cells*Plain + n is cells cells followed by n plain words.
+const Plain = 1 << plainShift
+
+const plainShift = 28
+
+// span returns the words the fields below field f occupy when a cell is cw
+// words wide: the offset of field f within its object, or, for a size, the
+// object's words. Every field access runs it, so it does not branch: isCell
+// is 1 when f names a cell (then words is f) and 0 when it names a plain
+// word.
+func span(f, cw int) int {
+	cells, words := f>>plainShift, f&(Plain-1)
+	isCell := int((uint(cells) - 1) >> (bits.UintSize - 1))
+	return cells*cw + words + words*(cw-1)*isCell
+}
+
+// checkKind panics, under pmem debug checks, when a write does not fit its
+// field's kind: Store, CAS, CASRelaxed and FetchAdd write cells only, since
+// nothing writes a write-once word after its publish (W1), and CASRebuilt
+// writes plain words only, since a rebuilt word lives outside the Figure 4
+// loop (W2).
+func checkKind(field int, rebuilt bool) {
+	if pmem.DebugChecksEnabled() && (field >= Plain) != rebuilt {
+		panic(fmt.Sprintf("engine: field %d is the wrong kind for this write (plain word: %v, CASRebuilt: %v)", field, field >= Plain, rebuilt))
+	}
+}
 
 // Kind selects an engine implementation.
 type Kind int
@@ -108,8 +149,8 @@ func (c *Ctx) Close() { c.Cache.Close() }
 // Tracer walks a data structure's reachable objects during recovery. It is
 // the "tracing operation" the paper requires the user to provide (§3.2):
 // read reads a field of an object from the persistent post-crash image, and
-// visit must be called exactly once per reachable object with its field
-// count.
+// visit must be called exactly once per reachable object with its size
+// (Plain).
 type Tracer func(read func(ref Ref, field int) uint64, visit func(ref Ref, fields int))
 
 // ShardedTracer is the parallel form of Tracer: a factory returning the
@@ -149,12 +190,13 @@ type Memory interface {
 	OpBegin(c *Ctx)
 	OpEnd(c *Ctx)
 
-	// Alloc creates an uninitialized object of the given number of
-	// logical fields. Initialize every field with StoreInit and call
-	// Publish before making the object reachable.
+	// Alloc creates an uninitialized object of the given size (Plain:
+	// cells, then plain words). Initialize every field with StoreInit and
+	// call Publish before making the object reachable.
 	Alloc(c *Ctx, fields int) Ref
 	// StoreInit writes a field of an unpublished object (no concurrency,
-	// no sequence bump beyond the initial one).
+	// no sequence bump beyond the initial one). It is the only write a
+	// write-once plain word ever takes.
 	StoreInit(c *Ctx, ref Ref, field int, v uint64)
 	// Publish is the durability barrier between initializing an object
 	// and linking it into the structure.
@@ -170,9 +212,9 @@ type Memory interface {
 	// TraversalLoad reads a field during a search phase; engines that
 	// distinguish traversal from critical reads skip persistence here.
 	TraversalLoad(c *Ctx, ref Ref, field int) uint64
-	// Store durably writes a field.
+	// Store durably writes a cell.
 	Store(c *Ctx, ref Ref, field int, v uint64)
-	// CAS durably compares-and-swaps a field. It is the call for every
+	// CAS durably compares-and-swaps a cell. It is the call for every
 	// linearization point (marks, level-0 links, flags).
 	CAS(c *Ctx, ref Ref, field int, old, new uint64) bool
 	// CASRelaxed compares-and-swaps a field whose update is only
@@ -184,19 +226,21 @@ type Memory interface {
 	// any retired object is freed. Linearization points must use CAS.
 	// Engines without elision treat it as CAS exactly.
 	CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) bool
-	// CASRebuilt compares-and-swaps a field that recovery rebuilds and
-	// never reads (patomic.Rebuilt): a skip list's links and marks above
-	// level 0. The install is never flushed, fenced or registered, so after
-	// a crash the field's media value may be stale or point into freed
-	// memory; the structure's tracer must not follow it, and its repair
-	// pass must overwrite it before anything else reads it. Every write to
-	// such a field after StoreInit must use this call.
+	// CASRebuilt compares-and-swaps a plain word that recovery rebuilds
+	// and never reads: a skip list's links and marks above level 0. The
+	// install is never flushed, fenced or registered; on Mirror it is one
+	// word CAS on rep_v, and rep_p keeps the word's StoreInit value. After
+	// a crash the word's media value may therefore be stale or point into
+	// freed memory: the structure's tracer must not follow it, and its
+	// repair pass must overwrite it before anything else reads it. Every
+	// write to such a word after StoreInit must use this call.
 	CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) bool
-	// FetchAdd durably adds to a field, returning the previous value.
+	// FetchAdd durably adds to a cell, returning the previous value.
 	FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64
-	// MakePersistent ensures an object's fields are durable; traversal
-	// data structures call it on the destination nodes before their
-	// critical section (the NVTraverse barrier). No-op elsewhere.
+	// MakePersistent ensures the words of an object's first fields (a
+	// size, as Alloc takes) are durable; traversal data structures call it
+	// on the destination nodes before their critical section (the
+	// NVTraverse barrier). No-op elsewhere.
 	MakePersistent(c *Ctx, ref Ref, fields int)
 
 	// RootRef returns the persistent root object (RootFields fields).
@@ -249,8 +293,9 @@ type Recovery interface {
 	RecoveryLoad(ref Ref, field int) uint64
 	// CheckInvariants verifies, on a quiesced engine, the invariants that
 	// tie an object's replicas together — what recovery must re-establish
-	// for every reachable object. It returns a description of the first
-	// violation, or "". Engines with a single replica have none to check.
+	// for every reachable object, given its size. It returns a description
+	// of the first violation, or "". Only cells have invariants to check;
+	// engines with a single replica have none at all.
 	CheckInvariants(ref Ref, fields int) string
 }
 
@@ -478,14 +523,14 @@ func restoreFixed(dev *pmem.Device, alloc *palloc.Allocator, addr func(Ref, int)
 	return func(ref Ref, field int) uint64 { return dev.PersistedWord(addr(ref, field)) }
 }
 
-// spanExtents converts traced spans to allocator extents, scaling field
-// counts to words by the engine's cell width.
+// spanExtents converts traced spans to allocator extents, turning sizes
+// into words by the engine's cell width.
 func spanExtents(shards [][]recovery.Span, cellW int) [][]palloc.Extent {
 	out := make([][]palloc.Extent, len(shards))
 	for i, spans := range shards {
 		ext := make([]palloc.Extent, len(spans))
 		for j, sp := range spans {
-			ext[j] = palloc.Extent{Off: sp.Ref, Words: sp.Fields * cellW}
+			ext[j] = palloc.Extent{Off: sp.Ref, Words: span(sp.Fields, cellW)}
 		}
 		out[i] = ext
 	}

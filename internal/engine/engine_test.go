@@ -115,13 +115,14 @@ func TestStoreCASFetchAdd(t *testing.T) {
 // TestCASRebuiltIsNeverPersisted pins the rebuilt write on every engine: it
 // installs and is visible at once, costs no flush or fence, registers
 // nothing for a later drain, and a crash that drops unfenced lines loses it.
+// A rebuilt field is a plain word (Plain).
 func TestCASRebuiltIsNeverPersisted(t *testing.T) {
 	forEachKind(t, func(t *testing.T, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
-		ref := e.Alloc(c, 2)
+		ref := e.Alloc(c, cellWord)
 		e.StoreInit(c, ref, 0, 1)
-		e.StoreInit(c, ref, 1, 1)
+		e.StoreInit(c, ref, word, 1)
 		e.Publish(c, ref)
 		e.Store(c, e.RootRef(), 0, ref)
 		e.OpEnd(c)
@@ -129,14 +130,14 @@ func TestCASRebuiltIsNeverPersisted(t *testing.T) {
 		e.OpBegin(c)
 		f0, n0 := e.Counters()
 		r0 := e.Stats().RelaxedCAS
-		if !e.CASRebuilt(c, ref, 1, 1, 2) || e.CASRebuilt(c, ref, 1, 1, 3) {
+		if !e.CASRebuilt(c, ref, word, 1, 2) || e.CASRebuilt(c, ref, word, 1, 3) {
 			t.Fatal("CASRebuilt 1->2 must succeed and 1->3 then fail")
 		}
 		if f, n := e.Counters(); f != f0 || n != n0 || e.Stats().RelaxedCAS != r0 {
 			t.Fatalf("rebuilt install cost %d flushes, %d fences, %d relaxed installs; want none",
 				f-f0, n-n0, e.Stats().RelaxedCAS-r0)
 		}
-		if got := e.TraversalLoad(c, ref, 1); got != 2 {
+		if got := e.TraversalLoad(c, ref, word); got != 2 {
 			t.Fatalf("rebuilt install not visible: %d", got)
 		}
 		e.OpEnd(c)
@@ -145,7 +146,7 @@ func TestCASRebuiltIsNeverPersisted(t *testing.T) {
 			return // Izraelevitz persists every read, this one's too
 		}
 		e.Crash(pmem.CrashDropAll, rand.New(rand.NewSource(1)))
-		if got := e.RecoveryLoad(ref, 1); got != 1 {
+		if got := e.RecoveryLoad(ref, word); got != 1 {
 			t.Fatalf("rebuilt install reached the media: %d after the crash, want 1", got)
 		}
 	})

@@ -11,11 +11,13 @@ import (
 	"mirror/internal/recovery"
 )
 
-// mirrorEngine implements the paper's transformation. Every logical field
+// mirrorEngine implements the paper's transformation. Every mutable field
 // is a patomic cell — two words (value, sequence number) present at the
-// same offset on a persistent device (rep_p) and a volatile device (rep_v).
-// MirrorDRAM places rep_v on DRAM (§6.2); MirrorNVMM places both replicas
-// on NVMM-speed memory (§6.3) while still treating the second as volatile.
+// same offset on a persistent device (rep_p) and a volatile device (rep_v);
+// every write-once or rebuilt field is a plain word at the same offset of
+// both (Plain). MirrorDRAM places rep_v on DRAM (§6.2); MirrorNVMM places
+// both replicas on NVMM-speed memory (§6.3) while still treating the second
+// as volatile.
 type mirrorEngine struct {
 	detector   // per-client op descriptors on rep_p
 	kind       Kind
@@ -83,7 +85,7 @@ func newMirror(cfg Config) *mirrorEngine {
 	// from the first operation.
 	var ctx patomic.Ctx
 	for f := 0; f < cfg.RootFields; f++ {
-		e.mem.InitCell(&ctx, mirrorCell(rootBase, f), 0)
+		e.mem.InitCell(&ctx, mirrorAddr(rootBase, f), 0)
 	}
 	e.mem.PublishFence(&ctx)
 	return e
@@ -103,9 +105,10 @@ func (e *mirrorEngine) NewCtx() *Ctx {
 	return c
 }
 
-// mirrorCell maps a logical field to its patomic cell's offset.
-func mirrorCell(ref Ref, field int) uint64 {
-	return ref + uint64(field)*patomic.CellWords
+// mirrorAddr maps a field to its offset on both replicas: its patomic
+// cell's, or its plain word's.
+func mirrorAddr(ref Ref, field int) uint64 {
+	return ref + uint64(span(field, patomic.CellWords))
 }
 
 func (e *mirrorEngine) OpBegin(c *Ctx) { c.Cache.Enter() }
@@ -115,11 +118,15 @@ func (e *mirrorEngine) OpBegin(c *Ctx) { c.Cache.Enter() }
 func (e *mirrorEngine) OpEnd(c *Ctx) { c.Cache.Exit() }
 
 func (e *mirrorEngine) Alloc(c *Ctx, fields int) Ref {
-	return c.Cache.Alloc(fields * patomic.CellWords)
+	return c.Cache.Alloc(span(fields, patomic.CellWords))
 }
 
 func (e *mirrorEngine) StoreInit(c *Ctx, ref Ref, field int, v uint64) {
-	e.mem.InitCell(&c.pa, mirrorCell(ref, field), v)
+	if field < Plain {
+		e.mem.InitCell(&c.pa, mirrorAddr(ref, field), v)
+	} else {
+		e.mem.InitWord(&c.pa, mirrorAddr(ref, field), v)
+	}
 }
 
 func (e *mirrorEngine) Publish(c *Ctx, ref Ref) {
@@ -127,47 +134,57 @@ func (e *mirrorEngine) Publish(c *Ctx, ref Ref) {
 }
 
 func (e *mirrorEngine) FreeUnpublished(c *Ctx, ref Ref, fields int) {
-	c.Cache.Free(ref, fields*patomic.CellWords)
+	c.Cache.Free(ref, span(fields, patomic.CellWords))
 }
 
 func (e *mirrorEngine) Retire(c *Ctx, ref Ref, fields int) {
-	c.Cache.Retire(ref, fields*patomic.CellWords)
+	c.Cache.Retire(ref, span(fields, patomic.CellWords))
 }
 
+// Load is Figure 5: it reads rep_v's value word of a cell, or its plain
+// word — one 8-byte read either way. It reads the device itself, which is
+// what patomic.Mem.Load does, one call shallower.
 func (e *mirrorEngine) Load(c *Ctx, ref Ref, field int) uint64 {
-	return e.mem.Load(mirrorCell(ref, field))
+	return e.mem.V.Load(mirrorAddr(ref, field))
 }
 
 // TraversalLoad is identical to Load: Mirror never persists reads, which is
 // precisely why it needs no traversal/critical distinction.
 func (e *mirrorEngine) TraversalLoad(c *Ctx, ref Ref, field int) uint64 {
-	return e.mem.Load(mirrorCell(ref, field))
+	return e.mem.V.Load(mirrorAddr(ref, field))
 }
 
 func (e *mirrorEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
+	checkKind(field, false)
 	e.announceBarrier(c)
-	e.mem.Store(&c.pa, mirrorCell(ref, field), v)
+	e.mem.Store(&c.pa, mirrorAddr(ref, field), v)
 }
 
 func (e *mirrorEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
+	checkKind(field, false)
 	e.announceBarrier(c)
-	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Full)
+	ok, _ := e.mem.CAS(&c.pa, mirrorAddr(ref, field), old, new, patomic.Full)
 	return ok
 }
 
 func (e *mirrorEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) bool {
-	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Auxiliary)
+	checkKind(field, false)
+	ok, _ := e.mem.CAS(&c.pa, mirrorAddr(ref, field), old, new, patomic.Auxiliary)
 	return ok
 }
 
+// CASRebuilt is one word CAS on rep_v: a rebuilt word has no sequence
+// number and no durable value, so there is nothing to validate, help or
+// persist, and rep_p is neither read nor written.
 func (e *mirrorEngine) CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) bool {
-	ok, _ := e.mem.CAS(&c.pa, mirrorCell(ref, field), old, new, patomic.Rebuilt)
-	return ok
+	checkKind(field, true)
+	return e.mem.V.CAS(mirrorAddr(ref, field), old, new)
 }
 
 func (e *mirrorEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
+	checkKind(field, false)
 	e.announceBarrier(c)
-	return e.mem.FetchAdd(&c.pa, mirrorCell(ref, field), delta)
+	return e.mem.FetchAdd(&c.pa, mirrorAddr(ref, field), delta)
 }
 
 func (e *mirrorEngine) MakePersistent(c *Ctx, ref Ref, fields int) {}
@@ -222,7 +239,7 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 
 	read, cold := e.RecoveryLoad, e.cold
 	if cold {
-		read = restoreFixed(e.mem.P, e.alloc, mirrorCell)
+		read = restoreFixed(e.mem.P, e.alloc, mirrorAddr)
 	}
 	e.mem.RecoverRange(rootBase, e.rootFields*patomic.CellWords)
 	if e.desc != nil {
@@ -235,10 +252,11 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	batches := recovery.Batches(shards)
 	recovery.Run(workers, len(batches), func(i int) {
 		for _, sp := range batches[i] {
+			words := span(sp.Fields, patomic.CellWords)
 			if cold {
-				e.mem.P.Restore(sp.Ref, sp.Fields*patomic.CellWords)
+				e.mem.P.Restore(sp.Ref, words)
 			}
-			e.mem.RecoverRange(sp.Ref, sp.Fields*patomic.CellWords)
+			e.mem.RecoverRange(sp.Ref, words)
 		}
 	})
 	e.alloc.RebuildSharded(spanExtents(shards, patomic.CellWords), workers)
@@ -246,7 +264,7 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 }
 
 func (e *mirrorEngine) RecoveryLoad(ref Ref, field int) uint64 {
-	return e.mem.P.ReadRaw(mirrorCell(ref, field))
+	return e.mem.P.ReadRaw(mirrorAddr(ref, field))
 }
 
 func (e *mirrorEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.pa.FS }
@@ -259,10 +277,15 @@ func (e *mirrorEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.pa.FS }
 func (e *mirrorEngine) settle(c *Ctx) { e.mem.P.FlushRelaxed(&c.pa.FS) }
 
 // CheckInvariants verifies the per-cell replica invariants (Lemmas 5.3–5.5)
-// for every field of an object.
+// for every cell of an object. Its plain words have none: a write-once word
+// is equal on both replicas by W1, and a rebuilt one may differ by W2.
 func (e *mirrorEngine) CheckInvariants(ref Ref, fields int) string {
-	for f := 0; f < fields; f++ {
-		if msg := e.mem.CheckInvariants(mirrorCell(ref, f)); msg != "" {
+	cells := fields
+	if fields >= Plain {
+		cells = fields / Plain
+	}
+	for f := 0; f < cells; f++ {
+		if msg := e.mem.CheckInvariants(mirrorAddr(ref, f)); msg != "" {
 			return fmt.Sprintf("ref %d field %d: %s", ref, f, msg)
 		}
 	}

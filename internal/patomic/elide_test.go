@@ -2,7 +2,6 @@ package patomic
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"mirror/internal/pmem"
@@ -149,87 +148,6 @@ func TestRelaxedCASAccounting(t *testing.T) {
 	}
 	if m2.P.RelaxedPending() != 0 {
 		t.Error("non-eliding device has a relaxed registry entry")
-	}
-}
-
-// TestRebuiltCASAccounting pins the Rebuilt intent on both policies: no arm
-// of the loop — own install, help, failed install — flushes, fences or
-// registers anything, the install is visible at once, and the media keeps
-// the old value. Concurrent CASes exercise the help and failed-install arms.
-func TestRebuiltCASAccounting(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(int) *Mem
-	}{
-		{"elide=off", newMem},
-		{"elide=on", newMemElide},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := tc.mk(64)
-			ctx := initCell(m, 5)
-			if fl, fe := costOf(m, func() {
-				if ok, _ := m.CAS(ctx, cell, 5, 10, Rebuilt); !ok {
-					t.Fatal("rebuilt CAS failed")
-				}
-			}); fl != 0 || fe != 0 {
-				t.Errorf("rebuilt CAS cost (%d flushes, %d fences), want (0, 0)", fl, fe)
-			}
-			if got := m.Load(cell); got != 10 {
-				t.Fatalf("rebuilt install not visible: %d", got)
-			}
-			if got := m.P.PersistedWord(cell); got != 5 {
-				t.Fatalf("rebuilt install reached the media: %d, want the initial 5", got)
-			}
-
-			// Help path: rep_p one sequence ahead of rep_v.
-			m.P.DWCAS(cell, 10, InitSeq+1, 77, InitSeq+2)
-			h0, _ := m.Stats()
-			if fl, fe := costOf(m, func() {
-				if ok, cur := m.CAS(ctx, cell, 999, 1, Rebuilt); ok || cur != 77 {
-					t.Fatalf("helping rebuilt CAS = (%v, %d), want (false, 77)", ok, cur)
-				}
-			}); fl != 0 || fe != 0 {
-				t.Errorf("helping rebuilt CAS cost (%d flushes, %d fences), want (0, 0)", fl, fe)
-			}
-			if h1, _ := m.Stats(); h1 != h0+1 {
-				t.Errorf("helps = %d, want %d", h1, h0+1)
-			}
-			if v, s := m.LoadWithSeq(cell); v != 77 || s != InitSeq+2 {
-				t.Errorf("helped install not mirrored: (%d, %d)", v, s)
-			}
-
-			const workers, adds = 4, 500
-			fl, fe := costOf(m, func() {
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						wctx := &Ctx{}
-						for i := 0; i < adds; i++ {
-							for cur := m.Load(cell); ; {
-								ok, actual := m.CAS(wctx, cell, cur, cur+1, Rebuilt)
-								if ok {
-									break
-								}
-								cur = actual
-							}
-						}
-					}()
-				}
-				wg.Wait()
-			})
-			if fl != 0 || fe != 0 || m.P.RelaxedPending() != 0 {
-				t.Errorf("concurrent rebuilt CASes cost (%d flushes, %d fences, %d registered), want none",
-					fl, fe, m.P.RelaxedPending())
-			}
-			if got := m.Load(cell); got != 77+workers*adds {
-				t.Errorf("after %d concurrent increments: %d, want %d", workers*adds, got, 77+workers*adds)
-			}
-			if msg := m.CheckInvariants(cell); msg != "" {
-				t.Error(msg)
-			}
-		})
 	}
 }
 

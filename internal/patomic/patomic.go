@@ -123,14 +123,6 @@ const (
 	// is Full. A linearization point (mark,
 	// level-0 link, bst flag) must never use it.
 	Auxiliary
-	// Rebuilt marks a word that recovery rebuilds and never reads: a skip
-	// list's links and marks above level 0. Its installs are never flushed or
-	// fenced, on any arm of the loop and on any device, and never registered:
-	// the word's media value is garbage by contract, so it may point into
-	// freed or reused memory after a crash. Every write to such a word after
-	// its initialization must use this intent, and no result may depend on
-	// its durability (DESIGN.md "Persistence seam", R1–R3).
-	Rebuilt
 )
 
 // Load returns the cell's current value. It is wait-free and touches only
@@ -158,10 +150,9 @@ func (m *Mem) CompareAndSwap(ctx *Ctx, off uint64, expected, newVal uint64) (boo
 // policy defer exactly one step — the flush+fence of the thread's *own*
 // successful install. Every other arm — the help path, the
 // torn-view retry, the failed-install persist — keeps the full discipline
-// under Full and Auxiliary, because those arms make other threads' installs
+// under Auxiliary too, because those arms make other threads' installs
 // durable and a helper must never publish an install it has merely
-// deferred. Under Rebuilt no arm persists anything: every install a
-// Rebuilt CAS can meet on its word is itself a Rebuilt one.
+// deferred.
 func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (bool, uint64) {
 	for {
 		pv, ps := m.P.LoadPair(off) // read rep_p (atomic pair ≙ seq/val/seq validation)
@@ -175,9 +166,7 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			// (or an earlier helper, or an unrelated fence of the same
 			// line) already committed it — the epoch tag is read after
 			// the pair read that observed the install.
-			if in != Rebuilt {
-				m.ensureDurable(ctx, off, m.P.PersistEpoch())
-			}
+			m.ensureDurable(ctx, off, m.P.PersistEpoch())
 			m.V.DWCAS(off, vv, vs, pv, ps)
 			m.noteHelp(ctx)
 			continue
@@ -203,10 +192,8 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			//     every thread that observed the install — including the
 			//     one that retires the unlinked object — is ordered after
 			//     it.
-			//   - rebuilt: never durable on purpose; recovery rebuilds it.
 			//   - eager, or elide on an eliding device: durable now.
 			switch {
-			case in == Rebuilt:
 			case in == Auxiliary && m.P.Elides():
 				m.P.NoteRelaxed(&ctx.FS, off)
 			case m.dropOwnFlush:
@@ -223,9 +210,7 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 		// Failed install: help persist the competing write before we
 		// touch rep_v. The epoch tag is read after the DWCAS observed the
 		// cell.
-		if in != Rebuilt {
-			m.ensureDurable(ctx, off, m.P.PersistEpoch())
-		}
+		m.ensureDurable(ctx, off, m.P.PersistEpoch())
 		if curV == expected {
 			// The value still matches but the sequence number moved
 			// (same-value overwrite by a concurrent thread). A regular
@@ -318,15 +303,24 @@ func (m *Mem) FetchAdd(ctx *Ctx, off uint64, delta uint64) uint64 {
 // line instead of one per cell (both cell words share a line — cells are
 // 16-byte aligned).
 func (m *Mem) InitCell(ctx *Ctx, off uint64, v uint64) {
-	m.P.Store(off, v)
 	m.P.Store(off+1, InitSeq)
+	m.V.Store(off+1, InitSeq)
+	m.InitWord(ctx, off, v)
+}
+
+// InitWord initializes an unpublished plain word — a field with no sequence
+// number, written once before publication (a key) or rebuilt by recovery (a
+// skip list's upper link) — on both replicas, and flushes (or defers the
+// flush of) its persistent copy like InitCell: PublishFence makes it
+// durable before the object is reachable.
+func (m *Mem) InitWord(ctx *Ctx, off uint64, v uint64) {
+	m.P.Store(off, v)
 	if m.P.Elides() {
 		ctx.FS.DeferInit(off)
 	} else {
 		m.P.Flush(&ctx.FS, off)
 	}
 	m.V.Store(off, v)
-	m.V.Store(off+1, InitSeq)
 }
 
 // PublishFence fences all pending persistent-replica flushes of this
@@ -345,14 +339,15 @@ func (m *Mem) PublishFence(ctx *Ctx) {
 	m.P.Fence(&ctx.FS)
 }
 
-// RecoverRange rebuilds the volatile replica of every cell in
-// [off, off+words) from the persistent replica's current (post-crash)
-// content. It is a thin wrapper over the device's bulk range copy, so a
-// rebuild moves whole spans, not words; odd trailing words are trimmed
-// (only whole cells are copied). Like every pmem operation it honors the
-// persistent device's freeze gate, so a crash can land mid-rebuild.
+// RecoverRange rebuilds the volatile replica of every word in
+// [off, off+words) — cells and plain words alike, so an object with an odd
+// number of plain words has an odd span — from the persistent replica's
+// current (post-crash) content. It is a thin wrapper over the device's bulk
+// range copy, so a rebuild moves whole spans, not words. Like every pmem
+// operation it honors the persistent device's freeze gate, so a crash can
+// land mid-rebuild.
 func (m *Mem) RecoverRange(off uint64, words int) {
-	m.P.CopyRange(m.V, off, words&^1)
+	m.P.CopyRange(m.V, off, words)
 }
 
 // CheckInvariants verifies Lemmas 5.3–5.5 for one cell. It requires a

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mirror/internal/engine"
@@ -70,7 +71,9 @@ type root struct {
 // the image cannot be interpreted. Combine is always written false; the key
 // remains so that an image an older mirrord wrote with fence combining on —
 // whose completed operations were allowed to be missing — is refused like
-// any other mismatch instead of being adopted.
+// any other mismatch instead of being adopted. Layout is the structures'
+// node layout (layoutVersion); a sidecar without it was written before
+// nodes had plain words, and reads as layout 0.
 type geometry struct {
 	Kind       int  `json:"kind"`
 	Words      int  `json:"words"`
@@ -78,7 +81,13 @@ type geometry struct {
 	Ring       int  `json:"ring"`
 	Clients    int  `json:"clients"`
 	Combine    bool `json:"combine"`
+	Layout     int  `json:"layout"`
 }
+
+// layoutVersion names the node layout of every structure: 1 is cells first,
+// then the write-once and rebuilt fields as plain words (engine.Plain).
+// Bump it whenever a structure's field indexes change.
+const layoutVersion = 1
 
 // sidecar is the record next to a media file that tells a reattachable
 // image from garbage: the geometry, and which kind owns which root fields.
@@ -94,12 +103,14 @@ func SidecarPath(mediaPath string) string { return mediaPath + ".meta" }
 // attach Open ran, or a Recover after a Crash (whose Open and Verify are
 // zero). An attach copies LiveWords per replica beside the roots and the
 // descriptor region, so its time follows the live data, not Words.
+// LiveWords/Objects is the mean object's footprint in words.
 type Report struct {
 	Open      time.Duration // build the engine over the media: map it, copy nothing
 	Recover   time.Duration // restore the roots, trace, restore and mirror every span, rebuild the allocator
 	Repair    time.Duration // every structure's repair pass, then the drain
 	Verify    time.Duration // the post-attach walk of every structure whose repair pass did not walk it
 	LiveWords uint64        // words the trace reached, per replica
+	Objects   uint64        // spans the trace visited
 	Words     int           // the device capacity
 }
 
@@ -181,7 +192,7 @@ func Open(cfg engine.Config) (*Runtime, error) {
 
 func (r *Runtime) geometry() geometry {
 	return geometry{Kind: int(r.cfg.Kind), Words: r.cfg.Words, RootFields: r.cfg.RootFields,
-		Ring: r.cfg.DetectRing, Clients: r.cfg.Clients}
+		Ring: r.cfg.DetectRing, Clients: r.cfg.Clients, Layout: layoutVersion}
 }
 
 // writeSidecar replaces the sidecar by rename, so a crash leaves the old
@@ -378,17 +389,23 @@ func (r *Runtime) RecoverParallel(parallelism int) { r.recover(parallelism).Clos
 func (r *Runtime) recover(parallelism int) *engine.Ctx {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var objects atomic.Uint64
 	sharded := func(shard, shards int) engine.Tracer {
 		return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+			n := uint64(0)
 			for i := shard; i < len(r.roots); i += shards {
-				kinds[r.roots[i].Kind].tracer(r.eng, r.roots[i].Field)(read, visit)
+				kinds[r.roots[i].Kind].tracer(r.eng, r.roots[i].Field)(read, func(ref engine.Ref, fields int) {
+					n++
+					visit(ref, fields)
+				})
 			}
+			objects.Add(n)
 		}
 	}
 	t := time.Now()
 	r.eng.RecoverWith(sharded(0, 1), engine.RecoverOptions{Parallelism: parallelism, Sharded: sharded})
 	live, _ := r.eng.Footprint()
-	r.report = Report{Recover: time.Since(t), LiveWords: live, Words: r.cfg.Words}
+	r.report = Report{Recover: time.Since(t), LiveWords: live, Objects: objects.Load(), Words: r.cfg.Words}
 	t = time.Now()
 	c := r.eng.NewCtx()
 	for _, s := range r.roots {

@@ -350,7 +350,9 @@ func TestServeMetaMismatch(t *testing.T) {
 	// The sidecar's "combine" key, both directions: it is still written
 	// (false), so the sidecars of existing images and of this build are the
 	// same bytes and attach; an image written by an older `mirrord -combine`
-	// holds state this build cannot interpret and is refused.
+	// holds state this build cannot interpret and is refused. So is one
+	// whose sidecar has no "layout" key: it was written when every node
+	// field was a cell, and this build would misread its nodes.
 	written, err := os.ReadFile(rt.SidecarPath(media))
 	if err != nil {
 		t.Fatal(err)
@@ -359,8 +361,9 @@ func TestServeMetaMismatch(t *testing.T) {
 		name, sidecar string
 		attach        bool
 	}{
-		{"as written", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, true},
-		{"written with combining on", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":true,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
+		{"as written", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"layout":1,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, true},
+		{"written with combining on", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":true,"layout":1,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
+		{"written before plain words", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
 	} {
 		if tc.attach && tc.sidecar != string(written) {
 			t.Fatalf("%s: this build writes the sidecar %s, want %s", tc.name, written, tc.sidecar)

@@ -15,14 +15,16 @@ import (
 	"mirror/internal/structures"
 )
 
-// Node field indexes.
+// Node layout (engine.Plain): the two child edges, which carry the flag and
+// tag bits, are the cells; the key and the value, written once before the
+// node is published, are plain words after them.
 const (
-	fKey   = 0
-	fVal   = 1
-	fLeft  = 2
-	fRight = 3
-	// NodeFields is the number of logical fields per node.
-	NodeFields = 4
+	FieldLeft  = 0
+	FieldRight = 1
+	FieldKey   = 2 * engine.Plain
+	FieldVal   = FieldKey + 1
+	// NodeFields is a node's size: two cells and two plain words.
+	NodeFields = FieldKey + 2
 )
 
 // Sentinel keys, all above the usable key range (paper's ∞₀ < ∞₁ < ∞₂).
@@ -68,30 +70,30 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *BST {
 	defer e.OpEnd(c)
 	if r := e.Load(c, e.RootRef(), rootField); r != 0 {
 		b.r = r
-		b.s = addr(e.Load(c, r, fLeft))
+		b.s = addr(e.Load(c, r, FieldLeft))
 		b.repairExcisions(c)
 		b.repairDeleteFlags(c)
 		return b
 	}
 	newLeaf := func(key uint64) engine.Ref {
 		n := e.Alloc(c, NodeFields)
-		e.StoreInit(c, n, fKey, key)
-		e.StoreInit(c, n, fVal, 0)
-		e.StoreInit(c, n, fLeft, 0)
-		e.StoreInit(c, n, fRight, 0)
+		e.StoreInit(c, n, FieldKey, key)
+		e.StoreInit(c, n, FieldVal, 0)
+		e.StoreInit(c, n, FieldLeft, 0)
+		e.StoreInit(c, n, FieldRight, 0)
 		return n
 	}
 	l0, l1, l2 := newLeaf(inf0), newLeaf(inf1), newLeaf(inf2)
 	b.s = e.Alloc(c, NodeFields)
-	e.StoreInit(c, b.s, fKey, inf1)
-	e.StoreInit(c, b.s, fVal, 0)
-	e.StoreInit(c, b.s, fLeft, l0)
-	e.StoreInit(c, b.s, fRight, l1)
+	e.StoreInit(c, b.s, FieldKey, inf1)
+	e.StoreInit(c, b.s, FieldVal, 0)
+	e.StoreInit(c, b.s, FieldLeft, l0)
+	e.StoreInit(c, b.s, FieldRight, l1)
 	b.r = e.Alloc(c, NodeFields)
-	e.StoreInit(c, b.r, fKey, inf2)
-	e.StoreInit(c, b.r, fVal, 0)
-	e.StoreInit(c, b.r, fLeft, b.s)
-	e.StoreInit(c, b.r, fRight, l2)
+	e.StoreInit(c, b.r, FieldKey, inf2)
+	e.StoreInit(c, b.r, FieldVal, 0)
+	e.StoreInit(c, b.r, FieldLeft, b.s)
+	e.StoreInit(c, b.r, FieldRight, l2)
 	e.Publish(c, b.r)
 	e.Store(c, e.RootRef(), rootField, b.r)
 	return b
@@ -123,18 +125,18 @@ func (b *BST) repairExcisions(c *engine.Ctx) {
 			if excised || n == 0 {
 				return
 			}
-			le := e.TraversalLoad(c, n, fLeft)
-			re := e.TraversalLoad(c, n, fRight)
+			le := e.TraversalLoad(c, n, FieldLeft)
+			re := e.TraversalLoad(c, n, FieldRight)
 			if addr(le) == 0 && addr(re) == 0 {
 				return // leaf
 			}
 			for _, side := range [2]struct {
 				edge uint64
 				cf   int
-			}{{le, fLeft}, {re, fRight}} {
+			}{{le, FieldLeft}, {re, FieldRight}} {
 				if flagged(side.edge) {
 					sib := re
-					if side.cf == fRight {
+					if side.cf == FieldRight {
 						sib = le
 					}
 					gpEdge := e.TraversalLoad(c, gp, gpField)
@@ -148,12 +150,12 @@ func (b *BST) repairExcisions(c *engine.Ctx) {
 					return
 				}
 			}
-			walk(n, fLeft, addr(le))
+			walk(n, FieldLeft, addr(le))
 			if !excised {
-				walk(n, fRight, addr(re))
+				walk(n, FieldRight, addr(re))
 			}
 		}
-		walk(b.r, fLeft, b.s)
+		walk(b.r, FieldLeft, b.s)
 		if !excised {
 			return
 		}
@@ -183,8 +185,8 @@ func (b *BST) repairDeleteFlags(c *engine.Ctx) {
 		if n == 0 {
 			return
 		}
-		le := e.TraversalLoad(c, n, fLeft)
-		re := e.TraversalLoad(c, n, fRight)
+		le := e.TraversalLoad(c, n, FieldLeft)
+		re := e.TraversalLoad(c, n, FieldRight)
 		if addr(le) == 0 && addr(re) == 0 {
 			return // leaf
 		}
@@ -196,11 +198,11 @@ func (b *BST) repairDeleteFlags(c *engine.Ctx) {
 			return
 		}
 		if tagged(le) {
-			e.CAS(c, n, fLeft, le, le&^tagBit)
+			e.CAS(c, n, FieldLeft, le, le&^tagBit)
 			cleared = true
 		}
 		if tagged(re) {
-			e.CAS(c, n, fRight, re, re&^tagBit)
+			e.CAS(c, n, FieldRight, re, re&^tagBit)
 			cleared = true
 		}
 		walk(addr(le))
@@ -227,14 +229,14 @@ type seekRecord struct {
 func (b *BST) seek(c *engine.Ctx, key uint64) seekRecord {
 	e := b.e
 	rec := seekRecord{ancestor: b.r, successor: b.s, parent: b.s}
-	parentEdge := e.TraversalLoad(c, b.s, fLeft)
+	parentEdge := e.TraversalLoad(c, b.s, FieldLeft)
 	rec.leaf = addr(parentEdge)
 	for {
 		var edge uint64
-		if key < e.TraversalLoad(c, rec.leaf, fKey) {
-			edge = e.TraversalLoad(c, rec.leaf, fLeft)
+		if key < e.TraversalLoad(c, rec.leaf, FieldKey) {
+			edge = e.TraversalLoad(c, rec.leaf, FieldLeft)
 		} else {
-			edge = e.TraversalLoad(c, rec.leaf, fRight)
+			edge = e.TraversalLoad(c, rec.leaf, FieldRight)
 		}
 		next := addr(edge)
 		if next == 0 {
@@ -252,10 +254,10 @@ func (b *BST) seek(c *engine.Ctx, key uint64) seekRecord {
 
 // childField returns the field of parent on the side of key.
 func (b *BST) childField(c *engine.Ctx, parent engine.Ref, key uint64) int {
-	if key < b.e.TraversalLoad(c, parent, fKey) {
-		return fLeft
+	if key < b.e.TraversalLoad(c, parent, FieldKey) {
+		return FieldLeft
 	}
-	return fRight
+	return FieldRight
 }
 
 // Insert implements structures.Set.
@@ -275,7 +277,7 @@ func (b *BST) Insert(c *engine.Ctx, key, val uint64) bool {
 	}
 	for {
 		rec := b.seek(c, key)
-		leafKey := e.TraversalLoad(c, rec.leaf, fKey)
+		leafKey := e.TraversalLoad(c, rec.leaf, FieldKey)
 		cf := b.childField(c, rec.parent, key)
 		if leafKey == key {
 			edge := e.TraversalLoad(c, rec.parent, cf)
@@ -295,21 +297,21 @@ func (b *BST) Insert(c *engine.Ctx, key, val uint64) bool {
 		ba := engine.Batch(e, c)
 		if newLeaf == 0 {
 			newLeaf = e.Alloc(c, NodeFields)
-			ba.StoreInit(newLeaf, fKey, key)
-			ba.StoreInit(newLeaf, fVal, val)
-			ba.StoreInit(newLeaf, fLeft, 0)
-			ba.StoreInit(newLeaf, fRight, 0)
+			ba.StoreInit(newLeaf, FieldKey, key)
+			ba.StoreInit(newLeaf, FieldVal, val)
+			ba.StoreInit(newLeaf, FieldLeft, 0)
+			ba.StoreInit(newLeaf, FieldRight, 0)
 			newInternal = e.Alloc(c, NodeFields)
-			ba.StoreInit(newInternal, fVal, 0)
+			ba.StoreInit(newInternal, FieldVal, 0)
 		}
 		if key < leafKey {
-			ba.StoreInit(newInternal, fKey, leafKey)
-			ba.StoreInit(newInternal, fLeft, newLeaf)
-			ba.StoreInit(newInternal, fRight, rec.leaf)
+			ba.StoreInit(newInternal, FieldKey, leafKey)
+			ba.StoreInit(newInternal, FieldLeft, newLeaf)
+			ba.StoreInit(newInternal, FieldRight, rec.leaf)
 		} else {
-			ba.StoreInit(newInternal, fKey, key)
-			ba.StoreInit(newInternal, fLeft, rec.leaf)
-			ba.StoreInit(newInternal, fRight, newLeaf)
+			ba.StoreInit(newInternal, FieldKey, key)
+			ba.StoreInit(newInternal, FieldLeft, rec.leaf)
+			ba.StoreInit(newInternal, FieldRight, newLeaf)
 		}
 		ba.Commit()
 		e.MakePersistent(c, rec.parent, NodeFields)
@@ -336,7 +338,7 @@ func (b *BST) Delete(c *engine.Ctx, key uint64) bool {
 	for {
 		rec := b.seek(c, key)
 		if injecting {
-			if e.TraversalLoad(c, rec.leaf, fKey) != key {
+			if e.TraversalLoad(c, rec.leaf, FieldKey) != key {
 				return false
 			}
 			cf := b.childField(c, rec.parent, key)
@@ -390,7 +392,7 @@ func (b *BST) cleanup(c *engine.Ctx, key uint64, rec seekRecord) bool {
 	e := b.e
 	succField := b.childField(c, rec.ancestor, key)
 	cf := b.childField(c, rec.parent, key)
-	sf := fLeft + fRight - cf
+	sf := FieldLeft + FieldRight - cf
 
 	// Locate the flagged edge; normally it is the child edge toward key,
 	// but when helping a neighbor's delete it is the other one, and the
@@ -449,7 +451,7 @@ func (b *BST) Get(c *engine.Ctx, key uint64) (uint64, bool) {
 	defer e.OpEnd(c)
 	for {
 		rec := b.seek(c, key)
-		if e.TraversalLoad(c, rec.leaf, fKey) != key {
+		if e.TraversalLoad(c, rec.leaf, FieldKey) != key {
 			return 0, false
 		}
 		cf := b.childField(c, rec.parent, key)
@@ -460,7 +462,7 @@ func (b *BST) Get(c *engine.Ctx, key uint64) (uint64, bool) {
 		if flagged(edge) {
 			return 0, false // linearized delete in progress
 		}
-		v := e.TraversalLoad(c, rec.leaf, fVal)
+		v := e.TraversalLoad(c, rec.leaf, FieldVal)
 		e.MakePersistent(c, rec.leaf, NodeFields)
 		return v, true
 	}
@@ -482,10 +484,10 @@ func (b *BST) Keys(c *engine.Ctx) []uint64 {
 		if ref == 0 {
 			return
 		}
-		l := addr(e.TraversalLoad(c, ref, fLeft))
-		r := addr(e.TraversalLoad(c, ref, fRight))
+		l := addr(e.TraversalLoad(c, ref, FieldLeft))
+		r := addr(e.TraversalLoad(c, ref, FieldRight))
 		if l == 0 && r == 0 {
-			if k := e.TraversalLoad(c, ref, fKey); k <= structures.KeyMax {
+			if k := e.TraversalLoad(c, ref, FieldKey); k <= structures.KeyMax {
 				keys = append(keys, k)
 			}
 			return
@@ -516,10 +518,10 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			visit(n, NodeFields)
-			if l := addr(read(n, fLeft)); l != 0 {
+			if l := addr(read(n, FieldLeft)); l != 0 {
 				stack = append(stack, l)
 			}
-			if rr := addr(read(n, fRight)); rr != 0 {
+			if rr := addr(read(n, FieldRight)); rr != 0 {
 				stack = append(stack, rr)
 			}
 		}
@@ -540,12 +542,12 @@ func (b *BST) Range(c *engine.Ctx, from, to uint64, fn func(key, val uint64) boo
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		l := addr(e.TraversalLoad(c, n, fLeft))
-		r := addr(e.TraversalLoad(c, n, fRight))
-		k := e.TraversalLoad(c, n, fKey)
+		l := addr(e.TraversalLoad(c, n, FieldLeft))
+		r := addr(e.TraversalLoad(c, n, FieldRight))
+		k := e.TraversalLoad(c, n, FieldKey)
 		if l == 0 && r == 0 {
 			if k >= from && k <= to && k <= structures.KeyMax {
-				if !fn(k, e.TraversalLoad(c, n, fVal)) {
+				if !fn(k, e.TraversalLoad(c, n, FieldVal)) {
 					return
 				}
 			}

@@ -43,8 +43,8 @@ func New(e engine.Engine, c *engine.Ctx, buckets int) *Table {
 // NewAt is New with an explicit pair of root fields (rootField holds the
 // bucket-array reference, rootField+1 the bucket count).
 func NewAt(e engine.Engine, c *engine.Ctx, buckets int, rootField int) *Table {
-	if buckets <= 0 || buckets&(buckets-1) != 0 {
-		panic("hashtable: bucket count must be a positive power of two")
+	if buckets <= 0 || buckets&(buckets-1) != 0 || buckets >= engine.Plain {
+		panic("hashtable: bucket count must be a power of two below engine.Plain")
 	}
 	t := &Table{e: e, rootF: rootField}
 	e.OpBegin(c)

@@ -14,13 +14,15 @@ import (
 	"mirror/internal/structures"
 )
 
-// Node field indexes.
+// Node layout (engine.Plain): the next reference, the only field written
+// after publication, is the one cell; the key and the value are write-once
+// plain words after it.
 const (
-	fKey  = 0
-	fVal  = 1
-	fNext = 2
-	// NodeFields is the number of logical fields per node.
-	NodeFields = 3
+	FieldNext = 0
+	FieldKey  = 1 * engine.Plain
+	FieldVal  = FieldKey + 1
+	// NodeFields is a node's size: one cell and two plain words.
+	NodeFields = FieldKey + 2
 )
 
 // List is a lock-free sorted linked list. The zero value is not usable;
@@ -59,7 +61,7 @@ retry:
 		predRef, predField = l.rootRef, l.rootField
 		curr = structures.Unmark(e.TraversalLoad(c, predRef, predField))
 		for curr != 0 {
-			succ := e.TraversalLoad(c, curr, fNext)
+			succ := e.TraversalLoad(c, curr, FieldNext)
 			if structures.Marked(succ) {
 				// curr is logically deleted: unlink it. This is a
 				// critical step — persist the nodes around the
@@ -78,10 +80,10 @@ retry:
 				curr = structures.Unmark(succ)
 				continue
 			}
-			if e.TraversalLoad(c, curr, fKey) >= key {
+			if e.TraversalLoad(c, curr, FieldKey) >= key {
 				return predRef, predField, curr
 			}
-			predRef, predField = curr, fNext
+			predRef, predField = curr, FieldNext
 			curr = structures.Unmark(succ)
 		}
 		return predRef, predField, 0
@@ -99,7 +101,7 @@ func (l *List) Insert(c *engine.Ctx, key, val uint64) bool {
 	var node engine.Ref
 	for {
 		predRef, predField, curr := l.find(c, key)
-		if curr != 0 && e.TraversalLoad(c, curr, fKey) == key {
+		if curr != 0 && e.TraversalLoad(c, curr, FieldKey) == key {
 			if node != 0 {
 				e.FreeUnpublished(c, node, NodeFields)
 			}
@@ -114,10 +116,10 @@ func (l *List) Insert(c *engine.Ctx, key, val uint64) bool {
 		b := engine.Batch(e, c)
 		if node == 0 {
 			node = e.Alloc(c, NodeFields)
-			b.StoreInit(node, fKey, key)
-			b.StoreInit(node, fVal, val)
+			b.StoreInit(node, FieldKey, key)
+			b.StoreInit(node, FieldVal, val)
 		}
-		b.StoreInit(node, fNext, curr)
+		b.StoreInit(node, FieldNext, curr)
 		b.Commit()
 		e.MakePersistent(c, predRef, NodeFields)
 		if e.CAS(c, predRef, predField, curr, node) {
@@ -133,17 +135,17 @@ func (l *List) Delete(c *engine.Ctx, key uint64) bool {
 	defer e.OpEnd(c)
 	for {
 		predRef, predField, curr := l.find(c, key)
-		if curr == 0 || e.TraversalLoad(c, curr, fKey) != key {
+		if curr == 0 || e.TraversalLoad(c, curr, FieldKey) != key {
 			return false
 		}
-		succ := e.TraversalLoad(c, curr, fNext)
+		succ := e.TraversalLoad(c, curr, FieldNext)
 		if structures.Marked(succ) {
 			// Someone else is deleting it; help via find and retry.
 			continue
 		}
 		e.MakePersistent(c, predRef, NodeFields)
 		e.MakePersistent(c, curr, NodeFields)
-		if !e.CAS(c, curr, fNext, succ, structures.Mark(succ)) {
+		if !e.CAS(c, curr, FieldNext, succ, structures.Mark(succ)) {
 			continue
 		}
 		// Attempt the physical unlink; on failure find() will clean up.
@@ -170,21 +172,21 @@ func (l *List) Get(c *engine.Ctx, key uint64) (uint64, bool) {
 	defer e.OpEnd(c)
 	curr := structures.Unmark(e.TraversalLoad(c, l.rootRef, l.rootField))
 	for curr != 0 {
-		k := e.TraversalLoad(c, curr, fKey)
+		k := e.TraversalLoad(c, curr, FieldKey)
 		if k >= key {
 			if k != key {
 				return 0, false
 			}
-			if structures.Marked(e.TraversalLoad(c, curr, fNext)) {
+			if structures.Marked(e.TraversalLoad(c, curr, FieldNext)) {
 				return 0, false
 			}
-			v := e.TraversalLoad(c, curr, fVal)
+			v := e.TraversalLoad(c, curr, FieldVal)
 			// The read that justifies the result is persisted before
 			// the operation returns (NVTraverse; no-op elsewhere).
 			e.MakePersistent(c, curr, NodeFields)
 			return v, true
 		}
-		curr = structures.Unmark(e.TraversalLoad(c, curr, fNext))
+		curr = structures.Unmark(e.TraversalLoad(c, curr, FieldNext))
 	}
 	return 0, false
 }
@@ -198,7 +200,7 @@ func (l *List) Len(c *engine.Ctx) int {
 	n := 0
 	curr := structures.Unmark(e.TraversalLoad(c, l.rootRef, l.rootField))
 	for curr != 0 {
-		next := e.TraversalLoad(c, curr, fNext)
+		next := e.TraversalLoad(c, curr, FieldNext)
 		if !structures.Marked(next) {
 			n++
 		}
@@ -215,9 +217,9 @@ func (l *List) Keys(c *engine.Ctx) []uint64 {
 	var keys []uint64
 	curr := structures.Unmark(e.TraversalLoad(c, l.rootRef, l.rootField))
 	for curr != 0 {
-		next := e.TraversalLoad(c, curr, fNext)
+		next := e.TraversalLoad(c, curr, FieldNext)
 		if !structures.Marked(next) {
-			keys = append(keys, e.TraversalLoad(c, curr, fKey))
+			keys = append(keys, e.TraversalLoad(c, curr, FieldKey))
 		}
 		curr = structures.Unmark(next)
 	}
@@ -244,7 +246,7 @@ func TraceFrom(rootRef engine.Ref, rootField int, read func(engine.Ref, int) uin
 	curr := structures.Unmark(read(rootRef, rootField))
 	for curr != 0 {
 		visit(curr, NodeFields)
-		curr = structures.Unmark(read(curr, fNext))
+		curr = structures.Unmark(read(curr, FieldNext))
 	}
 }
 
@@ -260,13 +262,13 @@ func (l *List) Range(c *engine.Ctx, from, to uint64, fn func(key, val uint64) bo
 	defer e.OpEnd(c)
 	curr := structures.Unmark(e.TraversalLoad(c, l.rootRef, l.rootField))
 	for curr != 0 {
-		next := e.TraversalLoad(c, curr, fNext)
-		k := e.TraversalLoad(c, curr, fKey)
+		next := e.TraversalLoad(c, curr, FieldNext)
+		k := e.TraversalLoad(c, curr, FieldKey)
 		if k > to {
 			return
 		}
 		if k >= from && !structures.Marked(next) {
-			if !fn(k, e.TraversalLoad(c, curr, fVal)) {
+			if !fn(k, e.TraversalLoad(c, curr, FieldVal)) {
 				return
 			}
 		}

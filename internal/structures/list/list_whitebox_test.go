@@ -20,11 +20,11 @@ func newWB(t *testing.T) (engine.Engine, *engine.Ctx, *List) {
 // plantMark marks key's node without unlinking it.
 func plantMark(e engine.Engine, c *engine.Ctx, l *List, key uint64) {
 	_, _, curr := l.find(c, key)
-	if curr == 0 || e.Load(c, curr, fKey) != key {
+	if curr == 0 || e.Load(c, curr, FieldKey) != key {
 		panic("plantMark: key not found")
 	}
-	next := e.Load(c, curr, fNext)
-	if !e.CAS(c, curr, fNext, next, structures.Mark(next)) {
+	next := e.Load(c, curr, FieldNext)
+	if !e.CAS(c, curr, FieldNext, next, structures.Mark(next)) {
 		panic("plantMark: CAS failed")
 	}
 }
@@ -51,7 +51,7 @@ func TestFindUnlinksMarkedNode(t *testing.T) {
 	plantMark(e, c, l, 5)
 	// Any find through the region physically unlinks the marked node.
 	_, _, curr := l.find(c, 5)
-	if curr != 0 && e.Load(c, curr, fKey) == 5 {
+	if curr != 0 && e.Load(c, curr, FieldKey) == 5 {
 		t.Fatal("find did not unlink the marked node")
 	}
 	if !l.Insert(c, 5, 99) {

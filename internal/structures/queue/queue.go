@@ -12,12 +12,13 @@ import (
 	"mirror/internal/engine"
 )
 
-// Node field indexes.
+// Node layout (engine.Plain): the next reference is the one cell; the
+// value, written once before the node is enqueued, is a plain word after it.
 const (
-	fVal  = 0
-	fNext = 1
-	// NodeFields is the number of logical fields per node.
-	NodeFields = 2
+	FieldNext = 0
+	FieldVal  = 1 * engine.Plain
+	// NodeFields is a node's size: one cell and one plain word.
+	NodeFields = FieldVal + 1
 )
 
 // Queue is a durable (engine permitting) lock-free FIFO queue.
@@ -41,8 +42,8 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *Queue {
 		return q
 	}
 	dummy := e.Alloc(c, NodeFields)
-	e.StoreInit(c, dummy, fVal, 0)
-	e.StoreInit(c, dummy, fNext, 0)
+	e.StoreInit(c, dummy, FieldVal, 0)
+	e.StoreInit(c, dummy, FieldNext, 0)
 	e.Publish(c, dummy)
 	e.Store(c, e.RootRef(), rootField+1, dummy) // tail first: head != 0 signals "ready"
 	e.Store(c, e.RootRef(), rootField, dummy)
@@ -58,20 +59,20 @@ func (q *Queue) Enqueue(c *engine.Ctx, v uint64) {
 	e.OpBegin(c)
 	defer e.OpEnd(c)
 	node := e.Alloc(c, NodeFields)
-	e.StoreInit(c, node, fVal, v)
-	e.StoreInit(c, node, fNext, 0)
+	e.StoreInit(c, node, FieldVal, v)
+	e.StoreInit(c, node, FieldNext, 0)
 	e.Publish(c, node)
 	root := e.RootRef()
 	for {
 		tail := e.Load(c, root, q.rootF+1)
-		next := e.Load(c, tail, fNext)
+		next := e.Load(c, tail, FieldNext)
 		if next != 0 {
 			// Tail lags; help swing it.
 			e.CAS(c, root, q.rootF+1, tail, next)
 			continue
 		}
 		e.MakePersistent(c, tail, NodeFields)
-		if e.CAS(c, tail, fNext, 0, node) {
+		if e.CAS(c, tail, FieldNext, 0, node) {
 			// Linearized (and durable). Swinging the tail is best
 			// effort; anyone can finish it.
 			e.CAS(c, root, q.rootF+1, tail, node)
@@ -89,7 +90,7 @@ func (q *Queue) Dequeue(c *engine.Ctx) (uint64, bool) {
 	for {
 		head := e.Load(c, root, q.rootF)
 		tail := e.Load(c, root, q.rootF+1)
-		next := e.Load(c, head, fNext)
+		next := e.Load(c, head, FieldNext)
 		if head == tail {
 			if next == 0 {
 				return 0, false // empty
@@ -98,7 +99,7 @@ func (q *Queue) Dequeue(c *engine.Ctx) (uint64, bool) {
 			e.CAS(c, root, q.rootF+1, tail, next)
 			continue
 		}
-		v := e.Load(c, next, fVal)
+		v := e.Load(c, next, FieldVal)
 		e.MakePersistent(c, head, NodeFields)
 		e.MakePersistent(c, next, NodeFields)
 		if e.CAS(c, root, q.rootF, head, next) {
@@ -116,11 +117,11 @@ func (q *Queue) Peek(c *engine.Ctx) (uint64, bool) {
 	root := e.RootRef()
 	for {
 		head := e.Load(c, root, q.rootF)
-		next := e.Load(c, head, fNext)
+		next := e.Load(c, head, FieldNext)
 		if next == 0 {
 			return 0, false
 		}
-		v := e.Load(c, next, fVal)
+		v := e.Load(c, next, FieldVal)
 		if e.Load(c, root, q.rootF) == head {
 			return v, true
 		}
@@ -135,7 +136,7 @@ func (q *Queue) Len(c *engine.Ctx) int {
 	n := 0
 	node := e.Load(c, e.RootRef(), q.rootF) // dummy
 	for {
-		node = e.Load(c, node, fNext)
+		node = e.Load(c, node, FieldNext)
 		if node == 0 {
 			return n
 		}
@@ -168,7 +169,7 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 		node := read(e.RootRef(), rootField)
 		for node != 0 {
 			visit(node, NodeFields)
-			node = read(node, fNext)
+			node = read(node, FieldNext)
 		}
 	}
 }

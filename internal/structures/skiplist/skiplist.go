@@ -8,9 +8,11 @@
 //
 // Persistence follows that split. Level-0 links and marks are durable
 // before they are visible (CAS) and level-0 snips are retire-gated
-// (CASRelaxed). Every write above level 0 is CASRebuilt: never persisted,
-// because recovery traces level 0 only and the repair pass (repairLevels)
-// rebuilds the accelerator levels from it before anything reads them.
+// (CASRelaxed). The links above level 0 are plain words that only
+// CASRebuilt writes: never persisted, because recovery traces level 0 only
+// and the repair pass (repairLevels) rebuilds the accelerator levels from it
+// before anything reads them. The key and the tower height are write-once
+// plain words, durable at the publish fence.
 //
 // Reclamation note: as in the reference implementations (Fraser's and
 // ASCYLIB's, which the paper's artifact builds on), an insert that stalls
@@ -32,13 +34,29 @@ import (
 // node keeps this ample for the simulated sizes.
 const MaxLevel = 16
 
-// Node field indexes. A node of height h has 3+h fields.
+// Node layout (engine.Plain). The two mutable words are cells and come
+// first: the value, which CasVal replaces, and the level-0 link, whose low
+// bit is the delete mark. The plain words follow: the write-once key and
+// tower height, then the links above level 0, which only CASRebuilt writes.
+// A node of height h is NodeFields(h): two cells and h+1 plain words.
 const (
-	fKey  = 0
-	fVal  = 1
-	fTop  = 2
-	fNext = 3 // fNext+i is the level-i next reference
+	FieldVal  = 0
+	FieldNext = 1 // the level-0 link; Link(i) is the level-i one
+	FieldKey  = 2 * engine.Plain
+	FieldTop  = FieldKey + 1
 )
+
+// Link returns the field of a node's level-i link: the cell FieldNext at
+// level 0, a rebuilt plain word above it.
+func Link(i int) int {
+	if i == 0 {
+		return FieldNext
+	}
+	return FieldTop + i
+}
+
+// NodeFields returns the size of a node of height h.
+func NodeFields(h int) int { return FieldTop + h }
 
 // rootHead is the default root field holding the head sentinel's reference.
 const rootHead = 3
@@ -68,12 +86,12 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *SkipList {
 		s.repairLevels(c)
 		return s
 	}
-	s.head = e.Alloc(c, fNext+MaxLevel)
-	e.StoreInit(c, s.head, fKey, 0)
-	e.StoreInit(c, s.head, fVal, 0)
-	e.StoreInit(c, s.head, fTop, MaxLevel)
+	s.head = e.Alloc(c, NodeFields(MaxLevel))
+	e.StoreInit(c, s.head, FieldKey, 0)
+	e.StoreInit(c, s.head, FieldVal, 0)
+	e.StoreInit(c, s.head, FieldTop, MaxLevel)
 	for i := 0; i < MaxLevel; i++ {
-		e.StoreInit(c, s.head, fNext+i, 0)
+		e.StoreInit(c, s.head, Link(i), 0)
 	}
 	e.Publish(c, s.head)
 	e.Store(c, e.RootRef(), rootField, s.head)
@@ -105,32 +123,32 @@ func (s *SkipList) repairLevels(c *engine.Ctx) {
 	e := s.e
 	var last, link [MaxLevel]engine.Ref
 	for i := 1; i < MaxLevel; i++ {
-		last[i], link[i] = s.head, e.TraversalLoad(c, s.head, fNext+i)
+		last[i], link[i] = s.head, e.TraversalLoad(c, s.head, Link(i))
 	}
 	seen := newRefSet(e)
 	seen.add(s.head)
-	for curr := structures.Unmark(e.TraversalLoad(c, s.head, fNext)); curr != 0; {
+	for curr := structures.Unmark(e.TraversalLoad(c, s.head, FieldNext)); curr != 0; {
 		if !seen.add(curr) {
 			panic(fmt.Sprintf("skiplist: level 0 reaches node %d twice", curr))
 		}
-		next := e.TraversalLoad(c, curr, fNext)
+		next := e.TraversalLoad(c, curr, FieldNext)
 		if !structures.Marked(next) {
-			top := e.TraversalLoad(c, curr, fTop)
+			top := e.TraversalLoad(c, curr, FieldTop)
 			if top < 1 || top > MaxLevel {
 				panic(fmt.Sprintf("skiplist: node %d has height %d", curr, top))
 			}
 			for i := 1; i < int(top); i++ {
 				if link[i] != curr {
-					e.CASRebuilt(c, last[i], fNext+i, link[i], curr)
+					e.CASRebuilt(c, last[i], Link(i), link[i], curr)
 				}
-				last[i], link[i] = curr, e.TraversalLoad(c, curr, fNext+i)
+				last[i], link[i] = curr, e.TraversalLoad(c, curr, Link(i))
 			}
 		}
 		curr = structures.Unmark(next)
 	}
 	for i := 1; i < MaxLevel; i++ {
 		if link[i] != 0 {
-			e.CASRebuilt(c, last[i], fNext+i, link[i], 0)
+			e.CASRebuilt(c, last[i], Link(i), link[i], 0)
 		}
 	}
 }
@@ -160,7 +178,7 @@ retry:
 	for {
 		left := s.head
 		for i := MaxLevel - 1; i >= 0; i-- {
-			leftNext := e.TraversalLoad(c, left, fNext+i)
+			leftNext := e.TraversalLoad(c, left, Link(i))
 			if structures.Marked(leftNext) {
 				continue retry // left got deleted under us
 			}
@@ -169,13 +187,13 @@ retry:
 			for {
 				// Skip a marked run.
 				for right != 0 {
-					rightNext = e.TraversalLoad(c, right, fNext+i)
+					rightNext = e.TraversalLoad(c, right, Link(i))
 					if !structures.Marked(rightNext) {
 						break
 					}
 					right = structures.Unmark(rightNext)
 				}
-				if right == 0 || e.TraversalLoad(c, right, fKey) >= key {
+				if right == 0 || e.TraversalLoad(c, right, FieldKey) >= key {
 					break
 				}
 				left = right
@@ -190,10 +208,10 @@ retry:
 				// above level 0 is never persisted at all.
 				var ok bool
 				if i == 0 {
-					e.MakePersistent(c, left, fNext+1)
-					ok = e.CASRelaxed(c, left, fNext, leftNext, right)
+					e.MakePersistent(c, left, FieldNext+1)
+					ok = e.CASRelaxed(c, left, FieldNext, leftNext, right)
 				} else {
-					ok = e.CASRebuilt(c, left, fNext+i, leftNext, right)
+					ok = e.CASRebuilt(c, left, Link(i), leftNext, right)
 				}
 				if !ok {
 					continue retry
@@ -220,28 +238,28 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 	var node engine.Ref
 	for {
 		s.search(c, key, &preds, &succs)
-		if succs[0] != 0 && e.TraversalLoad(c, succs[0], fKey) == key {
+		if succs[0] != 0 && e.TraversalLoad(c, succs[0], FieldKey) == key {
 			if node != 0 {
-				e.FreeUnpublished(c, node, fNext+level)
+				e.FreeUnpublished(c, node, NodeFields(level))
 			}
-			e.MakePersistent(c, succs[0], fNext)
+			e.MakePersistent(c, succs[0], FieldNext)
 			return false
 		}
 		// Batch the tower's initialization: relaxed flushes per dirty
 		// line, one trailing fence at Commit.
 		b := engine.Batch(e, c)
 		if node == 0 {
-			node = e.Alloc(c, fNext+level)
-			b.StoreInit(node, fKey, key)
-			b.StoreInit(node, fVal, val)
-			b.StoreInit(node, fTop, uint64(level))
+			node = e.Alloc(c, NodeFields(level))
+			b.StoreInit(node, FieldKey, key)
+			b.StoreInit(node, FieldVal, val)
+			b.StoreInit(node, FieldTop, uint64(level))
 		}
 		for i := 0; i < level; i++ {
-			b.StoreInit(node, fNext+i, succs[i])
+			b.StoreInit(node, Link(i), succs[i])
 		}
 		b.Commit()
-		e.MakePersistent(c, preds[0], fNext+1)
-		if !e.CAS(c, preds[0], fNext, succs[0], node) {
+		e.MakePersistent(c, preds[0], FieldNext+1)
+		if !e.CAS(c, preds[0], FieldNext, succs[0], node) {
 			continue // level-0 link lost the race; redo the search
 		}
 		// The node is logically inserted (the level-0 link above carried
@@ -252,12 +270,12 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 		// never persisted: recovery rebuilds them.
 		for i := 1; i < level; i++ {
 			for {
-				cur := e.TraversalLoad(c, node, fNext+i)
+				cur := e.TraversalLoad(c, node, Link(i))
 				if structures.Marked(cur) {
 					return true // concurrently deleted; searches clean up
 				}
 				if cur != succs[i] {
-					if !e.CASRebuilt(c, node, fNext+i, cur, succs[i]) {
+					if !e.CASRebuilt(c, node, Link(i), cur, succs[i]) {
 						// Lost to a mark; stop linking.
 						return true
 					}
@@ -265,7 +283,7 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 				if succs[i] == node {
 					break // already linked at this level by a re-search
 				}
-				if e.CASRebuilt(c, preds[i], fNext+i, succs[i], node) {
+				if e.CASRebuilt(c, preds[i], Link(i), succs[i], node) {
 					break
 				}
 				s.search(c, key, &preds, &succs)
@@ -276,7 +294,7 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 			// Validation: if the node was marked while we linked this
 			// level, make sure it is physically unlinked before
 			// returning (closes the reference-algorithm's window).
-			if structures.Marked(e.TraversalLoad(c, node, fNext+i)) {
+			if structures.Marked(e.TraversalLoad(c, node, Link(i))) {
 				s.search(c, key, nil, nil)
 				return true
 			}
@@ -294,38 +312,38 @@ func (s *SkipList) Delete(c *engine.Ctx, key uint64) bool {
 	var preds, succs [MaxLevel]engine.Ref
 	s.search(c, key, &preds, &succs)
 	node := succs[0]
-	if node == 0 || e.TraversalLoad(c, node, fKey) != key {
+	if node == 0 || e.TraversalLoad(c, node, FieldKey) != key {
 		return false
 	}
-	top := int(e.TraversalLoad(c, node, fTop))
-	e.MakePersistent(c, node, fNext+1)
+	top := int(e.TraversalLoad(c, node, FieldTop))
+	e.MakePersistent(c, node, FieldNext+1)
 	// Mark the accelerator levels top-down. Only the level-0 mark below
 	// decides presence, so these marks are never persisted: a crash that
 	// loses one leaves a not-yet-deleted node, which is the same state as
 	// crashing before the delete began, and recovery rebuilds them anyway.
 	for i := top - 1; i >= 1; i-- {
 		for {
-			next := e.TraversalLoad(c, node, fNext+i)
+			next := e.TraversalLoad(c, node, Link(i))
 			if structures.Marked(next) {
 				break
 			}
-			if e.CASRebuilt(c, node, fNext+i, next, structures.Mark(next)) {
+			if e.CASRebuilt(c, node, Link(i), next, structures.Mark(next)) {
 				break
 			}
 		}
 	}
 	// Level 0 decides ownership.
 	for {
-		next := e.TraversalLoad(c, node, fNext)
+		next := e.TraversalLoad(c, node, FieldNext)
 		if structures.Marked(next) {
 			// A concurrent delete won; help excise and report absent.
 			s.search(c, key, nil, nil)
 			return false
 		}
-		if e.CAS(c, node, fNext, next, structures.Mark(next)) {
+		if e.CAS(c, node, FieldNext, next, structures.Mark(next)) {
 			// Physically unlink everywhere, then reclaim.
 			s.search(c, key, nil, nil)
-			e.Retire(c, node, fNext+top)
+			e.Retire(c, node, NodeFields(top))
 			return true
 		}
 	}
@@ -345,14 +363,14 @@ func (s *SkipList) Get(c *engine.Ctx, key uint64) (uint64, bool) {
 	pred := s.head
 	var candidate engine.Ref
 	for i := MaxLevel - 1; i >= 0; i-- {
-		curr := structures.Unmark(e.TraversalLoad(c, pred, fNext+i))
+		curr := structures.Unmark(e.TraversalLoad(c, pred, Link(i)))
 		for curr != 0 {
-			next := e.TraversalLoad(c, curr, fNext+i)
+			next := e.TraversalLoad(c, curr, Link(i))
 			if structures.Marked(next) {
 				curr = structures.Unmark(next)
 				continue
 			}
-			k := e.TraversalLoad(c, curr, fKey)
+			k := e.TraversalLoad(c, curr, FieldKey)
 			if k < key {
 				pred = curr
 				curr = structures.Unmark(next)
@@ -367,8 +385,8 @@ func (s *SkipList) Get(c *engine.Ctx, key uint64) (uint64, bool) {
 	if candidate == 0 {
 		return 0, false
 	}
-	v := e.TraversalLoad(c, candidate, fVal)
-	e.MakePersistent(c, candidate, fNext)
+	v := e.TraversalLoad(c, candidate, FieldVal)
+	e.MakePersistent(c, candidate, FieldNext)
 	return v, true
 }
 
@@ -389,18 +407,18 @@ func (s *SkipList) CasVal(c *engine.Ctx, key, expect, repl uint64) bool {
 	for {
 		s.search(c, key, &preds, &succs)
 		node := succs[0]
-		if node == 0 || e.TraversalLoad(c, node, fKey) != key {
+		if node == 0 || e.TraversalLoad(c, node, FieldKey) != key {
 			return false
 		}
-		if structures.Marked(e.TraversalLoad(c, node, fNext)) {
+		if structures.Marked(e.TraversalLoad(c, node, FieldNext)) {
 			return false // concurrently deleted
 		}
-		e.MakePersistent(c, node, fNext)
-		cur := e.TraversalLoad(c, node, fVal)
+		e.MakePersistent(c, node, FieldNext)
+		cur := e.TraversalLoad(c, node, FieldVal)
 		if cur != expect {
 			return false
 		}
-		if e.CAS(c, node, fVal, cur, repl) {
+		if e.CAS(c, node, FieldVal, cur, repl) {
 			return true
 		}
 		// The value moved between the read and the CAS: re-search and
@@ -414,9 +432,9 @@ func (s *SkipList) Len(c *engine.Ctx) int {
 	e.OpBegin(c)
 	defer e.OpEnd(c)
 	n := 0
-	curr := structures.Unmark(e.TraversalLoad(c, s.head, fNext))
+	curr := structures.Unmark(e.TraversalLoad(c, s.head, FieldNext))
 	for curr != 0 {
-		next := e.TraversalLoad(c, curr, fNext)
+		next := e.TraversalLoad(c, curr, FieldNext)
 		if !structures.Marked(next) {
 			n++
 		}
@@ -445,9 +463,9 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 		}
 		seen := newRefSet(e)
 		seen.add(head)
-		visit(head, fNext+MaxLevel)
-		for curr := structures.Unmark(read(head, fNext)); curr != 0 && seen.add(curr); curr = structures.Unmark(read(curr, fNext)) {
-			visit(curr, fNext+int(read(curr, fTop)))
+		visit(head, NodeFields(MaxLevel))
+		for curr := structures.Unmark(read(head, FieldNext)); curr != 0 && seen.add(curr); curr = structures.Unmark(read(curr, FieldNext)) {
+			visit(curr, NodeFields(int(read(curr, FieldTop))))
 		}
 	}
 }
@@ -504,14 +522,14 @@ func (s *SkipList) Range(c *engine.Ctx, from, to uint64, fn func(key, val uint64
 	// Descend to the last node with key < from.
 	pred := s.head
 	for i := MaxLevel - 1; i >= 0; i-- {
-		curr := structures.Unmark(e.TraversalLoad(c, pred, fNext+i))
+		curr := structures.Unmark(e.TraversalLoad(c, pred, Link(i)))
 		for curr != 0 {
-			next := e.TraversalLoad(c, curr, fNext+i)
+			next := e.TraversalLoad(c, curr, Link(i))
 			if structures.Marked(next) {
 				curr = structures.Unmark(next)
 				continue
 			}
-			if e.TraversalLoad(c, curr, fKey) >= from {
+			if e.TraversalLoad(c, curr, FieldKey) >= from {
 				break
 			}
 			pred = curr
@@ -519,15 +537,15 @@ func (s *SkipList) Range(c *engine.Ctx, from, to uint64, fn func(key, val uint64
 		}
 	}
 	// Walk level 0.
-	curr := structures.Unmark(e.TraversalLoad(c, pred, fNext))
+	curr := structures.Unmark(e.TraversalLoad(c, pred, FieldNext))
 	for curr != 0 {
-		next := e.TraversalLoad(c, curr, fNext)
-		k := e.TraversalLoad(c, curr, fKey)
+		next := e.TraversalLoad(c, curr, FieldNext)
+		k := e.TraversalLoad(c, curr, FieldKey)
 		if k > to {
 			return
 		}
 		if k >= from && !structures.Marked(next) {
-			if !fn(k, e.TraversalLoad(c, curr, fVal)) {
+			if !fn(k, e.TraversalLoad(c, curr, FieldVal)) {
 				return
 			}
 		}

@@ -28,21 +28,32 @@ func plantMarks(e engine.Engine, c *engine.Ctx, s *SkipList, key uint64) {
 	var preds, succs [MaxLevel]engine.Ref
 	s.search(c, key, &preds, &succs)
 	node := succs[0]
-	if node == 0 || e.Load(c, node, fKey) != key {
+	if node == 0 || e.Load(c, node, FieldKey) != key {
 		panic("plantMarks: key not found")
 	}
-	top := int(e.Load(c, node, fTop))
+	top := int(e.Load(c, node, FieldTop))
 	for i := top - 1; i >= 0; i-- {
 		for {
-			next := e.Load(c, node, fNext+i)
+			next := e.Load(c, node, Link(i))
 			if structures.Marked(next) {
 				break
 			}
-			if e.CAS(c, node, fNext+i, next, structures.Mark(next)) {
+			if i > 0 && e.CASRebuilt(c, node, Link(i), next, structures.Mark(next)) {
+				break
+			}
+			if i == 0 && e.CAS(c, node, FieldNext, next, structures.Mark(next)) {
 				break
 			}
 		}
 	}
+}
+
+// stale makes ref's level-i link v on the media, a value the crash left
+// there: the node's StoreInit value, which is all rep_p ever holds of a link
+// above level 0. Only a fixture may write a published node's plain word.
+func stale(e engine.Engine, c *engine.Ctx, ref engine.Ref, i int, v uint64) {
+	e.StoreInit(c, ref, Link(i), v)
+	e.Publish(c, ref)
 }
 
 func TestMarkedNodeIsAbsent(t *testing.T) {
@@ -70,7 +81,7 @@ func TestSearchCompactsMarkedNode(t *testing.T) {
 	// A search through the region must physically excise the marked node.
 	var preds, succs [MaxLevel]engine.Ref
 	s.search(c, 10, &preds, &succs)
-	if succs[0] != 0 && e.Load(c, succs[0], fKey) == 10 {
+	if succs[0] != 0 && e.Load(c, succs[0], FieldKey) == 10 {
 		t.Fatal("search did not compact the marked node at level 0")
 	}
 	// Re-insert must now succeed.
@@ -128,20 +139,20 @@ func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 	e, c, s := newWB(t)
 	e.OpBegin(c)
 	node := func(key uint64, next ...engine.Ref) engine.Ref {
-		n := e.Alloc(c, fNext+len(next))
-		e.StoreInit(c, n, fKey, key)
-		e.StoreInit(c, n, fVal, key)
-		e.StoreInit(c, n, fTop, uint64(len(next)))
+		n := e.Alloc(c, NodeFields(len(next)))
+		e.StoreInit(c, n, FieldKey, key)
+		e.StoreInit(c, n, FieldVal, key)
+		e.StoreInit(c, n, FieldTop, uint64(len(next)))
 		for i, r := range next {
-			e.StoreInit(c, n, fNext+i, r)
+			e.StoreInit(c, n, Link(i), r)
 		}
 		e.Publish(c, n)
 		return n
 	}
 	a := node(12, node(15, node(17, 0)))
 	x := node(13, structures.Mark(node(16, 0)), structures.Mark(0))
-	e.Store(c, s.head, fNext, a)
-	e.Store(c, s.head, fNext+1, x)
+	e.Store(c, s.head, FieldNext, a)
+	stale(e, c, s.head, 1, x)
 	e.OpEnd(c)
 
 	visits := func(tr engine.Tracer, into map[engine.Ref]int) {
@@ -184,12 +195,12 @@ func TestAttachIgnoresStaleAccelerators(t *testing.T) {
 			s := New(e, c)
 			e.OpBegin(c)
 			node := func(key uint64, next ...engine.Ref) engine.Ref {
-				n := e.Alloc(c, fNext+len(next))
-				e.StoreInit(c, n, fKey, key)
-				e.StoreInit(c, n, fVal, key*10)
-				e.StoreInit(c, n, fTop, uint64(len(next)))
+				n := e.Alloc(c, NodeFields(len(next)))
+				e.StoreInit(c, n, FieldKey, key)
+				e.StoreInit(c, n, FieldVal, key*10)
+				e.StoreInit(c, n, FieldTop, uint64(len(next)))
 				for i, r := range next {
-					e.StoreInit(c, n, fNext+i, r)
+					e.StoreInit(c, n, Link(i), r)
 				}
 				e.Publish(c, n)
 				return n
@@ -199,16 +210,15 @@ func TestAttachIgnoresStaleAccelerators(t *testing.T) {
 			n30 := node(30, n35)
 			n20 := node(20, n30, 0, 0)
 			n10 := node(10, n20, 0)
-			e.Store(c, s.head, fNext, n10)
+			e.Store(c, s.head, FieldNext, n10)
 			live, _ := e.Footprint()
 			x := node(15, n20, n40)
-			// Every stale word is made durable, as an eviction may have.
-			e.Store(c, s.head, fNext+1, x)
-			e.Store(c, s.head, fNext+5, x)
-			e.Store(c, n10, fNext+1, structures.Mark(n20))
-			e.Store(c, n20, fNext+1, n40+4)
-			e.Store(c, n20, fNext+2, structures.Mark(0))
-			e.Store(c, n40, fNext+1, n10)
+			stale(e, c, s.head, 1, x)
+			stale(e, c, s.head, 5, x)
+			stale(e, c, n10, 1, structures.Mark(n20))
+			stale(e, c, n20, 1, n40+4)
+			stale(e, c, n20, 2, structures.Mark(0))
+			stale(e, c, n40, 1, n10)
 			e.OpEnd(c)
 			e.Freeze()
 			if err := e.PersistentDevices()[0].Close(); err != nil {
@@ -230,7 +240,7 @@ func TestAttachIgnoresStaleAccelerators(t *testing.T) {
 			want := [][]engine.Ref{1: {n10, n20, n40}, 2: {n20}}
 			for i := 1; i < MaxLevel; i++ {
 				var got []engine.Ref
-				for n := e.TraversalLoad(c, s.head, fNext+i); n != 0 && len(got) <= len(want[1]); n = e.TraversalLoad(c, n, fNext+i) {
+				for n := e.TraversalLoad(c, s.head, Link(i)); n != 0 && len(got) <= len(want[1]); n = e.TraversalLoad(c, n, Link(i)) {
 					got = append(got, n)
 				}
 				var w []engine.Ref

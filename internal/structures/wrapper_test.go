@@ -125,14 +125,13 @@ func TestServedMutationBudget(t *testing.T) {
 			c := e.NewCtx()
 			table := skiplist.New(e, c)
 			e.Drain(c)
-			// height reads a key's tower height off level 0, in the skip
-			// list's node layout: key, value, height, one link per level.
-			const fKey, fTop, fNext, rootHead = 0, 2, 3, 3
+			// height reads a key's tower height off level 0.
+			const rootHead = 3
 			height := func(key uint64) int {
 				head := raw.Load(c, raw.RootRef(), rootHead)
-				for n := structures.Unmark(raw.Load(c, head, fNext)); n != 0; n = structures.Unmark(raw.Load(c, n, fNext)) {
-					if raw.Load(c, n, fKey) == key {
-						return int(raw.Load(c, n, fTop))
+				for n := structures.Unmark(raw.Load(c, head, skiplist.FieldNext)); n != 0; n = structures.Unmark(raw.Load(c, n, skiplist.FieldNext)) {
+					if raw.Load(c, n, skiplist.FieldKey) == key {
+						return int(raw.Load(c, n, skiplist.FieldTop))
 					}
 				}
 				t.Fatalf("key %d is not on level 0", key)
@@ -171,10 +170,10 @@ func TestServedMutationBudget(t *testing.T) {
 			// Fresh inserts until towers of heights 1 to 4 were seen. Fences:
 			// the publish fence (which covers the announce), the level-0
 			// link, End — three at any height. Flushes: announce, the node's
-			// lines, the level-0 link, verdict; a node of height h is 3+h
-			// cells of 16 bytes, so its lines grow with h, and its upper links
-			// add nothing.
-			nodeFlushes := map[int]uint64{1: 4, 2: 5, 3: 5, 4: 5}
+			// lines, the level-0 link, verdict; a node of height h is two
+			// cells and h+1 plain words, 5+h words, so its lines grow with
+			// h, and its upper links add nothing.
+			nodeFlushes := map[int]uint64{1: 4, 2: 4, 3: 4, 4: 5}
 			byHeight := map[int]uint64{}
 			var key uint64
 			for len(byHeight) < len(nodeFlushes) {

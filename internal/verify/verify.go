@@ -12,6 +12,10 @@ import (
 
 	"mirror/internal/engine"
 	"mirror/internal/structures"
+	"mirror/internal/structures/bst"
+	"mirror/internal/structures/list"
+	"mirror/internal/structures/queue"
+	"mirror/internal/structures/skiplist"
 )
 
 // Report collects the problems found by a check.
@@ -50,7 +54,6 @@ func List(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 
 // checkChain validates one sorted chain hanging off (ref, field).
 func checkChain(e engine.Engine, c *engine.Ctx, ref engine.Ref, field int, r *Report) {
-	const fKey, fNext = 0, 2
 	seen := make(map[engine.Ref]bool)
 	prev := uint64(0)
 	first := true
@@ -61,8 +64,8 @@ func checkChain(e engine.Engine, c *engine.Ctx, ref engine.Ref, field int, r *Re
 			return
 		}
 		seen[curr] = true
-		next := e.TraversalLoad(c, curr, fNext)
-		key := e.TraversalLoad(c, curr, fKey)
+		next := e.TraversalLoad(c, curr, list.FieldNext)
+		key := e.TraversalLoad(c, curr, list.FieldKey)
 		if !structures.Marked(next) {
 			if !first && key <= prev {
 				r.addf("list: order violation %d after %d", key, prev)
@@ -95,16 +98,15 @@ func HashTable(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	for 1<<(64-shift) != uint64(buckets) {
 		shift--
 	}
-	const fKey, fNext = 0, 2
 	for b := 0; b < buckets; b++ {
 		checkChain(e, c, arr, b, r)
 		curr := structures.Unmark(e.TraversalLoad(c, arr, b))
 		for curr != 0 {
-			key := e.TraversalLoad(c, curr, fKey)
+			key := e.TraversalLoad(c, curr, list.FieldKey)
 			if int((key*11400714819323198485)>>shift) != b {
 				r.addf("hashtable: key %d in wrong bucket %d", key, b)
 			}
-			curr = structures.Unmark(e.TraversalLoad(c, curr, fNext))
+			curr = structures.Unmark(e.TraversalLoad(c, curr, list.FieldNext))
 		}
 	}
 	return r
@@ -116,7 +118,6 @@ func BST(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	const fKey, fLeft, fRight = 0, 2, 3
 	root := e.Load(c, e.RootRef(), rootField)
 	if root == 0 {
 		r.addf("bst: no root")
@@ -136,9 +137,9 @@ func BST(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 			continue
 		}
 		seen[f.ref] = true
-		key := e.TraversalLoad(c, f.ref, fKey)
-		left := e.TraversalLoad(c, f.ref, fLeft) &^ 3
-		right := e.TraversalLoad(c, f.ref, fRight) &^ 3
+		key := e.TraversalLoad(c, f.ref, bst.FieldKey)
+		left := e.TraversalLoad(c, f.ref, bst.FieldLeft) &^ 3
+		right := e.TraversalLoad(c, f.ref, bst.FieldRight) &^ 3
 		if (left == 0) != (right == 0) {
 			r.addf("bst: node %d has exactly one child (tree must be external)", f.ref)
 		}
@@ -165,7 +166,6 @@ func SkipList(e engine.Engine, c *engine.Ctx, rootField int, maxLevel int) *Repo
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	const fKey, fTop, fNext = 0, 2, 3
 	head := e.Load(c, e.RootRef(), rootField)
 	if head == 0 {
 		r.addf("skiplist: no head")
@@ -176,20 +176,20 @@ func SkipList(e engine.Engine, c *engine.Ctx, rootField int, maxLevel int) *Repo
 		prev := uint64(0)
 		first := true
 		seen := make(map[engine.Ref]bool)
-		curr := structures.Unmark(e.TraversalLoad(c, head, fNext+i))
+		curr := structures.Unmark(e.TraversalLoad(c, head, skiplist.Link(i)))
 		for curr != 0 {
 			if seen[curr] {
 				r.addf("skiplist: cycle at level %d node %d", i, curr)
 				break
 			}
 			seen[curr] = true
-			top := int(e.TraversalLoad(c, curr, fTop))
+			top := int(e.TraversalLoad(c, curr, skiplist.FieldTop))
 			if top <= i {
 				r.addf("skiplist: node %d with height %d linked at level %d", curr, top, i)
 				break
 			}
-			next := e.TraversalLoad(c, curr, fNext+i)
-			key := e.TraversalLoad(c, curr, fKey)
+			next := e.TraversalLoad(c, curr, skiplist.Link(i))
+			key := e.TraversalLoad(c, curr, skiplist.FieldKey)
 			if !structures.Marked(next) {
 				if !first && key <= prev {
 					r.addf("skiplist: level %d order violation %d after %d", i, key, prev)
@@ -212,7 +212,6 @@ func Queue(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	const fNext = 1
 	head := e.Load(c, e.RootRef(), rootField)
 	tail := e.Load(c, e.RootRef(), rootField+1)
 	if head == 0 || tail == 0 {
@@ -221,7 +220,7 @@ func Queue(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	}
 	seen := make(map[engine.Ref]bool)
 	sawTail := false
-	for n := head; n != 0; n = e.TraversalLoad(c, n, fNext) {
+	for n := head; n != 0; n = e.TraversalLoad(c, n, queue.FieldNext) {
 		if seen[n] {
 			r.addf("queue: cycle at node %d", n)
 			return r

@@ -36,9 +36,11 @@ func TestListDetectsDisorder(t *testing.T) {
 	l := list.New(e, 0)
 	l.Insert(c, 5, 5)
 	l.Insert(c, 9, 9)
-	// Corrupt: swap the key of the first node above the second's.
+	// Corrupt: swap the key of the first node above the second's. A key
+	// is write-once, so only a StoreInit can reach it: this is corruption
+	// no operation could cause.
 	head := e.Load(c, e.RootRef(), 0)
-	e.Store(c, head, 0, 100)
+	e.StoreInit(c, head, list.FieldKey, 100)
 	if r := List(e, c, 0); r.Ok() {
 		t.Error("disorder not detected")
 	}
@@ -66,7 +68,7 @@ func TestHashTableDetectsWrongBucket(t *testing.T) {
 	for b := 0; b < 16; b++ {
 		node := e.Load(c, arr, b)
 		if node != 0 {
-			e.Store(c, node, 0, 7777)
+			e.StoreInit(c, node, list.FieldKey, 7777)
 		}
 	}
 	if r := HashTable(e, c, 0); r.Ok() {
@@ -99,9 +101,9 @@ func TestBSTDetectsOrderViolation(t *testing.T) {
 	b.Insert(c, 150, 1)
 	// Corrupt a routing key.
 	root := e.Load(c, e.RootRef(), 2)
-	s := e.Load(c, root, 2) &^ 3
-	inner := e.Load(c, s, 2) &^ 3 // first real internal node
-	e.Store(c, inner, 0, 1)       // absurd routing key
+	s := e.Load(c, root, bst.FieldLeft) &^ 3
+	inner := e.Load(c, s, bst.FieldLeft) &^ 3 // first real internal node
+	e.StoreInit(c, inner, bst.FieldKey, 1)    // absurd routing key
 	if r := BST(e, c, 2); r.Ok() {
 		t.Error("routing violation not detected")
 	}

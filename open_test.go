@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"mirror/internal/engine"
 	"mirror/internal/patomic"
 	"mirror/internal/pmem"
 	"mirror/internal/structures"
+	"mirror/internal/structures/skiplist"
 )
 
 // openAll opens path and creates, in one fixed order, the four sets and the
@@ -136,6 +138,33 @@ func TestOpenRefusesDifferentConfiguration(t *testing.T) {
 	}()
 	rt.Close()
 
+	rewriteSidecar(t, path, func(m map[string]any) { delete(m, "roots") })
+	_, err = Open(path, opts)
+	refused("no root record", err)
+}
+
+// TestOpenRefusesOldNodeLayout: a sidecar without a node-layout version was
+// written when every field was a cell, so its image would be misread under
+// plain words; it is refused like any other configuration mismatch.
+func TestOpenRefusesOldNodeLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "media")
+	opts := Options{Words: 1 << 18}
+	rt, _, _, _ := openAll(t, path, opts)
+	rt.Close()
+	rewriteSidecar(t, path, func(m map[string]any) {
+		if _, ok := m["layout"]; !ok {
+			t.Fatal("the sidecar records no node layout")
+		}
+		delete(m, "layout")
+	})
+	if _, err := Open(path, opts); err == nil || !strings.Contains(err.Error(), "different configuration") {
+		t.Fatalf("old-layout sidecar: error %v, want the different-configuration refusal", err)
+	}
+}
+
+// rewriteSidecar applies edit to the JSON of path's sidecar.
+func rewriteSidecar(t *testing.T, path string, edit func(map[string]any)) {
+	t.Helper()
 	sidecar := path + ".meta"
 	raw, err := os.ReadFile(sidecar)
 	if err != nil {
@@ -145,15 +174,13 @@ func TestOpenRefusesDifferentConfiguration(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	delete(m, "roots")
+	edit(m)
 	if raw, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(sidecar, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(path, opts)
-	refused("no root record", err)
 }
 
 // TestOpenWipesMediaWithoutSidecar: without its sidecar an image is garbage
@@ -191,22 +218,9 @@ func TestOpenAdoptsRecordedEmptyRoot(t *testing.T) {
 
 	// Record a hash table at fields 1-2, as its constructor does before
 	// storing the root, and stop there.
-	sidecar := path + ".meta"
-	raw, err := os.ReadFile(sidecar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["roots"] = append(m["roots"].([]any), map[string]any{"kind": "hashtable", "field": 1})
-	if raw, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(sidecar, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteSidecar(t, path, func(m map[string]any) {
+		m["roots"] = append(m["roots"].([]any), map[string]any{"kind": "hashtable", "field": 1})
+	})
 
 	for run := 0; run < 2; run++ {
 		rt, err := Open(path, opts)
@@ -281,8 +295,9 @@ func TestOpenRestoresOnlyLive(t *testing.T) {
 			if dead == 0 {
 				t.Fatal("attach copied the dead objects too: no media word was left out of the view")
 			}
-			if r := rt.Recovery(); r.LiveWords == 0 || r.LiveWords >= uint64(r.Words) || r.Recover <= 0 || r.Verify <= 0 {
-				t.Fatalf("attach report %+v: want a recover and a verify phase and 0 < live words < capacity", r)
+			if r := rt.Recovery(); r.LiveWords == 0 || r.LiveWords >= uint64(r.Words) || r.Recover <= 0 || r.Verify <= 0 ||
+				r.Objects == 0 || 4*r.Objects > r.LiveWords {
+				t.Fatalf("attach report %+v: want a recover and a verify phase, 0 < live words < capacity and objects of 4 words or more", r)
 			}
 			for i, s := range sets {
 				for k := uint64(1); k <= keys; k++ {
@@ -319,11 +334,12 @@ func TestOpenRestoresOnlyLive(t *testing.T) {
 
 // accelerators returns the words of the skip list's links above level 0 on
 // its head and on every unmarked node of its level-0 chain: the repair pass
-// of an attach rewrites them without persisting the new values. The layout is the
-// skip list's — key, value, height, then one link per level — at root field
-// 3, where openAll puts it (after the list's field and the hash table's two).
+// of an attach rewrites them without persisting the new values. The skip
+// list is at root field 3, where openAll puts it (after the list's field and
+// the hash table's two); its links above level 0 are plain words, one word
+// each after the node's cells.
 func accelerators(rt *Runtime, c *Ctx) map[uint64]bool {
-	const fTop, fNext, rootField = 2, 3, 3
+	const rootField = 3
 	e := rt.Engine()
 	cell := uint64(1)
 	if k := e.Kind(); k == MirrorDRAM || k == MirrorNVMM {
@@ -331,16 +347,15 @@ func accelerators(rt *Runtime, c *Ctx) map[uint64]bool {
 	}
 	words := map[uint64]bool{}
 	tower := func(n uint64) {
-		for f := fNext + 1; f < fNext+int(e.TraversalLoad(c, n, fTop)); f++ {
-			for w := uint64(0); w < cell; w++ {
-				words[n+uint64(f)*cell+w] = true
-			}
+		for i := 1; i < int(e.TraversalLoad(c, n, skiplist.FieldTop)); i++ {
+			f := skiplist.Link(i)
+			words[n+uint64(f/engine.Plain)*cell+uint64(f%engine.Plain)] = true
 		}
 	}
 	head := e.TraversalLoad(c, e.RootRef(), rootField)
 	tower(head)
-	for n := structures.Unmark(e.TraversalLoad(c, head, fNext)); n != 0; {
-		next := e.TraversalLoad(c, n, fNext)
+	for n := structures.Unmark(e.TraversalLoad(c, head, skiplist.FieldNext)); n != 0; {
+		next := e.TraversalLoad(c, n, skiplist.FieldNext)
 		if !structures.Marked(next) {
 			tower(n)
 		}
