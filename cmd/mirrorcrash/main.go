@@ -23,33 +23,15 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"time"
 
 	"mirror/internal/crashtest"
 	"mirror/internal/engine"
 	"mirror/internal/faultfuzz"
 	"mirror/internal/pmem"
-	"mirror/internal/structures"
-	"mirror/internal/structures/bst"
-	"mirror/internal/structures/hashtable"
-	"mirror/internal/structures/list"
-	"mirror/internal/structures/skiplist"
 )
-
-var builders = map[string]crashtest.Builder{
-	"list": func(e engine.Engine, c *engine.Ctx) structures.Set {
-		return list.New(e, 0)
-	},
-	"hashtable": func(e engine.Engine, c *engine.Ctx) structures.Set {
-		return hashtable.New(e, c, 64)
-	},
-	"bst": func(e engine.Engine, c *engine.Ctx) structures.Set {
-		return bst.New(e, c)
-	},
-	"skiplist": func(e engine.Engine, c *engine.Ctx) structures.Set {
-		return skiplist.New(e, c)
-	},
-}
 
 var engines = map[string]engine.Kind{
 	"Mirror":      engine.MirrorDRAM,
@@ -81,27 +63,15 @@ func main() {
 		os.Exit(replay(*structure, *engName, faults, *seed, *schedule, *detect))
 	}
 
-	var structNames, engNames []string
-	if *structure == "all" {
-		for n := range builders {
-			structNames = append(structNames, n)
-		}
-	} else if _, ok := builders[*structure]; ok {
-		structNames = []string{*structure}
-	} else {
-		fmt.Fprintf(os.Stderr, "mirrorcrash: unknown structure %q\n", *structure)
-		os.Exit(2)
+	// Sorted names: a fixed -seed gives every combination the same seeds,
+	// in the same order, on every run.
+	var engNames []string
+	for n := range engines {
+		engNames = append(engNames, n)
 	}
-	if *engName == "all" {
-		for n := range engines {
-			engNames = append(engNames, n)
-		}
-	} else if _, ok := engines[*engName]; ok {
-		engNames = []string{*engName}
-	} else {
-		fmt.Fprintf(os.Stderr, "mirrorcrash: unknown engine %q\n", *engName)
-		os.Exit(2)
-	}
+	sort.Strings(engNames)
+	structNames := pick("structure", faultfuzz.Structures(), *structure)
+	engNames = pick("engine", engNames, *engName)
 
 	if *fuzzN > 0 {
 		os.Exit(fuzz(structNames, engNames, faults, *seed, *fuzzN, *reproOut, *detect))
@@ -119,7 +89,7 @@ func main() {
 			start := time.Now()
 			violations := 0
 			for r := 0; r < *rounds; r++ {
-				vs := crashtest.Run(engines[en], builders[sn], crashtest.Config{
+				vs := crashtest.Run(engines[en], sn, crashtest.Config{
 					Policy:    policies[r%len(policies)],
 					FreezeLag: time.Duration(rng.Intn(4000)) * time.Microsecond,
 					Seed:      rng.Int63(),
@@ -140,6 +110,19 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("OK: durable linearizability held in every round")
+}
+
+// pick returns names for "all", else the one name asked for; it exits on
+// a name not in names.
+func pick(what string, names []string, name string) []string {
+	if name == "all" {
+		return names
+	}
+	if !slices.Contains(names, name) {
+		fmt.Fprintf(os.Stderr, "mirrorcrash: unknown %s %q\n", what, name)
+		os.Exit(2)
+	}
+	return []string{name}
 }
 
 // crashAtFor derives a deterministic crash placement in [1, total] from a

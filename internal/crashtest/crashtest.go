@@ -20,12 +20,9 @@ import (
 
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
+	"mirror/internal/rt"
 	"mirror/internal/structures"
 )
-
-// Builder constructs (or, after recovery, re-attaches) the structure under
-// test on the given engine.
-type Builder func(e engine.Engine, c *engine.Ctx) structures.Set
 
 // Config tunes one crash round.
 type Config struct {
@@ -67,34 +64,49 @@ type workerLog struct {
 	inflightIns bool
 }
 
-// Run executes one crash round against a durable engine kind and returns
-// any violations found. It is RunCustom over the engine's own lifecycle,
-// plus a check that every present key still holds its value.
-func Run(kind engine.Kind, build Builder, cfg Config) []Violation {
+// Run executes one crash round against the named structure on a durable
+// engine kind and returns any violations found. The structure lives in a
+// runtime (internal/rt) and recovers through it, as a user's does; it is
+// RunCustom over that lifecycle, plus a check that every present key still
+// holds its value.
+func Run(kind engine.Kind, structure string, cfg Config) []Violation {
 	cfg.setDefaults()
 	if !kind.Durable() {
 		panic("crashtest: engine kind is not durable")
 	}
-	e := engine.New(engine.Config{Kind: kind, Words: cfg.Words, Track: true})
-	set := build(e, e.NewCtx())
+	r, err := rt.Open(engine.Config{Kind: kind, Words: cfg.Words, RootFields: 8, Track: true})
+	if err != nil {
+		panic(err)
+	}
+	set := attach(r, r.NewCtx(), structure)
 	target := CustomTarget{
 		NewWorker: func() (func(k, v uint64) bool, func(k uint64) bool, func(k uint64) bool) {
-			c := e.NewCtx()
+			c := r.NewCtx()
 			return func(k, v uint64) bool { return set.Insert(c, k, v) },
 				func(k uint64) bool { return set.Delete(c, k) },
 				func(k uint64) bool { return set.Contains(c, k) }
 		},
-		Freeze: e.Freeze,
-		Crash:  e.Crash,
+		Freeze: r.Freeze,
+		Crash:  r.Engine().Crash,
 		Recover: func() {
-			e.Recover(set.Tracer())
-			set = build(e, e.NewCtx()) // re-attach
+			r.Recover()
+			set = attach(r, r.NewCtx(), structure)
 		},
 	}
 	return round(target, cfg, func() func(k uint64) (uint64, bool) {
-		c := e.NewCtx()
+		c := r.NewCtx()
 		return func(k uint64) (uint64, bool) { return set.Get(c, k) }
 	})
+}
+
+// attach returns the runtime's set of the named kind at root field 0 (a
+// hash table of 64 buckets), initializing it if the root is unset.
+func attach(r *rt.Runtime, c *engine.Ctx, structure string) structures.Set {
+	h, err := r.At(c, structure, 0, 64)
+	if err != nil {
+		panic(err)
+	}
+	return h.(structures.Set)
 }
 
 // round is one crash round: single-writer workers and roaming readers run

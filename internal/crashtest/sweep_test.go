@@ -7,23 +7,8 @@ import (
 
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
-	"mirror/internal/structures/bst"
-	"mirror/internal/structures/hashtable"
-	"mirror/internal/structures/list"
-	"mirror/internal/structures/skiplist"
+	"mirror/internal/rt"
 )
-
-// tracerFactories builds recovery tracers without attaching to the
-// structure, which is required when recovering a crash that may have cut
-// the structure's own construction.
-func tracerFactories() map[string]func(e engine.Engine) engine.Tracer {
-	return map[string]func(e engine.Engine) engine.Tracer{
-		"list":      func(e engine.Engine) engine.Tracer { return list.TracerAt(e, 0) },
-		"hashtable": func(e engine.Engine) engine.Tracer { return hashtable.TracerAt(e, 0) },
-		"bst":       func(e engine.Engine) engine.Tracer { return bst.TracerAt(e, 2) },
-		"skiplist":  func(e engine.Engine) engine.Tracer { return skiplist.TracerAt(e, 3) },
-	}
-}
 
 // sweepOp is one scripted operation.
 type sweepOp struct {
@@ -56,7 +41,7 @@ func sweepScript() []sweepOp {
 // state after each completed operation. It returns the completed-op model,
 // the index of the operation in flight when the freeze hit (-1 if the
 // script completed), and whether a freeze occurred.
-func replayScript(e engine.Engine, build Builder, script []sweepOp) (model map[uint64]bool, inflight int, froze bool) {
+func replayScript(r *rt.Runtime, structure string, script []sweepOp) (model map[uint64]bool, inflight int, froze bool) {
 	model = make(map[uint64]bool)
 	inflight = -1
 	froze = false
@@ -70,8 +55,8 @@ func replayScript(e engine.Engine, build Builder, script []sweepOp) (model map[u
 				return
 			}
 		}()
-		c := e.NewCtx()
-		set := build(e, c)
+		c := r.NewCtx()
+		set := attach(r, c, structure)
 		for i, op := range script {
 			inflight = i
 			if op.insert {
@@ -91,9 +76,11 @@ func replayScript(e engine.Engine, build Builder, script []sweepOp) (model map[u
 
 // TestExhaustiveCrashPoints places a crash after *every* persistent-device
 // operation of a deterministic script, for every durable engine, structure,
-// and eviction policy — a small-scale model check of recovery. After each
-// crash+recovery, every key must reflect its last completed operation, and
-// the single in-flight operation may have gone either way.
+// and eviction policy — a small-scale model check of the runtime's recovery
+// (rt.Recover: trace, rebuild, repair, drain). Construction is inside the
+// window. After each crash+recovery, every key must reflect its last
+// completed operation, and the single in-flight operation may have gone
+// either way.
 func TestExhaustiveCrashPoints(t *testing.T) {
 	script := sweepScript()
 	keys := map[uint64]bool{}
@@ -101,7 +88,7 @@ func TestExhaustiveCrashPoints(t *testing.T) {
 		keys[op.key] = true
 	}
 	policies := []pmem.CrashPolicy{pmem.CrashDropAll, pmem.CrashKeepAll, pmem.CrashRandom}
-	for name, build := range builders() {
+	for _, name := range sets {
 		for _, kind := range durableKinds() {
 			t.Run(fmt.Sprintf("%s/%s", name, kind), func(t *testing.T) {
 				t.Parallel()
@@ -109,13 +96,16 @@ func TestExhaustiveCrashPoints(t *testing.T) {
 					rng := rand.New(rand.NewSource(17))
 					points := 0
 					for n := int64(1); ; n++ {
-						e := engine.New(engine.Config{Kind: kind, Words: 1 << 17, Track: true})
-						e.FreezeAfter(n)
-						model, inflight, froze := replayScript(e, build, script)
-						e.Crash(policy, rng)
-						e.Recover(tracerFactories()[name](e))
-						c := e.NewCtx()
-						set := build(e, c)
+						r, err := rt.Open(engine.Config{Kind: kind, Words: 1 << 17, RootFields: 8, Track: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						r.Engine().FreezeAfter(n)
+						model, inflight, froze := replayScript(r, name, script)
+						r.Engine().Crash(policy, rng)
+						r.Recover()
+						c := r.NewCtx()
+						set := attach(r, c, name)
 
 						var inflightKey uint64
 						var inflightVal bool

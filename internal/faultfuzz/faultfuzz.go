@@ -27,11 +27,8 @@ import (
 	"mirror/internal/engine"
 	"mirror/internal/linearize"
 	"mirror/internal/pmem"
+	"mirror/internal/rt"
 	"mirror/internal/structures"
-	"mirror/internal/structures/bst"
-	"mirror/internal/structures/hashtable"
-	"mirror/internal/structures/list"
-	"mirror/internal/structures/skiplist"
 	"mirror/internal/verify"
 )
 
@@ -93,9 +90,9 @@ type Spec struct {
 	// with linearize.CheckDurable is a violation like any other:
 	// shrinkable and replayable.
 	Detect bool
-	// NewEngine overrides engine construction (test hook for deliberately
-	// broken engines, or a recovery pipeline other than the sequential
-	// Recover). nil means engine.New.
+	// NewEngine builds the runtime's engine (rt.OpenWith): a test hook for
+	// deliberately broken engines, or a recovery pipeline partitioned other
+	// than the runtime's. nil means engine.New.
 	NewEngine func(engine.Config) engine.Engine
 }
 
@@ -130,49 +127,24 @@ func (r *Result) addf(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-// target bundles the per-structure hooks.
+// target is where a structure lives in the fuzzed runtime and the fsck
+// its survivor must pass.
 type target struct {
 	rootField int
-	build     func(e engine.Engine, c *engine.Ctx) structures.Set
-	tracer    func(e engine.Engine) engine.Tracer
-	fsck      func(e engine.Engine, c *engine.Ctx) *verify.Report
+	fsck      func(e engine.Engine, c *engine.Ctx, rootField int) *verify.Report
 }
 
-func targets() map[string]target {
-	return map[string]target{
-		"list": {
-			rootField: 0,
-			build:     func(e engine.Engine, c *engine.Ctx) structures.Set { return list.New(e, 0) },
-			tracer:    func(e engine.Engine) engine.Tracer { return list.TracerAt(e, 0) },
-			fsck:      func(e engine.Engine, c *engine.Ctx) *verify.Report { return verify.List(e, c, 0) },
-		},
-		"hashtable": {
-			rootField: 0,
-			build:     func(e engine.Engine, c *engine.Ctx) structures.Set { return hashtable.New(e, c, 16) },
-			tracer:    func(e engine.Engine) engine.Tracer { return hashtable.TracerAt(e, 0) },
-			fsck:      func(e engine.Engine, c *engine.Ctx) *verify.Report { return verify.HashTable(e, c, 0) },
-		},
-		"bst": {
-			rootField: 2,
-			build:     func(e engine.Engine, c *engine.Ctx) structures.Set { return bst.New(e, c) },
-			tracer:    func(e engine.Engine) engine.Tracer { return bst.TracerAt(e, 2) },
-			fsck:      func(e engine.Engine, c *engine.Ctx) *verify.Report { return verify.BST(e, c, 2) },
-		},
-		"skiplist": {
-			rootField: 3,
-			build:     func(e engine.Engine, c *engine.Ctx) structures.Set { return skiplist.New(e, c) },
-			tracer:    func(e engine.Engine) engine.Tracer { return skiplist.TracerAt(e, 3) },
-			fsck: func(e engine.Engine, c *engine.Ctx) *verify.Report {
-				return verify.SkipList(e, c, 3, skiplist.MaxLevel)
-			},
-		},
-	}
+var targets = map[string]target{
+	"list":      {0, verify.List},
+	"hashtable": {0, verify.HashTable},
+	"bst":       {2, verify.BST},
+	"skiplist":  {3, verify.SkipList},
 }
 
 // Structures lists the fuzzable structure names, sorted.
 func Structures() []string {
 	var names []string
-	for name := range targets() {
+	for name := range targets {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -263,13 +235,9 @@ func Run(spec Spec) *Result {
 	if !spec.Kind.Durable() {
 		panic("faultfuzz: engine kind is not durable")
 	}
-	tgt, ok := targets()[spec.Structure]
+	tgt, ok := targets[spec.Structure]
 	if !ok {
 		panic(fmt.Sprintf("faultfuzz: unknown structure %q", spec.Structure))
-	}
-	newEngine := spec.NewEngine
-	if newEngine == nil {
-		newEngine = engine.New
 	}
 	words := spec.Words
 	if words == 0 {
@@ -281,7 +249,12 @@ func Run(spec Spec) *Result {
 	if spec.Detect {
 		clients = spec.Schedule.Workers
 	}
-	e := newEngine(engine.Config{Kind: spec.Kind, Words: words, Track: true, Clients: clients})
+	r, err := rt.OpenWith(engine.Config{Kind: spec.Kind, Words: words, RootFields: 8, Track: true, Clients: clients},
+		spec.NewEngine)
+	if err != nil {
+		panic(err)
+	}
+	e := r.Engine()
 	fm := pmem.NewFaultModel(spec.Seed, spec.Faults)
 	devs := e.PersistentDevices()
 	for _, d := range devs {
@@ -291,9 +264,13 @@ func Run(spec Spec) *Result {
 		fm.CrashAfter(spec.Schedule.CrashAt)
 	}
 
-	// Construction is inside the crash window: the trigger may cut it.
 	var set structures.Set
-	built := guard(func() { set = tgt.build(e, e.NewCtx()) })
+	attach := func(c *engine.Ctx) {
+		h, _ := r.At(c, spec.Structure, tgt.rootField, 16) // a fresh runtime refuses no field
+		set = h.(structures.Set)
+	}
+	// Construction is inside the crash window: the trigger may cut it.
+	built := guard(func() { attach(r.NewCtx()) })
 
 	hist := linearize.NewHistory()
 	dets := make([]*detectableSet, spec.Schedule.Workers)
@@ -342,26 +319,21 @@ func Run(spec Spec) *Result {
 		res.MediaHash = res.MediaHash*fnvPrime ^ d.MediaHash()
 	}
 
-	// Recovery must neither panic nor leave a broken structure behind.
-	if !guard(func() { e.Recover(tgt.tracer(e)) }) {
+	// The runtime's recovery — trace, rebuild, repair, drain — and the
+	// re-attach must neither panic nor leave a broken structure behind.
+	var c *engine.Ctx
+	if !guard(func() { r.Recover(); c = r.NewCtx(); attach(c) }) {
 		res.addf("recovery crashed (froze) — recovery must not touch the crash trigger")
 		return res
 	}
-	c := e.NewCtx()
-	if !guard(func() { set = tgt.build(e, c) }) {
-		res.addf("re-attach after recovery froze the device")
-		return res
-	}
 
-	fsck := func(prefix string) {
-		if rep := tgt.fsck(e, c); !rep.Ok() {
-			for _, p := range rep.Problems {
-				res.addf("%sfsck: %s", prefix, p)
-			}
+	// Structural fsck, then the Lemma 5.3–5.5 replica invariants on every
+	// reachable object, walked by the tracer the runtime recovered with.
+	check := func(prefix string) {
+		for _, p := range tgt.fsck(e, c, tgt.rootField).Problems {
+			res.addf("%sfsck: %s", prefix, p)
 		}
-	}
-	invariants := func(prefix string) {
-		tgt.tracer(e)(
+		set.Tracer()(
 			func(ref engine.Ref, field int) uint64 { return e.TraversalLoad(c, ref, field) },
 			func(ref engine.Ref, fields int) {
 				if msg := e.CheckInvariants(ref, fields); msg != "" {
@@ -369,11 +341,7 @@ func Run(spec Spec) *Result {
 				}
 			})
 	}
-
-	// Structural fsck, then the Lemma 5.3–5.5 replica invariants on every
-	// reachable object.
-	fsck("")
-	invariants("")
+	check("")
 
 	// Detectability: every verdict must agree with the recorded history,
 	// and the crash-cut operation is resolved by its verdict *before* the
@@ -486,8 +454,7 @@ func Run(spec Spec) *Result {
 			}
 		}
 		if replayed {
-			fsck("post-replay ")
-			invariants("post-replay ")
+			check("post-replay ")
 			final = scan()
 			if err := linearize.CheckDurable(hist, nil, final); err != nil {
 				res.addf("post-replay %v (completed=%d pending=%d state=%v)", err, len(hist.Ops), len(hist.Pending), final)

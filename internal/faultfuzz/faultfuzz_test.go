@@ -399,3 +399,52 @@ func TestZurielUnderFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestMediaImagesPinned pins the post-crash media image of one Workers=1
+// spec per structure, without and with detectable operations: a crash at
+// workload end (OpsTotal, MediaHash, CrashedAt 0) and one at half of it.
+// The constants were taken before the fuzzer attached through the runtime;
+// a change to anything that runs before the crash — the engine, a
+// structure's write path, how the fuzzer builds them — moves them.
+func TestMediaImagesPinned(t *testing.T) {
+	pins := []struct {
+		structure string
+		detect    bool
+		opsTotal  int64
+		endHash   uint64
+		midHash   uint64
+	}{
+		{"bst", false, 59, 0x223a49273e092db6, 0xc30929c23af967d},
+		{"bst", true, 212, 0xa217f2fc5dd277d8, 0x8060a40aa0f60992},
+		{"hashtable", false, 55, 0x6698cc19b6e1defa, 0x145caeedd7fca944},
+		{"hashtable", true, 181, 0x96a174f9c44de101, 0xcf3de1efa31c53cb},
+		{"list", false, 10, 0xff71bc3760d4fad3, 0x57ccc0f10c32d8e4},
+		{"list", true, 136, 0xa569db8ef59573e, 0xf06f5d4288d82a72},
+		{"skiplist", false, 41, 0xab77a87013dc2fa2, 0x4ab7d4ed5cf07835},
+		{"skiplist", true, 180, 0x38ce1b814cd9c54d, 0x4d9fcefb1bcd05ee},
+	}
+	for _, p := range pins {
+		spec := Spec{
+			Structure: p.structure,
+			Kind:      engine.MirrorDRAM,
+			Faults:    pmem.FaultSpec{Torn: true, Evict: true, Drop: true},
+			Seed:      1,
+			Detect:    p.detect,
+			Schedule:  Schedule{Workers: 1, OpsPer: 8, Keys: 6},
+		}
+		if p.detect {
+			spec.Seed = 11
+		}
+		end := Run(spec)
+		if end.OpsTotal != p.opsTotal || end.CrashedAt != 0 || end.MediaHash != p.endHash || end.Failed() {
+			t.Errorf("%v: ops %d, crashed at %d, hash %#x, violations %q; want ops %d, crashed at 0, hash %#x, none",
+				spec, end.OpsTotal, end.CrashedAt, end.MediaHash, end.Violations, p.opsTotal, p.endHash)
+		}
+		spec.Schedule.CrashAt = p.opsTotal / 2
+		mid := Run(spec)
+		if mid.OpsTotal != spec.Schedule.CrashAt || mid.CrashedAt != spec.Schedule.CrashAt || mid.MediaHash != p.midHash || mid.Failed() {
+			t.Errorf("%v: ops %d, crashed at %d, hash %#x, violations %q; want ops and crash at %d, hash %#x, none",
+				spec, mid.OpsTotal, mid.CrashedAt, mid.MediaHash, mid.Violations, spec.Schedule.CrashAt, p.midHash)
+		}
+	}
+}

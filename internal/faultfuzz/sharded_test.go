@@ -10,14 +10,16 @@ import (
 	"mirror/internal/structures/skiplist"
 )
 
-// shardedRecovery is an engine whose Recover runs the parallel recovery
-// pipeline with fixed options instead of the sequential one.
+// shardedRecovery is an engine whose recovery runs the parallel pipeline
+// with fixed options instead of the ones the runtime asks for.
 type shardedRecovery struct {
 	engine.Engine
 	opts engine.RecoverOptions
 }
 
-func (s shardedRecovery) Recover(tr engine.Tracer) { s.RecoverWith(tr, s.opts) }
+func (s shardedRecovery) RecoverWith(tr engine.Tracer, _ engine.RecoverOptions) {
+	s.Engine.RecoverWith(tr, s.opts)
+}
 
 // recoverSharded adapts Spec.NewEngine so Run recovers through the pipeline
 // partitioned into the given number of shards: a sharded trace where the
@@ -28,9 +30,9 @@ func recoverSharded(structure string, shards int) func(engine.Config) engine.Eng
 		opts := engine.RecoverOptions{Parallelism: shards}
 		switch structure {
 		case "hashtable":
-			opts.Sharded = hashtable.ShardedTracerAt(e, targets()[structure].rootField)
+			opts.Sharded = hashtable.ShardedTracerAt(e, targets[structure].rootField)
 		case "skiplist":
-			opts.Sharded = skiplist.ShardedTracerAt(e, targets()[structure].rootField)
+			opts.Sharded = skiplist.ShardedTracerAt(e, targets[structure].rootField)
 		}
 		return shardedRecovery{e, opts}
 	}

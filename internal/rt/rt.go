@@ -135,7 +135,15 @@ type Runtime struct {
 // every recorded structure in record order, rebuilds rep_v and the allocator,
 // repairs, drains, and walks every structure once: a corrupt image fails
 // here, not under load.
-func Open(cfg engine.Config) (*Runtime, error) {
+func Open(cfg engine.Config) (*Runtime, error) { return OpenWith(cfg, nil) }
+
+// OpenWith is Open over the engine newEngine builds (engine.New if nil):
+// the crash adversaries' seam for deliberately broken engines and for a
+// recovery pipeline other than the sequential one.
+func OpenWith(cfg engine.Config, newEngine func(engine.Config) engine.Engine) (*Runtime, error) {
+	if newEngine == nil {
+		newEngine = engine.New
+	}
 	r := &Runtime{cfg: cfg}
 	if cfg.MediaPath != "" {
 		if !cfg.Kind.Durable() {
@@ -166,7 +174,7 @@ func Open(cfg engine.Config) (*Runtime, error) {
 	}
 	r.cfg.Attach = r.attached
 	t := time.Now()
-	r.eng = engine.New(r.cfg)
+	r.eng = newEngine(r.cfg)
 	open := time.Since(t)
 	var err error
 	if r.attached {
@@ -269,15 +277,20 @@ func (r *Runtime) NewCtx() *engine.Ctx { return r.eng.NewCtx() }
 // issued by the runtime's devices.
 func (r *Runtime) Counters() (flushes, fences uint64) { return r.eng.Counters() }
 
-// attach returns the structure of kind k at root field f: the handle Open
-// adopted, or one opened now. A field no structure owns is recorded in the
-// sidecar first, so a crash before its root store leaves a recorded root
-// that a later Open adopts empty and this call initializes. A field another
-// kind owns is refused.
-func (r *Runtime) attach(c *engine.Ctx, k string, f, buckets int) (walker, error) {
+// At returns the structure of kind k ("list", "hashtable", "bst",
+// "skiplist" or "queue") at root field f: the handle Open or Recover
+// adopted, or one opened now; buckets sizes a new hash table only. A field
+// no structure owns is recorded in the sidecar first, so a crash
+// before its root store leaves a recorded root that a later Open adopts
+// empty and this call initializes. A field another kind owns is refused.
+func (r *Runtime) At(c *engine.Ctx, k string, f, buckets int) (any, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := kinds[k].fields
+	kd, ok := kinds[k]
+	if !ok {
+		return nil, fmt.Errorf("runtime: unknown structure kind %q", k)
+	}
+	n := kd.fields
 	if f < 0 || f+n > r.cfg.RootFields {
 		return nil, fmt.Errorf("runtime: root fields [%d, %d) outside the %d a runtime has", f, f+n, r.cfg.RootFields)
 	}
@@ -300,20 +313,20 @@ func (r *Runtime) attach(c *engine.Ctx, k string, f, buckets int) (walker, error
 		}
 	}
 	if s.h == nil {
-		s.h = kinds[k].open(r.eng, c, f, buckets)
+		s.h = kd.open(r.eng, c, f, buckets)
 	}
 	return s.h, nil
 }
 
-// next is attach at the runtime's next free root fields: the k-th New*
-// call of a reopened runtime gets what the earlier k-th call created. It
-// panics on a refusal.
-func (r *Runtime) next(c *engine.Ctx, k string, buckets int) walker {
+// next is At at the runtime's next free root fields: the k-th New* call of
+// a reopened runtime gets what the earlier k-th call created. It panics on
+// a refusal.
+func (r *Runtime) next(c *engine.Ctx, k string, buckets int) any {
 	r.mu.Lock()
 	f := r.nextRoot
 	r.nextRoot += kinds[k].fields
 	r.mu.Unlock()
-	h, err := r.attach(c, k, f, buckets)
+	h, err := r.At(c, k, f, buckets)
 	if err != nil {
 		panic(err)
 	}
@@ -339,22 +352,6 @@ func (r *Runtime) NewSkipList(c *engine.Ctx) structures.Set {
 
 // NewQueue creates a durable FIFO queue.
 func (r *Runtime) NewQueue(c *engine.Ctx) *queue.Queue { return r.next(c, "queue", 0).(*queue.Queue) }
-
-// SkipListAt is NewSkipList at an explicit root field.
-func (r *Runtime) SkipListAt(c *engine.Ctx, f int) (*skiplist.SkipList, error) {
-	return at[*skiplist.SkipList](r, c, "skiplist", f)
-}
-
-// QueueAt is NewQueue at an explicit pair of root fields.
-func (r *Runtime) QueueAt(c *engine.Ctx, f int) (*queue.Queue, error) {
-	return at[*queue.Queue](r, c, "queue", f)
-}
-
-func at[T walker](r *Runtime, c *engine.Ctx, k string, f int) (T, error) {
-	h, err := r.attach(c, k, f, 0)
-	t, _ := h.(T)
-	return t, err
-}
 
 // Freeze makes every device operation panic, unwinding in-flight
 // operations so a crash can be taken at an arbitrary moment. Only crash
@@ -412,6 +409,8 @@ func (r *Runtime) recover(parallelism int) *engine.Ctx {
 		r.eng.OpBegin(c)
 		set := r.eng.TraversalLoad(c, r.eng.RootRef(), s.Field) != 0
 		r.eng.OpEnd(c)
+		// A root the crash left unset has no structure: At initializes it.
+		s.h = nil
 		if set {
 			s.h = kinds[s.Kind].open(r.eng, c, s.Field, 1)
 		}

@@ -196,13 +196,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, rt: r, e: r.Engine(), conns: make(map[*conn]struct{})}
 	c := r.NewCtx()
-	if s.table, err = r.SkipListAt(c, tableRoot); err == nil {
-		s.q, err = r.QueueAt(c, queueRoot)
+	table, err := r.At(c, "skiplist", tableRoot, 0)
+	var q any
+	if err == nil {
+		q, err = r.At(c, "queue", queueRoot, 0)
 	}
 	if err != nil {
 		r.Close()
 		return nil, err
 	}
+	s.table, s.q = table.(*skiplist.SkipList), q.(*queue.Queue)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers = append(s.workers, &worker{
 			s: s, c: r.NewCtx(), ch: make(chan reqItem, 1024),

@@ -160,9 +160,10 @@ func BST(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 }
 
 // SkipList checks that every level is sorted, that level-i membership
-// implies a tower of height > i, and that level 0 is a superset of every
-// higher level.
-func SkipList(e engine.Engine, c *engine.Ctx, rootField int, maxLevel int) *Report {
+// implies a tower of height > i, that level 0 is a superset of every higher
+// level, and that every unmarked level-0 node is linked at every level below
+// its height: what a quiesced skip list holds once its repair pass has run.
+func SkipList(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
@@ -172,7 +173,9 @@ func SkipList(e engine.Engine, c *engine.Ctx, rootField int, maxLevel int) *Repo
 		return r
 	}
 	level0 := make(map[engine.Ref]bool)
-	for i := 0; i < maxLevel; i++ {
+	live := make(map[engine.Ref]bool) // unmarked at level 0
+	missing := 0                      // links live towers still lack
+	for i := 0; i < skiplist.MaxLevel; i++ {
 		prev := uint64(0)
 		first := true
 		seen := make(map[engine.Ref]bool)
@@ -196,13 +199,22 @@ func SkipList(e engine.Engine, c *engine.Ctx, rootField int, maxLevel int) *Repo
 				}
 				prev, first = key, false
 			}
-			if i == 0 {
-				level0[curr] = true
-			} else if !level0[curr] && !structures.Marked(next) {
+			switch {
+			case i == 0:
+				level0[curr], live[curr] = true, !structures.Marked(next)
+				if live[curr] {
+					missing += top - 1
+				}
+			case live[curr]:
+				missing--
+			case !level0[curr] && !structures.Marked(next):
 				r.addf("skiplist: unmarked node %d at level %d missing from level 0", curr, i)
 			}
 			curr = structures.Unmark(next)
 		}
+	}
+	if missing != 0 {
+		r.addf("skiplist: live towers miss %d links below their heights", missing)
 	}
 	return r
 }

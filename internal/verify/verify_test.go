@@ -119,8 +119,27 @@ func TestSkipListOk(t *testing.T) {
 	for k := uint64(1); k <= 500; k += 3 {
 		s.Delete(c, k)
 	}
-	if r := SkipList(e, c, 3, skiplist.MaxLevel); !r.Ok() {
+	if r := SkipList(e, c, 3); !r.Ok() {
 		t.Errorf("healthy skiplist flagged: %s", r)
+	}
+}
+
+// TestSkipListMissingTowerFlagged cuts level 1 off at the head, as a
+// recovered image looks before its repair pass: every taller node is then
+// live at level 0 but missing from level 1.
+func TestSkipListMissingTowerFlagged(t *testing.T) {
+	e := newEngine()
+	c := e.NewCtx()
+	s := skiplist.New(e, c)
+	for k := uint64(1); k <= 64; k++ {
+		s.Insert(c, k, k)
+	}
+	head := e.Load(c, e.RootRef(), 3)
+	e.OpBegin(c)
+	e.CASRebuilt(c, head, skiplist.Link(1), e.Load(c, head, skiplist.Link(1)), 0)
+	e.OpEnd(c)
+	if r := SkipList(e, c, 3); r.Ok() {
+		t.Error("a level cut off at the head not detected")
 	}
 }
 
@@ -190,7 +209,7 @@ func TestAllStructuresAfterCrashRecovery(t *testing.T) {
 			if r := BST(e, c, 4); !r.Ok() {
 				t.Errorf("bst after recovery: %s", r)
 			}
-			if r := SkipList(e, c, 5, skiplist.MaxLevel); !r.Ok() {
+			if r := SkipList(e, c, 5); !r.Ok() {
 				t.Errorf("skiplist after recovery: %s", r)
 			}
 			if r := Queue(e, c, 6); !r.Ok() {
