@@ -54,7 +54,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 					}
 				}
 				tr := hashtable.TracerAt(e, 0)
-				opts := engine.RecoverOptions{Parallelism: par, Sharded: hashtable.ShardedTracerAt(e, 0)}
+				opts := engine.RecoverOptions{Parallelism: par}
 
 				e.Crash(pmem.CrashDropAll, rng)
 				crashPoints := 0
@@ -129,12 +129,11 @@ func TestCrashDuringRecoveryRepeated(t *testing.T) {
 		h.Insert(c, uint64(k), uint64(k))
 	}
 	tr := hashtable.TracerAt(e, 0)
-	sharded := hashtable.ShardedTracerAt(e, 0)
 	e.Crash(pmem.CrashDropAll, rng)
 	for i := 0; i < 30; i++ {
 		par := []int{1, 2, 4, 8}[i%4]
 		e.FreezeAfter(int64(10 + i*7))
-		if !attemptRecover(e, tr, engine.RecoverOptions{Parallelism: par, Sharded: sharded}) {
+		if !attemptRecover(e, tr, engine.RecoverOptions{Parallelism: par}) {
 			e.FreezeAfter(0)
 			break
 		}

@@ -6,50 +6,63 @@ import (
 
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
+	"mirror/internal/recovery"
 	"mirror/internal/structures/hashtable"
+	"mirror/internal/structures/list"
 )
 
-// crossBuckets is the bucket count of the swept table; a 2-shard trace
-// gives shard 0 the bucket array and buckets [0, 8), shard 1 buckets
-// [8, 16).
+// crossBuckets is the bucket count of the swept table.
 const crossBuckets = 16
 
-// traceHalf reports which half of a 2-shard hashtable trace a key's node
-// falls in, by tracing shard 0 over a table holding only that key: shard 0
-// visits the bucket array, plus the node when the key is its own.
-func traceHalf(key uint64) int {
+// rebuildParts builds a table holding keys and reports which part of the
+// 2-worker rebuild — recovery.Parts over the one trace, whose part 0 starts
+// with the bucket array — holds each key's node.
+func rebuildParts(keys ...uint64) map[uint64]int {
 	e := engine.New(engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 16, Track: true})
 	c := e.NewCtx()
-	hashtable.New(e, c, crossBuckets).Insert(c, key, key)
-	visits := 0
-	hashtable.ShardedTracerAt(e, 0)(0, 2)(e.RecoveryLoad, func(engine.Ref, int) { visits++ })
-	return 2 - visits
+	h := hashtable.New(e, c, crossBuckets)
+	for _, k := range keys {
+		h.Insert(c, k, k)
+	}
+	var spans []engine.Ref
+	hashtable.TracerAt(e, 0)(e.RecoveryLoad, func(ref engine.Ref, _ int) { spans = append(spans, ref) })
+	parts := make(map[uint64]int)
+	for i, part := range recovery.Parts(spans, 2) {
+		for _, ref := range part {
+			if ref != spans[0] {
+				parts[e.RecoveryLoad(ref, list.FieldKey)] = i
+			}
+		}
+	}
+	return parts
 }
 
-// shardedKeys returns one prefill key per trace shard, plus the operation
-// key, which lies in shard 1: the shard that does not trace the bucket
-// array.
+// shardedKeys returns two prefill keys and the operation key such that,
+// with all three in the table, the rebuild's part 0 holds the bucket array
+// and pre0's node, and part 1 holds pre1's node and the operation's: the
+// cut insert's node is rebuilt by the worker that does not rebuild the
+// bucket array.
 func shardedKeys(t *testing.T) (pre0, pre1, opKey uint64) {
 	t.Helper()
-	found := [2]uint64{}
-	for k := uint64(1); found[0] == 0 || found[1] == 0; k++ {
-		if sh := traceHalf(k); found[sh] == 0 {
-			found[sh] = k
-		}
-		if k > 1000 {
-			t.Fatal("no key found for one of the two trace shards")
-		}
-	}
-	for k := found[1] + 1; ; k++ {
-		if traceHalf(k) == 1 {
-			return found[0], found[1], k
+	for a := uint64(1); a < 20; a++ {
+		for b := uint64(1); b < 20; b++ {
+			for o := uint64(1); o < 20; o++ {
+				if a == b || a == o || b == o {
+					continue
+				}
+				if p := rebuildParts(a, b, o); p[a] == 0 && p[b] == 1 && p[o] == 1 {
+					return a, b, o
+				}
+			}
 		}
 	}
+	t.Fatal("no keys split across the two rebuild parts")
+	return
 }
 
-// TestDetectCrossShardSweep cuts a detectable insert whose effect lies in a
-// different shard of the recovery trace than the bucket array at every
-// deterministic crash point, recovers through the 2-shard pipeline, and
+// TestDetectCrossShardSweep cuts a detectable insert whose node lies in a
+// different part of the recovery rebuild than the bucket array at every
+// deterministic crash point, recovers at two workers, and
 // checks the verdict is sound against the recovered state: Committed
 // implies the effect is present, NotCommitted implies it is absent,
 // Unknown allows either — and an ExactlyOnce replay always lands the key
@@ -72,9 +85,7 @@ func TestDetectCrossShardSweep(t *testing.T) {
 				})
 				e.FreezeAfter(0)
 				e.Crash(pmem.CrashDropAll, rng)
-				e.RecoverWith(hashtable.TracerAt(e, 0), engine.RecoverOptions{
-					Parallelism: 2, Sharded: hashtable.ShardedTracerAt(e, 0),
-				})
+				e.RecoverWith(hashtable.TracerAt(e, 0), engine.RecoverOptions{Parallelism: 2})
 				c = e.NewCtx()
 				s = hashtable.New(e, c, crossBuckets)
 

@@ -6,7 +6,6 @@ import (
 
 	"mirror/internal/palloc"
 	"mirror/internal/pmem"
-	"mirror/internal/recovery"
 )
 
 // directEngine implements the four single-replica engines: the two
@@ -310,9 +309,9 @@ func (e *directEngine) Recover(tr Tracer) { e.RecoverWith(tr, RecoverOptions{}) 
 
 // RecoverWith runs the recovery pipeline on a single-replica engine. The
 // durable engines have no replica to copy, so the pipeline degenerates to
-// the trace phase plus the allocator rebuild — both still partitioned
-// across the configured workers — and, over an adopted media file, the
-// restore of the fixed regions and of every traced span into the view.
+// the trace plus the allocator rebuild — split across the configured
+// workers — and, over an adopted media file, the restore of the fixed
+// regions and of every traced span into the view.
 func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -323,23 +322,15 @@ func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		return
 	}
 	read := e.RecoveryLoad
+	var restore func(Ref, int)
 	if e.cold {
-		read = restoreFixed(e.dev, e.alloc, e.addr)
+		read, restore = restoreFixed(e.dev, e.alloc, e.addr), e.dev.Restore
 	}
 	if e.desc != nil {
 		e.desc.Scrub()
 	}
-	shards := traceSpans(read, tr, opts)
-	if e.cold {
-		batches := recovery.Batches(shards)
-		recovery.Run(opts.workers(), len(batches), func(i int) {
-			for _, sp := range batches[i] {
-				e.dev.Restore(sp.Ref, span(sp.Fields, 1))
-			}
-		})
-		e.cold = false
-	}
-	e.alloc.RebuildSharded(spanExtents(shards, 1), opts.workers())
+	rebuild(read, tr, opts.Workers(), e.alloc, 1, restore)
+	e.cold = false
 }
 
 func (e *directEngine) RecoveryLoad(ref Ref, field int) uint64 {

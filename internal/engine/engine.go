@@ -153,32 +153,9 @@ func (c *Ctx) Close() { c.Cache.Close() }
 // (Plain).
 type Tracer func(read func(ref Ref, field int) uint64, visit func(ref Ref, fields int))
 
-// ShardedTracer is the parallel form of Tracer: a factory returning the
-// tracer for one shard of a partitioned trace. The shards' visit sets must
-// together equal the sequential tracer's visit set, with each reachable
-// object visited by exactly one shard. Shard tracers run concurrently, so
-// they must not share mutable state across shards.
-type ShardedTracer func(shard, shards int) Tracer
-
 // RecoverOptions tunes the recovery pipeline of §4.3.3. The zero value is
-// the degenerate sequential recovery — identical in behavior to Recover.
-type RecoverOptions struct {
-	// Parallelism is the number of recovery workers for the trace and
-	// rebuild phases. Values below 2 mean sequential recovery.
-	Parallelism int
-	// Sharded, when non-nil and Parallelism > 1, partitions the trace
-	// phase; without it only the rebuild phase parallelizes (the trace
-	// runs once, sequentially, through the plain tracer).
-	Sharded ShardedTracer
-}
-
-// workers returns the number of pipeline workers implied by the options.
-func (o RecoverOptions) workers() int {
-	if o.Parallelism < 2 {
-		return 1
-	}
-	return o.Parallelism
-}
+// the sequential recovery — identical in behavior to Recover.
+type RecoverOptions = recovery.Options
 
 // Memory is the role a data structure is written against: object
 // allocation and initialization and the loads and writes of the engine's
@@ -282,11 +259,10 @@ type Recovery interface {
 	// tracer; for non-durable engines it reinitializes empty state. It is
 	// RecoverWith with zero options (sequential).
 	Recover(tr Tracer)
-	// RecoverWith is Recover with an explicit pipeline configuration:
-	// the trace and rebuild phases run with opts.Parallelism workers,
-	// using opts.Sharded (when provided) to partition the trace. tr is
-	// the sequential fallback tracer, used when opts does not ask for a
-	// parallel trace.
+	// RecoverWith is Recover with an explicit pipeline configuration: tr
+	// traces once, sequentially, and the rebuild — the replica copy, the
+	// span restore of an attach and the allocator scan — splits the spans
+	// it found into contiguous parts over opts.Parallelism workers.
 	RecoverWith(tr Tracer, opts RecoverOptions)
 	// RecoveryLoad reads a field from the persistent post-crash image;
 	// only valid between Crash and the end of Recover.
@@ -487,30 +463,28 @@ func New(cfg Config) Engine {
 	}
 }
 
-// traceSpans runs the trace phase of the recovery pipeline: it applies the
-// tracer(s) to the persistent post-crash image via read and returns the
-// reachable-object spans, one slice per shard. With sequential options (or
-// no sharded tracer) there is exactly one shard, produced by the plain
-// tracer — byte-for-byte the old trace. Shard tracers run concurrently but
-// each appends only to its own slice, so no locking is needed.
-func traceSpans(read func(ref Ref, field int) uint64, tr Tracer, opts RecoverOptions) [][]recovery.Span {
-	workers := opts.workers()
-	if workers == 1 || opts.Sharded == nil {
-		var spans []recovery.Span
-		if tr != nil {
-			tr(read, func(ref Ref, fields int) {
-				spans = append(spans, recovery.Span{Ref: ref, Fields: fields})
-			})
-		}
-		return [][]recovery.Span{spans}
-	}
-	shards := make([][]recovery.Span, workers)
-	recovery.Run(workers, workers, func(i int) {
-		opts.Sharded(i, workers)(read, func(ref Ref, fields int) {
-			shards[i] = append(shards[i], recovery.Span{Ref: ref, Fields: fields})
+// rebuild is the recovery pipeline after the fixed regions: one trace of tr
+// over read, its spans split into contiguous parts by the worker count
+// (recovery.Parts), restore applied on the workers to every span of every
+// part (nil: nothing to copy), and the allocator rebuilt from the same
+// parts. At one worker the copy runs in trace order on the caller and the
+// allocator scans one extent list. cellW turns fields into words.
+func rebuild(read func(Ref, int) uint64, tr Tracer, workers int, alloc *palloc.Allocator, cellW int, restore func(ref Ref, words int)) {
+	var spans []palloc.Extent
+	if tr != nil {
+		tr(read, func(ref Ref, fields int) {
+			spans = append(spans, palloc.Extent{Off: ref, Words: span(fields, cellW)})
 		})
-	})
-	return shards
+	}
+	parts := recovery.Parts(spans, workers)
+	if restore != nil {
+		recovery.Run(workers, len(parts), func(i int) {
+			for _, sp := range parts[i] {
+				restore(sp.Off, sp.Words)
+			}
+		})
+	}
+	alloc.RebuildSharded(parts, workers)
 }
 
 // restoreFixed starts recovery over an adopted media file, whose device view
@@ -521,20 +495,6 @@ func traceSpans(read func(ref Ref, field int) uint64, tr Tracer, opts RecoverOpt
 func restoreFixed(dev *pmem.Device, alloc *palloc.Allocator, addr func(Ref, int) uint64) func(Ref, int) uint64 {
 	dev.Restore(rootBase, int(alloc.Base()-rootBase))
 	return func(ref Ref, field int) uint64 { return dev.PersistedWord(addr(ref, field)) }
-}
-
-// spanExtents converts traced spans to allocator extents, turning sizes
-// into words by the engine's cell width.
-func spanExtents(shards [][]recovery.Span, cellW int) [][]palloc.Extent {
-	out := make([][]palloc.Extent, len(shards))
-	for i, spans := range shards {
-		ext := make([]palloc.Extent, len(spans))
-		for j, sp := range spans {
-			ext[j] = palloc.Extent{Off: sp.Ref, Words: span(sp.Fields, cellW)}
-		}
-		out[i] = ext
-	}
-	return out
 }
 
 // rootBase is the device offset of the persistent root object. It leaves

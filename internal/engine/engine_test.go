@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"mirror/internal/pmem"
@@ -464,24 +465,6 @@ func TestFreeUnpublishedReuse(t *testing.T) {
 	})
 }
 
-// chainShardedTracer partitions the chain by node index: shard s visits
-// nodes whose position modulo shards is s. Every shard walks the whole
-// chain (cheap reads) but visits a disjoint subset, which together cover
-// exactly the sequential tracer's visit set.
-func chainShardedTracer(e Engine) ShardedTracer {
-	return func(shard, shards int) Tracer {
-		return func(read func(Ref, int) uint64, visit func(Ref, int)) {
-			ref := read(e.RootRef(), 0)
-			for i := 0; ref != 0; i++ {
-				if i%shards == shard {
-					visit(ref, 2)
-				}
-				ref = read(ref, 1)
-			}
-		}
-	}
-}
-
 // readChain returns the (value, ref) sequence of the recovered chain.
 func readChain(t *testing.T, e Engine) [][2]uint64 {
 	t.Helper()
@@ -514,10 +497,7 @@ func TestRecoverWithParallelMatchesSequential(t *testing.T) {
 			// Recovery is idempotent, so re-crashing the already-recovered
 			// image and recovering in parallel must reproduce it exactly.
 			e.Crash(pmem.CrashDropAll, nil)
-			e.RecoverWith(chainTracer(e), RecoverOptions{
-				Parallelism: par,
-				Sharded:     chainShardedTracer(e),
-			})
+			e.RecoverWith(chainTracer(e), RecoverOptions{Parallelism: par})
 			got := readChain(t, e)
 			if len(got) != len(want) {
 				t.Fatalf("par=%d: recovered %d nodes, want %d", par, len(got), len(want))
@@ -553,16 +533,27 @@ func TestRecoverWithParallelMatchesSequential(t *testing.T) {
 	})
 }
 
+// TestRecoverWithoutShardedTracerStillParallel attaches a media file at 4
+// workers: the one sequential trace reads the media, and the span restores
+// run split across the workers. Every node must come back, on every durable
+// engine.
 func TestRecoverWithoutShardedTracerStillParallel(t *testing.T) {
-	// Parallelism without a sharded tracer parallelizes only the rebuild
-	// phase; contents must still match the sequential result.
-	e := newTestEngine(MirrorDRAM)
-	c := e.NewCtx()
-	const n = 100
-	buildChain(e, c, n)
-	e.Crash(pmem.CrashDropAll, nil)
-	e.RecoverWith(chainTracer(e), RecoverOptions{Parallelism: 4})
-	if got := readChain(t, e); len(got) != n {
-		t.Fatalf("recovered %d nodes, want %d", len(got), n)
+	for _, k := range durableKinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			cfg := Config{Kind: k, Words: 1 << 16, Track: true,
+				MediaPath: filepath.Join(t.TempDir(), "media.img")}
+			e := New(cfg)
+			c := e.NewCtx()
+			const n = 100
+			buildChain(e, c, n)
+			e.Drain(c)
+
+			cfg.Attach = true
+			e2 := New(cfg)
+			e2.RecoverWith(chainTracer(e2), RecoverOptions{Parallelism: 4})
+			if got := readChain(t, e2); len(got) != n {
+				t.Fatalf("recovered %d nodes, want %d", len(got), n)
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"mirror/internal/palloc"
 	"mirror/internal/patomic"
 	"mirror/internal/pmem"
-	"mirror/internal/recovery"
 )
 
 // mirrorEngine implements the paper's transformation. Every mutable field
@@ -215,12 +214,11 @@ func (e *mirrorEngine) Recover(tr Tracer) { e.RecoverWith(tr, RecoverOptions{}) 
 // RecoverWith implements §4.3.3 as an explicit two-phase pipeline:
 //
 //   - Trace: resurrect the roots, then walk the persistent post-crash
-//     image collecting the spans of all reachable objects (partitioned
-//     across workers when the options carry a sharded tracer).
+//     image once, collecting the spans of all reachable objects.
 //   - Rebuild: copy every reachable span from rep_p to rep_v at the same
-//     offsets (bulk range copies, batched for the workers), and rebuild
-//     the allocator from the same spans — everything unreachable is
-//     reclaimed, the offline GC.
+//     offsets (bulk range copies, the spans split into contiguous parts
+//     for the workers), and rebuild the allocator from the same parts —
+//     everything unreachable is reclaimed, the offline GC.
 //
 // Over an adopted media file (Config.Attach) rep_p's view starts empty: the
 // roots and descriptor region are restored first, the trace reads the media
@@ -235,7 +233,6 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.recl = palloc.NewReclaimer()
-	workers := opts.workers()
 
 	read, cold := e.RecoveryLoad, e.cold
 	if cold {
@@ -247,19 +244,12 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		// them with the canonical empty encoding before clients ask.
 		e.desc.Scrub()
 	}
-	shards := traceSpans(read, tr, opts)
-
-	batches := recovery.Batches(shards)
-	recovery.Run(workers, len(batches), func(i int) {
-		for _, sp := range batches[i] {
-			words := span(sp.Fields, patomic.CellWords)
-			if cold {
-				e.mem.P.Restore(sp.Ref, words)
-			}
-			e.mem.RecoverRange(sp.Ref, words)
+	rebuild(read, tr, opts.Workers(), e.alloc, patomic.CellWords, func(ref Ref, words int) {
+		if cold {
+			e.mem.P.Restore(ref, words)
 		}
+		e.mem.RecoverRange(ref, words)
 	})
-	e.alloc.RebuildSharded(spanExtents(shards, patomic.CellWords), workers)
 	e.cold = false
 }
 

@@ -91,7 +91,7 @@ type Spec struct {
 	// shrinkable and replayable.
 	Detect bool
 	// NewEngine builds the runtime's engine (rt.OpenWith): a test hook for
-	// deliberately broken engines, or a recovery pipeline partitioned other
+	// deliberately broken engines, or recovery at another worker count
 	// than the runtime's. nil means engine.New.
 	NewEngine func(engine.Config) engine.Engine
 }

@@ -6,12 +6,10 @@ import (
 
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
-	"mirror/internal/structures/hashtable"
-	"mirror/internal/structures/skiplist"
 )
 
-// shardedRecovery is an engine whose recovery runs the parallel pipeline
-// with fixed options instead of the ones the runtime asks for.
+// shardedRecovery is an engine whose recovery runs the pipeline with fixed
+// options instead of the ones the runtime asks for.
 type shardedRecovery struct {
 	engine.Engine
 	opts engine.RecoverOptions
@@ -22,27 +20,19 @@ func (s shardedRecovery) RecoverWith(tr engine.Tracer, _ engine.RecoverOptions) 
 }
 
 // recoverSharded adapts Spec.NewEngine so Run recovers through the pipeline
-// partitioned into the given number of shards: a sharded trace where the
-// structure has a ShardedTracer, a partitioned allocator rebuild always.
-func recoverSharded(structure string, shards int) func(engine.Config) engine.Engine {
+// at the given number of workers: one sequential trace, then a rebuild split
+// across them.
+func recoverSharded(shards int) func(engine.Config) engine.Engine {
 	return func(cfg engine.Config) engine.Engine {
-		e := engine.New(cfg)
-		opts := engine.RecoverOptions{Parallelism: shards}
-		switch structure {
-		case "hashtable":
-			opts.Sharded = hashtable.ShardedTracerAt(e, targets[structure].rootField)
-		case "skiplist":
-			opts.Sharded = skiplist.ShardedTracerAt(e, targets[structure].rootField)
-		}
-		return shardedRecovery{e, opts}
+		return shardedRecovery{engine.New(cfg), engine.RecoverOptions{Parallelism: shards}}
 	}
 }
 
 // TestShardedAllEnginesAllFaults runs the full fault mix against every
-// durable engine and every structure with recovery partitioned into two
-// shards: the parallel pipeline runs under the fault model's eviction
-// stress, and the survivor must pass the same fsck, invariant and
-// durable-linearizability checks as a sequential recovery. The seeds are
+// durable engine and every structure with recovery at two workers: the
+// split rebuild runs under the fault model's eviction stress, and the
+// survivor must pass the same fsck, invariant and durable-linearizability
+// checks as a sequential recovery. The seeds are
 // fixed so CI failures reproduce bit for bit.
 func TestShardedAllEnginesAllFaults(t *testing.T) {
 	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
@@ -54,7 +44,7 @@ func TestShardedAllEnginesAllFaults(t *testing.T) {
 					Structure: structure,
 					Kind:      kind,
 					Faults:    all,
-					NewEngine: recoverSharded(structure, 2),
+					NewEngine: recoverSharded(2),
 					Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
 				}, []int64{11, 12, 13})
 			})
@@ -62,9 +52,9 @@ func TestShardedAllEnginesAllFaults(t *testing.T) {
 	}
 }
 
-// TestShardedWiderCounts spot-checks wider recovery shard counts (3 and 4)
-// on the Mirror engines: the hashtable's bucket-range partition is not a
-// power-of-two-only design.
+// TestShardedWiderCounts spot-checks wider recovery worker counts (3 and 4)
+// on the Mirror engines: the rebuild's split is not a power-of-two-only
+// design.
 func TestShardedWiderCounts(t *testing.T) {
 	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
 	for _, shards := range []int{3, 4} {
@@ -75,7 +65,7 @@ func TestShardedWiderCounts(t *testing.T) {
 					Structure: "hashtable",
 					Kind:      kind,
 					Faults:    all,
-					NewEngine: recoverSharded("hashtable", shards),
+					NewEngine: recoverSharded(shards),
 					Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
 				}, []int64{21, 22})
 			})
@@ -83,10 +73,10 @@ func TestShardedWiderCounts(t *testing.T) {
 	}
 }
 
-// TestShardedDetectable runs the detectability cross-check with recovery
-// partitioned into two shards: the descriptor rings are scrubbed and the
-// structure rebuilt by the parallel pipeline, and every post-crash verdict
-// must still agree with the durable linearizability checker.
+// TestShardedDetectable runs the detectability cross-check with recovery at
+// two workers: the descriptor rings are scrubbed and the structure rebuilt
+// by the split pipeline, and every post-crash verdict must still agree with
+// the durable linearizability checker.
 func TestShardedDetectable(t *testing.T) {
 	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
 	for _, kind := range durableKinds() {
@@ -97,7 +87,7 @@ func TestShardedDetectable(t *testing.T) {
 				Kind:      kind,
 				Faults:    all,
 				Detect:    true,
-				NewEngine: recoverSharded("hashtable", 2),
+				NewEngine: recoverSharded(2),
 				Schedule:  Schedule{Workers: 2, OpsPer: 8, Keys: 6},
 			}, []int64{31, 32})
 		})

@@ -63,7 +63,9 @@ var recoveryKinds = []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM, engine.I
 // each pipeline parallelism. Recovery writes only volatile state, so the
 // persistent image is identical across the parallelism sweep: each level
 // re-crashes and recovers the very same image, making the timings directly
-// comparable.
+// comparable. Each row reads the recovered key count back and panics if it
+// is not the built one, so a recovery that drops spans cannot report a
+// higher keys/ms.
 func MeasureRecovery(sizes, pars []int) *RecoveryReport {
 	if len(pars) == 0 {
 		pars = []int{1}
@@ -85,14 +87,14 @@ func MeasureRecovery(sizes, pars []int) *RecoveryReport {
 			for _, par := range pars {
 				e.Crash(pmem.CrashDropAll, rng)
 				start := time.Now()
-				e.RecoverWith(hashtable.TracerAt(e, 0), engine.RecoverOptions{
-					Parallelism: par,
-					Sharded:     hashtable.ShardedTracerAt(e, 0),
-				})
+				e.RecoverWith(hashtable.TracerAt(e, 0), engine.RecoverOptions{Parallelism: par})
 				rep.Rows = append(rep.Rows, RecoveryRow{
 					Engine: kind.String(), Keys: keys, Parallelism: par,
 					Elapsed: time.Since(start),
 				})
+				rc := e.NewCtx()
+				checkRecovered(kind.String(), keys, par, hashtable.New(e, rc, bucketsFor(keys)).Len(rc))
+				rc.Close()
 			}
 		}
 		// Link-Free: scan-based recovery. Its recovery replays inserts into
@@ -112,7 +114,23 @@ func MeasureRecovery(sizes, pars []int) *RecoveryReport {
 				Engine: "LinkFree", Keys: keys, Parallelism: par,
 				Elapsed: time.Since(start),
 			})
+			lc = lf.NewCtx()
+			n := 0
+			for k := 1; k <= keys; k++ {
+				if lf.Contains(lc, uint64(k)) {
+					n++
+				}
+			}
+			checkRecovered("LinkFree", keys, par, n)
 		}
 	}
 	return rep
+}
+
+// checkRecovered fails a recovery row whose recovered key count is not the
+// built one.
+func checkRecovered(engine string, keys, par, got int) {
+	if got != keys {
+		panic(fmt.Sprintf("recovery: %s at par %d recovered %d of %d keys", engine, par, got, keys))
+	}
 }

@@ -313,10 +313,11 @@ func (a *Allocator) scanExtents(extents []Extent, acc *rebuildAcc) {
 
 // RebuildSharded is Rebuild over per-shard extent lists, scanning the
 // shards with up to workers concurrent goroutines — the allocator's leg of
-// the parallel recovery pipeline. Shards are typically the per-worker span
-// lists of a sharded trace; their union must satisfy Rebuild's contract
-// (non-overlapping extents covering exactly the reachable objects). With
-// one shard and one worker it is exactly the sequential Rebuild.
+// the recovery pipeline. Shards are the contiguous parts one trace's
+// extents were split into (recovery.Parts); their union must satisfy
+// Rebuild's contract (non-overlapping extents covering exactly the
+// reachable objects). With one shard and one worker it is exactly the
+// sequential Rebuild.
 func (a *Allocator) RebuildSharded(shards [][]Extent, workers int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

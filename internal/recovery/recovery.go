@@ -1,17 +1,17 @@
-// Package recovery is the substrate of the parallel restart pipeline
-// (§4.3.3 made multi-core). Recovery everywhere in this repository has the
-// same two-phase shape: a *trace* phase enumerates the reachable objects of
-// a crashed image as (offset, size) spans, and a *rebuild* phase consumes
-// the spans — copying them to a volatile replica, re-registering them with
-// an allocator, or re-inserting them into a fresh structure. Both phases
-// are embarrassingly parallel once the work is partitioned, so this package
-// provides the partitioning and the worker pool, while staying ignorant of
-// engines, devices, and structures (it is imported by all of them).
+// Package recovery is the substrate of the recovery pipeline (§4.3.3).
+// Recovery everywhere in this repository has the same two-phase shape: a
+// *trace* phase walks the reachable objects of a crashed image once, from
+// the roots, and a *rebuild* phase consumes what it found — copying it to a
+// volatile replica, re-registering it with an allocator, or re-inserting it
+// into a fresh structure. The trace is one sequential walk; the rebuild is
+// embarrassingly parallel once its input is split, so this package provides
+// the split and the worker pool, while staying ignorant of engines,
+// devices, and structures (it is imported by all of them).
 //
 // The parallel degenerate case is exact: Run with one worker executes the
-// tasks in index order on the calling goroutine, so Parallelism=1 recovery
-// is byte-for-byte the sequential algorithm, not a one-worker simulation of
-// the parallel one.
+// tasks in index order on the calling goroutine, and Parts at one worker
+// is the whole list, so Parallelism=1 recovery is byte-for-byte the
+// sequential algorithm, not a one-worker simulation of the parallel one.
 //
 // Panics propagate: a simulated power failure during recovery surfaces as a
 // pmem.ErrFrozen panic inside a worker, and Run re-raises the first panic
@@ -25,19 +25,10 @@ import (
 	"sync/atomic"
 )
 
-// Span describes one reachable object collected by a trace phase: its
-// device offset and its size. Fields counts logical structure fields; the
-// consumer owns the fields-to-words conversion (engines differ in cell
-// width).
-type Span struct {
-	Ref    uint64
-	Fields int
-}
-
 // Options tunes a recovery pipeline.
 type Options struct {
-	// Parallelism is the worker count for the trace and rebuild phases.
-	// Values <= 1 select the sequential path.
+	// Parallelism is the worker count for the rebuild phase. Values <= 1
+	// select the sequential path.
 	Parallelism int
 }
 
@@ -108,8 +99,8 @@ func Run(workers, tasks int, fn func(task int)) {
 }
 
 // Chunks splits the index range [0, n) into at most parts contiguous,
-// near-equal [lo, hi) ranges, dropping empty ones. Shard partitioning for
-// bucket arrays and heap scans uses it so every caller rounds identically.
+// near-equal [lo, hi) ranges, dropping empty ones. Parts and the heap
+// scans use it so every caller rounds identically.
 func Chunks(n, parts int) [][2]int {
 	if n <= 0 || parts <= 0 {
 		return nil
@@ -127,26 +118,16 @@ func Chunks(n, parts int) [][2]int {
 	return out
 }
 
-// batchTarget is the span count one rebuild task aims for: large enough to
-// amortize task-claim overhead, small enough that a skewed trace shard
-// (one hot bucket range, one huge skiplist segment) still splits into many
-// tasks and load-balances across the workers.
-const batchTarget = 512
-
-// Batches flattens per-shard span lists into contiguous runs of roughly
-// batchTarget spans, preserving within-shard order. The rebuild phase
-// consumes batches as its task unit, so its parallelism is independent of
-// how unbalanced the trace shards were.
-func Batches(shards [][]Span) [][]Span {
-	var out [][]Span
-	for _, spans := range shards {
-		for len(spans) > batchTarget+batchTarget/2 {
-			out = append(out, spans[:batchTarget])
-			spans = spans[batchTarget:]
-		}
-		if len(spans) > 0 {
-			out = append(out, spans)
-		}
+// Parts splits one trace's output into contiguous parts for workers
+// rebuild workers, preserving its order: the whole list at one worker,
+// otherwise min(workers, len(items)) near-equal non-empty parts (Chunks).
+func Parts[T any](items []T, workers int) [][]T {
+	if workers <= 1 {
+		return [][]T{items}
+	}
+	var out [][]T
+	for _, c := range Chunks(len(items), workers) {
+		out = append(out, items[c[0]:c[1]])
 	}
 	return out
 }

@@ -91,39 +91,41 @@ func TestChunksCoverExactly(t *testing.T) {
 	}
 }
 
+// TestBatchesPreserveSpans pins the rebuild's split of one trace: the whole
+// list at one worker, and at N workers min(N, spans) non-empty contiguous
+// parts that cover the list in trace order — real parallelism even over a
+// trace of a few spans.
 func TestBatchesPreserveSpans(t *testing.T) {
-	shards := [][]Span{
-		make([]Span, 3000),
-		nil,
-		make([]Span, 5),
-		make([]Span, batchTarget),
-		make([]Span, batchTarget+batchTarget/2), // just under the split point
-	}
-	id := uint64(0)
-	for s := range shards {
-		for i := range shards[s] {
-			shards[s][i] = Span{Ref: id, Fields: int(id % 7)}
-			id++
+	for _, n := range []int{0, 1, 3, 5, 512, 3000} {
+		spans := make([]uint64, n)
+		for i := range spans {
+			spans[i] = uint64(i)
 		}
-	}
-	batches := Batches(shards)
-	next := uint64(0)
-	for _, b := range batches {
-		if len(b) == 0 {
-			t.Fatal("empty batch")
-		}
-		if len(b) > 2*batchTarget {
-			t.Fatalf("oversized batch: %d", len(b))
-		}
-		for _, sp := range b {
-			if sp.Ref != next {
-				t.Fatalf("span order broken: got ref %d, want %d", sp.Ref, next)
+		for _, workers := range []int{0, 1, 2, 3, 4, 8} {
+			parts := Parts(spans, workers)
+			want := min(workers, n)
+			if workers <= 1 {
+				want = 1
 			}
-			next++
+			if len(parts) != want {
+				t.Fatalf("n=%d workers=%d: %d parts, want %d", n, workers, len(parts), want)
+			}
+			next := uint64(0)
+			for _, p := range parts {
+				if len(p) == 0 && n > 0 {
+					t.Fatalf("n=%d workers=%d: empty part", n, workers)
+				}
+				for _, sp := range p {
+					if sp != next {
+						t.Fatalf("n=%d workers=%d: order broken: got %d, want %d", n, workers, sp, next)
+					}
+					next++
+				}
+			}
+			if next != uint64(n) {
+				t.Fatalf("n=%d workers=%d: parts cover %d spans, want %d", n, workers, next, n)
+			}
 		}
-	}
-	if next != id {
-		t.Fatalf("batches cover %d spans, want %d", next, id)
 	}
 }
 

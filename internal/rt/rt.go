@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mirror/internal/engine"
@@ -372,13 +371,12 @@ func (r *Runtime) Crash(policy pmem.CrashPolicy, seed int64) {
 // fresh ones. It is RecoverParallel(1).
 func (r *Runtime) Recover() { r.RecoverParallel(1) }
 
-// RecoverParallel is Recover with a bounded worker pool: the structures'
-// tracers are dealt round-robin across parallelism shards, and the trace,
-// volatile-replica rebuild, and allocator reconstruction all run on that
-// many goroutines (see internal/recovery). Structures within one shard are
-// traced sequentially; a runtime holding a single large structure gains
-// nothing here — trace it through engine.RecoverWith with its ShardedTracer
-// instead. The repair passes run afterwards, sequentially.
+// RecoverParallel is Recover with a bounded worker pool: the recorded
+// structures are traced once, in order, on the caller, and the rebuild —
+// the volatile-replica copy, the span restore of an attach and the
+// allocator reconstruction — splits the traced spans into contiguous parts
+// over that many goroutines (see internal/recovery). The repair passes run
+// afterwards, sequentially.
 func (r *Runtime) RecoverParallel(parallelism int) { r.recover(parallelism).Close() }
 
 // recover runs the recovery pipeline over every recorded structure, adopts
@@ -386,23 +384,19 @@ func (r *Runtime) RecoverParallel(parallelism int) { r.recover(parallelism).Clos
 func (r *Runtime) recover(parallelism int) *engine.Ctx {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var objects atomic.Uint64
-	sharded := func(shard, shards int) engine.Tracer {
-		return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-			n := uint64(0)
-			for i := shard; i < len(r.roots); i += shards {
-				kinds[r.roots[i].Kind].tracer(r.eng, r.roots[i].Field)(read, func(ref engine.Ref, fields int) {
-					n++
-					visit(ref, fields)
-				})
-			}
-			objects.Add(n)
+	objects := uint64(0)
+	trace := func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+		for _, s := range r.roots {
+			kinds[s.Kind].tracer(r.eng, s.Field)(read, func(ref engine.Ref, fields int) {
+				objects++
+				visit(ref, fields)
+			})
 		}
 	}
 	t := time.Now()
-	r.eng.RecoverWith(sharded(0, 1), engine.RecoverOptions{Parallelism: parallelism, Sharded: sharded})
+	r.eng.RecoverWith(trace, engine.RecoverOptions{Parallelism: parallelism})
 	live, _ := r.eng.Footprint()
-	r.report = Report{Recover: time.Since(t), LiveWords: live, Objects: objects.Load(), Words: r.cfg.Words}
+	r.report = Report{Recover: time.Since(t), LiveWords: live, Objects: objects, Words: r.cfg.Words}
 	t = time.Now()
 	c := r.eng.NewCtx()
 	for _, s := range r.roots {

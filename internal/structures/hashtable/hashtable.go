@@ -129,34 +129,4 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 	}
 }
 
-// ShardedTracer implements structures.ShardableSet.
-func (t *Table) ShardedTracer() engine.ShardedTracer {
-	return ShardedTracerAt(t.e, t.rootF)
-}
-
-// ShardedTracerAt partitions TracerAt by bucket range: shard s of n owns
-// the contiguous bucket range [buckets*s/n, buckets*(s+1)/n) and traces
-// those chains; shard 0 additionally visits the bucket array object. Every
-// node hangs off exactly one bucket, so the shards' visit sets partition
-// the sequential tracer's visit set.
-func ShardedTracerAt(e engine.Engine, rootField int) engine.ShardedTracer {
-	return func(shard, shards int) engine.Tracer {
-		return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-			arr := read(e.RootRef(), rootField)
-			if arr == 0 {
-				return
-			}
-			buckets := int(read(e.RootRef(), rootField+1))
-			if shard == 0 {
-				visit(arr, buckets)
-			}
-			lo, hi := buckets*shard/shards, buckets*(shard+1)/shards
-			for i := lo; i < hi; i++ {
-				list.TraceFrom(arr, i, read, visit)
-			}
-		}
-	}
-}
-
 var _ structures.Set = (*Table)(nil)
-var _ structures.ShardableSet = (*Table)(nil)

@@ -7,6 +7,7 @@ package settest
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -331,61 +332,34 @@ func testConcurrentMixed(t *testing.T, f Factory, k engine.Kind) {
 	}
 }
 
-// collectVisits runs a tracer against the post-crash image and returns its
-// visit set, failing the test if any object is visited more than once.
-func collectVisits(t *testing.T, e engine.Engine, tr engine.Tracer, label string) map[engine.Ref]int {
+// visitsOnce runs a tracer against the post-crash image, failing the test
+// if any object is visited more than once.
+func visitsOnce(t *testing.T, e engine.Engine, tr engine.Tracer) {
 	t.Helper()
-	visits := make(map[engine.Ref]int)
+	seen := make(map[engine.Ref]bool)
 	tr(e.RecoveryLoad, func(ref engine.Ref, fields int) {
-		if _, dup := visits[ref]; dup {
-			t.Fatalf("%s: object %d visited twice", label, ref)
+		if seen[ref] {
+			t.Fatalf("object %d visited twice", ref)
 		}
-		visits[ref] = fields
+		seen[ref] = true
 	})
-	return visits
 }
 
-// testParallelRecovery checks the sharded tracer against the sequential one
-// on the same crash image — first by visit-set equality (each reachable
-// object visited exactly once by exactly one shard), then end to end: the
-// contents recovered at Parallelism 1 and Parallelism N must be identical.
+// testParallelRecovery checks recovery with a split rebuild against the
+// sequential one on the same crash image: the tracer visits no object
+// twice, the contents recovered at Parallelism 1, 2 and 4 are identical and
+// match the pre-crash model, and after each recovery the replica invariants
+// hold on every traced object.
 func testParallelRecovery(t *testing.T, f Factory, k engine.Kind) {
 	e := f.engine(k)
 	c := e.NewCtx()
 	s := f.New(e, c)
-	ss, ok := s.(structures.ShardableSet)
-	if !ok {
-		t.Skipf("%s has no sharded tracer", s.Name())
-	}
 	rng := rand.New(rand.NewSource(9))
 	model := fill(s, c, rng)
-	tracer, sharded := s.Tracer(), ss.ShardedTracer()
+	tracer := s.Tracer()
 	e.Crash(pmem.CrashDropAll, rng)
+	visitsOnce(t, e, tracer)
 
-	// Visit-set equivalence on the frozen image, for several shard counts.
-	want := collectVisits(t, e, tracer, "sequential")
-	for _, shards := range []int{2, 3, 8} {
-		got := make(map[engine.Ref]int)
-		for sh := 0; sh < shards; sh++ {
-			for ref, fields := range collectVisits(t, e, sharded(sh, shards), "shard") {
-				if _, dup := got[ref]; dup {
-					t.Fatalf("shards=%d: object %d visited by two shards", shards, ref)
-				}
-				got[ref] = fields
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d objects visited, sequential visited %d", shards, len(got), len(want))
-		}
-		for ref, fields := range want {
-			if got[ref] != fields {
-				t.Fatalf("shards=%d: object %d fields = %d, want %d", shards, ref, got[ref], fields)
-			}
-		}
-	}
-
-	// End to end: sequential recovery, then re-crash and parallel
-	// recovery of the same image must yield identical contents.
 	readAll := func() map[uint64]uint64 {
 		c := e.NewCtx()
 		s := f.New(e, c)
@@ -397,29 +371,27 @@ func testParallelRecovery(t *testing.T, f Factory, k engine.Kind) {
 		}
 		return out
 	}
-	e.RecoverWith(tracer, engine.RecoverOptions{Parallelism: 1})
-	seq := readAll()
-	for _, par := range []int{2, 4} {
-		e.Crash(pmem.CrashDropAll, rng)
-		e.RecoverWith(tracer, engine.RecoverOptions{Parallelism: par, Sharded: sharded})
-		got := readAll()
-		if len(got) != len(seq) {
-			t.Fatalf("par=%d: recovered %d keys, sequential recovered %d", par, len(got), len(seq))
+	var seq map[uint64]uint64
+	for _, par := range []int{1, 2, 4} {
+		if par > 1 {
+			e.Crash(pmem.CrashDropAll, rng)
 		}
-		for key, v := range seq {
-			if got[key] != v {
-				t.Fatalf("par=%d: key %d = %d, want %d", par, key, got[key], v)
+		e.RecoverWith(tracer, engine.RecoverOptions{Parallelism: par})
+		tracer(e.RecoveryLoad, func(ref engine.Ref, fields int) {
+			if msg := e.CheckInvariants(ref, fields); msg != "" {
+				t.Fatalf("par=%d: %s", par, msg)
 			}
+		})
+		got := readAll()
+		if seq == nil {
+			seq = got
+		}
+		if !reflect.DeepEqual(got, seq) {
+			t.Fatalf("par=%d: recovered %d keys, sequential recovered %d (or different values)", par, len(got), len(seq))
 		}
 	}
-	// Both recoveries must also match the pre-crash model.
-	for key, v := range model {
-		if seq[key] != v {
-			t.Fatalf("recovered key %d = %d, want %d", key, seq[key], v)
-		}
-	}
-	if len(seq) != len(model) {
-		t.Fatalf("recovered %d keys, want %d", len(seq), len(model))
+	if !reflect.DeepEqual(seq, model) {
+		t.Fatalf("recovered %d keys, want %d (or different values)", len(seq), len(model))
 	}
 }
 

@@ -1,14 +1,12 @@
 package settest
 
 // Sharded-recovery battery: the suite's batch, concurrent and crash checks
-// with every recovery run through the §4.3.3 pipeline partitioned into N
-// shards — N trace workers over the set's ShardedTracer when it is a
-// structures.ShardableSet (otherwise only the allocator rebuild is
-// partitioned). One shard is the sequential recovery. Two properties are
-// specific to the partitioning: a partition that puts the whole trace in
-// one shard recovers to the byte-identical device, and neither the
-// recovered contents nor the media the next operations write depend on the
-// shard count.
+// with every recovery run through the §4.3.3 pipeline at N workers — one
+// sequential trace, then a rebuild whose spans are split into contiguous
+// parts across the workers. One worker is the sequential recovery. Two
+// properties are specific to the split: the finest split recovers to the
+// byte-identical device, and neither the recovered contents nor the media
+// the next operations write depend on the worker count.
 
 import (
 	"fmt"
@@ -22,13 +20,9 @@ import (
 )
 
 // recoverShards recovers e's crashed image of s through the recovery
-// pipeline partitioned into the given number of shards.
+// pipeline at the given number of workers.
 func recoverShards(e engine.Engine, s structures.Set, shards int) {
-	opts := engine.RecoverOptions{Parallelism: shards}
-	if ss, ok := s.(structures.ShardableSet); ok && shards > 1 {
-		opts.Sharded = ss.ShardedTracer()
-	}
-	e.RecoverWith(s.Tracer(), opts)
+	e.RecoverWith(s.Tracer(), engine.RecoverOptions{Parallelism: shards})
 }
 
 // RunSharded executes the sharded-recovery battery for every engine kind.
@@ -105,31 +99,21 @@ func recoveredMedia(t *testing.T, f Factory, k engine.Kind, recover func(e engin
 	return fmt.Sprintf("%#x", hashes)
 }
 
-// testSingleShardMediaPin pins that a partition holding the whole trace in
-// a single shard is the sequential trace: recovering at Parallelism 2 with
-// shard 0 empty and shard 1 running the plain tracer leaves the device
-// byte-identical to the sequential Recover. It needs no sharded tracer of
-// the set's own, and drives the pipeline through an empty shard and a
-// lopsided allocator rebuild.
+// testSingleShardMediaPin pins the finest split: with more workers than
+// spans every part of the rebuild holds a single span, and the device must
+// still end byte-identical to the sequential Recover — the copy and the
+// allocator scan through one-span parts and a merge of one-extent scans.
 func testSingleShardMediaPin(t *testing.T, f Factory, k engine.Kind) {
 	plain := recoveredMedia(t, f, k, func(e engine.Engine, s structures.Set) { e.Recover(s.Tracer()) })
-	oneShard := recoveredMedia(t, f, k, func(e engine.Engine, s structures.Set) {
-		tr := s.Tracer()
-		e.RecoverWith(tr, engine.RecoverOptions{Parallelism: 2, Sharded: func(shard, shards int) engine.Tracer {
-			if shard == shards-1 {
-				return tr
-			}
-			return func(func(engine.Ref, int) uint64, func(engine.Ref, int)) {}
-		}})
-	})
-	if plain != oneShard {
-		t.Fatalf("media diverged: plain tracer %s, one-shard tracer %s", plain, oneShard)
+	finest := recoveredMedia(t, f, k, func(e engine.Engine, s structures.Set) { recoverShards(e, s, 1<<12) })
+	if plain != finest {
+		t.Fatalf("media diverged: sequential %s, one span per part %s", plain, finest)
 	}
 }
 
 // testShardedRecoveryDeterminism recovers the same crash image at 1, 2 and
 // 4 shards, twice each: the media the same post-recovery op sequence writes
-// must be byte-identical across repeats and shard counts — the partitioned
+// must be byte-identical across repeats and worker counts — the split
 // rebuild hands out the same free memory in the same order however the work
 // was split.
 func testShardedRecoveryDeterminism(t *testing.T, f Factory, k engine.Kind) {

@@ -470,26 +470,6 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 	}
 }
 
-// ShardedTracer implements structures.ShardableSet.
-func (s *SkipList) ShardedTracer() engine.ShardedTracer {
-	return ShardedTracerAt(s.e, s.rootF)
-}
-
-// ShardedTracerAt is TracerAt in the parallel pipeline's form: shard 0 runs
-// the whole trace and every other shard visits nothing. The trace is one
-// walk of the level-0 chain, which no shard can enter in the middle without
-// walking it from the head. The rebuild after the trace is still split
-// (recovery.Batches).
-func ShardedTracerAt(e engine.Engine, rootField int) engine.ShardedTracer {
-	trace := TracerAt(e, rootField)
-	return func(shard, shards int) engine.Tracer {
-		if shard == 0 {
-			return trace
-		}
-		return func(func(engine.Ref, int) uint64, func(engine.Ref, int)) {}
-	}
-}
-
 // refSet is the set of nodes a trace or a repair pass has seen: one bit per
 // possible object of the engine's device, since objects are at least
 // 32-byte aligned (engine.Ref) — a bit per four words, and no hashing on a
@@ -511,7 +491,6 @@ func (s refSet) add(ref engine.Ref) bool {
 }
 
 var _ structures.Set = (*SkipList)(nil)
-var _ structures.ShardableSet = (*SkipList)(nil)
 
 // Range calls fn for each present key in [from, to] in ascending order,
 // stopping early if fn returns false. Weakly consistent (not a snapshot).

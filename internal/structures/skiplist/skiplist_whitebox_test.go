@@ -1,6 +1,8 @@
 package skiplist
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -126,48 +128,94 @@ func TestRandomLevelDistribution(t *testing.T) {
 	}
 }
 
-// TestShardedTracerMatchesOnFrozenLinks stages an image a SIGKILL can leave
-// mid-delete. Node X (key 13) is marked on both its levels and already
-// snipped from level 0, but the snip at level 1 never reached the media, so
-// head's level-1 link still reaches it; X's frozen level-0 link points at
-// memory that has since been reused (G, key 16, on no chain). The
-// sequential tracer visits X through level 1 and never follows X's links.
-// The shards of the partitioned trace must together visit exactly the same
-// objects: a shard that descended through X to start its level-0 walk would
-// visit G and miss the live nodes with keys 15 and 17.
+// TestShardedTracerMatchesOnFrozenLinks stages, on a media file, an image a
+// SIGKILL can leave mid-delete. Node X (key 13) is marked on both its levels
+// and already snipped from level 0, but head's level-1 link still reaches
+// it; X's frozen level-0 link points at memory that has since been reused
+// (G, key 16, on no chain). The one trace walks level 0 only, so it visits
+// exactly head, 12, 15 and 17 — never X, never G. Copies of the file are
+// then attached at 1, 2 and 3 workers, with pmem debug checks on: each must
+// keep the same live words and serve exactly {12, 15, 17}, however the
+// rebuild split the spans.
 func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
-	e, c, s := newWB(t)
-	e.OpBegin(c)
-	node := func(key uint64, next ...engine.Ref) engine.Ref {
-		n := e.Alloc(c, NodeFields(len(next)))
-		e.StoreInit(c, n, FieldKey, key)
-		e.StoreInit(c, n, FieldVal, key)
-		e.StoreInit(c, n, FieldTop, uint64(len(next)))
-		for i, r := range next {
-			e.StoreInit(c, n, Link(i), r)
-		}
-		e.Publish(c, n)
-		return n
-	}
-	a := node(12, node(15, node(17, 0)))
-	x := node(13, structures.Mark(node(16, 0)), structures.Mark(0))
-	e.Store(c, s.head, FieldNext, a)
-	stale(e, c, s.head, 1, x)
-	e.OpEnd(c)
+	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.NVTraverse} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := engine.Config{Kind: kind, Words: 1 << 16, Track: true,
+				MediaPath: filepath.Join(dir, "media")}
+			e := engine.New(cfg)
+			c := e.NewCtx()
+			s := New(e, c)
+			e.OpBegin(c)
+			node := func(key uint64, next ...engine.Ref) engine.Ref {
+				n := e.Alloc(c, NodeFields(len(next)))
+				e.StoreInit(c, n, FieldKey, key)
+				e.StoreInit(c, n, FieldVal, key)
+				e.StoreInit(c, n, FieldTop, uint64(len(next)))
+				for i, r := range next {
+					e.StoreInit(c, n, Link(i), r)
+				}
+				e.Publish(c, n)
+				return n
+			}
+			n17 := node(17, 0)
+			n15 := node(15, n17)
+			n12 := node(12, n15)
+			x := node(13, structures.Mark(node(16, 0)), structures.Mark(0))
+			e.Store(c, s.head, FieldNext, n12)
+			stale(e, c, s.head, 1, x)
+			e.OpEnd(c)
 
-	visits := func(tr engine.Tracer, into map[engine.Ref]int) {
-		tr(e.RecoveryLoad, func(ref engine.Ref, fields int) { into[ref] += fields })
-	}
-	want := map[engine.Ref]int{}
-	visits(TracerAt(e, rootHead), want)
-	for _, shards := range []int{2, 3} {
-		got := map[engine.Ref]int{}
-		for shard := 0; shard < shards; shard++ {
-			visits(ShardedTracerAt(e, rootHead)(shard, shards), got)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d shards visit %v, the sequential tracer %v", shards, got, want)
-		}
+			got := map[engine.Ref]bool{}
+			TracerAt(e, rootHead)(e.RecoveryLoad, func(ref engine.Ref, _ int) { got[ref] = true })
+			if want := map[engine.Ref]bool{s.head: true, n12: true, n15: true, n17: true}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("the trace visits %v, want head, 12, 15 and 17 %v", got, want)
+			}
+			e.Freeze()
+			if err := e.PersistentDevices()[0].Close(); err != nil {
+				t.Fatal(err)
+			}
+			image, err := os.ReadFile(cfg.MediaPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			pmem.EnableDebugChecks()
+			defer pmem.DisableDebugChecks()
+			var live1 uint64
+			for _, workers := range []int{1, 2, 3} {
+				acfg := cfg
+				acfg.MediaPath = filepath.Join(dir, fmt.Sprintf("media%d", workers))
+				acfg.Attach = true
+				if err := os.WriteFile(acfg.MediaPath, image, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				e := engine.New(acfg)
+				e.RecoverWith(TracerAt(e, rootHead), engine.RecoverOptions{Parallelism: workers})
+				live, _ := e.Footprint()
+				if workers == 1 {
+					live1 = live
+				} else if live != live1 {
+					t.Errorf("workers=%d: %d live words, one worker kept %d", workers, live, live1)
+				}
+				c := e.NewCtx()
+				s := NewAt(e, c, rootHead)
+				var keys []uint64
+				s.Range(c, 1, structures.KeyMax, func(k, v uint64) bool { keys = append(keys, k); return true })
+				if want := []uint64{12, 15, 17}; !reflect.DeepEqual(keys, want) || s.Len(c) != len(want) {
+					t.Errorf("workers=%d: serves %v (Len %d), want %v", workers, keys, s.Len(c), want)
+				}
+				for _, k := range []uint64{13, 16} {
+					if s.Contains(c, k) {
+						t.Errorf("workers=%d: serves key %d", workers, k)
+					}
+				}
+				e.Freeze()
+				if err := e.PersistentDevices()[0].Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

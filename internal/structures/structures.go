@@ -37,14 +37,6 @@ type Set interface {
 	Name() string
 }
 
-// ShardableSet is a Set whose recovery trace can be partitioned for the
-// parallel recovery pipeline. ShardedTracer's shards must together visit
-// exactly the objects the sequential Tracer visits, each exactly once.
-type ShardableSet interface {
-	Set
-	ShardedTracer() engine.ShardedTracer
-}
-
 // mark helpers shared by the list-based structures: bit 0 of a stored Ref
 // marks the *containing* node as logically deleted (Harris).
 const markBit = uint64(1)
