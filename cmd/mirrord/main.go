@@ -78,8 +78,8 @@ func main() {
 	fmt.Printf("mirrord: serving %s on %s (engine %s, %s)\n", mode, s.Addr(), kind, *kindName)
 	if s.Attached() {
 		r := s.Recovery()
-		fmt.Printf("mirrord: attach restored %d live words in %d objects of %d: open %.2f ms, recover %.2f ms, repair %.2f ms, verify %.2f ms\n",
-			r.LiveWords, r.Objects, r.Words, ms(r.Open), ms(r.Recover), ms(r.Repair), ms(r.Verify))
+		fmt.Printf("mirrord: attach restored %d live words in %d objects of %d: open %.2f ms, recover %.2f ms at %d workers, repair %.2f ms, verify %.2f ms\n",
+			r.LiveWords, r.Objects, r.Words, ms(r.Open), ms(r.Recover), r.Workers, ms(r.Repair), ms(r.Verify))
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -29,7 +30,9 @@ func attemptRecover(e engine.Engine, tr engine.Tracer, opts engine.RecoverOption
 // TestCrashDuringRecovery sweeps every deterministic crash point inside
 // recovery itself: FreezeAfter(n) arms the persistent device so its n-th
 // countable operation — for Mirror engines, the bulk range copies of the
-// rebuild phase — panics mid-pipeline. The interrupted recovery is crashed
+// rebuild's sinks — panics mid-pipeline; at two and four workers the copy
+// runs on a sink goroutine, so the freeze can land while the trace is still
+// running and must stop it. The interrupted recovery is crashed
 // again and recovery re-runs from the unchanged persistent image; it must
 // be idempotent. After the first complete recovery the test verifies the
 // full contents, the per-cell replica invariants (Lemmas 5.3–5.5), and
@@ -42,7 +45,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 	// full sweep stays fast under -race.
 	const keys = 120
 	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM, engine.Izraelevitz, engine.NVTraverse} {
-		for _, par := range []int{1, 4} {
+		for _, par := range []int{1, 2, 4} {
 			t.Run(kind.String()+sizeSuffix(par), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(17))
 				e := engine.New(engine.Config{Kind: kind, Words: 1 << 20, Track: true})
@@ -74,6 +77,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 					// op of budget.
 					e.Crash(pmem.CrashDropAll, rng)
 				}
+				t.Logf("%d crash points", crashPoints)
 				if kind == engine.MirrorDRAM || kind == engine.MirrorNVMM {
 					if crashPoints == 0 {
 						t.Fatal("Mirror recovery exposed no crash points; FreezeAfter gate lost")
@@ -108,11 +112,16 @@ func TestCrashDuringRecovery(t *testing.T) {
 	}
 }
 
+// sizeSuffix names a worker count: seq is one, par is four, and any other
+// count is par and the count.
 func sizeSuffix(par int) string {
-	if par == 1 {
+	switch par {
+	case 1:
 		return "/seq"
+	case 4:
+		return "/par"
 	}
-	return "/par"
+	return fmt.Sprintf("/par%d", par)
 }
 
 // TestCrashDuringRecoveryRepeated re-crashes an engine in the middle of the

@@ -7,61 +7,85 @@ import (
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
 	"mirror/internal/recovery"
+	"mirror/internal/structures"
 	"mirror/internal/structures/hashtable"
 	"mirror/internal/structures/list"
 )
 
 // crossBuckets is the bucket count of the swept table.
-const crossBuckets = 16
+const crossBuckets = 64
 
-// rebuildParts builds a table holding keys and reports which part of the
-// 2-worker rebuild — recovery.Parts over the one trace, whose part 0 starts
-// with the bucket array — holds each key's node.
-func rebuildParts(keys ...uint64) map[uint64]int {
+// crossFill is the number of filler keys the swept table holds beside the
+// test's own, so its trace spans more than one batch of the recovery
+// stream, with a few spans to spare in the second.
+const crossFill = recovery.Batch + 8
+
+// fill inserts the filler keys 1..crossFill, all below the test's keys.
+func fill(s structures.Set, c *engine.Ctx) bool {
+	for k := uint64(1); k <= crossFill; k++ {
+		if !s.Insert(c, k, k) {
+			return false
+		}
+	}
+	return true
+}
+
+// traced builds a table holding the fillers and keys and returns the key of
+// every node its trace visits, in trace order: the trace visits the bucket
+// array first, so the i-th key is in batch (i+1)/Batch of the streamed
+// rebuild.
+func traced(keys ...uint64) []uint64 {
 	e := engine.New(engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 16, Track: true})
 	c := e.NewCtx()
 	h := hashtable.New(e, c, crossBuckets)
+	fill(h, c)
 	for _, k := range keys {
 		h.Insert(c, k, k)
 	}
-	var spans []engine.Ref
-	hashtable.TracerAt(e, 0)(e.RecoveryLoad, func(ref engine.Ref, _ int) { spans = append(spans, ref) })
-	parts := make(map[uint64]int)
-	for i, part := range recovery.Parts(spans, 2) {
-		for _, ref := range part {
-			if ref != spans[0] {
-				parts[e.RecoveryLoad(ref, list.FieldKey)] = i
-			}
+	var order []uint64
+	arr := true
+	hashtable.TracerAt(e, 0)(e.RecoveryLoad, func(ref engine.Ref, _ int) {
+		if !arr {
+			order = append(order, e.RecoveryLoad(ref, list.FieldKey))
 		}
-	}
-	return parts
+		arr = false
+	})
+	return order
 }
 
-// shardedKeys returns two prefill keys and the operation key such that,
-// with all three in the table, the rebuild's part 0 holds the bucket array
-// and pre0's node, and part 1 holds pre1's node and the operation's: the
-// cut insert's node is rebuilt by the worker that does not rebuild the
-// bucket array.
+// shardedKeys returns two prefill keys and the operation key, all above
+// the fillers, such that with all three in the table the rebuild's batch 0
+// holds the bucket array and pre0's node, and batch 1 holds pre1's node
+// and the operation's: the cut insert's node is restored from a later
+// batch than the bucket array, while the trace is still running. Of 64
+// candidates it takes the first traced, and the last two, which end the
+// trace.
 func shardedKeys(t *testing.T) (pre0, pre1, opKey uint64) {
 	t.Helper()
-	for a := uint64(1); a < 20; a++ {
-		for b := uint64(1); b < 20; b++ {
-			for o := uint64(1); o < 20; o++ {
-				if a == b || a == o || b == o {
-					continue
-				}
-				if p := rebuildParts(a, b, o); p[a] == 0 && p[b] == 1 && p[o] == 1 {
-					return a, b, o
-				}
-			}
+	var cands []uint64
+	for k := uint64(crossFill + 1); k <= crossFill+64; k++ {
+		cands = append(cands, k)
+	}
+	var order []uint64
+	for _, k := range traced(cands...) {
+		if k > crossFill {
+			order = append(order, k)
 		}
 	}
-	t.Fatal("no keys split across the two rebuild parts")
-	return
+	pre0, pre1, opKey = order[0], order[len(order)-2], order[len(order)-1]
+	batch := map[uint64]int{}
+	for i, k := range traced(pre0, pre1, opKey) {
+		batch[k] = (i + 1) / recovery.Batch
+	}
+	if batch[pre0] != 0 || batch[pre1] != 1 || batch[opKey] != 1 {
+		t.Fatalf("keys %d, %d, %d lie in batches %d, %d, %d, want 0, 1, 1",
+			pre0, pre1, opKey, batch[pre0], batch[pre1], batch[opKey])
+	}
+	return pre0, pre1, opKey
 }
 
 // TestDetectCrossShardSweep cuts a detectable insert whose node lies in a
-// different part of the recovery rebuild than the bucket array at every
+// different batch of the streamed rebuild than the bucket array at every
 // deterministic crash point, recovers at two workers, and
 // checks the verdict is sound against the recovered state: Committed
 // implies the effect is present, NotCommitted implies it is absent,
@@ -73,10 +97,10 @@ func TestDetectCrossShardSweep(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for fa := int64(1); ; fa++ {
-				e := engine.New(engine.Config{Kind: kind, Words: 1 << 20, Track: true, Clients: 2})
+				e := engine.New(engine.Config{Kind: kind, Words: 1 << 16, Track: true, Clients: 2})
 				c := e.NewCtx()
 				s := hashtable.New(e, c, crossBuckets)
-				if !s.Insert(c, pre0, pre0) || !s.Insert(c, pre1, pre1) {
+				if !fill(s, c) || !s.Insert(c, pre0, pre0) || !s.Insert(c, pre1, pre1) {
 					t.Fatal("prefill failed")
 				}
 				e.FreezeAfter(fa)

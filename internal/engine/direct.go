@@ -308,10 +308,9 @@ func (e *directEngine) Crash(policy pmem.CrashPolicy, rng *rand.Rand) {
 func (e *directEngine) Recover(tr Tracer) { e.RecoverWith(tr, RecoverOptions{}) }
 
 // RecoverWith runs the recovery pipeline on a single-replica engine. The
-// durable engines have no replica to copy, so the pipeline degenerates to
-// the trace plus the allocator rebuild — split across the configured
-// workers — and, over an adopted media file, the restore of the fixed
-// regions and of every traced span into the view.
+// durable engines have no replica to copy, so the streamed pass degenerates
+// to the trace plus the allocator scan — and, over an adopted media file,
+// the restore of the fixed regions and of every traced span into the view.
 func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

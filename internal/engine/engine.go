@@ -260,9 +260,10 @@ type Recovery interface {
 	// RecoverWith with zero options (sequential).
 	Recover(tr Tracer)
 	// RecoverWith is Recover with an explicit pipeline configuration: tr
-	// traces once, sequentially, and the rebuild — the replica copy, the
-	// span restore of an attach and the allocator scan — splits the spans
-	// it found into contiguous parts over opts.Parallelism workers.
+	// traces once, sequentially, on the caller, and the rest of the pass —
+	// the replica copy, the span restore of an attach and the allocator
+	// scan — follows it batch by batch, on up to opts.Parallelism-1 other
+	// goroutines while the trace continues (inline at one worker).
 	RecoverWith(tr Tracer, opts RecoverOptions)
 	// RecoveryLoad reads a field from the persistent post-crash image;
 	// only valid between Crash and the end of Recover.
@@ -463,28 +464,28 @@ func New(cfg Config) Engine {
 	}
 }
 
-// rebuild is the recovery pipeline after the fixed regions: one trace of tr
-// over read, its spans split into contiguous parts by the worker count
-// (recovery.Parts), restore applied on the workers to every span of every
-// part (nil: nothing to copy), and the allocator rebuilt from the same
-// parts. At one worker the copy runs in trace order on the caller and the
-// allocator scans one extent list. cellW turns fields into words.
+// rebuild is the recovery pipeline after the fixed regions, in one streamed
+// pass (recovery.Stream): the trace of tr over read runs on the caller, and
+// each batch of spans it visits goes to a sink that applies restore to
+// every span (nil: nothing to copy) and folds the batch into its
+// allocator scan; the scans rebuild the allocator at the end. At one worker
+// the sink runs inline, in trace order; at more, the copy and the scan run
+// on other goroutines while the trace continues. cellW turns fields into
+// words.
 func rebuild(read func(Ref, int) uint64, tr Tracer, workers int, alloc *palloc.Allocator, cellW int, restore func(ref Ref, words int)) {
-	var spans []palloc.Extent
-	if tr != nil {
-		tr(read, func(ref Ref, fields int) {
-			spans = append(spans, palloc.Extent{Off: ref, Words: span(fields, cellW)})
-		})
-	}
-	parts := recovery.Parts(spans, workers)
-	if restore != nil {
-		recovery.Run(workers, len(parts), func(i int) {
-			for _, sp := range parts[i] {
+	scans := recovery.Stream(workers, alloc.NewScan, func(emit func(palloc.Extent)) {
+		if tr != nil {
+			tr(read, func(ref Ref, fields int) { emit(palloc.Extent{Off: ref, Words: span(fields, cellW)}) })
+		}
+	}, func(s *palloc.Scan, batch []palloc.Extent) {
+		if restore != nil {
+			for _, sp := range batch {
 				restore(sp.Off, sp.Words)
 			}
-		})
-	}
-	alloc.RebuildSharded(parts, workers)
+		}
+		s.Add(batch)
+	})
+	alloc.RebuildFrom(scans...)
 }
 
 // restoreFixed starts recovery over an adopted media file, whose device view

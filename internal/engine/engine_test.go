@@ -535,8 +535,8 @@ func TestRecoverWithParallelMatchesSequential(t *testing.T) {
 
 // TestRecoverWithoutShardedTracerStillParallel attaches a media file at 4
 // workers: the one sequential trace reads the media, and the span restores
-// run split across the workers. Every node must come back, on every durable
-// engine.
+// run on the sink goroutines beside it. Every node must come back, on every
+// durable engine.
 func TestRecoverWithoutShardedTracerStillParallel(t *testing.T) {
 	for _, k := range durableKinds() {
 		t.Run(k.String(), func(t *testing.T) {

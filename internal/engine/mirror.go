@@ -211,23 +211,21 @@ func (e *mirrorEngine) Crash(policy pmem.CrashPolicy, rng *rand.Rand) {
 // options.
 func (e *mirrorEngine) Recover(tr Tracer) { e.RecoverWith(tr, RecoverOptions{}) }
 
-// RecoverWith implements §4.3.3 as an explicit two-phase pipeline:
-//
-//   - Trace: resurrect the roots, then walk the persistent post-crash
-//     image once, collecting the spans of all reachable objects.
-//   - Rebuild: copy every reachable span from rep_p to rep_v at the same
-//     offsets (bulk range copies, the spans split into contiguous parts
-//     for the workers), and rebuild the allocator from the same parts —
-//     everything unreachable is reclaimed, the offline GC.
+// RecoverWith implements §4.3.3 as one streamed pass (rebuild): resurrect
+// the roots, then walk the persistent post-crash image once from them; each
+// batch of reachable spans the walk visits is copied from rep_p to rep_v at
+// the same offsets (bulk range copies) and folded into an allocator scan,
+// while the walk goes on. The scans then rebuild the allocator — everything
+// unreachable is reclaimed, the offline GC.
 //
 // Over an adopted media file (Config.Attach) rep_p's view starts empty: the
 // roots and descriptor region are restored first, the trace reads the media
 // itself, and each span is restored just before it is mirrored, so attach
 // copies what is live and nothing else.
 //
-// Both phases are idempotent: they only write the volatile replica, the
-// view of what rep_p already holds, and volatile allocator metadata, so a
-// crash during recovery simply means recovery runs again from the unchanged
+// The pass is idempotent: it only writes the volatile replica, the view of
+// what rep_p already holds, and volatile allocator metadata, so a crash
+// during recovery simply means recovery runs again from the unchanged
 // persistent image.
 func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.mu.Lock()

@@ -20,8 +20,8 @@ func (s shardedRecovery) RecoverWith(tr engine.Tracer, _ engine.RecoverOptions) 
 }
 
 // recoverSharded adapts Spec.NewEngine so Run recovers through the pipeline
-// at the given number of workers: one sequential trace, then a rebuild split
-// across them.
+// at the given number of workers: one sequential trace, whose batches the
+// other workers copy and scan while it runs.
 func recoverSharded(shards int) func(engine.Config) engine.Engine {
 	return func(cfg engine.Config) engine.Engine {
 		return shardedRecovery{engine.New(cfg), engine.RecoverOptions{Parallelism: shards}}
@@ -30,7 +30,7 @@ func recoverSharded(shards int) func(engine.Config) engine.Engine {
 
 // TestShardedAllEnginesAllFaults runs the full fault mix against every
 // durable engine and every structure with recovery at two workers: the
-// split rebuild runs under the fault model's eviction stress, and the
+// parallel pass runs under the fault model's eviction stress, and the
 // survivor must pass the same fsck, invariant and durable-linearizability
 // checks as a sequential recovery. The seeds are
 // fixed so CI failures reproduce bit for bit.
@@ -53,7 +53,7 @@ func TestShardedAllEnginesAllFaults(t *testing.T) {
 }
 
 // TestShardedWiderCounts spot-checks wider recovery worker counts (3 and 4)
-// on the Mirror engines: the rebuild's split is not a power-of-two-only
+// on the Mirror engines: the parallel pass is not a power-of-two-only
 // design.
 func TestShardedWiderCounts(t *testing.T) {
 	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}
@@ -75,7 +75,7 @@ func TestShardedWiderCounts(t *testing.T) {
 
 // TestShardedDetectable runs the detectability cross-check with recovery at
 // two workers: the descriptor rings are scrubbed and the structure rebuilt
-// by the split pipeline, and every post-crash verdict must still agree with
+// by the parallel pass, and every post-crash verdict must still agree with
 // the durable linearizability checker.
 func TestShardedDetectable(t *testing.T) {
 	all := pmem.FaultSpec{Torn: true, Evict: true, Drop: true}

@@ -14,11 +14,8 @@ package palloc
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"mirror/internal/recovery"
 )
 
 const (
@@ -251,9 +248,13 @@ func (a *Allocator) release(cls int, objs []uint64) {
 // Rebuild resets every piece of allocator metadata and reconstructs it from
 // the reachable-object extents produced by a recovery trace (§4.3.3). After
 // Rebuild, exactly the traced objects are allocated; all other space is
-// free. Extents must not overlap.
+// free. Extents must not overlap. It is one Scan over extents, installed by
+// RebuildFrom; the recovery pipeline streams its trace through scans of its
+// own instead.
 func (a *Allocator) Rebuild(extents []Extent) {
-	a.RebuildSharded([][]Extent{extents}, 1)
+	s := a.NewScan()
+	s.Add(extents)
+	a.RebuildFrom(s)
 }
 
 // occWords is the per-chunk occupancy bitset length: one bit per
@@ -263,42 +264,60 @@ const occWords = ChunkWords / AlignWords / 64
 
 // chunkOcc accumulates the occupancy of one chunk during a rebuild scan.
 type chunkOcc struct {
+	idx  int32 // the chunk
 	cls  int32 // class index serving this chunk
 	high int32 // highest used slot end (sets the bump pointer)
 	bits [occWords]uint64
 }
 
-// rebuildAcc is one scan worker's private accumulation: per-chunk
-// occupancy and the large runs it saw. Workers never touch shared
-// allocator state, so the scan needs no locking.
-type rebuildAcc struct {
-	occ   map[int]*chunkOcc
+// Scan is one recovery sink's private fold of traced extents: the
+// occupancy of every chunk with a survivor, found through a dense array
+// indexed by chunk, and the large runs. A scan never touches the
+// allocator's state, so scans on different goroutines need no locking;
+// RebuildFrom merges them.
+type Scan struct {
+	a     *Allocator
+	at    []int32    // chunk -> 1 + its index in occ; 0: no survivor yet
+	occ   []chunkOcc // chunks with a survivor, in first-extent order
 	large []Extent
 }
 
-// scanExtents folds one shard's extents into acc. It performs all
-// per-extent validation; only cross-shard class conflicts are left to the
-// merge.
-func (a *Allocator) scanExtents(extents []Extent, acc *rebuildAcc) {
-	acc.occ = make(map[int]*chunkOcc)
+// NewScan returns an empty scan over a's region.
+func (a *Allocator) NewScan() *Scan {
+	return &Scan{a: a, at: make([]int32, a.numChunks)}
+}
+
+// chunk returns the scan's occupancy of chunk idx, starting it at class
+// cls, and panics if the chunk already holds another class.
+func (s *Scan) chunk(idx int, cls int32) *chunkOcc {
+	if i := s.at[idx]; i != 0 {
+		co := &s.occ[i-1]
+		if co.cls != cls {
+			panic(fmt.Sprintf("palloc: rebuild: chunk %d has extents of classes %d and %d", idx, co.cls, cls))
+		}
+		return co
+	}
+	s.occ = append(s.occ, chunkOcc{idx: int32(idx), cls: cls})
+	s.at[idx] = int32(len(s.occ))
+	return &s.occ[len(s.occ)-1]
+}
+
+// Add folds extents into the scan. It performs all per-extent validation;
+// only class conflicts between scans are left to RebuildFrom.
+func (s *Scan) Add(extents []Extent) {
+	a := s.a
 	for _, e := range extents {
 		if e.Off < a.base || e.Off >= a.end {
 			panic(fmt.Sprintf("palloc: rebuild extent %d outside region", e.Off))
 		}
 		cls := classOf(e.Words)
 		if cls < 0 {
-			acc.large = append(acc.large, e)
+			s.large = append(s.large, e)
 			continue
 		}
 		size := classSizes[cls]
 		idx := a.chunkOf(e.Off)
-		co := acc.occ[idx]
-		if co == nil {
-			co = &chunkOcc{cls: int32(cls)}
-			acc.occ[idx] = co
-		} else if co.cls != int32(cls) {
-			panic(fmt.Sprintf("palloc: rebuild: chunk %d has extents of classes %d and %d", idx, co.cls, cls))
-		}
+		co := s.chunk(idx, int32(cls))
 		slot := int(e.Off - a.chunkBase(idx))
 		if slot%size != 0 {
 			panic(fmt.Sprintf("palloc: rebuild: extent at %d misaligned for class size %d", e.Off, size))
@@ -311,14 +330,33 @@ func (a *Allocator) scanExtents(extents []Extent, acc *rebuildAcc) {
 	}
 }
 
-// RebuildSharded is Rebuild over per-shard extent lists, scanning the
-// shards with up to workers concurrent goroutines — the allocator's leg of
-// the recovery pipeline. Shards are the contiguous parts one trace's
-// extents were split into (recovery.Parts); their union must satisfy
+// RebuildFrom is Rebuild over the union of scans — the allocator's leg of
+// the recovery pipeline, one scan per sink. The union must satisfy
 // Rebuild's contract (non-overlapping extents covering exactly the
-// reachable objects). With one shard and one worker it is exactly the
-// sequential Rebuild.
-func (a *Allocator) RebuildSharded(shards [][]Extent, workers int) {
+// reachable objects); how the extents were dealt among the scans changes
+// nothing: free lists come out in chunk order, then slot order. The
+// allocator is left untouched until the scans are merged.
+func (a *Allocator) RebuildFrom(scans ...*Scan) {
+	// Merge: fold every scan into the first. Bitset OR per chunk, so
+	// merging costs chunks, not extents.
+	var dst *Scan
+	var large []Extent
+	for _, s := range scans {
+		large = append(large, s.large...)
+		if dst == nil {
+			dst = s
+			continue
+		}
+		for i := range s.occ {
+			co := &s.occ[i]
+			d := dst.chunk(int(co.idx), co.cls)
+			for w := range d.bits {
+				d.bits[w] |= co.bits[w]
+			}
+			d.high = max(d.high, co.high)
+		}
+	}
+
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for i := range a.chunkClass {
@@ -333,79 +371,47 @@ func (a *Allocator) RebuildSharded(shards [][]Extent, workers int) {
 	a.largeRuns = make(map[uint64]int)
 	a.allocated.Store(0)
 
-	// Scan phase: each worker folds its shards into private occupancy
-	// bitsets; panics (bad extents) propagate to the caller.
-	accs := make([]rebuildAcc, len(shards))
-	recovery.Run(workers, len(shards), func(i int) {
-		a.scanExtents(shards[i], &accs[i])
-	})
-
-	// Merge phase: fold the per-worker occupancies together. Bitset OR
-	// per chunk, so merging costs words, not extents.
-	occ := make(map[int]*chunkOcc)
 	maxChunk := -1
-	for i := range accs {
-		acc := &accs[i]
-		for idx, co := range acc.occ {
-			dst := occ[idx]
-			if dst == nil {
-				occ[idx] = co
-			} else {
-				if dst.cls != co.cls {
-					panic(fmt.Sprintf("palloc: rebuild: chunk %d has extents of classes %d and %d", idx, dst.cls, co.cls))
-				}
-				for w := range dst.bits {
-					dst.bits[w] |= co.bits[w]
-				}
-				if co.high > dst.high {
-					dst.high = co.high
-				}
-			}
-			if idx > maxChunk {
-				maxChunk = idx
-			}
+	for _, e := range large {
+		chunks := (e.Words + ChunkWords - 1) / ChunkWords
+		idx := a.chunkOf(e.Off)
+		for i := 0; i < chunks; i++ {
+			a.chunkClass[idx+i] = -2
 		}
-		for _, e := range acc.large {
-			chunks := (e.Words + ChunkWords - 1) / ChunkWords
-			idx := a.chunkOf(e.Off)
-			for i := 0; i < chunks; i++ {
-				a.chunkClass[idx+i] = -2
-			}
-			a.largeRuns[e.Off] = chunks
-			a.allocated.Add(uint64(chunks * ChunkWords))
-			if idx+chunks-1 > maxChunk {
-				maxChunk = idx + chunks - 1
-			}
-		}
+		a.largeRuns[e.Off] = chunks
+		a.allocated.Add(uint64(chunks * ChunkWords))
+		maxChunk = max(maxChunk, idx+chunks-1)
 	}
 
-	// Assign classes and free lists for chunks with survivors.
-	chunkIdxs := make([]int, 0, len(occ))
-	for idx := range occ {
-		chunkIdxs = append(chunkIdxs, idx)
-	}
-	sort.Ints(chunkIdxs)
-	for _, idx := range chunkIdxs {
-		co := occ[idx]
-		cls := int(co.cls)
-		size := classSizes[cls]
-		high := int(co.high)
-		a.chunkClass[idx] = int8(cls)
-		// Free the holes below the high-water mark; the rest of the
-		// chunk stays bump-allocatable.
-		used := 0
-		for slot := 0; slot+size <= high; slot += size {
-			pos := slot / AlignWords
-			if co.bits[pos/64]&(1<<(pos%64)) != 0 {
-				used++
-			} else {
-				a.free[cls] = append(a.free[cls], a.chunkBase(idx)+uint64(slot))
+	// Assign classes and free lists for chunks with survivors, in chunk
+	// order.
+	if dst != nil {
+		for idx, i := range dst.at {
+			if i == 0 {
+				continue
 			}
-		}
-		a.allocated.Add(uint64(used * size))
-		a.chunkBump[idx] = int32(high)
-		if high+size <= ChunkWords {
-			a.partial[cls] = append(a.partial[cls], idx)
+			co := &dst.occ[i-1]
+			cls := int(co.cls)
+			size := classSizes[cls]
+			high := int(co.high)
+			a.chunkClass[idx] = int8(cls)
+			// Free the holes below the high-water mark; the rest of the
+			// chunk stays bump-allocatable.
+			used := 0
+			for slot := 0; slot+size <= high; slot += size {
+				pos := slot / AlignWords
+				if co.bits[pos/64]&(1<<(pos%64)) != 0 {
+					used++
+				} else {
+					a.free[cls] = append(a.free[cls], a.chunkBase(idx)+uint64(slot))
+				}
+			}
+			a.allocated.Add(uint64(used * size))
+			a.chunkBump[idx] = int32(high)
+			if high+size <= ChunkWords {
+				a.partial[cls] = append(a.partial[cls], idx)
+			}
+			maxChunk = max(maxChunk, idx)
 		}
 	}
 

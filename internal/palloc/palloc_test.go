@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -357,19 +358,41 @@ func TestRebuildShardedMatchesSequential(t *testing.T) {
 
 	a.Rebuild(extents)
 	want := snapshotAlloc(a)
+	seqFree := make([][]uint64, len(a.free))
+	for i, f := range a.free {
+		seqFree[i] = append([]uint64{}, f...)
+	}
+	seqChunks := append([]int{}, a.freeChunks...)
 
 	for _, shards := range []int{2, 4, 7} {
-		// Deal extents round-robin so shards interleave within chunks —
-		// the hardest case for the merge.
-		parts := make([][]Extent, shards)
-		for i, e := range extents {
-			parts[i%shards] = append(parts[i%shards], e)
+		// Deal extents round-robin, in batches of a few, so the scans
+		// interleave within chunks — the hardest case for the merge.
+		scans := make([]*Scan, shards)
+		for i := range scans {
+			scans[i] = a.NewScan()
 		}
-		a.RebuildSharded(parts, shards)
+		for i := 0; i < len(extents); i += 5 {
+			scans[i/5%shards].Add(extents[i:min(i+5, len(extents))])
+		}
+		a.RebuildFrom(scans...)
 		got := snapshotAlloc(a)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: sharded rebuild metadata differs from sequential", shards)
+			t.Fatalf("shards=%d: merged scans' metadata differs from one scan", shards)
 		}
+		// The free lists come out in the same order, not just as the same
+		// sets: every allocation after recovery is unchanged.
+		for i := range seqFree {
+			if !slices.Equal(a.free[i], seqFree[i]) || !slices.Equal(a.freeChunks, seqChunks) {
+				t.Fatalf("shards=%d: merged scans' free lists are in another order", shards)
+			}
+		}
+	}
+	// No scan at all is an empty allocator, like Rebuild(nil).
+	a.RebuildFrom()
+	got := snapshotAlloc(a)
+	a.Rebuild(nil)
+	if !reflect.DeepEqual(got, snapshotAlloc(a)) {
+		t.Fatal("RebuildFrom() differs from Rebuild(nil)")
 	}
 }
 
@@ -377,17 +400,17 @@ func TestRebuildShardedClassConflictPanics(t *testing.T) {
 	a := newTestAlloc()
 	c := NewCache(a, NewReclaimer())
 	cb := a.chunkBase(a.chunkOf(c.Alloc(4)))
-	// Same chunk, two different classes split across shards: the merge
-	// must detect it even though each shard is internally consistent.
+	// Same chunk, two different classes split across scans: the merge
+	// must detect it even though each scan is internally consistent.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cross-shard class conflict did not panic")
 		}
 	}()
-	a.RebuildSharded([][]Extent{
-		{{Off: cb, Words: 4}},
-		{{Off: cb + 8, Words: 8}},
-	}, 2)
+	s0, s1 := a.NewScan(), a.NewScan()
+	s0.Add([]Extent{{Off: cb, Words: 4}})
+	s1.Add([]Extent{{Off: cb + 8, Words: 8}})
+	a.RebuildFrom(s0, s1)
 }
 
 func TestQuickClassSizeInvariants(t *testing.T) {

@@ -497,9 +497,12 @@ func (s *FlushSet) clearLines() {
 
 // add records a line once. Small sets use a linear scan over the slice
 // (cache-friendly, and the common case is one or two lines); a set that
-// grows past spillLines builds the epoch-tagged table and dedups in O(1).
+// reaches spillLines seeds the epoch-tagged table with its lines and dedups
+// in O(1) until the next fence empties it. Lines leave the set only by
+// clearLines, which advances the epoch, so the table holds this epoch's
+// lines exactly while the set holds spillLines or more.
 func (s *FlushSet) add(line uint64) {
-	if s.table != nil {
+	if len(s.lines) >= spillLines {
 		if s.table[line] == s.epoch {
 			return
 		}
@@ -513,11 +516,13 @@ func (s *FlushSet) add(line uint64) {
 		}
 	}
 	s.lines = append(s.lines, line)
-	if len(s.lines) >= spillLines {
+	if len(s.lines) == spillLines {
 		if s.epoch == 0 {
 			s.epoch = 1 // 0 must stay invalid: missing table entries read as 0
 		}
-		s.table = make(map[uint64]uint64, 2*spillLines)
+		if s.table == nil {
+			s.table = make(map[uint64]uint64, 2*spillLines)
+		}
 		for _, l := range s.lines {
 			s.table[l] = s.epoch
 		}

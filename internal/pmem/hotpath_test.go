@@ -110,6 +110,73 @@ func TestFlushSetDedupSpill(t *testing.T) {
 	}
 }
 
+// TestFlushSetSmallAfterSpill: a set that spilled once goes back to the
+// linear scan after its fence — a small set writes nothing to the table —
+// and reseeds the table when it grows to spillLines again. Dedup holds in
+// every phase, stale table entries from the spilled window included, and
+// every pending line commits.
+func TestFlushSetSmallAfterSpill(t *testing.T) {
+	const lines = 3 * spillLines
+	d := newTestDevice(lines * WordsPerLine * 2)
+	var fs FlushSet
+	flush := func(l, v int) {
+		off := uint64(l*WordsPerLine + 1)
+		d.Store(off, uint64(v))
+		d.Flush(&fs, off)
+	}
+	pending := func(phase string, want int) {
+		t.Helper()
+		if got := fs.Pending(); got != want {
+			t.Fatalf("%s: pending lines = %d, want %d", phase, got, want)
+		}
+	}
+	committed := func(phase string, from, to, v int) {
+		t.Helper()
+		for l := from; l < to; l++ {
+			if got := d.PersistedWord(uint64(l*WordsPerLine + 1)); got != uint64(v+l) {
+				t.Fatalf("%s: line %d not committed: media = %d, want %d", phase, l, got, v+l)
+			}
+		}
+	}
+
+	// A spill: 2*spillLines lines, each flushed twice.
+	for pass := 0; pass < 2; pass++ {
+		for l := 0; l < 2*spillLines; l++ {
+			flush(l, 100+l)
+		}
+	}
+	pending("spill", 2*spillLines)
+	d.Fence(&fs)
+	committed("spill", 0, 2*spillLines, 100)
+
+	// A small set: lines the spilled window held and a line the table never
+	// saw, each flushed twice, leave the table alone.
+	seeded := len(fs.table)
+	for pass := 0; pass < 2; pass++ {
+		for _, l := range []int{0, 5, lines - 1} {
+			flush(l, 200+l)
+		}
+	}
+	pending("small set", 3)
+	if len(fs.table) != seeded {
+		t.Fatalf("a small set wrote the table: %d entries, %d after the spill", len(fs.table), seeded)
+	}
+	d.Fence(&fs)
+	committed("small set", 5, 6, 200)
+	committed("small set", lines-1, lines, 200)
+
+	// A second spill over the stale entries and new lines alike.
+	for pass := 0; pass < 2; pass++ {
+		for l := spillLines; l < lines; l++ {
+			flush(l, 300+l)
+		}
+	}
+	pending("second spill", lines-spillLines)
+	d.Fence(&fs)
+	committed("second spill", spillLines, lines, 300)
+	pending("after fence", 0)
+}
+
 // TestFlushSetTwoDevicesPanics checks the first-use device binding.
 func TestFlushSetTwoDevicesPanics(t *testing.T) {
 	d1 := newTestDevice(64)

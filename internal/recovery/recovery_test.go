@@ -2,8 +2,10 @@ package recovery
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunExecutesEveryTask(t *testing.T) {
@@ -91,39 +93,102 @@ func TestChunksCoverExactly(t *testing.T) {
 	}
 }
 
-// TestBatchesPreserveSpans pins the rebuild's split of one trace: the whole
-// list at one worker, and at N workers min(N, spans) non-empty contiguous
-// parts that cover the list in trace order — real parallelism even over a
-// trace of a few spans.
+// TestBatchesPreserveSpans pins the streamed rebuild at 1, 2 and 4 workers,
+// for span counts below, at and above one batch: every emitted span reaches
+// a sink exactly once — restored once, and folded once into exactly one
+// accumulator — in batches of at most Batch; at one worker in emit order,
+// in full batches but the last, into one accumulator.
 func TestBatchesPreserveSpans(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 5, 512, 3000} {
-		spans := make([]uint64, n)
-		for i := range spans {
-			spans[i] = uint64(i)
+	for _, n := range []int{0, 1, 5, Batch - 1, Batch, Batch + 1, 5*Batch + 17} {
+		for _, workers := range []int{1, 2, 4} {
+			restored := make([]atomic.Int32, n)
+			var batches [][]int
+			accs := Stream(workers, func() *[]int { return new([]int) }, func(emit func(int)) {
+				for i := 0; i < n; i++ {
+					emit(i)
+				}
+			}, func(acc *[]int, batch []int) {
+				if len(batch) == 0 || len(batch) > Batch {
+					t.Errorf("n=%d workers=%d: batch of %d", n, workers, len(batch))
+				}
+				for _, sp := range batch {
+					restored[sp].Add(1)
+				}
+				*acc = append(*acc, batch...)
+				if workers == 1 {
+					batches = append(batches, append([]int{}, batch...))
+				}
+			})
+			if workers == 1 && len(accs) != 1 || len(accs) > max(workers-1, 1) {
+				t.Fatalf("n=%d workers=%d: %d accumulators", n, workers, len(accs))
+			}
+			folded := make([]int, n)
+			for _, acc := range accs {
+				for _, sp := range *acc {
+					folded[sp]++
+				}
+			}
+			for i := 0; i < n; i++ {
+				if restored[i].Load() != 1 || folded[i] != 1 {
+					t.Fatalf("n=%d workers=%d: span %d restored %d times, folded %d times",
+						n, workers, i, restored[i].Load(), folded[i])
+				}
+			}
+			if workers > 1 {
+				continue
+			}
+			for i, sp := range *accs[0] {
+				if sp != i {
+					t.Fatalf("n=%d: one worker folded span %d at position %d", n, sp, i)
+				}
+			}
+			for i, b := range batches {
+				if i < len(batches)-1 && len(b) != Batch {
+					t.Fatalf("n=%d: one worker's batch %d holds %d spans", n, i, len(b))
+				}
+			}
 		}
-		for _, workers := range []int{0, 1, 2, 3, 4, 8} {
-			parts := Parts(spans, workers)
-			want := min(workers, n)
-			if workers <= 1 {
-				want = 1
+	}
+}
+
+// streamPanics runs a stream of spans spans at workers workers whose trace
+// or sink panics with sentinel, and returns what Stream re-raised.
+func streamPanics(workers, spans int, inTrace bool, sentinel error) (got any) {
+	defer func() { got = recover() }()
+	Stream(workers, func() *int { return new(int) }, func(emit func(int)) {
+		for i := 0; i < spans; i++ {
+			if inTrace && i == 3*Batch+7 {
+				panic(sentinel)
 			}
-			if len(parts) != want {
-				t.Fatalf("n=%d workers=%d: %d parts, want %d", n, workers, len(parts), want)
+			emit(i)
+		}
+	}, func(acc *int, batch []int) {
+		if !inTrace && batch[0] == Batch {
+			panic(sentinel)
+		}
+		*acc += len(batch)
+	})
+	return nil
+}
+
+// TestStreamPanicStopsTheOtherSide: a panic in a sink stops the trace, and a
+// panic in the trace stops the sinks; either way the first panic is
+// re-raised on the caller after every sink goroutine has exited.
+func TestStreamPanicStopsTheOtherSide(t *testing.T) {
+	sentinel := errors.New("boom")
+	for _, inTrace := range []bool{false, true} {
+		for _, workers := range []int{2, 4} {
+			before := runtime.NumGoroutine()
+			// A sink that fails stops the trace, which would otherwise
+			// emit this many spans.
+			if got := streamPanics(workers, 1<<30, inTrace, sentinel); got != sentinel {
+				t.Fatalf("inTrace=%v workers=%d: re-raised %v, want the sentinel", inTrace, workers, got)
 			}
-			next := uint64(0)
-			for _, p := range parts {
-				if len(p) == 0 && n > 0 {
-					t.Fatalf("n=%d workers=%d: empty part", n, workers)
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("inTrace=%v workers=%d: %d goroutines, %d before", inTrace, workers, runtime.NumGoroutine(), before)
 				}
-				for _, sp := range p {
-					if sp != next {
-						t.Fatalf("n=%d workers=%d: order broken: got %d, want %d", n, workers, sp, next)
-					}
-					next++
-				}
-			}
-			if next != uint64(n) {
-				t.Fatalf("n=%d workers=%d: parts cover %d spans, want %d", n, workers, next, n)
+				runtime.Gosched()
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -105,12 +106,13 @@ func SidecarPath(mediaPath string) string { return mediaPath + ".meta" }
 // LiveWords/Objects is the mean object's footprint in words.
 type Report struct {
 	Open      time.Duration // build the engine over the media: map it, copy nothing
-	Recover   time.Duration // restore the roots, trace, restore and mirror every span, rebuild the allocator
+	Recover   time.Duration // restore the roots, then one streamed pass: trace, restore and mirror every span, rebuild the allocator
 	Repair    time.Duration // every structure's repair pass, then the drain
 	Verify    time.Duration // the post-attach walk of every structure whose repair pass did not walk it
 	LiveWords uint64        // words the trace reached, per replica
 	Objects   uint64        // spans the trace visited
 	Words     int           // the device capacity
+	Workers   int           // the recovery pass's worker count: GOMAXPROCS for an attach, 1 for Recover
 }
 
 // Runtime owns one engine, the persistent roots and the structures hanging
@@ -133,7 +135,8 @@ type Runtime struct {
 // refuses any other sidecar, and wipes a file that has none. Attaching traces
 // every recorded structure in record order, rebuilds rep_v and the allocator,
 // repairs, drains, and walks every structure once: a corrupt image fails
-// here, not under load.
+// here, not under load. The attach's recovery pass runs at GOMAXPROCS
+// workers, so the copy and the allocator scan overlap the trace.
 func Open(cfg engine.Config) (*Runtime, error) { return OpenWith(cfg, nil) }
 
 // OpenWith is Open over the engine newEngine builds (engine.New if nil):
@@ -178,7 +181,7 @@ func OpenWith(cfg engine.Config, newEngine func(engine.Config) engine.Engine) (*
 	var err error
 	if r.attached {
 		err = fsck(func() {
-			c := r.recover(1)
+			c := r.recover(runtime.GOMAXPROCS(0))
 			defer c.Close()
 			t := time.Now()
 			r.verify(c)
@@ -371,11 +374,11 @@ func (r *Runtime) Crash(policy pmem.CrashPolicy, seed int64) {
 // fresh ones. It is RecoverParallel(1).
 func (r *Runtime) Recover() { r.RecoverParallel(1) }
 
-// RecoverParallel is Recover with a bounded worker pool: the recorded
-// structures are traced once, in order, on the caller, and the rebuild —
-// the volatile-replica copy, the span restore of an attach and the
-// allocator reconstruction — splits the traced spans into contiguous parts
-// over that many goroutines (see internal/recovery). The repair passes run
+// RecoverParallel is Recover at that many workers: the recorded structures
+// are traced once, in order, on the caller, and the rest of the pass — the
+// volatile-replica copy, the span restore of an attach and the allocator
+// scan — runs batch by batch on up to parallelism-1 other goroutines while
+// the trace continues (see internal/recovery). The repair passes run
 // afterwards, sequentially.
 func (r *Runtime) RecoverParallel(parallelism int) { r.recover(parallelism).Close() }
 
@@ -396,7 +399,8 @@ func (r *Runtime) recover(parallelism int) *engine.Ctx {
 	t := time.Now()
 	r.eng.RecoverWith(trace, engine.RecoverOptions{Parallelism: parallelism})
 	live, _ := r.eng.Footprint()
-	r.report = Report{Recover: time.Since(t), LiveWords: live, Objects: objects, Words: r.cfg.Words}
+	r.report = Report{Recover: time.Since(t), LiveWords: live, Objects: objects, Words: r.cfg.Words,
+		Workers: max(parallelism, 1)}
 	t = time.Now()
 	c := r.eng.NewCtx()
 	for _, s := range r.roots {

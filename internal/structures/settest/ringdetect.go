@@ -41,9 +41,9 @@ package settest
 //     drops the never-flushed announce, so the delete took effect and
 //     reads NotCommitted.
 //
-// Every sweep runs twice: Unsharded recovers sequentially, Sharded2 with the
-// rebuild split across two workers (see recoverShards). The verdicts must
-// not depend on how the rebuild was split.
+// Every sweep runs twice: Unsharded recovers sequentially, Sharded2 at two
+// workers, the copy on a sink goroutine beside the trace (see
+// recoverShards). The verdicts must not depend on where the copy ran.
 
 import (
 	"fmt"

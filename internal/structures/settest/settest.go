@@ -345,7 +345,7 @@ func visitsOnce(t *testing.T, e engine.Engine, tr engine.Tracer) {
 	})
 }
 
-// testParallelRecovery checks recovery with a split rebuild against the
+// testParallelRecovery checks recovery with a parallel streamed pass against the
 // sequential one on the same crash image: the tracer visits no object
 // twice, the contents recovered at Parallelism 1, 2 and 4 are identical and
 // match the pre-crash model, and after each recovery the replica invariants

@@ -2,11 +2,12 @@ package settest
 
 // Sharded-recovery battery: the suite's batch, concurrent and crash checks
 // with every recovery run through the §4.3.3 pipeline at N workers — one
-// sequential trace, then a rebuild whose spans are split into contiguous
-// parts across the workers. One worker is the sequential recovery. Two
-// properties are specific to the split: the finest split recovers to the
-// byte-identical device, and neither the recovered contents nor the media
-// the next operations write depend on the worker count.
+// sequential trace on the caller whose batches of spans up to N-1 sink
+// goroutines copy and fold into allocator scans while it runs. One worker
+// is the sequential recovery. Two properties are specific to the
+// parallel pass: a sink per batch recovers to the byte-identical device,
+// and neither the recovered contents nor the media the next operations
+// write depend on the worker count.
 
 import (
 	"fmt"
@@ -99,23 +100,24 @@ func recoveredMedia(t *testing.T, f Factory, k engine.Kind, recover func(e engin
 	return fmt.Sprintf("%#x", hashes)
 }
 
-// testSingleShardMediaPin pins the finest split: with more workers than
-// spans every part of the rebuild holds a single span, and the device must
-// still end byte-identical to the sequential Recover — the copy and the
-// allocator scan through one-span parts and a merge of one-extent scans.
+// testSingleShardMediaPin pins the finest deal: with more workers than
+// batches every batch of the stream starts a sink of its own, and the
+// device must still end byte-identical to the sequential Recover — the
+// copy on sink goroutines and a merge of as many scans as there were
+// sinks.
 func testSingleShardMediaPin(t *testing.T, f Factory, k engine.Kind) {
 	plain := recoveredMedia(t, f, k, func(e engine.Engine, s structures.Set) { e.Recover(s.Tracer()) })
 	finest := recoveredMedia(t, f, k, func(e engine.Engine, s structures.Set) { recoverShards(e, s, 1<<12) })
 	if plain != finest {
-		t.Fatalf("media diverged: sequential %s, one span per part %s", plain, finest)
+		t.Fatalf("media diverged: sequential %s, a sink per batch %s", plain, finest)
 	}
 }
 
 // testShardedRecoveryDeterminism recovers the same crash image at 1, 2 and
 // 4 shards, twice each: the media the same post-recovery op sequence writes
-// must be byte-identical across repeats and worker counts — the split
-// rebuild hands out the same free memory in the same order however the work
-// was split.
+// must be byte-identical across repeats and worker counts — the streamed
+// rebuild hands out the same free memory in the same order however the
+// batches were dealt to the sinks.
 func testShardedRecoveryDeterminism(t *testing.T, f Factory, k engine.Kind) {
 	want := recoveredMedia(t, f, k, func(e engine.Engine, s structures.Set) { recoverShards(e, s, 1) })
 	for _, shards := range []int{1, 2, 4} {

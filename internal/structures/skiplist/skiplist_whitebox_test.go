@@ -135,8 +135,8 @@ func TestRandomLevelDistribution(t *testing.T) {
 // (G, key 16, on no chain). The one trace walks level 0 only, so it visits
 // exactly head, 12, 15 and 17 — never X, never G. Copies of the file are
 // then attached at 1, 2 and 3 workers, with pmem debug checks on: each must
-// keep the same live words and serve exactly {12, 15, 17}, however the
-// rebuild split the spans.
+// keep the same live words and serve exactly {12, 15, 17}, whether the
+// copy ran inline or on a sink goroutine.
 func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.NVTraverse} {
 		t.Run(kind.String(), func(t *testing.T) {
