@@ -30,10 +30,10 @@ func fill(s structures.Set, c *engine.Ctx) bool {
 	return true
 }
 
-// traced builds a table holding the fillers and keys and returns the key of
-// every node its trace visits, in trace order: the trace visits the bucket
-// array first, so the i-th key is in batch (i+1)/Batch of the streamed
-// rebuild.
+// traced builds a table holding the fillers and keys, crashes and recovers
+// it, and returns the key of every node the recovery's trace visits, in
+// trace order: the trace visits the bucket array first, so the i-th key is
+// in batch (i+1)/Batch of the streamed rebuild.
 func traced(keys ...uint64) []uint64 {
 	e := engine.New(engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 16, Track: true})
 	c := e.NewCtx()
@@ -44,11 +44,15 @@ func traced(keys ...uint64) []uint64 {
 	}
 	var order []uint64
 	arr := true
-	hashtable.TracerAt(e, 0)(e.RecoveryLoad, func(ref engine.Ref, _ int) {
-		if !arr {
-			order = append(order, e.RecoveryLoad(ref, list.FieldKey))
-		}
-		arr = false
+	e.Crash(pmem.CrashDropAll, rand.New(rand.NewSource(1)))
+	e.Recover(func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+		hashtable.TracerAt(e, 0)(read, func(ref engine.Ref, fields int) {
+			if !arr {
+				order = append(order, read(ref, list.FieldKey))
+			}
+			arr = false
+			visit(ref, fields)
+		})
 	})
 	return order
 }

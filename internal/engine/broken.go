@@ -8,7 +8,7 @@ type Bug int
 const (
 	// BugDropOwnFlush removes the flush+fence between a writer's own
 	// install into rep_p and its mirror into rep_v (the help and failure
-	// paths keep theirs): Store/CAS/FetchAdd install values that are
+	// paths keep theirs): Store and CAS install values that are
 	// visible — and so complete operations — before they are durable. A
 	// crash whose line fate is "drop" or "torn" loses a completed operation.
 	BugDropOwnFlush Bug = iota
@@ -31,7 +31,7 @@ func NewBroken(cfg Config, bug Bug) Engine {
 	if bug != BugDropOwnFlush {
 		cfg.NoElide = false
 	}
-	cfg.setDefaults()
+	cfg.SetDefaults()
 	e := newMirror(cfg)
 	switch bug {
 	case BugDropOwnFlush:

@@ -68,7 +68,7 @@ import (
 //     (pmem.Device.FlushAhead): the first fence the operation issues there
 //     — a read fence, a publish fence, or the announce barrier's own —
 //     flushes it before committing.
-//     The engines' CAS, Store and FetchAdd first pass the announce barrier
+//     The engines' CAS and Store first pass the announce barrier
 //     (announceBarrier below), which fences iff no fence on the flush set
 //     has run since Begin. An insert's own publish fence carries the
 //     announce for free, a delete pays the one fence just before its mark,
@@ -553,20 +553,6 @@ type detector struct {
 	eng  verdictSettler
 }
 
-func (d *detector) Clients() int {
-	if d.desc == nil {
-		return 0
-	}
-	return d.desc.Clients
-}
-
-func (d *detector) DetectRing() int {
-	if d.desc == nil {
-		return 0
-	}
-	return d.desc.Ring
-}
-
 // dropAnnounce is called where the armed operation reaches its verdict. If
 // no fence has run on the flush set since Begin, the operation installed
 // nothing and its announce line is still armed there: drop it, so that no
@@ -580,7 +566,7 @@ func (d *detector) dropAnnounce(c *Ctx) {
 
 // announceBarrier is the announce half of the ordering rule, enforced by
 // construction: every durable-before-visible write of the engines (CAS,
-// Store, FetchAdd — not CASRelaxed or CASRebuilt, whose auxiliary and
+// Store — not CASRelaxed or CASRebuilt, whose auxiliary and
 // rebuilt updates no verdict testifies to) passes it first. If the armed operation's announce is still
 // open it fences — and the fence flushes the armed line first — unless a
 // fence on the flush set since Begin (a read fence, a publish fence, a
@@ -593,7 +579,7 @@ func (d *detector) announceBarrier(c *Ctx) {
 }
 
 // closeAnnounce is the barrier's out-of-line half, so that the test above
-// inlines into every CAS, Store and FetchAdd as one load and one branch.
+// inlines into every CAS and Store as one load and one branch.
 func (d *detector) closeAnnounce(c *Ctx) {
 	c.det.annOpen = false
 	if fs := d.eng.descFlushSet(c); fs.Fences() == c.det.annFences {

@@ -28,7 +28,7 @@ func descRegionOf(e Engine) *DescRegion {
 func runDetectable(e Engine, c *Ctx, client int, seq uint64, deferred bool, rval uint64) {
 	e.OpBegin(c)
 	e.DetectBeginDeferred(c, client, seq, DetectInsert, uint64(client), seq)
-	e.Store(c, e.RootRef(), 0, seq<<8|uint64(client))
+	e.Store(c, Root, 0, seq<<8|uint64(client))
 	DetectEndDeferred(e, c, true, rval)
 	e.OpEnd(c)
 	if !deferred {
@@ -121,9 +121,6 @@ func TestRingDeferredWindowStaysPending(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			e := New(Config{Kind: k, Words: 1 << 14, Track: true, Clients: 2, DetectRing: ring})
 			c := e.NewCtx()
-			if got := e.DetectRing(); got != ring {
-				t.Fatalf("DetectRing = %d, want %d", got, ring)
-			}
 			for seq := uint64(1); seq <= ring; seq++ {
 				runDetectable(e, c, 0, seq, true, 0)
 			}
@@ -191,7 +188,7 @@ func TestDrainOneLinePerClient(t *testing.T) {
 			seq := uint64(i + 1)
 			e.DetectBeginDeferred(c, 0, seq, DetectDelete, seq, 0)
 			if o.installs {
-				e.Store(c, e.RootRef(), 0, seq)
+				e.Store(c, Root, 0, seq)
 			}
 			e.DetectEndDeferred(c, o.result, o.rval)
 		}
@@ -390,8 +387,8 @@ func TestAttachAdoptsMediaFile(t *testing.T) {
 			e := New(cfg)
 			c := e.NewCtx()
 			e.OpBegin(c)
-			e.Store(c, e.RootRef(), 0, 42)
-			e.Store(c, e.RootRef(), 1, 43)
+			e.Store(c, Root, 0, 42)
+			e.Store(c, Root, 1, 43)
 			e.OpEnd(c)
 			e.Drain(c)
 			// e is abandoned here: no Freeze, no Crash.
@@ -401,17 +398,17 @@ func TestAttachAdoptsMediaFile(t *testing.T) {
 			e2.Recover(nil)
 			c2 := e2.NewCtx()
 			e2.OpBegin(c2)
-			if got := e2.Load(c2, e2.RootRef(), 0); got != 42 {
+			if got := e2.Load(c2, Root, 0); got != 42 {
 				t.Fatalf("root field 0 after attach: %d, want 42", got)
 			}
-			if got := e2.Load(c2, e2.RootRef(), 1); got != 43 {
+			if got := e2.Load(c2, Root, 1); got != 43 {
 				t.Fatalf("root field 1 after attach: %d, want 43", got)
 			}
 			// The adopted engine must be fully operable, including another
 			// durable store over the same file.
-			e2.Store(c2, e2.RootRef(), 0, 44)
+			e2.Store(c2, Root, 0, 44)
 			e2.OpEnd(c2)
-			if got := e2.Load(c2, e2.RootRef(), 0); got != 44 {
+			if got := e2.Load(c2, Root, 0); got != 44 {
 				t.Fatalf("store after attach: %d, want 44", got)
 			}
 		})

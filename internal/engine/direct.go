@@ -12,10 +12,9 @@ import (
 // non-durable originals and the Izraelevitz and NVTraverse transformations.
 // One word per field, cell or plain word alike, directly on one device.
 type directEngine struct {
-	detector   // per-client op descriptors
-	kind       Kind
-	dev        *pmem.Device
-	rootFields int
+	detector // per-client op descriptors
+	kind     Kind
+	dev      *pmem.Device
 
 	mu    sync.Mutex
 	alloc *palloc.Allocator
@@ -48,11 +47,10 @@ func newDirect(cfg Config) *directEngine {
 	// rebuilds the allocator. (The direct engines write nothing at
 	// construction, so there is no init to skip.)
 	e := &directEngine{
-		kind:       cfg.Kind,
-		dev:        dev,
-		rootFields: cfg.RootFields,
-		recl:       palloc.NewReclaimer(),
-		cold:       cfg.Attach,
+		kind: cfg.Kind,
+		dev:  dev,
+		recl: palloc.NewReclaimer(),
+		cold: cfg.Attach,
 	}
 	e.eng = e
 	// Descriptor region between the roots and the allocator base. On the
@@ -71,8 +69,6 @@ func newDirect(cfg Config) *directEngine {
 	})
 	return e
 }
-
-func (e *directEngine) Kind() Kind { return e.kind }
 
 func (e *directEngine) NewCtx() *Ctx {
 	e.mu.Lock()
@@ -241,26 +237,6 @@ func (e *directEngine) CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) b
 	return e.dev.CAS(e.addr(ref, field), old, new)
 }
 
-func (e *directEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
-	checkKind(field, false)
-	e.announceBarrier(c)
-	a := e.addr(ref, field)
-	switch {
-	case e.kind == Izraelevitz:
-		e.dev.Fence(&c.fs)
-		nv := e.dev.Add(a, delta)
-		e.dev.Flush(&c.fs, a)
-		return nv - delta
-	case e.kind == NVTraverse:
-		nv := e.dev.Add(a, delta)
-		e.dev.Flush(&c.fs, a)
-		e.dev.Fence(&c.fs)
-		return nv - delta
-	default:
-		return e.dev.Add(a, delta) - delta
-	}
-}
-
 func (e *directEngine) MakePersistent(c *Ctx, ref Ref, fields int) {
 	if e.kind != NVTraverse {
 		return
@@ -294,8 +270,6 @@ func (e *directEngine) Drain(c *Ctx) {
 	}
 }
 
-func (e *directEngine) RootRef() Ref { return rootBase }
-
 func (e *directEngine) Freeze() { e.dev.Freeze() }
 
 func (e *directEngine) FreezeAfter(n int64) { e.dev.FreezeAfter(n) }
@@ -320,7 +294,7 @@ func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		e.alloc.Rebuild(nil)
 		return
 	}
-	read := e.RecoveryLoad
+	read := e.recoveryLoad
 	var restore func(Ref, int)
 	if e.cold {
 		read, restore = restoreFixed(e.dev, e.alloc, e.addr), e.dev.Restore
@@ -332,7 +306,9 @@ func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.cold = false
 }
 
-func (e *directEngine) RecoveryLoad(ref Ref, field int) uint64 {
+// recoveryLoad reads a field from the persistent post-crash image; only
+// valid between Crash and the end of Recover.
+func (e *directEngine) recoveryLoad(ref Ref, field int) uint64 {
 	return e.dev.ReadRaw(e.addr(ref, field))
 }
 

@@ -12,7 +12,18 @@ import (
 // the persistent root object: nothing on the heap to visit.
 func rootTracer(read func(Ref, int) uint64, visit func(Ref, int)) {}
 
-// TestFetchAddStoreCrashSweepUnderFaults crashes FetchAdd/Store workloads
+// fetchAdd adds delta to a cell by a CAS loop, as a structure counts, and
+// returns the cell's previous value.
+func fetchAdd(e Engine, c *Ctx, ref Ref, field int, delta uint64) uint64 {
+	for {
+		old := e.Load(c, ref, field)
+		if e.CAS(c, ref, field, old, old+delta) {
+			return old
+		}
+	}
+}
+
+// TestFetchAddStoreCrashSweepUnderFaults crashes fetch-and-add/Store workloads
 // at seeded points under the eviction+drop adversary, on every durable
 // engine with the elision layer in its default (on) state. The two
 // counters live in root fields 0 and 1 — cells at offsets 8 and 10, the
@@ -47,11 +58,11 @@ func TestFetchAddStoreCrashSweepUnderFaults(t *testing.T) {
 					}()
 					for i := uint64(1); i <= 1000; i++ {
 						e.OpBegin(c)
-						e.FetchAdd(c, e.RootRef(), 0, 1)
+						fetchAdd(e, c, Root, 0, 1)
 						e.OpEnd(c)
 						completedAdd = i
 						e.OpBegin(c)
-						e.Store(c, e.RootRef(), 1, i)
+						e.Store(c, Root, 1, i)
 						e.OpEnd(c)
 						completedStore = i
 					}
@@ -60,16 +71,16 @@ func TestFetchAddStoreCrashSweepUnderFaults(t *testing.T) {
 				e.Crash(pmem.CrashDropAll, rng)
 				e.Recover(rootTracer)
 
-				if msg := e.CheckInvariants(e.RootRef(), 2); msg != "" {
+				if msg := e.CheckInvariants(Root, 2); msg != "" {
 					t.Fatalf("round %d: %s", round, msg)
 				}
 				c2 := e.NewCtx()
 				e.OpBegin(c2)
-				v0 := e.Load(c2, e.RootRef(), 0)
-				v1 := e.Load(c2, e.RootRef(), 1)
+				v0 := e.Load(c2, Root, 0)
+				v1 := e.Load(c2, Root, 1)
 				e.OpEnd(c2)
 				if v0 != completedAdd && v0 != completedAdd+1 {
-					t.Fatalf("round %d: FetchAdd counter = %d, want %d or %d",
+					t.Fatalf("round %d: fetch-and-add counter = %d, want %d or %d",
 						round, v0, completedAdd, completedAdd+1)
 				}
 				if v1 != completedStore && v1 != completedStore+1 {
@@ -98,10 +109,10 @@ func TestElisionAblationEquivalence(t *testing.T) {
 					e.OpBegin(c)
 					ref := e.Alloc(c, 2)
 					e.StoreInit(c, ref, 0, 100+i)
-					e.StoreInit(c, ref, 1, e.Load(c, e.RootRef(), 0))
+					e.StoreInit(c, ref, 1, e.Load(c, Root, 0))
 					e.Publish(c, ref)
-					e.CAS(c, e.RootRef(), 0, e.Load(c, e.RootRef(), 0), ref)
-					e.FetchAdd(c, e.RootRef(), 1, i)
+					e.CAS(c, Root, 0, e.Load(c, Root, 0), ref)
+					fetchAdd(e, c, Root, 1, i)
 					e.OpEnd(c)
 				}
 				var hashes []uint64

@@ -69,7 +69,7 @@ func span(f, cw int) int {
 }
 
 // checkKind panics, under pmem debug checks, when a write does not fit its
-// field's kind: Store, CAS, CASRelaxed and FetchAdd write cells only, since
+// field's kind: Store, CAS and CASRelaxed write cells only, since
 // nothing writes a write-once word after its publish (W1), and CASRebuilt
 // writes plain words only, since a rebuilt word lives outside the Figure 4
 // loop (W2).
@@ -212,23 +212,16 @@ type Memory interface {
 	// repair pass must overwrite it before anything else reads it. Every
 	// write to such a word after StoreInit must use this call.
 	CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) bool
-	// FetchAdd durably adds to a cell, returning the previous value.
-	FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64
 	// MakePersistent ensures the words of an object's first fields (a
 	// size, as Alloc takes) are durable; traversal data structures call it
 	// on the destination nodes before their critical section (the
 	// NVTraverse barrier). No-op elsewhere.
 	MakePersistent(c *Ctx, ref Ref, fields int)
-
-	// RootRef returns the persistent root object (RootFields fields).
-	RootRef() Ref
 }
 
 // Lifecycle is the role a harness drives an engine through: contexts,
 // quiescing, and the simulated power failure.
 type Lifecycle interface {
-	// Kind identifies the implementation.
-	Kind() Kind
 	// NewCtx creates a per-thread context.
 	NewCtx() *Ctx
 	// Drain commits every durability obligation this context has
@@ -265,9 +258,6 @@ type Recovery interface {
 	// scan — follows it batch by batch, on up to opts.Parallelism-1 other
 	// goroutines while the trace continues (inline at one worker).
 	RecoverWith(tr Tracer, opts RecoverOptions)
-	// RecoveryLoad reads a field from the persistent post-crash image;
-	// only valid between Crash and the end of Recover.
-	RecoveryLoad(ref Ref, field int) uint64
 	// CheckInvariants verifies, on a quiesced engine, the invariants that
 	// tie an object's replicas together — what recovery must re-establish
 	// for every reachable object, given its size. It returns a description
@@ -286,15 +276,11 @@ type Recovery interface {
 // is simply a drain of one. The caller never decides when to fence the
 // announce: the engine's write path does it, before the armed operation's
 // first install and only then.
+//
+// Detectability is on when Config.Clients > 0; with it off, Detect and
+// DetectBeginDeferred panic. The ring a client may fill is Config.DetectRing
+// after SetDefaults.
 type Detector interface {
-	// Clients returns the configured detectable-client count; zero means
-	// detectability is off and the methods below must not be used (Detect
-	// and DetectBeginDeferred panic).
-	Clients() int
-	// DetectRing returns the per-client descriptor ring size — the maximum
-	// number of operations one client may have in flight with Detect still
-	// authoritative for each. Zero with detectability off.
-	DetectRing() int
 	// Detect answers whether (client, seq) committed, from the descriptor
 	// region's post-crash words; valid on a quiesced, crashed, or
 	// recovered engine.
@@ -308,7 +294,7 @@ type Detector interface {
 	// publish), else by one fence just ahead of it; an operation that
 	// installs nothing never flushes it. Client sequence numbers must be
 	// strictly increasing per client, starting at 1. A client may hold up
-	// to DetectRing pending verdicts; only arming a seq that would lap a
+	// to Config.DetectRing pending verdicts; only arming a seq that would lap a
 	// still-pending entry forces a drain first — the entry-lapped
 	// inference of Detect requires the lapped operation's effect and
 	// verdict to be durable before the overwriting announce can be.
@@ -422,7 +408,10 @@ type Config struct {
 	Attach bool
 }
 
-func (c *Config) setDefaults() {
+// SetDefaults fills the zero fields that have defaults: Words, RootFields
+// and, with Clients > 0, DetectRing. New applies it, so the defaulted config
+// describes the engine's layout.
+func (c *Config) SetDefaults() {
 	if c.Words == 0 {
 		c.Words = 1 << 20
 	}
@@ -453,7 +442,7 @@ func DetectDrain(e Detector, c *Ctx) { e.DetectDrain(c) }
 
 // New creates an engine.
 func New(cfg Config) Engine {
-	cfg.setDefaults()
+	cfg.SetDefaults()
 	switch cfg.Kind {
 	case OrigDRAM, OrigNVMM, Izraelevitz, NVTraverse:
 		return newDirect(cfg)
@@ -494,18 +483,19 @@ func rebuild(read func(Ref, int) uint64, tr Tracer, workers int, alloc *palloc.A
 // media itself through the engine's field-to-word map addr. Nothing the
 // trace does not reach is ever copied.
 func restoreFixed(dev *pmem.Device, alloc *palloc.Allocator, addr func(Ref, int) uint64) func(Ref, int) uint64 {
-	dev.Restore(rootBase, int(alloc.Base()-rootBase))
+	dev.Restore(Root, int(alloc.Base()-Root))
 	return func(ref Ref, field int) uint64 { return dev.PersistedWord(addr(ref, field)) }
 }
 
-// rootBase is the device offset of the persistent root object. It leaves
-// word 0 unused (nil) and keeps the root 32-byte aligned.
-const rootBase = 8
+// Root is the persistent root object (Config.RootFields cells), at the same
+// device offset on every engine. It leaves word 0 unused (nil) and keeps the
+// root 32-byte aligned.
+const Root Ref = 8
 
 // rootsRegionWords returns the words reserved for the root object given the
 // cell width, rounded so the allocator base stays aligned.
 func rootsRegionWords(rootFields, cellW int) uint64 {
-	n := uint64(rootFields*cellW + rootBase)
+	n := uint64(rootFields*cellW) + Root
 	return (n + palloc.AlignWords - 1) &^ (palloc.AlignWords - 1)
 }
 

@@ -12,23 +12,34 @@ func newTestEngine(k Kind) Engine {
 	return New(Config{Kind: k, Words: 1 << 18, RootFields: 4, Track: true})
 }
 
-func forEachKind(t *testing.T, f func(t *testing.T, e Engine)) {
+func forEachKind(t *testing.T, f func(t *testing.T, k Kind, e Engine)) {
 	for _, k := range Kinds() {
 		t.Run(k.String(), func(t *testing.T) {
-			f(t, newTestEngine(k))
+			f(t, k, newTestEngine(k))
 		})
 	}
 }
 
-func forEachDurable(t *testing.T, f func(t *testing.T, e Engine)) {
+func forEachDurable(t *testing.T, f func(t *testing.T, k Kind, e Engine)) {
 	for _, k := range Kinds() {
 		if !k.Durable() {
 			continue
 		}
 		t.Run(k.String(), func(t *testing.T) {
-			f(t, newTestEngine(k))
+			f(t, k, newTestEngine(k))
 		})
 	}
+}
+
+// recoveryLoad returns e's read of its persistent post-crash image.
+func recoveryLoad(e Engine) func(Ref, int) uint64 {
+	switch e := e.(type) {
+	case *mirrorEngine:
+		return e.recoveryLoad
+	case *directEngine:
+		return e.recoveryLoad
+	}
+	panic("engine: no recovery read for this engine")
 }
 
 func TestKindStrings(t *testing.T) {
@@ -58,7 +69,7 @@ func TestDurableFlag(t *testing.T) {
 }
 
 func TestObjectLifecycle(t *testing.T) {
-	forEachKind(t, func(t *testing.T, e Engine) {
+	forEachKind(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
 		ref := e.Alloc(c, 3)
@@ -84,14 +95,16 @@ func TestObjectLifecycle(t *testing.T) {
 	})
 }
 
+// TestStoreCASFetchAdd pins Store and CAS on a cell, and a fetch-and-add
+// built from a CAS loop on a root cell, as a structure writes one.
 func TestStoreCASFetchAdd(t *testing.T) {
-	forEachKind(t, func(t *testing.T, e Engine) {
+	forEachKind(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
-		ref := e.Alloc(c, 2)
+		ref := e.Alloc(c, 1)
 		e.StoreInit(c, ref, 0, 0)
-		e.StoreInit(c, ref, 1, 5)
 		e.Publish(c, ref)
+		e.Store(c, Root, 1, 5)
 
 		e.Store(c, ref, 0, 7)
 		if got := e.Load(c, ref, 0); got != 7 {
@@ -103,11 +116,11 @@ func TestStoreCASFetchAdd(t *testing.T) {
 		if e.CAS(c, ref, 0, 7, 9) {
 			t.Error("CAS 7->9 should fail")
 		}
-		if old := e.FetchAdd(c, ref, 1, 3); old != 5 {
-			t.Errorf("FetchAdd returned %d, want 5", old)
+		if old := fetchAdd(e, c, Root, 1, 3); old != 5 {
+			t.Errorf("fetch-and-add returned %d, want 5", old)
 		}
-		if got := e.Load(c, ref, 1); got != 8 {
-			t.Errorf("after FetchAdd: %d, want 8", got)
+		if got := e.Load(c, Root, 1); got != 8 {
+			t.Errorf("after fetch-and-add: %d, want 8", got)
 		}
 		e.OpEnd(c)
 	})
@@ -118,14 +131,14 @@ func TestStoreCASFetchAdd(t *testing.T) {
 // nothing for a later drain, and a crash that drops unfenced lines loses it.
 // A rebuilt field is a plain word (Plain).
 func TestCASRebuiltIsNeverPersisted(t *testing.T) {
-	forEachKind(t, func(t *testing.T, e Engine) {
+	forEachKind(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
 		ref := e.Alloc(c, cellWord)
 		e.StoreInit(c, ref, 0, 1)
 		e.StoreInit(c, ref, word, 1)
 		e.Publish(c, ref)
-		e.Store(c, e.RootRef(), 0, ref)
+		e.Store(c, Root, 0, ref)
 		e.OpEnd(c)
 		e.Drain(c)
 		e.OpBegin(c)
@@ -143,21 +156,21 @@ func TestCASRebuiltIsNeverPersisted(t *testing.T) {
 		}
 		e.OpEnd(c)
 		e.Drain(c)
-		if !e.Kind().Durable() || e.Kind() == Izraelevitz {
+		if !k.Durable() || k == Izraelevitz {
 			return // Izraelevitz persists every read, this one's too
 		}
 		e.Crash(pmem.CrashDropAll, rand.New(rand.NewSource(1)))
-		if got := e.RecoveryLoad(ref, word); got != 1 {
+		if got := recoveryLoad(e)(ref, word); got != 1 {
 			t.Fatalf("rebuilt install reached the media: %d after the crash, want 1", got)
 		}
 	})
 }
 
 func TestRootFields(t *testing.T) {
-	forEachKind(t, func(t *testing.T, e Engine) {
+	forEachKind(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
-		root := e.RootRef()
+		root := Root
 		for f := 0; f < 4; f++ {
 			if got := e.Load(c, root, f); got != 0 {
 				t.Errorf("fresh root field %d = %d, want 0", f, got)
@@ -174,36 +187,36 @@ func TestRootFields(t *testing.T) {
 }
 
 func TestCompletedWriteIsDurable(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, e Engine) {
+	forEachDurable(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
-		root := e.RootRef()
+		root := Root
 		e.Store(c, root, 0, 1234)
 		e.OpEnd(c)
 		// A completed operation's writes must survive even the most
 		// adversarial crash (drop everything unfenced).
 		e.Crash(pmem.CrashDropAll, nil)
-		if got := e.RecoveryLoad(root, 0); got != 1234 {
-			t.Errorf("RecoveryLoad after crash = %d, want 1234", got)
+		if got := recoveryLoad(e)(root, 0); got != 1234 {
+			t.Errorf("recovery read after crash = %d, want 1234", got)
 		}
 	})
 }
 
 func TestPublishedObjectIsDurable(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, e Engine) {
+	forEachDurable(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
 		ref := e.Alloc(c, 2)
 		e.StoreInit(c, ref, 0, 42)
 		e.StoreInit(c, ref, 1, 43)
 		e.Publish(c, ref)
-		e.Store(c, e.RootRef(), 0, ref) // link it
+		e.Store(c, Root, 0, ref) // link it
 		e.OpEnd(c)
 		e.Crash(pmem.CrashDropAll, nil)
-		if got := e.RecoveryLoad(e.RootRef(), 0); got != ref {
+		if got := recoveryLoad(e)(Root, 0); got != ref {
 			t.Fatalf("root link lost: %d, want %d", got, ref)
 		}
-		if got := e.RecoveryLoad(ref, 0); got != 42 {
+		if got := recoveryLoad(e)(ref, 0); got != 42 {
 			t.Errorf("published field lost: %d, want 42", got)
 		}
 	})
@@ -215,13 +228,13 @@ func TestVolatileEnginesLoseEverything(t *testing.T) {
 			e := newTestEngine(k)
 			c := e.NewCtx()
 			e.OpBegin(c)
-			e.Store(c, e.RootRef(), 0, 9)
+			e.Store(c, Root, 0, 9)
 			e.OpEnd(c)
 			e.Crash(pmem.CrashKeepAll, nil)
 			e.Recover(nil)
 			c2 := e.NewCtx()
 			e.OpBegin(c2)
-			if got := e.Load(c2, e.RootRef(), 0); got != 0 {
+			if got := e.Load(c2, Root, 0); got != 0 {
 				t.Errorf("volatile engine kept %d across crash", got)
 			}
 			e.OpEnd(c2)
@@ -245,7 +258,7 @@ func buildChain(e Engine, c *Ctx, n int) []Ref {
 		e.OpEnd(c)
 	}
 	e.OpBegin(c)
-	e.Store(c, e.RootRef(), 0, prev)
+	e.Store(c, Root, 0, prev)
 	e.OpEnd(c)
 	return refs
 }
@@ -253,7 +266,7 @@ func buildChain(e Engine, c *Ctx, n int) []Ref {
 // chainTracer walks the chain built by buildChain.
 func chainTracer(e Engine) Tracer {
 	return func(read func(Ref, int) uint64, visit func(Ref, int)) {
-		ref := read(e.RootRef(), 0)
+		ref := read(Root, 0)
 		for ref != 0 {
 			visit(ref, 2)
 			ref = read(ref, 1)
@@ -262,7 +275,7 @@ func chainTracer(e Engine) Tracer {
 }
 
 func TestCrashRecoverChain(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, e Engine) {
+	forEachDurable(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		const n = 50
 		buildChain(e, c, n)
@@ -271,7 +284,7 @@ func TestCrashRecoverChain(t *testing.T) {
 
 		c2 := e.NewCtx()
 		e.OpBegin(c2)
-		ref := e.Load(c2, e.RootRef(), 0)
+		ref := e.Load(c2, Root, 0)
 		for i := 0; i < n; i++ {
 			if ref == 0 {
 				t.Fatalf("chain broken at node %d", i)
@@ -289,7 +302,7 @@ func TestCrashRecoverChain(t *testing.T) {
 }
 
 func TestRecoveryReclaimsUnreachable(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, e Engine) {
+	forEachDurable(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		buildChain(e, c, 10)
 		// Allocate garbage that is never linked (published but
@@ -311,7 +324,7 @@ func TestRecoveryReclaimsUnreachable(t *testing.T) {
 		c2 := e.NewCtx()
 		e.OpBegin(c2)
 		live := make(map[Ref]bool)
-		ref := e.Load(c2, e.RootRef(), 0)
+		ref := e.Load(c2, Root, 0)
 		for ref != 0 {
 			live[ref] = true
 			ref = e.Load(c2, ref, 1)
@@ -330,7 +343,7 @@ func TestCrashMidOperationChainIntact(t *testing.T) {
 	// Crash at random points while a writer extends the chain; after
 	// recovery the chain must be a consistent prefix-extension: every
 	// node reachable from the root is fully initialized.
-	forEachDurable(t, func(t *testing.T, e Engine) {
+	forEachDurable(t, func(t *testing.T, k Kind, e Engine) {
 		rng := rand.New(rand.NewSource(99))
 		c := e.NewCtx()
 		buildChain(e, c, 5)
@@ -349,10 +362,10 @@ func TestCrashMidOperationChainIntact(t *testing.T) {
 				e.OpBegin(w)
 				ref := e.Alloc(w, 2)
 				e.StoreInit(w, ref, 0, uint64(1000+i))
-				head := e.Load(w, e.RootRef(), 0)
+				head := e.Load(w, Root, 0)
 				e.StoreInit(w, ref, 1, head)
 				e.Publish(w, ref)
-				e.CAS(w, e.RootRef(), 0, head, ref)
+				e.CAS(w, Root, 0, head, ref)
 				e.OpEnd(w)
 			}
 		}()
@@ -361,7 +374,7 @@ func TestCrashMidOperationChainIntact(t *testing.T) {
 
 		c2 := e.NewCtx()
 		e.OpBegin(c2)
-		ref := e.Load(c2, e.RootRef(), 0)
+		ref := e.Load(c2, Root, 0)
 		count := 0
 		for ref != 0 {
 			v := e.Load(c2, ref, 0)
@@ -382,13 +395,13 @@ func TestCrashMidOperationChainIntact(t *testing.T) {
 }
 
 func TestCountersGrowOnlyForDurable(t *testing.T) {
-	forEachKind(t, func(t *testing.T, e Engine) {
+	forEachKind(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
-		e.Store(c, e.RootRef(), 0, 1)
+		e.Store(c, Root, 0, 1)
 		e.OpEnd(c)
 		fl, fe := e.Counters()
-		if e.Kind().Durable() {
+		if k.Durable() {
 			if fl == 0 || fe == 0 {
 				t.Errorf("durable engine issued no flushes/fences: (%d,%d)", fl, fe)
 			}
@@ -406,14 +419,14 @@ func TestIzraelevitzPersistsReads(t *testing.T) {
 	for _, e := range []Engine{eIz, eNVT} {
 		c := e.NewCtx()
 		e.OpBegin(c)
-		e.Store(c, e.RootRef(), 0, 1)
+		e.Store(c, Root, 0, 1)
 		e.OpEnd(c)
 	}
 	cIz, cNVT := eIz.NewCtx(), eNVT.NewCtx()
 	fl0, _ := eIz.Counters()
 	eIz.OpBegin(cIz)
 	for i := 0; i < 100; i++ {
-		eIz.TraversalLoad(cIz, eIz.RootRef(), 0)
+		eIz.TraversalLoad(cIz, Root, 0)
 	}
 	eIz.OpEnd(cIz)
 	fl1, _ := eIz.Counters()
@@ -421,7 +434,7 @@ func TestIzraelevitzPersistsReads(t *testing.T) {
 	nfl0, _ := eNVT.Counters()
 	eNVT.OpBegin(cNVT)
 	for i := 0; i < 100; i++ {
-		eNVT.TraversalLoad(cNVT, eNVT.RootRef(), 0)
+		eNVT.TraversalLoad(cNVT, Root, 0)
 	}
 	eNVT.OpEnd(cNVT)
 	nfl1, _ := eNVT.Counters()
@@ -438,10 +451,10 @@ func TestMirrorNeverFlushesOnLoad(t *testing.T) {
 	e := newTestEngine(MirrorDRAM)
 	c := e.NewCtx()
 	e.OpBegin(c)
-	e.Store(c, e.RootRef(), 0, 1)
+	e.Store(c, Root, 0, 1)
 	fl0, fe0 := e.Counters()
 	for i := 0; i < 1000; i++ {
-		e.Load(c, e.RootRef(), 0)
+		e.Load(c, Root, 0)
 	}
 	fl1, fe1 := e.Counters()
 	e.OpEnd(c)
@@ -452,7 +465,7 @@ func TestMirrorNeverFlushesOnLoad(t *testing.T) {
 }
 
 func TestFreeUnpublishedReuse(t *testing.T) {
-	forEachKind(t, func(t *testing.T, e Engine) {
+	forEachKind(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
 		ref := e.Alloc(c, 2)
@@ -472,7 +485,7 @@ func readChain(t *testing.T, e Engine) [][2]uint64 {
 	e.OpBegin(c)
 	defer e.OpEnd(c)
 	var out [][2]uint64
-	ref := e.Load(c, e.RootRef(), 0)
+	ref := e.Load(c, Root, 0)
 	for ref != 0 {
 		out = append(out, [2]uint64{e.Load(c, ref, 0), ref})
 		ref = e.Load(c, ref, 1)
@@ -481,7 +494,7 @@ func readChain(t *testing.T, e Engine) [][2]uint64 {
 }
 
 func TestRecoverWithParallelMatchesSequential(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, e Engine) {
+	forEachDurable(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		const n = 200
 		buildChain(e, c, n)
@@ -518,12 +531,12 @@ func TestRecoverWithParallelMatchesSequential(t *testing.T) {
 		// extend the chain and walk it back.
 		c2 := e.NewCtx()
 		e.OpBegin(c2)
-		head := e.Load(c2, e.RootRef(), 0)
+		head := e.Load(c2, Root, 0)
 		nref := e.Alloc(c2, 2)
 		e.StoreInit(c2, nref, 0, 99)
 		e.StoreInit(c2, nref, 1, head)
 		e.Publish(c2, nref)
-		if !e.CAS(c2, e.RootRef(), 0, head, nref) {
+		if !e.CAS(c2, Root, 0, head, nref) {
 			t.Fatal("post-recovery CAS failed on quiesced engine")
 		}
 		e.OpEnd(c2)

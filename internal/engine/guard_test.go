@@ -9,9 +9,45 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// TestEngineSurface pins every role's method set, and so the whole Engine:
+// 31 methods. A method added to a role, or one removed, must be listed here.
+func TestEngineSurface(t *testing.T) {
+	roles := []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeFor[Memory](), []string{"Alloc", "CAS", "CASRebuilt", "CASRelaxed", "FreeUnpublished",
+			"Load", "MakePersistent", "OpBegin", "OpEnd", "Publish", "Retire", "Store", "StoreInit", "TraversalLoad"}},
+		{reflect.TypeFor[Lifecycle](), []string{"Crash", "Drain", "Freeze", "FreezeAfter", "NewCtx", "PersistentDevices"}},
+		{reflect.TypeFor[Recovery](), []string{"CheckInvariants", "Recover", "RecoverWith"}},
+		{reflect.TypeFor[Detector](), []string{"Detect", "DetectBeginDeferred", "DetectDrain", "DetectEndDeferred"}},
+		{reflect.TypeFor[Introspection](), []string{"Counters", "Devices", "Footprint", "Stats"}},
+	}
+	methods := func(typ reflect.Type) []string {
+		var names []string
+		for i := range typ.NumMethod() {
+			names = append(names, typ.Method(i).Name) // sorted by reflect
+		}
+		return names
+	}
+	var all []string
+	for _, r := range roles {
+		if got := methods(r.typ); !slices.Equal(got, r.want) {
+			t.Errorf("%s has methods %v, want %v", r.typ.Name(), got, r.want)
+		}
+		all = append(all, r.want...)
+	}
+	slices.Sort(all)
+	if got := methods(reflect.TypeFor[Engine]()); !slices.Equal(got, all) || len(got) != 31 {
+		t.Errorf("Engine has %d methods %v, want the roles' 31 %v", len(got), got, all)
+	}
+}
 
 // TestNoCapabilityDiscoveryByTypeAssertion is a vet-style guard over every
 // non-test file of the module: a value of one of this package's role

@@ -19,7 +19,6 @@ import (
 // as volatile.
 type mirrorEngine struct {
 	detector   // per-client op descriptors on rep_p
-	kind       Kind
 	mem        patomic.Mem
 	rootFields int
 
@@ -49,7 +48,6 @@ func newMirror(cfg Config) *mirrorEngine {
 		Model: vModel,
 	})
 	e := &mirrorEngine{
-		kind:       cfg.Kind,
 		mem:        patomic.Mem{P: p, V: v},
 		rootFields: cfg.RootFields,
 		recl:       palloc.NewReclaimer(),
@@ -84,13 +82,11 @@ func newMirror(cfg Config) *mirrorEngine {
 	// from the first operation.
 	var ctx patomic.Ctx
 	for f := 0; f < cfg.RootFields; f++ {
-		e.mem.InitCell(&ctx, mirrorAddr(rootBase, f), 0)
+		e.mem.InitCell(&ctx, mirrorAddr(Root, f), 0)
 	}
 	e.mem.PublishFence(&ctx)
 	return e
 }
-
-func (e *mirrorEngine) Kind() Kind { return e.kind }
 
 func (e *mirrorEngine) NewCtx() *Ctx {
 	e.mu.Lock()
@@ -180,18 +176,10 @@ func (e *mirrorEngine) CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) b
 	return e.mem.V.CAS(mirrorAddr(ref, field), old, new)
 }
 
-func (e *mirrorEngine) FetchAdd(c *Ctx, ref Ref, field int, delta uint64) uint64 {
-	checkKind(field, false)
-	e.announceBarrier(c)
-	return e.mem.FetchAdd(&c.pa, mirrorAddr(ref, field), delta)
-}
-
 func (e *mirrorEngine) MakePersistent(c *Ctx, ref Ref, fields int) {}
 
 // Drain commits the relaxed-line registry (a no-op on a non-eliding device).
 func (e *mirrorEngine) Drain(c *Ctx) { e.mem.P.CommitRelaxed(&c.pa.FS) }
-
-func (e *mirrorEngine) RootRef() Ref { return rootBase }
 
 func (e *mirrorEngine) Freeze() {
 	e.mem.P.Freeze()
@@ -232,11 +220,11 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	defer e.mu.Unlock()
 	e.recl = palloc.NewReclaimer()
 
-	read, cold := e.RecoveryLoad, e.cold
+	read, cold := e.recoveryLoad, e.cold
 	if cold {
 		read = restoreFixed(e.mem.P, e.alloc, mirrorAddr)
 	}
-	e.mem.RecoverRange(rootBase, e.rootFields*patomic.CellWords)
+	e.mem.RecoverRange(Root, e.rootFields*patomic.CellWords)
 	if e.desc != nil {
 		// Torn descriptor lines can never yield a verdict again; replace
 		// them with the canonical empty encoding before clients ask.
@@ -251,7 +239,9 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.cold = false
 }
 
-func (e *mirrorEngine) RecoveryLoad(ref Ref, field int) uint64 {
+// recoveryLoad reads a field of rep_p's post-crash image; only valid
+// between Crash and the end of Recover.
+func (e *mirrorEngine) recoveryLoad(ref Ref, field int) uint64 {
 	return e.mem.P.ReadRaw(mirrorAddr(ref, field))
 }
 

@@ -31,7 +31,7 @@ func TestRebuiltCASAccounting(t *testing.T) {
 			e.StoreInit(c, ref, 0, 0)
 			e.StoreInit(c, ref, word, 5)
 			e.Publish(c, ref)
-			e.Store(c, e.RootRef(), 0, ref)
+			e.Store(c, Root, 0, ref)
 			e.OpEnd(c)
 			e.Drain(c)
 
@@ -47,7 +47,7 @@ func TestRebuiltCASAccounting(t *testing.T) {
 					t.Errorf("%s cost %d flushes, %d fences, %d relaxed installs; want none",
 						what, f-f0, n-n0, e.Stats().RelaxedCAS-r0)
 				}
-				if got := e.RecoveryLoad(ref, word); got != 5 {
+				if got := recoveryLoad(e)(ref, word); got != 5 {
 					t.Errorf("%s reached rep_p: %d, want the StoreInit 5", what, got)
 				}
 				if got := e.Devices()[0].PersistedWord(mirrorAddr(ref, word)); got != 5 {
@@ -98,14 +98,14 @@ func TestRebuiltCASAccounting(t *testing.T) {
 }
 
 // TestPlainWordWritesPanic pins both obligations under pmem debug checks, on
-// every engine: Store, CAS, CASRelaxed and FetchAdd on a plain word panic
+// every engine: Store, CAS and CASRelaxed on a plain word panic
 // (W1: nothing writes a write-once word after its publish), and so does
 // CASRebuilt on a cell (W2: a rebuilt word lives outside the Figure 4 loop).
 // Without debug checks neither is checked.
 func TestPlainWordWritesPanic(t *testing.T) {
 	pmem.EnableDebugChecks()
 	defer pmem.DisableDebugChecks()
-	forEachKind(t, func(t *testing.T, e Engine) {
+	forEachKind(t, func(t *testing.T, k Kind, e Engine) {
 		c := e.NewCtx()
 		e.OpBegin(c)
 		defer e.OpEnd(c)
@@ -117,7 +117,6 @@ func TestPlainWordWritesPanic(t *testing.T) {
 			"Store":      func() { e.Store(c, ref, word, 2) },
 			"CAS":        func() { e.CAS(c, ref, word, 1, 2) },
 			"CASRelaxed": func() { e.CASRelaxed(c, ref, word, 1, 2) },
-			"FetchAdd":   func() { e.FetchAdd(c, ref, word, 1) },
 			"CASRebuilt": func() { e.CASRebuilt(c, ref, 0, 1, 2) },
 		} {
 			func() {

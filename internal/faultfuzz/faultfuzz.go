@@ -249,8 +249,9 @@ func Run(spec Spec) *Result {
 	if spec.Detect {
 		clients = spec.Schedule.Workers
 	}
-	r, err := rt.OpenWith(engine.Config{Kind: spec.Kind, Words: words, RootFields: 8, Track: true, Clients: clients},
-		spec.NewEngine)
+	cfg := engine.Config{Kind: spec.Kind, Words: words, RootFields: 8, Track: true, Clients: clients}
+	cfg.SetDefaults()
+	r, err := rt.OpenWith(cfg, spec.NewEngine)
 	if err != nil {
 		panic(err)
 	}
@@ -349,7 +350,7 @@ func Run(spec Spec) *Result {
 	// op to take effect with the recorded result, a NotCommitted verdict
 	// obliges it to vanish, and only Unknown leaves both fates open.
 	if spec.Detect {
-		ring := uint64(e.DetectRing())
+		ring := uint64(cfg.DetectRing)
 		for w, d := range dets {
 			if d == nil {
 				continue

@@ -68,12 +68,14 @@ type root struct {
 }
 
 // geometry is what the engine's word layout depends on: a mismatch means
-// the image cannot be interpreted. Combine is always written false; the key
-// remains so that an image an older mirrord wrote with fence combining on —
-// whose completed operations were allowed to be missing — is refused like
-// any other mismatch instead of being adopted. Layout is the structures'
-// node layout (layoutVersion); a sidecar without it was written before
-// nodes had plain words, and reads as layout 0.
+// the image cannot be interpreted. It is written and compared with the
+// engine's defaults applied (engine.Config.SetDefaults), so a zero field and
+// its default name the same layout, in the sidecar as in the config.
+// Combine is always written false; the key remains so that an image an older
+// mirrord wrote with fence combining on — whose completed operations were
+// allowed to be missing — is refused like any other mismatch instead of being
+// adopted. Layout is the structures' node layout (layoutVersion); a sidecar
+// without it was written before nodes had plain words, and reads as layout 0.
 type geometry struct {
 	Kind       int  `json:"kind"`
 	Words      int  `json:"words"`
@@ -129,7 +131,7 @@ type Runtime struct {
 	nextRoot int
 }
 
-// Open builds a runtime over cfg, whose RootFields must be set. Without
+// Open builds a runtime over cfg, defaulted as engine.New defaults it. Without
 // cfg.MediaPath the image lives in process memory. With it, Open attaches
 // when the sidecar holds the same geometry and a root record of known kinds,
 // refuses any other sidecar, and wipes a file that has none. Attaching traces
@@ -146,6 +148,7 @@ func OpenWith(cfg engine.Config, newEngine func(engine.Config) engine.Engine) (*
 	if newEngine == nil {
 		newEngine = engine.New
 	}
+	cfg.SetDefaults()
 	r := &Runtime{cfg: cfg}
 	if cfg.MediaPath != "" {
 		if !cfg.Kind.Durable() {
@@ -155,7 +158,7 @@ func OpenWith(cfg engine.Config, newEngine func(engine.Config) engine.Engine) (*
 		switch {
 		case err == nil:
 			var have sidecar
-			ok := json.Unmarshal(raw, &have) == nil && have.geometry == r.geometry() && have.Roots != nil
+			ok := json.Unmarshal(raw, &have) == nil && have.defaulted() == r.geometry() && have.Roots != nil
 			for _, s := range have.Roots {
 				_, known := kinds[s.Kind]
 				ok = ok && known
@@ -203,6 +206,15 @@ func OpenWith(cfg engine.Config, newEngine func(engine.Config) engine.Engine) (*
 func (r *Runtime) geometry() geometry {
 	return geometry{Kind: int(r.cfg.Kind), Words: r.cfg.Words, RootFields: r.cfg.RootFields,
 		Ring: r.cfg.DetectRing, Clients: r.cfg.Clients, Layout: layoutVersion}
+}
+
+// defaulted returns g with the engine's defaults applied to its zero fields,
+// which a sidecar written before the runtime defaulted its config may hold.
+func (g geometry) defaulted() geometry {
+	cfg := engine.Config{Words: g.Words, RootFields: g.RootFields, Clients: g.Clients, DetectRing: g.Ring}
+	cfg.SetDefaults()
+	g.Words, g.RootFields, g.Ring = cfg.Words, cfg.RootFields, cfg.DetectRing
+	return g
 }
 
 // writeSidecar replaces the sidecar by rename, so a crash leaves the old
@@ -270,7 +282,7 @@ func (r *Runtime) Recovery() Report { return r.report }
 func (r *Runtime) Engine() engine.Engine { return r.eng }
 
 // Kind returns the runtime's engine kind.
-func (r *Runtime) Kind() engine.Kind { return r.eng.Kind() }
+func (r *Runtime) Kind() engine.Kind { return r.cfg.Kind }
 
 // NewCtx creates a per-goroutine context.
 func (r *Runtime) NewCtx() *engine.Ctx { return r.eng.NewCtx() }
@@ -405,7 +417,7 @@ func (r *Runtime) recover(parallelism int) *engine.Ctx {
 	c := r.eng.NewCtx()
 	for _, s := range r.roots {
 		r.eng.OpBegin(c)
-		set := r.eng.TraversalLoad(c, r.eng.RootRef(), s.Field) != 0
+		set := r.eng.TraversalLoad(c, engine.Root, s.Field) != 0
 		r.eng.OpEnd(c)
 		// A root the crash left unset has no structure: At initializes it.
 		s.h = nil

@@ -1,8 +1,11 @@
 package rt
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mirror/internal/engine"
@@ -28,7 +31,7 @@ func TestRecoverForgetsLostRoots(t *testing.T) {
 	r.Recover()
 	c := r.NewCtx()
 	r.eng.OpBegin(c)
-	lost := r.eng.TraversalLoad(c, r.eng.RootRef(), 2) == 0
+	lost := r.eng.TraversalLoad(c, engine.Root, 2) == 0
 	r.eng.OpEnd(c)
 	if !lost {
 		t.Fatal("the crash kept the root: nothing to test")
@@ -81,5 +84,75 @@ func TestReportWorkers(t *testing.T) {
 		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSidecarRecordsDefaults: a zero config field and its engine default
+// name the same layout. An image opened with Words and DetectRing zero
+// reattaches under the defaults spelled out and the other way round, a
+// sidecar that recorded the zero fields — as one written before the runtime
+// defaulted its config did — still attaches, and another ring is refused.
+func TestSidecarRecordsDefaults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "media")
+	zero := engine.Config{Kind: engine.MirrorDRAM, RootFields: 8, Track: true, Clients: 2, MediaPath: path}
+	full := zero
+	full.Words, full.DetectRing = 1<<20, engine.DefaultDetectRing
+	reopen := func(what string, cfg engine.Config) {
+		t.Helper()
+		r, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !r.Attached() || r.Recovery().Words != full.Words {
+			t.Errorf("%s: attached %v over %d words, want an attach over %d", what, r.Attached(), r.Recovery().Words, full.Words)
+		}
+		if n := r.NewSkipList(r.NewCtx()).(walker).Len(r.NewCtx()); n != 10 {
+			t.Errorf("%s: attach serves %d keys, want 10", what, n)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r, err := Open(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := r.NewCtx()
+	set := r.NewSkipList(c)
+	for k := uint64(1); k <= 10; k++ {
+		set.Insert(c, k, k)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopen("defaults spelled out", full)
+	reopen("defaults left zero", zero)
+
+	var sc map[string]any
+	raw, err := os.ReadFile(SidecarPath(path))
+	if err == nil {
+		err = json.Unmarshal(raw, &sc)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc["words"] != float64(full.Words) || sc["ring"] != float64(full.DetectRing) {
+		t.Errorf("the sidecar records words %v and ring %v, want the defaults %d and %d",
+			sc["words"], sc["ring"], full.Words, full.DetectRing)
+	}
+	sc["words"], sc["ring"] = 0, 0
+	if raw, err = json.Marshal(sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(SidecarPath(path), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopen("a sidecar with zero fields", full)
+
+	other := full
+	other.DetectRing = 4
+	if _, err := Open(other); err == nil || !strings.Contains(err.Error(), "different configuration") {
+		t.Fatalf("reopening with ring 4 over ring %d: err %v, want a refusal", full.DetectRing, err)
 	}
 }

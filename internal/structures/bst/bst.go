@@ -68,7 +68,7 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *BST {
 	b := &BST{e: e, rootF: rootField}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	if r := e.Load(c, e.RootRef(), rootField); r != 0 {
+	if r := e.Load(c, engine.Root, rootField); r != 0 {
 		b.r = r
 		b.s = addr(e.Load(c, r, FieldLeft))
 		b.repairExcisions(c)
@@ -95,7 +95,7 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *BST {
 	e.StoreInit(c, b.r, FieldLeft, b.s)
 	e.StoreInit(c, b.r, FieldRight, l2)
 	e.Publish(c, b.r)
-	e.Store(c, e.RootRef(), rootField, b.r)
+	e.Store(c, engine.Root, rootField, b.r)
 	return b
 }
 
@@ -509,7 +509,7 @@ func (b *BST) Tracer() engine.Tracer {
 // (possibly not yet recovered) structure.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-		r := read(e.RootRef(), rootField)
+		r := read(engine.Root, rootField)
 		if r == 0 {
 			return
 		}

@@ -49,9 +49,9 @@ func NewAt(e engine.Engine, c *engine.Ctx, buckets int, rootField int) *Table {
 	t := &Table{e: e, rootF: rootField}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	if arr := e.Load(c, e.RootRef(), rootField); arr != 0 {
+	if arr := e.Load(c, engine.Root, rootField); arr != 0 {
 		t.arr = arr
-		t.buckets = int(e.Load(c, e.RootRef(), rootField+1))
+		t.buckets = int(e.Load(c, engine.Root, rootField+1))
 	} else {
 		t.arr = e.Alloc(c, buckets)
 		for i := 0; i < buckets; i++ {
@@ -62,8 +62,8 @@ func NewAt(e engine.Engine, c *engine.Ctx, buckets int, rootField int) *Table {
 			}
 		}
 		e.Publish(c, t.arr)
-		e.Store(c, e.RootRef(), rootField+1, uint64(buckets))
-		e.Store(c, e.RootRef(), rootField, t.arr)
+		e.Store(c, engine.Root, rootField+1, uint64(buckets))
+		e.Store(c, engine.Root, rootField, t.arr)
 		t.buckets = buckets
 	}
 	t.shift = uint(64 - bits.TrailingZeros(uint(t.buckets)))
@@ -117,11 +117,11 @@ func (t *Table) Tracer() engine.Tracer {
 // (possibly not yet recovered) structure; it needs only the root slot.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-		arr := read(e.RootRef(), rootField)
+		arr := read(engine.Root, rootField)
 		if arr == 0 {
 			return
 		}
-		buckets := int(read(e.RootRef(), rootField+1))
+		buckets := int(read(engine.Root, rootField+1))
 		visit(arr, buckets)
 		for i := 0; i < buckets; i++ {
 			list.TraceFrom(arr, i, read, visit)

@@ -37,7 +37,7 @@ type List struct {
 // engine's root object. If the field is already non-nil (recovery), the
 // existing list is adopted unchanged.
 func New(e engine.Memory, rootField int) *List {
-	return &List{e: e, rootRef: e.RootRef(), rootField: rootField}
+	return &List{e: e, rootRef: engine.Root, rootField: rootField}
 }
 
 // NewAt creates a list whose head pointer lives in an arbitrary
@@ -236,7 +236,7 @@ func (l *List) Tracer() engine.Tracer {
 // (possibly not yet recovered) structure.
 func TracerAt(e engine.Memory, rootField int) engine.Tracer {
 	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-		TraceFrom(e.RootRef(), rootField, read, visit)
+		TraceFrom(engine.Root, rootField, read, visit)
 	}
 }
 

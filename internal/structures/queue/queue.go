@@ -38,15 +38,15 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *Queue {
 	q := &Queue{e: e, rootF: rootField}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	if e.Load(c, e.RootRef(), rootField) != 0 {
+	if e.Load(c, engine.Root, rootField) != 0 {
 		return q
 	}
 	dummy := e.Alloc(c, NodeFields)
 	e.StoreInit(c, dummy, FieldVal, 0)
 	e.StoreInit(c, dummy, FieldNext, 0)
 	e.Publish(c, dummy)
-	e.Store(c, e.RootRef(), rootField+1, dummy) // tail first: head != 0 signals "ready"
-	e.Store(c, e.RootRef(), rootField, dummy)
+	e.Store(c, engine.Root, rootField+1, dummy) // tail first: head != 0 signals "ready"
+	e.Store(c, engine.Root, rootField, dummy)
 	return q
 }
 
@@ -62,20 +62,19 @@ func (q *Queue) Enqueue(c *engine.Ctx, v uint64) {
 	e.StoreInit(c, node, FieldVal, v)
 	e.StoreInit(c, node, FieldNext, 0)
 	e.Publish(c, node)
-	root := e.RootRef()
 	for {
-		tail := e.Load(c, root, q.rootF+1)
+		tail := e.Load(c, engine.Root, q.rootF+1)
 		next := e.Load(c, tail, FieldNext)
 		if next != 0 {
 			// Tail lags; help swing it.
-			e.CAS(c, root, q.rootF+1, tail, next)
+			e.CAS(c, engine.Root, q.rootF+1, tail, next)
 			continue
 		}
 		e.MakePersistent(c, tail, NodeFields)
 		if e.CAS(c, tail, FieldNext, 0, node) {
 			// Linearized (and durable). Swinging the tail is best
 			// effort; anyone can finish it.
-			e.CAS(c, root, q.rootF+1, tail, node)
+			e.CAS(c, engine.Root, q.rootF+1, tail, node)
 			return
 		}
 	}
@@ -86,23 +85,22 @@ func (q *Queue) Dequeue(c *engine.Ctx) (uint64, bool) {
 	e := q.e
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	root := e.RootRef()
 	for {
-		head := e.Load(c, root, q.rootF)
-		tail := e.Load(c, root, q.rootF+1)
+		head := e.Load(c, engine.Root, q.rootF)
+		tail := e.Load(c, engine.Root, q.rootF+1)
 		next := e.Load(c, head, FieldNext)
 		if head == tail {
 			if next == 0 {
 				return 0, false // empty
 			}
 			// Tail lags behind a completed enqueue; help.
-			e.CAS(c, root, q.rootF+1, tail, next)
+			e.CAS(c, engine.Root, q.rootF+1, tail, next)
 			continue
 		}
 		v := e.Load(c, next, FieldVal)
 		e.MakePersistent(c, head, NodeFields)
 		e.MakePersistent(c, next, NodeFields)
-		if e.CAS(c, root, q.rootF, head, next) {
+		if e.CAS(c, engine.Root, q.rootF, head, next) {
 			e.Retire(c, head, NodeFields)
 			return v, true
 		}
@@ -114,15 +112,14 @@ func (q *Queue) Peek(c *engine.Ctx) (uint64, bool) {
 	e := q.e
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	root := e.RootRef()
 	for {
-		head := e.Load(c, root, q.rootF)
+		head := e.Load(c, engine.Root, q.rootF)
 		next := e.Load(c, head, FieldNext)
 		if next == 0 {
 			return 0, false
 		}
 		v := e.Load(c, next, FieldVal)
-		if e.Load(c, root, q.rootF) == head {
+		if e.Load(c, engine.Root, q.rootF) == head {
 			return v, true
 		}
 	}
@@ -134,7 +131,7 @@ func (q *Queue) Len(c *engine.Ctx) int {
 	e.OpBegin(c)
 	defer e.OpEnd(c)
 	n := 0
-	node := e.Load(c, e.RootRef(), q.rootF) // dummy
+	node := e.Load(c, engine.Root, q.rootF) // dummy
 	for {
 		node = e.Load(c, node, FieldNext)
 		if node == 0 {
@@ -166,7 +163,7 @@ func (q *Queue) Tracer() engine.Tracer {
 // (possibly not yet recovered) structure.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-		node := read(e.RootRef(), rootField)
+		node := read(engine.Root, rootField)
 		for node != 0 {
 			visit(node, NodeFields)
 			node = read(node, FieldNext)

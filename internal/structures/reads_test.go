@@ -28,11 +28,6 @@ func (w *casCounter) Store(c *engine.Ctx, r engine.Ref, f int, v uint64) {
 	w.Engine.Store(c, r, f, v)
 }
 
-func (w *casCounter) FetchAdd(c *engine.Ctx, r engine.Ref, f int, delta uint64) uint64 {
-	w.calls++
-	return w.Engine.FetchAdd(c, r, f, delta)
-}
-
 // TestMirrorReadsTouchDRAMOnly states the paper's read claim as a count, on
 // every set. On a read-only mix MirrorDRAM issues no load and no store to
 // rep_p — its reads are served by rep_v on DRAM — while Izraelevitz,

@@ -147,13 +147,12 @@ func (op ringOp) run(s structures.Set, c *engine.Ctx) bool {
 func ringDetectSweep(t *testing.T, f Factory, kind engine.Kind, policy pmem.CrashPolicy, deletes bool, shards, k int) {
 	const client = 1
 	rng := rand.New(rand.NewSource(11))
+	cfg := engine.Config{Kind: kind, Words: ringWords, Track: true, Clients: 2, DetectRing: 8}
+	if k > cfg.DetectRing {
+		t.Fatalf("window %d exceeds the ring of %d: arming would force a drain", k, cfg.DetectRing)
+	}
 	for fa := int64(1); ; fa++ {
-		e := engine.New(engine.Config{
-			Kind: kind, Words: ringWords, Track: true, Clients: 2, DetectRing: 8,
-		})
-		if ring := e.DetectRing(); ring != 8 {
-			t.Fatalf("DetectRing = %d, want 8", ring)
-		}
+		e := engine.New(cfg)
 		c := e.NewCtx()
 		s := f.New(e, c)
 		// Durable prefill outside the detect window, then arm the freeze so

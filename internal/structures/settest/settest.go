@@ -332,33 +332,46 @@ func testConcurrentMixed(t *testing.T, f Factory, k engine.Kind) {
 	}
 }
 
-// visitsOnce runs a tracer against the post-crash image, failing the test
-// if any object is visited more than once.
-func visitsOnce(t *testing.T, e engine.Engine, tr engine.Tracer) {
-	t.Helper()
-	seen := make(map[engine.Ref]bool)
-	tr(e.RecoveryLoad, func(ref engine.Ref, fields int) {
-		if seen[ref] {
-			t.Fatalf("object %d visited twice", ref)
-		}
-		seen[ref] = true
-	})
+// span is one object a recovery's trace visited, with its size.
+type span struct {
+	ref    engine.Ref
+	fields int
+}
+
+// visitsOnce wraps tr, the tracer a recovery is handed, so that each trace
+// records the objects it visits in *spans and reports an object visited
+// twice in *twice. The trace runs inside the engine's recovery, so it only
+// records: the caller fails the test once the recovery has returned.
+func visitsOnce(tr engine.Tracer, spans *[]span, twice *[]engine.Ref) engine.Tracer {
+	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+		*spans = (*spans)[:0]
+		seen := make(map[engine.Ref]bool)
+		tr(read, func(ref engine.Ref, fields int) {
+			if seen[ref] {
+				*twice = append(*twice, ref)
+			}
+			seen[ref] = true
+			*spans = append(*spans, span{ref, fields})
+			visit(ref, fields)
+		})
+	}
 }
 
 // testParallelRecovery checks recovery with a parallel streamed pass against the
-// sequential one on the same crash image: the tracer visits no object
-// twice, the contents recovered at Parallelism 1, 2 and 4 are identical and
-// match the pre-crash model, and after each recovery the replica invariants
-// hold on every traced object.
+// sequential one on the same crash image: at Parallelism 1, 2 and 4 the
+// recovery's trace visits no object twice, the contents recovered are
+// identical and match the pre-crash model, and after each recovery the
+// replica invariants hold on every object that trace visited.
 func testParallelRecovery(t *testing.T, f Factory, k engine.Kind) {
 	e := f.engine(k)
 	c := e.NewCtx()
 	s := f.New(e, c)
 	rng := rand.New(rand.NewSource(9))
 	model := fill(s, c, rng)
-	tracer := s.Tracer()
+	var spans []span
+	var twice []engine.Ref
+	tracer := visitsOnce(s.Tracer(), &spans, &twice)
 	e.Crash(pmem.CrashDropAll, rng)
-	visitsOnce(t, e, tracer)
 
 	readAll := func() map[uint64]uint64 {
 		c := e.NewCtx()
@@ -377,11 +390,17 @@ func testParallelRecovery(t *testing.T, f Factory, k engine.Kind) {
 			e.Crash(pmem.CrashDropAll, rng)
 		}
 		e.RecoverWith(tracer, engine.RecoverOptions{Parallelism: par})
-		tracer(e.RecoveryLoad, func(ref engine.Ref, fields int) {
-			if msg := e.CheckInvariants(ref, fields); msg != "" {
+		if len(twice) > 0 {
+			t.Fatalf("par=%d: objects %v visited twice", par, twice)
+		}
+		if len(spans) == 0 {
+			t.Fatalf("par=%d: the recovery traced nothing", par)
+		}
+		for _, sp := range spans {
+			if msg := e.CheckInvariants(sp.ref, sp.fields); msg != "" {
 				t.Fatalf("par=%d: %s", par, msg)
 			}
-		})
+		}
 		got := readAll()
 		if seq == nil {
 			seq = got

@@ -81,7 +81,7 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *SkipList {
 	s.seed.Store(0x9e3779b97f4a7c15)
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	if h := e.Load(c, e.RootRef(), rootField); h != 0 {
+	if h := e.Load(c, engine.Root, rootField); h != 0 {
 		s.head = h
 		s.repairLevels(c)
 		return s
@@ -94,7 +94,7 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *SkipList {
 		e.StoreInit(c, s.head, Link(i), 0)
 	}
 	e.Publish(c, s.head)
-	e.Store(c, e.RootRef(), rootField, s.head)
+	e.Store(c, engine.Root, rootField, s.head)
 	return s
 }
 
@@ -457,7 +457,7 @@ func (s *SkipList) Tracer() engine.Tracer {
 // anything can reach it.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-		head := read(e.RootRef(), rootField)
+		head := read(engine.Root, rootField)
 		if head == 0 {
 			return
 		}

@@ -132,11 +132,11 @@ func TestRandomLevelDistribution(t *testing.T) {
 // SIGKILL can leave mid-delete. Node X (key 13) is marked on both its levels
 // and already snipped from level 0, but head's level-1 link still reaches
 // it; X's frozen level-0 link points at memory that has since been reused
-// (G, key 16, on no chain). The one trace walks level 0 only, so it visits
-// exactly head, 12, 15 and 17 — never X, never G. Copies of the file are
-// then attached at 1, 2 and 3 workers, with pmem debug checks on: each must
-// keep the same live words and serve exactly {12, 15, 17}, whether the
-// copy ran inline or on a sink goroutine.
+// (G, key 16, on no chain). Copies of the file are attached at 1, 2 and 3
+// workers, with pmem debug checks on. The one trace walks level 0 only, so
+// each attach's recovery visits exactly head, 12, 15 and 17 — never X, never
+// G — and each must keep the same live words and serve exactly {12, 15, 17},
+// whether the copy ran inline or on a sink goroutine.
 func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.NVTraverse} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -165,12 +165,7 @@ func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 			e.Store(c, s.head, FieldNext, n12)
 			stale(e, c, s.head, 1, x)
 			e.OpEnd(c)
-
-			got := map[engine.Ref]bool{}
-			TracerAt(e, rootHead)(e.RecoveryLoad, func(ref engine.Ref, _ int) { got[ref] = true })
-			if want := map[engine.Ref]bool{s.head: true, n12: true, n15: true, n17: true}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("the trace visits %v, want head, 12, 15 and 17 %v", got, want)
-			}
+			want := map[engine.Ref]bool{s.head: true, n12: true, n15: true, n17: true}
 			e.Freeze()
 			if err := e.PersistentDevices()[0].Close(); err != nil {
 				t.Fatal(err)
@@ -191,7 +186,16 @@ func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 					t.Fatal(err)
 				}
 				e := engine.New(acfg)
-				e.RecoverWith(TracerAt(e, rootHead), engine.RecoverOptions{Parallelism: workers})
+				got := map[engine.Ref]bool{}
+				e.RecoverWith(func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+					TracerAt(e, rootHead)(read, func(ref engine.Ref, fields int) {
+						got[ref] = true
+						visit(ref, fields)
+					})
+				}, engine.RecoverOptions{Parallelism: workers})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: the trace visits %v, want head, 12, 15 and 17 %v", workers, got, want)
+				}
 				live, _ := e.Footprint()
 				if workers == 1 {
 					live1 = live

@@ -79,6 +79,7 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) s
 	if detect != "off" {
 		cfg.Clients = clients
 	}
+	cfg.SetDefaults()
 	e := engine.New(cfg)
 	c := e.NewCtx()
 	var (
@@ -201,7 +202,7 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) s
 				b.WriteByte('|')
 			}
 			first := uint64(1)
-			if ring := uint64(e.DetectRing()); seqs[client] > ring {
+			if ring := uint64(cfg.DetectRing); seqs[client] > ring {
 				first = seqs[client] - ring + 1
 			}
 			for seq := first; seq <= seqs[client]; seq++ {

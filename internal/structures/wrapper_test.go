@@ -87,9 +87,6 @@ func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 	if d := e.Detect(0, 2); d.Verdict != engine.Committed || !d.KnownResult || !d.Result || d.Rval != 77 {
 		t.Fatalf("dequeue verdict through the wrapper = %+v, want Committed/true with rval 77", d)
 	}
-	if ring := e.DetectRing(); ring != engine.DefaultDetectRing {
-		t.Fatalf("DetectRing through the wrapper = %d, want %d", ring, engine.DefaultDetectRing)
-	}
 }
 
 // TestServedMutationBudget pins what one served mutation costs on the
@@ -128,7 +125,7 @@ func TestServedMutationBudget(t *testing.T) {
 			// height reads a key's tower height off level 0.
 			const rootHead = 3
 			height := func(key uint64) int {
-				head := raw.Load(c, raw.RootRef(), rootHead)
+				head := raw.Load(c, engine.Root, rootHead)
 				for n := structures.Unmark(raw.Load(c, head, skiplist.FieldNext)); n != 0; n = structures.Unmark(raw.Load(c, n, skiplist.FieldNext)) {
 					if raw.Load(c, n, skiplist.FieldKey) == key {
 						return int(raw.Load(c, n, skiplist.FieldTop))

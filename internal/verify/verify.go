@@ -48,7 +48,7 @@ func List(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	checkChain(e, c, e.RootRef(), rootField, r)
+	checkChain(e, c, engine.Root, rootField, r)
 	return r
 }
 
@@ -84,12 +84,12 @@ func HashTable(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	arr := e.Load(c, e.RootRef(), rootField)
+	arr := e.Load(c, engine.Root, rootField)
 	if arr == 0 {
 		r.addf("hashtable: no bucket array")
 		return r
 	}
-	buckets := int(e.Load(c, e.RootRef(), rootField+1))
+	buckets := int(e.Load(c, engine.Root, rootField+1))
 	if buckets <= 0 || buckets&(buckets-1) != 0 {
 		r.addf("hashtable: bad bucket count %d", buckets)
 		return r
@@ -118,7 +118,7 @@ func BST(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	root := e.Load(c, e.RootRef(), rootField)
+	root := e.Load(c, engine.Root, rootField)
 	if root == 0 {
 		r.addf("bst: no root")
 		return r
@@ -167,7 +167,7 @@ func SkipList(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	head := e.Load(c, e.RootRef(), rootField)
+	head := e.Load(c, engine.Root, rootField)
 	if head == 0 {
 		r.addf("skiplist: no head")
 		return r
@@ -224,8 +224,8 @@ func Queue(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)
 	defer e.OpEnd(c)
-	head := e.Load(c, e.RootRef(), rootField)
-	tail := e.Load(c, e.RootRef(), rootField+1)
+	head := e.Load(c, engine.Root, rootField)
+	tail := e.Load(c, engine.Root, rootField+1)
 	if head == 0 || tail == 0 {
 		r.addf("queue: missing head or tail")
 		return r

@@ -39,7 +39,7 @@ func TestListDetectsDisorder(t *testing.T) {
 	// Corrupt: swap the key of the first node above the second's. A key
 	// is write-once, so only a StoreInit can reach it: this is corruption
 	// no operation could cause.
-	head := e.Load(c, e.RootRef(), 0)
+	head := e.Load(c, engine.Root, 0)
 	e.StoreInit(c, head, list.FieldKey, 100)
 	if r := List(e, c, 0); r.Ok() {
 		t.Error("disorder not detected")
@@ -64,7 +64,7 @@ func TestHashTableDetectsWrongBucket(t *testing.T) {
 	h := hashtable.New(e, c, 16)
 	h.Insert(c, 1, 1)
 	// Corrupt: rewrite the stored key so it no longer matches its bucket.
-	arr := e.Load(c, e.RootRef(), 0)
+	arr := e.Load(c, engine.Root, 0)
 	for b := 0; b < 16; b++ {
 		node := e.Load(c, arr, b)
 		if node != 0 {
@@ -100,7 +100,7 @@ func TestBSTDetectsOrderViolation(t *testing.T) {
 	b.Insert(c, 50, 1)
 	b.Insert(c, 150, 1)
 	// Corrupt a routing key.
-	root := e.Load(c, e.RootRef(), 2)
+	root := e.Load(c, engine.Root, 2)
 	s := e.Load(c, root, bst.FieldLeft) &^ 3
 	inner := e.Load(c, s, bst.FieldLeft) &^ 3 // first real internal node
 	e.StoreInit(c, inner, bst.FieldKey, 1)    // absurd routing key
@@ -134,7 +134,7 @@ func TestSkipListMissingTowerFlagged(t *testing.T) {
 	for k := uint64(1); k <= 64; k++ {
 		s.Insert(c, k, k)
 	}
-	head := e.Load(c, e.RootRef(), 3)
+	head := e.Load(c, engine.Root, 3)
 	e.OpBegin(c)
 	e.CASRebuilt(c, head, skiplist.Link(1), e.Load(c, head, skiplist.Link(1)), 0)
 	e.OpEnd(c)

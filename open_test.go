@@ -342,7 +342,7 @@ func accelerators(rt *Runtime, c *Ctx) map[uint64]bool {
 	const rootField = 3
 	e := rt.Engine()
 	cell := uint64(1)
-	if k := e.Kind(); k == MirrorDRAM || k == MirrorNVMM {
+	if k := rt.Kind(); k == MirrorDRAM || k == MirrorNVMM {
 		cell = patomic.CellWords
 	}
 	words := map[uint64]bool{}
@@ -352,7 +352,7 @@ func accelerators(rt *Runtime, c *Ctx) map[uint64]bool {
 			words[n+uint64(f/engine.Plain)*cell+uint64(f%engine.Plain)] = true
 		}
 	}
-	head := e.TraversalLoad(c, e.RootRef(), rootField)
+	head := e.TraversalLoad(c, engine.Root, rootField)
 	tower(head)
 	for n := structures.Unmark(e.TraversalLoad(c, head, skiplist.FieldNext)); n != 0; {
 		next := e.TraversalLoad(c, n, skiplist.FieldNext)
