@@ -41,8 +41,8 @@ func main() {
 		words    = flag.Int("words", 1<<20, "device capacity in 8-byte words")
 		ring     = flag.Int("ring", 0, "per-client descriptor-ring depth (0: engine default)")
 		clients  = flag.Int("clients", 64, "descriptor rings (max client id + 1)")
-		workers  = flag.Int("workers", 2, "worker goroutines")
-		nobatch  = flag.Bool("nobatch", false, "ablation: one fence per mutation (no cross-client batching)")
+		workers  = flag.Int("workers", 2, "workers, one engine context each (client id mod workers)")
+		nobatch  = flag.Bool("nobatch", false, "ablation: one fence per mutation (no group commit)")
 		maxBatch = flag.Int("maxbatch", 128, "max operations per drain batch")
 	)
 	flag.Parse()
