@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"mirror/internal/durablequeue"
 	"mirror/internal/dwcas"
 	"mirror/internal/engine"
 	"mirror/internal/harness"
@@ -286,10 +285,9 @@ func BenchmarkAblationTraversalHints(b *testing.B) {
 	b.Run("Mirror", func(b *testing.B) { run(b, engine.MirrorDRAM) })
 }
 
-// BenchmarkQueueComparison pits the Mirror-transformed Michael–Scott
-// queue against the hand-made durable queue (Friedman et al. style) and
-// the same queue under the other general transformations — the queue
-// analogue of the paper's sets-vs-hand-made comparison.
+// BenchmarkQueueComparison runs the Michael–Scott queue under Mirror and
+// the other general transformations — the queue analogue of the paper's
+// transformation comparison.
 func BenchmarkQueueComparison(b *testing.B) {
 	for _, kind := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM, engine.Izraelevitz, engine.NVTraverse} {
 		b.Run(kind.String(), func(b *testing.B) {
@@ -308,20 +306,6 @@ func BenchmarkQueueComparison(b *testing.B) {
 			})
 		})
 	}
-	b.Run("HandMadeDurable", func(b *testing.B) {
-		q := durablequeue.New(durablequeue.Config{Words: 1 << 22})
-		c := q.NewCtx()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(c, uint64(i))
-			q.Dequeue(c)
-		}
-		b.StopTimer()
-		reportModel(b, q.Devices(), 1024, func(i int) {
-			q.Enqueue(c, uint64(i))
-			q.Dequeue(c)
-		})
-	})
 }
 
 // BenchmarkWorkloadGenerator measures the generator's own overhead so

@@ -7,8 +7,8 @@ import (
 )
 
 // CustomTarget adapts a non-engine durable structure (the hand-made
-// baselines: Link-Free, SOFT, Cmap, the durable queue) to the same
-// mid-operation crash harness the engine structures get. NewWorker
+// baselines: Link-Free, SOFT, Cmap) to the same mid-operation crash
+// harness the engine structures get. NewWorker
 // returns per-thread insert/delete/contains closures; the lifecycle
 // functions map onto the structure's own crash support.
 type CustomTarget struct {

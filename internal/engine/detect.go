@@ -31,8 +31,7 @@ import (
 // crash mid-write) is detected rather than misread; client sequence
 // numbers are strictly increasing.
 //
-// The ring generalizes the original one-slot design to pipelined clients:
-// a client may hold up to Ring operations in flight (announced, responses
+// The ring serves pipelined clients: a client may hold up to Ring operations in flight (announced, responses
 // not yet read) and Detect remains authoritative for every seq in that
 // window — the seqs a crash can cut. The contract requires exactly two
 // things of the caller:
@@ -70,11 +69,12 @@ import (
 //     flushes it before committing.
 //     The engines' CAS and Store first pass the announce barrier
 //     (announceBarrier below), which fences iff no fence on the flush set
-//     has run since Begin. An insert's own publish fence carries the
-//     announce for free, a delete pays the one fence just before its mark,
-//     and an operation that installs nothing (insert-found, delete-missing,
-//     failed RMW) pays neither fence nor flush: it reaches its verdict with
-//     the line still armed and drops it, and its verdict alone testifies.
+//     has run since the announce was armed. An insert's own publish fence
+//     carries the announce for free, a delete pays the one fence just
+//     before its mark, and an operation that installs nothing
+//     (insert-found, delete-missing, failed RMW) pays neither fence nor
+//     flush: it reaches its verdict with the line still armed and drops
+//     it, and its verdict alone testifies.
 //     Hence "no valid announce for seq" implies no install of the operation
 //     can be on the media — NotCommitted.
 //   - The verdict is written only after the linearizing install is
@@ -153,12 +153,12 @@ type DetectResult struct {
 }
 
 // Descriptor entry layout, in words relative to the entry base. One entry
-// is DescSlotWords words = two cache lines; the announce words share the
+// is descSlotWords words = two cache lines; the announce words share the
 // first line and the verdict words the second, so each half persists (or
 // tears) as one line. Entries never share a line, so sibling entries of one
 // client's ring tear independently.
 const (
-	DescSlotWords = 2 * pmem.WordsPerLine
+	descSlotWords = 2 * pmem.WordsPerLine
 
 	dSeq    = 0
 	dKind   = 1
@@ -184,10 +184,10 @@ const DefaultDetectRing = 8
 // cover.
 const MaxDetectRing = 64
 
-// DescWords returns the size of the descriptor region for the given client
+// descWords returns the size of the descriptor region for the given client
 // count and per-client ring size.
-func DescWords(clients, ring int) uint64 {
-	return uint64(clients) * uint64(ring) * DescSlotWords
+func descWords(clients, ring int) uint64 {
+	return uint64(clients) * uint64(ring) * descSlotWords
 }
 
 // mix64 is a splitmix64 finalizer.
@@ -250,14 +250,12 @@ func (v *verdictLine) carries(seq uint64) (result, ok bool) {
 	return v.results&b != 0, ok && v.done&b != 0
 }
 
-// DescRegion is a per-client operation-descriptor region on one persistent
-// device: Clients rings of Ring entries each. The engines embed one below
-// their allocator base; structure packages with their own device layouts
-// (durablequeue, zuriel) reuse it at an offset of their choosing, with Ring
-// 1 reproducing the original single-slot layout. Each ring is
-// single-writer: one client id maps to one ring, written by one worker in
-// per-client seq order, with at most Ring operations in flight.
-type DescRegion struct {
+// descRegion is a per-client operation-descriptor region on one persistent
+// device: Clients rings of Ring entries each, which the engines place below
+// their allocator base (Config.layout) and only the detector writes. Each
+// ring is single-writer: one client id maps to one ring, written by one
+// worker in per-client seq order, with at most Ring operations in flight.
+type descRegion struct {
 	Dev     *pmem.Device
 	Base    uint64 // first word of client 0's entry 0; must be cache-line aligned
 	Clients int
@@ -271,10 +269,10 @@ type DescRegion struct {
 	verdicts  atomic.Uint64
 }
 
-// NewDescRegion validates and returns a region descriptor. The region's
+// newDescRegion validates and returns a region descriptor. The region's
 // words must be reserved by the caller (they are raw words, not allocator
 // memory).
-func NewDescRegion(dev *pmem.Device, base uint64, clients, ring int, durable bool) *DescRegion {
+func newDescRegion(dev *pmem.Device, base uint64, clients, ring int, durable bool) *descRegion {
 	if base%pmem.WordsPerLine != 0 {
 		panic(fmt.Sprintf("engine: descriptor region base %d is not cache-line aligned", base))
 	}
@@ -287,29 +285,31 @@ func NewDescRegion(dev *pmem.Device, base uint64, clients, ring int, durable boo
 	if ring > MaxDetectRing {
 		panic(fmt.Sprintf("engine: descriptor ring %d exceeds %d entries", ring, MaxDetectRing))
 	}
-	return &DescRegion{Dev: dev, Base: base, Clients: clients, Ring: ring, Durable: durable}
+	return &descRegion{Dev: dev, Base: base, Clients: clients, Ring: ring, Durable: durable}
 }
 
 // ringBase returns the first word of client's ring.
-func (r *DescRegion) ringBase(client int) uint64 {
+func (r *descRegion) ringBase(client int) uint64 {
 	if client < 0 || client >= r.Clients {
 		panic(fmt.Sprintf("engine: descriptor client %d outside [0, %d)", client, r.Clients))
 	}
-	return r.Base + uint64(client)*uint64(r.Ring)*DescSlotWords
+	return r.Base + uint64(client)*uint64(r.Ring)*descSlotWords
 }
 
 // entry returns the first word of the ring entry operation (client, seq)
 // occupies.
-func (r *DescRegion) entry(client int, seq uint64) uint64 {
-	return r.ringBase(client) + (seq-1)%uint64(r.Ring)*DescSlotWords
+func (r *descRegion) entry(client int, seq uint64) uint64 {
+	return r.ringBase(client) + (seq-1)%uint64(r.Ring)*descSlotWords
 }
 
 // Words returns the region's size in words.
-func (r *DescRegion) Words() uint64 { return DescWords(r.Clients, r.Ring) }
+func (r *descRegion) Words() uint64 { return descWords(r.Clients, r.Ring) }
 
-// announce writes the announce line for (client, seq) and returns its
-// entry.
-func (r *DescRegion) announce(client int, seq, kind, key, val uint64) uint64 {
+// arm writes the announce line for (client, seq) and leaves its flush to the
+// next fence on fs (pmem.Device.FlushAhead). The caller must fence fs before
+// the operation's first install, and drop the armed line (FlushSet.DropAhead)
+// if the operation reaches its verdict with no fence since arm.
+func (r *descRegion) arm(fs *pmem.FlushSet, client int, seq, kind, key, val uint64) {
 	if seq == 0 {
 		panic("engine: detectable sequence numbers start at 1")
 	}
@@ -320,43 +320,14 @@ func (r *DescRegion) announce(client int, seq, kind, key, val uint64) uint64 {
 	r.Dev.Store(s+dVal, val)
 	r.Dev.Store(s+dAnnChk, annChk(seq, kind, key, val))
 	r.announces.Add(1)
-	return s
-}
-
-// Begin writes and flushes the announce line for (client, seq). It does not
-// fence: the caller's first fence on fs must precede the operation's first
-// install. Structure packages with their own write paths (durablequeue,
-// zuriel) fence where that path needs it; the engines arm the line instead
-// (arm).
-func (r *DescRegion) Begin(fs *pmem.FlushSet, client int, seq, kind, key, val uint64) {
-	s := r.announce(client, seq, kind, key, val)
-	if r.Durable {
-		r.Dev.Flush(fs, s)
-	}
-}
-
-// arm writes the announce line for (client, seq) and leaves its flush to the
-// next fence on fs (pmem.Device.FlushAhead). The caller must fence fs before
-// the operation's first install, and drop the armed line (FlushSet.DropAhead)
-// if the operation reaches its verdict with no fence since arm.
-func (r *DescRegion) arm(fs *pmem.FlushSet, client int, seq, kind, key, val uint64) {
-	s := r.announce(client, seq, kind, key, val)
 	if r.Durable {
 		r.Dev.FlushAhead(fs, s)
 	}
 }
 
-// Publish writes and flushes the verdict line for (client, seq). It must
-// only be called once the operation's effect (if any) is durable — i.e.
-// after the linearizing install has returned. It does not fence; End does.
-func (r *DescRegion) Publish(fs *pmem.FlushSet, client int, seq uint64, result bool, rval uint64) {
-	r.publish(fs, client, verdictLine{seq: seq, result: result, rval: rval})
-	r.verdicts.Add(1)
-}
-
 // publish writes and flushes one verdict line, result bits included. The
 // caller counts the verdicts it publishes: a line may carry several.
-func (r *DescRegion) publish(fs *pmem.FlushSet, client int, v verdictLine) {
+func (r *descRegion) publish(fs *pmem.FlushSet, client int, v verdictLine) {
 	s := r.entry(client, v.seq)
 	vw := v.seq<<2 | 1
 	if v.result {
@@ -374,7 +345,7 @@ func (r *DescRegion) publish(fs *pmem.FlushSet, client int, v verdictLine) {
 
 // verdictAt decodes the verdict line of the entry at s; ok is false for an
 // empty or torn line.
-func (r *DescRegion) verdictAt(s uint64) (v verdictLine, ok bool) {
+func (r *descRegion) verdictAt(s uint64) (v verdictLine, ok bool) {
 	vw := r.Dev.ReadRaw(s + dVerdict)
 	rv := r.Dev.ReadRaw(s + dRval)
 	dn := r.Dev.ReadRaw(s + dDone)
@@ -388,7 +359,7 @@ func (r *DescRegion) verdictAt(s uint64) (v verdictLine, ok bool) {
 // End commits the published verdict before the operation returns to the
 // client. The fence is elided when an intervening fence of this thread
 // already committed the verdict line (the flush set is empty).
-func (r *DescRegion) End(fs *pmem.FlushSet) {
+func (r *descRegion) End(fs *pmem.FlushSet) {
 	if !r.Durable {
 		return
 	}
@@ -407,7 +378,7 @@ func (r *DescRegion) End(fs *pmem.FlushSet) {
 // the ring has lapped, a torn overwrite may erase the superseded evidence,
 // which then reads NotCommitted — harmless, since their responses were
 // released before the lap could begin.
-func (r *DescRegion) Detect(client int, seq uint64) DetectResult {
+func (r *descRegion) Detect(client int, seq uint64) DetectResult {
 	if seq == 0 {
 		// Sequence numbers start at 1; nothing was ever issued as seq 0.
 		return DetectResult{Verdict: NotCommitted}
@@ -427,7 +398,7 @@ func (r *DescRegion) Detect(client int, seq uint64) DetectResult {
 	lapped, later := false, false
 	base := r.ringBase(client)
 	for i := 0; i < r.Ring; i++ {
-		sib := base + uint64(i)*DescSlotWords
+		sib := base + uint64(i)*descSlotWords
 		if r.Dev.ReadRaw(sib+dVerdict)>>2 <= seq {
 			continue
 		}
@@ -478,9 +449,9 @@ func (r *DescRegion) Detect(client int, seq uint64) DetectResult {
 // does not validate can never again yield a verdict, so recovery replaces
 // it with the canonical empty encoding and persists the wipe. Idempotent —
 // a crash during recovery re-scrubs the same lines.
-func (r *DescRegion) Scrub() {
+func (r *descRegion) Scrub() {
 	for i := 0; i < r.Clients*r.Ring; i++ {
-		s := r.Base + uint64(i)*DescSlotWords
+		s := r.Base + uint64(i)*descSlotWords
 		a0 := r.Dev.ReadRaw(s + dSeq)
 		a4 := r.Dev.ReadRaw(s + dAnnChk)
 		if a0 != 0 || a4 != 0 {
@@ -507,7 +478,7 @@ func (r *DescRegion) Scrub() {
 // Counters reports cumulative announces written and verdicts published —
 // one per operation each, whether or not the announce line was ever flushed
 // and whether the verdict has a line of its own or rides another's bits.
-func (r *DescRegion) Counters() (announces, verdicts uint64) {
+func (r *descRegion) Counters() (announces, verdicts uint64) {
 	return r.announces.Load(), r.verdicts.Load()
 }
 
@@ -517,7 +488,8 @@ type descState struct {
 	armed bool
 	// annOpen: the announce line is flushed but no fence on the context's
 	// flush set is known to have covered it; annFences is that set's fence
-	// count at Begin. announceBarrier closes it before the first install.
+	// count when it was armed. announceBarrier closes it before the first
+	// install.
 	annOpen   bool
 	annFences uint64
 	client    int
@@ -546,17 +518,18 @@ type verdictSettler interface {
 }
 
 // detector is the engine-integrated descriptor protocol — the Detector role
-// — written once over a DescRegion and embedded in both engine
+// — written once over a descRegion and embedded in both engine
 // implementations.
 type detector struct {
-	desc *DescRegion // nil with detectability off
+	desc *descRegion // nil with detectability off
 	eng  verdictSettler
 }
 
 // dropAnnounce is called where the armed operation reaches its verdict. If
-// no fence has run on the flush set since Begin, the operation installed
-// nothing and its announce line is still armed there: drop it, so that no
-// later fence flushes a line nothing needs — the verdict alone testifies.
+// no fence has run on the flush set since the announce was armed, the
+// operation installed nothing and its announce line is still armed there:
+// drop it, so that no later fence flushes a line nothing needs — the verdict
+// alone testifies.
 func (d *detector) dropAnnounce(c *Ctx) {
 	if c.det.annOpen {
 		c.det.annOpen = false
@@ -569,8 +542,8 @@ func (d *detector) dropAnnounce(c *Ctx) {
 // Store — not CASRelaxed or CASRebuilt, whose auxiliary and
 // rebuilt updates no verdict testifies to) passes it first. If the armed operation's announce is still
 // open it fences — and the fence flushes the armed line first — unless a
-// fence on the flush set since Begin (a read fence, a publish fence, a
-// help-path persist) already flushed and committed it. An operation that
+// fence on the flush set since the announce was armed (a read fence, a
+// publish fence, a help-path persist) already flushed and committed it. An operation that
 // never installs never fences here; its announce is dropped at its verdict.
 func (d *detector) announceBarrier(c *Ctx) {
 	if c.det.annOpen {

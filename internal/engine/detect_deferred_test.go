@@ -12,7 +12,7 @@ func durableKinds() []Kind {
 }
 
 // descRegionOf returns an engine's descriptor region.
-func descRegionOf(e Engine) *DescRegion {
+func descRegionOf(e Engine) *descRegion {
 	switch x := e.(type) {
 	case *mirrorEngine:
 		return x.desc

@@ -17,17 +17,18 @@ func newDescDevice(t *testing.T) *pmem.Device {
 // verdict → supersede lifecycle and pins the Detect answer at each step.
 func TestDescRegionTruthTable(t *testing.T) {
 	dev := newDescDevice(t)
-	r := NewDescRegion(dev, pmem.WordsPerLine, 2, 1, true)
+	r := newDescRegion(dev, pmem.WordsPerLine, 2, 1, true)
 	var fs pmem.FlushSet
 
 	if v := r.Detect(0, 1); v.Verdict != NotCommitted {
 		t.Fatalf("fresh slot: %+v, want NotCommitted", v)
 	}
-	r.Begin(&fs, 0, 1, DetectInsert, 5, 50)
+	r.arm(&fs, 0, 1, DetectInsert, 5, 50)
+	dev.Fence(&fs)
 	if v := r.Detect(0, 1); v.Verdict != Unknown {
 		t.Fatalf("announced, no verdict: %+v, want Unknown", v)
 	}
-	r.Publish(&fs, 0, 1, true, 0)
+	r.publish(&fs, 0, verdictLine{seq: 1, result: true})
 	r.End(&fs)
 	if v := r.Detect(0, 1); v.Verdict != Committed || !v.KnownResult || !v.Result {
 		t.Fatalf("published true: %+v, want Committed/known/true", v)
@@ -41,14 +42,15 @@ func TestDescRegionTruthTable(t *testing.T) {
 
 	// A later announce supersedes the slot; seq 1's verdict line is still
 	// intact at this point, so its result remains readable.
-	r.Begin(&fs, 0, 2, DetectDelete, 5, 0)
+	r.arm(&fs, 0, 2, DetectDelete, 5, 0)
+	dev.Fence(&fs)
 	if v := r.Detect(0, 1); v.Verdict != Committed {
 		t.Fatalf("superseded seq mid-op: %+v, want Committed", v)
 	}
 	if v := r.Detect(0, 2); v.Verdict != Unknown {
 		t.Fatalf("in-flight seq 2: %+v, want Unknown", v)
 	}
-	r.Publish(&fs, 0, 2, false, 0)
+	r.publish(&fs, 0, verdictLine{seq: 2})
 	r.End(&fs)
 	if v := r.Detect(0, 2); v.Verdict != Committed || !v.KnownResult || v.Result {
 		t.Fatalf("published false: %+v, want Committed/known/false", v)
@@ -59,9 +61,11 @@ func TestDescRegionTruthTable(t *testing.T) {
 		t.Fatalf("superseded seq: %+v, want Committed without known result", v)
 	}
 
+	// The region counts announces; verdicts are the detector's to count,
+	// since one line may carry several.
 	ann, ver := r.Counters()
-	if ann != 2 || ver != 2 {
-		t.Errorf("counters = (%d, %d), want (2, 2)", ann, ver)
+	if ann != 2 || ver != 0 {
+		t.Errorf("counters = (%d, %d), want (2, 0)", ann, ver)
 	}
 }
 
@@ -72,12 +76,13 @@ func TestDescRegionTruthTable(t *testing.T) {
 func TestDescRingTruthTable(t *testing.T) {
 	const ring = 4
 	dev := newDescDevice(t)
-	r := NewDescRegion(dev, pmem.WordsPerLine, 1, ring, true)
+	r := newDescRegion(dev, pmem.WordsPerLine, 1, ring, true)
 	var fs pmem.FlushSet
 
 	// A pipelined window: three announces in flight, no verdicts yet.
 	for seq := uint64(1); seq <= 3; seq++ {
-		r.Begin(&fs, 0, seq, DetectInsert, seq, seq*10)
+		r.arm(&fs, 0, seq, DetectInsert, seq, seq*10)
+		dev.Fence(&fs)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
 		if v := r.Detect(0, seq); v.Verdict != Unknown {
@@ -93,7 +98,7 @@ func TestDescRingTruthTable(t *testing.T) {
 
 	// Drain: all three verdicts publish, each into its own entry.
 	for seq := uint64(1); seq <= 3; seq++ {
-		r.Publish(&fs, 0, seq, true, seq*100)
+		r.publish(&fs, 0, verdictLine{seq: seq, result: true, rval: seq * 100})
 	}
 	r.End(&fs)
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -106,7 +111,8 @@ func TestDescRingTruthTable(t *testing.T) {
 	// Seq 5 laps entry 0 (= seq 1's). With the announce overwritten and the
 	// old verdict line dropped by a crash, seq 1 is still provably
 	// committed: the entry moved a whole lap, so its response was released.
-	r.Begin(&fs, 0, 5, DetectDelete, 1, 0)
+	r.arm(&fs, 0, 5, DetectDelete, 1, 0)
+	dev.Fence(&fs)
 	e0 := r.entry(0, 1)
 	for w := uint64(dVerdict); w <= dVerChk; w++ {
 		dev.WriteRaw(e0+w, 0)
@@ -129,7 +135,7 @@ func TestDescRingTruthTable(t *testing.T) {
 	// the ring gone, an announced seq is honestly Unknown even though later
 	// announces (seq 3, seq 5) sit beside it.
 	for i := uint64(0); i < ring; i++ {
-		base := r.Base + i*DescSlotWords
+		base := r.Base + i*descSlotWords
 		for w := uint64(dVerdict); w <= dVerChk; w++ {
 			dev.WriteRaw(base+w, 0)
 		}
@@ -143,10 +149,11 @@ func TestDescRingTruthTable(t *testing.T) {
 // dequeue's verdict carries the dequeued value.
 func TestDescRegionDequeueRval(t *testing.T) {
 	dev := newDescDevice(t)
-	r := NewDescRegion(dev, pmem.WordsPerLine, 1, 1, true)
+	r := newDescRegion(dev, pmem.WordsPerLine, 1, 1, true)
 	var fs pmem.FlushSet
-	r.Begin(&fs, 0, 1, DetectDequeue, 0, 0)
-	r.Publish(&fs, 0, 1, true, 77)
+	r.arm(&fs, 0, 1, DetectDequeue, 0, 0)
+	dev.Fence(&fs)
+	r.publish(&fs, 0, verdictLine{seq: 1, result: true, rval: 77})
 	r.End(&fs)
 	if v := r.Detect(0, 1); v.Verdict != Committed || !v.KnownResult || v.Rval != 77 {
 		t.Fatalf("dequeue verdict = %+v, want Committed with Rval 77", v)
@@ -154,17 +161,18 @@ func TestDescRegionDequeueRval(t *testing.T) {
 }
 
 // TestDescRegionCrashSurvival checks durability edges across a drop-all
-// crash: a fenced announce+verdict survives; an announce flushed but never
+// crash: a fenced announce+verdict survives; an announce armed but never
 // fenced is dropped entirely (NotCommitted — sound, since the operation body
 // never ran a fence either).
 func TestDescRegionCrashSurvival(t *testing.T) {
 	dev := newDescDevice(t)
-	r := NewDescRegion(dev, pmem.WordsPerLine, 2, 1, true)
+	r := newDescRegion(dev, pmem.WordsPerLine, 2, 1, true)
 	var fs pmem.FlushSet
-	r.Begin(&fs, 0, 1, DetectInsert, 5, 50)
-	r.Publish(&fs, 0, 1, true, 0)
+	r.arm(&fs, 0, 1, DetectInsert, 5, 50)
+	dev.Fence(&fs)
+	r.publish(&fs, 0, verdictLine{seq: 1, result: true})
 	r.End(&fs)
-	r.Begin(&fs, 1, 1, DetectInsert, 6, 60) // flushed, never fenced
+	r.arm(&fs, 1, 1, DetectInsert, 6, 60) // armed, never fenced
 	dev.Freeze()
 	dev.Crash(pmem.CrashDropAll, nil)
 	r.Scrub()
@@ -181,17 +189,18 @@ func TestDescRegionCrashSurvival(t *testing.T) {
 // idempotent.
 func TestDescRegionScrubTornLines(t *testing.T) {
 	dev := newDescDevice(t)
-	r := NewDescRegion(dev, pmem.WordsPerLine, 1, 1, true)
+	r := newDescRegion(dev, pmem.WordsPerLine, 1, 1, true)
 	var fs pmem.FlushSet
-	r.Begin(&fs, 0, 3, DetectInsert, 5, 50)
-	r.Publish(&fs, 0, 3, true, 0)
+	r.arm(&fs, 0, 3, DetectInsert, 5, 50)
+	dev.Fence(&fs)
+	r.publish(&fs, 0, verdictLine{seq: 3, result: true})
 	r.End(&fs)
 	// Tear both lines: flip a payload word without updating the checksums.
 	slot := uint64(pmem.WordsPerLine)
 	dev.WriteRaw(slot+2, 999)  // announce key word
 	dev.WriteRaw(slot+9, 1234) // verdict rval word
 	r.Scrub()
-	for w := uint64(0); w < DescSlotWords; w++ {
+	for w := uint64(0); w < descSlotWords; w++ {
 		if got := dev.ReadRaw(slot + w); got != 0 {
 			t.Fatalf("slot word %d = %d after scrub, want 0", w, got)
 		}
@@ -210,10 +219,10 @@ func TestDescRegionScrubTornLines(t *testing.T) {
 func TestNewDescRegionMisuse(t *testing.T) {
 	dev := newDescDevice(t)
 	for name, f := range map[string]func(){
-		"unaligned base": func() { NewDescRegion(dev, pmem.WordsPerLine+1, 1, 1, true) },
-		"zero clients":   func() { NewDescRegion(dev, pmem.WordsPerLine, 0, 1, true) },
-		"zero ring":      func() { NewDescRegion(dev, pmem.WordsPerLine, 1, 0, true) },
-		"ring too deep":  func() { NewDescRegion(dev, pmem.WordsPerLine, 1, MaxDetectRing+1, true) },
+		"unaligned base": func() { newDescRegion(dev, pmem.WordsPerLine+1, 1, 1, true) },
+		"zero clients":   func() { newDescRegion(dev, pmem.WordsPerLine, 0, 1, true) },
+		"zero ring":      func() { newDescRegion(dev, pmem.WordsPerLine, 1, 0, true) },
+		"ring too deep":  func() { newDescRegion(dev, pmem.WordsPerLine, 1, MaxDetectRing+1, true) },
 	} {
 		func() {
 			defer func() {

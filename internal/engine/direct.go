@@ -57,11 +57,9 @@ func newDirect(cfg Config) *directEngine {
 	// non-durable originals the region exists but never flushes: it is
 	// wiped at a crash, and every verdict honestly reads NotCommitted —
 	// exactly what a volatile structure's client should be told.
-	allocBase := rootsRegionWords(cfg.RootFields, 1)
+	descBase, allocBase := cfg.layout()
 	if cfg.Clients > 0 {
-		descBase := descRegionBase(cfg.RootFields, 1)
-		e.desc = NewDescRegion(dev, descBase, cfg.Clients, cfg.DetectRing, e.durable())
-		allocBase = descBase + e.desc.Words()
+		e.desc = newDescRegion(dev, descBase, cfg.Clients, cfg.DetectRing, e.durable())
 	}
 	e.alloc = palloc.New(palloc.Config{
 		Base: allocBase,

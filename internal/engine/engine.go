@@ -388,8 +388,7 @@ type Config struct {
 	// DetectRing is the per-client descriptor ring size: how many
 	// operations one client may have in flight with Detect still
 	// authoritative for each (the serving tier's pipeline window bound).
-	// Zero defaults to DefaultDetectRing when Clients > 0; 1 reproduces
-	// the original single-slot layout.
+	// Zero defaults to DefaultDetectRing when Clients > 0.
 	DetectRing int
 	// MediaPath backs the persistent device's media image with a
 	// MAP_SHARED mmap of this file (pmem.Config.MediaPath), so the fenced
@@ -440,9 +439,26 @@ func DetectEndDeferred(e Detector, c *Ctx, result bool, rval uint64) {
 // DetectDrain is e.DetectDrain.
 func DetectDrain(e Detector, c *Ctx) { e.DetectDrain(c) }
 
-// New creates an engine.
+// Validate reports why New cannot build an engine from the defaulted c: a
+// descriptor ring outside [1, MaxDetectRing], or a device that cannot hold
+// the roots, the descriptor region and one allocator chunk.
+func (c *Config) Validate() error {
+	if c.Clients > 0 && (c.DetectRing < 1 || c.DetectRing > MaxDetectRing) {
+		return fmt.Errorf("engine: descriptor ring %d outside [1, %d]", c.DetectRing, MaxDetectRing)
+	}
+	if _, base := c.layout(); c.Words <= 0 || uint64(c.Words) < base+palloc.ChunkWords {
+		return fmt.Errorf("engine: a device of %d words cannot hold the roots, the descriptor region and one allocator chunk (%d words)",
+			c.Words, base+palloc.ChunkWords)
+	}
+	return nil
+}
+
+// New creates an engine. It panics on a config Validate refuses.
 func New(cfg Config) Engine {
 	cfg.SetDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	switch cfg.Kind {
 	case OrigDRAM, OrigNVMM, Izraelevitz, NVTraverse:
 		return newDirect(cfg)
@@ -492,18 +508,20 @@ func restoreFixed(dev *pmem.Device, alloc *palloc.Allocator, addr func(Ref, int)
 // root 32-byte aligned.
 const Root Ref = 8
 
-// rootsRegionWords returns the words reserved for the root object given the
-// cell width, rounded so the allocator base stays aligned.
-func rootsRegionWords(rootFields, cellW int) uint64 {
-	n := uint64(rootFields*cellW) + Root
-	return (n + palloc.AlignWords - 1) &^ (palloc.AlignWords - 1)
-}
-
-// descRegionBase returns the cache-line-aligned device offset of the
-// descriptor region, directly above the roots region. The allocator base
-// moves up by DescWords(clients, ring) from here, so with Clients == 0 the
-// layout is exactly the pre-detectability one.
-func descRegionBase(rootFields, cellW int) uint64 {
-	b := rootsRegionWords(rootFields, cellW)
-	return (b + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
+// layout returns the device offsets of the descriptor region and of the
+// allocator base for the defaulted c. The root object (RootFields cells)
+// comes first, rounded so the allocator base stays aligned; with Clients > 0
+// the cache-line-aligned descriptor region follows it and the allocator base
+// moves up by its size.
+func (c *Config) layout() (descBase, allocBase uint64) {
+	cellW := 1
+	if c.Kind == MirrorDRAM || c.Kind == MirrorNVMM {
+		cellW = patomic.CellWords
+	}
+	allocBase = (uint64(c.RootFields*cellW) + Root + palloc.AlignWords - 1) &^ (palloc.AlignWords - 1)
+	if c.Clients > 0 {
+		descBase = (allocBase + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
+		allocBase = descBase + descWords(c.Clients, c.DetectRing)
+	}
+	return descBase, allocBase
 }

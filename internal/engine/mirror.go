@@ -56,11 +56,9 @@ func newMirror(cfg Config) *mirrorEngine {
 	// The descriptor region (when configured) sits between the roots and
 	// the allocator base, on rep_p only: descriptors are raw words of the
 	// persistent replica, never mirrored and never traced.
-	allocBase := rootsRegionWords(cfg.RootFields, patomic.CellWords)
+	descBase, allocBase := cfg.layout()
 	if cfg.Clients > 0 {
-		descBase := descRegionBase(cfg.RootFields, patomic.CellWords)
-		e.desc = NewDescRegion(p, descBase, cfg.Clients, cfg.DetectRing, true)
-		allocBase = descBase + e.desc.Words()
+		e.desc = newDescRegion(p, descBase, cfg.Clients, cfg.DetectRing, true)
 	}
 	e.alloc = palloc.New(palloc.Config{
 		Base: allocBase,

@@ -19,8 +19,8 @@ import "fmt"
 // checksummed, so a torn line reads as absent, which the drop adversary
 // already produces.
 //
-// After each crash the model runs the Detect truth table of
-// engine.DescRegion on what the media holds — a verdict line that speaks
+// After each crash the model runs the Detect truth table of the engines'
+// descriptor region on what the media holds — a verdict line that speaks
 // for the operation present: Committed; its announce and a later
 // operation's own verdict line: Committed; the announce alone: Unknown;
 // neither: NotCommitted — and checks the implications the serving tier's

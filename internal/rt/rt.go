@@ -131,10 +131,11 @@ type Runtime struct {
 	nextRoot int
 }
 
-// Open builds a runtime over cfg, defaulted as engine.New defaults it. Without
-// cfg.MediaPath the image lives in process memory. With it, Open attaches
-// when the sidecar holds the same geometry and a root record of known kinds,
-// refuses any other sidecar, and wipes a file that has none. Attaching traces
+// Open builds a runtime over cfg, defaulted as engine.New defaults it, and
+// refuses a cfg engine.Config.Validate refuses. Without cfg.MediaPath the
+// image lives in process memory. With it, Open attaches when the sidecar
+// holds the same geometry and a root record of known kinds, refuses any
+// other sidecar, and wipes a file that has none. Attaching traces
 // every recorded structure in record order, rebuilds rep_v and the allocator,
 // repairs, drains, and walks every structure once: a corrupt image fails
 // here, not under load. The attach's recovery pass runs at GOMAXPROCS
@@ -149,6 +150,9 @@ func OpenWith(cfg engine.Config, newEngine func(engine.Config) engine.Engine) (*
 		newEngine = engine.New
 	}
 	cfg.SetDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	r := &Runtime{cfg: cfg}
 	if cfg.MediaPath != "" {
 		if !cfg.Kind.Durable() {

@@ -156,3 +156,31 @@ func TestSidecarRecordsDefaults(t *testing.T) {
 		t.Fatalf("reopening with ring 4 over ring %d: err %v, want a refusal", full.DetectRing, err)
 	}
 }
+
+// TestOpenRefusesTooSmallDevice: a device that cannot hold the roots, the
+// descriptor region and one allocator chunk is refused with an error, not a
+// panic, and leaves no media behind.
+func TestOpenRefusesTooSmallDevice(t *testing.T) {
+	dir := t.TempDir()
+	for _, cfg := range []engine.Config{
+		{Kind: engine.MirrorDRAM, Words: 1000},
+		{Kind: engine.Izraelevitz, Words: -5},
+		{Kind: engine.MirrorDRAM, Words: 1 << 16, Clients: 64, DetectRing: engine.MaxDetectRing},
+		{Kind: engine.NVTraverse, Words: 1 << 16, Clients: 1, DetectRing: engine.MaxDetectRing + 1},
+		{Kind: engine.MirrorNVMM, Words: 1000, Track: true, MediaPath: filepath.Join(dir, "media")},
+	} {
+		if r, err := Open(cfg); err == nil {
+			r.Close()
+			t.Errorf("%+v: opened", cfg)
+		}
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 0 {
+		t.Errorf("a refused Open left %d files behind", len(names))
+	}
+	// The descriptor region is what the third row could not hold.
+	r, err := Open(engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 17, Clients: 64, DetectRing: engine.MaxDetectRing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+}

@@ -134,9 +134,6 @@ func (c *Config) setDefaults() error {
 	if c.Ring == 0 {
 		c.Ring = engine.DefaultDetectRing
 	}
-	if c.Ring < 1 || c.Ring > engine.MaxDetectRing {
-		return fmt.Errorf("server: ring %d outside [1, %d]", c.Ring, engine.MaxDetectRing)
-	}
 	if c.Clients == 0 {
 		c.Clients = 64
 	}

@@ -49,11 +49,17 @@ func dial(t *testing.T, s *Server, id uint32) *Client {
 
 // TestNewRejectsRingBeyondBits pins the ring bound: a drain's verdict line
 // carries the results of at most the 63 seqs below its own, so a ring
-// deeper than engine.MaxDetectRing is refused with an error.
+// deeper than engine.MaxDetectRing is refused with an error. So is a device
+// too small for its own layout.
 func TestNewRejectsRingBeyondBits(t *testing.T) {
-	if s, err := New(Config{Kind: engine.MirrorDRAM, Words: 1 << 16, Ring: engine.MaxDetectRing + 1}); err == nil {
-		s.Close()
-		t.Fatalf("ring %d accepted", engine.MaxDetectRing+1)
+	for _, cfg := range []Config{
+		{Kind: engine.MirrorDRAM, Words: 1 << 16, Ring: engine.MaxDetectRing + 1},
+		{Kind: engine.MirrorDRAM, Words: 1000},
+	} {
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("%+v accepted", cfg)
+		}
 	}
 }
 

@@ -1,10 +1,9 @@
-// Custom-lifecycle conformance batteries: the hand-made queue and map
-// adapters (internal/durablequeue, internal/cmapkv) manage their own
-// devices instead of living on an engine, so they cannot go through Run's
-// engine matrix. RunKV and RunQueue give them the same treatment —
-// sequential semantics against a model, concurrent stress, and the
-// quiesced crash+recover cycle over every crash policy — through small
-// closure-based targets, mirroring crashtest.CustomTarget.
+// Custom-lifecycle conformance battery: the hand-made map adapter
+// (internal/cmapkv) manages its own devices instead of living on an engine,
+// so it cannot go through Run's engine matrix. RunKV gives it the same
+// treatment — sequential semantics against a model, concurrent stress, and
+// the quiesced crash+recover cycle over every crash policy — through a small
+// closure-based target, mirroring crashtest.CustomTarget.
 package settest
 
 import (
@@ -204,214 +203,5 @@ func testKVQuiescedCrash(t *testing.T, kv KVTarget) {
 		if !del(probe) {
 			t.Fatalf("policy %v: probe delete failed after recovery", policy)
 		}
-	}
-}
-
-// QueueTarget adapts a persistent FIFO queue. Like KVTarget, the target
-// owns one long-lived instance and workers must be re-created after a
-// crash.
-type QueueTarget struct {
-	NewWorker func() (enq func(v uint64), deq func() (uint64, bool))
-	Len       func() int
-	Crash     func(policy pmem.CrashPolicy, rng *rand.Rand)
-	Recover   func()
-}
-
-// RunQueue executes the queue conformance battery. mk builds a fresh
-// target per subtest.
-func RunQueue(t *testing.T, mk func() QueueTarget) {
-	t.Run("Empty", func(t *testing.T) { testQueueEmpty(t, mk()) })
-	t.Run("FIFO", func(t *testing.T) { testQueueFIFO(t, mk()) })
-	t.Run("InterleavedModel", func(t *testing.T) { testQueueInterleaved(t, mk()) })
-	t.Run("ConcurrentProducerOrder", func(t *testing.T) { testQueueConcurrent(t, mk()) })
-	t.Run("QuiescedCrashRecovery", func(t *testing.T) { testQueueQuiescedCrash(t, mk()) })
-}
-
-func testQueueEmpty(t *testing.T, q QueueTarget) {
-	_, deq := q.NewWorker()
-	if v, ok := deq(); ok {
-		t.Errorf("dequeue on empty queue returned %d", v)
-	}
-	if q.Len() != 0 {
-		t.Errorf("empty queue has Len %d", q.Len())
-	}
-}
-
-func testQueueFIFO(t *testing.T, q QueueTarget) {
-	enq, deq := q.NewWorker()
-	for v := uint64(1); v <= 100; v++ {
-		enq(v)
-	}
-	if q.Len() != 100 {
-		t.Fatalf("Len = %d after 100 enqueues", q.Len())
-	}
-	for want := uint64(1); want <= 100; want++ {
-		v, ok := deq()
-		if !ok || v != want {
-			t.Fatalf("dequeue = (%d,%v), want (%d,true)", v, ok, want)
-		}
-	}
-	if _, ok := deq(); ok {
-		t.Error("dequeue succeeded on drained queue")
-	}
-}
-
-func testQueueInterleaved(t *testing.T, q QueueTarget) {
-	enq, deq := q.NewWorker()
-	rng := rand.New(rand.NewSource(99))
-	var model []uint64
-	next := uint64(1)
-	for i := 0; i < 3000; i++ {
-		if rng.Intn(3) > 0 {
-			enq(next)
-			model = append(model, next)
-			next++
-		} else {
-			v, ok := deq()
-			if len(model) == 0 {
-				if ok {
-					t.Fatalf("op %d: dequeue on empty returned %d", i, v)
-				}
-				continue
-			}
-			if !ok || v != model[0] {
-				t.Fatalf("op %d: dequeue = (%d,%v), want (%d,true)", i, v, ok, model[0])
-			}
-			model = model[1:]
-		}
-	}
-	if q.Len() != len(model) {
-		t.Fatalf("Len = %d, model has %d", q.Len(), len(model))
-	}
-}
-
-// testQueueConcurrent drains a multi-producer multi-consumer run and
-// checks (a) the multiset of values survives and (b) each producer's
-// values come out in that producer's enqueue order — the per-producer
-// subsequence property a linearizable FIFO must preserve.
-func testQueueConcurrent(t *testing.T, q QueueTarget) {
-	const producers = 4
-	const consumers = 2
-	const perProducer = 500
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			enq, _ := q.NewWorker()
-			for i := uint64(0); i < perProducer; i++ {
-				enq(uint64(p)<<32 | i)
-			}
-		}(p)
-	}
-	var mu sync.Mutex
-	drained := make([][]uint64, consumers)
-	stop := make(chan struct{})
-	var cg sync.WaitGroup
-	for cn := 0; cn < consumers; cn++ {
-		cg.Add(1)
-		go func(cn int) {
-			defer cg.Done()
-			_, deq := q.NewWorker()
-			var got []uint64
-			for {
-				if v, ok := deq(); ok {
-					got = append(got, v)
-					continue
-				}
-				select {
-				case <-stop:
-					mu.Lock()
-					drained[cn] = got
-					mu.Unlock()
-					return
-				default:
-				}
-			}
-		}(cn)
-	}
-	wg.Wait()
-	close(stop)
-	cg.Wait()
-	// Final sequential drain catches anything left behind.
-	_, deq := q.NewWorker()
-	var rest []uint64
-	for {
-		v, ok := deq()
-		if !ok {
-			break
-		}
-		rest = append(rest, v)
-	}
-	seen := make(map[uint64]bool)
-	// Per-consumer streams preserve per-producer order; the residue drain
-	// is itself one more consumer stream.
-	for _, stream := range append(drained, rest) {
-		last := make([]int64, producers)
-		for p := range last {
-			last[p] = -1
-		}
-		for _, v := range stream {
-			p, i := int(v>>32), int64(v&0xffffffff)
-			if seen[v] {
-				t.Fatalf("value %d/%d dequeued twice", p, i)
-			}
-			seen[v] = true
-			if i <= last[p] {
-				t.Fatalf("producer %d order violated: %d after %d", p, i, last[p])
-			}
-			last[p] = i
-		}
-	}
-	if len(seen) != producers*perProducer {
-		t.Fatalf("drained %d values, want %d", len(seen), producers*perProducer)
-	}
-}
-
-func testQueueQuiescedCrash(t *testing.T, q QueueTarget) {
-	enq, deq := q.NewWorker()
-	rng := rand.New(rand.NewSource(17))
-	var model []uint64
-	for v := uint64(1); v <= 200; v++ {
-		enq(v)
-		model = append(model, v)
-	}
-	// Partially drain so the crash image has a mid-chain head.
-	for i := 0; i < 60; i++ {
-		if v, ok := deq(); !ok || v != model[0] {
-			t.Fatalf("pre-crash drain: got (%d,%v), want (%d,true)", v, ok, model[0])
-		}
-		model = model[1:]
-	}
-	for _, policy := range []pmem.CrashPolicy{pmem.CrashDropAll, pmem.CrashKeepAll, pmem.CrashRandom} {
-		q.Crash(policy, rng)
-		q.Recover()
-		enq, deq = q.NewWorker()
-		if q.Len() != len(model) {
-			t.Fatalf("policy %v: Len = %d after recovery, model has %d", policy, q.Len(), len(model))
-		}
-		// Drain a prefix in order, enqueue replacements at the back: the
-		// recovered queue must behave as a live FIFO, not a read-only image.
-		for i := 0; i < 20 && len(model) > 0; i++ {
-			v, ok := deq()
-			if !ok || v != model[0] {
-				t.Fatalf("policy %v: dequeue = (%d,%v), want (%d,true)", policy, v, ok, model[0])
-			}
-			model = model[1:]
-		}
-		probe := uint64(100000) + uint64(rng.Intn(1000))
-		enq(probe)
-		model = append(model, probe)
-	}
-	// Final full drain must replay the model exactly.
-	for len(model) > 0 {
-		v, ok := deq()
-		if !ok || v != model[0] {
-			t.Fatalf("final drain: got (%d,%v), want (%d,true)", v, ok, model[0])
-		}
-		model = model[1:]
-	}
-	if v, ok := deq(); ok {
-		t.Fatalf("drained queue still yielded %d", v)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"mirror/internal/engine"
 	"mirror/internal/palloc"
 	"mirror/internal/pmem"
 )
@@ -25,10 +24,8 @@ const lfHeadSlot = 8
 // on NVMM, pointers never flushed, one flush+fence per update.
 type LinkFree struct {
 	dev      *pmem.Device
-	buckets  int       // 0 = single list
-	det      *detector // nil when Config.Clients == 0
-	clients  int
-	heapBase uint64 // node-heap base (above head slots and descriptors)
+	buckets  int    // 0 = single list
+	heapBase uint64 // node-heap base (above the head slots)
 
 	mu    sync.Mutex
 	alloc *palloc.Allocator
@@ -39,22 +36,19 @@ type LinkFree struct {
 // cfg.Buckets is a power of two).
 func NewLinkFree(cfg Config) *LinkFree {
 	cfg.setDefaults()
-	s := &LinkFree{
-		dev: pmem.New(pmem.Config{
-			Name: "LinkFree", Words: cfg.Words,
-			Persistent: true, Track: cfg.Track, Model: pmem.NVMMModel(),
-		}),
-		buckets: cfg.Buckets,
-	}
 	base := uint64(lfHeadSlot + 8)
 	if cfg.Buckets > 0 {
 		base = uint64(lfHeadSlot + cfg.Buckets)
 		base = (base + palloc.AlignWords - 1) &^ (palloc.AlignWords - 1)
 	}
-	// Descriptor slots sit between the head slots and the node heap, so the
-	// recovery sanitize wipe never reaches them.
-	s.det, s.heapBase = newDetector(s.dev, base, cfg.Clients)
-	s.clients = cfg.Clients
+	s := &LinkFree{
+		dev: pmem.New(pmem.Config{
+			Name: "LinkFree", Words: cfg.Words,
+			Persistent: true, Track: cfg.Track, Model: pmem.NVMMModel(),
+		}),
+		buckets:  cfg.Buckets,
+		heapBase: base,
+	}
 	s.initVolatile()
 	return s
 }
@@ -183,9 +177,6 @@ func (s *LinkFree) Insert(c *Ctx, key, val uint64) bool {
 		}
 		s.dev.Store(node+lfNext, curr) // pointer: never flushed
 		if s.dev.CAS(predSlot, curr, node) {
-			// The node was persisted before the link: the insert is durable,
-			// so the detectable verdict may publish (no-op when unarmed).
-			s.det.linearized(c, true)
 			return true
 		}
 	}
@@ -208,10 +199,9 @@ func (s *LinkFree) Delete(c *Ctx, key uint64) bool {
 		if !s.dev.CAS(curr+lfNext, next, next|markBit) {
 			continue
 		}
-		s.persistDelete(c, curr)
 		// Only now is the deleted state durable — the mark CAS alone lives
 		// in a never-flushed word, and recovery would resurrect the key.
-		s.det.linearized(c, true)
+		s.persistDelete(c, curr)
 		if s.dev.CAS(predSlot, curr, next) {
 			c.p.Retire(curr, lfSize)
 		}
@@ -282,9 +272,6 @@ func (s *LinkFree) RecoverParallel(workers int) {
 	s.mu.Unlock()
 	live := scanLive(s.dev, base, frontier, lfSize, lfKey, lfVal, lfMeta, workers)
 	sanitizeHeap(s.dev, base, frontier, workers)
-	if s.det != nil {
-		s.det.desc.Scrub()
-	}
 	s.mu.Lock()
 	s.initVolatile()
 	s.mu.Unlock()
@@ -293,24 +280,5 @@ func (s *LinkFree) RecoverParallel(workers int) {
 
 // Counters implements Set.
 func (s *LinkFree) Counters() (uint64, uint64) { return s.dev.Counters() }
-
-// Clients implements Set.
-func (s *LinkFree) Clients() int { return s.clients }
-
-// DetectBegin implements Set.
-func (s *LinkFree) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64) {
-	s.det.begin(c, client, seq, kind, key, val)
-}
-
-// DetectEnd implements Set.
-func (s *LinkFree) DetectEnd(c *Ctx, result bool) { s.det.end(c, result) }
-
-// Detect implements Set.
-func (s *LinkFree) Detect(client int, seq uint64) engine.DetectResult {
-	if s.det == nil {
-		panic("zuriel: Detect with detectability disabled (Config.Clients == 0)")
-	}
-	return s.det.desc.Detect(client, seq)
-}
 
 var _ Set = (*LinkFree)(nil)

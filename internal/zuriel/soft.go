@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"mirror/internal/engine"
 	"mirror/internal/palloc"
 	"mirror/internal/pmem"
 )
@@ -35,9 +34,7 @@ type Soft struct {
 	pdev      *pmem.Device
 	vdev      *pmem.Device
 	buckets   int
-	det       *detector // nil when Config.Clients == 0
-	clients   int
-	pheapBase uint64 // PNode-heap base on pdev (above the descriptors)
+	pheapBase uint64 // PNode-heap base on pdev
 
 	mu     sync.Mutex
 	palloc *palloc.Allocator
@@ -60,12 +57,9 @@ func NewSoft(cfg Config) *Soft {
 		vdev: pmem.New(pmem.Config{
 			Name: "SOFT-vnodes", Words: cfg.Words, Model: pmem.NVMMModel(),
 		}),
-		buckets: cfg.Buckets,
+		buckets:   cfg.Buckets,
+		pheapBase: 8,
 	}
-	// Descriptor slots sit at the bottom of the persistent half, below the
-	// PNode heap, so the recovery sanitize wipe never reaches them.
-	s.det, s.pheapBase = newDetector(s.pdev, 8, cfg.Clients)
-	s.clients = cfg.Clients
 	s.initVolatile()
 	return s
 }
@@ -191,9 +185,6 @@ func (s *Soft) Insert(c *Ctx, key, val uint64) bool {
 		}
 		s.vdev.Store(vnode+vnNext, curr)
 		if s.vdev.CAS(predSlot, curr, vnode) {
-			// The PNode was persisted before the link: the insert is
-			// durable, so the detectable verdict may publish.
-			s.det.linearized(c, true)
 			return true
 		}
 	}
@@ -217,10 +208,9 @@ func (s *Soft) Delete(c *Ctx, key uint64) bool {
 		if !s.vdev.CAS(curr+vnNext, next, next|markBit) {
 			continue
 		}
-		s.persistDelete(c, s.vdev.Load(curr+vnPtr))
 		// Only now is the deleted state durable — the mark CAS lives in the
 		// volatile half, and recovery would resurrect the key.
-		s.det.linearized(c, true)
+		s.persistDelete(c, s.vdev.Load(curr+vnPtr))
 		if s.vdev.CAS(predSlot, curr, next) {
 			c.p.Retire(s.vdev.Load(curr+vnPtr), pnSize)
 			c.v.Retire(curr, vnSize)
@@ -295,9 +285,6 @@ func (s *Soft) RecoverParallel(workers int) {
 	s.mu.Unlock()
 	live := scanLive(s.pdev, base, frontier, pnSize, pnKey, pnVal, pnMeta, workers)
 	sanitizeHeap(s.pdev, base, frontier, workers)
-	if s.det != nil {
-		s.det.desc.Scrub()
-	}
 	s.mu.Lock()
 	s.initVolatile()
 	s.mu.Unlock()
@@ -309,25 +296,6 @@ func (s *Soft) Counters() (uint64, uint64) {
 	f1, n1 := s.pdev.Counters()
 	f2, n2 := s.vdev.Counters()
 	return f1 + f2, n1 + n2
-}
-
-// Clients implements Set.
-func (s *Soft) Clients() int { return s.clients }
-
-// DetectBegin implements Set.
-func (s *Soft) DetectBegin(c *Ctx, client int, seq, kind, key, val uint64) {
-	s.det.begin(c, client, seq, kind, key, val)
-}
-
-// DetectEnd implements Set.
-func (s *Soft) DetectEnd(c *Ctx, result bool) { s.det.end(c, result) }
-
-// Detect implements Set.
-func (s *Soft) Detect(client int, seq uint64) engine.DetectResult {
-	if s.det == nil {
-		panic("zuriel: Detect with detectability disabled (Config.Clients == 0)")
-	}
-	return s.det.desc.Detect(client, seq)
 }
 
 var _ Set = (*Soft)(nil)

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"mirror/internal/engine"
 	"mirror/internal/palloc"
 	"mirror/internal/pmem"
 	"mirror/internal/recovery"
@@ -74,83 +73,9 @@ func unmark(ref uint64) uint64 { return ref &^ markBit }
 
 // Ctx is the per-thread context for a zuriel set.
 type Ctx struct {
-	p   *palloc.Cache // persistent-node cache
-	v   *palloc.Cache // volatile-node cache (SOFT only)
-	fs  pmem.FlushSet
-	det detState // in-flight detectable-operation bracket
-}
-
-// detState tracks one context's armed detectable operation.
-type detState struct {
-	armed, delivered bool
-	client           int
-	seq              uint64
-}
-
-// detector wires an engine.DescRegion into a zuriel set. The descriptor
-// slots live on the persistent device *below* the node-heap base, so the
-// recovery sanitize wipe (which zeroes [alloc.Base, frontier)) can never
-// touch them.
-//
-// Unlike the pointer-traced engine structures — where an unpublished node
-// is unreachable and thus invisible to recovery — zuriel recovery
-// resurrects any checksum-valid node the heap scan finds. An evicted cache
-// line can therefore make an operation's effect durable before the
-// operation fences anything, so the announce must be durable *before the
-// first node store*: every bracket fences its announce in begin, and the
-// verdict is published only after the effect's own
-// persistence barrier (the pre-link flushNode for inserts, persistDelete
-// for deletes).
-type detector struct {
-	desc *engine.DescRegion
-}
-
-// newDetector reserves the descriptor region at base (line-aligned up) and
-// returns the detector plus the first free word after it — the node heap's
-// new base. clients <= 0 reserves nothing.
-func newDetector(dev *pmem.Device, base uint64, clients int) (*detector, uint64) {
-	if clients <= 0 {
-		return nil, base
-	}
-	base = (base + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
-	d := &detector{desc: engine.NewDescRegion(dev, base, clients, 1, true)}
-	return d, base + d.desc.Words()
-}
-
-func (d *detector) begin(c *Ctx, client int, seq, kind, key, val uint64) {
-	if d == nil {
-		panic("zuriel: detectability is disabled (Config.Clients == 0)")
-	}
-	if c.det.armed {
-		panic("zuriel: DetectBegin inside an armed detectable operation")
-	}
-	c.det = detState{armed: true, client: client, seq: seq}
-	d.desc.Begin(&c.fs, client, seq, kind, key, val)
-	d.desc.Dev.Fence(&c.fs)
-}
-
-// linearized publishes the verdict once the operation's effect is durable;
-// it is a no-op without an armed bracket, so the structure code can call it
-// unconditionally.
-func (d *detector) linearized(c *Ctx, result bool) {
-	if d == nil || !c.det.armed || c.det.delivered {
-		return
-	}
-	d.desc.Publish(&c.fs, c.det.client, c.det.seq, result, 0)
-	c.det.delivered = true
-}
-
-// end publishes the verdict if the operation never hit linearized (failed
-// and read-only paths) and issues the terminal verdict fence.
-func (d *detector) end(c *Ctx, result bool) {
-	if d == nil || !c.det.armed {
-		return
-	}
-	if !c.det.delivered {
-		d.desc.Publish(&c.fs, c.det.client, c.det.seq, result, 0)
-	}
-	d.desc.End(&c.fs)
-	c.det = detState{}
+	p  *palloc.Cache // persistent-node cache
+	v  *palloc.Cache // volatile-node cache (SOFT only)
+	fs pmem.FlushSet
 }
 
 // Set is the common interface of the two hand-made durable sets.
@@ -178,17 +103,6 @@ type Set interface {
 	// Devices returns the set's devices, NVMM-priced (SOFT's volatile half
 	// too, as in the original artifact).
 	Devices() []*pmem.Device
-	// Detectability (the zuriel counterpart of engine.Engine's detectable
-	// brackets with a drain after every operation; requires Config.Clients
-	// > 0). DetectBegin durably announces
-	// (client, seq, payload) before the operation; DetectEnd publishes and
-	// fences the verdict; Detect answers "did my last operation commit?"
-	// on the quiesced, crashed, or recovered set.
-	DetectBegin(c *Ctx, client int, seq, kind, key, val uint64)
-	DetectEnd(c *Ctx, result bool)
-	Detect(client int, seq uint64) engine.DetectResult
-	// Clients reports the number of reserved descriptor slots (0 = off).
-	Clients() int
 }
 
 // Config describes a zuriel set instance.
@@ -196,9 +110,6 @@ type Config struct {
 	Words   int  // device capacity in words
 	Buckets int  // 0 = plain list; otherwise power-of-two hash table
 	Track   bool // maintain media (crash tests)
-	// Clients reserves per-client operation-descriptor slots below the node
-	// heap for detectable operations; 0 leaves the layout unchanged.
-	Clients int
 }
 
 // setDefaults fills in the defaults and checks the bucket count.

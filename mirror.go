@@ -119,11 +119,12 @@ func (o Options) config(path string) engine.Config {
 }
 
 // New creates a runtime whose image lives in process memory: it survives
-// simulated crashes (Crash, Recover), not the process.
+// simulated crashes (Crash, Recover), not the process. It panics on Options
+// whose Words cannot hold the runtime's layout.
 func New(opts Options) *Runtime {
 	r, err := rt.Open(opts.config(""))
 	if err != nil {
-		panic(err) // unreachable: only a media file can refuse
+		panic(err)
 	}
 	return r
 }
