@@ -15,12 +15,13 @@
 //	mirrorbench -json BENCH_1.json    # machine-readable engine×structure matrix
 //	mirrorbench -json BENCH_2.json -recovery   # matrix plus recovery section
 //	mirrorbench -json BENCH_3.json -detect     # detectable-operation overhead ablation
-//	mirrorbench -json BENCH_6.json -serving 1,4,8 -workloads A  # plus serving-tier panels (wire YCSB, p50/p99/p999, batch ablation)
 //	mirrorbench -panel fig6d -dist zipfian -skew 0.99  # skewed panel
 //	mirrorbench -checkjson BENCH_1.json  # re-parse and validate a report
 //
 // Native numbers depend on the host; the shape — who wins, by what
 // factor, where the crossovers fall — is what reproduces the paper.
+// Everything here runs in memory; served load is measured by bench/'s
+// serve-* workloads and by mirrord + mirrorload.
 package main
 
 import (
@@ -83,9 +84,6 @@ func main() {
 		detect   = flag.Bool("detect", false, "route every operation through a detectable bracket (descriptor-overhead ablation)")
 		distF    = flag.String("dist", "", "key distribution: uniform (default), zipfian, or hotspot")
 		skew     = flag.Float64("skew", 0, "distribution parameter: zipfian theta (default 0.99) or hotspot access fraction (default 0.9)")
-		servingF = flag.String("serving", "", "with -json: comma-separated connection counts — append the serving-tier panels (wire-protocol YCSB through an in-process mirrord with latency percentiles, batch on/off per cell)")
-		workls   = flag.String("workloads", "A", "comma-separated YCSB letters (A..F) for -serving")
-		pipesF   = flag.String("pipelines", "1", "comma-separated per-client pipeline depths for -serving (1 = synchronous)")
 	)
 	flag.Parse()
 
@@ -100,7 +98,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mirrorbench: %s: %v\n", *checkIn, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: ok (%d points, %d serving points, schema %s)\n", *checkIn, len(r.Points), len(r.Serving), r.Schema)
+		fmt.Printf("%s: ok (%d points, schema %s)\n", *checkIn, len(r.Points), r.Schema)
 		return
 	}
 
@@ -176,36 +174,6 @@ func main() {
 			os.Exit(2)
 		}
 		report := harness.RunBenchMatrix(opts, structs, kinds, opts.Threads)
-		if *servingF != "" {
-			var letters []byte
-			for _, part := range strings.Split(*workls, ",") {
-				part = strings.TrimSpace(part)
-				if len(part) != 1 {
-					fmt.Fprintf(os.Stderr, "mirrorbench: bad -workloads entry %q (want single letters A..F)\n", part)
-					os.Exit(2)
-				}
-				letters = append(letters, part[0])
-			}
-			// Serving panels run the durable subset of the engine filter
-			// (an acknowledgement from a volatile server would be a lie);
-			// with no filter, all durable kinds.
-			var durable []engine.Kind
-			for _, k := range kinds {
-				if k.Durable() {
-					durable = append(durable, k)
-				}
-			}
-			err := harness.AppendServingAblation(report, opts, harness.ServingConfig{
-				Conns:     parseInts("serving", *servingF),
-				Pipelines: parseInts("pipelines", *pipesF),
-				Workloads: letters,
-				Kinds:     durable,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mirrorbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
 		if *recovery {
 			report.Recovery = harness.RecoveryPoints(
 				harness.MeasureRecovery(parseInts("sizes", *sizesF), parseInts("par", *parsF)))
@@ -219,11 +187,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mirrorbench: %v\n", err)
 			os.Exit(1)
 		}
-		if len(report.Serving) > 0 {
-			fmt.Printf("wrote %s (%d points, %d serving points)\n", *jsonOut, len(report.Points), len(report.Serving))
-		} else {
-			fmt.Printf("wrote %s (%d points)\n", *jsonOut, len(report.Points))
-		}
+		fmt.Printf("wrote %s (%d points)\n", *jsonOut, len(report.Points))
 		return
 	}
 

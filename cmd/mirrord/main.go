@@ -42,8 +42,7 @@ func main() {
 		ring     = flag.Int("ring", 0, "per-client descriptor-ring depth (0: engine default)")
 		clients  = flag.Int("clients", 64, "descriptor rings (max client id + 1)")
 		workers  = flag.Int("workers", 2, "workers, one engine context each (client id mod workers)")
-		nobatch  = flag.Bool("nobatch", false, "ablation: one fence per mutation (no group commit)")
-		maxBatch = flag.Int("maxbatch", 128, "max operations per drain batch")
+		maxBatch = flag.Int("maxbatch", 128, "max operations per drain batch (1: one fence per mutation, no group commit)")
 	)
 	flag.Parse()
 
@@ -59,7 +58,6 @@ func main() {
 		Clients:   *clients,
 		Workers:   *workers,
 		MediaPath: *media,
-		NoBatch:   *nobatch,
 		MaxBatch:  *maxBatch,
 	})
 	if err != nil {

@@ -17,6 +17,11 @@
 // YCSB-E scans run as native SCAN frames (paged by wire.MaxScanKeys) and
 // YCSB-F read-modify-writes as GET followed by a native RMW
 // (compare-and-set) frame.
+//
+// The server's side of a session — ops, mutations, drain batches, flushes
+// and fences — is the line mirrord prints on SIGTERM. Restarting mirrord
+// with -maxbatch 1 (one fence per mutation) or another -engine under the
+// same load gives the group-commit ablation and the cross-engine rows.
 package main
 
 import (
@@ -24,8 +29,6 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"mirror/internal/harness"
 )
 
 func main() {
@@ -34,7 +37,7 @@ func main() {
 		workl    = flag.String("workload", "A", "YCSB workload letter (A..F)")
 		conns    = flag.Int("conns", 4, "concurrent client connections")
 		base     = flag.Int("base", 1, "first client id (ids [base, base+conns) must be unused)")
-		keyRange = flag.Uint64("range", harness.ServingKeyRange, "key range [1, range]")
+		keyRange = flag.Uint64("range", servingKeyRange, "key range [1, range]")
 		duration = flag.Duration("duration", 5*time.Second, "measurement window")
 		seed     = flag.Int64("seed", 1, "workload PRNG seed")
 		prefill  = flag.Bool("prefill", false, "prefill half the key range first (client id base-1)")
@@ -45,19 +48,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mirrorload: -workload wants a single letter A..F, got %q\n", *workl)
 		os.Exit(2)
 	}
+	if err := checkKeyRange(*keyRange); err != nil {
+		fmt.Fprintln(os.Stderr, "mirrorload: -range:", err)
+		os.Exit(2)
+	}
 	if *base < 1 && *prefill {
 		fmt.Fprintln(os.Stderr, "mirrorload: -prefill needs -base >= 1 (it uses client id base-1)")
 		os.Exit(2)
 	}
 	if *prefill {
-		n, err := harness.ServingPrefill(*addr, uint32(*base-1), *keyRange, *seed)
+		n, err := servingPrefill(*addr, uint32(*base-1), *keyRange, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mirrorload: prefill:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("mirrorload: prefilled %d keys\n", n)
 	}
-	load, err := harness.RunServingLoad(harness.ServingSpec{
+	load, err := runServingLoad(servingSpec{
 		Addr:     *addr,
 		Workload: (*workl)[0],
 		Conns:    *conns,

@@ -87,51 +87,6 @@ type BenchOptions struct {
 	// matrix (workload.Spec semantics); omitted for the uniform default.
 	Dist string  `json:"dist,omitempty"`
 	Skew float64 `json:"skew,omitempty"`
-	// ServingConns/ServingWorkloads/ServingPipelines record the
-	// serving-tier ablation appended by AppendServingAblation: the
-	// connection sweep, the YCSB letters and the pipeline depths. (Reports
-	// up to BENCH_7 also carry serving_batch_wait_ns, the timed
-	// group-commit window those sessions ran with; it is no longer read.)
-	ServingConns     []int  `json:"serving_conns,omitempty"`
-	ServingWorkloads string `json:"serving_workloads,omitempty"`
-	ServingPipelines []int  `json:"serving_pipelines,omitempty"`
-}
-
-// ServingPoint is one serving-tier measurement: a YCSB workload driven
-// through mirrord's wire protocol by Conns concurrent synchronous clients
-// against an in-process server, with every round trip recorded in an
-// HDR-style histogram. Points come in batch on/off pairs (same process,
-// same build): Batch=true runs the cross-client fence-batching write path,
-// Batch=false the per-mutation-fence ablation baseline, and the
-// FencesPerMutation gap between the two is the group-commit win.
-type ServingPoint struct {
-	Engine   string `json:"engine"`
-	Workload string `json:"workload"` // "YCSB-A".."YCSB-F"
-	Conns    int    `json:"conns"`
-	// Pipeline is the per-client pipeline depth the session ran at (1:
-	// synchronous round trips; >1: HELLO-negotiated, descriptor rings).
-	Pipeline int  `json:"pipeline,omitempty"`
-	Batch    bool `json:"batch"`
-	KeyRange int  `json:"key_range"`
-
-	Ops  uint64  `json:"ops"`
-	Kops float64 `json:"kops"` // thousand ops/s — wire round trips, not Mops
-
-	// Client-observed round-trip percentiles in nanoseconds, from the
-	// merged per-connection histograms (~3.1% relative slot error).
-	P50NS  uint64 `json:"p50_ns"`
-	P99NS  uint64 `json:"p99_ns"`
-	P999NS uint64 `json:"p999_ns"`
-	MaxNS  uint64 `json:"max_ns"`
-
-	// Server-side deltas for the session: mutating frames executed, drain
-	// batches released, and the engine's persistence-instruction counts.
-	Mutations         uint64  `json:"mutations"`
-	Scans             uint64  `json:"scans,omitempty"`
-	Batches           uint64  `json:"batches"`
-	Flushes           uint64  `json:"flushes"`
-	Fences            uint64  `json:"fences"`
-	FencesPerMutation float64 `json:"fences_per_mutation"`
 }
 
 // RecoveryPoint is one recovery-pipeline measurement: how fast one engine
@@ -145,7 +100,9 @@ type RecoveryPoint struct {
 	KeysPerMS   float64 `json:"keys_per_ms"`
 }
 
-// BenchReport is the full matrix.
+// BenchReport is the full matrix. BENCH_6 and BENCH_7 also carry a
+// "serving" section and serving_* options, written by in-process serving
+// panels that no longer exist; parsing ignores them.
 type BenchReport struct {
 	Schema  string       `json:"schema"`
 	Host    BenchHost    `json:"host"`
@@ -154,10 +111,6 @@ type BenchReport struct {
 	// Recovery holds the recovery-throughput sweep (engine × size ×
 	// parallelism); present when mirrorbench ran with -recovery.
 	Recovery []RecoveryPoint `json:"recovery,omitempty"`
-	// Serving holds the serving-tier panels (wire-protocol YCSB with
-	// latency percentiles and the fence-batching ablation); present when
-	// mirrorbench ran with -serving.
-	Serving []ServingPoint `json:"serving,omitempty"`
 }
 
 // BenchStructures is the default structure axis of the matrix.
@@ -251,7 +204,7 @@ func (r *BenchReport) Validate() error {
 	if r.Schema != BenchSchema {
 		return fmt.Errorf("schema %q, want %q", r.Schema, BenchSchema)
 	}
-	if len(r.Points) == 0 && len(r.Recovery) == 0 && len(r.Serving) == 0 {
+	if len(r.Points) == 0 && len(r.Recovery) == 0 {
 		return fmt.Errorf("report has no points")
 	}
 	for i, p := range r.Points {
@@ -266,38 +219,6 @@ func (r *BenchReport) Validate() error {
 			return fmt.Errorf("point %d: key range %d", i, p.KeyRange)
 		case p.Mops < 0:
 			return fmt.Errorf("point %d: negative throughput", i)
-		}
-	}
-	for i, p := range r.Serving {
-		switch {
-		case p.Engine == "":
-			return fmt.Errorf("serving point %d: empty engine", i)
-		case p.Workload == "":
-			return fmt.Errorf("serving point %d: empty workload", i)
-		case p.Conns <= 0:
-			return fmt.Errorf("serving point %d: conns %d", i, p.Conns)
-		case p.KeyRange <= 0:
-			return fmt.Errorf("serving point %d: key range %d", i, p.KeyRange)
-		case p.Kops < 0:
-			return fmt.Errorf("serving point %d: negative throughput", i)
-		case p.Pipeline < 0:
-			return fmt.Errorf("serving point %d: pipeline %d", i, p.Pipeline)
-		case p.FencesPerMutation < 0:
-			return fmt.Errorf("serving point %d: negative fences/mutation", i)
-		}
-		if p.Workload == "YCSB-E" && p.Ops > 0 && p.Scans == 0 {
-			return fmt.Errorf("serving point %d: YCSB-E measured ops but served no SCAN frames", i)
-		}
-		if p.Ops > 0 {
-			// A measured point must carry a full, ordered percentile set —
-			// the acceptance surface of the serving panels.
-			if p.P50NS == 0 {
-				return fmt.Errorf("serving point %d: measured but p50 missing", i)
-			}
-			if p.P50NS > p.P99NS || p.P99NS > p.P999NS || p.P999NS > p.MaxNS {
-				return fmt.Errorf("serving point %d: percentiles out of order (p50 %d, p99 %d, p999 %d, max %d)",
-					i, p.P50NS, p.P99NS, p.P999NS, p.MaxNS)
-			}
 		}
 	}
 	for i, p := range r.Recovery {

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -99,6 +101,27 @@ func TestRecoveryJSONRoundTrip(t *testing.T) {
 	for i, p := range back.Recovery {
 		if p != r.Recovery[i] {
 			t.Fatalf("recovery point %d changed in round trip: %+v != %+v", i, p, r.Recovery[i])
+		}
+	}
+}
+
+// TestCommittedReportsParse re-parses every committed BENCH_<n>.json
+// through the same validation mirrorbench -checkjson applies.
+func TestCommittedReportsParse(t *testing.T) {
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no committed BENCH_*.json found")
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseReport(data); err != nil {
+			t.Errorf("%s: %v", filepath.Base(f), err)
 		}
 	}
 }

@@ -370,14 +370,6 @@ func (d *Device) CAS(off uint64, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&d.words[off], old, new)
 }
 
-// Add atomically adds delta to the word at off and returns the new value.
-func (d *Device) Add(off uint64, delta uint64) uint64 {
-	if !d.fastOK(off) {
-		d.countSlow(off, &d.stores, 1)
-	}
-	return atomic.AddUint64(&d.words[off], delta)
-}
-
 func (d *Device) pairAt(off uint64) *[2]uint64 {
 	if off&1 != 0 {
 		d.badPair(off)

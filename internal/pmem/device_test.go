@@ -39,8 +39,8 @@ func TestCASAndAdd(t *testing.T) {
 	if d.CAS(3, 7, 9) {
 		t.Error("CAS should fail")
 	}
-	if got := d.Add(3, 2); got != 10 {
-		t.Errorf("Add = %d, want 10", got)
+	if !d.CAS(3, 8, 10) {
+		t.Errorf("CAS from 8 failed: the failed CAS left %d", d.Load(3))
 	}
 }
 
@@ -421,7 +421,8 @@ func TestConcurrentFenceNoStaleRegress(t *testing.T) {
 			defer wg.Done()
 			var fs FlushSet
 			for i := 0; i < iters; i++ {
-				d.Add(9, 1)
+				for v := d.Load(9); !d.CAS(9, v, v+1); v = d.Load(9) {
+				}
 				d.Flush(&fs, 9)
 				d.Fence(&fs)
 				// The media must hold some value >= the value this
@@ -464,7 +465,7 @@ func TestCountTalliesEveryAccess(t *testing.T) {
 		d.LoadPair(8)
 		d.Store(9, 2)
 		d.CAS(9, 2, 3)
-		d.Add(9, 1)
+		d.Store(9, 4)
 		d.DWCAS(10, 0, 0, 1, 1)
 		d.Flush(&fs, 9)
 		d.Fence(&fs)

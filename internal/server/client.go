@@ -2,9 +2,7 @@ package server
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 
 	"mirror/internal/wire"
@@ -259,17 +257,4 @@ func (c *Client) Replay(op wire.Op, seq, key, val uint64) (wire.Response, error)
 		c.seq = seq
 	}
 	return c.Do(wire.Request{Op: op, Client: c.id, Seq: seq, Key: key, Val: val})
-}
-
-// ErrClosed reports whether err looks like the peer vanishing mid-exchange —
-// the expected outcome of a server kill: a clean EOF, a reset, or a framing
-// error from a half-written frame.
-func ErrClosed(err error) bool {
-	if err == nil {
-		return false
-	}
-	var pe *wire.ProtocolError
-	var oe *net.OpError
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.As(err, &oe) || errors.As(err, &pe)
 }

@@ -30,7 +30,8 @@
 //     another, in arrival order;
 //   - one writer per descriptor ring: one goroutine at a time runs with a
 //     worker's context;
-//   - MaxBatch bounds the staged responses (NoBatch is MaxBatch = 1).
+//   - MaxBatch bounds the staged responses; MaxBatch = 1 is the unbatched
+//     ablation, one fence per mutation.
 //
 // What closes a batch is what is pending, never a clock: the reader releases
 // the moment its buffer holds no complete frame, or once Config.MaxBatch
@@ -109,12 +110,11 @@ type Config struct {
 	// process death. Empty keeps the image in process memory (tests,
 	// benchmarks). Its sidecar MediaPath+".meta" records the layout.
 	MediaPath string
-	// NoBatch is the ablation switch: drain and respond after every
-	// operation instead of per batch, so each mutation pays its own fence.
-	NoBatch bool
 	// MaxBatch bounds the responses held back for one drain (default 128):
 	// under a connection whose frames never stop arriving it bounds how long
-	// the first frame of a batch waits for its acknowledgement.
+	// the first frame of a batch waits for its acknowledgement. 1 drains
+	// and responds after every operation, so each mutation pays its own
+	// fence (the group-commit ablation).
 	MaxBatch int
 	// BatchWait is ignored.
 	//
@@ -145,9 +145,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 128
-	}
-	if c.NoBatch {
-		c.MaxBatch = 1
 	}
 	return nil
 }

@@ -468,8 +468,8 @@ func TestServeBatchingSavesFences(t *testing.T) {
 	if fences >= syncFences {
 		t.Fatalf("batching saved nothing: %.2f >= %.2f fences/mutation", fences, syncFences)
 	}
-	if batches, _, _ := run(Config{NoBatch: true}, frames); batches != frames {
-		t.Fatalf("NoBatch: %d batches, want %d", batches, frames)
+	if batches, _, _ := run(Config{MaxBatch: 1}, frames); batches != frames {
+		t.Fatalf("MaxBatch 1: %d batches, want %d", batches, frames)
 	}
 	if batches, _, _ := run(Config{MaxBatch: 4}, frames); batches != 2 {
 		t.Fatalf("MaxBatch 4: %d batches, want 2", batches)
