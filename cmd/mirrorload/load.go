@@ -6,8 +6,8 @@ package main
 // (p50/p99/p999) instead of throughput alone. It reports native wall-clock
 // and exact counts, no modeled cost: a wire round trip costs tens of
 // microseconds, two orders above the modeled media costs. The server's
-// side of a session (mutations, batches, fences) is what mirrord prints on
-// SIGTERM.
+// side of a session (mutations, flushes, fences, announce-barrier fences)
+// is read with STATS before and after it.
 
 import (
 	"fmt"
@@ -53,12 +53,25 @@ type servingSpec struct {
 	Pipeline int
 }
 
-// servingLoad is the client-side outcome of a load session.
+// servingLoad is the outcome of a load session.
 type servingLoad struct {
 	Ops     uint64
 	Elapsed time.Duration
 	// Hist holds every operation's wire round-trip time in nanoseconds.
 	Hist harness.Hist
+	// Server holds the server's STATS deltas over the session, its two
+	// STATS frames included (two ops, no mutation, no fence), and
+	// AnnounceFences the engine's announce-barrier fences among them.
+	Server         server.Stats
+	AnnounceFences uint64
+}
+
+// perMutation returns n per mutation of the session.
+func (l servingLoad) perMutation(n uint64) float64 {
+	if l.Server.Mutations == 0 {
+		return 0
+	}
+	return float64(n) / float64(l.Server.Mutations)
 }
 
 // Kops returns throughput in thousand operations per second — the honest
@@ -250,6 +263,17 @@ func runServingLoad(spec servingSpec) (servingLoad, error) {
 	if err := checkKeyRange(spec.KeyRange); err != nil {
 		return servingLoad{}, err
 	}
+	// A connection of its own reads STATS around the session; the id is the
+	// first client's, which a non-mutating frame leaves alone.
+	stats, err := server.Dial(spec.Addr, spec.BaseID)
+	if err != nil {
+		return servingLoad{}, err
+	}
+	defer stats.Close()
+	st0, es0, err := stats.Stats()
+	if err != nil {
+		return servingLoad{}, err
+	}
 	var (
 		mu      sync.Mutex
 		hists   []*harness.Hist
@@ -297,5 +321,23 @@ func runServingLoad(spec servingSpec) (servingLoad, error) {
 	for _, h := range hists {
 		load.Hist.Merge(h)
 	}
+	// A pipelined client may end with frames in flight: complete them, so
+	// that the STATS below counts every mutation the session sent.
+	for _, cl := range clients {
+		if _, err := cl.Drain(); err != nil {
+			return servingLoad{}, err
+		}
+	}
+	st1, es1, err := stats.Stats()
+	if err != nil {
+		return servingLoad{}, err
+	}
+	load.Server = server.Stats{
+		Ops: st1.Ops - st0.Ops, Mutations: st1.Mutations - st0.Mutations,
+		Replays: st1.Replays - st0.Replays, Scans: st1.Scans - st0.Scans,
+		Batches: st1.Batches - st0.Batches, Flushes: st1.Flushes - st0.Flushes,
+		Fences: st1.Fences - st0.Fences,
+	}
+	load.AnnounceFences = es1.AnnounceFences - es0.AnnounceFences
 	return load, nil
 }

@@ -28,7 +28,8 @@ func TestMain(m *testing.M) {
 // session serves an in-process Mirror server, prefills it through the wire
 // and runs one short load session at the given YCSB letter, connection
 // count and pipeline depth. It returns the load's result and the server's
-// counter deltas across the measured session.
+// in-process counter deltas across the measured session, which the
+// session's STATS deltas must match.
 func session(t *testing.T, letter byte, conns, pipeline int) (servingLoad, server.Stats) {
 	t.Helper()
 	const keyRange, seed = 512, 7
@@ -59,6 +60,12 @@ func session(t *testing.T, letter byte, conns, pipeline int) (servingLoad, serve
 		t.Fatal(err)
 	}
 	st1 := s.Stats()
+	// The session's own STATS deltas see every mutation, fence and flush
+	// the in-process counters do.
+	if load.Server.Mutations != st1.Mutations-st0.Mutations || load.Server.Fences != st1.Fences-st0.Fences ||
+		load.Server.Flushes != st1.Flushes-st0.Flushes {
+		t.Errorf("STATS deltas %+v disagree with the in-process ones from %+v to %+v", load.Server, st0, st1)
+	}
 	return load, server.Stats{
 		Ops:       st1.Ops - st0.Ops,
 		Mutations: st1.Mutations - st0.Mutations,

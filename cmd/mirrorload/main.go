@@ -18,10 +18,13 @@
 // YCSB-F read-modify-writes as GET followed by a native RMW
 // (compare-and-set) frame.
 //
-// The server's side of a session — ops, mutations, drain batches, flushes
-// and fences — is the line mirrord prints on SIGTERM. Restarting mirrord
-// with -maxbatch 1 (one fence per mutation) or another -engine under the
-// same load gives the group-commit ablation and the cross-engine rows.
+// The server's side of a session is read with STATS before and after it:
+// the last line reports its mutations and the fences, flushes and
+// announce-barrier fences per mutation, of the whole server over the
+// session (mirrord prints its lifetime totals on SIGTERM). Restarting
+// mirrord with -maxbatch 1 (one fence per mutation) or another -engine
+// under the same load gives the group-commit ablation and the cross-engine
+// rows.
 package main
 
 import (
@@ -84,4 +87,7 @@ func main() {
 	fmt.Printf("mirrorload: latency µs: p50=%.1f p99=%.1f p999=%.1f max=%.1f\n",
 		us(load.Hist.Percentile(50)), us(load.Hist.Percentile(99)),
 		us(load.Hist.Percentile(99.9)), us(load.Hist.Max()))
+	fmt.Printf("mirrorload: server: %d mutations, %.4f fences/mutation, %.4f flushes/mutation, %.4f announce-barrier fences/mutation\n",
+		load.Server.Mutations, load.perMutation(load.Server.Fences), load.perMutation(load.Server.Flushes),
+		load.perMutation(load.AnnounceFences))
 }

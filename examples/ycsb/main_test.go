@@ -81,7 +81,7 @@ func TestYCSBEScanDistribution(t *testing.T) {
 			t.Fatalf("scan span %d outside [1, %d]", s, 2*scanMax+1)
 		}
 		sum += float64(s)
-		q := int((s - 1) * 4 / (2 * scanMax + 1))
+		q := int((s - 1) * 4 / (2*scanMax + 1))
 		if q > 3 {
 			q = 3
 		}

@@ -61,22 +61,24 @@ import (
 // Ordering is what makes the verdicts sound — exactly two orders, both
 // enforced here and in the engines' write path rather than by callers:
 //
-//   - The announce is durable before the first durable-before-visible
-//     install of the armed operation. DetectBeginDeferred writes the
+//   - No install of the armed operation reaches the media without evidence
+//     of its announce that recovery can read. DetectBeginDeferred writes the
 //     announce line and arms it on the context's flush set
 //     (pmem.Device.FlushAhead): the first fence the operation issues there
-//     — a read fence, a publish fence, or the announce barrier's own —
-//     flushes it before committing.
+//     — a read fence, a publish fence, the announce barrier's own or a
+//     tagged install's — flushes it before committing.
 //     The engines' CAS and Store first pass the announce barrier
 //     (announceBarrier below), which fences iff no fence on the flush set
 //     has run since the announce was armed. An insert's own publish fence
-//     carries the announce for free, a delete pays the one fence just
-//     before its mark, and an operation that installs nothing
-//     (insert-found, delete-missing, failed RMW) pays neither fence nor
-//     flush: it reaches its verdict with the line still armed and drops
-//     it, and its verdict alone testifies.
-//     Hence "no valid announce for seq" implies no install of the operation
-//     can be on the media — NotCommitted.
+//     carries the announce for free, a delete's level-0 mark on Mirror
+//     carries its operation's tag instead of paying the barrier (Tags
+//     below), and an operation that installs nothing (insert-found,
+//     delete-missing, failed RMW) pays neither fence nor flush: it reaches
+//     its verdict with the line still armed and drops it, and its verdict
+//     alone testifies.
+//     Hence "no valid announce for seq and no tag of it on the media"
+//     implies no install of the operation can be on the media —
+//     NotCommitted.
 //   - The verdict is written only after the linearizing install is
 //     durable: Mirror makes every install durable before it is visible,
 //     NVTraverse fences inside its CAS, and Izraelevitz — whose CAS is
@@ -92,13 +94,58 @@ import (
 // some earlier crash could also have left (internal/protomodel checks both
 // orders and this licence exhaustively).
 //
+// Tags. Under Mirror's rule a value becomes visible only after its own
+// fence, so a delete's level-0 mark can testify for its operation's
+// announce at no cost: the mark word carries tag(client, seq) in its bits
+// from TagShift up (Ctx.MarkTag), and the CAS that installs the armed
+// operation's own tag skips the announce barrier. Its own fence flushes the
+// armed announce line first and commits it together with the mark. Until
+// that fence the mark is in rep_p only, so no search sees it and no snip
+// can unlink it: if it reached the media early (an eviction, another
+// context's fence of its line), recovery finds it reachable and reads its
+// tag. The obligations, each with a test:
+//
+//   - (O1) Own install. A tagged install reaches rep_v only after a real
+//     fence on the owner's flush set has committed its announce: it runs
+//     under patomic.Tagged, which flushes and fences whatever the
+//     watermark says. Another fence of the same line (a CasVal on the
+//     node's value cell) can commit the mark without the announce, so
+//     neither eliding on the watermark nor riding that fence's ticket
+//     would do (TestTaggedInstallFencesItsAnnounce).
+//   - (O2) Help path. A helper that mirrors a tagged value into rep_v —
+//     the ps == vs+1 branch and the failed-install branch of
+//     patomic.Mem.CAS — first persists the announce line the tag names
+//     (patomic.Mem.Witness, witness below): once the mark is visible a
+//     search may snip the node, and the tag leaves the media with it
+//     (TestHelpedTagPersistsItsAnnounce).
+//   - (O3) Recovery. The trace's read collects the tag of every cell word
+//     it returns into a set fixed until the next recovery (traceTags), on
+//     the warm path (recoveryLoad) and over an adopted media file
+//     (restoreFixed) alike. Detect consults it only where it would answer
+//     NotCommitted, and answers Unknown instead: a tag shows that the
+//     install may have happened, never that it did, so never Committed
+//     (the skip list's RunRingDetect KeepFlushed rows).
+//   - (O4) Only Mirror tags, and only the skip list's delete. The direct
+//     engines' installs are visible before they are durable, so they keep
+//     the barrier for every CAS; so do the structures that install no tag
+//     — the list, the hash table, the BST, the queue — and CasVal.
+//   - (O5) Encoding. A tag lies above every Ref: Config.Validate refuses
+//     Words beyond MaxWords, and Clients × DetectRing beyond what the tag
+//     bits can name. It names its ring entry, so it determines the
+//     announce line's address, and the low tagLapBits bits of its lap,
+//     which tell seq from seq ± Ring. Tag 0 is no tag: with detectability
+//     off nothing changes.
+//
 // Descriptors deliberately do not reintroduce a fence per operation: the
 // announce rides whichever fence the operation issues first, the verdict
 // flush piggybacks on the operation's flush set, and the one trailing
 // verdict fence is skipped via the elision layer whenever an intervening
 // fence already committed it. Nor a flush per operation: an announce is
 // flushed only by a fence that needs it, and a drain flushes one verdict
-// line per client.
+// line per client. The End fence itself stays: the node or mark that could
+// vouch for an acknowledged operation may be excised and reused while its
+// seq is still inside the ring window, and only the verdict line then
+// answers for it.
 
 // Verdict is a detectability answer for one (client, seq) operation.
 type Verdict int
@@ -184,6 +231,22 @@ const DefaultDetectRing = 8
 // cover.
 const MaxDetectRing = 64
 
+// TagShift is the lowest bit of a tag (detect.go "Tags"): a word's bits
+// from TagShift up name the operation whose install it is, and no Ref
+// reaches them.
+const TagShift = 36
+
+// MaxWords bounds Config.Words, so that every Ref lies below the tag bits.
+const MaxWords = 1 << TagShift
+
+// tagLapBits is how many low bits of a seq's lap ((seq-1) / Ring) its tag
+// keeps beside the ring entry.
+const tagLapBits = 4
+
+// maxTagEntries bounds Clients × DetectRing: the ring entries a tag can
+// name.
+const maxTagEntries = (1<<(64-TagShift) - 1) >> tagLapBits
+
 // descWords returns the size of the descriptor region for the given client
 // count and per-client ring size.
 func descWords(clients, ring int) uint64 {
@@ -267,6 +330,11 @@ type descRegion struct {
 
 	announces atomic.Uint64
 	verdicts  atomic.Uint64
+	barriers  atomic.Uint64 // fences the announce barrier issued
+
+	// tags holds the tags the last recovery's trace read (traceTags);
+	// fixed from the end of that recovery to the start of the next.
+	tags map[uint64]struct{}
 }
 
 // newDescRegion validates and returns a region descriptor. The region's
@@ -304,6 +372,45 @@ func (r *descRegion) entry(client int, seq uint64) uint64 {
 
 // Words returns the region's size in words.
 func (r *descRegion) Words() uint64 { return descWords(r.Clients, r.Ring) }
+
+// tag returns the tag of operation (client, seq): one plus its ring entry's
+// index over the whole region, shifted past the low tagLapBits bits of its
+// lap. Never 0.
+func (r *descRegion) tag(client int, seq uint64) uint64 {
+	ring := uint64(r.Ring)
+	entry := uint64(client)*ring + (seq-1)%ring
+	return 1 + (entry<<tagLapBits | (seq-1)/ring&(1<<tagLapBits-1))
+}
+
+// witness is patomic.Mem.Witness for the region: the first word of the
+// announce line the tag of w names, or 0 when w carries none (O2).
+func (r *descRegion) witness(w uint64) uint64 {
+	t := w >> TagShift
+	if t == 0 {
+		return 0
+	}
+	entry := (t - 1) >> tagLapBits
+	if entry >= uint64(r.Clients*r.Ring) {
+		return 0
+	}
+	return r.Base + entry*descSlotWords
+}
+
+// traceTags wraps a recovery trace's read: the tag of every cell word it
+// returns lands in a fresh set, which replaces the previous recovery's
+// (O3). The trace runs on one goroutine, and no Detect runs during
+// recovery.
+func (r *descRegion) traceTags(read func(Ref, int) uint64) func(Ref, int) uint64 {
+	tags := map[uint64]struct{}{}
+	r.tags = tags
+	return func(ref Ref, field int) uint64 {
+		w := read(ref, field)
+		if t := w >> TagShift; t != 0 && field < Plain {
+			tags[t] = struct{}{}
+		}
+		return w
+	}
+}
 
 // arm writes the announce line for (client, seq) and leaves its flush to the
 // next fence on fs (pmem.Device.FlushAhead). The caller must fence fs before
@@ -439,8 +546,18 @@ func (r *descRegion) Detect(client int, seq uint64) DetectResult {
 		}
 		return DetectResult{Verdict: Unknown}
 	default:
-		// No announce reached the media for seq (stale, zeroed, or torn):
-		// the operation never passed its pre-linearization barrier.
+		// No announce reached the media for seq (stale, zeroed, or torn).
+		// A tag of seq that recovery read says its mark may be on the
+		// media all the same: it was installed without the barrier, and
+		// the fence that would have committed the announce with it may
+		// not have run (O3).
+		if len(r.tags) > 0 {
+			if _, ok := r.tags[r.tag(client, seq)]; ok {
+				return DetectResult{Verdict: Unknown}
+			}
+		}
+		// Otherwise the operation never passed its pre-linearization
+		// barrier.
 		return DetectResult{Verdict: NotCommitted}
 	}
 }
@@ -494,6 +611,24 @@ type descState struct {
 	annFences uint64
 	client    int
 	seq       uint64
+	// tag is the operation's tag on an engine that tags (0: none), and
+	// claimed says MarkTag handed it out for the context's next CAS.
+	tag     uint64
+	claimed bool
+}
+
+// MarkTag returns the bits a structure ORs into the word whose install is
+// the armed operation's linearization point — a delete's level-0 mark — so
+// that the word names its operation (detect.go "Tags"), and claims the
+// context's next CAS as that install: if it installs a word carrying the
+// tag, it skips the announce barrier. It returns 0 and claims nothing when
+// no operation is armed or the engine does not tag.
+func (c *Ctx) MarkTag() uint64 {
+	if c.det.tag == 0 {
+		return 0
+	}
+	c.det.claimed = true
+	return c.det.tag << TagShift
 }
 
 // pendingVerdict is one deferred verdict awaiting its context's next
@@ -523,6 +658,9 @@ type verdictSettler interface {
 type detector struct {
 	desc *descRegion // nil with detectability off
 	eng  verdictSettler
+	// tagging: the engine installs tagged marks without the barrier
+	// (Mirror only, O4).
+	tagging bool
 }
 
 // dropAnnounce is called where the armed operation reaches its verdict. If
@@ -556,8 +694,22 @@ func (d *detector) announceBarrier(c *Ctx) {
 func (d *detector) closeAnnounce(c *Ctx) {
 	c.det.annOpen = false
 	if fs := d.eng.descFlushSet(c); fs.Fences() == c.det.annFences {
+		d.desc.barriers.Add(1)
 		d.desc.Dev.Fence(fs)
 	}
+}
+
+// ownTag reports whether installing w is the install MarkTag claimed,
+// carrying the armed operation's tag, and consumes the claim. Such an
+// install skips the barrier and must fence for itself (O1); the announce
+// stays open, so that a later install of the operation passes the barrier
+// as usual, which finds it covered by that fence.
+func (d *detector) ownTag(c *Ctx, w uint64) bool {
+	if !c.det.claimed {
+		return false
+	}
+	c.det.claimed = false
+	return w>>TagShift == c.det.tag
 }
 
 // DetectBeginDeferred arms the descriptor protocol for (client, seq): it
@@ -584,6 +736,9 @@ func (d *detector) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val u
 	c.det = descState{
 		armed: true, client: client, seq: seq,
 		annOpen: d.desc.Durable, annFences: fs.Fences(),
+	}
+	if d.tagging {
+		c.det.tag = d.desc.tag(client, seq)
 	}
 }
 

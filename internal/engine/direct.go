@@ -361,6 +361,7 @@ func (e *directEngine) Stats() Stats {
 	}
 	if e.desc != nil {
 		s.DetectAnnounces, s.DetectVerdicts = e.desc.Counters()
+		s.AnnounceFences = e.desc.barriers.Load()
 	}
 	return s
 }

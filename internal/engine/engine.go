@@ -291,8 +291,10 @@ type Detector interface {
 	// here, flushed by the operation's first fence and made durable by the
 	// engine before the operation's first durable-before-visible install —
 	// by that install's own preceding fence when it has one (an insert's
-	// publish), else by one fence just ahead of it; an operation that
-	// installs nothing never flushes it. Client sequence numbers must be
+	// publish), by the install's own fence when the install carries the
+	// operation's tag (Ctx.MarkTag: a skip-list delete's mark on Mirror),
+	// else by one fence just ahead of it; an operation that installs
+	// nothing never flushes it. Client sequence numbers must be
 	// strictly increasing per client, starting at 1. A client may hold up
 	// to Config.DetectRing pending verdicts; only arming a seq that would lap a
 	// still-pending entry forces a drain first — the entry-lapped
@@ -363,6 +365,9 @@ type Stats struct {
 	// detectability off); how many descriptor lines that cost shows in the
 	// flush count.
 	DetectAnnounces, DetectVerdicts uint64
+	// AnnounceFences counts the fences the announce barrier issued: one
+	// per installing operation that no fence of its own covered first.
+	AnnounceFences uint64
 }
 
 // Config describes an engine instance.
@@ -440,11 +445,20 @@ func DetectEndDeferred(e Detector, c *Ctx, result bool, rval uint64) {
 func DetectDrain(e Detector, c *Ctx) { e.DetectDrain(c) }
 
 // Validate reports why New cannot build an engine from the defaulted c: a
-// descriptor ring outside [1, MaxDetectRing], or a device that cannot hold
-// the roots, the descriptor region and one allocator chunk.
+// descriptor ring outside [1, MaxDetectRing], more ring entries than a tag
+// can name, a device beyond MaxWords (a Ref would reach the tag bits), or a
+// device that cannot hold the roots, the descriptor region and one
+// allocator chunk.
 func (c *Config) Validate() error {
 	if c.Clients > 0 && (c.DetectRing < 1 || c.DetectRing > MaxDetectRing) {
 		return fmt.Errorf("engine: descriptor ring %d outside [1, %d]", c.DetectRing, MaxDetectRing)
+	}
+	if c.Clients > 0 && c.Clients*c.DetectRing > maxTagEntries {
+		return fmt.Errorf("engine: %d clients of %d ring entries exceed the %d entries a tag can name",
+			c.Clients, c.DetectRing, maxTagEntries)
+	}
+	if c.Words > MaxWords {
+		return fmt.Errorf("engine: a device of %d words reaches the tag bits (at most %d words)", c.Words, MaxWords)
 	}
 	if _, base := c.layout(); c.Words <= 0 || uint64(c.Words) < base+palloc.ChunkWords {
 		return fmt.Errorf("engine: a device of %d words cannot hold the roots, the descriptor region and one allocator chunk (%d words)",

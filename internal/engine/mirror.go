@@ -58,7 +58,11 @@ func newMirror(cfg Config) *mirrorEngine {
 	// persistent replica, never mirrored and never traced.
 	descBase, allocBase := cfg.layout()
 	if cfg.Clients > 0 {
+		// A delete's mark names its operation (detect.go "Tags"): a helper
+		// that mirrors one persists the announce line it names first.
 		e.desc = newDescRegion(p, descBase, cfg.Clients, cfg.DetectRing, true)
+		e.tagging = true
+		e.mem.Witness = e.desc.witness
 	}
 	e.alloc = palloc.New(palloc.Config{
 		Base: allocBase,
@@ -153,10 +157,18 @@ func (e *mirrorEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
 	e.mem.Store(&c.pa, mirrorAddr(ref, field), v)
 }
 
+// CAS passes the announce barrier first, unless it installs the armed
+// operation's own tag: then its own fence commits the announce with the
+// install (detect.go "Tags", O1).
 func (e *mirrorEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
 	checkKind(field, false)
-	e.announceBarrier(c)
-	ok, _ := e.mem.CAS(&c.pa, mirrorAddr(ref, field), old, new, patomic.Full)
+	in := patomic.Full
+	if e.ownTag(c, new) {
+		in = patomic.Tagged
+	} else {
+		e.announceBarrier(c)
+	}
+	ok, _ := e.mem.CAS(&c.pa, mirrorAddr(ref, field), old, new, in)
 	return ok
 }
 
@@ -227,6 +239,8 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		// Torn descriptor lines can never yield a verdict again; replace
 		// them with the canonical empty encoding before clients ask.
 		e.desc.Scrub()
+		// The trace collects the tags its cell reads return (O3).
+		read = e.desc.traceTags(read)
 	}
 	rebuild(read, tr, opts.Workers(), e.alloc, patomic.CellWords, func(ref Ref, words int) {
 		if cold {
@@ -286,6 +300,7 @@ func (e *mirrorEngine) Stats() Stats {
 	}
 	if e.desc != nil {
 		s.DetectAnnounces, s.DetectVerdicts = e.desc.Counters()
+		s.AnnounceFences = e.desc.barriers.Load()
 	}
 	return s
 }

@@ -59,7 +59,16 @@ type Mem struct {
 	statsMu sync.Mutex
 	ctxs    []*Ctx
 
-	dropOwnFlush bool // test-only seeded bug; see BreakOwnFlushForTest
+	// Witness, when set, maps a value to the persistent word whose line
+	// must be durable before the value may be mirrored into rep_v by a
+	// thread that did not install it (0: none). The engine sets it when
+	// values may carry a tag that testifies for a descriptor line; a
+	// helper persists that line first, and an owner installs such a value
+	// under Tagged.
+	Witness func(v uint64) uint64
+
+	dropOwnFlush bool         // test-only seeded bug; see BreakOwnFlushForTest
+	installed    func(uint64) // test-only seam; see OnInstallForTest
 }
 
 // adopt registers ctx as a statistics shard of m on first use. A Ctx is
@@ -123,6 +132,13 @@ const (
 	// is Full. A linearization point (mark,
 	// level-0 link, bst flag) must never use it.
 	Auxiliary
+	// Tagged is Full for a value whose witness line (Mem.Witness) the
+	// owner's next fence flushes — armed on its flush set, or already
+	// durable: the install always ends in a real flush and fence on the
+	// owner's flush set, whatever the watermark says. A fence of the same
+	// line by another thread may have committed the value but not the
+	// witness.
+	Tagged
 )
 
 // Load returns the cell's current value. It is wait-free and touches only
@@ -161,12 +177,13 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 		if ps == vs+1 {
 			// Another write installed (pv, ps) in rep_p but has not
 			// reached rep_v yet: help complete it (lines 19–26). The
-			// value must be durable before it becomes loadable, but the
-			// flush+fence is elided when the watermark proves the owner
-			// (or an earlier helper, or an unrelated fence of the same
-			// line) already committed it — the epoch tag is read after
-			// the pair read that observed the install.
-			m.ensureDurable(ctx, off, m.P.PersistEpoch())
+			// value — and its witness line — must be durable before it
+			// becomes loadable, but the flush+fence is elided when the
+			// watermark proves the owner (or an earlier helper, or an
+			// unrelated fence of the same line) already committed it —
+			// the epoch tag is read after the pair read that observed
+			// the install.
+			m.ensureHelped(ctx, off, m.P.PersistEpoch(), pv)
 			m.V.DWCAS(off, vv, vs, pv, ps)
 			m.noteHelp(ctx)
 			continue
@@ -192,6 +209,8 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			//     every thread that observed the install — including the
 			//     one that retires the unlinked object — is ordered after
 			//     it.
+			//   - tagged: a real fence on this thread's flush set, which
+			//     commits the witness line with the value.
 			//   - eager, or elide on an eliding device: durable now.
 			switch {
 			case in == Auxiliary && m.P.Elides():
@@ -199,7 +218,16 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			case m.dropOwnFlush:
 				// Seeded bug (BreakOwnFlushForTest): visible, never durable.
 			default:
-				m.ensureDurable(ctx, off, m.P.PersistEpoch())
+				tag := m.P.PersistEpoch()
+				if m.installed != nil {
+					m.installed(off)
+				}
+				if in == Tagged {
+					m.P.Flush(&ctx.FS, off)
+					m.P.Fence(&ctx.FS)
+				} else {
+					m.ensureDurable(ctx, off, tag)
+				}
 			}
 			// Mirror into rep_v (line 44). Failure here means a helper
 			// already completed our write (or a later one); either way
@@ -207,10 +235,10 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			m.V.DWCAS(off, pv, ps, newVal, ps+1)
 			return true, pv
 		}
-		// Failed install: help persist the competing write before we
-		// touch rep_v. The epoch tag is read after the DWCAS observed the
-		// cell.
-		m.ensureDurable(ctx, off, m.P.PersistEpoch())
+		// Failed install: help persist the competing write, and its
+		// witness line, before we touch rep_v. The epoch tag is read after
+		// the DWCAS observed the cell.
+		m.ensureHelped(ctx, off, m.P.PersistEpoch(), curV)
 		if curV == expected {
 			// The value still matches but the sequence number moved
 			// (same-value overwrite by a concurrent thread). A regular
@@ -224,6 +252,13 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 		return false, curV
 	}
 }
+
+// OnInstallForTest makes every successful rep_p install of m that is made
+// durable now call f with the cell's offset, after the install and its
+// epoch read and before the flush+fence or its elision — the window in
+// which another thread's fence of the same line can commit the install.
+// Never use outside tests.
+func (m *Mem) OnInstallForTest(f func(off uint64)) { m.installed = f }
 
 // BreakOwnFlushForTest seeds the bug "one missing flush in the writer's own
 // install": a Full or eagerly-settled install is mirrored into rep_v — and
@@ -257,6 +292,25 @@ func (m *Mem) ensureDurable(ctx *Ctx, off, tag uint64) {
 		m.P.NotePiggyback(&ctx.FS)
 		return
 	}
+	m.P.Flush(&ctx.FS, off)
+	m.P.Fence(&ctx.FS)
+}
+
+// ensureHelped is ensureDurable for a value a helper is about to mirror
+// into rep_v on another thread's behalf: when the value has a witness line
+// (Witness), that line must be durable too, under the same tag argument —
+// the owner wrote it before the install the helper observed. One fence
+// commits both.
+func (m *Mem) ensureHelped(ctx *Ctx, off, tag, v uint64) {
+	var w uint64
+	if m.Witness != nil {
+		w = m.Witness(v)
+	}
+	if w == 0 || m.P.Persisted(w, tag) {
+		m.ensureDurable(ctx, off, tag)
+		return
+	}
+	m.P.Flush(&ctx.FS, w)
 	m.P.Flush(&ctx.FS, off)
 	m.P.Fence(&ctx.FS)
 }

@@ -61,6 +61,11 @@ const (
 	Verdict2
 	Announce3
 	Verdict3
+	// TaggedInstall is an install whose word carries its operation's tag
+	// (engine detect.go "Tags"): recovery reads the tag off the media
+	// wherever the install is, so the install on the media without the
+	// announce reads Unknown, not NotCommitted.
+	TaggedInstall
 	numLines
 
 	// NoLine stands for a line an operation does not have: no install, or
@@ -73,7 +78,7 @@ func (l Line) String() string {
 		return "none"
 	}
 	return [...]string{"announce", "install", "verdict", "aux",
-		"announce2", "install2", "verdict2", "announce3", "verdict3"}[l]
+		"announce2", "install2", "verdict2", "announce3", "verdict3", "tagged install"}[l]
 }
 
 // DetectOp names the lines Detect reads for one operation of a drain: its
@@ -111,8 +116,8 @@ type detState struct {
 func CheckPlacement(prog []Instr) (violations []string, states int) {
 	op := DetectOp{Announce: Announce, Install: NoLine, Verdict: Verdict}
 	for _, in := range prog {
-		if in.Op == 'w' && in.Line == Install {
-			op.Install = Install
+		if in.Op == 'w' && (in.Line == Install || in.Line == TaggedInstall) {
+			op.Install = in.Line
 		}
 	}
 	return CheckDrain([]DetectOp{op}, prog)
@@ -154,7 +159,8 @@ func CheckDrain(ops []DetectOp, prog []Instr) (violations []string, states int) 
 			switch {
 			case op.Install != NoLine && committed && !on(op.Install):
 				report(s, i, "Committed, but the install is not on the media")
-			case op.Install != NoLine && !committed && !on(op.Announce) && on(op.Install):
+			case op.Install != NoLine && op.Install != TaggedInstall && !committed && !on(op.Announce) && on(op.Install):
+				// (A tagged install on the media reads Unknown.)
 				report(s, i, "NotCommitted, but the install is on the media")
 			case committed && earlierUncommitted:
 				report(s, i, "Committed, but an earlier operation is not")

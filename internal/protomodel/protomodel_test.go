@@ -84,8 +84,9 @@ func TestDetectFencePlacement(t *testing.T) {
 		prog   []Instr
 		breaks string // "" for a sound placement
 	}{
-		// A delete: the announce barrier fences just before the mark, the
-		// mark is durable before it is visible, the verdict follows.
+		// An untagged delete (a BST flag, any delete on a direct engine):
+		// the announce barrier fences just before the mark, the mark is
+		// durable before it is visible, the verdict follows.
 		{"announce | install | verdict", []Instr{
 			w(Announce), f(Announce), F,
 			w(Install), f(Install), F,
@@ -120,6 +121,15 @@ func TestDetectFencePlacement(t *testing.T) {
 		{"announce flushed by the publish fence", []Instr{
 			w(Announce), w(Aux), f(Aux), f(Announce), F,
 			w(Install), f(Install), F,
+			w(Verdict), f(Verdict), F,
+		}, ""},
+		// A delete's tagged mark on Mirror: no barrier fence, the armed
+		// announce rides the mark's own fence. The mark can still be
+		// evicted first, but it carries the operation's tag, so on the
+		// media it reads Unknown — sound, unlike the untagged case below.
+		{"tagged install shares the install fence", []Instr{
+			w(Announce),
+			w(TaggedInstall), f(TaggedInstall), f(Announce), F,
 			w(Verdict), f(Verdict), F,
 		}, ""},
 		// Tempting and wrong: let the announce ride the install's own

@@ -87,9 +87,12 @@ type geometry struct {
 }
 
 // layoutVersion names the node layout of every structure: 1 is cells first,
-// then the write-once and rebuilt fields as plain words (engine.Plain).
-// Bump it whenever a structure's field indexes change.
-const layoutVersion = 1
+// then the write-once and rebuilt fields as plain words (engine.Plain); 2
+// adds that a skip-list delete's level-0 mark may carry its operation's tag
+// in the bits from engine.TagShift up, which a layout-1 reader would take
+// for part of a Ref. Bump it whenever a structure's field indexes or word
+// encodings change.
+const layoutVersion = 2
 
 // sidecar is the record next to a media file that tells a reattachable
 // image from garbage: the geometry, and which kind owns which root fields.

@@ -184,3 +184,62 @@ func TestOpenRefusesTooSmallDevice(t *testing.T) {
 	}
 	r.Close()
 }
+
+// TestOpenRefusesOtherNodeLayout: a sidecar that records another node
+// layout — the untagged layout 1 an older runtime wrote, or a newer one —
+// is refused by the same mismatch rule as any other geometry, and the
+// image is left alone: it reattaches once the sidecar is restored.
+func TestOpenRefusesOtherNodeLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "media")
+	cfg := engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 16, RootFields: 8, Track: true, Clients: 1, MediaPath: path}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := r.NewCtx()
+	set := r.NewSkipList(c)
+	for k := uint64(1); k <= 4; k++ {
+		set.Insert(c, k, k)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(SidecarPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layout := range []int{layoutVersion - 1, layoutVersion + 1} {
+		var sc map[string]any
+		if err := json.Unmarshal(good, &sc); err != nil {
+			t.Fatal(err)
+		}
+		if sc["layout"] != float64(layoutVersion) {
+			t.Fatalf("the sidecar records layout %v, want %d", sc["layout"], layoutVersion)
+		}
+		sc["layout"] = layout
+		raw, err := json.Marshal(sc)
+		if err == nil {
+			err = os.WriteFile(SidecarPath(path), raw, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "different configuration") {
+			if err == nil {
+				r.Close()
+			}
+			t.Errorf("a sidecar of layout %d: error %v, want the different-configuration refusal", layout, err)
+		}
+	}
+	if err := os.WriteFile(SidecarPath(path), good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err = Open(cfg)
+	if err != nil {
+		t.Fatalf("the restored sidecar: %v", err)
+	}
+	if n := r.NewSkipList(r.NewCtx()).(walker).Len(r.NewCtx()); n != 4 {
+		t.Errorf("reattach serves %d keys, want 4", n)
+	}
+	r.Close()
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 
+	"mirror/internal/engine"
 	"mirror/internal/wire"
 )
 
@@ -242,6 +243,24 @@ func (c *Client) RMW(key, expect, repl uint64) (bool, error) {
 	c.seq++
 	r, err := c.Do(wire.Request{Op: wire.OpRMW, Client: c.id, Seq: c.seq, Key: key, Val: expect, Arg: repl})
 	return r.Result, err
+}
+
+// Stats asks the server for its serving counters and its engine's (STATS).
+// The frame itself counts as one op; it mutates nothing and fences nothing.
+func (c *Client) Stats() (Stats, engine.Stats, error) {
+	var st Stats
+	var es engine.Stats
+	r, err := c.Do(wire.Request{Op: wire.OpStats, Client: c.id})
+	if err != nil {
+		return st, es, err
+	}
+	words := statWords(&st, &es)
+	for _, kv := range r.Pairs {
+		if kv.Key >= 1 && kv.Key <= uint64(len(words)) {
+			*words[kv.Key-1] = kv.Val
+		}
+	}
+	return st, es, nil
 }
 
 // Detect asks the server for the durable fate of this client's seq.

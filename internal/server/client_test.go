@@ -164,3 +164,60 @@ func TestClientPartialResponses(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsOverTheWire: the counters STATS returns move exactly as the
+// in-process Stats and engine Stats do across a session of every mutating
+// kind — RMW and DEQ pay the announce barrier, a found DELETE does not —
+// both snapshots taken at the same points, with nothing else running.
+func TestStatsOverTheWire(t *testing.T) {
+	s := startServer(t, Config{Kind: engine.MirrorDRAM})
+	c := dial(t, s, 3)
+	snap := func() (Stats, engine.Stats, Stats, engine.Stats) {
+		t.Helper()
+		st, es, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, es, s.Stats(), s.Engine().Stats()
+	}
+	w0, we0, i0, ie0 := snap()
+	for k := uint64(1); k <= 20; k++ {
+		if _, err := c.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(1); k <= 20; k += 3 {
+		if _, err := c.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RMW(k+1, k+1, k+100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Enqueue(7); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Dequeue(); err != nil {
+		t.Fatal(err)
+	}
+	w1, we1, i1, ie1 := snap()
+
+	sub := func(a, b Stats, ea, eb engine.Stats) []uint64 {
+		var out []uint64
+		aw, bw := statWords(&a, &ea), statWords(&b, &eb)
+		for i := range aw {
+			out = append(out, *aw[i]-*bw[i])
+		}
+		return out
+	}
+	over, in := sub(w1, w0, we1, we0), sub(i1, i0, ie1, ie0)
+	for i := range over {
+		if over[i] != in[i] {
+			t.Errorf("counter %d moved by %d over STATS, %d in process", i+1, over[i], in[i])
+		}
+	}
+	// 20 inserts, 7 deletes, 7 RMWs, one ENQ, one DEQ.
+	if over[1] != 36 || over[6] == 0 || over[15] == 0 {
+		t.Errorf("STATS deltas %v: want 36 mutations, fences and announce-barrier fences", over)
+	}
+}

@@ -379,7 +379,9 @@ func TestServeMetaMismatch(t *testing.T) {
 	// same bytes and attach; an image written by an older `mirrord -combine`
 	// holds state this build cannot interpret and is refused. So is one
 	// whose sidecar has no "layout" key: it was written when every node
-	// field was a cell, and this build would misread its nodes.
+	// field was a cell, and this build would misread its nodes. A layout-1
+	// sidecar is refused by the same exact-match rule: layout 2 added tagged
+	// skip-list marks, which a layout-1 build would misread.
 	written, err := os.ReadFile(rt.SidecarPath(media))
 	if err != nil {
 		t.Fatal(err)
@@ -388,8 +390,9 @@ func TestServeMetaMismatch(t *testing.T) {
 		name, sidecar string
 		attach        bool
 	}{
-		{"as written", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"layout":1,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, true},
-		{"written with combining on", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":true,"layout":1,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
+		{"as written", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"layout":2,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, true},
+		{"written with combining on", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":true,"layout":2,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
+		{"written before tagged marks", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"layout":1,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
 		{"written before plain words", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
 	} {
 		if tc.attach && tc.sidecar != string(written) {

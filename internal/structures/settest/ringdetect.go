@@ -33,13 +33,17 @@ package settest
 //     writes while dropping flushed-but-unfenced lines.
 //   - KeepFlushed: the same window under CrashKeepFlushed, which persists
 //     flushed-but-unfenced lines and drops never-flushed writes. An
-//     insert's announce is flushed by its publish fence, but nothing fences
-//     ahead of a delete's mark except the engine's announce barrier, and
-//     the announce line is flushed only by a fence (it is armed at Begin).
-//     A barrier that does not fence leaves the announce armed until the
-//     mark's own fence; a crash on that fence keeps the flushed mark and
-//     drops the never-flushed announce, so the delete took effect and
-//     reads NotCommitted.
+//     insert's announce is flushed by its publish fence, and the announce
+//     line is flushed only by a fence (it is armed at Begin). A crash on
+//     the fence of a delete's install keeps the flushed install and drops
+//     an announce that no earlier fence flushed. Where the install is
+//     untagged (the BST's flag, every install on a direct engine) only the
+//     engine's announce barrier fences ahead of it: without that fence the
+//     delete took effect and reads NotCommitted. The skip list's level-0
+//     mark on Mirror skips the barrier and carries its operation's tag
+//     instead; the crash leaves the marked node reachable, so recovery
+//     must read the tag off it and Detect answer Unknown — a recovery that
+//     ignores tags reads NotCommitted here.
 //
 // Every sweep runs twice: Unsharded recovers sequentially, Sharded2 at two
 // workers, the copy on a sink goroutine beside the trace (see

@@ -340,7 +340,10 @@ func (s *SkipList) Delete(c *engine.Ctx, key uint64) bool {
 			s.search(c, key, nil, nil)
 			return false
 		}
-		if e.CAS(c, node, FieldNext, next, structures.Mark(next)) {
+		// The mark names this operation when one is armed: on Mirror it
+		// testifies for the operation's announce, so its install needs no
+		// announce fence ahead of it (engine detect.go "Tags").
+		if e.CAS(c, node, FieldNext, next, structures.MarkTagged(c, next)) {
 			// Physically unlink everywhere, then reclaim.
 			s.search(c, key, nil, nil)
 			e.Retire(c, node, NodeFields(top))

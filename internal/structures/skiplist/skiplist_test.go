@@ -124,3 +124,67 @@ func TestSkipListCasVal(t *testing.T) {
 		t.Fatalf("value after crash = (%d,%v), want (71,true)", v, ok)
 	}
 }
+
+// TestTaggedDeletesConcurrent races detectable inserts and deletes of a
+// few keys from four clients on Mirror, so that tagged marks are helped
+// into rep_v, snipped and reclaimed by other contexts than their owners'.
+// Every acknowledged seq in the last ring must read Committed with its
+// result, and each client's own key must be as its last operation left it.
+// Under -race it also checks that nothing the tags add is shared unsafely.
+func TestTaggedDeletesConcurrent(t *testing.T) {
+	const clients, ops, keys = 4, 300, 4
+	e := engine.New(engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 18, Track: true, Clients: clients})
+	s := skiplist.New(e, e.NewCtx())
+	results := make([][]bool, clients)
+	present := make([]bool, clients) // each client's own key, as its last operation on it left it
+	done := make(chan int)
+	for cl := 0; cl < clients; cl++ {
+		go func(cl int) {
+			defer func() { done <- cl }()
+			c := e.NewCtx()
+			for seq := uint64(1); seq <= ops; seq++ {
+				// Each client owns one key and races the others on a
+				// shared one, so marks meet concurrent CASes on their line.
+				key, del := uint64(1+cl), seq%2 == 0
+				if seq%3 == 0 {
+					key = keys + 1
+				}
+				kind := engine.DetectInsert
+				if del {
+					kind = engine.DetectDelete
+				}
+				e.DetectBeginDeferred(c, cl, seq, kind, key, seq)
+				var ok bool
+				if del {
+					ok = s.Delete(c, key)
+				} else {
+					ok = s.Insert(c, key, seq)
+				}
+				e.DetectEndDeferred(c, ok, 0)
+				e.DetectDrain(c)
+				results[cl] = append(results[cl], ok)
+				if key == uint64(1+cl) {
+					present[cl] = !del
+				}
+			}
+		}(cl)
+	}
+	for i := 0; i < clients; i++ {
+		<-done
+	}
+	c := e.NewCtx()
+	for cl := 0; cl < clients; cl++ {
+		for seq := uint64(1); seq <= ops; seq++ {
+			d := e.Detect(cl, seq)
+			if seq+uint64(engine.DefaultDetectRing) <= ops {
+				continue // lapped: only the last ring of seqs is authoritative
+			}
+			if d.Verdict != engine.Committed || !d.KnownResult || d.Result != results[cl][seq-1] {
+				t.Errorf("client %d seq %d: %+v, want Committed with result %v", cl, seq, d, results[cl][seq-1])
+			}
+		}
+		if s.Contains(c, uint64(1+cl)) != present[cl] {
+			t.Errorf("client %d's key: present %v, want %v", cl, !present[cl], present[cl])
+		}
+	}
+}

@@ -38,14 +38,24 @@ type Set interface {
 }
 
 // mark helpers shared by the list-based structures: bit 0 of a stored Ref
-// marks the *containing* node as logically deleted (Harris).
-const markBit = uint64(1)
+// marks the *containing* node as logically deleted (Harris). A mark may
+// also carry the deleting operation's tag in the bits from engine.TagShift
+// up (MarkTagged); no Ref reaches them.
+const (
+	markBit = uint64(1)
+	tagBits = ^uint64(0) >> engine.TagShift << engine.TagShift
+)
 
 // Marked reports whether a stored reference carries the delete mark.
 func Marked(ref uint64) bool { return ref&markBit != 0 }
 
-// Unmark strips the delete mark.
-func Unmark(ref uint64) uint64 { return ref &^ markBit }
+// Unmark strips the delete mark and its tag.
+func Unmark(ref uint64) uint64 { return ref &^ (markBit | tagBits) }
 
 // Mark sets the delete mark.
 func Mark(ref uint64) uint64 { return ref | markBit }
+
+// MarkTagged sets the delete mark with the tag of the operation armed on c
+// (engine.Ctx.MarkTag), which claims c's next CAS as the mark's install.
+// Without an armed operation on a tagging engine it is Mark.
+func MarkTagged(c *engine.Ctx, ref uint64) uint64 { return ref | markBit | c.MarkTag() }

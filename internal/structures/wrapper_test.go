@@ -94,9 +94,11 @@ func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 // height, in the serving tier's call sequence with one frame per drain. The
 // engine enforces exactly two orders — announce before the first install,
 // verdict after it — so the budget is: one fence for the announce iff the
-// operation installs and no fence of its own precedes the install, one
-// fence per durable-before-visible install, and one End fence for the
-// drain, which also carries the relaxed lines (level-0 snips). No write
+// operation installs, no fence of its own precedes the install and the
+// install does not carry the operation's tag (a delete's level-0 mark,
+// whose own fence commits the announce with it), one fence per
+// durable-before-visible install, and one End fence for the drain, which
+// also carries the relaxed lines (level-0 snips). No write
 // above level 0 reaches a flush set or the relaxed registry: a tower of any
 // height costs its node's lines and nothing per level, and a delete of any
 // height registers only its level-0 snip. The announce line is flushed only
@@ -199,16 +201,17 @@ func TestServedMutationBudget(t *testing.T) {
 			// unflushed, and the verdict line alone rides the End fence.
 			check("insert-found", got, cost{1, 1})
 
-			// announce fence (the barrier, just before the mark), the mark,
-			// End — which also commits the relaxed level-0 snip; the upper
-			// marks and snips of a taller tower add nothing.
+			// The tagged mark, whose fence also flushes the armed announce,
+			// and End — which also commits the relaxed level-0 snip; the
+			// upper marks and snips of a taller tower add nothing. Flushes:
+			// announce, mark, snip, verdict.
 			for h := 1; h <= len(nodeFlushes); h++ {
 				got, ok, relaxed := remove(byHeight[h])
 				if !ok || relaxed != 1 {
 					t.Fatalf("delete of present key %d of height %d: result %v, %d relaxed installs (want the level-0 snip only)",
 						byHeight[h], h, ok, relaxed)
 				}
-				check(fmt.Sprintf("delete-found of height %d", h), got, cost{4, 3})
+				check(fmt.Sprintf("delete-found of height %d", h), got, cost{4, 2})
 			}
 
 			got, ok, _ = remove(flat)
@@ -309,7 +312,9 @@ func TestDrainWindowBudget(t *testing.T) {
 		t.Errorf("one drain saved %d flushes and %d fences over a drain per frame, want %d and %d",
 			flEach-fl, feEach-fe, len(window)-lines, len(window)-1)
 	}
-	if fl != 21 || fe != 14 {
-		t.Errorf("window under one drain: %d flushes, %d fences; want 21, 14", fl, fe)
+	// The delete-found frame's tagged mark commits its announce: no
+	// barrier fence.
+	if fl != 21 || fe != 13 {
+		t.Errorf("window under one drain: %d flushes, %d fences; want 21, 13", fl, fe)
 	}
 }

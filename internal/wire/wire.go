@@ -7,8 +7,9 @@
 //	op     uint8    operation code (Op*)
 //	client uint32   client id — the engine descriptor ring
 //	seq    uint64   per-client sequence number, strictly increasing from 1
-//	key    uint64   key (SCAN: start key; HELLO: must be 0)
-//	val    uint64   value (SCAN: limit; RMW: expected value; HELLO: window)
+//	key    uint64   key (SCAN: start key; HELLO, STATS: must be 0)
+//	val    uint64   value (SCAN: limit; RMW: expected value; HELLO: window;
+//	                STATS: must be 0)
 //	arg    uint64   RMW only: the new value
 //
 // Response payload (11 bytes + optional trailing section):
@@ -20,6 +21,7 @@
 //	                SCAN: pair count; and Detect's recorded rval)
 //	tail    []byte  UTF-8 message iff status == StatusError; iff flags bit 2,
 //	                the scan's (key, val) pairs, 16 bytes each little-endian
+//	                (STATS: (counter id, value) pairs in the same encoding)
 //
 // Every mutating frame carries (client, seq), which is exactly the
 // detectability identity of the engine's descriptor protocol: a client that
@@ -31,9 +33,12 @@
 // server preserves per-client FIFO order, so responses arrive in issue
 // order and every unacknowledged seq stays resolvable via DETECT.
 //
+// STATS asks for the server's counters; their ids are the server's
+// (server.Client.Stats decodes them).
+//
 // Decoding is strict: an unknown op, a bad payload length for the op, a
 // zero seq on a mutating op or DETECT, a nonzero seq on a non-mutating op,
-// a zero-limit or over-limit SCAN, a malformed HELLO, an out-of-range
+// a zero-limit or over-limit SCAN, a malformed HELLO or STATS, an out-of-range
 // length prefix, or inconsistent trailing bytes each produce a
 // *ProtocolError. Garbage must never panic or decode into a plausible
 // request.
@@ -49,7 +54,7 @@ import (
 // Op is a request operation code.
 type Op uint8
 
-// Operation codes. GET, SCAN, and HELLO are non-mutating and must carry
+// Operation codes. GET, SCAN, HELLO and STATS are non-mutating and must carry
 // seq 0; DETECT asks about one mutating seq and must carry it; the rest
 // must carry a nonzero per-client sequence number.
 const (
@@ -62,6 +67,7 @@ const (
 	OpScan
 	OpRMW
 	OpHello
+	OpStats
 	opMax
 )
 
@@ -86,6 +92,8 @@ func (o Op) String() string {
 		return "RMW"
 	case OpHello:
 		return "HELLO"
+	case OpStats:
+		return "STATS"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -282,6 +290,10 @@ func DecodeRequest(p []byte) (Request, error) {
 		}
 		if r.Val == 0 {
 			return Request{}, protoErrf("HELLO with window 0")
+		}
+	case OpStats:
+		if r.Key != 0 || r.Val != 0 {
+			return Request{}, protoErrf("STATS with nonzero key or value")
 		}
 	}
 	return r, nil

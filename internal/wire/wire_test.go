@@ -22,6 +22,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpScan, Client: 2, Key: 1, Val: 1},
 		{Op: OpRMW, Client: 4, Seq: 9, Key: 8, Val: 80, Arg: 81},
 		{Op: OpHello, Client: 5, Val: 8},
+		{Op: OpStats, Client: 6},
 	}
 	var stream []byte
 	for _, r := range reqs {
@@ -117,6 +118,7 @@ func TestDecodeRequestSeqConsistency(t *testing.T) {
 		{Op: OpGet, Client: 1, Seq: 5, Key: 2},
 		{Op: OpScan, Client: 1, Seq: 5, Key: 2, Val: 4},
 		{Op: OpHello, Client: 1, Seq: 5, Val: 8},
+		{Op: OpStats, Client: 1, Seq: 5},
 		{Op: OpDetect, Client: 1, Seq: 0},
 		{Op: OpRMW, Client: 1, Seq: 0, Key: 2, Val: 3, Arg: 4},
 	}
@@ -129,13 +131,16 @@ func TestDecodeRequestSeqConsistency(t *testing.T) {
 }
 
 // TestDecodeRequestScanHelloRejects pins the op-specific field rules: a
-// zero-limit or over-limit SCAN and a malformed HELLO are protocol errors.
+// zero-limit or over-limit SCAN, a malformed HELLO and a STATS with a key
+// or value are protocol errors.
 func TestDecodeRequestScanHelloRejects(t *testing.T) {
 	bad := []Request{
 		{Op: OpScan, Client: 1, Key: 2, Val: 0},
 		{Op: OpScan, Client: 1, Key: 2, Val: MaxScanKeys + 1},
 		{Op: OpHello, Client: 1, Key: 7, Val: 8},
 		{Op: OpHello, Client: 1, Val: 0},
+		{Op: OpStats, Client: 1, Key: 1},
+		{Op: OpStats, Client: 1, Val: 1},
 	}
 	for _, r := range bad {
 		p := AppendRequest(nil, r)[4:]
