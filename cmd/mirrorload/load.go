@@ -64,6 +64,8 @@ type servingLoad struct {
 	// AnnounceFences the engine's announce-barrier fences among them.
 	Server         server.Stats
 	AnnounceFences uint64
+	// Attach is what the server's attach cost, as STATS reports it.
+	Attach server.Attach
 }
 
 // perMutation returns n per mutation of the session.
@@ -339,5 +341,6 @@ func runServingLoad(spec servingSpec) (servingLoad, error) {
 		Fences: st1.Fences - st0.Fences,
 	}
 	load.AnnounceFences = es1.AnnounceFences - es0.AnnounceFences
+	load.Attach = st1.Attach
 	return load, nil
 }

@@ -90,4 +90,10 @@ func main() {
 	fmt.Printf("mirrorload: server: %d mutations, %.4f fences/mutation, %.4f flushes/mutation, %.4f announce-barrier fences/mutation\n",
 		load.Server.Mutations, load.perMutation(load.Server.Fences), load.perMutation(load.Server.Flushes),
 		load.perMutation(load.AnnounceFences))
+	if a := load.Attach; a.Workers == 0 {
+		fmt.Println("mirrorload: server attach: none, the server started fresh")
+	} else {
+		fmt.Printf("mirrorload: server attach: open %d µs, recover %d µs at %d workers, repair %d µs, verify %d µs; %d live words in %d objects\n",
+			a.OpenUS, a.RecoverUS, a.Workers, a.RepairUS, a.VerifyUS, a.LiveWords, a.Objects)
+	}
 }

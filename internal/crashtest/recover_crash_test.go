@@ -63,12 +63,12 @@ func TestCrashDuringRecovery(t *testing.T) {
 					fields int
 				}
 				var spans []span
-				tr := func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+				tr := func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), relink func(engine.Ref, int, uint64)) {
 					spans = spans[:0]
-					hashtable.TracerAt(e, 0)(read, func(ref engine.Ref, fields int) {
+					hashtable.TracerAt(e, 0)(read, func(ref engine.Ref, fields, rebuilt int) {
 						spans = append(spans, span{ref, fields})
-						visit(ref, fields)
-					})
+						visit(ref, fields, rebuilt)
+					}, relink)
 				}
 				opts := engine.RecoverOptions{Parallelism: par}
 

@@ -45,14 +45,14 @@ func traced(keys ...uint64) []uint64 {
 	var order []uint64
 	arr := true
 	e.Crash(pmem.CrashDropAll, rand.New(rand.NewSource(1)))
-	e.Recover(func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-		hashtable.TracerAt(e, 0)(read, func(ref engine.Ref, fields int) {
+	e.Recover(func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), relink func(engine.Ref, int, uint64)) {
+		hashtable.TracerAt(e, 0)(read, func(ref engine.Ref, fields, rebuilt int) {
 			if !arr {
 				order = append(order, read(ref, list.FieldKey))
 			}
 			arr = false
-			visit(ref, fields)
-		})
+			visit(ref, fields, rebuilt)
+		}, relink)
 	})
 	return order
 }

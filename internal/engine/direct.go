@@ -281,8 +281,9 @@ func (e *directEngine) Recover(tr Tracer) { e.RecoverWith(tr, RecoverOptions{}) 
 
 // RecoverWith runs the recovery pipeline on a single-replica engine. The
 // durable engines have no replica to copy, so the streamed pass degenerates
-// to the trace plus the allocator scan — and, over an adopted media file,
-// the restore of the fixed regions and of every traced span into the view.
+// to the trace, its relinks into the device and the allocator scan — and,
+// over an adopted media file, the restore of the fixed regions and of every
+// traced span, up to its rebuilt words, into the view.
 func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -300,8 +301,15 @@ func (e *directEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 	if e.desc != nil {
 		e.desc.Scrub()
 	}
-	rebuild(read, tr, opts.Workers(), e.alloc, 1, restore)
+	rebuild(read, tr, e.relink, opts.Workers(), e.alloc, 1, restore)
 	e.cold = false
+}
+
+// relink is the trace's write of a rebuilt word: the device's view only,
+// never flushed, as CASRebuilt leaves it (W2).
+func (e *directEngine) relink(ref Ref, field int, v uint64) {
+	checkKind(field, true)
+	e.dev.WriteRebuilt(e.addr(ref, field), v)
 }
 
 // recoveryLoad reads a field from the persistent post-crash image; only

@@ -10,7 +10,7 @@ import (
 
 // rootTracer is the recovery tracer for workloads that live entirely in
 // the persistent root object: nothing on the heap to visit.
-func rootTracer(read func(Ref, int) uint64, visit func(Ref, int)) {}
+func rootTracer(func(Ref, int) uint64, func(Ref, int, int), func(Ref, int, uint64)) {}
 
 // fetchAdd adds delta to a cell by a CAS loop, as a structure counts, and
 // returns the cell's previous value.

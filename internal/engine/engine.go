@@ -150,8 +150,15 @@ func (c *Ctx) Close() { c.Cache.Close() }
 // the "tracing operation" the paper requires the user to provide (§3.2):
 // read reads a field of an object from the persistent post-crash image, and
 // visit must be called exactly once per reachable object with its size
-// (Plain).
-type Tracer func(read func(ref Ref, field int) uint64, visit func(ref Ref, fields int))
+// (Plain) and how many of its trailing plain words are rebuilt (W2, see
+// CASRebuilt). No recovery copy or restore covers a rebuilt word: the
+// allocator still accounts for the whole object, but the word's recovered
+// value is whatever the trace writes with relink, into the replica reads
+// see (rep_v on Mirror, the device on the direct engines). A rebuilt word
+// the trace does not relink must not be read before something writes it.
+// Because no copy covers a rebuilt word, relink may run before or after the
+// visit of the object it writes, and at any worker count.
+type Tracer func(read func(ref Ref, field int) uint64, visit func(ref Ref, fields, rebuilt int), relink func(ref Ref, field int, v uint64))
 
 // RecoverOptions tunes the recovery pipeline of §4.3.3. The zero value is
 // the sequential recovery — identical in behavior to Recover.
@@ -208,9 +215,11 @@ type Memory interface {
 	// install is never flushed, fenced or registered; on Mirror it is one
 	// word CAS on rep_v, and rep_p keeps the word's StoreInit value. After
 	// a crash the word's media value may therefore be stale or point into
-	// freed memory: the structure's tracer must not follow it, and its
-	// repair pass must overwrite it before anything else reads it. Every
-	// write to such a word after StoreInit must use this call.
+	// freed memory: the structure's tracer must not follow it, must name it
+	// as rebuilt in its visit so that no recovery copy covers it, and
+	// relinks it to its recovered value before anything reads it. Every
+	// write to such a word after StoreInit, outside recovery, must use
+	// this call.
 	CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) bool
 	// MakePersistent ensures the words of an object's first fields (a
 	// size, as Alloc takes) are durable; traversal data structures call it
@@ -484,22 +493,27 @@ func New(cfg Config) Engine {
 }
 
 // rebuild is the recovery pipeline after the fixed regions, in one streamed
-// pass (recovery.Stream): the trace of tr over read runs on the caller, and
-// each batch of spans it visits goes to a sink that applies restore to
-// every span (nil: nothing to copy) and folds the batch into its
-// allocator scan; the scans rebuild the allocator at the end. At one worker
-// the sink runs inline, in trace order; at more, the copy and the scan run
-// on other goroutines while the trace continues. cellW turns fields into
-// words.
-func rebuild(read func(Ref, int) uint64, tr Tracer, workers int, alloc *palloc.Allocator, cellW int, restore func(ref Ref, words int)) {
+// pass (recovery.Stream): the trace of tr over read runs on the caller,
+// writing every rebuilt word it recovers with relink, and each batch of
+// spans it visits goes to a sink that applies restore to every span's words
+// up to its rebuilt ones (nil: nothing to copy) and folds the batch, whole
+// objects, into its allocator scan; the scans rebuild the allocator at the
+// end. At one worker the sink runs inline, in trace order; at more, the copy
+// and the scan run on other goroutines while the trace continues — which
+// cannot reorder a relink against a copy, since no copy covers a rebuilt
+// word. cellW turns fields into words. Attach and an in-process Recover
+// take this one path on every durable engine.
+func rebuild(read func(Ref, int) uint64, tr Tracer, relink func(Ref, int, uint64), workers int, alloc *palloc.Allocator, cellW int, restore func(ref Ref, words int)) {
 	scans := recovery.Stream(workers, alloc.NewScan, func(emit func(palloc.Extent)) {
 		if tr != nil {
-			tr(read, func(ref Ref, fields int) { emit(palloc.Extent{Off: ref, Words: span(fields, cellW)}) })
+			tr(read, func(ref Ref, fields, rebuilt int) {
+				emit(palloc.Extent{Off: ref, Words: span(fields, cellW), Rebuilt: rebuilt})
+			}, relink)
 		}
 	}, func(s *palloc.Scan, batch []palloc.Extent) {
 		if restore != nil {
 			for _, sp := range batch {
-				restore(sp.Off, sp.Words)
+				restore(sp.Off, sp.Words-sp.Rebuilt)
 			}
 		}
 		s.Add(batch)

@@ -265,10 +265,10 @@ func buildChain(e Engine, c *Ctx, n int) []Ref {
 
 // chainTracer walks the chain built by buildChain.
 func chainTracer(e Engine) Tracer {
-	return func(read func(Ref, int) uint64, visit func(Ref, int)) {
+	return func(read func(Ref, int) uint64, visit func(Ref, int, int), _ func(Ref, int, uint64)) {
 		ref := read(Root, 0)
 		for ref != 0 {
-			visit(ref, 2)
+			visit(ref, 2, 0)
 			ref = read(ref, 1)
 		}
 	}

@@ -212,14 +212,17 @@ func (e *mirrorEngine) Recover(tr Tracer) { e.RecoverWith(tr, RecoverOptions{}) 
 // RecoverWith implements §4.3.3 as one streamed pass (rebuild): resurrect
 // the roots, then walk the persistent post-crash image once from them; each
 // batch of reachable spans the walk visits is copied from rep_p to rep_v at
-// the same offsets (bulk range copies) and folded into an allocator scan,
-// while the walk goes on. The scans then rebuild the allocator — everything
-// unreachable is reclaimed, the offline GC.
+// the same offsets (bulk range copies, which stop before a span's rebuilt
+// words) and folded into an allocator scan, while the walk goes on. The
+// walk writes the rebuilt words it recovers straight into rep_v (relink).
+// The scans then rebuild the allocator — everything unreachable is
+// reclaimed, the offline GC.
 //
 // Over an adopted media file (Config.Attach) rep_p's view starts empty: the
 // roots and descriptor region are restored first, the trace reads the media
 // itself, and each span is restored just before it is mirrored, so attach
-// copies what is live and nothing else.
+// copies what is live and nothing else. A rebuilt word is never restored:
+// rep_p's view of it stays empty, and nothing reads it there.
 //
 // The pass is idempotent: it only writes the volatile replica, the view of
 // what rep_p already holds, and volatile allocator metadata, so a crash
@@ -242,13 +245,20 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		// The trace collects the tags its cell reads return (O3).
 		read = e.desc.traceTags(read)
 	}
-	rebuild(read, tr, opts.Workers(), e.alloc, patomic.CellWords, func(ref Ref, words int) {
+	rebuild(read, tr, e.relink, opts.Workers(), e.alloc, patomic.CellWords, func(ref Ref, words int) {
 		if cold {
 			e.mem.P.Restore(ref, words)
 		}
 		e.mem.RecoverRange(ref, words)
 	})
 	e.cold = false
+}
+
+// relink is the trace's write of a rebuilt word: rep_v only, where
+// CASRebuilt keeps it (W2).
+func (e *mirrorEngine) relink(ref Ref, field int, v uint64) {
+	checkKind(field, true)
+	e.mem.V.WriteRebuilt(mirrorAddr(ref, field), v)
 }
 
 // recoveryLoad reads a field of rep_p's post-crash image; only valid

@@ -45,9 +45,9 @@ func newTagChain(t *testing.T, cfg Config) *tagChain {
 
 // tracer walks the chain, marked nodes included, reading only cells.
 func (ch *tagChain) tracer() Tracer {
-	return func(read func(Ref, int) uint64, visit func(Ref, int)) {
+	return func(read func(Ref, int) uint64, visit func(Ref, int, int), _ func(Ref, int, uint64)) {
 		for n := read(Root, 0); n != 0; n = read(n, chainNext) &^ (1 | ^uint64(0)>>TagShift<<TagShift) {
-			visit(n, 2)
+			visit(n, 2, 0)
 		}
 	}
 }

@@ -320,7 +320,7 @@ func Run(spec Spec) *Result {
 		res.MediaHash = res.MediaHash*fnvPrime ^ d.MediaHash()
 	}
 
-	// The runtime's recovery — trace, rebuild, repair, drain — and the
+	// The runtime's recovery — trace, rebuild, repair — and the
 	// re-attach must neither panic nor leave a broken structure behind.
 	var c *engine.Ctx
 	if !guard(func() { r.Recover(); c = r.NewCtx(); attach(c) }) {
@@ -336,11 +336,12 @@ func Run(spec Spec) *Result {
 		}
 		set.Tracer()(
 			func(ref engine.Ref, field int) uint64 { return e.TraversalLoad(c, ref, field) },
-			func(ref engine.Ref, fields int) {
+			func(ref engine.Ref, fields, _ int) {
 				if msg := e.CheckInvariants(ref, fields); msg != "" {
 					res.addf("%sreplica invariant: %s", prefix, msg)
 				}
-			})
+			},
+			func(engine.Ref, int, uint64) {})
 	}
 	check("")
 

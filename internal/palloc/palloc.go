@@ -55,10 +55,12 @@ func ClassSize(n int) int {
 }
 
 // Extent describes one reachable object for recovery: its offset and its
-// requested size in words.
+// requested size in words. Rebuilt is how many of those words, at its end,
+// recovery rebuilds instead of copying; the allocator ignores it.
 type Extent struct {
-	Off   uint64
-	Words int
+	Off     uint64
+	Words   int
+	Rebuilt int
 }
 
 // Config describes the managed region.

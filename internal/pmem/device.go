@@ -782,6 +782,18 @@ func (d *Device) WriteRaw(off uint64, v uint64) {
 	}
 }
 
+// WriteRebuilt writes a word of the view that recovery rebuilds instead of
+// restoring (a skip list's links above level 0), without counting or
+// freeze checks and never to the media. It is a plain store: nothing else
+// touches the word until recovery returns, and an atomic one is a full
+// barrier that would stall the recovery trace on every cache miss.
+func (d *Device) WriteRebuilt(off uint64, v uint64) {
+	d.words[off] = v
+	if d.cold != nil {
+		d.cold.hold(off, 1)
+	}
+}
+
 // PersistedWord returns the media image of a word; it panics unless the
 // device tracks persistence. Tests use it to assert durability.
 func (d *Device) PersistedWord(off uint64) uint64 {

@@ -3,7 +3,7 @@
 // attaches to the media file a previous incarnation left — and discharges
 // the recovery obligation of §4.3.3 once, for every structure that
 // incarnation recorded, before any handle exists: trace from the roots,
-// rebuild rep_v and the allocator, repair, drain, verify. The mirror facade's
+// rebuild rep_v and the allocator, repair, verify. The mirror facade's
 // Runtime is this type, and mirrord's server is one of these plus the wire.
 // DESIGN.md "One runtime" gives the attach order and the sidecar's rules.
 package rt
@@ -34,11 +34,14 @@ type walker interface{ Len(c *engine.Ctx) int }
 
 // kind is one structure type's whole recovery obligation, as a unit so no
 // caller can run one half without the other: the tracer of its reachable
-// objects, and open, which initializes it at an unset root and otherwise
-// adopts it, running the repair pass for what a crash may legally break
-// (see skiplist.NewAt and bst.NewAt). buckets sizes a new hash table only.
-// walked says the repair pass already walks the whole structure and panics
-// on what the verify walk would catch, so the verify walk skips it.
+// objects, which also relinks the words recovery rebuilds instead of
+// copying (the skip list's towers, skiplist.TracerAt), and open, which
+// initializes it at an unset root and otherwise adopts it, running the
+// repair pass for what a crash may legally break (bst.NewAt). buckets
+// sizes a new hash table only. walked says the trace already walks the
+// whole structure and panics on what the verify walk would catch — the
+// skip list's level-0 cycle or impossible height — so the verify walk
+// skips it.
 type kind struct {
 	fields int // root fields owned, from the recorded one up
 	tracer func(e engine.Engine, f int) engine.Tracer
@@ -112,8 +115,8 @@ func SidecarPath(mediaPath string) string { return mediaPath + ".meta" }
 type Report struct {
 	Open      time.Duration // build the engine over the media: map it, copy nothing
 	Recover   time.Duration // restore the roots, then one streamed pass: trace, restore and mirror every span, rebuild the allocator
-	Repair    time.Duration // every structure's repair pass, then the drain
-	Verify    time.Duration // the post-attach walk of every structure whose repair pass did not walk it
+	Repair    time.Duration // adopting every structure, with its repair pass if it has one (the skip list's towers are relinked in Recover)
+	Verify    time.Duration // the post-attach walk of every structure whose trace did not check it
 	LiveWords uint64        // words the trace reached, per replica
 	Objects   uint64        // spans the trace visited
 	Words     int           // the device capacity
@@ -140,8 +143,8 @@ type Runtime struct {
 // holds the same geometry and a root record of known kinds, refuses any
 // other sidecar, and wipes a file that has none. Attaching traces
 // every recorded structure in record order, rebuilds rep_v and the allocator,
-// repairs, drains, and walks every structure once: a corrupt image fails
-// here, not under load. The attach's recovery pass runs at GOMAXPROCS
+// repairs, and walks every structure once: a corrupt image fails here, not
+// under load. The attach's recovery pass runs at GOMAXPROCS
 // workers, so the copy and the allocator scan overlap the trace.
 func Open(cfg engine.Config) (*Runtime, error) { return OpenWith(cfg, nil) }
 
@@ -243,9 +246,9 @@ func (r *Runtime) writeSidecar() error {
 
 // fsck runs an attach's recovery, repair and verify walk, turning a panic
 // into an error: a corrupt image (dangling reference, cycle, unreadable
-// node) panics or hangs inside the engine or a repair pass, so finishing
-// proves every reachable node was traced, rebuilt, and is consistent enough
-// to traverse.
+// node) panics or hangs inside the engine, a trace or a repair pass, so
+// finishing proves every reachable node was traced, rebuilt, and is
+// consistent enough to traverse.
 func fsck(attach func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -257,7 +260,7 @@ func fsck(attach func()) (err error) {
 }
 
 // verify is the post-attach walk: one full read-only walk (Len) per
-// structure whose repair pass did not already walk it.
+// structure whose trace did not already check it.
 func (r *Runtime) verify(c *engine.Ctx) {
 	for _, s := range r.roots {
 		if s.h != nil && !kinds[s.Kind].walked {
@@ -402,17 +405,21 @@ func (r *Runtime) Recover() { r.RecoverParallel(1) }
 func (r *Runtime) RecoverParallel(parallelism int) { r.recover(parallelism).Close() }
 
 // recover runs the recovery pipeline over every recorded structure, adopts
-// (repairs) each one whose root is set, drains, and returns its context.
+// (repairs) each one whose root is set, and returns its context. Nothing is
+// left to drain: a crash empties the relaxed-line registry, recovery
+// registers no line, and the one repair pass (the BST's) installs with CAS,
+// durable before visible; were an install deferred, the registry would
+// still be drained before any node the pass retires is reused.
 func (r *Runtime) recover(parallelism int) *engine.Ctx {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	objects := uint64(0)
-	trace := func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+	trace := func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), relink func(engine.Ref, int, uint64)) {
 		for _, s := range r.roots {
-			kinds[s.Kind].tracer(r.eng, s.Field)(read, func(ref engine.Ref, fields int) {
+			kinds[s.Kind].tracer(r.eng, s.Field)(read, func(ref engine.Ref, fields, rebuilt int) {
 				objects++
-				visit(ref, fields)
-			})
+				visit(ref, fields, rebuilt)
+			}, relink)
 		}
 	}
 	t := time.Now()
@@ -432,7 +439,6 @@ func (r *Runtime) recover(parallelism int) *engine.Ctx {
 			s.h = kinds[s.Kind].open(r.eng, c, s.Field, 1)
 		}
 	}
-	r.eng.Drain(c)
 	r.report.Repair = time.Since(t)
 	return c
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"net"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -168,7 +169,9 @@ func TestClientPartialResponses(t *testing.T) {
 // TestStatsOverTheWire: the counters STATS returns move exactly as the
 // in-process Stats and engine Stats do across a session of every mutating
 // kind — RMW and DEQ pay the announce barrier, a found DELETE does not —
-// both snapshots taken at the same points, with nothing else running.
+// both snapshots taken at the same points, with nothing else running. The
+// attach words are zero on a fresh server and, on a reopened one, its
+// runtime's attach report.
 func TestStatsOverTheWire(t *testing.T) {
 	s := startServer(t, Config{Kind: engine.MirrorDRAM})
 	c := dial(t, s, 3)
@@ -219,5 +222,33 @@ func TestStatsOverTheWire(t *testing.T) {
 	// 20 inserts, 7 deletes, 7 RMWs, one ENQ, one DEQ.
 	if over[1] != 36 || over[6] == 0 || over[15] == 0 {
 		t.Errorf("STATS deltas %v: want 36 mutations, fences and announce-barrier fences", over)
+	}
+	if w1.Attach != (Attach{}) {
+		t.Errorf("a fresh server's STATS report an attach: %+v", w1.Attach)
+	}
+
+	// The attach that built a reopened server reads over the wire as the
+	// server's own report, in µs.
+	media := filepath.Join(t.TempDir(), "media")
+	s1, err := New(Config{Kind: engine.MirrorDRAM, MediaPath: media, Words: 1 << 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := s1.rt.NewCtx()
+	for k := uint64(1); k <= 200; k++ {
+		s1.table.Insert(cc, k, k)
+	}
+	s1.Close()
+	s2 := startServer(t, Config{Kind: engine.MirrorDRAM, MediaPath: media, Words: 1 << 18})
+	st, _, err := dial(t, s2, 3).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := s2.Recovery()
+	if want := attachOf(rep); st.Attach != want || rep.Recover <= 0 {
+		t.Errorf("STATS attach %+v, want the server's report %+v (%+v)", st.Attach, want, rep)
+	}
+	if a := st.Attach; a.LiveWords == 0 || a.Objects <= 200 || a.Workers != uint64(runtime.GOMAXPROCS(0)) {
+		t.Errorf("STATS attach %+v: want live words, the table's 200 nodes and more, and GOMAXPROCS workers", a)
 	}
 }

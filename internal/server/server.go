@@ -156,8 +156,9 @@ func (c *Config) setDefaults() error {
 }
 
 // Stats is a snapshot of the server's serving counters plus the engine's
-// persistence counters, for the fences-per-operation ablation. The STATS
-// opcode returns it with the engine's Stats (Client.Stats).
+// persistence counters, for the fences-per-operation ablation, and what the
+// attach that built the server cost. The STATS opcode returns it with the
+// engine's Stats (Client.Stats).
 type Stats struct {
 	Ops       uint64 // frames executed (including GET and DETECT)
 	Mutations uint64 // frames that ran a mutating operation body
@@ -166,6 +167,24 @@ type Stats struct {
 	Batches   uint64 // drain batches released
 	Flushes   uint64 // engine cumulative flushes
 	Fences    uint64 // engine cumulative fences
+	Attach    Attach // constant over the server's life
+}
+
+// Attach is the runtime's attach report (rt.Report) in the words STATS
+// carries: the phases in µs, the live words and objects the trace reached,
+// and the recovery's worker count. All zero when New started fresh.
+type Attach struct {
+	OpenUS, RecoverUS, RepairUS, VerifyUS uint64
+	LiveWords, Objects, Workers           uint64
+}
+
+// attachOf converts an attach report to its STATS words.
+func attachOf(r rt.Report) Attach {
+	us := func(d time.Duration) uint64 { return uint64(d.Microseconds()) }
+	return Attach{
+		OpenUS: us(r.Open), RecoverUS: us(r.Recover), RepairUS: us(r.Repair), VerifyUS: us(r.Verify),
+		LiveWords: r.LiveWords, Objects: r.Objects, Workers: uint64(r.Workers),
+	}
 }
 
 // Server is one mirrord instance.
@@ -252,6 +271,7 @@ func (s *Server) Stats() Stats {
 		Batches:   s.batches.Load(),
 		Flushes:   fl,
 		Fences:    fe,
+		Attach:    attachOf(s.rt.Recovery()),
 	}
 }
 
@@ -263,6 +283,8 @@ func statWords(st *Stats, es *engine.Stats) []*uint64 {
 		&st.Ops, &st.Mutations, &st.Replays, &st.Scans, &st.Batches, &st.Flushes, &st.Fences,
 		&es.Helps, &es.Retries, &es.ElidedFlushes, &es.ElidedFences, &es.PiggybackedFences,
 		&es.RelaxedCAS, &es.DetectAnnounces, &es.DetectVerdicts, &es.AnnounceFences,
+		&st.Attach.OpenUS, &st.Attach.RecoverUS, &st.Attach.RepairUS, &st.Attach.VerifyUS,
+		&st.Attach.LiveWords, &st.Attach.Objects, &st.Attach.Workers,
 	}
 }
 

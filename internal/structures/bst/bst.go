@@ -508,7 +508,7 @@ func (b *BST) Tracer() engine.Tracer {
 // TracerAt returns the tree's recovery tracer without attaching to the
 // (possibly not yet recovered) structure.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
-	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), _ func(engine.Ref, int, uint64)) {
 		r := read(engine.Root, rootField)
 		if r == 0 {
 			return
@@ -517,7 +517,7 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			visit(n, NodeFields)
+			visit(n, NodeFields, 0)
 			if l := addr(read(n, FieldLeft)); l != 0 {
 				stack = append(stack, l)
 			}

@@ -116,13 +116,13 @@ func (t *Table) Tracer() engine.Tracer {
 // TracerAt returns the table's recovery tracer without attaching to the
 // (possibly not yet recovered) structure; it needs only the root slot.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
-	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), _ func(engine.Ref, int, uint64)) {
 		arr := read(engine.Root, rootField)
 		if arr == 0 {
 			return
 		}
 		buckets := int(read(engine.Root, rootField+1))
-		visit(arr, buckets)
+		visit(arr, buckets, 0)
 		for i := 0; i < buckets; i++ {
 			list.TraceFrom(arr, i, read, visit)
 		}

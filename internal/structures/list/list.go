@@ -235,17 +235,17 @@ func (l *List) Tracer() engine.Tracer {
 // TracerAt returns the list's recovery tracer without attaching to the
 // (possibly not yet recovered) structure.
 func TracerAt(e engine.Memory, rootField int) engine.Tracer {
-	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), _ func(engine.Ref, int, uint64)) {
 		TraceFrom(engine.Root, rootField, read, visit)
 	}
 }
 
 // TraceFrom walks one list from an arbitrary head slot; the hash table
 // reuses it per bucket.
-func TraceFrom(rootRef engine.Ref, rootField int, read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+func TraceFrom(rootRef engine.Ref, rootField int, read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int)) {
 	curr := structures.Unmark(read(rootRef, rootField))
 	for curr != 0 {
-		visit(curr, NodeFields)
+		visit(curr, NodeFields, 0)
 		curr = structures.Unmark(read(curr, FieldNext))
 	}
 }

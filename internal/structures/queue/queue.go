@@ -162,10 +162,10 @@ func (q *Queue) Tracer() engine.Tracer {
 // TracerAt returns the queue's recovery tracer without attaching to the
 // (possibly not yet recovered) structure.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
-	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), _ func(engine.Ref, int, uint64)) {
 		node := read(engine.Root, rootField)
 		for node != 0 {
-			visit(node, NodeFields)
+			visit(node, NodeFields, 0)
 			node = read(node, FieldNext)
 		}
 	}

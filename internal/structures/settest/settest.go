@@ -343,17 +343,17 @@ type span struct {
 // twice in *twice. The trace runs inside the engine's recovery, so it only
 // records: the caller fails the test once the recovery has returned.
 func visitsOnce(tr engine.Tracer, spans *[]span, twice *[]engine.Ref) engine.Tracer {
-	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), relink func(engine.Ref, int, uint64)) {
 		*spans = (*spans)[:0]
 		seen := make(map[engine.Ref]bool)
-		tr(read, func(ref engine.Ref, fields int) {
+		tr(read, func(ref engine.Ref, fields, rebuilt int) {
 			if seen[ref] {
 				*twice = append(*twice, ref)
 			}
 			seen[ref] = true
 			*spans = append(*spans, span{ref, fields})
-			visit(ref, fields)
-		})
+			visit(ref, fields, rebuilt)
+		}, relink)
 	}
 }
 

@@ -10,9 +10,10 @@
 // before they are visible (CAS) and level-0 snips are retire-gated
 // (CASRelaxed). The links above level 0 are plain words that only
 // CASRebuilt writes: never persisted, because recovery traces level 0 only
-// and the repair pass (repairLevels) rebuilds the accelerator levels from it
-// before anything reads them. The key and the tower height are write-once
-// plain words, durable at the publish fence.
+// and the trace itself relinks the accelerator levels from it (TracerAt),
+// into words no recovery copy covers, before anything reads them. The key
+// and the tower height are write-once plain words, durable at the publish
+// fence.
 //
 // Reclamation note: as in the reference implementations (Fraser's and
 // ASCYLIB's, which the paper's artifact builds on), an insert that stalls
@@ -69,13 +70,15 @@ type SkipList struct {
 	rootF int
 }
 
-// New creates the skip list (or adopts an existing one after recovery).
-// Its head reference lives in root field 3.
+// New creates the skip list (or adopts an existing one after recovery,
+// whose trace has already relinked its towers). Its head reference lives
+// in root field 3.
 func New(e engine.Engine, c *engine.Ctx) *SkipList {
 	return NewAt(e, c, rootHead)
 }
 
-// NewAt is New with an explicit root field.
+// NewAt is New with an explicit root field. Adopting reads the root and
+// nothing else.
 func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *SkipList {
 	s := &SkipList{e: e, rootF: rootField}
 	s.seed.Store(0x9e3779b97f4a7c15)
@@ -83,7 +86,6 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *SkipList {
 	defer e.OpEnd(c)
 	if h := e.Load(c, engine.Root, rootField); h != 0 {
 		s.head = h
-		s.repairLevels(c)
 		return s
 	}
 	s.head = e.Alloc(c, NodeFields(MaxLevel))
@@ -100,58 +102,6 @@ func NewAt(e engine.Engine, c *engine.Ctx, rootField int) *SkipList {
 
 // Name implements structures.Set.
 func (s *SkipList) Name() string { return "skiplist" }
-
-// repairLevels rebuilds the accelerator levels of a recovered image from
-// level 0. No write above level 0 is ever persisted, so after a crash those
-// words hold whatever reached the media: stale links that skip present
-// nodes, stray marks, links to nodes linked only above level 0 — which the
-// level-0 trace left out, so their memory is free — or into memory reused
-// since. None of them is followed here or anywhere before this pass.
-//
-// Presence is decided solely at level 0, so the pass makes level i link
-// exactly the unmarked level-0 nodes of height > i, in level-0 order, and
-// nothing else. It is one walk of the level-0 chain that keeps, per level,
-// the last live node and the link read from it, and rewrites only the links
-// that differ. Level-0-marked zombies drop out of the accelerator levels
-// (searches snip them out of level 0 as usual). Idempotent and crash-safe:
-// level 0 is never written, so a crash mid-repair leaves an image the next
-// repair rebuilds from the same truth.
-//
-// The walk is also the structure's post-attach check: a level-0 cycle or a
-// tower height out of range panics.
-func (s *SkipList) repairLevels(c *engine.Ctx) {
-	e := s.e
-	var last, link [MaxLevel]engine.Ref
-	for i := 1; i < MaxLevel; i++ {
-		last[i], link[i] = s.head, e.TraversalLoad(c, s.head, Link(i))
-	}
-	seen := newRefSet(e)
-	seen.add(s.head)
-	for curr := structures.Unmark(e.TraversalLoad(c, s.head, FieldNext)); curr != 0; {
-		if !seen.add(curr) {
-			panic(fmt.Sprintf("skiplist: level 0 reaches node %d twice", curr))
-		}
-		next := e.TraversalLoad(c, curr, FieldNext)
-		if !structures.Marked(next) {
-			top := e.TraversalLoad(c, curr, FieldTop)
-			if top < 1 || top > MaxLevel {
-				panic(fmt.Sprintf("skiplist: node %d has height %d", curr, top))
-			}
-			for i := 1; i < int(top); i++ {
-				if link[i] != curr {
-					e.CASRebuilt(c, last[i], Link(i), link[i], curr)
-				}
-				last[i], link[i] = curr, e.TraversalLoad(c, curr, Link(i))
-			}
-		}
-		curr = structures.Unmark(next)
-	}
-	for i := 1; i < MaxLevel; i++ {
-		if link[i] != 0 {
-			e.CASRebuilt(c, last[i], Link(i), link[i], 0)
-		}
-	}
-}
 
 // randomLevel draws a height with geometric distribution p=1/2.
 func (s *SkipList) randomLevel() int {
@@ -455,29 +405,60 @@ func (s *SkipList) Tracer() engine.Tracer {
 // the (possibly not yet recovered) structure. It walks level 0 only,
 // marked nodes included: no word above level 0 is ever persisted, so on the
 // media those links may be stale or point into freed or reused memory, and
-// the tracer never follows one. A node linked only above level 0 is not
-// traced; its memory is reclaimed, and the repair pass unlinks it before
-// anything can reach it.
+// the tracer never reads one. It names every node's links above level 0 as
+// rebuilt, so no recovery copy covers them, and relinks them as it goes:
+// it keeps, per level, the last unmarked node of height above that level,
+// and links it to the next one as soon as it reaches it, so that level i
+// links exactly the unmarked level-0 nodes of height > i, in level-0 order.
+// A node linked only above level 0 is not traced, and its memory is
+// reclaimed; a level-0-marked zombie drops out of the upper levels, and its
+// own upper links are never read again (searches snip it out of level 0 as
+// usual). Level 0 is never written, so a crash during recovery leaves an
+// image the next trace relinks from the same truth.
+//
+// The trace is also the structure's post-attach check: a level-0 cycle or
+// a tower height outside [1, MaxLevel] panics.
 func TracerAt(e engine.Engine, rootField int) engine.Tracer {
-	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
+	return func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), relink func(engine.Ref, int, uint64)) {
 		head := read(engine.Root, rootField)
 		if head == 0 {
 			return
 		}
 		seen := newRefSet(e)
 		seen.add(head)
-		visit(head, NodeFields(MaxLevel))
-		for curr := structures.Unmark(read(head, FieldNext)); curr != 0 && seen.add(curr); curr = structures.Unmark(read(curr, FieldNext)) {
-			visit(curr, NodeFields(int(read(curr, FieldTop))))
+		visit(head, NodeFields(MaxLevel), MaxLevel-1)
+		var last [MaxLevel]engine.Ref
+		for i := range last {
+			last[i] = head
+		}
+		for curr := structures.Unmark(read(head, FieldNext)); curr != 0; {
+			if !seen.add(curr) {
+				panic(fmt.Sprintf("skiplist: level 0 reaches node %d twice", curr))
+			}
+			next, top := read(curr, FieldNext), int(read(curr, FieldTop))
+			if top < 1 || top > MaxLevel {
+				panic(fmt.Sprintf("skiplist: node %d has height %d", curr, top))
+			}
+			visit(curr, NodeFields(top), top-1)
+			if !structures.Marked(next) {
+				for i := 1; i < top; i++ {
+					relink(last[i], Link(i), curr)
+					last[i] = curr
+				}
+			}
+			curr = structures.Unmark(next)
+		}
+		for i := 1; i < MaxLevel; i++ {
+			relink(last[i], Link(i), 0)
 		}
 	}
 }
 
-// refSet is the set of nodes a trace or a repair pass has seen: one bit per
-// possible object of the engine's device, since objects are at least
-// 32-byte aligned (engine.Ref) — a bit per four words, and no hashing on a
-// walk that touches every node. A reference beyond the
-// device panics in add, as a read of it would.
+// refSet is the set of nodes a trace has seen: one bit per possible object
+// of the engine's device, since objects are at least 32-byte aligned
+// (engine.Ref) — a bit per four words, and no hashing on a walk that
+// touches every node. A reference beyond the device panics in add, as a
+// read of it would.
 type refSet []uint64
 
 func newRefSet(e engine.Engine) refSet { return make(refSet, e.Devices()[0].Size()/256+1) }

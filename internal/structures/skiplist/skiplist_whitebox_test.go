@@ -187,11 +187,11 @@ func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 				}
 				e := engine.New(acfg)
 				got := map[engine.Ref]bool{}
-				e.RecoverWith(func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int)) {
-					TracerAt(e, rootHead)(read, func(ref engine.Ref, fields int) {
+				e.RecoverWith(func(read func(engine.Ref, int) uint64, visit func(engine.Ref, int, int), relink func(engine.Ref, int, uint64)) {
+					TracerAt(e, rootHead)(read, func(ref engine.Ref, fields, rebuilt int) {
 						got[ref] = true
-						visit(ref, fields)
-					})
+						visit(ref, fields, rebuilt)
+					}, relink)
 				}, engine.RecoverOptions{Parallelism: workers})
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("workers=%d: the trace visits %v, want head, 12, 15 and 17 %v", workers, got, want)

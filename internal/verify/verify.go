@@ -162,7 +162,8 @@ func BST(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 // SkipList checks that every level is sorted, that level-i membership
 // implies a tower of height > i, that level 0 is a superset of every higher
 // level, and that every unmarked level-0 node is linked at every level below
-// its height: what a quiesced skip list holds once its repair pass has run.
+// its height: what a quiesced skip list holds once its recovery trace has
+// relinked the towers.
 func SkipList(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 	r := &Report{}
 	e.OpBegin(c)

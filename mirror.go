@@ -98,9 +98,10 @@ type Options struct {
 
 // Runtime owns the simulated devices, the allocator, and the persistent
 // roots. All structures created from one runtime share its memory and are
-// recovered together; each structure's tracer and repair pass are
-// registered with its constructor, so no caller can run one without the
-// other. Close releases a runtime's media file.
+// recovered together; each structure's tracer (which relinks the skip
+// list's towers) and repair pass are registered with its constructor, so
+// no caller can run one without the other. Close releases a runtime's
+// media file.
 type Runtime = rt.Runtime
 
 // Queue is a durable lock-free Michael–Scott FIFO queue — the

@@ -37,8 +37,9 @@ func all(rt *Runtime, c *Ctx) ([]Set, *Queue) {
 // file-backed runtime, ends it without a drain — the deletes' relaxed
 // auxiliary updates (skip list upper levels, tree excisions) may be missing
 // from the file, as after kill -9 — and reopens it: the reopened runtime
-// sees the same contents, and its repair passes leave every structure fully
-// operational, deleted keys re-insertable included.
+// sees the same contents, and its recovery — the skip list's relinking
+// trace, the BST's repair pass — leaves every structure fully operational,
+// deleted keys re-insertable included.
 func TestOpenReattach(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "media")
 	opts := Options{Words: 1 << 18}
@@ -62,8 +63,9 @@ func TestOpenReattach(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Without the repair passes the reopen itself can spin forever on a
-	// half-deleted node, so it runs under a watchdog.
+	// Without the relinked towers and the BST's repair pass the reopen
+	// itself can spin forever on a half-deleted node, so it runs under a
+	// watchdog.
 	done := make(chan error, 1)
 	go func() { done <- reopenAndCheck(path, opts) }()
 	select {
@@ -245,8 +247,10 @@ func TestOpenAdoptsRecordedEmptyRoot(t *testing.T) {
 // objects. Reopened, the persistent device's view holds the media's words
 // where recovery reached and zero everywhere else: the dead objects are
 // never copied. The one exception is the skip list's links above level 0 on
-// its head and its level-0 nodes, which the repair pass rewrites without
-// persisting. Debug checks are on for the reopen and everything after
+// its head and its level-0 nodes, which no recovery copy covers: the trace
+// writes them, without persisting, into the view reads see — the device on
+// the direct engines, rep_v on Mirror, where rep_p's view of them stays
+// zero. Debug checks are on for the reopen and everything after
 // it, so any read of a word that was neither restored nor written since —
 // code that would have seen a dead object's word under a whole-image copy
 // and now sees zero — panics (pmem's cold view). The reopened runtime then
@@ -333,8 +337,8 @@ func TestOpenRestoresOnlyLive(t *testing.T) {
 }
 
 // accelerators returns the words of the skip list's links above level 0 on
-// its head and on every unmarked node of its level-0 chain: the repair pass
-// of an attach rewrites them without persisting the new values. The skip
+// its head and on every unmarked node of its level-0 chain: the trace of an
+// attach relinks them without persisting the new values. The skip
 // list is at root field 3, where openAll puts it (after the list's field and
 // the hash table's two); its links above level 0 are plain words, one word
 // each after the node's cells.
