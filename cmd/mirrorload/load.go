@@ -59,13 +59,16 @@ type servingLoad struct {
 	Elapsed time.Duration
 	// Hist holds every operation's wire round-trip time in nanoseconds.
 	Hist harness.Hist
-	// Server holds the server's STATS deltas over the session, its two
-	// STATS frames included (two ops, no mutation, no fence), and
-	// AnnounceFences the engine's announce-barrier fences among them.
+	// Server holds the server's STATS deltas over the session (a STATS
+	// frame counts as no op), and AnnounceFences the engine's
+	// announce-barrier fences among them.
 	Server         server.Stats
 	AnnounceFences uint64
 	// Attach is what the server's attach cost, as STATS reports it.
 	Attach server.Attach
+	// Before and After are the STATS snapshots around the session, whose
+	// reclamation gauges (live words, limbo, epoch lag) are not deltas.
+	Before, After server.Stats
 }
 
 // perMutation returns n per mutation of the session.
@@ -342,5 +345,6 @@ func runServingLoad(spec servingSpec) (servingLoad, error) {
 	}
 	load.AnnounceFences = es1.AnnounceFences - es0.AnnounceFences
 	load.Attach = st1.Attach
+	load.Before, load.After = st0, st1
 	return load, nil
 }

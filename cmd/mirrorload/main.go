@@ -90,6 +90,9 @@ func main() {
 	fmt.Printf("mirrorload: server: %d mutations, %.4f fences/mutation, %.4f flushes/mutation, %.4f announce-barrier fences/mutation\n",
 		load.Server.Mutations, load.perMutation(load.Server.Fences), load.perMutation(load.Server.Flushes),
 		load.perMutation(load.AnnounceFences))
+	b, a := load.Before, load.After
+	fmt.Printf("mirrorload: server reclamation before → after: %d → %d live words, %d → %d objects in limbo, epoch lag %d → %d\n",
+		b.LiveWords, a.LiveWords, b.Limbo, a.Limbo, b.EpochLag, a.EpochLag)
 	if a := load.Attach; a.Workers == 0 {
 		fmt.Println("mirrorload: server attach: none, the server started fresh")
 	} else {

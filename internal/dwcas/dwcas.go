@@ -1,5 +1,5 @@
-// Package dwcas provides a double-word (128-bit) compare-and-swap and an
-// atomic 128-bit load over a pair of adjacent uint64 words.
+// Package dwcas provides a double-word (128-bit) compare-and-swap and a
+// 128-bit load over a pair of adjacent uint64 words.
 //
 // Mirror (PLDI 2021, §4.1.2) relies on a hardware DWCAS instruction to
 // update a value and its sequence number atomically. On amd64 this package
@@ -9,6 +9,14 @@
 // used; the emulation is linearizable, so the algorithms layered above it
 // behave identically, at the cost of lock-freedom inside the primitive
 // itself — exactly the trade made when simulating a missing instruction.
+//
+// Every pair this package is used on is (value, version): addr[1] is a
+// version that every CompareAndSwap changes. That is what lets the native
+// Load read the pair without a locked instruction: it reads the version,
+// the value and the version again with 8-byte atomic loads, and retries
+// until the two version reads agree — a seqlock whose writer is the DWCAS
+// itself. The fallback keeps its own seqlock read, because its writer
+// stores the two words one at a time.
 //
 // All addresses passed to this package must be 16-byte aligned. The
 // allocator in internal/palloc guarantees this for every cell it hands out.
@@ -72,10 +80,23 @@ func CompareAndSwap(addr *[2]uint64, old0, old1, new0, new1 uint64) (swapped boo
 	return casFallback(addr, old0, old1, new0, new1)
 }
 
-// Load atomically reads the 128-bit value at addr.
+// Load atomically reads the (value, version) pair at addr. On the native
+// path it reads the version, the value and the version again with atomic
+// loads — plain MOVs on amd64, which never reorders a load with an older
+// one — and retries until the two version reads agree. The read is exact
+// only because every CompareAndSwap on addr changes addr[1] and nothing
+// else stores the pair while it can be read (see the package doc): a pair
+// whose version returned to an earlier value during a Load could be read
+// torn.
 func Load(addr *[2]uint64) (v0, v1 uint64) {
 	if Native() {
-		return load16(addr)
+		for {
+			v1 = atomic.LoadUint64(&addr[1])
+			v0 = atomic.LoadUint64(&addr[0])
+			if atomic.LoadUint64(&addr[1]) == v1 {
+				return v0, v1
+			}
+		}
 	}
 	return loadFallback(addr)
 }

@@ -11,10 +11,3 @@ const haveNative = true
 //
 //go:noescape
 func cas16(addr *[2]uint64, old0, old1, new0, new1 uint64) (swapped bool, cur0, cur1 uint64)
-
-// load16 atomically reads 16 bytes at addr using CMPXCHG16B with a desired
-// value equal to the expected value, the standard store-free-on-mismatch
-// technique. Implemented in dwcas_amd64.s.
-//
-//go:noescape
-func load16(addr *[2]uint64) (v0, v1 uint64)

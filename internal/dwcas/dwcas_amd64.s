@@ -17,19 +17,3 @@ TEXT ·cas16(SB), NOSPLIT, $0-64
 	MOVQ	AX, cur0+48(FP)
 	MOVQ	DX, cur1+56(FP)
 	RET
-
-// func load16(addr *[2]uint64) (v0, v1 uint64)
-TEXT ·load16(SB), NOSPLIT, $0-24
-	MOVQ	addr+0(FP), DI
-	XORQ	AX, AX
-	XORQ	DX, DX
-	XORQ	BX, BX
-	XORQ	CX, CX
-	LOCK
-	CMPXCHG16B	(DI)
-	// If memory was zero the instruction stored zero back (a no-op);
-	// otherwise RDX:RAX now holds the current value. Either way
-	// RDX:RAX == memory contents at the linearization point.
-	MOVQ	AX, v0+8(FP)
-	MOVQ	DX, v1+16(FP)
-	RET

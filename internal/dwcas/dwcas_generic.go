@@ -9,7 +9,3 @@ const haveNative = false
 func cas16(addr *[2]uint64, old0, old1, new0, new1 uint64) (bool, uint64, uint64) {
 	return casFallback(addr, old0, old1, new0, new1)
 }
-
-func load16(addr *[2]uint64) (uint64, uint64) {
-	return loadFallback(addr)
-}

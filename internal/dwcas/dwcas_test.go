@@ -92,7 +92,7 @@ func TestLoad(t *testing.T) {
 		if v0 != 0xdeadbeef || v1 != 42 {
 			t.Errorf("Load = (%#x,%d), want (0xdeadbeef,42)", v0, v1)
 		}
-		// Zero value is a special case for the load16 trick.
+		// A zero pair (unversioned memory) reads back as zero.
 		p[0], p[1] = 0, 0
 		v0, v1 = Load(p)
 		if v0 != 0 || v1 != 0 {
@@ -239,4 +239,31 @@ func BenchmarkCASFallback(b *testing.B) {
 			CompareAndSwap(p, c0, c1, c0+1, c1+1)
 		}
 	})
+}
+
+// loadSink keeps the benchmarked reads alive.
+var loadSink uint64
+
+// BenchmarkLoad reads one quiet pair: the native path is three plain loads,
+// the fallback two between two reads of its stripe.
+func BenchmarkLoad(b *testing.B) {
+	for _, fallback := range []bool{false, true} {
+		name := "native"
+		if fallback {
+			name = "fallback"
+		}
+		b.Run(name, func(b *testing.B) {
+			if !fallback && !Native() {
+				b.Skip("no native DWCAS")
+			}
+			SetFallback(fallback)
+			defer SetFallback(false)
+			p := alignedPair(b)
+			CompareAndSwap(p, 0, 0, 1, 1)
+			for i := 0; i < b.N; i++ {
+				v, _ := Load(p)
+				loadSink += v
+			}
+		})
+	}
 }

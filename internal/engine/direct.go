@@ -119,7 +119,7 @@ func (e *directEngine) Alloc(c *Ctx, fields int) Ref {
 
 func (e *directEngine) StoreInit(c *Ctx, ref Ref, field int, v uint64) {
 	a := e.addr(ref, field)
-	e.dev.Store(a, v)
+	e.dev.StoreInit(a, v)
 	if e.durable() {
 		if e.elides() {
 			c.fs.DeferInit(a)

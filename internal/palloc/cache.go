@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 const (
@@ -124,8 +125,13 @@ func (c *Cache) Enter() {
 // thread holds no protected references here, so unlike a drain inside
 // Retire (which runs mid-operation) this one can make progress even when
 // this cache's own announcement was the stale one blocking the epoch.
+//
+// The idle announcement is a release store, not Enter's full fence: it must
+// not become visible before the operation's reads of protected memory,
+// which a release store guarantees, and it may become visible late, which
+// only delays an epoch advance.
 func (c *Cache) Exit() {
-	c.announce.Store(idleEpoch)
+	storeRelease((*uint64)(unsafe.Pointer(&c.announce)), idleEpoch)
 	c.exitCount++
 	if len(c.limbo) > 0 && c.exitCount%exitDrainEvery == 0 {
 		c.recl.tryAdvance()
@@ -254,5 +260,18 @@ func (c *Cache) drain() {
 	}
 }
 
-// LimboLen returns the number of objects awaiting reclamation (tests).
+// LimboLen returns the number of objects awaiting reclamation. Like every
+// Cache method it belongs to the cache's owner.
 func (c *Cache) LimboLen() int { return len(c.limbo) }
+
+// EpochLag returns how many epochs the oldest object in the limbo has waited
+// since it was retired, 0 with an empty limbo. Drains free an object two
+// epochs after its retire, so the lag stays near two while reclamation keeps
+// up; a lag that grows means the epoch advances and the limbo is not drained,
+// and a limbo that grows at a small lag means an operation pins the epoch.
+func (c *Cache) EpochLag() uint64 {
+	if len(c.limbo) == 0 {
+		return 0
+	}
+	return c.recl.global.Load() - c.limbo[0].epoch
+}

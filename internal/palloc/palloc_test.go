@@ -532,3 +532,40 @@ func (c *Cache) DebugCounts() (limbo int, freeObjs int) {
 	}
 	return len(c.limbo), freeObjs
 }
+
+// BenchmarkEnterExit brackets one empty operation: Enter's full fence and
+// Exit's release store of the idle announcement.
+func BenchmarkEnterExit(b *testing.B) {
+	a := New(Config{Base: 64, End: 64 + 16*ChunkWords})
+	c := NewCache(a, NewReclaimer())
+	for i := 0; i < b.N; i++ {
+		c.Enter()
+		c.Exit()
+	}
+}
+
+// TestEpochLag pins the reclamation gauge: the oldest limbo object's wait
+// in epochs, zero once the limbo is empty.
+func TestEpochLag(t *testing.T) {
+	a := newTestAlloc()
+	r := NewReclaimer()
+	c := NewCache(a, r)
+	if lag := c.EpochLag(); lag != 0 {
+		t.Fatalf("empty limbo: lag %d, want 0", lag)
+	}
+	c.Enter()
+	c.Retire(c.Alloc(8), 8)
+	c.Exit()
+	r.tryAdvance()
+	if lag := c.EpochLag(); lag != 1 || c.LimboLen() != 1 {
+		t.Fatalf("one advance after the retire: lag %d, limbo %d; want 1, 1", lag, c.LimboLen())
+	}
+	r.tryAdvance()
+	if lag := c.EpochLag(); lag != 2 {
+		t.Fatalf("two advances after the retire: lag %d, want 2", lag)
+	}
+	c.drain()
+	if lag := c.EpochLag(); lag != 0 || c.LimboLen() != 0 {
+		t.Fatalf("after the drain: lag %d, limbo %d; want 0, 0", lag, c.LimboLen())
+	}
+}

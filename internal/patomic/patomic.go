@@ -357,8 +357,8 @@ func (m *Mem) FetchAdd(ctx *Ctx, off uint64, delta uint64) uint64 {
 // line instead of one per cell (both cell words share a line — cells are
 // 16-byte aligned).
 func (m *Mem) InitCell(ctx *Ctx, off uint64, v uint64) {
-	m.P.Store(off+1, InitSeq)
-	m.V.Store(off+1, InitSeq)
+	m.P.StoreInit(off+1, InitSeq)
+	m.V.StoreInit(off+1, InitSeq)
 	m.InitWord(ctx, off, v)
 }
 
@@ -366,15 +366,17 @@ func (m *Mem) InitCell(ctx *Ctx, off uint64, v uint64) {
 // number, written once before publication (a key) or rebuilt by recovery (a
 // skip list's upper link) — on both replicas, and flushes (or defers the
 // flush of) its persistent copy like InitCell: PublishFence makes it
-// durable before the object is reachable.
+// durable before the object is reachable. The stores are the devices' init
+// stores (pmem.Device.StoreInit): the word is unpublished, so nothing orders
+// or arbitrates it until the install that publishes its object.
 func (m *Mem) InitWord(ctx *Ctx, off uint64, v uint64) {
-	m.P.Store(off, v)
+	m.P.StoreInit(off, v)
 	if m.P.Elides() {
 		ctx.FS.DeferInit(off)
 	} else {
 		m.P.Flush(&ctx.FS, off)
 	}
-	m.V.Store(off, v)
+	m.V.StoreInit(off, v)
 }
 
 // PublishFence fences all pending persistent-replica flushes of this

@@ -73,9 +73,9 @@ func (m *Mem) WideCAS(ctx *Ctx, off uint64, expVal, expVer, newVal, newVer uint6
 // InitWideCell initializes an unpublished wide cell with (val, ver) on
 // both replicas and flushes the persistent copy (fence via PublishFence).
 func (m *Mem) InitWideCell(ctx *Ctx, off uint64, val, ver uint64) {
-	m.P.Store(off, val)
-	m.P.Store(off+1, ver)
+	m.P.StoreInit(off, val)
+	m.P.StoreInit(off+1, ver)
 	m.P.Flush(&ctx.FS, off)
-	m.V.Store(off, val)
-	m.V.Store(off+1, ver)
+	m.V.StoreInit(off, val)
+	m.V.StoreInit(off+1, ver)
 }

@@ -362,6 +362,18 @@ func (d *Device) storeSlow(off uint64, v uint64) {
 	atomic.StoreUint64(&d.words[off], v)
 }
 
+// StoreInit writes the word at off of an object no other thread can reach
+// yet: a field before the install that publishes its object. It counts,
+// freezes and faults like Store, but on amd64 the write itself is a plain
+// store (word_amd64.go): nothing can read the word until the publishing
+// DWCAS or CAS, a locked instruction that TSO keeps behind it.
+func (d *Device) StoreInit(off uint64, v uint64) {
+	if off-1 >= atomic.LoadUint64(&d.gate) {
+		d.countSlow(off, &d.stores, 0)
+	}
+	storeWord((*uint64)(unsafe.Add(d.base, off*8)), v)
+}
+
 // CAS atomically compares-and-swaps the word at off.
 func (d *Device) CAS(off uint64, old, new uint64) bool {
 	if !d.fastOK(off) {
@@ -548,7 +560,7 @@ func (d *Device) Flush(fs *FlushSet, off uint64) {
 	if debugChecks {
 		fs.enter(d)
 	}
-	fs.flushes.Add(1)
+	bump(&fs.flushes, 1)
 	if d.lineTrack {
 		fs.add(off >> lineShift)
 	}
@@ -605,13 +617,13 @@ func (d *Device) Fence(fs *FlushSet) {
 		fs.enter(d)
 	}
 	if fs.ahead != 0 {
-		fs.flushes.Add(1)
+		bump(&fs.flushes, 1)
 		if d.lineTrack {
 			fs.add(fs.ahead >> lineShift)
 		}
 		fs.ahead = 0
 	}
-	fs.fences.Add(1)
+	bump(&fs.fences, 1)
 	if d.lineTrack && len(fs.lines) > 0 {
 		d.commitFence(fs.lines)
 		fs.clearLines()
@@ -640,22 +652,17 @@ func (d *Device) fenceSlow() {
 }
 
 // commitLines copies each dirty line's current content to the media, one
-// pass per line, with no per-line locking. Words are copied with individual
-// atomic load/store pairs, so concurrent fences of the same line interleave
-// at 8-byte granularity — exactly the persistence atomicity the crash model
-// grants (per-word), and the same tearing window a concurrent DWCAS already
-// has against any line copy.
+// pass per line, with no per-line locking. copyLine moves the line as eight
+// aligned 8-byte words (plain MOVs on amd64), so concurrent fences of the
+// same line interleave at 8-byte granularity — exactly the persistence
+// atomicity the crash model grants (per-word), and the same tearing window
+// a concurrent DWCAS already has against any line copy. TSO keeps the copy
+// ahead of the watermark CAS that follows it (commitFence). Both arrays
+// hold whole lines (New rounds the size up), so no line runs past the end.
 func (d *Device) commitLines(lines []uint64) {
-	limit := uint64(len(d.words))
 	for _, line := range lines {
-		base := line << lineShift
-		end := base + WordsPerLine
-		if end > limit {
-			end = limit
-		}
-		for off := base; off < end; off++ {
-			atomic.StoreUint64(&d.media[off], atomic.LoadUint64(&d.words[off]))
-		}
+		off := line << lineShift
+		copyLine(&d.media[off], &d.words[off])
 	}
 }
 

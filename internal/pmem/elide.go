@@ -151,9 +151,9 @@ func (d *Device) NoteRelaxed(fs *FlushSet, off uint64) {
 	if fs.dev != d {
 		d.adopt(fs)
 	}
-	fs.relaxed.Add(1)
-	fs.elidedFlushes.Add(1)
-	fs.elidedFences.Add(1)
+	bump(&fs.relaxed, 1)
+	bump(&fs.elidedFlushes, 1)
+	bump(&fs.elidedFences, 1)
 	line := off >> lineShift
 	d.relaxedMu.Lock()
 	if _, dup := d.relaxedSet[line]; !dup {
@@ -267,10 +267,10 @@ func (d *Device) NoteElided(fs *FlushSet, flushes, fences uint64) {
 		d.adopt(fs)
 	}
 	if flushes != 0 {
-		fs.elidedFlushes.Add(flushes)
+		bump(&fs.elidedFlushes, flushes)
 	}
 	if fences != 0 {
-		fs.elidedFences.Add(fences)
+		bump(&fs.elidedFences, fences)
 	}
 }
 
@@ -280,8 +280,8 @@ func (d *Device) NotePiggyback(fs *FlushSet) {
 	if fs.dev != d {
 		d.adopt(fs)
 	}
-	fs.elidedFlushes.Add(1)
-	fs.piggybacked.Add(1)
+	bump(&fs.elidedFlushes, 1)
+	bump(&fs.piggybacked, 1)
 }
 
 // ElisionCounters sums the per-thread elision shards: flushes elided,

@@ -246,7 +246,8 @@ func (c *Client) RMW(key, expect, repl uint64) (bool, error) {
 }
 
 // Stats asks the server for its serving counters and its engine's (STATS).
-// The frame itself counts as one op; it mutates nothing and fences nothing.
+// The frame counts as no op and closes no batch; it mutates nothing and
+// fences nothing.
 func (c *Client) Stats() (Stats, engine.Stats, error) {
 	var st Stats
 	var es engine.Stats

@@ -226,6 +226,25 @@ func TestStatsOverTheWire(t *testing.T) {
 	if w1.Attach != (Attach{}) {
 		t.Errorf("a fresh server's STATS report an attach: %+v", w1.Attach)
 	}
+	// The reclamation gauges are read, not counted: over the wire they are
+	// the in-process values of the same moment. The deletes and RMWs
+	// retired nodes, which wait in a worker's limbo.
+	for _, g := range []struct {
+		name        string
+		over, in    uint64
+		wantNonzero bool
+	}{
+		{"live words", w1.LiveWords, i1.LiveWords, true},
+		{"limbo", w1.Limbo, i1.Limbo, true},
+		{"epoch lag", w1.EpochLag, i1.EpochLag, false},
+	} {
+		if g.over != g.in || (g.wantNonzero && g.in == 0) {
+			t.Errorf("%s: %d over STATS, %d in process", g.name, g.over, g.in)
+		}
+	}
+	if w1.LiveWords <= w0.LiveWords {
+		t.Errorf("live words %d → %d across 20 inserts", w0.LiveWords, w1.LiveWords)
+	}
 
 	// The attach that built a reopened server reads over the wire as the
 	// server's own report, in µs.

@@ -168,6 +168,12 @@ type Stats struct {
 	Flushes   uint64 // engine cumulative flushes
 	Fences    uint64 // engine cumulative fences
 	Attach    Attach // constant over the server's life
+
+	// Reclamation, read when the snapshot is taken rather than counted: the
+	// words allocated per replica, the objects retired and not yet freed
+	// (summed over the workers), and the largest epoch lag of a worker's
+	// limbo (palloc.Cache.EpochLag).
+	LiveWords, Limbo, EpochLag uint64
 }
 
 // Attach is the runtime's attach report (rt.Report) in the words STATS
@@ -260,8 +266,18 @@ func (s *Server) Recovery() rt.Report { return s.rt.Recovery() }
 // Engine exposes the underlying engine for in-process benchmarks and tests.
 func (s *Server) Engine() engine.Engine { return s.e }
 
-// Stats snapshots the serving and persistence counters.
+// Stats snapshots the serving and persistence counters, and reads each
+// worker's limbo under that worker's ownership token, so the caller must
+// hold none.
 func (s *Server) Stats() Stats {
+	var limbo, lag uint64
+	for _, w := range s.workers {
+		w.mu.Lock()
+		limbo += uint64(w.c.Cache.LimboLen())
+		lag = max(lag, w.c.Cache.EpochLag())
+		w.mu.Unlock()
+	}
+	live, _ := s.e.Footprint()
 	fl, fe := s.e.Counters()
 	return Stats{
 		Ops:       s.ops.Load(),
@@ -272,6 +288,9 @@ func (s *Server) Stats() Stats {
 		Flushes:   fl,
 		Fences:    fe,
 		Attach:    attachOf(s.rt.Recovery()),
+		LiveWords: live,
+		Limbo:     limbo,
+		EpochLag:  lag,
 	}
 }
 
@@ -285,7 +304,19 @@ func statWords(st *Stats, es *engine.Stats) []*uint64 {
 		&es.RelaxedCAS, &es.DetectAnnounces, &es.DetectVerdicts, &es.AnnounceFences,
 		&st.Attach.OpenUS, &st.Attach.RecoverUS, &st.Attach.RepairUS, &st.Attach.VerifyUS,
 		&st.Attach.LiveWords, &st.Attach.Objects, &st.Attach.Workers,
+		&st.LiveWords, &st.Limbo, &st.EpochLag,
 	}
+}
+
+// statsResponse is the STATS answer: every counter at its id.
+func (s *Server) statsResponse() wire.Response {
+	st, es := s.Stats(), s.e.Stats()
+	words := statWords(&st, &es)
+	pairs := make([]wire.KV, len(words))
+	for i, p := range words {
+		pairs[i] = wire.KV{Key: uint64(i + 1), Val: *p}
+	}
+	return wire.Response{Status: wire.StatusOK, Result: true, Known: true, Pairs: pairs}
 }
 
 // Listen binds addr and starts the accept loop.
@@ -407,6 +438,18 @@ func (s *Server) readLoop(cn *conn) {
 				cn.write(wire.AppendResponse(nil, wire.Response{Status: wire.StatusError, Err: pe.Reason}))
 			}
 			return
+		}
+		if req.Op == wire.OpStats {
+			// STATS takes every worker's token in turn (Stats), so it runs
+			// on none. Once held's batch is released, every response an
+			// earlier frame of this connection earned is written, and this
+			// one follows them. It counts as no op and closes no batch.
+			if held != nil {
+				held.flush()
+				held = nil
+			}
+			cn.write(wire.AppendResponse(nil, s.statsResponse()))
+			continue
 		}
 		w := s.workers[int(req.Client)%len(s.workers)]
 		if held != nil && held != w {
@@ -561,13 +604,6 @@ func (w *worker) exec(cn *conn, r wire.Request) {
 			granted = ring
 		}
 		resp = wire.Response{Status: wire.StatusOK, Result: true, Known: true, Rval: granted}
-	case wire.OpStats:
-		st, es := s.Stats(), s.e.Stats()
-		pairs := w.pairs[:0]
-		for i, p := range statWords(&st, &es) {
-			pairs = append(pairs, wire.KV{Key: uint64(i + 1), Val: *p})
-		}
-		resp = wire.Response{Status: wire.StatusOK, Result: true, Known: true, Pairs: pairs}
 	case wire.OpDetect:
 		// Commit this worker's pending verdicts first: the asked-about slot
 		// belongs to this worker's partition, so after the drain the answer
