@@ -93,7 +93,7 @@ func TestSkipListRelink(t *testing.T) {
 					e.FreezeAfter(n)
 					_, _, froze := replayScript(r, "skiplist", script)
 					e.Crash(policy, rng)
-					dev := e.PersistentDevices()[0]
+					dev := engine.PersistentDevices(e)[0]
 					var first map[[2]uint64]uint64
 					for _, par := range []int{1, 2, 4} {
 						if par > 1 {
@@ -202,7 +202,7 @@ func crashStride(t *testing.T, cfg engine.Config, script []sweepOp, points int) 
 	}
 	defer r.Close()
 	ops := uint64(0)
-	for _, d := range pmem.Count(r.Engine().PersistentDevices(), func() { replayScript(r, "skiplist", script) }) {
+	for _, d := range pmem.Count(engine.PersistentDevices(r.Engine()), func() { replayScript(r, "skiplist", script) }) {
 		ops += d.Loads + d.Stores + d.Flushes + d.Fences
 	}
 	return int64(ops/uint64(points)) + 1

@@ -35,7 +35,7 @@ func NewBroken(cfg Config, bug Bug) Engine {
 	e := newMirror(cfg)
 	switch bug {
 	case BugDropOwnFlush:
-		e.mem.BreakOwnFlushForTest()
+		e.mem.OnInstallForTest(func(uint64) bool { return true })
 	case BugEvictionAdvancesWatermark:
 		e.mem.P.BreakWatermarkForTest()
 	default:

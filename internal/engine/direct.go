@@ -341,15 +341,6 @@ func (e *directEngine) settle(c *Ctx) {
 	}
 }
 
-// PersistentDevices returns the single device for the durable direct
-// engines; the non-durable originals have no crash-surviving device.
-func (e *directEngine) PersistentDevices() []*pmem.Device {
-	if !e.durable() {
-		return nil
-	}
-	return []*pmem.Device{e.dev}
-}
-
 func (e *directEngine) Devices() []*pmem.Device { return []*pmem.Device{e.dev} }
 
 func (e *directEngine) Counters() (uint64, uint64) {

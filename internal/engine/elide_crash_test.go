@@ -44,7 +44,7 @@ func TestFetchAddStoreCrashSweepUnderFaults(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(k) + 1))
 			for round := 0; round < 25; round++ {
 				e := New(Config{Kind: k, Words: 1 << 18, RootFields: 4, Track: true})
-				for _, d := range e.PersistentDevices() {
+				for _, d := range PersistentDevices(e) {
 					d.InjectFaults(pmem.NewFaultModel(int64(round+1), pmem.FaultSpec{Evict: true, Drop: true}))
 				}
 				c := e.NewCtx()
@@ -116,7 +116,7 @@ func TestElisionAblationEquivalence(t *testing.T) {
 					e.OpEnd(c)
 				}
 				var hashes []uint64
-				for _, d := range e.PersistentDevices() {
+				for _, d := range PersistentDevices(e) {
 					d.Freeze()
 					hashes = append(hashes, d.MediaHash())
 				}

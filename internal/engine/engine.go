@@ -247,11 +247,6 @@ type Lifecycle interface {
 	FreezeAfter(n int64)
 	// Crash simulates a power failure (devices must be quiesced).
 	Crash(policy pmem.CrashPolicy, rng *rand.Rand)
-	// PersistentDevices returns the devices whose contents survive a
-	// crash (one for the direct durable engines, rep_p for Mirror, none
-	// for the non-durable originals). Fault injectors install adversaries
-	// and fingerprint post-crash media images through it.
-	PersistentDevices() []*pmem.Device
 }
 
 // Recovery is the post-crash role: one tracer walks the structure from the
@@ -337,6 +332,20 @@ type Introspection interface {
 	// Mirror), each with the cost table of its medium; a counted pass
 	// (pmem.Count) over them prices an operation.
 	Devices() []*pmem.Device
+}
+
+// PersistentDevices returns the devices of e whose contents survive a crash
+// (pmem.Device.Persistent): the one device of a durable direct engine, rep_p
+// for Mirror, none for the non-durable originals. Fault injectors install
+// adversaries and fingerprint post-crash media images through it.
+func PersistentDevices(e Introspection) []*pmem.Device {
+	var ds []*pmem.Device
+	for _, d := range e.Devices() {
+		if d.Persistent() {
+			ds = append(ds, d)
+		}
+	}
+	return ds
 }
 
 // Engine is a complete persistence engine: the union of the five roles.

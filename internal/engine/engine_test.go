@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mirror/internal/pmem"
@@ -65,6 +66,33 @@ func TestDurableFlag(t *testing.T) {
 		if !k.Durable() {
 			t.Errorf("%v must be durable", k)
 		}
+	}
+}
+
+// TestPersistentDevices pins the crash-surviving devices PersistentDevices
+// derives from Devices: none for the non-durable originals, the one device
+// of a durable direct engine, rep_p alone for Mirror — and the same through
+// a pass-through wrapper, which has only the roles' methods to offer.
+func TestPersistentDevices(t *testing.T) {
+	for _, k := range Kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			e := New(Config{Kind: k, Words: 1 << 14})
+			var want []*pmem.Device
+			switch k {
+			case Izraelevitz, NVTraverse:
+				want = e.Devices()
+			case MirrorDRAM, MirrorNVMM:
+				want = []*pmem.Device{e.(*mirrorEngine).mem.P}
+			}
+			if k.Durable() && (len(want) != 1 || !want[0].Persistent()) {
+				t.Fatalf("want one persistent device, have %v", want)
+			}
+			for name, x := range map[string]Introspection{"engine": e, "wrapper": struct{ Engine }{e}} {
+				if got := PersistentDevices(x); !slices.Equal(got, want) {
+					t.Errorf("%s: PersistentDevices = %v, want %v", name, got, want)
+				}
+			}
+		})
 	}
 }
 

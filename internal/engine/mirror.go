@@ -292,12 +292,6 @@ func (e *mirrorEngine) CheckInvariants(ref Ref, fields int) string {
 	return ""
 }
 
-// PersistentDevices returns rep_p: only the persistent replica survives a
-// crash, so it is the only device faults are injected into.
-func (e *mirrorEngine) PersistentDevices() []*pmem.Device {
-	return []*pmem.Device{e.mem.P}
-}
-
 func (e *mirrorEngine) Devices() []*pmem.Device { return []*pmem.Device{e.mem.P, e.mem.V} }
 
 func (e *mirrorEngine) Stats() Stats {

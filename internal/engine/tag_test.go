@@ -133,14 +133,15 @@ func TestTaggedInstallFencesItsAnnounce(t *testing.T) {
 	e.DetectBeginDeferred(owner, 0, 1, DetectDelete, 20, 0)
 	link := mirrorAddr(ch.b, chainNext)
 	interfered := false
-	e.mem.OnInstallForTest(func(off uint64) {
+	e.mem.OnInstallForTest(func(off uint64) bool {
 		if off != link || interfered {
-			return
+			return false
 		}
 		interfered = true
 		if !e.CAS(other, ch.b, chainVal, 20, 21) {
 			t.Error("the same-line CAS on b's value failed")
 		}
+		return false
 	})
 	_, f0 := e.Counters()
 	if !e.CAS(owner, ch.b, chainNext, 0, 1|owner.MarkTag()) {

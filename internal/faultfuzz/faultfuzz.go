@@ -257,7 +257,7 @@ func Run(spec Spec) *Result {
 	}
 	e := r.Engine()
 	fm := pmem.NewFaultModel(spec.Seed, spec.Faults)
-	devs := e.PersistentDevices()
+	devs := engine.PersistentDevices(e)
 	for _, d := range devs {
 		d.InjectFaults(fm)
 	}

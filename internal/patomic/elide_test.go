@@ -73,7 +73,7 @@ func TestCASFlushAccounting(t *testing.T) {
 			if got := m.P.PersistedWord(cell); got != 77 {
 				t.Errorf("helped install not on media: %d, want 77", got)
 			}
-			if v, s := m.LoadWithSeq(cell); v != 77 || s != InitSeq+2 {
+			if v, s := m.V.LoadPair(cell); v != 77 || s != InitSeq+2 {
 				t.Errorf("helped install not mirrored: (%d, %d)", v, s)
 			}
 		})
@@ -88,8 +88,7 @@ func TestElisionCountersZeroQuiesced(t *testing.T) {
 	ctx := initCell(m, 0)
 	m.CompareAndSwap(ctx, cell, 0, 1)
 	m.Store(ctx, cell, 2)
-	m.Exchange(ctx, cell, 3)
-	m.FetchAdd(ctx, cell, 4)
+	fetchAdd(m, ctx, cell, 4)
 	elFl, elFe, piggy, _ := m.P.ElisionCounters()
 	if elFl != 0 || elFe != 0 || piggy != 0 {
 		t.Fatalf("quiesced elision counters = (elidedFlushes=%d, elidedFences=%d, piggybacked=%d), want all 0",
@@ -191,11 +190,10 @@ func TestInitCellBatching(t *testing.T) {
 	}
 }
 
-// TestExchangeElidedCrashSweep crashes an Exchange workload on an eliding
-// cell at seeded points under the eviction+drop adversary (the engine
-// interface has no Exchange, so this path is only reachable here). The
-// recovered cell must satisfy the Lemma 5.3–5.5 invariants and hold
-// either the last completed exchange's value or the single in-flight one:
+// TestExchangeElidedCrashSweep crashes a Store workload on an eliding cell
+// at seeded points under the eviction+drop adversary. The recovered cell
+// must satisfy the Lemma 5.3–5.5 invariants and hold either the last
+// completed store's value or the single in-flight one:
 // an eviction may put a line on media early, but it must never stand in
 // for the fence a completed operation relies on.
 func TestExchangeElidedCrashSweep(t *testing.T) {
@@ -213,8 +211,9 @@ func TestExchangeElidedCrashSweep(t *testing.T) {
 				}
 			}()
 			for i := uint64(1); i <= 1000; i++ {
-				if old := m.Exchange(ctx, cell, i); old != i-1 {
-					t.Errorf("round %d: Exchange returned %d, want %d", round, old, i-1)
+				m.Store(ctx, cell, i)
+				if v := m.Load(cell); v != i {
+					t.Errorf("round %d: Load after Store(%d) = %d", round, i, v)
 				}
 				completed = i
 			}
@@ -225,7 +224,7 @@ func TestExchangeElidedCrashSweep(t *testing.T) {
 		m.V.Crash(pmem.CrashDropAll, rng)
 		m.RecoverRange(cell, CellWords)
 
-		v, s := m.LoadWithSeq(cell)
+		v, s := m.V.LoadPair(cell)
 		pv, ps := m.P.LoadPair(cell)
 		if v != pv || s != ps {
 			t.Fatalf("round %d: recovery left replicas different: (%d,%d) vs (%d,%d)",

@@ -1,11 +1,11 @@
 package patomic
 
-// Contended Exchange test: after every round of concurrent exchanges the
-// replica invariants of §5 (Lemmas 5.3–5.5) must hold, every thread's
-// returned previous value must chain (exchange is an atomic swap, so the
-// set of returned values plus the final value is exactly the set of values
-// ever installed, each seen once), and the per-Ctx statistic shards must
-// sum consistently.
+// Contended Store test: after every round of concurrent stores the replica
+// invariants of §5 (Lemmas 5.3–5.5) must hold, every store must have
+// installed exactly once (the sequence number advances by the round's
+// store count: Store's CAS loop never gives up and never installs twice),
+// the final value must be some goroutine's last store, and the per-Ctx
+// statistic shards must sum consistently.
 
 import (
 	"sync"
@@ -26,17 +26,19 @@ func TestExchangeContendedInvariants(t *testing.T) {
 	}
 	next := uint64(1)
 	for round := 0; round < rounds; round++ {
-		// Each goroutine exchanges a disjoint set of distinct values into
-		// the one cell; prev[v] records the value each exchange displaced.
-		prev := make([][]uint64, goroutines)
+		_, seq0 := m.V.LoadPair(cell)
+		// Each goroutine stores a disjoint run of distinct values into the
+		// one cell; lasts holds each goroutine's final store.
+		lasts := make(map[uint64]bool)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			base := next + uint64(g*perRound)
+			lasts[base+perRound-1] = true
 			wg.Add(1)
 			go func(g int, base uint64) {
 				defer wg.Done()
 				for i := uint64(0); i < perRound; i++ {
-					prev[g] = append(prev[g], m.Exchange(ctxs[g], cell, base+i))
+					m.Store(ctxs[g], cell, base+i)
 				}
 			}(g, base)
 		}
@@ -46,35 +48,12 @@ func TestExchangeContendedInvariants(t *testing.T) {
 		if msg := m.CheckInvariants(cell); msg != "" {
 			t.Fatalf("round %d: %s", round, msg)
 		}
-		// Swap-chain check: every installed value is displaced exactly
-		// once, except the final value, which is still installed; plus
-		// one displacement of the round's starting value.
-		seen := make(map[uint64]int)
-		for g := range prev {
-			for _, v := range prev[g] {
-				seen[v]++
-			}
+		final, seq := m.V.LoadPair(cell)
+		if seq-seq0 != goroutines*perRound {
+			t.Fatalf("round %d: %d installs, want %d", round, seq-seq0, goroutines*perRound)
 		}
-		final := m.Load(cell)
-		displaced := 0
-		for v, n := range seen {
-			if n != 1 {
-				t.Fatalf("round %d: value %d displaced %d times", round, v, n)
-			}
-			if v != 0 && (v < next-uint64(goroutines*perRound) || v >= next) {
-				// Must be this round's starting value (the previous
-				// round's final), never a stale historical value.
-				if v != 0 && seen[v] == 1 && v == final {
-					t.Fatalf("round %d: final value %d also displaced", round, v)
-				}
-			}
-			displaced++
-		}
-		if displaced != goroutines*perRound {
-			t.Fatalf("round %d: %d displacements, want %d", round, displaced, goroutines*perRound)
-		}
-		if _, ok := seen[final]; ok {
-			t.Fatalf("round %d: final value %d was also returned as displaced", round, final)
+		if !lasts[final] {
+			t.Fatalf("round %d: final value %d is no goroutine's last store", round, final)
 		}
 	}
 	// Stats must equal the sum of the worker shards exactly. Adoption is

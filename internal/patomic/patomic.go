@@ -14,8 +14,8 @@
 //     agree (helping an in-flight writer if rep_p is one sequence number
 //     ahead), then installs (newVal, seq+1) into rep_p with a DWCAS,
 //     flushes and fences it, and finally mirrors the update into rep_v.
-//   - Store and FetchAdd never fail, so they loop over CompareAndSwap as
-//     §4.1.2 prescribes.
+//   - Store never fails, so it loops over CompareAndSwap as §4.1.2
+//     prescribes.
 //
 // The invariants proved in §5 (Lemmas 5.3–5.5) hold per cell: the volatile
 // sequence number is equal to or exactly one behind the persistent one, and
@@ -67,8 +67,7 @@ type Mem struct {
 	// under Tagged.
 	Witness func(v uint64) uint64
 
-	dropOwnFlush bool         // test-only seeded bug; see BreakOwnFlushForTest
-	installed    func(uint64) // test-only seam; see OnInstallForTest
+	installed func(uint64) bool // test-only seam; see OnInstallForTest
 }
 
 // adopt registers ctx as a statistics shard of m on first use. A Ctx is
@@ -121,8 +120,8 @@ type Intent uint8
 
 const (
 	// Full writes are durable before they are visible, whatever the device
-	// can do: every linearization point, Store, FetchAdd and the plain
-	// CompareAndSwap.
+	// can do: every linearization point, Store (a loop over
+	// CompareAndSwap) and the plain CompareAndSwap.
 	Full Intent = iota
 	// Auxiliary marks a retire-gated physical update whose loss at a crash
 	// leaves a state some earlier crash could also have left: a snip of an
@@ -145,12 +144,6 @@ const (
 // the volatile replica (Figure 5).
 func (m *Mem) Load(off uint64) uint64 {
 	return m.V.Load(off)
-}
-
-// LoadWithSeq returns the volatile replica's (value, seq) pair atomically;
-// recovery and tests use it.
-func (m *Mem) LoadWithSeq(off uint64) (v, seq uint64) {
-	return m.V.LoadPair(off)
 }
 
 // CompareAndSwap is CAS with the Full intent.
@@ -212,20 +205,17 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			//   - tagged: a real fence on this thread's flush set, which
 			//     commits the witness line with the value.
 			//   - eager, or elide on an eliding device: durable now.
-			switch {
-			case in == Auxiliary && m.P.Elides():
+			if in == Auxiliary && m.P.Elides() {
 				m.P.NoteRelaxed(&ctx.FS, off)
-			case m.dropOwnFlush:
-				// Seeded bug (BreakOwnFlushForTest): visible, never durable.
-			default:
+			} else {
 				tag := m.P.PersistEpoch()
-				if m.installed != nil {
-					m.installed(off)
-				}
-				if in == Tagged {
+				switch {
+				case m.installed != nil && m.installed(off):
+					// The test hook dropped durability: visible, never durable.
+				case in == Tagged:
 					m.P.Flush(&ctx.FS, off)
 					m.P.Fence(&ctx.FS)
-				} else {
+				default:
 					m.ensureDurable(ctx, off, tag)
 				}
 			}
@@ -257,16 +247,12 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 // durable now call f with the cell's offset, after the install and its
 // epoch read and before the flush+fence or its elision — the window in
 // which another thread's fence of the same line can commit the install.
-// Never use outside tests.
-func (m *Mem) OnInstallForTest(f func(off uint64)) { m.installed = f }
-
-// BreakOwnFlushForTest seeds the bug "one missing flush in the writer's own
-// install": a Full or eagerly-settled install is mirrored into rep_v — and
-// so completes its operation — without ever being flushed or fenced. Under
-// a Drop or Torn fault model a crash then loses or tears a completed
-// operation, which the fault fuzzer's self-test must catch. Help and
-// failure paths keep their flush+fence. Never use outside tests.
-func (m *Mem) BreakOwnFlushForTest() { m.dropOwnFlush = true }
+// When f returns true the install drops its durability: it is mirrored
+// into rep_v — and so completes its operation — without ever being flushed
+// or fenced, the seeded bug "one missing flush in the writer's own
+// install" (engine.NewBroken); help and failure paths keep their
+// flush+fence. Never use outside tests.
+func (m *Mem) OnInstallForTest(f func(off uint64) (drop bool)) { m.installed = f }
 
 // ensureDurable makes the cell content observed under tag durable before a
 // mirror into rep_v. The caller read tag from P.PersistEpoch *after*
@@ -319,30 +305,11 @@ func (m *Mem) ensureHelped(ctx *Ctx, off, tag, v uint64) {
 // never fail, so like every other write it loops over CompareAndSwap
 // (§4.1.2).
 func (m *Mem) Store(ctx *Ctx, off uint64, v uint64) {
-	m.Exchange(ctx, off, v)
-}
-
-// Exchange atomically replaces the cell's value and returns the previous
-// one (std::atomic's exchange, via the CAS loop like every other write).
-func (m *Mem) Exchange(ctx *Ctx, off uint64, v uint64) uint64 {
 	cur := m.Load(off)
 	for {
 		ok, actual := m.CompareAndSwap(ctx, off, cur, v)
 		if ok {
-			return cur
-		}
-		cur = actual
-	}
-}
-
-// FetchAdd atomically adds delta to the cell and returns the previous
-// value.
-func (m *Mem) FetchAdd(ctx *Ctx, off uint64, delta uint64) uint64 {
-	cur := m.Load(off)
-	for {
-		ok, actual := m.CompareAndSwap(ctx, off, cur, cur+delta)
-		if ok {
-			return cur
+			return
 		}
 		cur = actual
 	}

@@ -32,9 +32,9 @@ func TestLoadAfterInit(t *testing.T) {
 	if got := m.Load(cell); got != 42 {
 		t.Errorf("Load = %d, want 42", got)
 	}
-	v, s := m.LoadWithSeq(cell)
+	v, s := m.V.LoadPair(cell)
 	if v != 42 || s != InitSeq {
-		t.Errorf("LoadWithSeq = (%d,%d), want (42,%d)", v, s, InitSeq)
+		t.Errorf("rep_v pair = (%d,%d), want (42,%d)", v, s, InitSeq)
 	}
 }
 
@@ -91,30 +91,46 @@ func TestStore(t *testing.T) {
 		t.Errorf("Load = %d, want 99", m.Load(cell))
 	}
 	m.Store(ctx, cell, 99) // same-value store must still succeed
-	if _, s := m.LoadWithSeq(cell); s != InitSeq+2 {
+	if _, s := m.V.LoadPair(cell); s != InitSeq+2 {
 		t.Errorf("seq = %d, want %d (each store bumps)", s, InitSeq+2)
 	}
 }
 
+// TestExchange pins that Store displaces whatever the cell holds: one
+// install, one sequence bump, replicas in lock step.
 func TestExchange(t *testing.T) {
 	m := newMem(64)
 	ctx := initCell(m, 3)
-	if old := m.Exchange(ctx, cell, 9); old != 3 {
-		t.Errorf("Exchange returned %d, want 3", old)
-	}
+	m.Store(ctx, cell, 9)
 	if m.Load(cell) != 9 {
 		t.Errorf("Load = %d, want 9", m.Load(cell))
+	}
+	if _, s := m.V.LoadPair(cell); s != InitSeq+1 {
+		t.Errorf("seq = %d, want %d (one install)", s, InitSeq+1)
 	}
 	if msg := m.CheckInvariants(cell); msg != "" {
 		t.Error(msg)
 	}
 }
 
+// fetchAdd adds delta to the cell with the CompareAndSwap loop every
+// read-modify-write runs over (§4.1.2) and returns the previous value.
+func fetchAdd(m *Mem, ctx *Ctx, off, delta uint64) uint64 {
+	cur := m.Load(off)
+	for {
+		ok, actual := m.CompareAndSwap(ctx, off, cur, cur+delta)
+		if ok {
+			return cur
+		}
+		cur = actual
+	}
+}
+
 func TestFetchAdd(t *testing.T) {
 	m := newMem(64)
 	ctx := initCell(m, 10)
-	if old := m.FetchAdd(ctx, cell, 5); old != 10 {
-		t.Errorf("FetchAdd returned %d, want 10", old)
+	if old := fetchAdd(m, ctx, cell, 5); old != 10 {
+		t.Errorf("fetchAdd returned %d, want 10", old)
 	}
 	if m.Load(cell) != 15 {
 		t.Errorf("Load = %d, want 15", m.Load(cell))
@@ -196,7 +212,7 @@ func TestConcurrentFetchAddExact(t *testing.T) {
 			defer wg.Done()
 			ctx := &Ctx{}
 			for i := 0; i < perWorker; i++ {
-				m.FetchAdd(ctx, cell, 1)
+				fetchAdd(m, ctx, cell, 1)
 			}
 		}()
 	}
@@ -205,7 +221,7 @@ func TestConcurrentFetchAddExact(t *testing.T) {
 	if got := m.Load(cell); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	v, s := m.LoadWithSeq(cell)
+	v, s := m.V.LoadPair(cell)
 	if v != want || s != InitSeq+want {
 		t.Errorf("(v,s) = (%d,%d), want (%d,%d)", v, s, want, InitSeq+want)
 	}
@@ -275,7 +291,7 @@ func TestInvariantUnderStress(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					m.FetchAdd(ctx, cell, 1)
+					fetchAdd(m, ctx, cell, 1)
 				}
 			}
 		}()
@@ -340,7 +356,7 @@ func TestCrashRecoverCell(t *testing.T) {
 		m.V.Crash(policy, rng)
 		m.RecoverRange(cell, CellWords)
 
-		v, s := m.LoadWithSeq(cell)
+		v, s := m.V.LoadPair(cell)
 		pv, ps := m.P.LoadPair(cell)
 		if v != pv || s != ps {
 			t.Fatalf("round %d: recovery left replicas different: (%d,%d) vs (%d,%d)",
@@ -386,7 +402,7 @@ func TestCrashDuringConcurrentWriters(t *testing.T) {
 				}()
 				ctx := &Ctx{}
 				for i := 0; i < 5000; i++ {
-					m.FetchAdd(ctx, cell, 1)
+					fetchAdd(m, ctx, cell, 1)
 				}
 			}()
 		}
@@ -399,7 +415,7 @@ func TestCrashDuringConcurrentWriters(t *testing.T) {
 		if msg := m.CheckInvariants(cell); msg != "" {
 			t.Errorf("round %d: %s", round, msg)
 		}
-		v, _ := m.LoadWithSeq(cell)
+		v, _ := m.V.LoadPair(cell)
 		if v > workers*5000 {
 			t.Errorf("round %d: impossible recovered value %d", round, v)
 		}
@@ -449,7 +465,7 @@ func TestStatsRetriesUnderContention(t *testing.T) {
 			defer wg.Done()
 			ctx := &Ctx{}
 			for i := 0; i < 3000; i++ {
-				m.FetchAdd(ctx, cell, 1)
+				fetchAdd(m, ctx, cell, 1)
 			}
 		}()
 	}
@@ -481,7 +497,7 @@ func TestRecoverRangeCopiesOddSpan(t *testing.T) {
 			m.P.Crash(pmem.CrashDropAll, rng)
 			m.V.Crash(pmem.CrashDropAll, rng)
 			m.RecoverRange(cell, CellWords+1)
-			if v, s := m.LoadWithSeq(cell); v != 7 || s != InitSeq {
+			if v, s := m.V.LoadPair(cell); v != 7 || s != InitSeq {
 				t.Errorf("recovered cell (%d, %d), want (7, %d)", v, s, InitSeq)
 			}
 			if got := m.Load(cell + CellWords); got != 42 {

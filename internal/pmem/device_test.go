@@ -276,6 +276,49 @@ func TestCrashRandomSubsetsBetweenExtremes(t *testing.T) {
 	}
 }
 
+// TestCrashRandomDrawsPerDirtyWord pins CrashRandom's draws: one per word
+// whose view differs from the media, in ascending word order, whatever lines
+// the crash skips as clean. Dirty words sit in scattered lines, some of them
+// equal to the media already; the reference replays the whole device word
+// by word with a generator of the same seed.
+func TestCrashRandomDrawsPerDirtyWord(t *testing.T) {
+	const words = 4096
+	d := newTestDevice(words)
+	var fs FlushSet
+	for _, off := range []uint64{9, 10, 17, 300, 301, 302, 303, 304, 305, 306, 307, 2047, 4095} {
+		d.Store(off, off)
+	}
+	d.Flush(&fs, 300)
+	d.Fence(&fs)
+	d.Store(301, 1)   // dirty again
+	d.Store(302, 302) // equal to the media: not dirty
+	d.Store(17, 0)    // back to the media's value: not dirty
+	view, media := make([]uint64, words), make([]uint64, words)
+	for off := range view {
+		view[off], media[off] = d.ReadRaw(uint64(off)), d.PersistedWord(uint64(off))
+	}
+	ref := rand.New(rand.NewSource(5))
+	for off := range view {
+		if view[off] != media[off] && ref.Int63()&1 == 0 {
+			media[off] = view[off]
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	d.Freeze()
+	d.Crash(CrashRandom, rng)
+	for off := range media {
+		if got := d.PersistedWord(uint64(off)); got != media[off] {
+			t.Fatalf("word %d persisted %d, want %d", off, got, media[off])
+		}
+		if got := d.ReadRaw(uint64(off)); got != media[off] {
+			t.Fatalf("word %d reads %d after the crash, want the media's %d", off, got, media[off])
+		}
+	}
+	if rng.Int63() != ref.Int63() {
+		t.Error("the crash drew a different number of times than the per-word reference")
+	}
+}
+
 func TestVolatileCrashWipes(t *testing.T) {
 	d := New(Config{Name: "dram", Words: 64})
 	d.Store(9, 1)

@@ -187,27 +187,19 @@ func (f *FaultModel) tearRange(dirty int) (start, n int) {
 }
 
 // applyCrash runs the line-granular eviction adversary over the device's
-// dirty lines in ascending order, mutating the media image in place. The
-// caller (Device.Crash) holds the device quiesced.
+// dirty lines in ascending order (Device.crashLines), mutating the media
+// image in place. The caller (Device.Crash) holds the device quiesced.
 func (f *FaultModel) applyCrash(d *Device) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	limit := uint64(len(d.words))
-	var dirty [WordsPerLine]uint64 // offsets of this line's dirty words
-	for base := uint64(0); base < limit; base += WordsPerLine {
-		end := base + WordsPerLine
-		if end > limit {
-			end = limit
-		}
+	var dirty [WordsPerLine]int // offsets of this line's dirty words
+	d.crashLines(func(base int) {
 		n := 0
-		for off := base; off < end; off++ {
+		for off := base; off < base+WordsPerLine; off++ {
 			if d.words[off] != d.media[off] {
 				dirty[n] = off
 				n++
 			}
-		}
-		if n == 0 {
-			continue
 		}
 		switch f.lineFate(n) {
 		case 0: // persist the whole line
@@ -221,7 +213,7 @@ func (f *FaultModel) applyCrash(d *Device) {
 				d.media[off] = d.words[off]
 			}
 		}
-	}
+	})
 }
 
 // InjectFaults installs a fault model on the device (nil removes it).

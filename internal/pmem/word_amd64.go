@@ -27,6 +27,15 @@ func storeWord(p *uint64, v uint64)
 //go:noescape
 func copyLine(dst, src *uint64)
 
+// lineEqual reports whether the 64-byte lines at a and b hold the same
+// words. Implemented in word_amd64.s. A crash compares every line of a
+// quiesced device with it: as assembly its reads are invisible to the race
+// detector, which would otherwise shadow both arrays of a fresh device on
+// every crash of it — what made the race-enabled crash sweeps slow.
+//
+//go:noescape
+func lineEqual(a, b *uint64) bool
+
 // bump adds n to a counter that only its FlushSet's owner writes: a load
 // and a plain store, where Add would be a LOCK XADD.
 func bump(c *atomic.Uint64, n uint64) {

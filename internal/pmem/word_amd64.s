@@ -33,3 +33,36 @@ TEXT ·copyLine(SB), NOSPLIT, $0-16
 	MOVQ	56(SI), AX
 	MOVQ	AX, 56(DI)
 	RET
+
+// func lineEqual(a, b *uint64) bool
+//
+// Eight 8-byte loads from each line, XORed pairwise and ORed together.
+TEXT ·lineEqual(SB), NOSPLIT, $0-17
+	MOVQ	a+0(FP), SI
+	MOVQ	b+8(FP), DI
+	MOVQ	0(SI), AX
+	XORQ	0(DI), AX
+	MOVQ	8(SI), BX
+	XORQ	8(DI), BX
+	ORQ	BX, AX
+	MOVQ	16(SI), BX
+	XORQ	16(DI), BX
+	ORQ	BX, AX
+	MOVQ	24(SI), BX
+	XORQ	24(DI), BX
+	ORQ	BX, AX
+	MOVQ	32(SI), BX
+	XORQ	32(DI), BX
+	ORQ	BX, AX
+	MOVQ	40(SI), BX
+	XORQ	40(DI), BX
+	ORQ	BX, AX
+	MOVQ	48(SI), BX
+	XORQ	48(DI), BX
+	ORQ	BX, AX
+	MOVQ	56(SI), BX
+	XORQ	56(DI), BX
+	ORQ	BX, AX
+	TESTQ	AX, AX
+	SETEQ	ret+16(FP)
+	RET

@@ -20,4 +20,8 @@ func copyLine(dst, src *uint64) {
 	}
 }
 
+func lineEqual(a, b *uint64) bool {
+	return *(*[WordsPerLine]uint64)(unsafe.Pointer(a)) == *(*[WordsPerLine]uint64)(unsafe.Pointer(b))
+}
+
 func bump(c *atomic.Uint64, n uint64) { c.Add(n) }

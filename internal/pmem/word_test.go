@@ -210,3 +210,27 @@ func BenchmarkDeviceLoadPair(b *testing.B) {
 		pairSink += v
 	}
 }
+
+// TestLineEqual checks the line compare a crash skips clean lines with: equal
+// lines compare equal, and a difference in any one of the eight words, in
+// any bit, does not.
+func TestLineEqual(t *testing.T) {
+	a, b := alignedWords(2*WordsPerLine), alignedWords(2*WordsPerLine)
+	for i := range a {
+		a[i], b[i] = uint64(i)*0x9e3779b97f4a7c15, uint64(i)*0x9e3779b97f4a7c15
+	}
+	for base := 0; base < len(a); base += WordsPerLine {
+		if !lineEqual(&a[base], &b[base]) {
+			t.Fatalf("equal lines at %d compare unequal", base)
+		}
+		for w := base; w < base+WordsPerLine; w++ {
+			for _, bit := range []uint{0, 31, 63} {
+				b[w] ^= 1 << bit
+				if lineEqual(&a[base], &b[base]) {
+					t.Errorf("lines differing in word %d bit %d compare equal", w-base, bit)
+				}
+				b[w] ^= 1 << bit
+			}
+		}
+	}
+}

@@ -274,7 +274,7 @@ func (r *Runtime) verify(c *engine.Ctx) {
 // after Close, but Counters, Stats and Footprint still answer.
 func (r *Runtime) Close() error {
 	r.eng.Freeze()
-	for _, d := range r.eng.PersistentDevices() {
+	for _, d := range engine.PersistentDevices(r.eng) {
 		if err := d.Close(); err != nil {
 			return err
 		}

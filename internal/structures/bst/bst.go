@@ -292,28 +292,27 @@ func (b *BST) Insert(c *engine.Ctx, key, val uint64) bool {
 			e.MakePersistent(c, rec.leaf, NodeFields)
 			return false
 		}
-		// Batch both nodes' initialization under one trailing fence: the
-		// leaf and its internal parent become durable together at Commit.
-		ba := engine.Batch(e, c)
+		// Initialize both nodes and publish them under one trailing fence:
+		// the leaf and its internal parent become durable together.
 		if newLeaf == 0 {
 			newLeaf = e.Alloc(c, NodeFields)
-			ba.StoreInit(newLeaf, FieldKey, key)
-			ba.StoreInit(newLeaf, FieldVal, val)
-			ba.StoreInit(newLeaf, FieldLeft, 0)
-			ba.StoreInit(newLeaf, FieldRight, 0)
+			e.StoreInit(c, newLeaf, FieldKey, key)
+			e.StoreInit(c, newLeaf, FieldVal, val)
+			e.StoreInit(c, newLeaf, FieldLeft, 0)
+			e.StoreInit(c, newLeaf, FieldRight, 0)
 			newInternal = e.Alloc(c, NodeFields)
-			ba.StoreInit(newInternal, FieldVal, 0)
+			e.StoreInit(c, newInternal, FieldVal, 0)
 		}
 		if key < leafKey {
-			ba.StoreInit(newInternal, FieldKey, leafKey)
-			ba.StoreInit(newInternal, FieldLeft, newLeaf)
-			ba.StoreInit(newInternal, FieldRight, rec.leaf)
+			e.StoreInit(c, newInternal, FieldKey, leafKey)
+			e.StoreInit(c, newInternal, FieldLeft, newLeaf)
+			e.StoreInit(c, newInternal, FieldRight, rec.leaf)
 		} else {
-			ba.StoreInit(newInternal, FieldKey, key)
-			ba.StoreInit(newInternal, FieldLeft, rec.leaf)
-			ba.StoreInit(newInternal, FieldRight, newLeaf)
+			e.StoreInit(c, newInternal, FieldKey, key)
+			e.StoreInit(c, newInternal, FieldLeft, rec.leaf)
+			e.StoreInit(c, newInternal, FieldRight, newLeaf)
 		}
-		ba.Commit()
+		e.Publish(c, newInternal)
 		e.MakePersistent(c, rec.parent, NodeFields)
 		if e.CAS(c, rec.parent, cf, rec.leaf, newInternal) {
 			return true

@@ -110,17 +110,15 @@ func (l *List) Insert(c *engine.Ctx, key, val uint64) bool {
 			e.MakePersistent(c, curr, NodeFields)
 			return false
 		}
-		// Batch the node's initialization: relaxed flushes per dirty line,
-		// one trailing fence at Commit (engine.Batch; equivalent to
-		// StoreInit+Publish on non-eliding engines).
-		b := engine.Batch(e, c)
+		// Initialize the node and publish it under one trailing fence (an
+		// eliding engine flushes each dirty line once, at Publish).
 		if node == 0 {
 			node = e.Alloc(c, NodeFields)
-			b.StoreInit(node, FieldKey, key)
-			b.StoreInit(node, FieldVal, val)
+			e.StoreInit(c, node, FieldKey, key)
+			e.StoreInit(c, node, FieldVal, val)
 		}
-		b.StoreInit(node, FieldNext, curr)
-		b.Commit()
+		e.StoreInit(c, node, FieldNext, curr)
+		e.Publish(c, node)
 		e.MakePersistent(c, predRef, NodeFields)
 		if e.CAS(c, predRef, predField, curr, node) {
 			return true

@@ -94,7 +94,7 @@ func recoveredMedia(t *testing.T, f Factory, k engine.Kind, recover func(e engin
 	shardedOps(s, c, 43)
 	e.Drain(c)
 	var hashes []uint64
-	for _, d := range e.PersistentDevices() {
+	for _, d := range engine.PersistentDevices(e) {
 		hashes = append(hashes, d.MediaHash())
 	}
 	return fmt.Sprintf("%#x", hashes)

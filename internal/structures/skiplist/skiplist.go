@@ -195,19 +195,18 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 			e.MakePersistent(c, succs[0], FieldNext)
 			return false
 		}
-		// Batch the tower's initialization: relaxed flushes per dirty
-		// line, one trailing fence at Commit.
-		b := engine.Batch(e, c)
+		// Initialize the tower and publish it under one trailing fence (an
+		// eliding engine flushes each dirty line once, at Publish).
 		if node == 0 {
 			node = e.Alloc(c, NodeFields(level))
-			b.StoreInit(node, FieldKey, key)
-			b.StoreInit(node, FieldVal, val)
-			b.StoreInit(node, FieldTop, uint64(level))
+			e.StoreInit(c, node, FieldKey, key)
+			e.StoreInit(c, node, FieldVal, val)
+			e.StoreInit(c, node, FieldTop, uint64(level))
 		}
 		for i := 0; i < level; i++ {
-			b.StoreInit(node, Link(i), succs[i])
+			e.StoreInit(c, node, Link(i), succs[i])
 		}
-		b.Commit()
+		e.Publish(c, node)
 		e.MakePersistent(c, preds[0], FieldNext+1)
 		if !e.CAS(c, preds[0], FieldNext, succs[0], node) {
 			continue // level-0 link lost the race; redo the search

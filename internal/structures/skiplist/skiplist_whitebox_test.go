@@ -167,7 +167,7 @@ func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 			e.OpEnd(c)
 			want := map[engine.Ref]bool{s.head: true, n12: true, n15: true, n17: true}
 			e.Freeze()
-			if err := e.PersistentDevices()[0].Close(); err != nil {
+			if err := engine.PersistentDevices(e)[0].Close(); err != nil {
 				t.Fatal(err)
 			}
 			image, err := os.ReadFile(cfg.MediaPath)
@@ -215,7 +215,7 @@ func TestShardedTracerMatchesOnFrozenLinks(t *testing.T) {
 					}
 				}
 				e.Freeze()
-				if err := e.PersistentDevices()[0].Close(); err != nil {
+				if err := engine.PersistentDevices(e)[0].Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -273,7 +273,7 @@ func TestAttachIgnoresStaleAccelerators(t *testing.T) {
 			stale(e, c, n40, 1, n10)
 			e.OpEnd(c)
 			e.Freeze()
-			if err := e.PersistentDevices()[0].Close(); err != nil {
+			if err := engine.PersistentDevices(e)[0].Close(); err != nil {
 				t.Fatal(err)
 			}
 

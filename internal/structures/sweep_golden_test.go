@@ -183,7 +183,7 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) s
 	s := e.Stats()
 	e.Drain(c)
 	media := "-"
-	if devs := e.PersistentDevices(); len(devs) > 0 {
+	if devs := engine.PersistentDevices(e); len(devs) > 0 {
 		var hs []string
 		for _, d := range devs {
 			hs = append(hs, fmt.Sprintf("%016x", d.MediaHash()))

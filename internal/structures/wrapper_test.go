@@ -55,7 +55,7 @@ func TestWrapperTransparency(t *testing.T) {
 				o.flushes, o.fences = raw.Counters()
 				o.stats = raw.Stats()
 				raw.Drain(c)
-				o.media = raw.PersistentDevices()[0].MediaHash()
+				o.media = engine.PersistentDevices(raw)[0].MediaHash()
 				return o
 			}
 			direct, wrapped := run(false), run(true)

@@ -284,7 +284,7 @@ func TestOpenRestoresOnlyLive(t *testing.T) {
 			pmem.EnableDebugChecks()
 			defer pmem.DisableDebugChecks()
 			rt, c, sets, q = openAll(t, path, opts)
-			dev := rt.Engine().PersistentDevices()[0]
+			dev := engine.PersistentDevices(rt.Engine())[0]
 			rebuilt := accelerators(rt, c)
 			dead := 0
 			for off := uint64(1); off < uint64(dev.Size()); off++ {
