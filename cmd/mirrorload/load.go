@@ -61,9 +61,13 @@ type servingLoad struct {
 	Hist harness.Hist
 	// Server holds the server's STATS deltas over the session (a STATS
 	// frame counts as no op), and AnnounceFences the engine's
-	// announce-barrier fences among them.
-	Server         server.Stats
-	AnnounceFences uint64
+	// announce-barrier fences among them. Witnesses, WitnessFences and
+	// Unverdicted are the engine's witness records, the fences witnesses
+	// paid for themselves, and the mutations acknowledged on their own
+	// install's evidence, with no verdict line.
+	Server                                server.Stats
+	AnnounceFences                        uint64
+	Witnesses, WitnessFences, Unverdicted uint64
 	// Attach is what the server's attach cost, as STATS reports it.
 	Attach server.Attach
 	// Before and After are the STATS snapshots around the session, whose
@@ -344,6 +348,9 @@ func runServingLoad(spec servingSpec) (servingLoad, error) {
 		Fences: st1.Fences - st0.Fences,
 	}
 	load.AnnounceFences = es1.AnnounceFences - es0.AnnounceFences
+	load.Witnesses = es1.Witnesses - es0.Witnesses
+	load.WitnessFences = es1.WitnessFences - es0.WitnessFences
+	load.Unverdicted = es1.Unverdicted - es0.Unverdicted
 	load.Attach = st1.Attach
 	load.Before, load.After = st0, st1
 	return load, nil

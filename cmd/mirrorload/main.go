@@ -21,7 +21,9 @@
 // The server's side of a session is read with STATS before and after it:
 // the last line reports its mutations and the fences, flushes and
 // announce-barrier fences per mutation, of the whole server over the
-// session (mirrord prints its lifetime totals on SIGTERM). Restarting
+// session, then its witnesses, witness fences and mutations acknowledged
+// without a verdict line per mutation (mirrord prints its lifetime totals
+// on SIGTERM). Restarting
 // mirrord with -maxbatch 1 (one fence per mutation) or another -engine
 // under the same load gives the group-commit ablation and the cross-engine
 // rows.
@@ -90,6 +92,8 @@ func main() {
 	fmt.Printf("mirrorload: server: %d mutations, %.4f fences/mutation, %.4f flushes/mutation, %.4f announce-barrier fences/mutation\n",
 		load.Server.Mutations, load.perMutation(load.Server.Fences), load.perMutation(load.Server.Flushes),
 		load.perMutation(load.AnnounceFences))
+	fmt.Printf("mirrorload: server evidence: %.4f witnesses/mutation, %.4f witness fences/mutation, %.4f acknowledged without a verdict/mutation\n",
+		load.perMutation(load.Witnesses), load.perMutation(load.WitnessFences), load.perMutation(load.Unverdicted))
 	b, a := load.Before, load.After
 	fmt.Printf("mirrorload: server reclamation before → after: %d → %d live words, %d → %d objects in limbo, epoch lag %d → %d\n",
 		b.LiveWords, a.LiveWords, b.Limbo, a.Limbo, b.EpochLag, a.EpochLag)

@@ -51,7 +51,7 @@ func towers(e engine.Engine, c *engine.Ctx) map[[2]uint64]uint64 {
 	words := map[[2]uint64]uint64{}
 	head := e.TraversalLoad(c, engine.Root, 0)
 	for n := head; n != 0; {
-		for i := 1; i < int(e.TraversalLoad(c, n, skiplist.FieldTop)); i++ {
+		for i := 1; i < skiplist.Height(e.TraversalLoad(c, n, skiplist.FieldTop)); i++ {
 			words[[2]uint64{n, uint64(i)}] = e.TraversalLoad(c, n, skiplist.Link(i))
 		}
 		n = structures.Unmark(e.TraversalLoad(c, n, skiplist.FieldNext))

@@ -17,8 +17,14 @@ import (
 // (seq-1) mod Ring of its client's ring:
 //
 //	announce line   w0 seq   w1 kind   w2 key   w3 val   w4 checksum
+//	                w5 named word
 //	verdict line    w8 seq<<2|result<<1|1   w9 rval   w10 checksum
-//	                w11 done bits   w12 result bits
+//	                w11 done bits   w12 result bits   w13 witness
+//
+// w5 is the device offset of the word whose tag testifies for the entry's
+// seq (0: none; the checksum covers it, and folds it away when it is 0), and
+// w13 the largest full seq of the entry that another operation witnessed
+// before erasing its evidence (O6, O7 below). w6, w7, w14 and w15 are unused.
 //
 // Bit i of w11/w12 is the verdict of seq-1-i (i < 63): a drain writes one
 // verdict line per client, for its newest pending seq, and that line
@@ -136,16 +142,82 @@ import (
 //     which tell seq from seq ± Ring. Tag 0 is no tag: with detectability
 //     off nothing changes.
 //
+// Evidence instead of a verdict. On Mirror a skip-list operation that takes
+// effect leaves a word that names it, committed by the fence that makes
+// the effect durable, and is acknowledged with no verdict line and no End
+// fence (DetectEndDeferred records it in a live per-entry record instead):
+//
+//   - An insert tags the write-once height word of the node it publishes
+//     (Ctx.NodeTag), and the engine names that word's offset in the armed
+//     announce (w5, covered by the checksum) before the publish fence,
+//     which commits the announce, the name and the node together, ahead of
+//     the level-0 link; once the link's own fence has run, the node on
+//     level 0 testifies for the insert.
+//   - A delete's level-0 mark carries its tag (O1), and once the mark is in
+//     rep_p the engine names the mark's word, as a mark (namedMark), in the
+//     announce before the mark's own fence commits both (the patomic
+//     AfterTagged hook). A mark is final, and its node leaves level 0 only
+//     after it, so the trace reading the tagged mark or never reaching the
+//     word both testify for the delete.
+//
+// Every other operation — one without effect, a dequeue, an RMW, any
+// operation on another structure or engine — keeps its verdict line and
+// End, and so does one whose client has an earlier seq awaiting its
+// verdict on the context (a pipelined batch): per-client FIFO makes a
+// client's committed seqs a prefix, which the seq's own evidence, durable
+// before that earlier verdict, would break (TestEvidenceKeepsThePrefix).
+// Two more obligations, each with a test:
+//
+//   - (O6) Witness before erase. Evidence that vouches for an acknowledged
+//     seq must outlast the seq's ring window, which ends when its client
+//     arms seq + Ring. A record of the seq in its own entry (w13, the
+//     witness: a monotone maximum of full seqs, so a slow writer never
+//     hides a later lap's) stands in for evidence that is erased, and it is
+//     fenced before the erasing store can reach rep_p — sharing the erase's
+//     fence would not do, since an eviction can carry a relaxed snip to the
+//     media ahead of a witness that was only flushed. Two installs erase:
+//     (a) the level-0 snip of an insert's node, which follows the node's
+//     mark: the marking CAS (Ctx.Doom hands it the height word) first
+//     witnesses the insert if the insert's announce still names the word —
+//     once it does not, the window has ended — and a tagged mark's own
+//     fence commits the witness before the mark is visible, a helper that
+//     mirrors the mark persists it first (O2, witnessLines), and an unarmed
+//     mark pays one witness fence ahead of its install (Stats.WitnessFences);
+//     (b) the reuse of a deleted node's memory, which could put the mark's
+//     named word back on level 0 without the mark: retiring the node
+//     leaves its context a witness owed, which the pre-free drain that
+//     comes before any reuse pays — if the delete's window is still open —
+//     and fences (Drain; a closing context hands what it owes on with its
+//     limbo); a node is freed two epochs after its retire, so most windows
+//     have ended by then. A recovery that finds a named mark's evidence
+//     writes its witness durably before the allocator it rebuilds can hand
+//     the node's memory out. The snip of a marked node needs no witness for
+//     the delete: the absence of the word testifies.
+//     (skiplist.TestSnipWitnessesInsert, the fallback rows of
+//     TestServedMutationBudget, and RunAckDetect's crash sweep.)
+//   - (O7) Evidence testifies exactly. Detect answers Committed with result
+//     true for a seq only where the entry's witness records exactly that
+//     seq, or where the live record or the last recovery's trace found it:
+//     the trace read the seq's tag at exactly the offset the seq's valid
+//     announce names, or, for a named mark, never read that offset. A tag
+//     keeps only tagLapBits lap bits, and an old insert's height word stays
+//     on level 0 for any number of laps, so the tag alone would alias a
+//     later operation of the same entry; the named offset does not, since
+//     an announce names a word only once the armed operation has installed
+//     or published it (skiplist.TestTagLapAliasNotCommitted).
+
 // Descriptors deliberately do not reintroduce a fence per operation: the
 // announce rides whichever fence the operation issues first, the verdict
 // flush piggybacks on the operation's flush set, and the one trailing
 // verdict fence is skipped via the elision layer whenever an intervening
 // fence already committed it. Nor a flush per operation: an announce is
 // flushed only by a fence that needs it, and a drain flushes one verdict
-// line per client. The End fence itself stays: the node or mark that could
-// vouch for an acknowledged operation may be excised and reused while its
-// seq is still inside the ring window, and only the verdict line then
-// answers for it.
+// line per client. The End fence goes wherever the install itself
+// testifies — a skip-list insert or delete that took effect on Mirror — and
+// stays for every operation with no effect to testify: only its verdict
+// line answers for it. The relaxed snips such an End used to carry wait in
+// the registry for the next End or pre-free drain, as those of an
+// operation without detectability always did.
 
 // Verdict is a detectability answer for one (client, seq) operation.
 type Verdict int
@@ -212,12 +284,14 @@ const (
 	dKey    = 2
 	dVal    = 3
 	dAnnChk = 4
+	dNamed  = 5
 
 	dVerdict = pmem.WordsPerLine
 	dRval    = pmem.WordsPerLine + 1
 	dVerChk  = pmem.WordsPerLine + 2
 	dDone    = pmem.WordsPerLine + 3
 	dResults = pmem.WordsPerLine + 4
+	dWitness = pmem.WordsPerLine + 5
 )
 
 // DefaultDetectRing is the per-client ring size engines reserve when
@@ -238,6 +312,11 @@ const TagShift = 36
 
 // MaxWords bounds Config.Words, so that every Ref lies below the tag bits.
 const MaxWords = 1 << TagShift
+
+// namedMark marks a named word (w5) as a tagged mark's: once the mark has
+// been installed its node leaves level 0 only after it, so the trace not
+// reaching the word testifies as much as reading the mark does (O7).
+const namedMark = 1 << 63
 
 // tagLapBits is how many low bits of a seq's lap ((seq-1) / Ring) its tag
 // keeps beside the ring entry.
@@ -263,10 +342,21 @@ func mix64(x uint64) uint64 {
 }
 
 // annChk checksums an announce line. The folded constant keeps the
-// checksum of an all-zero slot from validating.
-func annChk(seq, kind, key, val uint64) uint64 {
+// checksum of an all-zero slot from validating; a line that names no word
+// checksums as it did before lines could name one.
+func annChk(seq, kind, key, val, named uint64) uint64 {
 	return mix64(seq*0x9e3779b97f4a7c15 ^ kind*0xff51afd7ed558ccd ^
-		key*0xc2b2ae3d27d4eb4f ^ val ^ 0xd6e8feb86659fd93)
+		key*0xc2b2ae3d27d4eb4f ^ val ^ named*0x9fb21c651e98df25 ^ 0xd6e8feb86659fd93)
+}
+
+// announceAt decodes the announce line of the entry at s: its seq and the
+// word it names; ok is false for an empty or torn line.
+func (r *descRegion) announceAt(s uint64) (seq, named uint64, ok bool) {
+	a0 := r.Dev.ReadRaw(s + dSeq)
+	a5 := r.Dev.ReadRaw(s + dNamed)
+	ok = a0 != 0 && r.Dev.ReadRaw(s+dAnnChk) == annChk(a0, r.Dev.ReadRaw(s+dKind),
+		r.Dev.ReadRaw(s+dKey), r.Dev.ReadRaw(s+dVal), a5)
+	return a0, a5, ok
 }
 
 // verChk checksums a verdict line. A line without result bits checksums as
@@ -328,13 +418,25 @@ type descRegion struct {
 	// every verdict honestly reads NotCommitted.
 	Durable bool
 
-	announces atomic.Uint64
-	verdicts  atomic.Uint64
-	barriers  atomic.Uint64 // fences the announce barrier issued
+	announces     atomic.Uint64
+	verdicts      atomic.Uint64
+	barriers      atomic.Uint64 // fences the announce barrier issued
+	witnesses     atomic.Uint64 // witness records written (O6)
+	witnessFences atomic.Uint64 // fences a witness paid for itself (O6)
+	unverdicted   atomic.Uint64 // operations acknowledged on their evidence
 
-	// tags holds the tags the last recovery's trace read (traceTags);
-	// fixed from the end of that recovery to the start of the next.
-	tags map[uint64]struct{}
+	// tags is a bitset over tag values: the mark tags the last recovery's
+	// trace read (traceTags, O3); fixed from the end of that recovery to the
+	// start of the next.
+	tags []uint64
+	// evidence holds, per ring entry, the seq whose own install testifies
+	// for it (O7): set when such an operation returns, and replaced by what
+	// the trace found at each recovery.
+	evidence []atomic.Uint64
+	// witnessLines holds, per ring entry, the witness line (O6) that the
+	// entry's in-flight tagged install made its fence commit, or 0: a
+	// helper that mirrors the install persists it first (O2).
+	witnessLines []atomic.Uint64
 }
 
 // newDescRegion validates and returns a region descriptor. The region's
@@ -353,7 +455,11 @@ func newDescRegion(dev *pmem.Device, base uint64, clients, ring int, durable boo
 	if ring > MaxDetectRing {
 		panic(fmt.Sprintf("engine: descriptor ring %d exceeds %d entries", ring, MaxDetectRing))
 	}
-	return &descRegion{Dev: dev, Base: base, Clients: clients, Ring: ring, Durable: durable}
+	return &descRegion{
+		Dev: dev, Base: base, Clients: clients, Ring: ring, Durable: durable,
+		evidence:     make([]atomic.Uint64, clients*ring),
+		witnessLines: make([]atomic.Uint64, clients*ring),
+	}
 }
 
 // ringBase returns the first word of client's ring.
@@ -373,43 +479,130 @@ func (r *descRegion) entry(client int, seq uint64) uint64 {
 // Words returns the region's size in words.
 func (r *descRegion) Words() uint64 { return descWords(r.Clients, r.Ring) }
 
+// index returns the index over the whole region of the ring entry
+// operation (client, seq) occupies.
+func (r *descRegion) index(client int, seq uint64) uint64 {
+	return uint64(client)*uint64(r.Ring) + (seq-1)%uint64(r.Ring)
+}
+
 // tag returns the tag of operation (client, seq): one plus its ring entry's
 // index over the whole region, shifted past the low tagLapBits bits of its
 // lap. Never 0.
 func (r *descRegion) tag(client int, seq uint64) uint64 {
-	ring := uint64(r.Ring)
-	entry := uint64(client)*ring + (seq-1)%ring
-	return 1 + (entry<<tagLapBits | (seq-1)/ring&(1<<tagLapBits-1))
+	return r.tagAt(r.index(client, seq), seq)
+}
+
+// tagAt is tag for the operation seq of the entry of the given index.
+func (r *descRegion) tagAt(index, seq uint64) uint64 {
+	return 1 + (index<<tagLapBits | (seq-1)/uint64(r.Ring)&(1<<tagLapBits-1))
+}
+
+// tagIndex returns the index of the ring entry that the tag in w names, and
+// false when w carries none.
+func (r *descRegion) tagIndex(w uint64) (uint64, bool) {
+	t := w >> TagShift
+	if t == 0 || (t-1)>>tagLapBits >= uint64(r.Clients*r.Ring) {
+		return 0, false
+	}
+	return (t - 1) >> tagLapBits, true
 }
 
 // witness is patomic.Mem.Witness for the region: the first word of the
-// announce line the tag of w names, or 0 when w carries none (O2).
-func (r *descRegion) witness(w uint64) uint64 {
-	t := w >> TagShift
-	if t == 0 {
-		return 0
+// announce line the tag of w names (O2), and the witness line its install
+// made its own fence commit (O6); 0 where there is none.
+func (r *descRegion) witness(w uint64) (announce, witness uint64) {
+	i, ok := r.tagIndex(w)
+	if !ok {
+		return 0, 0
 	}
-	entry := (t - 1) >> tagLapBits
-	if entry >= uint64(r.Clients*r.Ring) {
-		return 0
-	}
-	return r.Base + entry*descSlotWords
+	return r.Base + i*descSlotWords, r.witnessLines[i].Load()
 }
 
-// traceTags wraps a recovery trace's read: the tag of every cell word it
-// returns lands in a fresh set, which replaces the previous recovery's
-// (O3). The trace runs on one goroutine, and no Detect runs during
-// recovery.
-func (r *descRegion) traceTags(read func(Ref, int) uint64) func(Ref, int) uint64 {
-	tags := map[uint64]struct{}{}
+// traceTags wraps a recovery trace's read on Mirror, the engine that tags
+// (O3, O4, O7), and returns the wrapper and what to run once the trace has
+// ended. The tag of every cell word the trace reads lands in a fresh
+// bitset over tag values, which replaces the previous recovery's. The seq
+// of a valid announce that names a word becomes its entry's evidence where
+// the trace reads the seq's tag at exactly that word — or, for a mark's
+// word, where the trace never reads the word at all. The trace runs on one
+// goroutine, and no Detect runs during recovery.
+func (r *descRegion) traceTags(read func(Ref, int) uint64) (func(Ref, int) uint64, func()) {
+	n := uint64(r.Clients * r.Ring)
+	tags := make([]uint64, (n<<tagLapBits+63)/64)
 	r.tags = tags
-	return func(ref Ref, field int) uint64 {
+	// named[i] is entry i's valid announce, if it names a word; marks
+	// lists the entries that name a mark's word, and filter has the bit
+	// of each such word's offset, so that a read tests one bit.
+	type namedWord struct {
+		seq, word uint64
+		read      bool
+	}
+	named := make([]namedWord, n)
+	var marks []uint64
+	var filter [64]uint64
+	for i := range named {
+		r.evidence[i].Store(0)
+		if seq, w, ok := r.announceAt(r.Base + uint64(i)*descSlotWords); ok && w != 0 {
+			named[i] = namedWord{seq: seq, word: w &^ namedMark}
+			if w&namedMark != 0 {
+				marks = append(marks, uint64(i))
+				filter[w>>6%64] |= 1 << (w % 64)
+			}
+		}
+	}
+	traced := func(ref Ref, field int) uint64 {
 		w := read(ref, field)
-		if t := w >> TagShift; t != 0 && field < Plain {
-			tags[t] = struct{}{}
+		if marks != nil && field < Plain {
+			if a := mirrorAddr(ref, field); filter[a>>6%64]&(1<<(a%64)) != 0 {
+				for _, i := range marks {
+					if named[i].word == a {
+						named[i].read = true
+					}
+				}
+			}
+		}
+		if w < 1<<TagShift {
+			return w
+		}
+		i, ok := r.tagIndex(w)
+		if !ok {
+			return w
+		}
+		if field < Plain {
+			t := w>>TagShift - 1
+			tags[t/64] |= 1 << (t % 64)
+		}
+		if nw := &named[i]; nw.word != 0 && r.tagAt(i, nw.seq) == w>>TagShift && nw.word == mirrorAddr(ref, field) {
+			r.evidence[i].Store(nw.seq)
 		}
 		return w
 	}
+	return traced, func() {
+		for _, i := range marks {
+			nw := &named[i]
+			if !nw.read {
+				r.evidence[i].Store(nw.seq)
+			}
+			// The allocator this recovery rebuilds may hand out the
+			// node's memory next: witness the delete durably now (O6).
+			if s := r.Base + i*descSlotWords; r.evidence[i].Load() == nw.seq && r.Dev.ReadRaw(s+dWitness) < nw.seq {
+				r.Dev.WriteRaw(s+dWitness, nw.seq)
+				if r.Durable {
+					r.Dev.PersistRange(s+dWitness, 1)
+				}
+			}
+		}
+	}
+}
+
+// traced reports whether the last recovery's trace read the tag of
+// (client, seq) off a cell word (O3).
+func (r *descRegion) traced(client int, seq uint64) bool {
+	if r.tags == nil {
+		return false
+	}
+	t := r.tag(client, seq) - 1
+	return r.tags[t/64]&(1<<(t%64)) != 0
 }
 
 // arm writes the announce line for (client, seq) and leaves its flush to the
@@ -425,11 +618,83 @@ func (r *descRegion) arm(fs *pmem.FlushSet, client int, seq, kind, key, val uint
 	r.Dev.Store(s+dKind, kind)
 	r.Dev.Store(s+dKey, key)
 	r.Dev.Store(s+dVal, val)
-	r.Dev.Store(s+dAnnChk, annChk(seq, kind, key, val))
+	if r.Dev.ReadRaw(s+dNamed) != 0 {
+		r.Dev.Store(s+dNamed, 0)
+	}
+	r.Dev.Store(s+dAnnChk, annChk(seq, kind, key, val, 0))
 	r.announces.Add(1)
 	if r.Durable {
 		r.Dev.FlushAhead(fs, s)
 	}
+}
+
+// name records in the announce of (client, seq) the offset of the word
+// whose tag will testify for it, and re-checksums the line (O7). The caller
+// names the word before the fence that commits it, and flushes the line
+// unless the announce is still armed on that fence's flush set.
+func (r *descRegion) name(client int, seq, word uint64) {
+	s := r.entry(client, seq)
+	r.Dev.Store(s+dNamed, word)
+	r.Dev.Store(s+dAnnChk, annChk(seq, r.Dev.ReadRaw(s+dKind), r.Dev.ReadRaw(s+dKey), r.Dev.ReadRaw(s+dVal), word))
+}
+
+// witnessInsert is O6's record before an install that dooms the tagged
+// word w at offset word: if the announce of the entry w's tag names that
+// offset, and the tag is its seq's, it raises the entry's witness to that
+// seq and flushes the witness line on fs, and returns the line. It returns
+// 0 when the window of the tagged seq has ended (the announce names another
+// word or seq), which needs no record.
+func (r *descRegion) witnessInsert(fs *pmem.FlushSet, word, w uint64) uint64 {
+	i, ok := r.tagIndex(w)
+	if !ok {
+		return 0
+	}
+	s := r.Base + i*descSlotWords
+	seq, named, ok := r.announceAt(s)
+	if !ok || named != word || r.tagAt(i, seq) != w>>TagShift {
+		return 0
+	}
+	r.raiseWitness(fs, s, seq)
+	return s + dWitness
+}
+
+// owedWitness is a delete acknowledged on its mark whose node, retired in
+// the reclamation epoch epoch, must not be reused before its witness is
+// durable (O6).
+type owedWitness struct {
+	client     int
+	seq, epoch uint64
+}
+
+// payOwed settles the owed witnesses whose nodes a drain at reclamation
+// epoch now may free — retired two epochs before or earlier — and returns
+// the rest. It witnesses each such operation whose window is still open
+// (its entry's announce is still its own) and flushes the line on fs; the
+// caller fences them before any memory is reused. A window that has ended
+// needs nothing: the client holds the response and asks no more.
+func (r *descRegion) payOwed(fs *pmem.FlushSet, owed []owedWitness, now uint64) []owedWitness {
+	kept := owed[:0]
+	for _, o := range owed {
+		if o.epoch+2 > now {
+			kept = append(kept, o)
+		} else if s := r.entry(o.client, o.seq); r.Dev.ReadRaw(s+dSeq) == o.seq {
+			r.raiseWitness(fs, s, o.seq)
+		}
+	}
+	return kept
+}
+
+// raiseWitness raises the witness of the entry at s to seq, unless it
+// already records seq or a later lap, and flushes its line on fs.
+func (r *descRegion) raiseWitness(fs *pmem.FlushSet, s, seq uint64) {
+	for {
+		cur := r.Dev.ReadRaw(s + dWitness)
+		if cur >= seq || r.Dev.CAS(s+dWitness, cur, seq) {
+			break
+		}
+	}
+	r.Dev.Flush(fs, s+dWitness)
+	r.witnesses.Add(1)
 }
 
 // publish writes and flushes one verdict line, result bits included. The
@@ -494,6 +759,11 @@ func (r *descRegion) Detect(client int, seq uint64) DetectResult {
 	if v, ok := r.verdictAt(s); ok && v.seq == seq {
 		return DetectResult{Verdict: Committed, KnownResult: true, Result: v.result, Rval: v.rval}
 	}
+	// Evidence of the seq's own install, or a witness of it (O6, O7): only
+	// an operation that took effect leaves either.
+	if r.evidence[r.index(client, seq)].Load() == seq || r.Dev.ReadRaw(s+dWitness) == seq {
+		return DetectResult{Verdict: Committed, KnownResult: true, Result: true}
+	}
 	// Every valid verdict line of the client for a later seq proves seq
 	// committed: verdict words are written only after the drain fence that
 	// committed every earlier effect of the client (per-client FIFO), so
@@ -522,12 +792,7 @@ func (r *descRegion) Detect(client int, seq uint64) DetectResult {
 			later = true
 		}
 	}
-	a0 := r.Dev.ReadRaw(s + dSeq)
-	a1 := r.Dev.ReadRaw(s + dKind)
-	a2 := r.Dev.ReadRaw(s + dKey)
-	a3 := r.Dev.ReadRaw(s + dVal)
-	a4 := r.Dev.ReadRaw(s + dAnnChk)
-	announced := a0 != 0 && a4 == annChk(a0, a1, a2, a3)
+	a0, _, announced := r.announceAt(s)
 	switch {
 	case lapped, announced && a0 > seq:
 		// The entry has lapped past seq (it holds seq+kRing evidence, k≥1).
@@ -551,10 +816,8 @@ func (r *descRegion) Detect(client int, seq uint64) DetectResult {
 		// media all the same: it was installed without the barrier, and
 		// the fence that would have committed the announce with it may
 		// not have run (O3).
-		if len(r.tags) > 0 {
-			if _, ok := r.tags[r.tag(client, seq)]; ok {
-				return DetectResult{Verdict: Unknown}
-			}
+		if r.traced(client, seq) {
+			return DetectResult{Verdict: Unknown}
 		}
 		// Otherwise the operation never passed its pre-linearization
 		// barrier.
@@ -569,14 +832,9 @@ func (r *descRegion) Detect(client int, seq uint64) DetectResult {
 func (r *descRegion) Scrub() {
 	for i := 0; i < r.Clients*r.Ring; i++ {
 		s := r.Base + uint64(i)*descSlotWords
-		a0 := r.Dev.ReadRaw(s + dSeq)
-		a4 := r.Dev.ReadRaw(s + dAnnChk)
-		if a0 != 0 || a4 != 0 {
-			a1 := r.Dev.ReadRaw(s + dKind)
-			a2 := r.Dev.ReadRaw(s + dKey)
-			a3 := r.Dev.ReadRaw(s + dVal)
-			if a0 == 0 || a4 != annChk(a0, a1, a2, a3) {
-				for w := uint64(dSeq); w <= dAnnChk; w++ {
+		if r.Dev.ReadRaw(s+dSeq) != 0 || r.Dev.ReadRaw(s+dAnnChk) != 0 {
+			if _, _, ok := r.announceAt(s); !ok {
+				for w := uint64(dSeq); w <= dNamed; w++ {
 					r.Dev.WriteRaw(s+w, 0)
 				}
 			}
@@ -592,11 +850,16 @@ func (r *descRegion) Scrub() {
 	}
 }
 
-// Counters reports cumulative announces written and verdicts published —
-// one per operation each, whether or not the announce line was ever flushed
-// and whether the verdict has a line of its own or rides another's bits.
-func (r *descRegion) Counters() (announces, verdicts uint64) {
-	return r.announces.Load(), r.verdicts.Load()
+// stats fills the region's counters into s: announces written and
+// verdicts published — one per operation each, whether or not the announce
+// line was ever flushed and whether the verdict has a line of its own or
+// rides another's bits — barrier fences, witnesses and their fences, and
+// the operations acknowledged without a verdict.
+func (r *descRegion) stats(s *Stats) {
+	s.DetectAnnounces, s.DetectVerdicts = r.announces.Load(), r.verdicts.Load()
+	s.AnnounceFences = r.barriers.Load()
+	s.Witnesses, s.WitnessFences = r.witnesses.Load(), r.witnessFences.Load()
+	s.Unverdicted = r.unverdicted.Load()
 }
 
 // descState is the per-Ctx armed-operation state of the engine-integrated
@@ -615,6 +878,19 @@ type descState struct {
 	// claimed says MarkTag handed it out for the context's next CAS.
 	tag     uint64
 	claimed bool
+	// nodeTag says NodeTag handed the tag out for a write-once word, which
+	// the engine names in the announce when it is initialized (named);
+	// marked says the operation's tagged mark is installed and named, and
+	// its node's retire still has to witness it.
+	nodeTag, named, marked bool
+}
+
+// doomed is a tagged write-once word that the context's next CAS starts to
+// unlink (Ctx.Doom, O6).
+type doomed struct {
+	ref   Ref
+	field int
+	w     uint64
 }
 
 // MarkTag returns the bits a structure ORs into the word whose install is
@@ -629,6 +905,43 @@ func (c *Ctx) MarkTag() uint64 {
 	}
 	c.det.claimed = true
 	return c.det.tag << TagShift
+}
+
+// NodeTag returns the bits a structure ORs into a write-once word of the
+// object the armed operation publishes as its effect — a skip-list insert's
+// tower height — so that the word testifies for the operation once the
+// object is linked (detect.go "Evidence instead of a verdict"). The engine
+// names the word in the announce when StoreInit writes it, and an operation
+// that then returns true is acknowledged on that evidence: the structure
+// must return true only if that very object was linked. It returns 0 when
+// no operation is armed or the engine does not tag.
+func (c *Ctx) NodeTag() uint64 {
+	if c.det.tag == 0 {
+		return 0
+	}
+	c.det.nodeTag = true
+	return c.det.tag << TagShift
+}
+
+// Doom tells the engine that the context's next CAS starts the unlink of
+// the object at ref — a skip-list delete's level-0 mark — whose write-once
+// field holds w as the structure read it. If w carries an insert's tag the
+// CAS witnesses that insert first (O6).
+func (c *Ctx) Doom(ref Ref, field int, w uint64) {
+	if w>>TagShift != 0 {
+		c.doom = doomed{ref: ref, field: field, w: w}
+	}
+}
+
+// verdictPending reports whether a verdict of client awaits the context's
+// next DetectDrain.
+func (c *Ctx) verdictPending(client int) bool {
+	for _, pv := range c.detPending {
+		if pv.client == client {
+			return true
+		}
+	}
+	return false
 }
 
 // pendingVerdict is one deferred verdict awaiting its context's next
@@ -761,9 +1074,17 @@ func (d *detector) DetectEndDeferred(c *Ctx, result bool, rval uint64) {
 		return
 	}
 	d.dropAnnounce(c)
-	c.detPending = append(c.detPending, pendingVerdict{
-		client: c.det.client, seq: c.det.seq, result: result, rval: rval,
-	})
+	if result && c.det.named {
+		// The operation linked the object whose word its announce names:
+		// the publish fence committed both, and the link's own fence ran
+		// before this call. That is its evidence, and it needs no verdict.
+		d.desc.evidence[d.desc.index(c.det.client, c.det.seq)].Store(c.det.seq)
+		d.desc.unverdicted.Add(1)
+	} else {
+		c.detPending = append(c.detPending, pendingVerdict{
+			client: c.det.client, seq: c.det.seq, result: result, rval: rval,
+		})
+	}
 	c.det = descState{}
 }
 

@@ -63,9 +63,10 @@ func TestDescRegionTruthTable(t *testing.T) {
 
 	// The region counts announces; verdicts are the detector's to count,
 	// since one line may carry several.
-	ann, ver := r.Counters()
-	if ann != 2 || ver != 0 {
-		t.Errorf("counters = (%d, %d), want (2, 0)", ann, ver)
+	var st Stats
+	r.stats(&st)
+	if ann, ver := st.DetectAnnounces, st.DetectVerdicts; ann != 2 || ver != 0 {
+		t.Errorf("counters = (%d, %d), want (2, 0)", st.DetectAnnounces, st.DetectVerdicts)
 	}
 }
 

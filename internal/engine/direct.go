@@ -359,8 +359,7 @@ func (e *directEngine) Stats() Stats {
 		}
 	}
 	if e.desc != nil {
-		s.DetectAnnounces, s.DetectVerdicts = e.desc.Counters()
-		s.AnnounceFences = e.desc.barriers.Load()
+		e.desc.stats(&s)
 	}
 	return s
 }

@@ -140,11 +140,23 @@ type Ctx struct {
 	det        descState
 	detPending []pendingVerdict
 	detLines   []drainLine
+	// doom is the tagged word the next CAS starts to unlink (Doom).
+	doom doomed
+	// owed lists the operations whose retired node may be reused only
+	// once their witness is durable (detect.go O6); onClose, when set,
+	// hands them on with the context's limbo.
+	owed    []owedWitness
+	onClose func()
 }
 
 // Close ends the context's life: its allocation cache hands its limbo and
 // free lists on (palloc.Cache.Close). The context must not be used after.
-func (c *Ctx) Close() { c.Cache.Close() }
+func (c *Ctx) Close() {
+	if c.onClose != nil {
+		c.onClose()
+	}
+	c.Cache.Close()
+}
 
 // Tracer walks a data structure's reachable objects during recovery. It is
 // the "tracing operation" the paper requires the user to provide (§3.2):
@@ -307,8 +319,10 @@ type Detector interface {
 	DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val uint64)
 	// DetectEndDeferred records the armed operation's verdict, with the
 	// auxiliary return word rval (a dequeued value), for publication at
-	// the next DetectDrain. The operation's response must not be released
-	// to the client before that drain.
+	// the next DetectDrain — unless the operation linked the object whose
+	// tagged word its announce names (Ctx.NodeTag), whose evidence is
+	// already durable and needs no verdict. The operation's response must
+	// not be released to the client before that drain.
 	DetectEndDeferred(c *Ctx, result bool, rval uint64)
 	// DetectDrain publishes every verdict deferred on c. After it returns,
 	// every response recorded by DetectEndDeferred on c may be released.
@@ -386,6 +400,12 @@ type Stats struct {
 	// AnnounceFences counts the fences the announce barrier issued: one
 	// per installing operation that no fence of its own covered first.
 	AnnounceFences uint64
+	// Witnesses counts the records of an insert's seq written before an
+	// install that dooms its evidence, and WitnessFences the fences such a
+	// record paid for itself because no fence of the install came ahead of
+	// its visibility (detect.go O6). Unverdicted counts the operations
+	// acknowledged on their own install's evidence, with no verdict line.
+	Witnesses, WitnessFences, Unverdicted uint64
 }
 
 // Config describes an engine instance.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"mirror/internal/palloc"
 	"mirror/internal/patomic"
@@ -26,6 +27,12 @@ type mirrorEngine struct {
 	alloc *palloc.Allocator
 	recl  *palloc.Reclaimer
 	cold  bool // rep_p's view is empty until recovery restores it (Config.Attach)
+
+	// orphans holds the witnesses closed contexts still owed (O6): their
+	// limbo passed to other contexts, whose drains pay them.
+	orphanMu sync.Mutex
+	orphans  []owedWitness
+	orphaned atomic.Bool
 }
 
 func newMirror(cfg Config) *mirrorEngine {
@@ -94,10 +101,25 @@ func (e *mirrorEngine) NewCtx() *Ctx {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c := &Ctx{Cache: palloc.NewCache(e.alloc, e.recl)}
-	if e.mem.P.Elides() {
+	if e.mem.P.Elides() || e.desc != nil {
 		// Before a drain batch frees anything, commit everything deferred:
-		// the media must never hold a pointer into reused memory.
+		// the media must never hold a pointer into reused memory, nor miss
+		// the witness of a delete whose node the batch frees (O6).
 		c.Cache.PreFree = func() { e.Drain(c) }
+	}
+	if e.desc != nil {
+		c.pa.AfterTagged = func(off uint64) { e.nameMark(c, off) }
+		c.onClose = func() {
+			// The limbo passes to other contexts: so do the witnesses it
+			// owes, which their drains pay before freeing it.
+			if len(c.owed) > 0 {
+				e.orphanMu.Lock()
+				e.orphans = append(e.orphans, c.owed...)
+				e.orphaned.Store(true)
+				e.orphanMu.Unlock()
+				c.owed = nil
+			}
+		}
 	}
 	return c
 }
@@ -121,9 +143,39 @@ func (e *mirrorEngine) Alloc(c *Ctx, fields int) Ref {
 func (e *mirrorEngine) StoreInit(c *Ctx, ref Ref, field int, v uint64) {
 	if field < Plain {
 		e.mem.InitCell(&c.pa, mirrorAddr(ref, field), v)
-	} else {
-		e.mem.InitWord(&c.pa, mirrorAddr(ref, field), v)
+		return
 	}
+	if c.det.nodeTag && v>>TagShift == c.det.tag {
+		e.name(c, mirrorAddr(ref, field))
+	}
+	e.mem.InitWord(&c.pa, mirrorAddr(ref, field), v)
+}
+
+// name records in the armed operation's announce the word that testifies
+// for it (O7), before the fence that commits both: the fence flushes the
+// line if it is still armed there, else the line is flushed now. It names
+// nothing while an earlier seq of the client awaits its verdict on the
+// context: the word would commit the operation ahead of that seq, and a
+// client's committed seqs must form a prefix. The operation then keeps its
+// verdict.
+func (e *mirrorEngine) name(c *Ctx, word uint64) bool {
+	c.det.nodeTag = false
+	if c.verdictPending(c.det.client) {
+		return false
+	}
+	c.det.named = true
+	e.desc.name(c.det.client, c.det.seq, word)
+	if fs := &c.pa.FS; !c.det.annOpen || fs.Fences() != c.det.annFences {
+		e.mem.P.Flush(fs, e.desc.entry(c.det.client, c.det.seq))
+	}
+	return true
+}
+
+// nameMark is the context's patomic AfterTagged hook: the armed
+// operation's tagged mark reached rep_p, so it names the mark's word, as
+// a mark, before the mark's own fence commits both.
+func (e *mirrorEngine) nameMark(c *Ctx, off uint64) {
+	c.det.marked = e.name(c, off|namedMark)
 }
 
 func (e *mirrorEngine) Publish(c *Ctx, ref Ref) {
@@ -134,7 +186,14 @@ func (e *mirrorEngine) FreeUnpublished(c *Ctx, ref Ref, fields int) {
 	c.Cache.Free(ref, span(fields, patomic.CellWords))
 }
 
+// Retire of the node whose mark is the armed operation's own evidence
+// leaves the context a witness owed: the node's memory is reused only
+// after a pre-free drain of the context, which pays it first (O6).
 func (e *mirrorEngine) Retire(c *Ctx, ref Ref, fields int) {
+	if c.det.marked {
+		c.det.marked = false
+		c.owed = append(c.owed, owedWitness{client: c.det.client, seq: c.det.seq, epoch: e.recl.Epoch()})
+	}
 	c.Cache.Retire(ref, span(fields, patomic.CellWords))
 }
 
@@ -159,7 +218,8 @@ func (e *mirrorEngine) Store(c *Ctx, ref Ref, field int, v uint64) {
 
 // CAS passes the announce barrier first, unless it installs the armed
 // operation's own tag: then its own fence commits the announce with the
-// install (detect.go "Tags", O1).
+// install (detect.go "Tags", O1). A CAS that dooms a tagged word (Ctx.Doom)
+// witnesses it first (O6).
 func (e *mirrorEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
 	checkKind(field, false)
 	in := patomic.Full
@@ -168,8 +228,28 @@ func (e *mirrorEngine) CAS(c *Ctx, ref Ref, field int, old, new uint64) bool {
 	} else {
 		e.announceBarrier(c)
 	}
+	if c.doom.w != 0 {
+		e.witnessDoomed(c, in == patomic.Tagged)
+	}
 	ok, _ := e.mem.CAS(&c.pa, mirrorAddr(ref, field), old, new, in)
 	return ok
+}
+
+// witnessDoomed writes O6's witness for the word the next install dooms.
+// A tagged install's own fence commits the line before the install is
+// visible, and a helper that mirrors the install persists it first; any
+// other install fences it now, ahead of its rep_p install.
+func (e *mirrorEngine) witnessDoomed(c *Ctx, tagged bool) {
+	d := c.doom
+	c.doom = doomed{}
+	line := e.desc.witnessInsert(&c.pa.FS, mirrorAddr(d.ref, d.field), d.w)
+	switch {
+	case tagged:
+		e.desc.witnessLines[e.desc.index(c.det.client, c.det.seq)].Store(line)
+	case line != 0:
+		e.desc.witnessFences.Add(1)
+		e.mem.P.Fence(&c.pa.FS)
+	}
 }
 
 func (e *mirrorEngine) CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) bool {
@@ -188,8 +268,25 @@ func (e *mirrorEngine) CASRebuilt(c *Ctx, ref Ref, field int, old, new uint64) b
 
 func (e *mirrorEngine) MakePersistent(c *Ctx, ref Ref, fields int) {}
 
-// Drain commits the relaxed-line registry (a no-op on a non-eliding device).
-func (e *mirrorEngine) Drain(c *Ctx) { e.mem.P.CommitRelaxed(&c.pa.FS) }
+// Drain commits the relaxed-line registry, the witnesses the context owes
+// for the nodes a drain batch may free now (O6), and anything flushed on
+// the context that no fence covered yet; it fences only when there is
+// something to commit.
+func (e *mirrorEngine) Drain(c *Ctx) {
+	fs := &c.pa.FS
+	if len(c.owed) > 0 {
+		c.owed = e.desc.payOwed(fs, c.owed, e.recl.Epoch())
+	}
+	if e.orphaned.Load() {
+		e.orphanMu.Lock()
+		e.orphans = e.desc.payOwed(fs, e.orphans, e.recl.Epoch())
+		e.orphaned.Store(len(e.orphans) > 0)
+		e.orphanMu.Unlock()
+	}
+	if e.mem.P.FlushRelaxed(fs) || fs.Pending() > 0 {
+		e.mem.P.Fence(fs)
+	}
+}
 
 func (e *mirrorEngine) Freeze() {
 	e.mem.P.Freeze()
@@ -238,12 +335,13 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		read = restoreFixed(e.mem.P, e.alloc, mirrorAddr)
 	}
 	e.mem.RecoverRange(Root, e.rootFields*patomic.CellWords)
+	var traced func()
 	if e.desc != nil {
 		// Torn descriptor lines can never yield a verdict again; replace
 		// them with the canonical empty encoding before clients ask.
 		e.desc.Scrub()
-		// The trace collects the tags its cell reads return (O3).
-		read = e.desc.traceTags(read)
+		// The trace collects the tags its reads return (O3, O7).
+		read, traced = e.desc.traceTags(read)
 	}
 	rebuild(read, tr, e.relink, opts.Workers(), e.alloc, patomic.CellWords, func(ref Ref, words int) {
 		if cold {
@@ -251,6 +349,9 @@ func (e *mirrorEngine) RecoverWith(tr Tracer, opts RecoverOptions) {
 		}
 		e.mem.RecoverRange(ref, words)
 	})
+	if traced != nil {
+		traced()
+	}
 	e.cold = false
 }
 
@@ -303,8 +404,7 @@ func (e *mirrorEngine) Stats() Stats {
 		PiggybackedFences: pb, RelaxedCAS: rx,
 	}
 	if e.desc != nil {
-		s.DetectAnnounces, s.DetectVerdicts = e.desc.Counters()
-		s.AnnounceFences = e.desc.barriers.Load()
+		e.desc.stats(&s)
 	}
 	return s
 }

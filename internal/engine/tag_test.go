@@ -235,12 +235,12 @@ func TestTagEncoding(t *testing.T) {
 				t.Fatalf("(%d, %d): tag %#x names another operation too", client, seq, tag)
 			}
 			seen[tag] = true
-			if w := r.witness(tag<<TagShift | 1); w != r.entry(client, seq) {
+			if w, _ := r.witness(tag<<TagShift | 1); w != r.entry(client, seq) {
 				t.Fatalf("(%d, %d): the tag names word %d, want its entry %d", client, seq, w, r.entry(client, seq))
 			}
 		}
 	}
-	if w := r.witness(uint64(cfg.Words) - 1); w != 0 {
+	if w, _ := r.witness(uint64(cfg.Words) - 1); w != 0 {
 		t.Errorf("an untagged word names word %d", w)
 	}
 	for _, bad := range []Config{

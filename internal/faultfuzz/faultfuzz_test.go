@@ -421,7 +421,7 @@ func TestMediaImagesPinned(t *testing.T) {
 		{"list", false, 10, 0xff71bc3760d4fad3, 0x57ccc0f10c32d8e4},
 		{"list", true, 136, 0xa569db8ef59573e, 0xf06f5d4288d82a72},
 		{"skiplist", false, 41, 0xab77a87013dc2fa2, 0x4ab7d4ed5cf07835},
-		{"skiplist", true, 180, 0x38ce1b814cd9c54d, 0x4d9fcefb1bcd05ee},
+		{"skiplist", true, 160, 0xfb51fa81de54078b, 0x721e7e9961e14111},
 	}
 	for _, p := range pins {
 		spec := Spec{

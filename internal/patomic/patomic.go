@@ -43,6 +43,12 @@ const CellWords = 2
 type Ctx struct {
 	FS pmem.FlushSet
 
+	// AfterTagged, when set, runs with the cell's offset after this
+	// thread's own Tagged install reached rep_p and before the flush and
+	// fence that commit it: what it writes and flushes there commits with
+	// the install, and no earlier.
+	AfterTagged func(off uint64)
+
 	mem     *Mem          // Mem this context is registered with (first use wins)
 	helps   atomic.Uint64 // completions of another thread's write (lines 19–26)
 	retries atomic.Uint64 // protocol restarts of any kind
@@ -59,13 +65,14 @@ type Mem struct {
 	statsMu sync.Mutex
 	ctxs    []*Ctx
 
-	// Witness, when set, maps a value to the persistent word whose line
+	// Witness, when set, maps a value to the persistent words whose lines
 	// must be durable before the value may be mirrored into rep_v by a
 	// thread that did not install it (0: none). The engine sets it when
-	// values may carry a tag that testifies for a descriptor line; a
-	// helper persists that line first, and an owner installs such a value
-	// under Tagged.
-	Witness func(v uint64) uint64
+	// values may carry a tag that testifies for a descriptor line, and the
+	// install of such a value may have made its fence commit one more line
+	// (a witness the install's owner wrote before it); a helper persists
+	// both first, and an owner installs such a value under Tagged.
+	Witness func(v uint64) (line, also uint64)
 
 	installed func(uint64) bool // test-only seam; see OnInstallForTest
 }
@@ -213,6 +220,9 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 				case m.installed != nil && m.installed(off):
 					// The test hook dropped durability: visible, never durable.
 				case in == Tagged:
+					if ctx.AfterTagged != nil {
+						ctx.AfterTagged(off)
+					}
 					m.P.Flush(&ctx.FS, off)
 					m.P.Fence(&ctx.FS)
 				default:
@@ -283,20 +293,26 @@ func (m *Mem) ensureDurable(ctx *Ctx, off, tag uint64) {
 }
 
 // ensureHelped is ensureDurable for a value a helper is about to mirror
-// into rep_v on another thread's behalf: when the value has a witness line
-// (Witness), that line must be durable too, under the same tag argument —
-// the owner wrote it before the install the helper observed. One fence
-// commits both.
+// into rep_v on another thread's behalf: when the value has witness lines
+// (Witness), they must be durable too, under the same tag argument — the
+// owner wrote them before the install the helper observed. One fence
+// commits them all.
 func (m *Mem) ensureHelped(ctx *Ctx, off, tag, v uint64) {
-	var w uint64
+	var w, x uint64
 	if m.Witness != nil {
-		w = m.Witness(v)
+		w, x = m.Witness(v)
 	}
-	if w == 0 || m.P.Persisted(w, tag) {
+	wDone, xDone := w == 0 || m.P.Persisted(w, tag), x == 0 || m.P.Persisted(x, tag)
+	if wDone && xDone {
 		m.ensureDurable(ctx, off, tag)
 		return
 	}
-	m.P.Flush(&ctx.FS, w)
+	if !wDone {
+		m.P.Flush(&ctx.FS, w)
+	}
+	if !xDone {
+		m.P.Flush(&ctx.FS, x)
+	}
 	m.P.Flush(&ctx.FS, off)
 	m.P.Fence(&ctx.FS)
 }

@@ -93,9 +93,12 @@ type geometry struct {
 // then the write-once and rebuilt fields as plain words (engine.Plain); 2
 // adds that a skip-list delete's level-0 mark may carry its operation's tag
 // in the bits from engine.TagShift up, which a layout-1 reader would take
-// for part of a Ref. Bump it whenever a structure's field indexes or word
-// encodings change.
-const layoutVersion = 2
+// for part of a Ref; 3 adds that a skip-list node's height word may carry
+// the tag of the insert that published it, which a layout-2 reader would
+// take for part of the height, and that a descriptor entry names that word
+// and records witnesses (engine detect.go O6, O7). Bump it whenever a
+// structure's field indexes or word encodings change.
+const layoutVersion = 3
 
 // sidecar is the record next to a media file that tells a reattachable
 // image from garbage: the geometry, and which kind owns which root fields.

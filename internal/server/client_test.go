@@ -203,6 +203,13 @@ func TestStatsOverTheWire(t *testing.T) {
 	if _, _, err := c.Dequeue(); err != nil {
 		t.Fatal(err)
 	}
+	// A delete inside its victim's insert window witnesses the insert.
+	if _, err := c.Insert(21, 21); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Delete(21); err != nil {
+		t.Fatal(err)
+	}
 	w1, we1, i1, ie1 := snap()
 
 	sub := func(a, b Stats, ea, eb engine.Stats) []uint64 {
@@ -219,9 +226,16 @@ func TestStatsOverTheWire(t *testing.T) {
 			t.Errorf("counter %d moved by %d over STATS, %d in process", i+1, over[i], in[i])
 		}
 	}
-	// 20 inserts, 7 deletes, 7 RMWs, one ENQ, one DEQ.
-	if over[1] != 36 || over[6] == 0 || over[15] == 0 {
-		t.Errorf("STATS deltas %v: want 36 mutations, fences and announce-barrier fences", over)
+	// 21 inserts, 8 deletes, 7 RMWs, one ENQ, one DEQ.
+	if over[1] != 38 || over[6] == 0 || over[15] == 0 {
+		t.Errorf("STATS deltas %v: want 38 mutations, fences and announce-barrier fences", over)
+	}
+	// Ids 27–29: a witness at least (the last delete's of its victim's
+	// insert; a drain that frees a deleted node inside its delete's window
+	// adds one), no witness fence, and the 21 inserts and eight deletes
+	// acknowledged on their own evidence.
+	if len(over) < 29 || over[26] < 1 || over[27] != 0 || over[28] != 29 {
+		t.Errorf("STATS deltas %v: want a witness, 0 witness fences, 29 frames without a verdict at ids 27–29", over)
 	}
 	if w1.Attach != (Attach{}) {
 		t.Errorf("a fresh server's STATS report an attach: %+v", w1.Attach)

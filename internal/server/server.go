@@ -16,14 +16,19 @@
 // is visible, and lets whatever no verdict testifies to share the drain's
 // fence. A found DELETE pays no fence for its announce: its level-0 mark
 // carries the operation's tag, and the mark's own fence commits the
-// announce with it. On the counted YCSB-A pass at depth 1 (bench/,
-// serve-a-sync, seed 3) that is 1.7586 fences per mutation where the
-// announce barrier before every mark made it 2.0078; STATS returns the
-// counters that show it, the announce-barrier fences among them. Fence
-// batching turns k commits that are pending together into one
-// verdict fence without weakening the contract: a client holds no
-// acknowledgement until its operation is persistent, and after a crash the
-// descriptor region resolves every unacknowledged frame via DETECT.
+// announce with it. An INSERT or DELETE that takes effect pays no verdict
+// fence either: its tagged node or mark testifies for it once its own
+// install's fence has run, so only a frame without effect waits for the
+// drain's fence. On the counted YCSB-A pass at depth 1 (bench/,
+// serve-a-sync, seed 3) that is 1.2785 fences per mutation, where a
+// verdict fence for every mutation made it 1.7586 and the announce barrier
+// before every mark 2.0078; STATS returns the counters that show it — the
+// announce-barrier fences, the witnesses, the witness fences and the
+// mutations acknowledged without a verdict among them. Fence batching
+// turns k commits that are pending together into one verdict fence
+// without weakening the contract: a client holds no acknowledgement until
+// its operation is persistent, and after a crash the descriptor region
+// resolves every unacknowledged frame via DETECT.
 //
 // A worker is a context and a batch, not a goroutine: the connection reader
 // runs each frame itself, holding the worker's ownership token (worker.mu)
@@ -305,6 +310,7 @@ func statWords(st *Stats, es *engine.Stats) []*uint64 {
 		&st.Attach.OpenUS, &st.Attach.RecoverUS, &st.Attach.RepairUS, &st.Attach.VerifyUS,
 		&st.Attach.LiveWords, &st.Attach.Objects, &st.Attach.Workers,
 		&st.LiveWords, &st.Limbo, &st.EpochLag,
+		&es.Witnesses, &es.WitnessFences, &es.Unverdicted,
 	}
 }
 
@@ -340,9 +346,12 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close stops accepting, closes every connection, waits for their readers
-// (a reader releases any batch it left open before it exits), closes the
-// workers' contexts, then closes the runtime. The media image stays valid
-// for a later attach; Stats still answers.
+// (a reader releases any batch it left open before it exits), then closes
+// the runtime. The workers' contexts die with it, limbo and all: freeing
+// that limbo into an allocator nothing will use again would only spend
+// flushes and fences — a drain commits the relaxed snips and owed
+// witnesses before it frees — on memory no one reuses. The media image
+// stays valid for a later attach; Stats still answers.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -359,11 +368,6 @@ func (s *Server) Close() error {
 		err = s.ln.Close()
 	}
 	s.wg.Wait() // accept loop + readers: no frame runs after this
-	for _, w := range s.workers {
-		// The context dies with the server: hand its limbo on rather than
-		// strand it.
-		w.c.Close()
-	}
 	if cerr := s.rt.Close(); err == nil {
 		err = cerr
 	}

@@ -381,7 +381,8 @@ func TestServeMetaMismatch(t *testing.T) {
 	// whose sidecar has no "layout" key: it was written when every node
 	// field was a cell, and this build would misread its nodes. A layout-1
 	// sidecar is refused by the same exact-match rule: layout 2 added tagged
-	// skip-list marks, which a layout-1 build would misread.
+	// skip-list marks, which a layout-1 build would misread, and so is a
+	// layout-2 one: layout 3 added tagged skip-list heights.
 	written, err := os.ReadFile(rt.SidecarPath(media))
 	if err != nil {
 		t.Fatal(err)
@@ -390,8 +391,9 @@ func TestServeMetaMismatch(t *testing.T) {
 		name, sidecar string
 		attach        bool
 	}{
-		{"as written", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"layout":2,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, true},
-		{"written with combining on", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":true,"layout":2,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
+		{"as written", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"layout":3,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, true},
+		{"written with combining on", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":true,"layout":3,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
+		{"written before tagged heights", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"layout":2,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
 		{"written before tagged marks", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"layout":1,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
 		{"written before plain words", `{"kind":0,"words":262144,"root_fields":8,"ring":8,"clients":64,"combine":false,"roots":[{"kind":"skiplist","field":0},{"kind":"queue","field":4}]}`, false},
 	} {
@@ -418,18 +420,30 @@ func TestServeMetaMismatch(t *testing.T) {
 // a worker together are committed by one drain, and the reader's buffer
 // running dry — or MaxBatch — ends the batch; no clock is involved. One P makes "together"
 // exact: the connection's reader runs a whole segment before its client can
-// send again.
+// send again. The measured inserts find their keys, put there by a first
+// round: an insert that takes effect is acknowledged on its own install's
+// fence and has no verdict fence to share (engine detect.go "Evidence
+// instead of a verdict"), while one without effect keeps its verdict.
 func TestServeBatchingSavesFences(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const frames = 8
 	// run sends eight inserts at the given depth, plus four GETs when
-	// synchronous, and returns the counter deltas.
+	// synchronous, after a first round of the same inserts, and returns
+	// the counter deltas of the second round.
 	run := func(cfg Config, depth int) (batches, ops uint64, fencesPerMutation float64) {
 		cfg.Kind, cfg.Workers = engine.MirrorDRAM, 1
 		s := startServer(t, cfg)
 		c := dial(t, s, 1)
 		if w, err := c.SetPipeline(depth); err != nil || w != depth {
 			t.Fatalf("SetPipeline(%d) = %d, %v", depth, w, err)
+		}
+		for k := uint64(1); k <= frames; k++ {
+			if _, err := c.Submit(wire.OpInsert, k, k, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Drain(); err != nil {
+			t.Fatal(err)
 		}
 		before := s.Stats()
 		var acked int

@@ -12,15 +12,19 @@ package settest
 //
 // Truth obligations checked at each crash point, for each seq in the window:
 //
-//   - Committed is impossible: no verdict was ever published and the window
-//     never laps, so neither the entry, a lap, nor a sibling verdict can
-//     vouch for the seq.
+//   - Committed needs a verdict, a read tag or a witness, and the effect is
+//     present: no verdict was ever published and the window never laps, so
+//     neither the entry, a lap, nor a sibling verdict can vouch for the
+//     seq, and only an install that testifies for itself (a skip-list
+//     insert or delete on Mirror with no earlier verdict of its client
+//     pending, engine detect.go O7) or its witness (O6) can — with result
+//     true, for an effect that survived.
 //   - NotCommitted implies the effect is absent (an inserted key missing, a
 //     deleted key still present): the announce is durable before the
 //     operation can reach its linearization point.
 //   - If the whole window quiesced before the freeze, every announce is
 //     durable and every verdict reads Unknown — the honest answer for a cut
-//     operation.
+//     operation — or Committed on its evidence.
 //   - Ascending ExactlyOnce replay (replayUnknown: set operations are
 //     idempotent) loses and duplicates nothing, and afterwards every seq
 //     reads Committed with a recorded result.
@@ -191,14 +195,17 @@ func ringDetectSweep(t *testing.T, f Factory, kind engine.Kind, policy pmem.Cras
 			tookEffect := s.Contains(c, op.key) != op.del
 			switch d.Verdict {
 			case engine.Committed:
-				t.Fatalf("fa=%d seq=%d: Committed without any published verdict", fa, seq)
+				if !tookEffect || !d.KnownResult || !d.Result {
+					t.Fatalf("fa=%d seq=%d: Committed (%+v) without a published verdict, and the effect is absent or the result not true",
+						fa, seq, d)
+				}
 			case engine.NotCommitted:
 				if tookEffect {
 					t.Fatalf("fa=%d seq=%d: NotCommitted but the effect survived", fa, seq)
 				}
 			}
-			if completed && d.Verdict != engine.Unknown {
-				t.Fatalf("fa=%d seq=%d: quiesced window reads %v, want Unknown (announce is durable)",
+			if completed && d.Verdict == engine.NotCommitted {
+				t.Fatalf("fa=%d seq=%d: quiesced window reads %v, want Unknown or Committed (announce is durable)",
 					fa, seq, d.Verdict)
 			}
 		}
@@ -237,6 +244,149 @@ func ringDetectSweep(t *testing.T, f Factory, kind engine.Kind, policy pmem.Cras
 			}
 		}
 		if completed {
+			break
+		}
+		if fa > 500000 {
+			t.Fatal("crash-point sweep did not terminate")
+		}
+	}
+}
+
+// RunAckDetect is the acknowledged-seq sweep beside RunRingDetect's three:
+// two clients take turns on three hot keys with inserts and deletes, every
+// frame drained on its own as the serving tier does at depth 1, and the
+// persistent device is frozen at each operation count in turn and crashed
+// under CrashDropAll, CrashDropFlushed, CrashKeepFlushed and a seeded
+// CrashRandom. After recovery:
+//
+//   - every acknowledged seq still inside its ring window (its client has
+//     not armed seq + Ring) reads Committed with its acknowledged result —
+//     whether a verdict line, its own install's evidence or a witness
+//     vouches for it (engine detect.go O6, O7);
+//   - the frame the crash cut reads NotCommitted only if its effect is
+//     absent, and Committed only if it is present, with the result it
+//     would have returned;
+//   - every other key holds what the acknowledged frames left.
+//
+// A small ring (4) makes windows end inside the run, so a delete finds its
+// victim's insert both inside and past its window. It runs on the two
+// Mirror kinds, the engines whose inserts and deletes are acknowledged on
+// their own evidence; RunRingDetect covers the verdict protocol on every
+// engine.
+func RunAckDetect(t *testing.T, f Factory) {
+	for _, k := range []engine.Kind{engine.MirrorDRAM, engine.MirrorNVMM} {
+		t.Run(k.String(), func(t *testing.T) {
+			t.Parallel()
+			for _, p := range []struct {
+				name   string
+				policy pmem.CrashPolicy
+			}{
+				{"DropAll", pmem.CrashDropAll},
+				{"DropFlushed", pmem.CrashDropFlushed},
+				{"KeepFlushed", pmem.CrashKeepFlushed},
+				{"Random", pmem.CrashRandom},
+			} {
+				t.Run(p.name, func(t *testing.T) {
+					t.Parallel()
+					ackDetectSweep(t, f, k, p.policy)
+				})
+			}
+		})
+	}
+}
+
+// ackFrame is one frame of the acknowledged-seq sweep's script.
+type ackFrame struct {
+	client int
+	seq    uint64
+	op     ringOp
+}
+
+// ackScript draws the sweep's frames: the clients alternate, each frame an
+// insert or a delete of one of three keys.
+func ackScript(n int) []ackFrame {
+	rng := rand.New(rand.NewSource(5))
+	var seqs [2]uint64
+	frames := make([]ackFrame, n)
+	for i := range frames {
+		client := i % 2
+		seqs[client]++
+		key := 1 + uint64(rng.Intn(3))
+		frames[i] = ackFrame{client, seqs[client], ringOp{del: rng.Intn(2) == 1, key: key, val: key * 10}}
+	}
+	return frames
+}
+
+func ackDetectSweep(t *testing.T, f Factory, kind engine.Kind, policy pmem.CrashPolicy) {
+	const ring = 4
+	cfg := engine.Config{Kind: kind, Words: ringWords, Track: true, Clients: 2, DetectRing: ring}
+	script := ackScript(24)
+	for fa := int64(1); ; fa++ {
+		e := engine.New(cfg)
+		c := e.NewCtx()
+		s := f.New(e, c)
+		e.Drain(c)
+		present := map[uint64]bool{}
+		var armed [2]uint64
+		acked := map[ackFrame]bool{}
+		cut := -1
+		e.FreezeAfter(fa)
+		completed := runToFreeze(func() {
+			for i, fr := range script {
+				cut = i
+				armed[fr.client] = fr.seq
+				e.DetectBeginDeferred(c, fr.client, fr.seq, fr.op.kind(), fr.op.key, fr.op.val)
+				res := fr.op.run(s, c)
+				e.DetectEndDeferred(c, res, 0)
+				e.DetectDrain(c)
+				acked[fr] = res
+				present[fr.op.key] = !fr.op.del
+			}
+			cut = -1
+		})
+		e.FreezeAfter(0)
+		e.Crash(policy, rand.New(rand.NewSource(fa)))
+		e.Recover(s.Tracer())
+		c = e.NewCtx()
+		s = f.New(e, c)
+
+		for fr, res := range acked {
+			if armed[fr.client] >= fr.seq+ring {
+				continue // its window has ended
+			}
+			if d := e.Detect(fr.client, fr.seq); d.Verdict != engine.Committed || !d.KnownResult || d.Result != res {
+				t.Fatalf("fa=%d: acknowledged (%d, %d) %+v returned %v, and reads %+v after the crash",
+					fa, fr.client, fr.seq, fr.op, res, d)
+			}
+		}
+		var cutKey uint64
+		if cut >= 0 {
+			fr := script[cut]
+			cutKey = fr.op.key
+			was := present[cutKey]
+			has := s.Contains(c, cutKey)
+			d := e.Detect(fr.client, fr.seq)
+			switch {
+			case has != was && has == fr.op.del:
+				t.Fatalf("fa=%d: cut frame %+v left key %d present=%v, from %v", fa, fr.op, cutKey, has, was)
+			case d.Verdict == engine.NotCommitted && has != was:
+				t.Fatalf("fa=%d: cut frame (%d, %d) %+v reads NotCommitted, but its effect survived", fa, fr.client, fr.seq, fr.op)
+			case d.Verdict == engine.Committed && (has != !fr.op.del || d.KnownResult && d.Result != (was == fr.op.del)):
+				t.Fatalf("fa=%d: cut frame (%d, %d) %+v on key present=%v reads %+v, key now present=%v",
+					fa, fr.client, fr.seq, fr.op, was, d, has)
+			}
+		}
+		for key := uint64(1); key <= 3; key++ {
+			if key != cutKey && s.Contains(c, key) != present[key] {
+				t.Fatalf("fa=%d: key %d present=%v, acknowledged frames left %v", fa, key, !present[key], present[key])
+			}
+		}
+		if completed {
+			// The script must reach both kinds of evidence it checks.
+			if st := e.Stats(); st.Witnesses == 0 || st.Unverdicted == 0 {
+				t.Fatalf("the uncut run wrote %d witnesses and acknowledged %d frames without a verdict; want both > 0",
+					st.Witnesses, st.Unverdicted)
+			}
 			break
 		}
 		if fa > 500000 {

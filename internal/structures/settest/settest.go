@@ -33,10 +33,12 @@ func (f Factory) engine(k engine.Kind) engine.Engine {
 	return engine.New(engine.Config{Kind: k, Words: words, Track: true})
 }
 
-// Run executes the full suite for every engine kind.
+// Run executes the full suite for every engine kind. The kinds share no
+// state, so their subtests run in parallel.
 func Run(t *testing.T, f Factory) {
 	for _, k := range engine.Kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			t.Parallel()
 			t.Run("Empty", func(t *testing.T) { testEmpty(t, f, k) })
 			t.Run("Basic", func(t *testing.T) { testBasic(t, f, k) })
 			t.Run("Duplicates", func(t *testing.T) { testDuplicates(t, f, k) })

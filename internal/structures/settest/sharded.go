@@ -27,9 +27,11 @@ func recoverShards(e engine.Engine, s structures.Set, shards int) {
 }
 
 // RunSharded executes the sharded-recovery battery for every engine kind.
+// The kinds share no state, so their subtests run in parallel.
 func RunSharded(t *testing.T, f Factory) {
 	for _, k := range engine.Kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			t.Parallel()
 			for _, shards := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("Shards%d", shards), func(t *testing.T) {
 					t.Run("RandomBatch", func(t *testing.T) { testRandomBatch(t, f, k, shards) })

@@ -39,7 +39,9 @@ const MaxLevel = 16
 // first: the value, which CasVal replaces, and the level-0 link, whose low
 // bit is the delete mark. The plain words follow: the write-once key and
 // tower height, then the links above level 0, which only CASRebuilt writes.
-// A node of height h is NodeFields(h): two cells and h+1 plain words.
+// A node of height h is NodeFields(h): two cells and h+1 plain words. The
+// height word also carries, from engine.TagShift up, the tag of the
+// detectable insert that published the node (Height strips it).
 const (
 	FieldVal  = 0
 	FieldNext = 1 // the level-0 link; Link(i) is the level-i one
@@ -58,6 +60,10 @@ func Link(i int) int {
 
 // NodeFields returns the size of a node of height h.
 func NodeFields(h int) int { return FieldTop + h }
+
+// Height returns the tower height a FieldTop word holds, without the tag of
+// the insert that published the node.
+func Height(top uint64) int { return int(top & (1<<engine.TagShift - 1)) }
 
 // rootHead is the default root field holding the head sentinel's reference.
 const rootHead = 3
@@ -196,12 +202,16 @@ func (s *SkipList) Insert(c *engine.Ctx, key, val uint64) bool {
 			return false
 		}
 		// Initialize the tower and publish it under one trailing fence (an
-		// eliding engine flushes each dirty line once, at Publish).
+		// eliding engine flushes each dirty line once, at Publish). The
+		// height word names the armed operation: on Mirror, once the node
+		// is on level 0 it testifies that the insert took effect, and the
+		// insert needs no verdict (engine detect.go "Evidence instead of a
+		// verdict").
 		if node == 0 {
 			node = e.Alloc(c, NodeFields(level))
 			e.StoreInit(c, node, FieldKey, key)
 			e.StoreInit(c, node, FieldVal, val)
-			e.StoreInit(c, node, FieldTop, uint64(level))
+			e.StoreInit(c, node, FieldTop, uint64(level)|c.NodeTag())
 		}
 		for i := 0; i < level; i++ {
 			e.StoreInit(c, node, Link(i), succs[i])
@@ -264,7 +274,8 @@ func (s *SkipList) Delete(c *engine.Ctx, key uint64) bool {
 	if node == 0 || e.TraversalLoad(c, node, FieldKey) != key {
 		return false
 	}
-	top := int(e.TraversalLoad(c, node, FieldTop))
+	topWord := e.TraversalLoad(c, node, FieldTop)
+	top := Height(topWord)
 	e.MakePersistent(c, node, FieldNext+1)
 	// Mark the accelerator levels top-down. Only the level-0 mark below
 	// decides presence, so these marks are never persisted: a crash that
@@ -291,7 +302,12 @@ func (s *SkipList) Delete(c *engine.Ctx, key uint64) bool {
 		}
 		// The mark names this operation when one is armed: on Mirror it
 		// testifies for the operation's announce, so its install needs no
-		// announce fence ahead of it (engine detect.go "Tags").
+		// announce fence ahead of it (engine detect.go "Tags"), and for
+		// the delete itself, which needs no verdict. It also
+		// dooms the node's height word, whose tag may still testify for
+		// the insert that published it: the engine witnesses that insert
+		// first (O6).
+		c.Doom(node, FieldTop, topWord)
 		if e.CAS(c, node, FieldNext, next, structures.MarkTagged(c, next)) {
 			// Physically unlink everywhere, then reclaim.
 			s.search(c, key, nil, nil)
@@ -434,7 +450,7 @@ func TracerAt(e engine.Engine, rootField int) engine.Tracer {
 			if !seen.add(curr) {
 				panic(fmt.Sprintf("skiplist: level 0 reaches node %d twice", curr))
 			}
-			next, top := read(curr, FieldNext), int(read(curr, FieldTop))
+			next, top := read(curr, FieldNext), Height(read(curr, FieldTop))
 			if top < 1 || top > MaxLevel {
 				panic(fmt.Sprintf("skiplist: node %d has height %d", curr, top))
 			}

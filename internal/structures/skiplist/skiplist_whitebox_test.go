@@ -33,7 +33,7 @@ func plantMarks(e engine.Engine, c *engine.Ctx, s *SkipList, key uint64) {
 	if node == 0 || e.Load(c, node, FieldKey) != key {
 		panic("plantMarks: key not found")
 	}
-	top := int(e.Load(c, node, FieldTop))
+	top := Height(e.Load(c, node, FieldTop))
 	for i := top - 1; i >= 0; i-- {
 		for {
 			next := e.Load(c, node, Link(i))

@@ -98,7 +98,15 @@ func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 // install does not carry the operation's tag (a delete's level-0 mark,
 // whose own fence commits the announce with it), one fence per
 // durable-before-visible install, and one End fence for the drain, which
-// also carries the relaxed lines (level-0 snips). No write
+// also carries the relaxed lines (level-0 snips) — except after an
+// operation that took effect, whose tagged node or mark testifies for it and
+// which writes no verdict line (engine detect.go "Evidence instead of a
+// verdict"): its relaxed snips wait for the next drain. A delete whose
+// victim's insert is still inside its ring window first flushes that
+// insert's witness line on its mark's fence, and a delete that took effect
+// owes its own witness to the drain that may free its node, if its window
+// is open by then; an unarmed delete has no fence ahead of its mark's
+// visibility and pays one witness fence (O6). No write
 // above level 0 reaches a flush set or the relaxed registry: a tower of any
 // height costs its node's lines and nothing per level, and a delete of any
 // height registers only its level-0 snip. The announce line is flushed only
@@ -130,13 +138,18 @@ func TestServedMutationBudget(t *testing.T) {
 				head := raw.Load(c, engine.Root, rootHead)
 				for n := structures.Unmark(raw.Load(c, head, skiplist.FieldNext)); n != 0; n = structures.Unmark(raw.Load(c, n, skiplist.FieldNext)) {
 					if raw.Load(c, n, skiplist.FieldKey) == key {
-						return int(raw.Load(c, n, skiplist.FieldTop))
+						return skiplist.Height(raw.Load(c, n, skiplist.FieldTop))
 					}
 				}
 				t.Fatalf("key %d is not on level 0", key)
 				return 0
 			}
 			seq := uint64(0)
+			insertedAt := map[uint64]uint64{}
+			// open reports whether the insert of key is still inside its
+			// ring window once the client has armed seq last: its entry
+			// is rewritten when the client arms insertedAt + Ring.
+			open := func(key, seq uint64) bool { return seq-insertedAt[key] < engine.DefaultDetectRing }
 			// begin and end bracket one frame as server.worker.exec does;
 			// serve adds the release of a one-frame batch.
 			begin := func(kind, key uint64) {
@@ -154,7 +167,11 @@ func TestServedMutationBudget(t *testing.T) {
 				return cost{f1 - f0, n1 - n0}, res, raw.Stats().RelaxedCAS - r0
 			}
 			insert := func(key uint64) (cost, bool, uint64) {
-				return serve(engine.DetectInsert, key, func() bool { return table.Insert(c, key, key) })
+				got, ok, relaxed := serve(engine.DetectInsert, key, func() bool { return table.Insert(c, key, key) })
+				if ok {
+					insertedAt[key] = seq
+				}
+				return got, ok, relaxed
 			}
 			remove := func(key uint64) (cost, bool, uint64) {
 				return serve(engine.DetectDelete, key, func() bool { return table.Delete(c, key) })
@@ -167,12 +184,12 @@ func TestServedMutationBudget(t *testing.T) {
 			}
 
 			// Fresh inserts until towers of heights 1 to 4 were seen. Fences:
-			// the publish fence (which covers the announce), the level-0
-			// link, End — three at any height. Flushes: announce, the node's
-			// lines, the level-0 link, verdict; a node of height h is two
-			// cells and h+1 plain words, 5+h words, so its lines grow with
-			// h, and its upper links add nothing.
-			nodeFlushes := map[int]uint64{1: 4, 2: 4, 3: 4, 4: 5}
+			// the publish fence (which covers the announce and the tagged
+			// node), the level-0 link — two at any height, and no End.
+			// Flushes: announce, the node's lines, the level-0 link; a node
+			// of height h is two cells and h+1 plain words, 5+h words, so its
+			// lines grow with h, and its upper links add nothing.
+			nodeFlushes := map[int]uint64{1: 3, 2: 3, 3: 3, 4: 4}
 			byHeight := map[int]uint64{}
 			var key uint64
 			for len(byHeight) < len(nodeFlushes) {
@@ -182,11 +199,11 @@ func TestServedMutationBudget(t *testing.T) {
 					t.Fatalf("insert of fresh key %d failed", key)
 				}
 				h := height(key)
-				if got.fences != 3 || relaxed != 0 {
-					t.Errorf("insert-new key %d of height %d: %d fences, %d relaxed installs; want 3, 0", key, h, got.fences, relaxed)
+				if got.fences != 2 || relaxed != 0 {
+					t.Errorf("insert-new key %d of height %d: %d fences, %d relaxed installs; want 2, 0", key, h, got.fences, relaxed)
 				}
 				if want, pinned := nodeFlushes[h]; pinned {
-					check(fmt.Sprintf("insert-new of height %d", h), got, cost{want, 3})
+					check(fmt.Sprintf("insert-new of height %d", h), got, cost{want, 2})
 					if byHeight[h] == 0 {
 						byHeight[h] = key
 					}
@@ -201,18 +218,33 @@ func TestServedMutationBudget(t *testing.T) {
 			// unflushed, and the verdict line alone rides the End fence.
 			check("insert-found", got, cost{1, 1})
 
-			// The tagged mark, whose fence also flushes the armed announce,
-			// and End — which also commits the relaxed level-0 snip; the
-			// upper marks and snips of a taller tower add nothing. Flushes:
-			// announce, mark, snip, verdict.
+			// The tagged mark, whose fence also flushes the armed announce;
+			// no End. The upper marks and snips of a taller tower add
+			// nothing. Flushes: announce, mark, and the insert's witness
+			// line while the insert is inside its window (the last tower
+			// found).
 			for h := 1; h <= len(nodeFlushes); h++ {
+				want := cost{2, 1}
+				if open(byHeight[h], seq+1) {
+					want.flushes++
+				}
 				got, ok, relaxed := remove(byHeight[h])
 				if !ok || relaxed != 1 {
 					t.Fatalf("delete of present key %d of height %d: result %v, %d relaxed installs (want the level-0 snip only)",
 						byHeight[h], h, ok, relaxed)
 				}
-				check(fmt.Sprintf("delete-found of height %d", h), got, cost{4, 2})
+				check(fmt.Sprintf("delete-found of height %d", h), got, want)
 			}
+			if want := uint64(1); raw.Stats().Witnesses != want {
+				t.Errorf("%d witnesses written, want %d", raw.Stats().Witnesses, want)
+			}
+			// The next drain commits the four relaxed level-0 snips: a flush
+			// each and one fence. The deletes' own witnesses stay owed until
+			// a drain may free their nodes, two reclamation epochs on.
+			f0, n0 := raw.Counters()
+			e.Drain(c)
+			f1, n1 := raw.Counters()
+			check("the deletes' snips at the next drain", cost{f1 - f0, n1 - n0}, cost{4, 1})
 
 			got, ok, _ = remove(flat)
 			if ok {
@@ -222,25 +254,61 @@ func TestServedMutationBudget(t *testing.T) {
 
 			// Depth 8: eight no-effect frames, one drain, one fence — and one
 			// verdict line, the newest seq's, whose bits carry the other seven.
-			f0, n0 := raw.Counters()
+			f0, n0 = raw.Counters()
 			for i := 0; i < 8; i++ {
 				begin(engine.DetectDelete, flat)
 				e.DetectEndDeferred(c, table.Delete(c, flat), 0)
 			}
 			e.DetectDrain(c)
-			f1, n1 := raw.Counters()
+			f1, n1 = raw.Counters()
 			check("eight delete-missing under one drain", cost{f1 - f0, n1 - n0}, cost{1, 1})
+
+			// The witness fallback: an unarmed delete of a key whose insert
+			// is inside its window. Its mark is a plain CAS, so the witness
+			// pays a fence of its own ahead of the mark's install: witness
+			// and mark, a flush and a fence each; the snip stays relaxed,
+			// and no verdict is written. Once the window has ended the same
+			// delete costs the mark alone.
+			unarmed := func(key uint64, ended bool) (cost, uint64) {
+				if _, ok, _ := insert(key); !ok {
+					t.Fatalf("insert of fresh key %d failed", key)
+				}
+				for ended && open(key, seq) {
+					remove(flat) // delete-missing: a frame of the same client
+				}
+				f0, n0 := raw.Counters()
+				w0 := raw.Stats().WitnessFences
+				if !table.Delete(c, key) {
+					t.Fatalf("unarmed delete of %d failed", key)
+				}
+				f1, n1 := raw.Counters()
+				return cost{f1 - f0, n1 - n0}, raw.Stats().WitnessFences - w0
+			}
+			got, wf := unarmed(1001, false)
+			check("unarmed delete-found inside the insert's window", got, cost{2, 2})
+			if wf != 1 {
+				t.Errorf("unarmed delete inside the window: %d witness fences, want 1", wf)
+			}
+			got, wf = unarmed(1002, true)
+			check("unarmed delete-found after the insert's window", got, cost{1, 1})
+			if wf != 0 {
+				t.Errorf("unarmed delete after the window: %d witness fences, want 0", wf)
+			}
+
 		})
 	}
 }
 
 // TestDrainWindowBudget pins the verdict lines of a depth-8 window under one
 // drain: two clients, each with an insert, a delete and a dequeue among its
-// four frames, in the serving tier's call sequence. The drain writes one
-// verdict line per client plus one per dequeue that is not its client's
-// newest frame — 2 + 2 here — where a drain per frame writes eight, and
-// pays one End fence where eight drains pay eight; everything else is the
-// same work.
+// four frames, in the serving tier's call sequence. A frame that takes
+// effect is acknowledged on its tagged node or mark, with no line, when no
+// earlier frame of its client awaits a verdict: always under a drain per
+// frame (the two inserts and the delete), and only client 0's leading
+// insert under one drain. The drain writes one verdict line per client's
+// newest frame plus one per dequeue that is not it — 2 + 2 here — where a
+// drain per frame writes five, and pays one End fence where the five drains
+// with a verdict pay five; everything else is the same work.
 func TestDrainWindowBudget(t *testing.T) {
 	type frame struct {
 		client int
@@ -305,12 +373,12 @@ func TestDrainWindowBudget(t *testing.T) {
 		}
 		return f1 - f0, n1 - n0
 	}
-	const lines = 2 + 2
+	const evidencedEach, lines = 3, 2 + 2
 	fl, fe := run(false)
 	flEach, feEach := run(true)
-	if flEach-fl != uint64(len(window)-lines) || feEach-fe != uint64(len(window)-1) {
+	if flEach-fl != uint64(len(window)-evidencedEach-lines) || feEach-fe != uint64(len(window)-evidencedEach-1) {
 		t.Errorf("one drain saved %d flushes and %d fences over a drain per frame, want %d and %d",
-			flEach-fl, feEach-fe, len(window)-lines, len(window)-1)
+			flEach-fl, feEach-fe, len(window)-evidencedEach-lines, len(window)-evidencedEach-1)
 	}
 	// The delete-found frame's tagged mark commits its announce: no
 	// barrier fence.

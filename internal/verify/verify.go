@@ -187,7 +187,7 @@ func SkipList(e engine.Engine, c *engine.Ctx, rootField int) *Report {
 				break
 			}
 			seen[curr] = true
-			top := int(e.TraversalLoad(c, curr, skiplist.FieldTop))
+			top := skiplist.Height(e.TraversalLoad(c, curr, skiplist.FieldTop))
 			if top <= i {
 				r.addf("skiplist: node %d with height %d linked at level %d", curr, top, i)
 				break

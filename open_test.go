@@ -351,7 +351,7 @@ func accelerators(rt *Runtime, c *Ctx) map[uint64]bool {
 	}
 	words := map[uint64]bool{}
 	tower := func(n uint64) {
-		for i := 1; i < int(e.TraversalLoad(c, n, skiplist.FieldTop)); i++ {
+		for i := 1; i < skiplist.Height(e.TraversalLoad(c, n, skiplist.FieldTop)); i++ {
 			f := skiplist.Link(i)
 			words[n+uint64(f/engine.Plain)*cell+uint64(f%engine.Plain)] = true
 		}
