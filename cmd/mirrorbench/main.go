@@ -80,7 +80,6 @@ func main() {
 		checkIn  = flag.String("checkjson", "", "parse and validate a BENCH_<n>.json report, then exit")
 		structsF = flag.String("structures", "", "comma-separated structure filter for -json (list,hashtable,bst,skiplist)")
 		enginesF = flag.String("engines", "", "comma-separated engine filter for -json (e.g. Mirror,NVTraverse)")
-		noElide  = flag.Bool("noelide", false, "disable flush elision / fence coalescing (ablation baseline)")
 		detect   = flag.Bool("detect", false, "route every operation through a detectable bracket (descriptor-overhead ablation)")
 		distF    = flag.String("dist", "", "key distribution: uniform (default), zipfian, or hotspot")
 		skew     = flag.Float64("skew", 0, "distribution parameter: zipfian theta (default 0.99) or hotspot access fraction (default 0.9)")
@@ -147,7 +146,6 @@ func main() {
 		Duration: *duration,
 		Scale:    *scale,
 		Seed:     *seed,
-		NoElide:  *noElide,
 		Detect:   *detect,
 		Dist:     *distF,
 		Skew:     *skew,

@@ -28,9 +28,6 @@ const (
 // acceptance bar for any fuzzer change is that it still does.
 func NewBroken(cfg Config, bug Bug) Engine {
 	cfg.Kind = MirrorDRAM
-	if bug != BugDropOwnFlush {
-		cfg.NoElide = false
-	}
 	cfg.SetDefaults()
 	e := newMirror(cfg)
 	switch bug {

@@ -735,7 +735,7 @@ func (r *descRegion) End(fs *pmem.FlushSet) {
 	if !r.Durable {
 		return
 	}
-	if r.Dev.Elides() && fs.Pending() == 0 {
+	if fs.Pending() == 0 {
 		r.Dev.NoteElided(fs, 0, 1)
 		return
 	}

@@ -35,7 +35,7 @@ func newDirect(cfg Config) *directEngine {
 		Words:      cfg.Words,
 		Persistent: persistent,
 		Track:      cfg.Track,
-		Elide:      !cfg.NoElide,
+		Elide:      true,
 		Model:      model,
 		MediaPath:  cfg.MediaPath,
 	})
@@ -91,7 +91,7 @@ func (e *directEngine) durable() bool { return e.kind == Izraelevitz || e.kind =
 // traversal transformation opts in: Izraelevitz *is* the blanket
 // flush-everything discipline, and eliding it would misrepresent the
 // paper's baseline.
-func (e *directEngine) elides() bool { return e.kind == NVTraverse && e.dev.Elides() }
+func (e *directEngine) elides() bool { return e.kind == NVTraverse }
 
 func (e *directEngine) OpBegin(c *Ctx) { c.Cache.Enter() }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -92,38 +91,56 @@ func TestFetchAddStoreCrashSweepUnderFaults(t *testing.T) {
 	}
 }
 
-// TestElisionAblationEquivalence pins that -noelide is purely a
-// performance switch: the same quiesced workload leaves bit-identical
-// persistent media with the layer on and off.
+// TestElisionAblationEquivalence pins that flush elision leaves no
+// completed write undurable: a quiesced workload of published nodes, root
+// installs and fetch-and-adds, drained and then crashed under
+// CrashDropAll, reads every completed value back after recovery. Every
+// skipped flush or fence must have been proven redundant — a watermark
+// that vouched for a line no fence committed (a Persisted that answers
+// yes too early) loses the root installs here.
 func TestElisionAblationEquivalence(t *testing.T) {
 	for _, k := range Kinds() {
 		if !k.Durable() {
 			continue
 		}
 		t.Run(k.String(), func(t *testing.T) {
-			images := make([]string, 2)
-			for i, noElide := range []bool{false, true} {
-				e := New(Config{Kind: k, Words: 1 << 18, RootFields: 4, Track: true, NoElide: noElide})
-				c := e.NewCtx()
-				for i := uint64(1); i <= 50; i++ {
-					e.OpBegin(c)
-					ref := e.Alloc(c, 2)
-					e.StoreInit(c, ref, 0, 100+i)
-					e.StoreInit(c, ref, 1, e.Load(c, Root, 0))
-					e.Publish(c, ref)
-					e.CAS(c, Root, 0, e.Load(c, Root, 0), ref)
-					fetchAdd(e, c, Root, 1, i)
-					e.OpEnd(c)
-				}
-				var hashes []uint64
-				for _, d := range PersistentDevices(e) {
-					d.Freeze()
-					hashes = append(hashes, d.MediaHash())
-				}
-				images[i] = fmt.Sprint(hashes)
+			const n = 50
+			e := New(Config{Kind: k, Words: 1 << 18, RootFields: 4, Track: true})
+			c := e.NewCtx()
+			var sum uint64
+			for i := uint64(1); i <= n; i++ {
+				e.OpBegin(c)
+				ref := e.Alloc(c, 2)
+				e.StoreInit(c, ref, 0, 100+i)
+				e.StoreInit(c, ref, 1, e.Load(c, Root, 0))
+				e.Publish(c, ref)
+				e.CAS(c, Root, 0, e.Load(c, Root, 0), ref)
+				fetchAdd(e, c, Root, 1, i)
+				sum += i
+				e.OpEnd(c)
 			}
-			if images[0] != images[1] {
-				t.Fatalf("elision changed the persistent image: %s vs %s", images[0], images[1])
+			e.Drain(c)
+			e.Crash(pmem.CrashDropAll, nil)
+			e.Recover(chainTracer(e))
+
+			c2 := e.NewCtx()
+			e.OpBegin(c2)
+			defer e.OpEnd(c2)
+			if got := e.Load(c2, Root, 1); got != sum {
+				t.Errorf("recovered counter %d, want %d", got, sum)
+			}
+			ref := e.Load(c2, Root, 0)
+			for i := uint64(n); i >= 1; i-- {
+				if ref == 0 {
+					t.Fatalf("recovered chain ends before node %d", i)
+				}
+				if got := e.Load(c2, ref, 0); got != 100+i {
+					t.Errorf("node %d recovered %d, want %d", i, got, 100+i)
+				}
+				ref = e.Load(c2, ref, 1)
+			}
+			if ref != 0 {
+				t.Error("recovered chain longer than the completed inserts")
 			}
 		})
 	}

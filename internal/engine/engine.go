@@ -216,11 +216,11 @@ type Memory interface {
 	// CASRelaxed compares-and-swaps a field whose update is only
 	// retire-gated: an auxiliary physical update (snip of a marked node,
 	// bst excision) whose loss at a crash leaves a state some earlier
-	// crash could also have left. An eliding
-	// engine may make the install visible before it is durable, deferring
-	// the commit to the relaxed-line registry, which is drained before
-	// any retired object is freed. Linearization points must use CAS.
-	// Engines without elision treat it as CAS exactly.
+	// crash could also have left. Mirror and NVTraverse make the install
+	// visible before it is durable, deferring the commit to the
+	// relaxed-line registry, which is drained before any retired object
+	// is freed. Linearization points must use CAS. Izraelevitz, which
+	// elides nothing, and the volatile engines treat it as CAS exactly.
 	CASRelaxed(c *Ctx, ref Ref, field int, old, new uint64) bool
 	// CASRebuilt compares-and-swaps a plain word that recovery rebuilds
 	// and never reads: a skip list's links and marks above level 0. The
@@ -418,10 +418,6 @@ type Config struct {
 	// Track maintains the persistent media image so Crash/Recover work.
 	// Benchmarks that never crash can disable it.
 	Track bool
-	// NoElide disables the flush-elision and fence-coalescing layer (the
-	// ablation baseline): every durability point issues its engine's full
-	// flush+fence discipline.
-	NoElide bool
 	// Clients reserves a per-client operation-descriptor region (Clients
 	// rings of DetectRing entries) between the roots and the allocator
 	// base, enabling the detectability protocol (DetectBeginDeferred/

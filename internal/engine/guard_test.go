@@ -51,6 +51,21 @@ func TestEngineSurface(t *testing.T) {
 	}
 }
 
+// TestConfigSurface pins Config's 8 fields, in order: a switch that no
+// served, benchmarked or shipped path sets must not come in unnoticed. A
+// field added here needs a caller that reaches it.
+func TestConfigSurface(t *testing.T) {
+	want := []string{"Kind", "Words", "RootFields", "Track", "Clients", "DetectRing", "MediaPath", "Attach"}
+	typ := reflect.TypeFor[Config]()
+	var got []string
+	for i := range typ.NumField() {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !slices.Equal(got, want) || len(got) != 8 {
+		t.Errorf("Config has %d fields %v, want 8 %v", len(got), got, want)
+	}
+}
+
 // TestMemSurface pins patomic.Mem's exported methods: the Figure 4/5
 // operations the engines and the substrate benchmark call, and the one test
 // seam. An operation no caller uses must not come back unnoticed.

@@ -45,7 +45,7 @@ func newMirror(cfg Config) *mirrorEngine {
 		Words:      cfg.Words,
 		Persistent: true,
 		Track:      cfg.Track,
-		Elide:      !cfg.NoElide,
+		Elide:      true,
 		Model:      pmem.NVMMModel(),
 		MediaPath:  cfg.MediaPath,
 	})
@@ -101,12 +101,10 @@ func (e *mirrorEngine) NewCtx() *Ctx {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c := &Ctx{Cache: palloc.NewCache(e.alloc, e.recl)}
-	if e.mem.P.Elides() || e.desc != nil {
-		// Before a drain batch frees anything, commit everything deferred:
-		// the media must never hold a pointer into reused memory, nor miss
-		// the witness of a delete whose node the batch frees (O6).
-		c.Cache.PreFree = func() { e.Drain(c) }
-	}
+	// Before a drain batch frees anything, commit everything deferred: the
+	// media must never hold a pointer into reused memory, nor miss the
+	// witness of a delete whose node the batch frees (O6).
+	c.Cache.PreFree = func() { e.Drain(c) }
 	if e.desc != nil {
 		c.pa.AfterTagged = func(off uint64) { e.nameMark(c, off) }
 		c.onClose = func() {

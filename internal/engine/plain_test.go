@@ -13,88 +13,83 @@ const (
 	cellWord = Plain + 1 // the objects' size
 )
 
-// TestRebuiltCASAccounting pins Mirror's rebuilt write on both policies: one
-// word CAS on rep_v that never reads or writes rep_p, flushes, fences or
-// registers nothing, is visible at once, and leaves the media — and rep_p's
-// view — at the StoreInit value. Concurrent CASes on one word all land.
+// TestRebuiltCASAccounting pins Mirror's rebuilt write: one word CAS on
+// rep_v that never reads or writes rep_p, flushes, fences or registers
+// nothing, is visible at once, and leaves the media — and rep_p's view — at
+// the StoreInit value. Concurrent CASes on one word all land. The subtest
+// names the policy: rep_p carries the flush-elision watermark.
 func TestRebuiltCASAccounting(t *testing.T) {
-	for _, noElide := range []bool{true, false} {
-		name := "elide=on"
-		if noElide {
-			name = "elide=off"
+	t.Run("elide=on", func(t *testing.T) {
+		e := New(Config{Kind: MirrorDRAM, Words: 1 << 16, Track: true})
+		c := e.NewCtx()
+		e.OpBegin(c)
+		ref := e.Alloc(c, cellWord)
+		e.StoreInit(c, ref, 0, 0)
+		e.StoreInit(c, ref, word, 5)
+		e.Publish(c, ref)
+		e.Store(c, Root, 0, ref)
+		e.OpEnd(c)
+		e.Drain(c)
+
+		pristine := func(what string, fn func()) {
+			t.Helper()
+			f0, n0 := e.Counters()
+			r0 := e.Stats().RelaxedCAS
+			got := pmem.Count(e.Devices(), fn)
+			if p := got[0]; p.Loads != 0 || p.Stores != 0 {
+				t.Errorf("%s touched rep_p: %d loads, %d stores", what, p.Loads, p.Stores)
+			}
+			if f, n := e.Counters(); f != f0 || n != n0 || e.Stats().RelaxedCAS != r0 {
+				t.Errorf("%s cost %d flushes, %d fences, %d relaxed installs; want none",
+					what, f-f0, n-n0, e.Stats().RelaxedCAS-r0)
+			}
+			if got := recoveryLoad(e)(ref, word); got != 5 {
+				t.Errorf("%s reached rep_p: %d, want the StoreInit 5", what, got)
+			}
+			if got := e.Devices()[0].PersistedWord(mirrorAddr(ref, word)); got != 5 {
+				t.Errorf("%s reached the media: %d, want the StoreInit 5", what, got)
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			e := New(Config{Kind: MirrorDRAM, Words: 1 << 16, Track: true, NoElide: noElide})
-			c := e.NewCtx()
-			e.OpBegin(c)
-			ref := e.Alloc(c, cellWord)
-			e.StoreInit(c, ref, 0, 0)
-			e.StoreInit(c, ref, word, 5)
-			e.Publish(c, ref)
-			e.Store(c, Root, 0, ref)
-			e.OpEnd(c)
-			e.Drain(c)
 
-			pristine := func(what string, fn func()) {
-				t.Helper()
-				f0, n0 := e.Counters()
-				r0 := e.Stats().RelaxedCAS
-				got := pmem.Count(e.Devices(), fn)
-				if p := got[0]; p.Loads != 0 || p.Stores != 0 {
-					t.Errorf("%s touched rep_p: %d loads, %d stores", what, p.Loads, p.Stores)
-				}
-				if f, n := e.Counters(); f != f0 || n != n0 || e.Stats().RelaxedCAS != r0 {
-					t.Errorf("%s cost %d flushes, %d fences, %d relaxed installs; want none",
-						what, f-f0, n-n0, e.Stats().RelaxedCAS-r0)
-				}
-				if got := recoveryLoad(e)(ref, word); got != 5 {
-					t.Errorf("%s reached rep_p: %d, want the StoreInit 5", what, got)
-				}
-				if got := e.Devices()[0].PersistedWord(mirrorAddr(ref, word)); got != 5 {
-					t.Errorf("%s reached the media: %d, want the StoreInit 5", what, got)
-				}
-			}
-
-			e.OpBegin(c)
-			pristine("rebuilt CAS", func() {
-				if !e.CASRebuilt(c, ref, word, 5, 10) || e.CASRebuilt(c, ref, word, 5, 11) {
-					t.Fatal("CASRebuilt 5->10 must succeed and 5->11 then fail")
-				}
-			})
-			if got := e.TraversalLoad(c, ref, word); got != 10 {
-				t.Fatalf("rebuilt install not visible: %d", got)
-			}
-			e.OpEnd(c)
-
-			const workers, adds = 4, 500
-			pristine("concurrent rebuilt CASes", func() {
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						wc := e.NewCtx()
-						defer wc.Close()
-						e.OpBegin(wc)
-						defer e.OpEnd(wc)
-						for i := 0; i < adds; i++ {
-							for cur := e.Load(wc, ref, word); !e.CASRebuilt(wc, ref, word, cur, cur+1); cur = e.Load(wc, ref, word) {
-							}
-						}
-					}()
-				}
-				wg.Wait()
-			})
-			e.OpBegin(c)
-			if got := e.Load(c, ref, word); got != 10+workers*adds {
-				t.Errorf("after %d concurrent increments: %d, want %d", workers*adds, got, 10+workers*adds)
-			}
-			e.OpEnd(c)
-			if msg := e.CheckInvariants(ref, cellWord); msg != "" {
-				t.Error(msg)
+		e.OpBegin(c)
+		pristine("rebuilt CAS", func() {
+			if !e.CASRebuilt(c, ref, word, 5, 10) || e.CASRebuilt(c, ref, word, 5, 11) {
+				t.Fatal("CASRebuilt 5->10 must succeed and 5->11 then fail")
 			}
 		})
-	}
+		if got := e.TraversalLoad(c, ref, word); got != 10 {
+			t.Fatalf("rebuilt install not visible: %d", got)
+		}
+		e.OpEnd(c)
+
+		const workers, adds = 4, 500
+		pristine("concurrent rebuilt CASes", func() {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					wc := e.NewCtx()
+					defer wc.Close()
+					e.OpBegin(wc)
+					defer e.OpEnd(wc)
+					for i := 0; i < adds; i++ {
+						for cur := e.Load(wc, ref, word); !e.CASRebuilt(wc, ref, word, cur, cur+1); cur = e.Load(wc, ref, word) {
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+		e.OpBegin(c)
+		if got := e.Load(c, ref, word); got != 10+workers*adds {
+			t.Errorf("after %d concurrent increments: %d, want %d", workers*adds, got, 10+workers*adds)
+		}
+		e.OpEnd(c)
+		if msg := e.CheckInvariants(ref, cellWord); msg != "" {
+			t.Error(msg)
+		}
+	})
 }
 
 // TestPlainWordWritesPanic pins both obligations under pmem debug checks, on

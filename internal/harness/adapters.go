@@ -159,7 +159,6 @@ func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange i
 		Kind:    kind,
 		Words:   deviceWords(structure, kind, keyRange),
 		Track:   false, // benchmarks never crash
-		NoElide: o.NoElide,
 		Clients: clients,
 	})
 	c := e.NewCtx()

@@ -40,8 +40,7 @@ type BenchPoint struct {
 	// Elision statistics this point added (engine.Stats deltas): flushes
 	// and fences skipped by the persisted-epoch watermark layer, fences
 	// avoided by piggybacking on a concurrent fence's commit ticket, and
-	// retire-gated installs deferred to the relaxed-line registry. All
-	// zero when the matrix runs with elision disabled (-noelide).
+	// retire-gated installs deferred to the relaxed-line registry.
 	ElidedFlushes     uint64 `json:"elided_flushes"`
 	ElidedFences      uint64 `json:"elided_fences"`
 	PiggybackedFences uint64 `json:"piggybacked_fences"`
@@ -77,9 +76,6 @@ type BenchOptions struct {
 	DurationMS int64 `json:"duration_ms"`
 	Scale      int   `json:"scale"`
 	Seed       int64 `json:"seed"`
-	// NoElide records that the flush-elision layer was disabled (the
-	// ablation baseline run).
-	NoElide bool `json:"no_elide,omitempty"`
 	// Detect records that every operation ran through a detectable bracket
 	// (the descriptor-overhead ablation run).
 	Detect bool `json:"detect,omitempty"`
@@ -148,7 +144,6 @@ func RunBenchMatrix(o Options, structs []string, kinds []engine.Kind, threads []
 			DurationMS: o.Duration.Milliseconds(),
 			Scale:      o.Scale,
 			Seed:       o.Seed,
-			NoElide:    o.NoElide,
 			Detect:     o.Detect,
 			Dist:       o.Dist,
 			Skew:       o.Skew,

@@ -24,9 +24,6 @@ type Options struct {
 	Threads []int
 	// Seed for the workload PRNGs.
 	Seed int64
-	// NoElide disables the flush-elision / fence-coalescing layer on the
-	// durable engines — the ablation baseline for EXPERIMENTS.md.
-	NoElide bool
 	// Detect routes every benchmark operation through a detectable-operation
 	// bracket (engine.ExactlyOnce), measuring the descriptor overhead — the
 	// ablation switch for the detectability layer. Off by default, so the

@@ -7,15 +7,6 @@ import (
 	"mirror/internal/pmem"
 )
 
-// newMemElide is newMem with the flush-elision watermark layer enabled on
-// the persistent replica.
-func newMemElide(words int) *Mem {
-	return &Mem{
-		P: pmem.New(pmem.Config{Name: "nvmm", Words: words, Persistent: true, Track: true, Elide: true}),
-		V: pmem.New(pmem.Config{Name: "dram", Words: words}),
-	}
-}
-
 // costOf returns the (flushes, fences) the persistent replica charged for fn.
 func costOf(m *Mem, fn func()) (flushes, fences uint64) {
 	fl0, fe0 := m.P.Counters()
@@ -25,66 +16,59 @@ func costOf(m *Mem, fn func()) (flushes, fences uint64) {
 }
 
 // TestCASFlushAccounting pins the exact flush+fence cost of the Figure 4
-// paths, with the elision layer on and off. The quiesced costs must be
-// IDENTICAL in both configurations: Persisted uses a strict comparison
-// against a watermark that never exceeds the epoch counter, so with no
-// concurrent fence in flight the probe cannot fire. That invariance is the
-// regression being pinned — it is what keeps single-threaded replays
-// (crashtest, faultfuzz Workers=1) deterministic under elision.
+// paths on an eliding device: the full cost of Figure 4, as if there were
+// no watermark. Persisted uses a strict comparison against a watermark that
+// never exceeds the epoch counter, so with no concurrent fence in flight
+// the probe cannot fire. That is the regression being pinned — it is what
+// keeps single-threaded replays (crashtest, faultfuzz Workers=1)
+// deterministic under elision. The subtest names the policy: rep_p
+// carries the watermark.
 func TestCASFlushAccounting(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(int) *Mem
-	}{
-		{"elide=off", newMem},
-		{"elide=on", newMemElide},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := tc.mk(64)
-			ctx := initCell(m, 5)
+	t.Run("elide=on", func(t *testing.T) {
+		m := newMem(64)
+		ctx := initCell(m, 5)
 
-			// Owner install: exactly one flush and one fence.
-			if fl, fe := costOf(m, func() { m.CompareAndSwap(ctx, cell, 5, 10) }); fl != 1 || fe != 1 {
-				t.Errorf("owner CAS cost (%d flushes, %d fences), want (1, 1)", fl, fe)
-			}
-			// Value-mismatch failure: no install, no durability work.
-			if fl, fe := costOf(m, func() { m.CompareAndSwap(ctx, cell, 999, 1) }); fl != 0 || fe != 0 {
-				t.Errorf("failed CAS cost (%d flushes, %d fences), want (0, 0)", fl, fe)
-			}
+		// Owner install: exactly one flush and one fence.
+		if fl, fe := costOf(m, func() { m.CompareAndSwap(ctx, cell, 5, 10) }); fl != 1 || fe != 1 {
+			t.Errorf("owner CAS cost (%d flushes, %d fences), want (1, 1)", fl, fe)
+		}
+		// Value-mismatch failure: no install, no durability work.
+		if fl, fe := costOf(m, func() { m.CompareAndSwap(ctx, cell, 999, 1) }); fl != 0 || fe != 0 {
+			t.Errorf("failed CAS cost (%d flushes, %d fences), want (0, 0)", fl, fe)
+		}
 
-			// Helper path: stage rep_p one sequence ahead (an owner that
-			// installed but has not yet flushed), then run a CAS whose
-			// expected value does not match. It must complete the stranger's
-			// install — one flush, one fence, one help — and then fail
-			// without further cost.
-			m.P.DWCAS(cell, 10, InitSeq+1, 77, InitSeq+2)
-			h0, _ := m.Stats()
-			fl, fe := costOf(m, func() {
-				if ok, cur := m.CompareAndSwap(ctx, cell, 999, 1); ok || cur != 77 {
-					t.Fatalf("helping CAS = (%v, %d), want (false, 77)", ok, cur)
-				}
-			})
-			if fl != 1 || fe != 1 {
-				t.Errorf("helper CAS cost (%d flushes, %d fences), want (1, 1)", fl, fe)
-			}
-			if h1, _ := m.Stats(); h1 != h0+1 {
-				t.Errorf("helps = %d, want %d", h1, h0+1)
-			}
-			if got := m.P.PersistedWord(cell); got != 77 {
-				t.Errorf("helped install not on media: %d, want 77", got)
-			}
-			if v, s := m.V.LoadPair(cell); v != 77 || s != InitSeq+2 {
-				t.Errorf("helped install not mirrored: (%d, %d)", v, s)
+		// Helper path: stage rep_p one sequence ahead (an owner that
+		// installed but has not yet flushed), then run a CAS whose
+		// expected value does not match. It must complete the stranger's
+		// install — one flush, one fence, one help — and then fail
+		// without further cost.
+		m.P.DWCAS(cell, 10, InitSeq+1, 77, InitSeq+2)
+		h0, _ := m.Stats()
+		fl, fe := costOf(m, func() {
+			if ok, cur := m.CompareAndSwap(ctx, cell, 999, 1); ok || cur != 77 {
+				t.Fatalf("helping CAS = (%v, %d), want (false, 77)", ok, cur)
 			}
 		})
-	}
+		if fl != 1 || fe != 1 {
+			t.Errorf("helper CAS cost (%d flushes, %d fences), want (1, 1)", fl, fe)
+		}
+		if h1, _ := m.Stats(); h1 != h0+1 {
+			t.Errorf("helps = %d, want %d", h1, h0+1)
+		}
+		if got := m.P.PersistedWord(cell); got != 77 {
+			t.Errorf("helped install not on media: %d, want 77", got)
+		}
+		if v, s := m.V.LoadPair(cell); v != 77 || s != InitSeq+2 {
+			t.Errorf("helped install not mirrored: (%d, %d)", v, s)
+		}
+	})
 }
 
 // TestElisionCountersZeroQuiesced pins that no elision path fires in a
 // quiesced single-threaded run: every counter the harness exports must
 // stay zero across a mix of writes.
 func TestElisionCountersZeroQuiesced(t *testing.T) {
-	m := newMemElide(64)
+	m := newMem(64)
 	ctx := initCell(m, 0)
 	m.CompareAndSwap(ctx, cell, 0, 1)
 	m.Store(ctx, cell, 2)
@@ -99,7 +83,7 @@ func TestElisionCountersZeroQuiesced(t *testing.T) {
 // TestRelaxedCASAccounting pins the registry-deferred install: zero
 // immediate cost, visible before durable, committed by CommitRelaxed.
 func TestRelaxedCASAccounting(t *testing.T) {
-	m := newMemElide(64)
+	m := newMem(64)
 	ctx := initCell(m, 5)
 
 	if fl, fe := costOf(m, func() {
@@ -138,15 +122,32 @@ func TestRelaxedCASAccounting(t *testing.T) {
 		t.Errorf("failed relaxed CAS registered a line: pending=%d", got)
 	}
 
-	// On a non-eliding device an Auxiliary CAS degrades to the full
-	// protocol exactly.
-	m2 := newMem(64)
+	// The registry belongs to every persistent device, not to the
+	// watermark: on a device built without Elide a relaxed install is
+	// deferred the same way, and CommitRelaxed drains it to the media.
+	m2 := newMemNoWatermark(64)
 	ctx2 := initCell(m2, 5)
-	if fl, fe := costOf(m2, func() { m2.CAS(ctx2, cell, 5, 10, Auxiliary) }); fl != 1 || fe != 1 {
-		t.Errorf("relaxed CAS on non-eliding device cost (%d, %d), want (1, 1)", fl, fe)
+	if fl, fe := costOf(m2, func() { m2.CAS(ctx2, cell, 5, 10, Auxiliary) }); fl != 0 || fe != 0 {
+		t.Errorf("relaxed CAS without the watermark cost (%d, %d), want (0, 0)", fl, fe)
 	}
-	if m2.P.RelaxedPending() != 0 {
-		t.Error("non-eliding device has a relaxed registry entry")
+	if got := m2.P.RelaxedPending(); got != 1 {
+		t.Fatalf("RelaxedPending without the watermark = %d, want 1", got)
+	}
+	if fl, fe := costOf(m2, func() { m2.P.CommitRelaxed(&ctx2.FS) }); fl != 1 || fe != 1 {
+		t.Errorf("CommitRelaxed without the watermark cost (%d, %d), want (1, 1)", fl, fe)
+	}
+	if v, s := m2.P.PersistedWord(cell), m2.P.PersistedWord(cell+1); v != 10 || s != InitSeq+1 {
+		t.Fatalf("relaxed install not on media after commit without the watermark: (%d, %d)", v, s)
+	}
+}
+
+// newMemNoWatermark is newMem on a persistent device built without the
+// flush-elision watermark (pmem.Config.Elide false), as the hand-made
+// baselines build theirs.
+func newMemNoWatermark(words int) *Mem {
+	return &Mem{
+		P: pmem.New(pmem.Config{Name: "nvmm", Words: words, Persistent: true, Track: true}),
+		V: pmem.New(pmem.Config{Name: "dram", Words: words}),
 	}
 }
 
@@ -154,7 +155,7 @@ func TestRelaxedCASAccounting(t *testing.T) {
 // cache line cost one flush and one fence at PublishFence, with the saved
 // flush counted as elided; an empty PublishFence costs nothing.
 func TestInitCellBatching(t *testing.T) {
-	m := newMemElide(64)
+	m := newMem(64)
 	ctx := &Ctx{}
 	fl, fe := costOf(m, func() {
 		m.InitCell(ctx, 8, 1)  // line 1
@@ -177,16 +178,20 @@ func TestInitCellBatching(t *testing.T) {
 		t.Errorf("empty PublishFence cost (%d, %d), want (0, 0)", fl, fe)
 	}
 
-	// The non-eliding device pays one flush per cell plus the fence.
-	m2 := newMem(64)
+	// Batching needs only the pending-line set, not the watermark: a
+	// device built without Elide pays the same one flush per line.
+	m2 := newMemNoWatermark(64)
 	ctx2 := &Ctx{}
 	fl, fe = costOf(m2, func() {
 		m2.InitCell(ctx2, 8, 1)
 		m2.InitCell(ctx2, 10, 2)
 		m2.PublishFence(ctx2)
 	})
-	if fl != 2 || fe != 1 {
-		t.Errorf("non-eliding two-cell init cost (%d flushes, %d fences), want (2, 1)", fl, fe)
+	if fl != 1 || fe != 1 {
+		t.Errorf("two-cell one-line init without the watermark cost (%d flushes, %d fences), want (1, 1)", fl, fe)
+	}
+	if m2.P.PersistedWord(8) != 1 || m2.P.PersistedWord(10) != 2 {
+		t.Error("batched init without the watermark not on media after PublishFence")
 	}
 }
 
@@ -199,7 +204,7 @@ func TestInitCellBatching(t *testing.T) {
 func TestExchangeElidedCrashSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 40; round++ {
-		m := newMemElide(64)
+		m := newMem(64)
 		m.P.InjectFaults(pmem.NewFaultModel(int64(round+1), pmem.FaultSpec{Evict: true, Drop: true}))
 		ctx := initCell(m, 0)
 		var completed uint64

@@ -120,9 +120,8 @@ func (m *Mem) Stats() (helps, retries uint64) {
 }
 
 // Intent is what a caller states about one write. The caller never says
-// what to flush or when: the persistence policy — eager or elide — is picked
-// here, from the intent and what rep_p's device is capable of (Elides).
-// DESIGN.md "Persistence seam" tabulates the outcome.
+// what to flush or when: the persistence policy is picked here, from the
+// intent alone. DESIGN.md "Persistence seam" tabulates the outcome.
 type Intent uint8
 
 const (
@@ -132,11 +131,10 @@ const (
 	Full Intent = iota
 	// Auxiliary marks a retire-gated physical update whose loss at a crash
 	// leaves a state some earlier crash could also have left: a snip of an
-	// already-marked node, a bst excision. On an eliding device the install
-	// becomes visible before it is durable and the relaxed-line registry
-	// commits it before anything it unlinked is freed; everywhere else it
-	// is Full. A linearization point (mark,
-	// level-0 link, bst flag) must never use it.
+	// already-marked node, a bst excision. The install becomes visible
+	// before it is durable, and the relaxed-line registry commits it before
+	// anything it unlinked is freed. A linearization point (mark, level-0
+	// link, bst flag) must never use it.
 	Auxiliary
 	// Tagged is Full for a value whose witness line (Mem.Witness) the
 	// owner's next fence flushes — armed on its flush set, or already
@@ -211,8 +209,8 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			//     it.
 			//   - tagged: a real fence on this thread's flush set, which
 			//     commits the witness line with the value.
-			//   - eager, or elide on an eliding device: durable now.
-			if in == Auxiliary && m.P.Elides() {
+			//   - otherwise: durable now, or proven so by the watermark.
+			if in == Auxiliary {
 				m.P.NoteRelaxed(&ctx.FS, off)
 			} else {
 				tag := m.P.PersistEpoch()
@@ -277,8 +275,8 @@ func (m *Mem) OnInstallForTest(f func(off uint64) (drop bool)) { m.installed = f
 //     and watermark); ride it instead of fencing ("piggyback").
 //  3. Otherwise — issue the full flush+fence of Figure 4.
 //
-// On a non-eliding device both probes are constant-false and the full path
-// runs unconditionally.
+// On a device built without the watermark (pmem.Config.Elide) both probes
+// are constant-false and the full path runs unconditionally.
 func (m *Mem) ensureDurable(ctx *Ctx, off, tag uint64) {
 	if m.P.Persisted(off, tag) {
 		m.P.NoteElided(&ctx.FS, 1, 1)
@@ -332,11 +330,10 @@ func (m *Mem) Store(ctx *Ctx, off uint64, v uint64) {
 }
 
 // InitCell initializes an unpublished cell on both replicas with value v
-// and sequence number InitSeq, and flushes the persistent copy. The flush
-// is not fenced: callers batch the fence via PublishFence before the cell
-// becomes reachable, mirroring the allocator wrapper of §4.3.2. On an
-// eliding device even the flush is deferred: PublishFence issues one flush
-// per distinct dirty line, so a multi-cell object costs one clwb per cache
+// and sequence number InitSeq, and defers the flush of the persistent copy
+// to PublishFence, which callers run before the cell becomes reachable
+// (the allocator wrapper of §4.3.2). PublishFence issues one flush per
+// distinct dirty line, so a multi-cell object costs one clwb per cache
 // line instead of one per cell (both cell words share a line — cells are
 // 16-byte aligned).
 func (m *Mem) InitCell(ctx *Ctx, off uint64, v uint64) {
@@ -347,36 +344,25 @@ func (m *Mem) InitCell(ctx *Ctx, off uint64, v uint64) {
 
 // InitWord initializes an unpublished plain word — a field with no sequence
 // number, written once before publication (a key) or rebuilt by recovery (a
-// skip list's upper link) — on both replicas, and flushes (or defers the
-// flush of) its persistent copy like InitCell: PublishFence makes it
-// durable before the object is reachable. The stores are the devices' init
+// skip list's upper link) — on both replicas, and defers the flush of its
+// persistent copy like InitCell: PublishFence makes it durable before the
+// object is reachable. The stores are the devices' init
 // stores (pmem.Device.StoreInit): the word is unpublished, so nothing orders
 // or arbitrates it until the install that publishes its object.
 func (m *Mem) InitWord(ctx *Ctx, off uint64, v uint64) {
 	m.P.StoreInit(off, v)
-	if m.P.Elides() {
-		ctx.FS.DeferInit(off)
-	} else {
-		m.P.Flush(&ctx.FS, off)
-	}
+	ctx.FS.DeferInit(off)
 	m.V.StoreInit(off, v)
 }
 
 // PublishFence fences all pending persistent-replica flushes of this
 // context. It must run after a new object's InitCells and before the CAS
 // that publishes the object, so the object's contents are durable no later
-// than the reference to it. On an eliding device it first drains the
-// deferred init flushes (one per distinct line, counting the per-cell
-// flushes a non-eliding device would have issued as elided), and skips the
-// fence entirely when nothing at all is pending — an sfence with no clwb
-// in flight orders nothing.
-func (m *Mem) PublishFence(ctx *Ctx) {
-	if m.P.Elides() {
-		m.P.PublishInit(&ctx.FS)
-		return
-	}
-	m.P.Fence(&ctx.FS)
-}
+// than the reference to it. It first drains the deferred init flushes (one
+// per distinct line, counting the per-cell flushes it saves as elided), and
+// skips the fence entirely when nothing at all is pending — an sfence with
+// no clwb in flight orders nothing.
+func (m *Mem) PublishFence(ctx *Ctx) { m.P.PublishInit(&ctx.FS) }
 
 // RecoverRange rebuilds the volatile replica of every word in
 // [off, off+words) — cells and plain words alike, so an object with an odd

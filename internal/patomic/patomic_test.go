@@ -9,10 +9,11 @@ import (
 	"mirror/internal/pmem"
 )
 
-// newMem builds a persistent+volatile replica pair with tracking enabled.
+// newMem builds a persistent+volatile replica pair with tracking and the
+// flush-elision watermark enabled, as the engines build rep_p.
 func newMem(words int) *Mem {
 	return &Mem{
-		P: pmem.New(pmem.Config{Name: "nvmm", Words: words, Persistent: true, Track: true}),
+		P: pmem.New(pmem.Config{Name: "nvmm", Words: words, Persistent: true, Track: true, Elide: true}),
 		V: pmem.New(pmem.Config{Name: "dram", Words: words}),
 	}
 }
@@ -482,27 +483,26 @@ func TestStatsRetriesUnderContention(t *testing.T) {
 // TestRecoverRangeCopiesOddSpan pins the recovery of an object whose plain
 // words make its span odd — one cell and one plain word, three words: all
 // three reach rep_v. A copy trimmed to whole cells would leave the plain
-// word, a key or an upper link, zero in rep_v without any error.
+// word, a key or an upper link, zero in rep_v without any error. The
+// subtest names the policy: rep_p carries the watermark.
 func TestRecoverRangeCopiesOddSpan(t *testing.T) {
-	for name, mk := range map[string]func(int) *Mem{"elide=off": newMem, "elide=on": newMemElide} {
-		t.Run(name, func(t *testing.T) {
-			m := mk(64)
-			ctx := &Ctx{}
-			m.InitCell(ctx, cell, 7)
-			m.InitWord(ctx, cell+CellWords, 42)
-			m.PublishFence(ctx)
-			m.P.Freeze()
-			m.V.Freeze()
-			rng := rand.New(rand.NewSource(1))
-			m.P.Crash(pmem.CrashDropAll, rng)
-			m.V.Crash(pmem.CrashDropAll, rng)
-			m.RecoverRange(cell, CellWords+1)
-			if v, s := m.V.LoadPair(cell); v != 7 || s != InitSeq {
-				t.Errorf("recovered cell (%d, %d), want (7, %d)", v, s, InitSeq)
-			}
-			if got := m.Load(cell + CellWords); got != 42 {
-				t.Errorf("recovered plain word %d, want 42", got)
-			}
-		})
-	}
+	t.Run("elide=on", func(t *testing.T) {
+		m := newMem(64)
+		ctx := &Ctx{}
+		m.InitCell(ctx, cell, 7)
+		m.InitWord(ctx, cell+CellWords, 42)
+		m.PublishFence(ctx)
+		m.P.Freeze()
+		m.V.Freeze()
+		rng := rand.New(rand.NewSource(1))
+		m.P.Crash(pmem.CrashDropAll, rng)
+		m.V.Crash(pmem.CrashDropAll, rng)
+		m.RecoverRange(cell, CellWords+1)
+		if v, s := m.V.LoadPair(cell); v != 7 || s != InitSeq {
+			t.Errorf("recovered cell (%d, %d), want (7, %d)", v, s, InitSeq)
+		}
+		if got := m.Load(cell + CellWords); got != 42 {
+			t.Errorf("recovered plain word %d, want 42", got)
+		}
+	})
 }

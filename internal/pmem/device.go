@@ -81,8 +81,16 @@ type Config struct {
 	Words      int       // capacity in 8-byte words (offset 0 reserved)
 	Persistent bool      // survives Crash via its media image
 	Track      bool      // maintain the media image (required for Crash)
-	Elide      bool      // maintain the persisted-epoch watermark (elide.go)
 	Model      CostModel // cost table of the medium (cost.go)
+
+	// Elide maintains the persisted-epoch watermark and commit tickets
+	// (elide.go). Both engines set it on every persistent device they
+	// build. The hand-made baselines (zuriel, cmapkv) leave it false: they
+	// never ask Persisted or CommitTicket, so the tables would be dead
+	// weight. A device without it answers both with no, so patomic's
+	// durability probes fall back to flush + fence, while the relaxed-line
+	// registry works on every persistent device.
+	Elide bool
 
 	// MediaPath backs the media image with a MAP_SHARED mmap of this file
 	// instead of an anonymous slice (mediafile.go), so the fenced image
@@ -162,10 +170,11 @@ type Device struct {
 	shardMu sync.Mutex
 	shards  []*FlushSet
 
-	// Flush-elision state (Config.Elide; see elide.go): the global persist
-	// epoch, the per-line watermark and in-flight ticket tables, and the
-	// relaxed-line registry. lineTrack extends pending-line recording to
-	// eliding devices that do not track a media image (benchmarks).
+	// Flush-elision state (see elide.go): the global persist epoch and the
+	// per-line watermark and in-flight ticket tables (Config.Elide), and
+	// the relaxed-line registry (every persistent device). lineTrack
+	// extends pending-line recording to eliding devices that do not track
+	// a media image (benchmarks).
 	elide      bool
 	lineTrack  bool
 	breakWM    bool // test-only: eviction falsely advances the watermark
@@ -218,6 +227,8 @@ func New(cfg Config) *Device {
 		nLines := len(d.words)/WordsPerLine + 1
 		d.marks = make([]atomic.Uint64, nLines)
 		d.committing = make([]atomic.Uint64, nLines)
+	}
+	if d.persistent {
 		d.relaxedSet = make(map[uint64]struct{})
 	}
 	return d
@@ -454,7 +465,7 @@ type FlushSet struct {
 	// set flushes its line just before committing.
 	ahead uint64
 
-	// Deferred initialization flushes (eliding devices; see DeferInit in
+	// Deferred initialization flushes (see DeferInit in
 	// elide.go): distinct lines dirtied by unpublished-object stores, in
 	// first-touch order, and the number of stores they cover.
 	initLines  []uint64
@@ -482,8 +493,9 @@ func (s *FlushSet) DropAhead() { s.ahead = 0 }
 // on this set. Engines consult it to elide a fence that would commit
 // nothing (an sfence with no clwb in flight orders nothing durable).
 // Pending lines are only recorded on tracking or eliding devices, so the
-// query is conservatively zero — and fence elision must therefore be gated
-// on Device.Elides — everywhere else.
+// query is zero everywhere else: a fence skipped on its answer is safe only
+// on a device built with Config.Track or Config.Elide, as every engine's
+// persistent device is.
 func (s *FlushSet) Pending() int { return len(s.lines) }
 
 // Fences returns the number of fences issued on this set. A caller that
@@ -759,14 +771,12 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 	// watermark and epoch survive — marks never exceed pepoch, and fresh
 	// tags are read from pepoch, so stale marks can never satisfy the
 	// strict Persisted comparison.
-	if d.elide {
-		d.relaxedMu.Lock()
-		d.relaxedLines = d.relaxedLines[:0]
-		for line := range d.relaxedSet {
-			delete(d.relaxedSet, line)
-		}
-		d.relaxedMu.Unlock()
+	d.relaxedMu.Lock()
+	d.relaxedLines = d.relaxedLines[:0]
+	for line := range d.relaxedSet {
+		delete(d.relaxedSet, line)
 	}
+	d.relaxedMu.Unlock()
 	d.countdown.Store(0)
 	d.gen.Add(1)
 	d.cold = nil                        // the whole view is the media's again

@@ -1,7 +1,8 @@
 // Flush elision and fence coalescing (DESIGN.md "Flush elision & fence
-// coalescing"). A device built with Config.Elide maintains a FliT-style
-// per-cache-line *persisted-epoch watermark* table: a global persist epoch
-// counter advances at the start of every committing fence, and a line's
+// coalescing"). A device built with Config.Elide — every engine's
+// persistent device — maintains a FliT-style per-cache-line
+// *persisted-epoch watermark* table: a global persist epoch counter
+// advances at the start of every committing fence, and a line's
 // watermark is raised to that epoch only after the fence has actually
 // copied the line to the media. A writer that (a) observes a value and
 // then (b) reads the epoch can elide its own flush+fence whenever the
@@ -17,19 +18,21 @@
 // that, and the fault fuzzer's acceptance self-test proves the fuzzer
 // catches it).
 //
-// Two further mechanisms ride on the same epoch order:
+// Two further mechanisms sit beside it:
 //
-//   - Fence coalescing: a committing fence first publishes its epoch as a
-//     per-line *ticket* (committing[line]), then commits, then raises the
-//     watermark. A concurrent writer holding tag g that sees a ticket t > g
-//     knows a fence that began after its install is mid-commit; it elides
-//     its flush and waits for the watermark to reach t instead of fencing
-//     itself ("piggybacking"). Between publishing the ticket and raising
-//     the watermark the fencer executes only plain atomic operations — no
-//     freeze gate, no fault consultation — so an observed ticket is a
-//     completion guarantee, not a promise.
+//   - Fence coalescing, on the same epoch order: a committing fence first
+//     publishes its epoch as a per-line *ticket* (committing[line]), then
+//     commits, then raises the watermark. A concurrent writer holding tag
+//     g that sees a ticket t > g knows a fence that began after its
+//     install is mid-commit; it elides its flush and waits for the
+//     watermark to reach t instead of fencing itself ("piggybacking").
+//     Between publishing the ticket and raising the watermark the fencer
+//     executes only plain atomic operations — no freeze gate, no fault
+//     consultation — so an observed ticket is a completion guarantee, not
+//     a promise.
 //
-//   - The relaxed-line registry: a CAS that is only retire-gated (list and
+//   - The relaxed-line registry, kept by every persistent device, with or
+//     without the watermark: a CAS that is only retire-gated (list and
 //     skiplist snips, bst excisions — see patomic.Auxiliary) may become
 //     visible before it is durable, provided its line is made durable
 //     before any object it unlinked is freed. Such installs
@@ -61,13 +64,10 @@ func atomicMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// Elides reports whether the flush-elision watermark machinery is enabled
-// (Config.Elide on a persistent device).
-func (d *Device) Elides() bool { return d.elide }
-
 // PersistEpoch returns the current global persist epoch. A writer reads it
 // *after* observing (or installing) a value; the returned tag is what
-// Persisted and CommitTicket compare against. Zero when elision is off.
+// Persisted and CommitTicket compare against. Zero on a device built
+// without Config.Elide.
 func (d *Device) PersistEpoch() uint64 {
 	if !d.elide {
 		return 0
@@ -79,8 +79,8 @@ func (d *Device) PersistEpoch() uint64 {
 // to media since the caller's observation tagged tag: the watermark must
 // strictly exceed the tag, which proves the committing fence's epoch
 // advance — and therefore its line copy — happened after the tag was read.
-// Always false when elision is off, so callers degrade to the full
-// flush+fence.
+// Always false on a device built without Config.Elide, so callers degrade
+// to the full flush+fence.
 func (d *Device) Persisted(off, tag uint64) bool {
 	if !d.elide {
 		return false
@@ -170,9 +170,6 @@ func (d *Device) NoteRelaxed(fs *FlushSet, off uint64) {
 // anything. A caller whose next fence on fs is due anyway (the verdict fence
 // of a detect drain) saves CommitRelaxed's own.
 func (d *Device) FlushRelaxed(fs *FlushSet) bool {
-	if !d.elide {
-		return false
-	}
 	d.relaxedMu.Lock()
 	if len(d.relaxedLines) == 0 {
 		d.relaxedMu.Unlock()
@@ -239,11 +236,10 @@ func (s *FlushSet) DropInit() {
 	s.initStores = 0
 }
 
-// PublishInit is the publish barrier of an eliding device: one flush per
-// distinct line DeferInit recorded (the per-store flushes a non-eliding
-// device would have issued count as elided), then one fence — skipped when
-// nothing at all is pending, since an sfence with no clwb in flight orders
-// nothing.
+// PublishInit is the publish barrier: one flush per distinct line DeferInit
+// recorded (the per-store flushes it saves count as elided), then one
+// fence — skipped when nothing at all is pending, since an sfence with no
+// clwb in flight orders nothing.
 func (d *Device) PublishInit(fs *FlushSet) {
 	for _, line := range fs.initLines {
 		d.Flush(fs, line<<lineShift)

@@ -19,13 +19,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/sweep.golden fro
 
 // TestSweepGolden is the count/hash oracle for refactors of the persistence
 // path: one fixed single-threaded script on every engine configuration the
-// tree builds — 6 kinds × {noelide, elide} × detect {off, deferred} ×
-// (4 sets + the queue) — and, per configuration, one
-// row of everything a refactor must not move: flushes, fences, every Stats
-// field, the hash of the quiesced media image, a fold of the operations'
-// return values and the verdicts Detect gives afterwards. The rows are
-// compared with testdata/sweep.golden byte for byte. A change that means to
-// move a count regenerates the file with
+// tree builds — 6 kinds × detect {off, deferred} × (4 sets + the queue) —
+// and, per configuration, one row of everything a refactor must not move:
+// flushes, fences, every Stats field, the hash of the quiesced media image,
+// a fold of the operations' return values and the verdicts Detect gives
+// afterwards. The rows are compared with testdata/sweep.golden byte for
+// byte. A change that means to move a count regenerates the file with
 //
 //	go test ./internal/structures -run TestSweepGolden -update
 //
@@ -34,11 +33,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/sweep.golden fro
 func TestSweepGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, kind := range engine.Kinds() {
-		for _, noElide := range []bool{true, false} {
-			for _, detect := range []string{"off", "deferred"} {
-				for _, name := range []string{"list", "hashtable", "bst", "skiplist", "queue"} {
-					got.WriteString(sweepRow(kind, noElide, detect, name))
-				}
+		for _, detect := range []string{"off", "deferred"} {
+			for _, name := range []string{"list", "hashtable", "bst", "skiplist", "queue"} {
+				got.WriteString(sweepRow(kind, detect, name))
 			}
 		}
 	}
@@ -73,9 +70,9 @@ func TestSweepGolden(t *testing.T) {
 }
 
 // sweepRow runs the fixed script on one configuration and renders its row.
-func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) string {
+func sweepRow(kind engine.Kind, detect string, structure string) string {
 	const clients = 2
-	cfg := engine.Config{Kind: kind, Words: 1 << 16, Track: true, NoElide: noElide}
+	cfg := engine.Config{Kind: kind, Words: 1 << 16, Track: true}
 	if detect != "off" {
 		cfg.Clients = clients
 	}
@@ -227,12 +224,9 @@ func sweepRow(kind engine.Kind, noElide bool, detect string, structure string) s
 		verdicts = b.String()
 	}
 
-	policy := "elide"
-	if noElide {
-		policy = "noelide"
-	}
-	return fmt.Sprintf("%s/%s/%s/%s flushes=%d fences=%d helps=%d retries=%d elidedFlushes=%d elidedFences=%d piggybacked=%d relaxedCAS=%d announces=%d verdicts=%d media=%s results=%016x detect=%s\n",
-		kind, policy, detect, structure, flushes, fences,
+	// "elide" names the persistence policy every engine runs.
+	return fmt.Sprintf("%s/elide/%s/%s flushes=%d fences=%d helps=%d retries=%d elidedFlushes=%d elidedFences=%d piggybacked=%d relaxedCAS=%d announces=%d verdicts=%d media=%s results=%016x detect=%s\n",
+		kind, detect, structure, flushes, fences,
 		s.Helps, s.Retries, s.ElidedFlushes, s.ElidedFences, s.PiggybackedFences, s.RelaxedCAS,
 		s.DetectAnnounces, s.DetectVerdicts, media, results, verdicts)
 }
