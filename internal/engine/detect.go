@@ -729,17 +729,12 @@ func (r *descRegion) verdictAt(s uint64) (v verdictLine, ok bool) {
 }
 
 // End commits the published verdict before the operation returns to the
-// client. The fence is elided when an intervening fence of this thread
-// already committed the verdict line (the flush set is empty).
+// client. The device elides the fence when an intervening fence of this
+// thread already committed the verdict line.
 func (r *descRegion) End(fs *pmem.FlushSet) {
-	if !r.Durable {
-		return
+	if r.Durable {
+		r.Dev.FenceOrElide(fs)
 	}
-	if fs.Pending() == 0 {
-		r.Dev.NoteElided(fs, 0, 1)
-		return
-	}
-	r.Dev.Fence(fs)
 }
 
 // Detect answers whether (client, seq) committed, from the raw descriptor
@@ -866,14 +861,13 @@ func (r *descRegion) stats(s *Stats) {
 // descriptor protocol.
 type descState struct {
 	armed bool
-	// annOpen: the announce line is flushed but no fence on the context's
-	// flush set is known to have covered it; annFences is that set's fence
-	// count when it was armed. announceBarrier closes it before the first
-	// install.
-	annOpen   bool
-	annFences uint64
-	client    int
-	seq       uint64
+	// annOpen: the announce line is armed on the context's flush set and
+	// the operation has not yet passed the barrier or dropped it; whether a
+	// fence has flushed it since is the flush set's to say (Armed).
+	// announceBarrier closes it before the first install.
+	annOpen bool
+	client  int
+	seq     uint64
 	// tag is the operation's tag on an engine that tags (0: none), and
 	// claimed says MarkTag handed it out for the context's next CAS.
 	tag     uint64
@@ -1006,7 +1000,7 @@ func (d *detector) announceBarrier(c *Ctx) {
 // inlines into every CAS and Store as one load and one branch.
 func (d *detector) closeAnnounce(c *Ctx) {
 	c.det.annOpen = false
-	if fs := d.eng.descFlushSet(c); fs.Fences() == c.det.annFences {
+	if fs := d.eng.descFlushSet(c); fs.Armed() {
 		d.desc.barriers.Add(1)
 		d.desc.Dev.Fence(fs)
 	}
@@ -1044,12 +1038,8 @@ func (d *detector) DetectBeginDeferred(c *Ctx, client int, seq, kind, key, val u
 	if ringCollision(c.detPending, client, seq, d.desc.Ring) {
 		d.DetectDrain(c)
 	}
-	fs := d.eng.descFlushSet(c)
-	d.desc.arm(fs, client, seq, kind, key, val)
-	c.det = descState{
-		armed: true, client: client, seq: seq,
-		annOpen: d.desc.Durable, annFences: fs.Fences(),
-	}
+	d.desc.arm(d.eng.descFlushSet(c), client, seq, kind, key, val)
+	c.det = descState{armed: true, client: client, seq: seq, annOpen: d.desc.Durable}
 	if d.tagging {
 		c.det.tag = d.desc.tag(client, seq)
 	}

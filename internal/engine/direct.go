@@ -101,11 +101,10 @@ func (e *directEngine) OpEnd(c *Ctx) {
 		// (FreeUnpublished): it never became reachable, nothing to persist.
 		c.fs.DropInit()
 		// Both transformations issue a final fence before an operation
-		// returns, so completed operations are durable — unless nothing
-		// was flushed since the last fence, in which case the sfence
-		// orders no clwb and commits nothing.
-		if e.elides() && c.fs.Pending() == 0 {
-			e.dev.NoteElided(&c.fs, 0, 1)
+		// returns, so completed operations are durable; the eliding one
+		// lets the device skip a fence that would commit nothing.
+		if e.elides() {
+			e.dev.FenceOrElide(&c.fs)
 		} else {
 			e.dev.Fence(&c.fs)
 		}
@@ -239,24 +238,7 @@ func (e *directEngine) MakePersistent(c *Ctx, ref Ref, fields int) {
 	if e.kind != NVTraverse {
 		return
 	}
-	words := uint64(span(fields, 1))
-	if e.elides() {
-		// One clwb per cache line instead of one per word: the words are
-		// contiguous, so the line range covers them all.
-		first := ref / pmem.WordsPerLine
-		last := (ref + words - 1) / pmem.WordsPerLine
-		for line := first; line <= last; line++ {
-			e.dev.Flush(&c.fs, line*pmem.WordsPerLine)
-		}
-		if elided := words - (last - first + 1); elided > 0 {
-			e.dev.NoteElided(&c.fs, elided, 0)
-		}
-		e.dev.Fence(&c.fs)
-		return
-	}
-	for w := uint64(0); w < words; w++ {
-		e.dev.Flush(&c.fs, ref+w)
-	}
+	e.dev.FlushRange(&c.fs, ref, span(fields, 1))
 	e.dev.Fence(&c.fs)
 }
 
@@ -330,14 +312,8 @@ func (e *directEngine) descFlushSet(c *Ctx) *pmem.FlushSet { return &c.fs }
 // commit under their own fence before any verdict line can persist. The
 // non-durable originals settle nothing.
 func (e *directEngine) settle(c *Ctx) {
-	if !e.durable() {
-		return
-	}
-	if e.elides() {
-		e.dev.CommitRelaxed(&c.fs)
-	}
-	if c.fs.Pending() > 0 {
-		e.dev.Fence(&c.fs)
+	if e.durable() {
+		e.dev.CommitPending(&c.fs)
 	}
 }
 

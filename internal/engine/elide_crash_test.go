@@ -96,8 +96,8 @@ func TestFetchAddStoreCrashSweepUnderFaults(t *testing.T) {
 // installs and fetch-and-adds, drained and then crashed under
 // CrashDropAll, reads every completed value back after recovery. Every
 // skipped flush or fence must have been proven redundant — a watermark
-// that vouched for a line no fence committed (a Persisted that answers
-// yes too early) loses the root installs here.
+// that vouched for a line no fence committed (an EnsureDurable that
+// answers "already durable" too early) loses the root installs here.
 func TestElisionAblationEquivalence(t *testing.T) {
 	for _, k := range Kinds() {
 		if !k.Durable() {

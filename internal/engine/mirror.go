@@ -163,7 +163,7 @@ func (e *mirrorEngine) name(c *Ctx, word uint64) bool {
 	}
 	c.det.named = true
 	e.desc.name(c.det.client, c.det.seq, word)
-	if fs := &c.pa.FS; !c.det.annOpen || fs.Fences() != c.det.annFences {
+	if fs := &c.pa.FS; !c.det.annOpen || !fs.Armed() {
 		e.mem.P.Flush(fs, e.desc.entry(c.det.client, c.det.seq))
 	}
 	return true
@@ -281,9 +281,7 @@ func (e *mirrorEngine) Drain(c *Ctx) {
 		e.orphaned.Store(len(e.orphans) > 0)
 		e.orphanMu.Unlock()
 	}
-	if e.mem.P.FlushRelaxed(fs) || fs.Pending() > 0 {
-		e.mem.P.Fence(fs)
-	}
+	e.mem.P.CommitPending(fs)
 }
 
 func (e *mirrorEngine) Freeze() {

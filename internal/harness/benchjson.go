@@ -164,7 +164,7 @@ func RunBenchMatrix(o Options, structs []string, kinds []engine.Kind, threads []
 			for _, th := range threads {
 				fl0, fe0 := e.Counters()
 				s0 := e.Stats()
-				res := workload.Run(target, o.spec(keyRange, th, workload.Mix801010))
+				res := workload.Run(target, o.timed(keyRange, th, workload.Mix801010))
 				fl1, fe1 := e.Counters()
 				s1 := e.Stats()
 				r.Points = append(r.Points, BenchPoint{

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"mirror/internal/engine"
+	"mirror/internal/pmem"
 	"mirror/internal/workload"
 )
 
@@ -132,6 +134,53 @@ func TestModeledRepeats(t *testing.T) {
 				t.Errorf("update%%=%d %s: modeled %v ns/op", r.X, tab.Columns[i], v)
 			}
 		}
+	}
+}
+
+// keyLog is a workload worker that records the keys of its first
+// operations and changes nothing.
+type keyLog struct{ keys []uint64 }
+
+func (l *keyLog) note(key uint64) bool {
+	if len(l.keys) < 64 {
+		l.keys = append(l.keys, key)
+	}
+	return false
+}
+
+func (l *keyLog) Insert(key, _ uint64) bool { return l.note(key) }
+func (l *keyLog) Delete(key uint64) bool    { return l.note(key) }
+func (l *keyLog) Contains(key uint64) bool  { return l.note(key) }
+
+// TestTimedRunsDoNotReplayTheCountedPass: a point's counted pass and its
+// 1-thread timed run drive the same structure one after the other, so the
+// timed run must draw a key stream of its own. Replaying the counted pass's
+// stream re-applies mutations that already took effect: a slow timed point
+// then counted no-effect operations only (0 flushes on Mirror's list).
+func TestTimedRunsDoNotReplayTheCountedPass(t *testing.T) {
+	var logs []*keyLog // prefill, counted pass, timed run, in creation order
+	record := func(Options, int) (workload.Target, []*pmem.Device) {
+		return workload.Target{Name: "log", NewWorker: func() workload.Worker {
+			l := &keyLog{}
+			logs = append(logs, l)
+			return l
+		}}, nil
+	}
+	p := Panel{ID: "replay", Structure: StHash, Sweep: SweepThreads, Mix: workload.Mix801010,
+		FixedSize: 1 << 20, Competitors: []Competitor{{Label: "log", Make: record}}}
+	o := fastOptions()
+	o.Threads = []int{1}
+	p.Run(o)
+	if len(logs) != 3 {
+		t.Fatalf("%d workers, want 3 (prefill, counted pass, timed run)", len(logs))
+	}
+	counted, timed := logs[1].keys, logs[2].keys
+	n := min(len(counted), len(timed), 16)
+	if n == 0 {
+		t.Fatalf("counted pass drew %d keys, timed run %d", len(counted), len(timed))
+	}
+	if slices.Equal(counted[:n], timed[:n]) {
+		t.Fatalf("the timed run replays the counted pass's key stream: both start %v", timed[:n])
 	}
 }
 

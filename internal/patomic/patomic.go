@@ -175,13 +175,11 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 		if ps == vs+1 {
 			// Another write installed (pv, ps) in rep_p but has not
 			// reached rep_v yet: help complete it (lines 19–26). The
-			// value — and its witness line — must be durable before it
-			// becomes loadable, but the flush+fence is elided when the
-			// watermark proves the owner (or an earlier helper, or an
-			// unrelated fence of the same line) already committed it —
-			// the epoch tag is read after the pair read that observed
-			// the install.
-			m.ensureHelped(ctx, off, m.P.PersistEpoch(), pv)
+			// value — and its witness lines — must be durable before it
+			// becomes loadable; the device skips what the owner (or an
+			// earlier helper, or an unrelated fence of the same line)
+			// already committed.
+			m.persistHelped(ctx, off, pv)
 			m.V.DWCAS(off, vv, vs, pv, ps)
 			m.noteHelp(ctx)
 			continue
@@ -209,7 +207,10 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			//     it.
 			//   - tagged: a real fence on this thread's flush set, which
 			//     commits the witness line with the value.
-			//   - otherwise: durable now, or proven so by the watermark.
+			//   - otherwise: durable before the mirror; the device decides
+			//     whether that takes a flush and a fence (EnsureDurable).
+			//     The epoch tag is read right after the install, before
+			//     the test hook's window.
 			if in == Auxiliary {
 				m.P.NoteRelaxed(&ctx.FS, off)
 			} else {
@@ -224,7 +225,7 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 					m.P.Flush(&ctx.FS, off)
 					m.P.Fence(&ctx.FS)
 				default:
-					m.ensureDurable(ctx, off, tag)
+					m.P.EnsureDurable(&ctx.FS, off, tag, 0, 0)
 				}
 			}
 			// Mirror into rep_v (line 44). Failure here means a helper
@@ -234,9 +235,8 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			return true, pv
 		}
 		// Failed install: help persist the competing write, and its
-		// witness line, before we touch rep_v. The epoch tag is read after
-		// the DWCAS observed the cell.
-		m.ensureHelped(ctx, off, m.P.PersistEpoch(), curV)
+		// witness lines, before we touch rep_v.
+		m.persistHelped(ctx, off, curV)
 		if curV == expected {
 			// The value still matches but the sequence number moved
 			// (same-value overwrite by a concurrent thread). A regular
@@ -262,57 +262,18 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 // flush+fence. Never use outside tests.
 func (m *Mem) OnInstallForTest(f func(off uint64) (drop bool)) { m.installed = f }
 
-// ensureDurable makes the cell content observed under tag durable before a
-// mirror into rep_v. The caller read tag from P.PersistEpoch *after*
-// observing (or installing) the cell pair, so by the watermark's strict
-// monotone-epoch argument (pmem/elide.go):
-//
-//  1. Persisted(off, tag) — a fence committed the line after the
-//     observation; the observed value, or a successor with a higher
-//     sequence number, is on media. Skip both flush and fence.
-//  2. A commit ticket above tag — a fence that started after the
-//     observation is mid-commit and cannot stall (no gates between ticket
-//     and watermark); ride it instead of fencing ("piggyback").
-//  3. Otherwise — issue the full flush+fence of Figure 4.
-//
-// On a device built without the watermark (pmem.Config.Elide) both probes
-// are constant-false and the full path runs unconditionally.
-func (m *Mem) ensureDurable(ctx *Ctx, off, tag uint64) {
-	if m.P.Persisted(off, tag) {
-		m.P.NoteElided(&ctx.FS, 1, 1)
-		return
-	}
-	if t := m.P.CommitTicket(off); t > tag && m.P.WaitPersisted(off, t) {
-		m.P.NotePiggyback(&ctx.FS)
-		return
-	}
-	m.P.Flush(&ctx.FS, off)
-	m.P.Fence(&ctx.FS)
-}
-
-// ensureHelped is ensureDurable for a value a helper is about to mirror
-// into rep_v on another thread's behalf: when the value has witness lines
-// (Witness), they must be durable too, under the same tag argument — the
-// owner wrote them before the install the helper observed. One fence
-// commits them all.
-func (m *Mem) ensureHelped(ctx *Ctx, off, tag, v uint64) {
+// persistHelped makes the value v, just observed at off, durable with its
+// witness lines (Witness) before a helper mirrors it into rep_v on another
+// thread's behalf: the owner wrote the witnesses before the install the
+// helper observed. The epoch tag is read first, right after the
+// observation, so the device's watermark argument covers all three lines.
+func (m *Mem) persistHelped(ctx *Ctx, off, v uint64) {
+	tag := m.P.PersistEpoch()
 	var w, x uint64
 	if m.Witness != nil {
 		w, x = m.Witness(v)
 	}
-	wDone, xDone := w == 0 || m.P.Persisted(w, tag), x == 0 || m.P.Persisted(x, tag)
-	if wDone && xDone {
-		m.ensureDurable(ctx, off, tag)
-		return
-	}
-	if !wDone {
-		m.P.Flush(&ctx.FS, w)
-	}
-	if !xDone {
-		m.P.Flush(&ctx.FS, x)
-	}
-	m.P.Flush(&ctx.FS, off)
-	m.P.Fence(&ctx.FS)
+	m.P.EnsureDurable(&ctx.FS, off, tag, w, x)
 }
 
 // Store atomically replaces the cell's value unconditionally; simple writes

@@ -86,10 +86,10 @@ type Config struct {
 	// Elide maintains the persisted-epoch watermark and commit tickets
 	// (elide.go). Both engines set it on every persistent device they
 	// build. The hand-made baselines (zuriel, cmapkv) leave it false: they
-	// never ask Persisted or CommitTicket, so the tables would be dead
-	// weight. A device without it answers both with no, so patomic's
-	// durability probes fall back to flush + fence, while the relaxed-line
-	// registry works on every persistent device.
+	// never call EnsureDurable, so the tables would be dead weight. A device
+	// without it never proves a line persisted, so EnsureDurable always
+	// flushes and fences, while the relaxed-line registry works on every
+	// persistent device.
 	Elide bool
 
 	// MediaPath backs the media image with a MAP_SHARED mmap of this file
@@ -489,20 +489,9 @@ func (s *FlushSet) Reset() {
 // flushed it yet: its owner learned that no fence needs it.
 func (s *FlushSet) DropAhead() { s.ahead = 0 }
 
-// Pending returns the number of distinct lines flushed but not yet fenced
-// on this set. Engines consult it to elide a fence that would commit
-// nothing (an sfence with no clwb in flight orders nothing durable).
-// Pending lines are only recorded on tracking or eliding devices, so the
-// query is zero everywhere else: a fence skipped on its answer is safe only
-// on a device built with Config.Track or Config.Elide, as every engine's
-// persistent device is.
-func (s *FlushSet) Pending() int { return len(s.lines) }
-
-// Fences returns the number of fences issued on this set. A caller that
-// flushed a line and recorded the count can later tell whether a fence has
-// covered that flush since: every Fence commits the whole pending set, so
-// any advance of the count did.
-func (s *FlushSet) Fences() uint64 { return s.fences.Load() }
+// Armed reports whether the line FlushAhead armed on this set still waits
+// for its fence: no Fence has flushed it and no DropAhead has disarmed it.
+func (s *FlushSet) Armed() bool { return s.ahead != 0 }
 
 // clearLines empties the pending-line set in O(1): the slice is truncated
 // and the epoch advances, invalidating every table entry at once.
@@ -683,9 +672,6 @@ func (d *Device) commitLines(lines []uint64) {
 // point. Freeze does not itself alter memory.
 func (d *Device) Freeze() { d.setState(stateFrozen) }
 
-// Frozen reports whether the device is frozen.
-func (d *Device) Frozen() bool { return d.state.Load()&stateFrozen != 0 }
-
 // FreezeAfter arms a countdown: the n-th subsequent device operation
 // (fences included) freezes the device (and panics). Used to place crashes
 // deterministically.
@@ -770,7 +756,7 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 	// Relaxed lines die with the cache: nothing defers past a crash. The
 	// watermark and epoch survive — marks never exceed pepoch, and fresh
 	// tags are read from pepoch, so stale marks can never satisfy the
-	// strict Persisted comparison.
+	// strict persisted comparison.
 	d.relaxedMu.Lock()
 	d.relaxedLines = d.relaxedLines[:0]
 	for line := range d.relaxedSet {

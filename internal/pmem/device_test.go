@@ -2,6 +2,8 @@ package pmem
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,6 +11,41 @@ import (
 
 func newTestDevice(words int) *Device {
 	return New(Config{Name: "nvmm", Words: words, Persistent: true, Track: true})
+}
+
+// frozen reports whether d is frozen.
+func frozen(d *Device) bool { return d.state.Load()&stateFrozen != 0 }
+
+// TestDeviceSurface pins the exported methods of Device, FlushSet and
+// FaultModel. Callers state what must be durable (EnsureDurable,
+// PublishInit, FlushRange, FenceOrElide, CommitRelaxed, CommitPending); the
+// device alone decides which flush or fence is redundant, so the probes
+// behind that decision — the watermark, the commit tickets, the pending set,
+// the fence count — must not come back as exports.
+func TestDeviceSurface(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeFor[*Device](), []string{"BreakWatermarkForTest", "CAS", "Close",
+			"CommitPending", "CommitRelaxed", "CopyRange", "Counters", "Crash", "DWCAS",
+			"ElisionCounters", "EnsureDurable", "Fence", "FenceOrElide", "Flush",
+			"FlushAhead", "FlushRange", "FlushRelaxed", "Freeze", "FreezeAfter",
+			"InjectFaults", "Load", "LoadPair", "MediaHash", "Name", "NoteRelaxed",
+			"PersistEpoch", "PersistRange", "PersistedWord", "Persistent", "PublishInit",
+			"ReadRaw", "RelaxedPending", "Restore", "Size", "Store", "StoreInit",
+			"WriteRaw", "WriteRebuilt"}},
+		{reflect.TypeFor[*FlushSet](), []string{"Armed", "DeferInit", "DropAhead", "DropInit", "Reset"}},
+		{reflect.TypeFor[*FaultModel](), []string{"CrashAfter", "CrashedAt", "Ops"}},
+	} {
+		var got []string
+		for i := range c.typ.NumMethod() {
+			got = append(got, c.typ.Method(i).Name) // exported only, sorted by reflect
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v has %d methods %v, want %d %v", c.typ, len(got), got, len(c.want), c.want)
+		}
+	}
 }
 
 func TestNewRoundsToLines(t *testing.T) {
@@ -213,7 +250,7 @@ func TestFlushAhead(t *testing.T) {
 	var fs FlushSet
 	d.Store(9, 1)
 	d.FlushAhead(&fs, 9)
-	if fs.Pending() != 0 {
+	if len(fs.lines) != 0 {
 		t.Fatalf("armed line counted as pending before any fence")
 	}
 	d.Fence(&fs)
@@ -353,7 +390,7 @@ func TestFreezeAfter(t *testing.T) {
 		}()
 		d.Load(9)
 	}()
-	if !d.Frozen() {
+	if !frozen(d) {
 		t.Error("device should be frozen after countdown")
 	}
 }
@@ -362,7 +399,7 @@ func TestCrashUnfreezes(t *testing.T) {
 	d := newTestDevice(64)
 	d.Freeze()
 	d.Crash(CrashDropAll, nil)
-	if d.Frozen() {
+	if frozen(d) {
 		t.Error("Crash should leave the device usable for recovery")
 	}
 	d.Load(9) // must not panic
@@ -432,7 +469,7 @@ func TestCopyRangeCountdown(t *testing.T) {
 	if !froze {
 		t.Fatal("third CopyRange did not trip the countdown")
 	}
-	if !src.Frozen() {
+	if !frozen(src) {
 		t.Fatal("device not frozen after countdown")
 	}
 }

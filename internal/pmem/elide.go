@@ -41,6 +41,14 @@
 //     before freeing anything. The mutex orders registration before the
 //     stealing drain whenever the freeing thread observed the install, so
 //     the media can never hold a pointer into freed memory.
+//
+// Callers never consult the watermark, the tickets or the pending set: they
+// state what must be durable, and the device alone decides which flush or
+// fence is redundant and counts what it skipped. EnsureDurable takes a value
+// observed under a PersistEpoch tag (with its witness lines), PublishInit
+// and FlushRange the lines of objects written before publication,
+// FenceOrElide whatever is flushed on a set, and CommitRelaxed and
+// CommitPending the relaxed registry.
 package pmem
 
 import (
@@ -65,9 +73,8 @@ func atomicMax(a *atomic.Uint64, v uint64) {
 }
 
 // PersistEpoch returns the current global persist epoch. A writer reads it
-// *after* observing (or installing) a value; the returned tag is what
-// Persisted and CommitTicket compare against. Zero on a device built
-// without Config.Elide.
+// *after* observing (or installing) a value and hands it to EnsureDurable as
+// the observation's tag. Zero on a device built without Config.Elide.
 func (d *Device) PersistEpoch() uint64 {
 	if !d.elide {
 		return 0
@@ -75,35 +82,76 @@ func (d *Device) PersistEpoch() uint64 {
 	return d.pepoch.Load()
 }
 
-// Persisted reports whether the line containing off has provably committed
+// EnsureDurable makes the line containing off durable on fs before the
+// caller makes what it observed there under tag visible, together with up
+// to two more lines w and x (0: none) — the witness lines of a value a
+// helper publishes. The caller read tag from PersistEpoch *after* observing
+// (or installing) the content, so by the watermark's strict monotone-epoch
+// argument (this file's header) the device decides what to issue:
+//
+//  1. Every line persisted since tag — a fence committed it after the
+//     observation; the observed value, or a successor with a higher
+//     sequence number, is on media. Nothing is issued: one flush and one
+//     fence count as elided.
+//  2. The witnesses persisted, and a commit ticket above tag on off's
+//     line — a fence that started after the observation is mid-commit and
+//     cannot stall (no gates between ticket and watermark); ride it
+//     instead of fencing ("piggyback").
+//  3. Otherwise — flush every line not yet persisted, then fence.
+//
+// On a device built without the watermark nothing is ever proven persisted,
+// and the full flush + fence runs unconditionally.
+func (d *Device) EnsureDurable(fs *FlushSet, off, tag, w, x uint64) {
+	wDone, xDone := w == 0 || d.persisted(w, tag), x == 0 || d.persisted(x, tag)
+	if wDone && xDone {
+		if d.persisted(off, tag) {
+			d.noteElided(fs, 1, 1)
+			return
+		}
+		if t := d.commitTicket(off); t > tag && d.waitPersisted(off, t) {
+			d.noteElided(fs, 1, 0)
+			bump(&fs.piggybacked, 1)
+			return
+		}
+	}
+	if !wDone {
+		d.Flush(fs, w)
+	}
+	if !xDone {
+		d.Flush(fs, x)
+	}
+	d.Flush(fs, off)
+	d.Fence(fs)
+}
+
+// persisted reports whether the line containing off has provably committed
 // to media since the caller's observation tagged tag: the watermark must
 // strictly exceed the tag, which proves the committing fence's epoch
 // advance — and therefore its line copy — happened after the tag was read.
-// Always false on a device built without Config.Elide, so callers degrade
-// to the full flush+fence.
-func (d *Device) Persisted(off, tag uint64) bool {
+// Always false on a device built without Config.Elide.
+func (d *Device) persisted(off, tag uint64) bool {
 	if !d.elide {
 		return false
 	}
 	return d.marks[off>>lineShift].Load() > tag
 }
 
-// CommitTicket returns the highest fence epoch that has been published for
+// commitTicket returns the highest fence epoch that has been published for
 // the line containing off but whose commit may still be in flight. A ticket
 // strictly greater than the caller's tag means a fence that started after
-// the caller's observation will commit the line; WaitPersisted rides it.
-func (d *Device) CommitTicket(off uint64) uint64 {
+// the caller's observation will commit the line; waitPersisted rides it.
+func (d *Device) commitTicket(off uint64) uint64 {
 	if !d.elide {
 		return 0
 	}
 	return d.committing[off>>lineShift].Load()
 }
 
-// WaitPersisted spins until the watermark of the line containing off
+// waitPersisted spins until the watermark of the line containing off
 // reaches ticket, i.e. until the fence that published the ticket has
-// committed the line. It reports false if the bound expires — callers then
-// fall back to their own flush+fence.
-func (d *Device) WaitPersisted(off, ticket uint64) bool {
+// committed the line. It reports false if the bound expires — EnsureDurable
+// then falls back to its own flush+fence.
+func (d *Device) waitPersisted(off, ticket uint64) bool {
 	line := off >> lineShift
 	for i := 0; i < piggybackSpins; i++ {
 		if d.marks[line].Load() >= ticket {
@@ -202,6 +250,16 @@ func (d *Device) CommitRelaxed(fs *FlushSet) {
 	}
 }
 
+// CommitPending makes durable everything the caller deferred on fs: the
+// relaxed-line registry and every line flushed on fs that no fence has
+// committed yet, under one fence. With nothing to commit it issues nothing
+// and counts nothing.
+func (d *Device) CommitPending(fs *FlushSet) {
+	if d.FlushRelaxed(fs) || len(fs.lines) > 0 {
+		d.Fence(fs)
+	}
+}
+
 // RelaxedPending returns the number of lines currently registered for
 // deferred commit; tests use it.
 func (d *Device) RelaxedPending() int {
@@ -237,28 +295,45 @@ func (s *FlushSet) DropInit() {
 }
 
 // PublishInit is the publish barrier: one flush per distinct line DeferInit
-// recorded (the per-store flushes it saves count as elided), then one
-// fence — skipped when nothing at all is pending, since an sfence with no
-// clwb in flight orders nothing.
+// recorded (the per-store flushes it saves count as elided), then
+// FenceOrElide.
 func (d *Device) PublishInit(fs *FlushSet) {
 	for _, line := range fs.initLines {
 		d.Flush(fs, line<<lineShift)
 	}
-	if elided := fs.initStores - len(fs.initLines); elided > 0 {
-		d.NoteElided(fs, uint64(elided), 0)
-	}
+	d.noteElided(fs, uint64(fs.initStores-len(fs.initLines)), 0)
 	fs.DropInit()
-	if fs.Pending() == 0 {
-		d.NoteElided(fs, 0, 1)
+	d.FenceOrElide(fs)
+}
+
+// FlushRange flushes the n contiguous words at off one cache line at a
+// time, once per line; the per-word flushes it saves count as elided. The
+// caller fences.
+func (d *Device) FlushRange(fs *FlushSet, off uint64, n int) {
+	first, last := off>>lineShift, (off+uint64(n)-1)>>lineShift
+	for line := first; line <= last; line++ {
+		d.Flush(fs, line<<lineShift)
+	}
+	d.noteElided(fs, uint64(n)-(last-first+1), 0)
+}
+
+// FenceOrElide fences fs unless nothing is flushed on it and unfenced, in
+// which case it counts one elided fence: an sfence with no clwb in flight
+// orders nothing durable. Pending lines are recorded only on tracking or
+// eliding devices, so a skipped fence is safe only on a device built with
+// Config.Track or Config.Elide, as every engine's persistent device is.
+func (d *Device) FenceOrElide(fs *FlushSet) {
+	if len(fs.lines) == 0 {
+		d.noteElided(fs, 0, 1)
 		return
 	}
 	d.Fence(fs)
 }
 
-// NoteElided records persistence instructions a caller skipped because the
-// watermark (or batch dedup, or an already-fenced empty pending set) proved
-// them redundant. Pure accounting; the ablation benchmarks report these.
-func (d *Device) NoteElided(fs *FlushSet, flushes, fences uint64) {
+// noteElided records persistence instructions a caller did not issue
+// because the watermark, a per-line dedup or an empty pending set proved
+// them redundant. Pure accounting; Stats reports these.
+func (d *Device) noteElided(fs *FlushSet, flushes, fences uint64) {
 	if fs.dev != d {
 		d.adopt(fs)
 	}
@@ -268,16 +343,6 @@ func (d *Device) NoteElided(fs *FlushSet, flushes, fences uint64) {
 	if fences != 0 {
 		bump(&fs.elidedFences, fences)
 	}
-}
-
-// NotePiggyback records a fence avoided by riding a concurrent fence's
-// ticket (the flush was elided too).
-func (d *Device) NotePiggyback(fs *FlushSet) {
-	if fs.dev != d {
-		d.adopt(fs)
-	}
-	bump(&fs.elidedFlushes, 1)
-	bump(&fs.piggybacked, 1)
 }
 
 // ElisionCounters sums the per-thread elision shards: flushes elided,

@@ -14,15 +14,15 @@ func TestPersistedRequiresFencedCommit(t *testing.T) {
 
 	tag := d.PersistEpoch()
 	d.Store(8, 7)
-	if d.Persisted(8, tag) {
+	if d.persisted(8, tag) {
 		t.Fatal("Persisted before any flush+fence")
 	}
 	d.Flush(&fs, 8)
-	if d.Persisted(8, tag) {
+	if d.persisted(8, tag) {
 		t.Fatal("Persisted after flush but before fence")
 	}
 	d.Fence(&fs)
-	if !d.Persisted(8, tag) {
+	if !d.persisted(8, tag) {
 		t.Fatal("not Persisted after a fenced commit that started after the tag read")
 	}
 	if got := d.PersistedWord(8); got != 7 {
@@ -41,11 +41,11 @@ func TestPersistedIsStrict(t *testing.T) {
 	d.Flush(&fs, 8)
 	d.Fence(&fs)
 	tag := d.PersistEpoch()
-	if d.Persisted(8, tag) {
+	if d.persisted(8, tag) {
 		t.Fatal("Persisted with a tag read after the fence: strict > violated")
 	}
 	// A tag from before the fence still proves the commit.
-	if !d.Persisted(8, tag-1) {
+	if !d.persisted(8, tag-1) {
 		t.Fatal("Persisted lost an earlier commit")
 	}
 }
@@ -55,17 +55,17 @@ func TestCommitTicketAndWaitPersisted(t *testing.T) {
 	var fs FlushSet
 	tag := d.PersistEpoch()
 	d.Store(8, 7)
-	if got := d.CommitTicket(8); got != 0 {
+	if got := d.commitTicket(8); got != 0 {
 		t.Fatalf("ticket before any fence = %d, want 0", got)
 	}
 	d.Flush(&fs, 8)
 	d.Fence(&fs)
-	ticket := d.CommitTicket(8)
+	ticket := d.commitTicket(8)
 	if ticket <= tag {
 		t.Fatalf("ticket after fence = %d, want > %d", ticket, tag)
 	}
-	if !d.WaitPersisted(8, ticket) {
-		t.Fatal("WaitPersisted on a completed fence's ticket")
+	if !d.waitPersisted(8, ticket) {
+		t.Fatal("waitPersisted on a completed fence's ticket")
 	}
 }
 
@@ -85,7 +85,7 @@ func TestEvictionDoesNotAdvanceWatermark(t *testing.T) {
 	if !evicted {
 		t.Skip("seeded eviction never fired; adjust the seed")
 	}
-	if d.Persisted(8, tag) {
+	if d.persisted(8, tag) {
 		t.Fatal("early eviction advanced the persisted-epoch watermark")
 	}
 
@@ -96,10 +96,10 @@ func TestEvictionDoesNotAdvanceWatermark(t *testing.T) {
 	b.InjectFaults(NewFaultModel(1, FaultSpec{Evict: true}))
 	tag = b.PersistEpoch()
 	b.Store(8, 7)
-	for i := 0; i < 20*evictPeriod && !b.Persisted(8, tag); i++ {
+	for i := 0; i < 20*evictPeriod && !b.persisted(8, tag); i++ {
 		b.Load(8)
 	}
-	if !b.Persisted(8, tag) {
+	if !b.persisted(8, tag) {
 		t.Fatal("broken variant did not advance the watermark on eviction")
 	}
 }
@@ -157,10 +157,10 @@ func TestCrashClearsRegistryKeepsWatermark(t *testing.T) {
 	if d.RelaxedPending() != 0 {
 		t.Fatal("relaxed registry survived the crash")
 	}
-	if tag := d.PersistEpoch(); d.Persisted(8, tag) {
+	if tag := d.PersistEpoch(); d.persisted(8, tag) {
 		t.Fatal("stale watermark beats a post-crash tag")
 	}
-	if d.Persisted(8, 0) != (d.PersistEpoch() > 0) {
+	if d.persisted(8, 0) != (d.PersistEpoch() > 0) {
 		t.Fatal("watermark table lost across crash")
 	}
 }

@@ -94,7 +94,6 @@ const evictPeriod = 24
 type FaultModel struct {
 	mu         sync.Mutex
 	rng        *rand.Rand
-	seed       int64
 	spec       FaultSpec
 	ops        int64 // device operations consulted so far
 	crashAfter int64 // >0: the n-th consulted op from now freezes the device
@@ -104,14 +103,8 @@ type FaultModel struct {
 // NewFaultModel creates a fault model with the given seed and behaviors.
 // The crash trigger starts disarmed; arm it with CrashAfter.
 func NewFaultModel(seed int64, spec FaultSpec) *FaultModel {
-	return &FaultModel{rng: rand.New(rand.NewSource(seed)), seed: seed, spec: spec}
+	return &FaultModel{rng: rand.New(rand.NewSource(seed)), spec: spec}
 }
-
-// Seed returns the model's RNG seed.
-func (f *FaultModel) Seed() int64 { return f.seed }
-
-// Spec returns the enabled behaviors.
-func (f *FaultModel) Spec() FaultSpec { return f.spec }
 
 // CrashAfter arms the sub-operation crash trigger: the n-th subsequently
 // consulted device operation freezes the device (and panics ErrFrozen)
@@ -231,9 +224,6 @@ func (d *Device) InjectFaults(fm *FaultModel) {
 		d.clearState(stateFault)
 	}
 }
-
-// FaultModel returns the installed fault model, or nil.
-func (d *Device) FaultModel() *FaultModel { return d.fault }
 
 // faultTick consults the installed fault model for one device operation on
 // the line containing off (off == 0 for offset-less operations such as

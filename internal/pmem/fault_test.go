@@ -169,7 +169,7 @@ func TestCrashAfterSubOpTrigger(t *testing.T) {
 	if fm.CrashedAt() != 5 {
 		t.Fatalf("CrashedAt = %d, want 5", fm.CrashedAt())
 	}
-	if !d.Frozen() {
+	if !frozen(d) {
 		t.Fatal("device not frozen after trigger")
 	}
 }
@@ -257,7 +257,7 @@ func TestFaultModelSurvivesCrash(t *testing.T) {
 		d.Store(line*WordsPerLine, line)
 	}
 	d.Crash(CrashDropAll, nil)
-	if d.FaultModel() != fm {
+	if d.fault != fm {
 		t.Fatal("fault model lost across Crash")
 	}
 	dropped := 0

@@ -30,7 +30,7 @@ func TestFreezeAfterLandsOnFence(t *testing.T) {
 		}()
 		d.Fence(&fs) // op 2: the sfence — must freeze before committing
 	}()
-	if !d.Frozen() {
+	if !frozen(d) {
 		t.Fatal("device should be frozen on the fence boundary")
 	}
 	fs.Reset()
@@ -126,7 +126,7 @@ func TestFlushSetSmallAfterSpill(t *testing.T) {
 	}
 	pending := func(phase string, want int) {
 		t.Helper()
-		if got := fs.Pending(); got != want {
+		if got := len(fs.lines); got != want {
 			t.Fatalf("%s: pending lines = %d, want %d", phase, got, want)
 		}
 	}

@@ -94,7 +94,7 @@ func linePattern(g, r, i int) uint64 { return uint64(g+1)<<56 | uint64(r)<<8 | u
 // TestCommitLineConcurrentFences has two goroutines commit the same line
 // from two flush sets, each writing its own half of the line with its own
 // pattern and riding whichever fence commits the line first. The first time
-// Persisted(off, tag) answers true, the media must already hold what the
+// persisted(off, tag) answers true, the media must already hold what the
 // goroutine stored before it read tag — the watermark follows the copy — and
 // at the end every media word equals its writer's last word.
 func TestCommitLineConcurrentFences(t *testing.T) {
@@ -121,7 +121,7 @@ func TestCommitLineConcurrentFences(t *testing.T) {
 				// Poll tightly, so that when the other goroutine's fence
 				// is the one that commits the line, the poll lands between
 				// its watermark raise and anything after it.
-				for spins := 0; !d.Persisted(own, tag); spins++ {
+				for spins := 0; !d.persisted(own, tag); spins++ {
 					if spins == 1<<10 {
 						d.Fence(&fs) // nobody else committed the line: commit it
 					} else if spins%64 == 63 {
