@@ -57,6 +57,9 @@ type servingSpec struct {
 type servingLoad struct {
 	Ops     uint64
 	Elapsed time.Duration
+	// Scans is how many scans the session issued; each is one or more
+	// SCAN frames (Server.Scans).
+	Scans uint64
 	// Hist holds every operation's wire round-trip time in nanoseconds.
 	Hist harness.Hist
 	// Server holds the server's STATS deltas over the session (a STATS
@@ -83,6 +86,15 @@ func (l servingLoad) perMutation(n uint64) float64 {
 	return float64(n) / float64(l.Server.Mutations)
 }
 
+// framesPerScan returns the SCAN frames the server served per scan the
+// session issued: how many pages a scan took.
+func (l servingLoad) framesPerScan() float64 {
+	if l.Scans == 0 {
+		return 0
+	}
+	return float64(l.Server.Scans) / float64(l.Scans)
+}
+
 // Kops returns throughput in thousand operations per second — the honest
 // unit for a wire-protocol tier, where each operation pays a round trip.
 func (l servingLoad) Kops() float64 {
@@ -94,9 +106,9 @@ func (l servingLoad) Kops() float64 {
 
 // wireWorker adapts one wire client to the workload driver, timing every
 // operation. Scans and read-modify-writes ride their native opcodes:
-// Scan(from, to) pages SCAN frames across the span (each frame bounded by
-// wire.MaxScanKeys), RMW reads the current value and compare-and-sets it
-// with one RMW frame.
+// Scan(from, to) pages SCAN frames across the span (each frame carries at
+// most wire.MaxScanKeys pairs), RMW reads the current value and
+// compare-and-sets it with one RMW frame.
 //
 // With pipe set (servingSpec.Pipeline > 1), point reads and mutations are
 // submitted asynchronously up to the granted window; each frame's latency
@@ -146,7 +158,8 @@ func (w *wireWorker) Contains(key uint64) bool {
 }
 
 // Scan implements workload.Scanner over native SCAN frames, paging
-// through [from, to] wire.MaxScanKeys keys at a time.
+// through [from, to] at most wire.MaxScanKeys pairs a frame. SCAN carries
+// no end key, so a page may run past to; only the pairs inside count.
 func (w *wireWorker) Scan(from, to uint64) int {
 	w.drainPipe()
 	t0 := time.Now()
@@ -326,7 +339,7 @@ func runServingLoad(spec servingSpec) (servingLoad, error) {
 		Seed:     spec.Seed,
 		Dist:     dist,
 	})
-	load := servingLoad{Ops: res.Ops, Elapsed: res.Elapsed}
+	load := servingLoad{Ops: res.Ops, Elapsed: res.Elapsed, Scans: res.Scans}
 	for _, h := range hists {
 		load.Hist.Merge(h)
 	}

@@ -130,12 +130,15 @@ func TestServingPipelinedSession(t *testing.T) {
 }
 
 // TestServingScanSession drives YCSB-E over native SCAN frames and checks
-// the server counted them.
+// the server counted them, at least one frame for every scan issued.
 func TestServingScanSession(t *testing.T) {
 	load, st := session(t, 'E', 1, 1)
 	checkPercentiles(t, load)
 	if st.Scans == 0 {
 		t.Fatal("YCSB-E served no SCAN frames")
+	}
+	if load.Scans == 0 || load.framesPerScan() < 1 {
+		t.Fatalf("%d SCAN frames for %d scans: every scan sends at least one", load.Server.Scans, load.Scans)
 	}
 }
 

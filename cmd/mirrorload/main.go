@@ -14,16 +14,18 @@
 //
 // Client ids [base, base+conns) must be free (no other live client may
 // share an id — descriptor rings are single-owner); -prefill uses id base-1.
-// YCSB-E scans run as native SCAN frames (paged by wire.MaxScanKeys) and
+// YCSB-E scans run as native SCAN frames (pages of at most wire.MaxScanKeys
+// pairs, so a span of up to 200 keys at half density is one frame) and
 // YCSB-F read-modify-writes as GET followed by a native RMW
 // (compare-and-set) frame.
 //
 // The server's side of a session is read with STATS before and after it:
-// the last line reports its mutations and the fences, flushes and
+// the last line reports its mutations, the fences, flushes and
 // announce-barrier fences per mutation, of the whole server over the
-// session, then its witnesses, witness fences and mutations acknowledged
-// without a verdict line per mutation (mirrord prints its lifetime totals
-// on SIGTERM). Restarting
+// session, and the SCAN frames it served per scan the session issued;
+// then its witnesses, witness fences and mutations acknowledged without a
+// verdict line per mutation (mirrord prints its lifetime totals on
+// SIGTERM). Restarting
 // mirrord with -maxbatch 1 (one fence per mutation) or another -engine
 // under the same load gives the group-commit ablation and the cross-engine
 // rows.
@@ -89,9 +91,9 @@ func main() {
 	fmt.Printf("mirrorload: latency µs: p50=%.1f p99=%.1f p999=%.1f max=%.1f\n",
 		us(load.Hist.Percentile(50)), us(load.Hist.Percentile(99)),
 		us(load.Hist.Percentile(99.9)), us(load.Hist.Max()))
-	fmt.Printf("mirrorload: server: %d mutations, %.4f fences/mutation, %.4f flushes/mutation, %.4f announce-barrier fences/mutation\n",
+	fmt.Printf("mirrorload: server: %d mutations, %.4f fences/mutation, %.4f flushes/mutation, %.4f announce-barrier fences/mutation, %.4f SCAN frames/scan\n",
 		load.Server.Mutations, load.perMutation(load.Server.Fences), load.perMutation(load.Server.Flushes),
-		load.perMutation(load.AnnounceFences))
+		load.perMutation(load.AnnounceFences), load.framesPerScan())
 	fmt.Printf("mirrorload: server evidence: %.4f witnesses/mutation, %.4f witness fences/mutation, %.4f acknowledged without a verdict/mutation\n",
 		load.perMutation(load.Witnesses), load.perMutation(load.WitnessFences), load.perMutation(load.Unverdicted))
 	b, a := load.Before, load.After

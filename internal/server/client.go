@@ -38,7 +38,7 @@ type Client struct {
 	inflight []wire.Request
 	head, n  int
 	wbuf     []byte
-	rbuf     []byte
+	rbuf     []byte // MaxFrame long: no response outgrows it, so reads never allocate
 }
 
 // Dial connects to a mirrord server as the given client id.
@@ -53,7 +53,7 @@ func Dial(addr string, id uint32) (*Client, error) {
 func newClient(nc net.Conn, id uint32) *Client {
 	return &Client{
 		nc: nc, rd: bufio.NewReader(nc), wr: bufio.NewWriter(nc),
-		id: id, inflight: make([]wire.Request, 1), rbuf: make([]byte, 64),
+		id: id, inflight: make([]wire.Request, 1), rbuf: make([]byte, wire.MaxFrame),
 	}
 }
 

@@ -285,3 +285,29 @@ func TestStatsOverTheWire(t *testing.T) {
 		t.Errorf("STATS attach %+v: want live words, the table's 200 nodes and more, and GOMAXPROCS workers", a)
 	}
 }
+
+// TestClientScanAllocs pins the allocations of a full SCAN page exchanged
+// with an in-process server. testing.AllocsPerRun counts the whole
+// process, so the bound covers both sides: the server's worker and
+// connection goroutines serve a page from reused scratch, and the response
+// lands in the client's read buffer, which is as long as any frame, so the
+// one allocation is the client's Pairs slice. A new per-SCAN allocation on
+// either side fails it.
+func TestClientScanAllocs(t *testing.T) {
+	s := startServer(t, Config{Kind: engine.MirrorDRAM, Workers: 1})
+	c := dial(t, s, 1)
+	for k := uint64(1); k <= wire.MaxScanKeys; k++ {
+		if _, err := c.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := testing.AllocsPerRun(200, func() {
+		pairs, err := c.Scan(1, wire.MaxScanKeys)
+		if err != nil || len(pairs) != wire.MaxScanKeys {
+			t.Fatalf("Scan = %d pairs, %v; want a full page", len(pairs), err)
+		}
+	})
+	if n > 1 {
+		t.Errorf("Client.Scan of a full page: %v allocations, want at most 1 (its Pairs)", n)
+	}
+}

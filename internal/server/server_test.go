@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -544,6 +545,37 @@ func TestServeScanRMW(t *testing.T) {
 	}
 	if s.Stats().Scans != 2 {
 		t.Fatalf("scan counter = %d, want 2", s.Stats().Scans)
+	}
+}
+
+// TestServeScanFullPage pins the page size over a real connection: a SCAN
+// whose limit is wire.MaxScanKeys, over a set holding more keys, returns
+// exactly that many ascending pairs, and a limit one above is refused with
+// a protocol error.
+func TestServeScanFullPage(t *testing.T) {
+	s := startServer(t, Config{Kind: engine.MirrorDRAM, Workers: 2})
+	c := dial(t, s, 1)
+	for k := uint64(1); k <= 2*wire.MaxScanKeys; k++ {
+		if ok, err := c.Insert(2*k, 2*k); err != nil || !ok {
+			t.Fatalf("insert %d: %v %v", 2*k, ok, err)
+		}
+	}
+	pairs, err := c.Scan(3, wire.MaxScanKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != wire.MaxScanKeys {
+		t.Fatalf("full page returned %d pairs, want %d", len(pairs), wire.MaxScanKeys)
+	}
+	for i, kv := range pairs {
+		if want := uint64(4 + 2*i); kv.Key != want || kv.Val != want {
+			t.Fatalf("pair %d = %+v, want key and value %d", i, kv, want)
+		}
+	}
+	_, err = c.Scan(3, wire.MaxScanKeys+1)
+	var pe *wire.ProtocolError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Reason, "exceeds") {
+		t.Fatalf("SCAN limit %d: %v, want a protocol error", wire.MaxScanKeys+1, err)
 	}
 }
 

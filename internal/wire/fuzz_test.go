@@ -19,6 +19,13 @@ func FuzzFrame(f *testing.F) {
 	f.Add(AppendResponse(nil, Response{Status: StatusOK, Result: true, Rval: 9}))
 	f.Add(AppendResponse(nil, Response{Status: StatusError, Err: "nope"}))
 	f.Add(AppendResponse(nil, Response{Status: StatusOK, Rval: 1, Pairs: []KV{{Key: 3, Val: 30}}}))
+	full := make([]KV, MaxScanKeys)
+	for i := range full {
+		full[i] = KV{Key: uint64(i + 1), Val: uint64(i+1) << 40}
+	}
+	page := AppendResponse(nil, Response{Status: StatusOK, Rval: MaxScanKeys, Pairs: full})
+	f.Add(page)     // a whole frame, for the stream reader
+	f.Add(page[4:]) // its payload, for the decoders
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{4, 0, 0, 0, 1, 2})
 	f.Add(make([]byte, 64))

@@ -116,8 +116,7 @@ const (
 )
 
 // Frame size limits. MaxFrame bounds any length prefix the reader will
-// honor, so a garbage prefix cannot trigger a huge allocation; it admits
-// the largest scan response (responseMin + MaxScanKeys pairs).
+// honor, so a garbage prefix cannot trigger a huge allocation.
 const (
 	requestLen    = 29
 	rmwRequestLen = requestLen + 8
@@ -126,9 +125,13 @@ const (
 	MaxFrame      = 2048
 )
 
-// MaxScanKeys bounds one SCAN's result pairs, keeping every response
-// inside MaxFrame.
-const MaxScanKeys = 64
+// MaxScanKeys bounds one SCAN's result pairs: it is the most pairs one
+// response of MaxFrame bytes carries (127), so a page fills its frame.
+// HELLO does not carry it: mirrord and every pager (server.Client's
+// callers, mirrorload, bench/) build from this module and ship together. A
+// mirrord built while the bound was 64 refuses a larger limit with a
+// protocol error.
+const MaxScanKeys = (MaxFrame - responseMin) / pairLen
 
 // MaxClients bounds the client id space a server will accept; it matches a
 // practical engine descriptor-region size and keeps a garbage frame from

@@ -211,6 +211,16 @@ func TestReadFrameLimits(t *testing.T) {
 	if _, err := ReadResponse(bytes.NewReader(frame), nil); err != nil {
 		t.Errorf("max scan response rejected: %v", err)
 	}
+	// And it is the biggest page a frame holds: one pair more does not fit,
+	// so a reader refuses its length prefix.
+	if over := len(frame) - 4 + pairLen; over <= MaxFrame {
+		t.Errorf("MaxScanKeys+1 pairs take %d bytes, still inside MaxFrame %d: a page could be larger", over, MaxFrame)
+	}
+	overPage := binary.LittleEndian.AppendUint32(nil, uint32(len(frame)-4+pairLen))
+	overPage = append(append(overPage, frame[4:]...), make([]byte, pairLen)...)
+	if _, err := ReadResponse(bytes.NewReader(overPage), nil); err == nil {
+		t.Error("a response of MaxScanKeys+1 pairs was read")
+	}
 }
 
 // TestReadAllocatesNothing pins the per-frame cost of the read side: given a
