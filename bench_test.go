@@ -1,24 +1,18 @@
 package mirror
 
-// This file regenerates the paper's evaluation as Go benchmarks: one
-// benchmark per panel of Figure 6 and Figure 7, plus ablation benchmarks
-// for the design choices DESIGN.md calls out. Each panel benchmark runs
-// the corresponding harness panel at a reduced scale and reports two custom
-// metrics per competitor: "<Competitor>_Mops", the native series the figure
-// plots, and "<Competitor>_model_ns/op", the counted pass priced by the
-// DRAM/NVMM cost tables. The cmd/mirrorbench tool runs the same panels at
-// full sweep ranges and durations.
+// This file holds the substrate microbenchmarks and the ablation
+// benchmarks for the design choices DESIGN.md calls out. The paper's
+// Figures 6 and 7 are not benchmarks: their counted passes are exact, and
+// internal/harness's TestPaperClaims asserts the paper's claims on them.
 //
 // Run with: go test -bench=. -benchmem
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"mirror/internal/dwcas"
 	"mirror/internal/engine"
-	"mirror/internal/harness"
 	"mirror/internal/pmem"
 	"mirror/internal/structures/queue"
 	"mirror/internal/workload"
@@ -97,43 +91,6 @@ func BenchmarkDeviceFlushFence(b *testing.B) {
 // benchSink defeats dead-code elimination of benchmark loads.
 var benchSink uint64
 
-// benchOptions keeps panel benchmarks quick while preserving competitor
-// ratios: a short window, one mid-size thread point, heavy size scaling.
-func benchOptions() harness.Options {
-	return harness.Options{
-		Duration: 60 * time.Millisecond,
-		Scale:    512,
-		Threads:  []int{2},
-		Seed:     1,
-	}
-}
-
-func benchmarkPanel(b *testing.B, id string) {
-	p, ok := harness.Find(id)
-	if !ok {
-		b.Fatalf("unknown panel %s", id)
-	}
-	// Trim long sweeps to three representative points for bench time.
-	if len(p.Sizes) > 3 {
-		p.Sizes = []int{p.Sizes[0], p.Sizes[len(p.Sizes)/2], p.Sizes[len(p.Sizes)-1]}
-	}
-	if len(p.UpdatePcts) > 3 {
-		p.UpdatePcts = []int{0, 20, 100}
-	}
-	var last *harness.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last = p.Run(benchOptions())
-	}
-	b.StopTimer()
-	row := last.Rows[len(last.Rows)/2]
-	for i, col := range last.Columns {
-		col = strings.ReplaceAll(col, " ", "")
-		b.ReportMetric(row.Cells[i], col+"_Mops")
-		b.ReportMetric(row.Model[i], col+"_model_ns/op")
-	}
-}
-
 // reportModel prices n calls of op with a counted pass over devs and
 // reports the modeled cost of one call as model_ns/op, beside the
 // benchmark's native ns/op. Call it after the timed loop: ResetTimer
@@ -149,39 +106,6 @@ func reportModel(b *testing.B, devs []*pmem.Device, n int, op func(i int)) {
 	}
 	b.ReportMetric(ns/float64(n), "model_ns/op")
 }
-
-// Figure 6: Mirror's volatile replica on DRAM.
-
-func BenchmarkFig6a_ListThreads(b *testing.B)     { benchmarkPanel(b, "fig6a") }
-func BenchmarkFig6b_ListSizes(b *testing.B)       { benchmarkPanel(b, "fig6b") }
-func BenchmarkFig6c_ListUpdates(b *testing.B)     { benchmarkPanel(b, "fig6c") }
-func BenchmarkFig6d_HashThreads(b *testing.B)     { benchmarkPanel(b, "fig6d") }
-func BenchmarkFig6e_HashSizes(b *testing.B)       { benchmarkPanel(b, "fig6e") }
-func BenchmarkFig6f_HashUpdates(b *testing.B)     { benchmarkPanel(b, "fig6f") }
-func BenchmarkFig6g_BSTThreads(b *testing.B)      { benchmarkPanel(b, "fig6g") }
-func BenchmarkFig6h_BSTSizes(b *testing.B)        { benchmarkPanel(b, "fig6h") }
-func BenchmarkFig6i_BSTUpdates(b *testing.B)      { benchmarkPanel(b, "fig6i") }
-func BenchmarkFig6j_SkipListThreads(b *testing.B) { benchmarkPanel(b, "fig6j") }
-func BenchmarkFig6k_SkipListSizes(b *testing.B)   { benchmarkPanel(b, "fig6k") }
-func BenchmarkFig6l_SkipListUpdates(b *testing.B) { benchmarkPanel(b, "fig6l") }
-func BenchmarkFig6m_CmapThreads(b *testing.B)     { benchmarkPanel(b, "fig6m") }
-func BenchmarkFig6n_CmapUpdates(b *testing.B)     { benchmarkPanel(b, "fig6n") }
-func BenchmarkFig6o_Hash32MUpdates(b *testing.B)  { benchmarkPanel(b, "fig6o") }
-
-// Figure 7: both replicas on NVMM.
-
-func BenchmarkFig7a_ListThreads(b *testing.B)     { benchmarkPanel(b, "fig7a") }
-func BenchmarkFig7b_ListSizes(b *testing.B)       { benchmarkPanel(b, "fig7b") }
-func BenchmarkFig7c_ListUpdates(b *testing.B)     { benchmarkPanel(b, "fig7c") }
-func BenchmarkFig7d_HashThreads(b *testing.B)     { benchmarkPanel(b, "fig7d") }
-func BenchmarkFig7e_HashSizes(b *testing.B)       { benchmarkPanel(b, "fig7e") }
-func BenchmarkFig7f_HashUpdates(b *testing.B)     { benchmarkPanel(b, "fig7f") }
-func BenchmarkFig7g_BSTThreads(b *testing.B)      { benchmarkPanel(b, "fig7g") }
-func BenchmarkFig7h_BSTSizes(b *testing.B)        { benchmarkPanel(b, "fig7h") }
-func BenchmarkFig7i_BSTUpdates(b *testing.B)      { benchmarkPanel(b, "fig7i") }
-func BenchmarkFig7j_SkipListThreads(b *testing.B) { benchmarkPanel(b, "fig7j") }
-func BenchmarkFig7k_SkipListSizes(b *testing.B)   { benchmarkPanel(b, "fig7k") }
-func BenchmarkFig7l_SkipListUpdates(b *testing.B) { benchmarkPanel(b, "fig7l") }
 
 // Ablations.
 

@@ -1,14 +1,13 @@
 // Package harness regenerates the paper's evaluation: every panel of
 // Figure 6 (volatile replica on DRAM) and Figure 7 (both replicas on NVMM)
 // is a Panel spec that builds the competitors, prefills them to half the
-// key range, drives the workload, and prints the measured series as a
-// table in native Mops/s beside each point's modeled ns/op (the counted
-// pass: exact device counts × the DRAM/NVMM cost tables).
+// key range, and prices each point with a counted pass: exact device
+// counts × the DRAM/NVMM cost tables. TestPaperClaims asserts the paper's
+// claims on the resulting tables.
 package harness
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"mirror/internal/cmapkv"
 	"mirror/internal/engine"
@@ -35,7 +34,7 @@ type Competitor struct {
 	Label string
 	// Make creates a fresh instance sized for a key range and returns
 	// the workload target driving it and the devices it runs on.
-	Make func(o Options, keyRange int) (workload.Target, []*pmem.Device)
+	Make func(keyRange int) (workload.Target, []*pmem.Device)
 }
 
 // engineWorker adapts a structures.Set to workload.Worker.
@@ -47,43 +46,6 @@ type engineWorker struct {
 func (w *engineWorker) Insert(key, val uint64) bool { return w.set.Insert(w.c, key, val) }
 func (w *engineWorker) Delete(key uint64) bool      { return w.set.Delete(w.c, key) }
 func (w *engineWorker) Contains(key uint64) bool    { return w.set.Contains(w.c, key) }
-
-// detectWorker routes every operation through a detectable bracket via
-// engine.ExactlyOnce — the Options.Detect ablation path, measuring the
-// operation-descriptor overhead. Each worker owns one descriptor slot for
-// the duration of a measured point; the per-client sequence counters are
-// shared across the thread sweep so sequence numbers stay monotone when a
-// slot is reused by a later point's worker.
-type detectWorker struct {
-	set    structures.Set
-	e      engine.Detector
-	c      *engine.Ctx
-	client int
-	seq    *atomic.Uint64
-}
-
-func (w *detectWorker) run(kind, key, val uint64, f func(c *engine.Ctx) bool) bool {
-	out := engine.ExactlyOnce(w.e, w.c, engine.DetectOp{
-		Client: w.client, Seq: w.seq.Add(1),
-		Kind: kind, Key: key, Val: val, Run: f,
-	}, true)
-	return out.Result
-}
-
-func (w *detectWorker) Insert(key, val uint64) bool {
-	return w.run(engine.DetectInsert, key, val,
-		func(c *engine.Ctx) bool { return w.set.Insert(c, key, val) })
-}
-
-func (w *detectWorker) Delete(key uint64) bool {
-	return w.run(engine.DetectDelete, key, 0,
-		func(c *engine.Ctx) bool { return w.set.Delete(c, key) })
-}
-
-func (w *detectWorker) Contains(key uint64) bool {
-	return w.run(engine.DetectContains, key, 0,
-		func(c *engine.Ctx) bool { return w.set.Contains(c, key) })
-}
 
 // deviceWords sizes the engine devices for a structure holding up to
 // keyRange live keys, with slack for class rounding, churn, and epochs.
@@ -136,56 +98,24 @@ func newSet(structure string, e engine.Engine, c *engine.Ctx, keyRange int) stru
 	panic("harness: unknown structure " + structure)
 }
 
-// buildEngineTarget constructs one structure under one engine and returns
-// both the workload target and the engine, so callers that need the counters
-// and protocol statistics (the JSON benchmark matrix) can read them around a
-// run.
-func buildEngineTarget(kind engine.Kind, structure string, o Options, keyRange int) (workload.Target, engine.Engine) {
-	clients := 0
-	if o.Detect {
-		// One descriptor slot per concurrent worker at the widest point of
-		// the thread sweep; worker ids are assigned modulo this, so ids are
-		// distinct within any single measured point.
-		for _, th := range o.Threads {
-			if th > clients {
-				clients = th
-			}
-		}
-		if clients == 0 {
-			clients = 1
-		}
-	}
-	e := engine.New(engine.Config{
-		Kind:    kind,
-		Words:   deviceWords(structure, kind, keyRange),
-		Track:   false, // benchmarks never crash
-		Clients: clients,
-	})
-	c := e.NewCtx()
-	set := newSet(structure, e, c, keyRange)
-	var workerIDs atomic.Uint64
-	seqs := make([]atomic.Uint64, clients)
-	return workload.Target{
-		Name:          fmt.Sprintf("%s/%s", structure, kind),
-		SortedPrefill: structure == StList,
-		NewWorker: func() workload.Worker {
-			c := e.NewCtx()
-			if clients > 0 {
-				id := int(workerIDs.Add(1)-1) % clients
-				return &detectWorker{set: set, e: e, c: c, client: id, seq: &seqs[id]}
-			}
-			return &engineWorker{set: set, c: c}
-		},
-	}, e
-}
-
 // engineCompetitor builds one structure under one engine.
 func engineCompetitor(kind engine.Kind, structure string) Competitor {
 	return Competitor{
 		Label: kind.String(),
-		Make: func(o Options, keyRange int) (workload.Target, []*pmem.Device) {
-			t, e := buildEngineTarget(kind, structure, o, keyRange)
-			return t, e.Devices()
+		Make: func(keyRange int) (workload.Target, []*pmem.Device) {
+			e := engine.New(engine.Config{
+				Kind:  kind,
+				Words: deviceWords(structure, kind, keyRange),
+				Track: false, // panels never crash
+			})
+			set := newSet(structure, e, e.NewCtx(), keyRange)
+			return workload.Target{
+				Name:          fmt.Sprintf("%s/%s", structure, kind),
+				SortedPrefill: structure == StList,
+				NewWorker: func() workload.Worker {
+					return &engineWorker{set: set, c: e.NewCtx()}
+				},
+			}, e.Devices()
 		},
 	}
 }
@@ -209,7 +139,7 @@ func zurielCompetitor(soft bool, structure string) Competitor {
 	}
 	return Competitor{
 		Label: label,
-		Make: func(o Options, keyRange int) (workload.Target, []*pmem.Device) {
+		Make: func(keyRange int) (workload.Target, []*pmem.Device) {
 			buckets := 0
 			if structure == StHash {
 				buckets = bucketsFor(keyRange)
@@ -251,7 +181,7 @@ func (w *cmapWorker) Contains(key uint64) bool    { return w.m.Contains(w.c, key
 func cmapCompetitor() Competitor {
 	return Competitor{
 		Label: "Cmap",
-		Make: func(o Options, keyRange int) (workload.Target, []*pmem.Device) {
+		Make: func(keyRange int) (workload.Target, []*pmem.Device) {
 			words := keyRange*4*4 + 1<<18
 			if words < 1<<20 {
 				words = 1 << 20

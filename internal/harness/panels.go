@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"mirror/internal/engine"
 	"mirror/internal/pmem"
@@ -13,41 +11,12 @@ import (
 
 // Options control a panel run.
 type Options struct {
-	// Duration per measured point (default 200ms; the paper uses 5s —
-	// raise it for publication-quality numbers).
-	Duration time.Duration
 	// Scale divides the paper's 8M/32M structure sizes so the simulated
-	// devices fit in host memory (default 32, keeping the structures far
+	// devices fit in host memory (positive; 128 keeps the structures far
 	// larger than any cache).
 	Scale int
-	// Threads is the thread sweep (default 1,2,4,8,16 as in the paper).
-	Threads []int
 	// Seed for the workload PRNGs.
 	Seed int64
-	// Detect routes every benchmark operation through a detectable-operation
-	// bracket (engine.ExactlyOnce), measuring the descriptor overhead — the
-	// ablation switch for the detectability layer. Off by default, so the
-	// standard matrix is unchanged.
-	Detect bool
-	// Dist selects the workload key distribution (workload.DistUniform /
-	// DistZipfian / DistHotspot; "" means uniform) and Skew its parameter.
-	Dist string
-	Skew float64
-}
-
-func (o *Options) setDefaults() {
-	if o.Duration == 0 {
-		o.Duration = 200 * time.Millisecond
-	}
-	if o.Scale == 0 {
-		o.Scale = 32
-	}
-	if len(o.Threads) == 0 {
-		o.Threads = []int{1, 2, 4, 8, 16}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 }
 
 // Sweep axes.
@@ -73,7 +42,7 @@ type Panel struct {
 	Competitors []Competitor
 }
 
-// Table is a panel's measured output.
+// Table is a panel's modeled output.
 type Table struct {
 	PanelID string
 	Title   string
@@ -85,53 +54,26 @@ type Table struct {
 // TableRow is one sweep point.
 type TableRow struct {
 	X     int
-	Cells []float64 // native Mops/s per competitor
-	Model []float64 // modeled ns/op per competitor (the counted pass)
+	Model []Modeled // the counted pass per competitor
 }
 
-// Format renders the table as aligned text: the native throughput block,
-// then the modeled block, which repeats exactly for a seed.
+// Format renders the table as aligned text. It repeats exactly for a seed.
 func (t *Table) Format() string {
 	var b strings.Builder
-	t.block(&b, "Mops/s", "%12.3f", func(r TableRow) []float64 { return r.Cells })
-	t.block(&b, fmt.Sprintf("modeled ns/op, counted pass of %d ops", CountedOps), "%12.1f",
-		func(r TableRow) []float64 { return r.Model })
-	return b.String()
-}
-
-func (t *Table) block(b *strings.Builder, unit, cell string, of func(TableRow) []float64) {
-	fmt.Fprintf(b, "%s — %s (%s)\n", t.PanelID, t.Title, unit)
-	fmt.Fprintf(b, "%-10s", t.XLabel)
+	fmt.Fprintf(&b, "%s — %s (modeled ns/op, counted pass of %d ops)\n", t.PanelID, t.Title, CountedOps)
+	fmt.Fprintf(&b, "%-10s", t.XLabel)
 	for _, c := range t.Columns {
-		fmt.Fprintf(b, "%12s", c)
+		fmt.Fprintf(&b, "%12s", c)
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
-		fmt.Fprintf(b, "%-10d", r.X)
-		for _, v := range of(r) {
-			fmt.Fprintf(b, cell, v)
+		fmt.Fprintf(&b, "%-10d", r.X)
+		for _, m := range r.Model {
+			fmt.Fprintf(&b, "%12.1f", m.NS)
 		}
 		b.WriteByte('\n')
 	}
-}
-
-// Cell returns the throughput for a column label at a given X (tests).
-func (t *Table) Cell(x int, label string) (float64, bool) {
-	col := -1
-	for i, c := range t.Columns {
-		if c == label {
-			col = i
-		}
-	}
-	if col < 0 {
-		return 0, false
-	}
-	for _, r := range t.Rows {
-		if r.X == x {
-			return r.Cells[col], true
-		}
-	}
-	return 0, false
+	return b.String()
 }
 
 func (p Panel) scaledSize(o Options, paperSize int) int {
@@ -154,9 +96,8 @@ const CountedOps = 4000
 // a seed on any machine; what it cannot show is anything concurrency costs
 // (contention, multi-core fence pile-ups).
 type Modeled struct {
-	NS         float64 `json:"model_ns_per_op,omitempty"` // Σ count × cost table
-	NVMMLoads  float64 `json:"nvmm_loads_per_op,omitempty"`
-	NVMMStores float64 `json:"nvmm_stores_per_op,omitempty"`
+	NS        float64 // Σ count × cost table
+	NVMMLoads float64 // loads from NVMM-priced devices
 }
 
 // counted runs a counted pass of spec over a new worker of t.
@@ -166,60 +107,28 @@ func counted(t workload.Target, devs []*pmem.Device, spec workload.Spec) (m Mode
 		m.NS += d.NS() / CountedOps
 		if d.Model == pmem.NVMMModel() {
 			m.NVMMLoads += float64(d.Loads) / CountedOps
-			m.NVMMStores += float64(d.Stores) / CountedOps
 		}
 	}
 	return m
 }
 
-// spec is the workload of one point.
-func (o Options) spec(keyRange, threads int, mix workload.Mix) workload.Spec {
-	return workload.Spec{
-		KeyRange: uint64(keyRange),
-		Mix:      mix,
-		Threads:  threads,
-		Duration: o.Duration,
-		Seed:     o.Seed,
-		Dist:     o.Dist,
-		Skew:     o.Skew,
-	}
-}
-
-// timed is the workload of a timed point: the point's spec under a seed of
-// its own. Under the counted pass's seed a 1-thread timed run would replay
-// the key stream the counted pass has just applied to the same structure,
-// and its first CountedOps operations would mostly take no effect.
-func (o Options) timed(keyRange, threads int, mix workload.Mix) workload.Spec {
-	s := o.spec(keyRange, threads, mix)
-	s.Seed = ^o.Seed
-	return s
-}
-
-// Run measures the panel and returns its table. Each point is measured
-// twice: a timed run with counting off (native Mops/s) and a counted pass
-// (modeled ns/op).
+// Run prices the panel: each point is a counted pass over a competitor
+// prefilled to half its key range. A thread sweep prices its one mix once,
+// at one goroutine (the counted pass runs on one), so its table has the
+// single row threads = 1.
 func (p Panel) Run(o Options) *Table {
-	o.setDefaults()
 	t := &Table{PanelID: p.ID, Title: p.Title}
 	for _, c := range p.Competitors {
 		t.Columns = append(t.Columns, c.Label)
 	}
-	// measure prefills a fresh competitor and measures it at the given
-	// points. Every counted pass runs before any timed run, so the state
-	// each starts from is the same on every machine; a thread sweep keeps
-	// one mix and takes one pass.
-	measure := func(comp Competitor, keyRange int, rows []TableRow, threads []int, mixes []workload.Mix) {
-		target, devs := comp.Make(o, keyRange)
+	// measure prefills a fresh competitor and prices it at each mix, in
+	// order, so each pass starts from where the one before it left off.
+	measure := func(comp Competitor, keyRange int, rows []TableRow, mixes []workload.Mix) {
+		target, devs := comp.Make(keyRange)
 		workload.PrefillHalf(target, uint64(keyRange), o.Seed)
-		model := make([]float64, len(mixes))
 		for i, mix := range mixes {
-			model[i] = counted(target, devs, o.spec(keyRange, 1, mix)).NS
-		}
-		for i := range rows {
-			mi := min(i, len(mixes)-1)
-			rows[i].Cells = append(rows[i].Cells,
-				workload.Run(target, o.timed(keyRange, threads[i], mixes[mi])).MopsPerSec())
-			rows[i].Model = append(rows[i].Model, model[mi])
+			spec := workload.Spec{KeyRange: uint64(keyRange), Mix: mix, Seed: o.Seed}
+			rows[i].Model = append(rows[i].Model, counted(target, devs, spec))
 		}
 	}
 	// For thread and update sweeps the key range is fixed, so each
@@ -229,28 +138,24 @@ func (p Panel) Run(o Options) *Table {
 	// a fresh structure per point.
 	switch p.Sweep {
 	case SweepThreads, SweepUpdates:
-		xs, threads, mixes := o.Threads, o.Threads, []workload.Mix{p.Mix}
-		t.XLabel = "threads"
+		t.XLabel, t.Rows = "threads", []TableRow{{X: 1}}
+		mixes := []workload.Mix{p.Mix}
 		if p.Sweep == SweepUpdates {
-			t.XLabel, xs, threads, mixes = "update%", p.UpdatePcts, nil, nil
-			for _, x := range xs {
-				threads = append(threads, 8)
+			t.XLabel, t.Rows, mixes = "update%", nil, nil
+			for _, x := range p.UpdatePcts {
+				t.Rows = append(t.Rows, TableRow{X: x})
 				mixes = append(mixes, workload.UpdateMix(x))
 			}
 		}
-		t.Rows = make([]TableRow, len(xs))
-		for i, x := range xs {
-			t.Rows[i].X = x
-		}
 		for _, comp := range p.Competitors {
-			measure(comp, p.scaledSize(o, p.FixedSize), t.Rows, threads, mixes)
+			measure(comp, p.scaledSize(o, p.FixedSize), t.Rows, mixes)
 		}
 	case SweepSize:
 		t.XLabel = "size"
 		for _, s := range p.Sizes {
 			row := []TableRow{{X: s}}
 			for _, comp := range p.Competitors {
-				measure(comp, p.scaledSize(o, s), row, []int{8}, []workload.Mix{p.Mix})
+				measure(comp, p.scaledSize(o, s), row, []workload.Mix{p.Mix})
 			}
 			t.Rows = append(t.Rows, row[0])
 		}
@@ -370,11 +275,4 @@ func Find(id string) (Panel, bool) {
 		}
 	}
 	return Panel{}, false
-}
-
-// EnvironmentNote describes the host parallelism, printed alongside
-// results since thread counts above GOMAXPROCS share cores.
-func EnvironmentNote() string {
-	return fmt.Sprintf("host: GOMAXPROCS=%d (thread counts above this share cores)",
-		runtime.GOMAXPROCS(0))
 }

@@ -33,7 +33,7 @@ func hottestFrac(counts map[uint64]int, draws int) float64 {
 }
 
 func TestKeyGenDeterministic(t *testing.T) {
-	for _, dist := range Dists() {
+	for _, dist := range []string{DistUniform, DistZipfian, DistHotspot} {
 		spec := Spec{KeyRange: 1000, Dist: dist, Skew: 0.9}
 		gen1, gen2 := spec.KeyGen(), spec.KeyGen()
 		state1, state2 := uint64(7), uint64(7)

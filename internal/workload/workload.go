@@ -171,9 +171,6 @@ const (
 	DistHotspot = "hotspot"
 )
 
-// Dists lists the supported key distributions.
-func Dists() []string { return []string{DistUniform, DistZipfian, DistHotspot} }
-
 // KeyFn maps one 64-bit PRNG draw to a key in [1, KeyRange].
 type KeyFn func(r uint64) uint64
 
@@ -265,7 +262,8 @@ func (s Spec) KeyGen() KeyFn {
 			return (r>>32)%n + 1
 		}
 	default:
-		panic(fmt.Sprintf("workload: unknown key distribution %q (want %v)", s.Dist, Dists()))
+		panic(fmt.Sprintf("workload: unknown key distribution %q (want %q, %q or %q)",
+			s.Dist, DistUniform, DistZipfian, DistHotspot))
 	}
 }
 

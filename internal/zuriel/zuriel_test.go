@@ -315,9 +315,10 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 			}
 		}
 		// Alternate sequential and parallel recoveries over repeated
-		// crashes of the evolving image; each must reproduce the model.
+		// crashes of the evolving image, keeping every unflushed line or
+		// dropping all of them; each must reproduce the model.
 		for round, workers := range []int{1, 4, 2, 8} {
-			s.Crash(pmem.CrashKeepAll, rng)
+			s.Crash([]pmem.CrashPolicy{pmem.CrashKeepAll, pmem.CrashDropAll}[round%2], rng)
 			s.RecoverParallel(workers)
 			c = s.NewCtx()
 			for key := uint64(1); key <= 250; key++ {
