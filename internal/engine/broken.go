@@ -12,13 +12,6 @@ const (
 	// visible — and so complete operations — before they are durable. A
 	// crash whose line fate is "drop" or "torn" loses a completed operation.
 	BugDropOwnFlush Bug = iota
-	// BugEvictionAdvancesWatermark breaks the flush-elision layer: the
-	// fault model's early eviction advances the persisted-epoch watermark
-	// as if it were a fenced commit. A writer whose line was evicted then
-	// elides its flush+fence on the strength of the fake watermark, so its
-	// completed operation is visible but unfenced. Caught under evict+drop
-	// faults.
-	BugEvictionAdvancesWatermark
 )
 
 // NewBroken returns a MirrorDRAM engine with one seeded durability bug and
@@ -33,8 +26,6 @@ func NewBroken(cfg Config, bug Bug) Engine {
 	switch bug {
 	case BugDropOwnFlush:
 		e.mem.OnInstallForTest(func(uint64) bool { return true })
-	case BugEvictionAdvancesWatermark:
-		e.mem.P.BreakWatermarkForTest()
 	default:
 		panic(fmt.Sprintf("engine: unknown seeded bug %d", int(bug)))
 	}

@@ -113,11 +113,10 @@ import (
 //
 //   - (O1) Own install. A tagged install reaches rep_v only after a real
 //     fence on the owner's flush set has committed its announce: it runs
-//     under patomic.Tagged, which flushes and fences whatever the
-//     watermark says. Another fence of the same line (a CasVal on the
-//     node's value cell) can commit the mark without the announce, so
-//     neither eliding on the watermark nor riding that fence's ticket
-//     would do (TestTaggedInstallFencesItsAnnounce).
+//     under patomic.Tagged, which, like every durable install, flushes and
+//     fences on that set. Another fence of the same line (a CasVal on the
+//     node's value cell) can commit the mark without the announce, so it
+//     cannot stand in for the owner's (TestTaggedInstallFencesItsAnnounce).
 //   - (O2) Help path. A helper that mirrors a tagged value into rep_v —
 //     the ps == vs+1 branch and the failed-install branch of
 //     patomic.Mem.CAS — first persists the announce line the tag names
@@ -208,7 +207,7 @@ import (
 
 // Descriptors deliberately do not reintroduce a fence per operation: the
 // announce rides whichever fence the operation issues first, the verdict
-// flush piggybacks on the operation's flush set, and the one trailing
+// flush joins the operation's flush set, and the one trailing
 // verdict fence is skipped via the elision layer whenever an intervening
 // fence already committed it. Nor a flush per operation: an announce is
 // flushed only by a fence that needs it, and a drain flushes one verdict

@@ -9,7 +9,7 @@ import (
 func newDescDevice(t *testing.T) *pmem.Device {
 	t.Helper()
 	return pmem.New(pmem.Config{
-		Name: "desc-test", Words: 1 << 12, Persistent: true, Track: true, Elide: true,
+		Name: "desc-test", Words: 1 << 12, Persistent: true, Track: true,
 	})
 }
 

@@ -35,7 +35,6 @@ func newDirect(cfg Config) *directEngine {
 		Words:      cfg.Words,
 		Persistent: persistent,
 		Track:      cfg.Track,
-		Elide:      true,
 		Model:      model,
 		MediaPath:  cfg.MediaPath,
 	})
@@ -328,11 +327,8 @@ func (e *directEngine) Counters() (uint64, uint64) {
 func (e *directEngine) Stats() Stats {
 	var s Stats
 	if e.durable() {
-		ef, en, pb, rx := e.dev.ElisionCounters()
-		s = Stats{
-			ElidedFlushes: ef, ElidedFences: en,
-			PiggybackedFences: pb, RelaxedCAS: rx,
-		}
+		ef, en, rx := e.dev.ElisionCounters()
+		s = Stats{ElidedFlushes: ef, ElidedFences: en, RelaxedCAS: rx}
 	}
 	if e.desc != nil {
 		e.desc.stats(&s)

@@ -27,8 +27,8 @@ func fetchAdd(e Engine, c *Ctx, ref Ref, field int, delta uint64) uint64 {
 // engine with the elision layer in its default (on) state. The two
 // counters live in root fields 0 and 1 — cells at offsets 8 and 10, the
 // same cache line — so one field's flush+fence commits the other field's
-// line too, which is exactly the situation the watermark and commit-ticket
-// probes feed on. After recovery the Lemma 5.3–5.5 replica invariants
+// line too, so a fence of one field can carry the other's install to the
+// media ahead of its own. After recovery the Lemma 5.3–5.5 replica invariants
 // must hold and each counter must be the last completed value or the
 // single in-flight one: elision may skip redundant instructions, but a
 // completed operation's durability must never depend on an eviction.

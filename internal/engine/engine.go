@@ -382,12 +382,16 @@ type Stats struct {
 	// protocol.
 	Helps, Retries uint64
 	// ElidedFlushes and ElidedFences count persistence instructions the
-	// flush-elision layer skipped because the persisted-epoch watermark,
-	// a batched-init line dedup, an empty pending set, or the
-	// relaxed-line registry proved them redundant.
+	// flush-elision layer skipped because a batched-init line dedup, an
+	// empty pending set, or the relaxed-line registry proved them
+	// redundant.
 	ElidedFlushes, ElidedFences uint64
-	// PiggybackedFences counts fences avoided by riding a concurrent
-	// fence's commit ticket instead of issuing one.
+	// PiggybackedFences is always zero.
+	//
+	// Deprecated: it counted fences avoided by riding another thread's
+	// fence of the same line, which no device does any more: every durable
+	// install flushes and fences. The field, and its STATS id, remain only
+	// so that readers of it (the benchmark's counted pass) keep compiling.
 	PiggybackedFences uint64
 	// RelaxedCAS counts retire-gated installs whose durability was
 	// deferred to the relaxed-line registry (committed at drain time).

@@ -45,7 +45,6 @@ func newMirror(cfg Config) *mirrorEngine {
 		Words:      cfg.Words,
 		Persistent: true,
 		Track:      cfg.Track,
-		Elide:      true,
 		Model:      pmem.NVMMModel(),
 		MediaPath:  cfg.MediaPath,
 	})
@@ -393,11 +392,10 @@ func (e *mirrorEngine) Devices() []*pmem.Device { return []*pmem.Device{e.mem.P,
 
 func (e *mirrorEngine) Stats() Stats {
 	h, r := e.mem.Stats()
-	ef, en, pb, rx := e.mem.P.ElisionCounters()
+	ef, en, rx := e.mem.P.ElisionCounters()
 	s := Stats{
 		Helps: h, Retries: r,
-		ElidedFlushes: ef, ElidedFences: en,
-		PiggybackedFences: pb, RelaxedCAS: rx,
+		ElidedFlushes: ef, ElidedFences: en, RelaxedCAS: rx,
 	}
 	if e.desc != nil {
 		e.desc.stats(&s)

@@ -17,7 +17,7 @@ const (
 // rep_v that never reads or writes rep_p, flushes, fences or registers
 // nothing, is visible at once, and leaves the media — and rep_p's view — at
 // the StoreInit value. Concurrent CASes on one word all land. The subtest
-// names the policy: rep_p carries the flush-elision watermark.
+// names rep_p's policy: pending lines recorded, empty fences skipped.
 func TestRebuiltCASAccounting(t *testing.T) {
 	t.Run("elide=on", func(t *testing.T) {
 		e := New(Config{Kind: MirrorDRAM, Words: 1 << 16, Track: true})

@@ -219,65 +219,6 @@ hunt:
 	}
 }
 
-// TestBrokenWatermarkCaught is the acceptance self-test for the flush-
-// elision layer: a Mirror engine whose persisted-epoch watermark is
-// advanced by the fault model's early eviction (test-only,
-// engine.BugEvictionAdvancesWatermark) elides flush+fence pairs it has no
-// right to elide — the install is visible and the operation completes,
-// but the line is unfenced, so a crash whose fate is "drop" loses a
-// completed operation. The fuzzer must catch this under evict+drop
-// faults, the spec must shrink, and the reproducer must replay
-// deterministically.
-func TestBrokenWatermarkCaught(t *testing.T) {
-	base := Spec{
-		Structure: "list",
-		Kind:      engine.MirrorDRAM,
-		Faults:    pmem.FaultSpec{Evict: true, Drop: true},
-		NewEngine: broken(engine.BugEvictionAdvancesWatermark),
-		// Workers=1 keeps every attempt exactly replayable.
-		Schedule: Schedule{Workers: 1, OpsPer: 10, Keys: 4},
-	}
-	var caught *Spec
-	var firstFail *Result
-	attempts := 0
-hunt:
-	for seed := int64(1); seed <= 30; seed++ {
-		spec := base
-		spec.Seed = seed
-		total := Calibrate(spec)
-		for _, frac := range []int64{2, 3, 4, 5} {
-			spec.Schedule.CrashAt = 1 + total*(frac-1)/frac%total
-			attempts++
-			if res := Run(spec); res.Failed() {
-				caught, firstFail = &spec, res
-				break hunt
-			}
-		}
-	}
-	if caught == nil {
-		t.Fatalf("seeded watermark bug not caught in %d attempts", attempts)
-	}
-	t.Logf("caught after %d attempts: %v\n  %s", attempts, *caught, firstFail.Violations[0])
-
-	small, res := Shrink(*caught, firstFail)
-	if !res.Failed() {
-		t.Fatalf("shrink lost the failure: %v", small)
-	}
-	t.Logf("shrunk reproducer: %v (%d violations)", small, len(res.Violations))
-
-	r1 := Run(small)
-	r2 := Run(small)
-	if !r1.Failed() || !r2.Failed() {
-		t.Fatalf("replay of shrunk reproducer did not fail (r1=%v r2=%v)", r1.Violations, r2.Violations)
-	}
-	if r1.MediaHash != r2.MediaHash {
-		t.Fatalf("replays produced different media images: %#x vs %#x", r1.MediaHash, r2.MediaHash)
-	}
-	if r1.CrashedAt != r2.CrashedAt {
-		t.Fatalf("replays crashed at different ops: %d vs %d", r1.CrashedAt, r2.CrashedAt)
-	}
-}
-
 // TestUnbrokenMirrorNotCaught is the control for the self-test: the same
 // hunt against the correct engine must come up empty.
 func TestUnbrokenMirrorNotCaught(t *testing.T) {

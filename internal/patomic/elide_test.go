@@ -16,13 +16,9 @@ func costOf(m *Mem, fn func()) (flushes, fences uint64) {
 }
 
 // TestCASFlushAccounting pins the exact flush+fence cost of the Figure 4
-// paths on an eliding device: the full cost of Figure 4, as if there were
-// no watermark. Persisted uses a strict comparison against a watermark that
-// never exceeds the epoch counter, so with no concurrent fence in flight
-// the probe cannot fire. That is the regression being pinned — it is what
-// keeps single-threaded replays (crashtest, faultfuzz Workers=1)
-// deterministic under elision. The subtest names the policy: rep_p
-// carries the watermark.
+// paths: one flush and one fence for an owner's install and for a helper's,
+// none for a failure that installs nothing. The subtest names rep_p's
+// policy: pending lines recorded, empty fences skipped.
 func TestCASFlushAccounting(t *testing.T) {
 	t.Run("elide=on", func(t *testing.T) {
 		m := newMem(64)
@@ -73,10 +69,10 @@ func TestElisionCountersZeroQuiesced(t *testing.T) {
 	m.CompareAndSwap(ctx, cell, 0, 1)
 	m.Store(ctx, cell, 2)
 	fetchAdd(m, ctx, cell, 4)
-	elFl, elFe, piggy, _ := m.P.ElisionCounters()
-	if elFl != 0 || elFe != 0 || piggy != 0 {
-		t.Fatalf("quiesced elision counters = (elidedFlushes=%d, elidedFences=%d, piggybacked=%d), want all 0",
-			elFl, elFe, piggy)
+	elFl, elFe, _ := m.P.ElisionCounters()
+	if elFl != 0 || elFe != 0 {
+		t.Fatalf("quiesced elision counters = (elidedFlushes=%d, elidedFences=%d), want all 0",
+			elFl, elFe)
 	}
 }
 
@@ -121,34 +117,6 @@ func TestRelaxedCASAccounting(t *testing.T) {
 	if got := m.P.RelaxedPending(); got != 0 {
 		t.Errorf("failed relaxed CAS registered a line: pending=%d", got)
 	}
-
-	// The registry belongs to every persistent device, not to the
-	// watermark: on a device built without Elide a relaxed install is
-	// deferred the same way, and CommitRelaxed drains it to the media.
-	m2 := newMemNoWatermark(64)
-	ctx2 := initCell(m2, 5)
-	if fl, fe := costOf(m2, func() { m2.CAS(ctx2, cell, 5, 10, Auxiliary) }); fl != 0 || fe != 0 {
-		t.Errorf("relaxed CAS without the watermark cost (%d, %d), want (0, 0)", fl, fe)
-	}
-	if got := m2.P.RelaxedPending(); got != 1 {
-		t.Fatalf("RelaxedPending without the watermark = %d, want 1", got)
-	}
-	if fl, fe := costOf(m2, func() { m2.P.CommitRelaxed(&ctx2.FS) }); fl != 1 || fe != 1 {
-		t.Errorf("CommitRelaxed without the watermark cost (%d, %d), want (1, 1)", fl, fe)
-	}
-	if v, s := m2.P.PersistedWord(cell), m2.P.PersistedWord(cell+1); v != 10 || s != InitSeq+1 {
-		t.Fatalf("relaxed install not on media after commit without the watermark: (%d, %d)", v, s)
-	}
-}
-
-// newMemNoWatermark is newMem on a persistent device built without the
-// flush-elision watermark (pmem.Config.Elide false), as the hand-made
-// baselines build theirs.
-func newMemNoWatermark(words int) *Mem {
-	return &Mem{
-		P: pmem.New(pmem.Config{Name: "nvmm", Words: words, Persistent: true, Track: true}),
-		V: pmem.New(pmem.Config{Name: "dram", Words: words}),
-	}
 }
 
 // TestInitCellBatching pins the deferred-init path: two cells sharing one
@@ -165,7 +133,7 @@ func TestInitCellBatching(t *testing.T) {
 	if fl != 1 || fe != 1 {
 		t.Errorf("two-cell one-line init cost (%d flushes, %d fences), want (1, 1)", fl, fe)
 	}
-	elFl, elFe, _, _ := m.P.ElisionCounters()
+	elFl, elFe, _ := m.P.ElisionCounters()
 	if elFl != 1 || elFe != 0 {
 		t.Errorf("elided (flushes=%d, fences=%d), want (1, 0)", elFl, elFe)
 	}
@@ -176,22 +144,6 @@ func TestInitCellBatching(t *testing.T) {
 	// A fence with nothing in flight orders nothing: skipped and counted.
 	if fl, fe := costOf(m, func() { m.PublishFence(ctx) }); fl != 0 || fe != 0 {
 		t.Errorf("empty PublishFence cost (%d, %d), want (0, 0)", fl, fe)
-	}
-
-	// Batching needs only the pending-line set, not the watermark: a
-	// device built without Elide pays the same one flush per line.
-	m2 := newMemNoWatermark(64)
-	ctx2 := &Ctx{}
-	fl, fe = costOf(m2, func() {
-		m2.InitCell(ctx2, 8, 1)
-		m2.InitCell(ctx2, 10, 2)
-		m2.PublishFence(ctx2)
-	})
-	if fl != 1 || fe != 1 {
-		t.Errorf("two-cell one-line init without the watermark cost (%d flushes, %d fences), want (1, 1)", fl, fe)
-	}
-	if m2.P.PersistedWord(8) != 1 || m2.P.PersistedWord(10) != 2 {
-		t.Error("batched init without the watermark not on media after PublishFence")
 	}
 }
 

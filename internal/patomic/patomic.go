@@ -138,10 +138,10 @@ const (
 	Auxiliary
 	// Tagged is Full for a value whose witness line (Mem.Witness) the
 	// owner's next fence flushes — armed on its flush set, or already
-	// durable: the install always ends in a real flush and fence on the
-	// owner's flush set, whatever the watermark says. A fence of the same
-	// line by another thread may have committed the value but not the
-	// witness.
+	// durable: like every Full install it ends in a real flush and fence on
+	// the owner's flush set, which a fence of the same line by another
+	// thread cannot stand in for — that fence may have committed the value
+	// but not the witness. The AfterTagged hook runs first.
 	Tagged
 )
 
@@ -176,9 +176,8 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			// Another write installed (pv, ps) in rep_p but has not
 			// reached rep_v yet: help complete it (lines 19–26). The
 			// value — and its witness lines — must be durable before it
-			// becomes loadable; the device skips what the owner (or an
-			// earlier helper, or an unrelated fence of the same line)
-			// already committed.
+			// becomes loadable: the helper flushes and fences them itself,
+			// whatever the owner has done so far.
 			m.persistHelped(ctx, off, pv)
 			m.V.DWCAS(off, vv, vs, pv, ps)
 			m.noteHelp(ctx)
@@ -205,28 +204,19 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 			//     every thread that observed the install — including the
 			//     one that retires the unlinked object — is ordered after
 			//     it.
-			//   - tagged: a real fence on this thread's flush set, which
-			//     commits the witness line with the value.
-			//   - otherwise: durable before the mirror; the device decides
-			//     whether that takes a flush and a fence (EnsureDurable).
-			//     The epoch tag is read right after the install, before
-			//     the test hook's window.
+			//   - otherwise: a flush and a fence on this thread's flush
+			//     set before the mirror (EnsureDurable); a tagged install
+			//     first runs its AfterTagged hook, and the fence commits the
+			//     armed witness line with the value.
+			//
+			// The test hook may drop durability: visible, never durable.
 			if in == Auxiliary {
 				m.P.NoteRelaxed(&ctx.FS, off)
-			} else {
-				tag := m.P.PersistEpoch()
-				switch {
-				case m.installed != nil && m.installed(off):
-					// The test hook dropped durability: visible, never durable.
-				case in == Tagged:
-					if ctx.AfterTagged != nil {
-						ctx.AfterTagged(off)
-					}
-					m.P.Flush(&ctx.FS, off)
-					m.P.Fence(&ctx.FS)
-				default:
-					m.P.EnsureDurable(&ctx.FS, off, tag, 0, 0)
+			} else if m.installed == nil || !m.installed(off) {
+				if in == Tagged && ctx.AfterTagged != nil {
+					ctx.AfterTagged(off)
 				}
+				m.P.EnsureDurable(&ctx.FS, off, 0, 0)
 			}
 			// Mirror into rep_v (line 44). Failure here means a helper
 			// already completed our write (or a later one); either way
@@ -252,9 +242,9 @@ func (m *Mem) CAS(ctx *Ctx, off uint64, expected, newVal uint64, in Intent) (boo
 }
 
 // OnInstallForTest makes every successful rep_p install of m that is made
-// durable now call f with the cell's offset, after the install and its
-// epoch read and before the flush+fence or its elision — the window in
-// which another thread's fence of the same line can commit the install.
+// durable now call f with the cell's offset, after the install and before
+// its flush+fence — the window in which another thread's fence of the same
+// line can commit the install.
 // When f returns true the install drops its durability: it is mirrored
 // into rep_v — and so completes its operation — without ever being flushed
 // or fenced, the seeded bug "one missing flush in the writer's own
@@ -265,15 +255,13 @@ func (m *Mem) OnInstallForTest(f func(off uint64) (drop bool)) { m.installed = f
 // persistHelped makes the value v, just observed at off, durable with its
 // witness lines (Witness) before a helper mirrors it into rep_v on another
 // thread's behalf: the owner wrote the witnesses before the install the
-// helper observed. The epoch tag is read first, right after the
-// observation, so the device's watermark argument covers all three lines.
+// helper observed.
 func (m *Mem) persistHelped(ctx *Ctx, off, v uint64) {
-	tag := m.P.PersistEpoch()
 	var w, x uint64
 	if m.Witness != nil {
 		w, x = m.Witness(v)
 	}
-	m.P.EnsureDurable(&ctx.FS, off, tag, w, x)
+	m.P.EnsureDurable(&ctx.FS, off, w, x)
 }
 
 // Store atomically replaces the cell's value unconditionally; simple writes

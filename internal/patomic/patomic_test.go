@@ -9,11 +9,11 @@ import (
 	"mirror/internal/pmem"
 )
 
-// newMem builds a persistent+volatile replica pair with tracking and the
-// flush-elision watermark enabled, as the engines build rep_p.
+// newMem builds a persistent+volatile replica pair with tracking, as the
+// engines build rep_p.
 func newMem(words int) *Mem {
 	return &Mem{
-		P: pmem.New(pmem.Config{Name: "nvmm", Words: words, Persistent: true, Track: true, Elide: true}),
+		P: pmem.New(pmem.Config{Name: "nvmm", Words: words, Persistent: true, Track: true}),
 		V: pmem.New(pmem.Config{Name: "dram", Words: words}),
 	}
 }
@@ -484,7 +484,8 @@ func TestStatsRetriesUnderContention(t *testing.T) {
 // words make its span odd — one cell and one plain word, three words: all
 // three reach rep_v. A copy trimmed to whole cells would leave the plain
 // word, a key or an upper link, zero in rep_v without any error. The
-// subtest names the policy: rep_p carries the watermark.
+// subtest names rep_p's policy: pending lines recorded, empty fences
+// skipped.
 func TestRecoverRangeCopiesOddSpan(t *testing.T) {
 	t.Run("elide=on", func(t *testing.T) {
 		m := newMem(64)

@@ -83,13 +83,13 @@ type Config struct {
 	Track      bool      // maintain the media image (required for Crash)
 	Model      CostModel // cost table of the medium (cost.go)
 
-	// Elide maintains the persisted-epoch watermark and commit tickets
-	// (elide.go). Both engines set it on every persistent device they
-	// build. The hand-made baselines (zuriel, cmapkv) leave it false: they
-	// never call EnsureDurable, so the tables would be dead weight. A device
-	// without it never proves a line persisted, so EnsureDurable always
-	// flushes and fences, while the relaxed-line registry works on every
-	// persistent device.
+	// Elide is ignored.
+	//
+	// Deprecated: it switched on a per-line persisted-epoch watermark that
+	// let EnsureDurable skip a flush and fence; no device keeps one now.
+	// Every persistent device records its pending lines and keeps the
+	// relaxed-line registry (elide.go). The field remains only so that
+	// callers that set it (the benchmark's micro pass) keep compiling.
 	Elide bool
 
 	// MediaPath backs the media image with a MAP_SHARED mmap of this file
@@ -170,18 +170,11 @@ type Device struct {
 	shardMu sync.Mutex
 	shards  []*FlushSet
 
-	// Flush-elision state (see elide.go): the global persist epoch and the
-	// per-line watermark and in-flight ticket tables (Config.Elide), and
-	// the relaxed-line registry (every persistent device). lineTrack
-	// extends pending-line recording to eliding devices that do not track
-	// a media image (benchmarks).
-	elide      bool
-	lineTrack  bool
-	breakWM    bool // test-only: eviction falsely advances the watermark
-	pepoch     atomic.Uint64
-	marks      []atomic.Uint64
-	committing []atomic.Uint64
+	// lineMu serializes the media copies of one line (commitLines): the
+	// copy of line l holds lineMu[l%lineStripes].
+	lineMu [lineStripes]sync.Mutex
 
+	// The relaxed-line registry (elide.go), on every persistent device.
 	relaxedMu    sync.Mutex
 	relaxedLines []uint64 // registered lines in first-registration order
 	relaxedSet   map[uint64]struct{}
@@ -221,13 +214,6 @@ func New(cfg Config) *Device {
 		panic("pmem: Config.MediaPath requires Persistent && Track")
 	}
 	d.syncGate()
-	d.elide = cfg.Elide && cfg.Persistent
-	d.lineTrack = d.track || d.elide
-	if d.elide {
-		nLines := len(d.words)/WordsPerLine + 1
-		d.marks = make([]atomic.Uint64, nLines)
-		d.committing = make([]atomic.Uint64, nLines)
-	}
 	if d.persistent {
 		d.relaxedSet = make(map[uint64]struct{})
 	}
@@ -450,11 +436,10 @@ type FlushSet struct {
 	fences  atomic.Uint64 // this thread's fence count on dev
 
 	// Elision shards (see elide.go): persistence instructions this thread
-	// *did not* issue because the watermark, a batch dedup, or the
+	// *did not* issue because a batch dedup, an empty pending set or the
 	// relaxed-line registry proved them redundant.
 	elidedFlushes atomic.Uint64
 	elidedFences  atomic.Uint64
-	piggybacked   atomic.Uint64
 	relaxed       atomic.Uint64
 
 	lines []uint64          // pending lines, unique, in first-flush order
@@ -562,7 +547,7 @@ func (d *Device) Flush(fs *FlushSet, off uint64) {
 		fs.enter(d)
 	}
 	bump(&fs.flushes, 1)
-	if d.lineTrack {
+	if d.persistent {
 		fs.add(off >> lineShift)
 	}
 	if debugChecks {
@@ -619,14 +604,16 @@ func (d *Device) Fence(fs *FlushSet) {
 	}
 	if fs.ahead != 0 {
 		bump(&fs.flushes, 1)
-		if d.lineTrack {
+		if d.persistent {
 			fs.add(fs.ahead >> lineShift)
 		}
 		fs.ahead = 0
 	}
 	bump(&fs.fences, 1)
-	if d.lineTrack && len(fs.lines) > 0 {
-		d.commitFence(fs.lines)
+	if len(fs.lines) > 0 {
+		if d.track {
+			d.commitLines(fs.lines)
+		}
 		fs.clearLines()
 	}
 	if debugChecks {
@@ -652,18 +639,28 @@ func (d *Device) fenceSlow() {
 	}
 }
 
-// commitLines copies each dirty line's current content to the media, one
-// pass per line, with no per-line locking. copyLine moves the line as eight
-// aligned 8-byte words (plain MOVs on amd64), so concurrent fences of the
-// same line interleave at 8-byte granularity — exactly the persistence
-// atomicity the crash model grants (per-word), and the same tearing window
-// a concurrent DWCAS already has against any line copy. TSO keeps the copy
-// ahead of the watermark CAS that follows it (commitFence). Both arrays
-// hold whole lines (New rounds the size up), so no line runs past the end.
+// lineStripes is the number of locks the media copies of lines are striped
+// over.
+const lineStripes = 64
+
+// commitLines copies each dirty line's current content to the media: a
+// fence's commit and an early eviction (fault.go) both copy through here.
+// copyLine moves the line as eight aligned 8-byte words (plain MOVs on
+// amd64), so a store racing with the copy reaches the media whole or not at
+// all — the per-word persistence atomicity the crash model grants. Two
+// copies of one line are serialized, as cache coherence serializes real
+// write-backs: unordered, a copy that read a word before another thread
+// stored it could write the old word after that thread's own fence had
+// committed the new one, and the media would regress below what a
+// returned fence wrote. Both arrays hold whole lines (New rounds the size
+// up), so no line runs past the end.
 func (d *Device) commitLines(lines []uint64) {
 	for _, line := range lines {
 		off := line << lineShift
+		mu := &d.lineMu[line%lineStripes]
+		mu.Lock()
 		copyLine(&d.media[off], &d.words[off])
+		mu.Unlock()
 	}
 }
 
@@ -753,10 +750,7 @@ func (d *Device) Crash(policy CrashPolicy, rng *rand.Rand) {
 			d.words[i] = 0
 		}
 	}
-	// Relaxed lines die with the cache: nothing defers past a crash. The
-	// watermark and epoch survive — marks never exceed pepoch, and fresh
-	// tags are read from pepoch, so stale marks can never satisfy the
-	// strict persisted comparison.
+	// Relaxed lines die with the cache: nothing defers past a crash.
 	d.relaxedMu.Lock()
 	d.relaxedLines = d.relaxedLines[:0]
 	for line := range d.relaxedSet {

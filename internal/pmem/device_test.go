@@ -20,19 +20,19 @@ func frozen(d *Device) bool { return d.state.Load()&stateFrozen != 0 }
 // FaultModel. Callers state what must be durable (EnsureDurable,
 // PublishInit, FlushRange, FenceOrElide, CommitRelaxed, CommitPending); the
 // device alone decides which flush or fence is redundant, so the probes
-// behind that decision — the watermark, the commit tickets, the pending set,
-// the fence count — must not come back as exports.
+// behind that decision — the pending set, the fence count — must not come
+// back as exports.
 func TestDeviceSurface(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
 		want []string
 	}{
-		{reflect.TypeFor[*Device](), []string{"BreakWatermarkForTest", "CAS", "Close",
+		{reflect.TypeFor[*Device](), []string{"CAS", "Close",
 			"CommitPending", "CommitRelaxed", "CopyRange", "Counters", "Crash", "DWCAS",
 			"ElisionCounters", "EnsureDurable", "Fence", "FenceOrElide", "Flush",
 			"FlushAhead", "FlushRange", "FlushRelaxed", "Freeze", "FreezeAfter",
 			"InjectFaults", "Load", "LoadPair", "MediaHash", "Name", "NoteRelaxed",
-			"PersistEpoch", "PersistRange", "PersistedWord", "Persistent", "PublishInit",
+			"PersistRange", "PersistedWord", "Persistent", "PublishInit",
 			"ReadRaw", "RelaxedPending", "Restore", "Size", "Store", "StoreInit",
 			"WriteRaw", "WriteRebuilt"}},
 		{reflect.TypeFor[*FlushSet](), []string{"Armed", "DeferInit", "DropAhead", "DropInit", "Reset"}},

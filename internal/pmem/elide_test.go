@@ -2,110 +2,62 @@ package pmem
 
 import "testing"
 
-// newElideDevice builds a persistent, tracking device with the flush-elision
-// watermark machinery on.
-func newElideDevice(words int) *Device {
-	return New(Config{Name: "nvmm", Words: words, Persistent: true, Track: true, Elide: true})
-}
-
+// TestPersistedRequiresFencedCommit pins that a word reaches the media only
+// through a fence: neither the store nor its flush puts it there.
 func TestPersistedRequiresFencedCommit(t *testing.T) {
-	d := newElideDevice(64)
+	d := newTestDevice(64)
 	var fs FlushSet
 
-	tag := d.PersistEpoch()
 	d.Store(8, 7)
-	if d.persisted(8, tag) {
-		t.Fatal("Persisted before any flush+fence")
+	if got := d.PersistedWord(8); got != 0 {
+		t.Fatalf("media word = %d after a store alone, want 0", got)
 	}
 	d.Flush(&fs, 8)
-	if d.persisted(8, tag) {
-		t.Fatal("Persisted after flush but before fence")
+	if got := d.PersistedWord(8); got != 0 {
+		t.Fatalf("media word = %d after a flush but before its fence, want 0", got)
 	}
 	d.Fence(&fs)
-	if !d.persisted(8, tag) {
-		t.Fatal("not Persisted after a fenced commit that started after the tag read")
-	}
 	if got := d.PersistedWord(8); got != 7 {
-		t.Fatalf("media word = %d, want 7", got)
+		t.Fatalf("media word = %d after the fence, want 7", got)
 	}
 }
 
-// TestPersistedIsStrict pins the strict inequality: a tag read at or after
-// the committing fence's epoch advance proves nothing about ordering, so
-// Persisted must answer false even though the line is in fact on media.
-// Conservative, but exactly what keeps single-threaded runs deterministic.
-func TestPersistedIsStrict(t *testing.T) {
-	d := newElideDevice(64)
-	var fs FlushSet
-	d.Store(8, 7)
-	d.Flush(&fs, 8)
-	d.Fence(&fs)
-	tag := d.PersistEpoch()
-	if d.persisted(8, tag) {
-		t.Fatal("Persisted with a tag read after the fence: strict > violated")
+// TestEnsureDurableAlwaysFences pins Fig. 4's persist step: EnsureDurable
+// flushes the value's line and each witness line and fences, even when
+// another fence has already committed all three lines — no device proves a
+// line persisted on another thread's behalf.
+func TestEnsureDurableAlwaysFences(t *testing.T) {
+	d := newTestDevice(64)
+	var fs, other FlushSet
+	for _, off := range []uint64{8, 16, 24} {
+		d.Store(off, off)
+		d.Flush(&other, off)
 	}
-	// A tag from before the fence still proves the commit.
-	if !d.persisted(8, tag-1) {
-		t.Fatal("Persisted lost an earlier commit")
+	d.Fence(&other)
+	for _, c := range []struct {
+		w, x            uint64
+		flushes, fences uint64
+	}{{0, 0, 1, 1}, {16, 0, 2, 1}, {16, 24, 3, 1}} {
+		fl0, fe0 := d.Counters()
+		d.EnsureDurable(&fs, 8, c.w, c.x)
+		fl1, fe1 := d.Counters()
+		if fl1-fl0 != c.flushes || fe1-fe0 != c.fences {
+			t.Errorf("EnsureDurable(8, %d, %d) cost (%d flushes, %d fences), want (%d, %d)",
+				c.w, c.x, fl1-fl0, fe1-fe0, c.flushes, c.fences)
+		}
 	}
-}
-
-func TestCommitTicketAndWaitPersisted(t *testing.T) {
-	d := newElideDevice(64)
-	var fs FlushSet
-	tag := d.PersistEpoch()
-	d.Store(8, 7)
-	if got := d.commitTicket(8); got != 0 {
-		t.Fatalf("ticket before any fence = %d, want 0", got)
+	if elFl, elFe, _ := d.ElisionCounters(); elFl != 0 || elFe != 0 {
+		t.Errorf("EnsureDurable counted (%d, %d) elided flushes and fences, want none", elFl, elFe)
 	}
-	d.Flush(&fs, 8)
-	d.Fence(&fs)
-	ticket := d.commitTicket(8)
-	if ticket <= tag {
-		t.Fatalf("ticket after fence = %d, want > %d", ticket, tag)
-	}
-	if !d.waitPersisted(8, ticket) {
-		t.Fatal("waitPersisted on a completed fence's ticket")
-	}
-}
-
-// TestEvictionDoesNotAdvanceWatermark is the soundness condition of the
-// whole layer: the fault model's early eviction copies a line to media, but
-// an eviction is not a guarantee, so Persisted must keep answering false.
-func TestEvictionDoesNotAdvanceWatermark(t *testing.T) {
-	d := newElideDevice(64)
-	d.InjectFaults(NewFaultModel(1, FaultSpec{Evict: true}))
-	tag := d.PersistEpoch()
-	d.Store(8, 7)
-	evicted := false
-	for i := 0; i < 20*evictPeriod && !evicted; i++ {
-		d.Load(8) // each op may evict the accessed line
-		evicted = d.PersistedWord(8) == 7
-	}
-	if !evicted {
-		t.Skip("seeded eviction never fired; adjust the seed")
-	}
-	if d.persisted(8, tag) {
-		t.Fatal("early eviction advanced the persisted-epoch watermark")
-	}
-
-	// The test-only broken variant is the opposite pin: eviction falsely
-	// advances the watermark past any current tag.
-	b := newElideDevice(64)
-	b.BreakWatermarkForTest()
-	b.InjectFaults(NewFaultModel(1, FaultSpec{Evict: true}))
-	tag = b.PersistEpoch()
-	b.Store(8, 7)
-	for i := 0; i < 20*evictPeriod && !b.persisted(8, tag); i++ {
-		b.Load(8)
-	}
-	if !b.persisted(8, tag) {
-		t.Fatal("broken variant did not advance the watermark on eviction")
+	d.Store(24, 99)
+	d.EnsureDurable(&fs, 8, 16, 24)
+	if got := d.PersistedWord(24); got != 99 {
+		t.Errorf("witness word on media = %d after EnsureDurable, want 99", got)
 	}
 }
 
 func TestRelaxedRegistryCommit(t *testing.T) {
-	d := newElideDevice(64)
+	d := newTestDevice(64)
 	var fs FlushSet
 	d.Store(8, 7)
 	d.Store(16, 9)
@@ -133,19 +85,18 @@ func TestRelaxedRegistryCommit(t *testing.T) {
 	if fl2 != fl1 || fe2 != fe1 {
 		t.Fatalf("empty CommitRelaxed issued (%d flushes, %d fences)", fl2-fl1, fe2-fe1)
 	}
-	_, _, _, relaxed := d.ElisionCounters()
+	_, _, relaxed := d.ElisionCounters()
 	if relaxed != 3 {
 		t.Fatalf("relaxed counter = %d, want 3", relaxed)
 	}
 }
 
 // TestCrashClearsRegistryKeepsWatermark pins the crash semantics: the
-// registry's obligations die with the volatile world (the lines' media
-// fate was decided by the crash), while the watermark table survives —
-// marks never exceed the epoch counter, so stale marks can never satisfy
-// the strict inequality against a post-crash tag.
+// registry's obligations die with the volatile world, so a relaxed line no
+// drain committed is lost under drop-all, while the fenced word survives on
+// the media and in the view recovery starts from.
 func TestCrashClearsRegistryKeepsWatermark(t *testing.T) {
-	d := newElideDevice(64)
+	d := newTestDevice(64)
 	var fs FlushSet
 	d.Store(8, 7)
 	d.Flush(&fs, 8)
@@ -157,10 +108,10 @@ func TestCrashClearsRegistryKeepsWatermark(t *testing.T) {
 	if d.RelaxedPending() != 0 {
 		t.Fatal("relaxed registry survived the crash")
 	}
-	if tag := d.PersistEpoch(); d.persisted(8, tag) {
-		t.Fatal("stale watermark beats a post-crash tag")
+	if got := d.Load(16); got != 0 {
+		t.Errorf("uncommitted relaxed word = %d after a drop-all crash, want 0", got)
 	}
-	if d.persisted(8, 0) != (d.PersistEpoch() > 0) {
-		t.Fatal("watermark table lost across crash")
+	if got, med := d.Load(8), d.PersistedWord(8); got != 7 || med != 7 {
+		t.Errorf("fenced word after the crash: view %d, media %d, want 7", got, med)
 	}
 }

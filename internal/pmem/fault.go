@@ -237,14 +237,9 @@ func (d *Device) faultTick(off uint64) {
 	}
 	evict, crash := fm.step()
 	if evict && off != 0 && d.track {
-		// An eviction copies the line to media but is NOT a commit
-		// guarantee: it must never advance the persisted-epoch watermark.
-		// The test-only broken variant advances it anyway — the exact bug
-		// the fuzzer's acceptance self-test must catch.
+		// An eviction copies the line to media but is not a commit
+		// guarantee: the line stays pending on every set that flushed it.
 		d.commitLines([]uint64{off >> lineShift})
-		if d.breakWM && d.elide {
-			atomicMax(&d.marks[off>>lineShift], d.pepoch.Load()+1)
-		}
 	}
 	if crash {
 		d.setState(stateFrozen)

@@ -6,8 +6,9 @@ package pmem
 // MAP_SHARED mmap of a regular file instead of an anonymous Go slice. The
 // semantics line up with the crash model exactly:
 //
-//   - Words reach the media only through commitFence (explicit flush+fence)
-//     or PersistRange, so the file always holds precisely the fenced image.
+//   - Words reach the media only through a fence's line copy (commitLines,
+//     after an explicit flush) or PersistRange, so the file always holds
+//     precisely the fenced image.
 //   - A SIGKILL — or any abrupt process death — loses the current (cache)
 //     view, which is process-private, but every store already made into the
 //     shared mapping stays visible to the next process that opens the file

@@ -6,7 +6,6 @@ package pmem
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,17 +90,20 @@ func TestLoadPairNeverTorn(t *testing.T) {
 // word.
 func linePattern(g, r, i int) uint64 { return uint64(g+1)<<56 | uint64(r)<<8 | uint64(i) }
 
-// TestCommitLineConcurrentFences has two goroutines commit the same line
-// from two flush sets, each writing its own half of the line with its own
-// pattern and riding whichever fence commits the line first. The first time
-// persisted(off, tag) answers true, the media must already hold what the
-// goroutine stored before it read tag — the watermark follows the copy — and
-// at the end every media word equals its writer's last word.
+// TestCommitLineConcurrentFences has two goroutines store their own halves
+// of one line, each from its own flush set, and flush, fence and read the
+// half back from the media in every round: after a goroutine's own Fence
+// returns, the media must hold at least its own stores. Only the other
+// goroutine's fence copies the same line at the same time, so the check
+// fails exactly when a copy that read a word before its store lands after
+// the fence that committed it (commitLines serializes the copies of a
+// line). The race it catches is narrow: run it with -count to search.
+// At the end every media word equals its writer's last word.
 func TestCommitLineConcurrentFences(t *testing.T) {
-	d := New(Config{Name: "nvmm", Words: 64, Persistent: true, Track: true, Elide: true})
+	d := newTestDevice(64)
 	const (
 		line   = uint64(16)
-		rounds = 20000
+		rounds = 200000
 		half   = WordsPerLine / 2
 	)
 	var wg sync.WaitGroup
@@ -116,27 +118,16 @@ func TestCommitLineConcurrentFences(t *testing.T) {
 				for i := 0; i < half; i++ {
 					d.Store(own+uint64(i), linePattern(g, r, i))
 				}
-				tag := d.PersistEpoch()
 				d.Flush(&fs, own)
-				// Poll tightly, so that when the other goroutine's fence
-				// is the one that commits the line, the poll lands between
-				// its watermark raise and anything after it.
-				for spins := 0; !d.persisted(own, tag); spins++ {
-					if spins == 1<<10 {
-						d.Fence(&fs) // nobody else committed the line: commit it
-					} else if spins%64 == 63 {
-						runtime.Gosched()
-					}
-				}
+				d.Fence(&fs)
 				for i := 0; i < half; i++ {
 					if got := d.PersistedWord(own + uint64(i)); got != linePattern(g, r, i) {
-						bad.Store(fmt.Sprintf("round %d: Persisted answered true with media word %d = %#x, want %#x",
+						bad.Store(fmt.Sprintf("round %d: after its own fence, media word %d = %#x, want %#x",
 							r, own+uint64(i), got, linePattern(g, r, i)))
 						return
 					}
 				}
 			}
-			d.Fence(&fs)
 		}(g)
 	}
 	wg.Wait()

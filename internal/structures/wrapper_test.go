@@ -2,6 +2,7 @@ package structures_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"mirror/internal/engine"
@@ -114,6 +115,8 @@ func TestWrapperKeepsDeferredVerdict(t *testing.T) {
 // flushes it, and pays one flush, its verdict line. The same numbers must
 // come out behind a pass-through wrapper: the announce barrier sits in the
 // engine's own write path and keys on the context.
+// TestServedMixFenceAttribution sums these rows, with the allocator's
+// pre-free drain, to the fences of a served mix.
 func TestServedMutationBudget(t *testing.T) {
 	type cost struct{ flushes, fences uint64 }
 	for _, wrap := range []bool{false, true} {
@@ -297,6 +300,95 @@ func TestServedMutationBudget(t *testing.T) {
 
 		})
 	}
+}
+
+// TestServedMixFenceAttribution is the sum that TestServedMutationBudget's
+// rows leave open: on a seeded YCSB-A mix (half GETs, a quarter inserts, a
+// quarter deletes, uniform keys, half the range present) in the serving
+// tier's call sequence at depth 1, every fence is either its frame's row —
+// insert-new 2, delete-found 1, a mutation with no effect 1, a GET 0 — or a
+// fence of the allocator's pre-free drain. That drain (palloc.Cache.PreFree,
+// engine Drain) runs before a batch of retired nodes is freed, every 16
+// retires and every 32 operation exits of a context with a limbo, GETs
+// included, and fences when it finds relaxed snips or owed witnesses to
+// commit. So fences per mutation are
+//
+//	2·insert-new + delete-found + no-effect + pre-free, over mutations.
+//
+// The benchmark's counted pass (serve-a-sync, seed 3, 50 000 requests)
+// reads 6 230 insert-new, 6 224 delete-found and 12 525 no-effect among
+// 24 979 mutations, and 727 pre-free fences (275 of them inside GETs):
+// (2·6 230 + 6 224 + 12 525 + 727) / 24 979 = 31 936 / 24 979 = 1.2785,
+// of which the pre-free term is 0.0291.
+func TestServedMixFenceAttribution(t *testing.T) {
+	const keyRange, frames = 1024, 8000
+	e := engine.New(engine.Config{Kind: engine.MirrorDRAM, Words: 1 << 18, Track: true, Clients: 1})
+	c := e.NewCtx()
+	table := skiplist.New(e, c)
+	rng := rand.New(rand.NewSource(3))
+	for k := uint64(1); k <= keyRange; k += 2 {
+		table.Insert(c, k, k)
+	}
+	e.Drain(c)
+	var preFree uint64
+	inner := c.Cache.PreFree
+	c.Cache.PreFree = func() {
+		_, n0 := e.Counters()
+		inner()
+		_, n1 := e.Counters()
+		preFree += n1 - n0
+	}
+	var insertNew, deleteFound, noEffect, seq uint64
+	_, total0 := e.Counters()
+	for i := 0; i < frames; i++ {
+		key := 1 + uint64(rng.Intn(keyRange))
+		_, n0 := e.Counters()
+		p0 := preFree
+		var kind string
+		var want uint64
+		switch op := rng.Intn(4); {
+		case op < 2:
+			table.Get(c, key)
+			kind = "GET"
+		default:
+			seq++
+			del := op == 3
+			var ok bool
+			if del {
+				e.DetectBeginDeferred(c, 0, seq, engine.DetectDelete, key, 0)
+				ok = table.Delete(c, key)
+			} else {
+				e.DetectBeginDeferred(c, 0, seq, engine.DetectInsert, key, key)
+				ok = table.Insert(c, key, key)
+			}
+			e.DetectEndDeferred(c, ok, 0)
+			switch {
+			case ok && del:
+				kind, want = "delete-found", 1
+				deleteFound++
+			case ok:
+				kind, want = "insert-new", 2
+				insertNew++
+			default:
+				kind, want = "no-effect", 1
+				noEffect++
+			}
+		}
+		e.DetectDrain(c) // the release of a one-frame batch
+		_, n1 := e.Counters()
+		if got := n1 - n0 - (preFree - p0); got != want {
+			t.Fatalf("frame %d (%s of key %d): %d fences besides the pre-free drain's, want %d", i, kind, key, got, want)
+		}
+	}
+	_, total1 := e.Counters()
+	if got, rows := total1-total0, 2*insertNew+deleteFound+noEffect; got != rows+preFree {
+		t.Errorf("%d fences, want the rows' %d plus %d pre-free", got, rows, preFree)
+	}
+	if preFree == 0 {
+		t.Error("no pre-free drain fenced: the term the rows leave open is untested")
+	}
+	t.Logf("%d mutations: %d insert-new, %d delete-found, %d no-effect, %d pre-free fences (%.4f per mutation)",
+		seq, insertNew, deleteFound, noEffect, preFree, float64(preFree)/float64(seq))
 }
 
 // TestDrainWindowBudget pins the verdict lines of a depth-8 window under one
